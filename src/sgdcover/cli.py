@@ -691,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedupe", action="store_const", const=True, default=None)
     p.add_argument("--verify-trials", dest="verify_trials", type=int)
     p.add_argument("--max-extra-steps", dest="max_extra_steps", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
 
     p = sub.add_parser("contract", help="measure coupled contraction ratios")
     _add_common(p)
@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--shrink", type=float)
     p.add_argument("--t-band", dest="t_band", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--csv", help="write one row per resampling here")
 
     p = sub.add_parser("kmeans", help="alternating soft-clustering run + equivalence check")

@@ -48,6 +48,25 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_rows(X, dim: int) -> np.ndarray:
+    """Validate and return ``X`` as a finite (m, dim) float64 array of points."""
+    arr = np.asarray(X, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"expected an (m, {dim}) array of points, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("points have non-finite entries")
+    return arr
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis.
+
+    One expression serves single points and batches alike, so a row of a
+    batch gets bitwise the norm its single-point projection computes.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def distance(x, y) -> float:
     """Euclidean distance between two points of equal dimension."""
     xa = as_point(x)
@@ -88,6 +107,10 @@ class ConvexDomain:
         raise NotImplementedError
 
     def project(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def project_batch(self, X) -> np.ndarray:
+        """Project each row of an (m, dim) array; row k equals project(X[k])."""
         raise NotImplementedError
 
     def contains(self, x, tol: float = DETERMINISTIC_TOL) -> bool:
@@ -131,10 +154,21 @@ class Ball(ConvexDomain):
     def project(self, x) -> np.ndarray:
         x = as_point(x, dim=self.dim)
         offset = x - self.center
-        norm = np.linalg.norm(offset)
+        norm = row_norms(offset)
         if norm <= self.radius:
             return x
         return self.center + offset * (self.radius / norm)
+
+    def project_batch(self, X) -> np.ndarray:
+        X = as_rows(X, self.dim)
+        offset = X - self.center
+        norms = row_norms(offset)
+        over = norms > self.radius
+        if not np.any(over):
+            return X
+        out = X.copy()
+        out[over] = self.center + offset[over] * (self.radius / norms[over])[:, None]
+        return out
 
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
@@ -165,6 +199,9 @@ class Box(ConvexDomain):
     def project(self, x) -> np.ndarray:
         x = as_point(x, dim=self.dim)
         return np.clip(x, self.lower, self.upper)
+
+    def project_batch(self, X) -> np.ndarray:
+        return np.clip(as_rows(X, self.dim), self.lower, self.upper)
 
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
@@ -198,12 +235,16 @@ class ProductOfBalls(ConvexDomain):
 
     def project(self, x) -> np.ndarray:
         x = as_point(x, dim=self.dim)
-        blocks = x.reshape(self.blocks, self.block_dim).copy()
-        norms = np.linalg.norm(blocks, axis=1)
+        return self.project_batch(x[None, :])[0]
+
+    def project_batch(self, X) -> np.ndarray:
+        X = as_rows(X, self.dim)
+        blocks = X.reshape(X.shape[0], self.blocks, self.block_dim).copy()
+        norms = row_norms(blocks)
         over = norms > self.radius
         if np.any(over):
             blocks[over] *= (self.radius / norms[over])[:, None]
-        return blocks.reshape(-1)
+        return blocks.reshape(X.shape)
 
     def bounding_radius(self) -> float:
         return self.radius * math.sqrt(self.blocks)
@@ -231,6 +272,9 @@ class WholeSpace(ConvexDomain):
 
     def project(self, x) -> np.ndarray:
         return as_point(x, dim=self.dim)
+
+    def project_batch(self, X) -> np.ndarray:
+        return as_rows(X, self.dim)
 
     def contains(self, x, tol: float = DETERMINISTIC_TOL) -> bool:
         as_point(x, dim=self.dim)

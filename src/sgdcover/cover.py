@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import ConvexDomain, as_point, ceil_int, substream
 from .losses import Dataset
-from .sgd import UpdateMap, sgd_step
+from .sgd import UpdateMap, draw_runs, run_lockstep, sgd_step
 
 DEFAULT_CAP = 10**7
 
@@ -103,40 +101,22 @@ def _enumerate_tree(
     anchor: np.ndarray,
     n_choices: int,
     T: int,
-    threads: int = 1,
 ) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All n_choices^T compositions in lexicographic order of the choice
-    sequence (first applied choice is most significant).
-
-    Parallelism splits on the first choice: each subtree occupies a disjoint
-    contiguous block of the output, so the order never depends on scheduling.
-    """
-
-    def subtree(start_point, prefix):
-        out = []
-        stack = [(start_point, prefix)]
-        while stack:
-            point, seq = stack.pop()
-            if len(seq) == T:
-                out.append((seq, point))
-                continue
-            # push children in reverse so they pop in ascending choice order
-            for c in range(n_choices - 1, -1, -1):
-                stack.append((apply_choice(point, c), seq + (c,)))
-        return out
-
+    sequence (first applied choice is most significant)."""
     if T == 0:
         return [((), anchor.copy())]
-    if threads <= 1 or n_choices == 1:
-        return subtree(anchor, ())
-    with ThreadPoolExecutor(max_workers=min(threads, n_choices)) as pool:
-        blocks = pool.map(
-            lambda c: subtree(apply_choice(anchor, c), (c,)), range(n_choices)
-        )
-        out: list = []
-        for block in blocks:  # map() preserves submission order
-            out.extend(block)
-        return out
+    out = []
+    stack = [(anchor, ())]
+    while stack:
+        point, seq = stack.pop()
+        if len(seq) == T:
+            out.append((seq, point))
+            continue
+        # push children in reverse so they pop in ascending choice order
+        for c in range(n_choices - 1, -1, -1):
+            stack.append((apply_choice(point, c), seq + (c,)))
+    return out
 
 
 def _resolve_dim(update: UpdateMap, dataset: Dataset, dim: int | None) -> int:
@@ -166,7 +146,8 @@ def enumerate_cover(
 
     Refuses outright (no partial output) when n^T exceeds the cap.  With
     ``dedupe`` the first (lexicographically smallest) sequence reaching each
-    exact endpoint is kept; counts then no longer equal n^T.
+    exact endpoint is kept; counts then no longer equal n^T.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -177,9 +158,7 @@ def enumerate_cover(
     d = _resolve_dim(update, dataset, dim)
     anchor = np.zeros(d)
 
-    raw = _enumerate_tree(
-        lambda point, i: sgd_step(update, point, i, dataset), anchor, n, T, threads
-    )
+    raw = _enumerate_tree(lambda point, i: sgd_step(update, point, i, dataset), anchor, n, T)
     entries = [CoverEntry(seq=seq, point=pt, deps=frozenset(seq)) for seq, pt in raw]
     if dedupe:
         seen = set()
@@ -212,6 +191,7 @@ def enumerate_piecewise_cover(
     The piece gradient formula is applied globally (not restricted to its
     cell), producing all (n*P)^T candidate endpoints.  P must be common to
     every sample.  Reduces entrywise to ``enumerate_cover`` when P = 1.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -232,7 +212,7 @@ def enumerate_piecewise_cover(
         i, p = divmod(c, P)
         return point - eta * approxes[i].piece_grad(p, point)
 
-    raw = _enumerate_tree(apply_choice, anchor, n * P, T, threads)
+    raw = _enumerate_tree(apply_choice, anchor, n * P, T)
     entries = []
     for seq, pt in raw:
         idx = tuple(c // P for c in seq)
@@ -278,30 +258,26 @@ def verify_cover(
     """Run ``trials`` trajectories from random starts for random t in
     [T, T + max_extra_steps] and report the worst distance to the cover.
 
-    Passes only if every endpoint lands within epsilon of some cover point.
+    Trial k draws its start, t and indices from ``substream(seed, k)``; all
+    trials then advance in lockstep.  Passes only if every endpoint lands
+    within epsilon of some cover point.
     """
     if trials < 1 or max_extra_steps < 0:
         raise ValueError("need trials >= 1 and max_extra_steps >= 0")
     domain = update.effective_domain
     if domain is None:
         raise ValueError("verification needs a bounded domain to sample starts from")
-    tree = cKDTree(cover.points_array())
+    from scipy.spatial import cKDTree  # deferred: the import is slow and only needed here
+
     T = cover.horizon
-    n = dataset.n
-    failures = 0
-    worst = 0.0
-    for k in range(trials):
-        rng = substream(seed, k)
-        theta = domain.sample(rng)
-        t = int(rng.integers(T, T + max_extra_steps + 1))
-        for i in rng.integers(0, n, size=t):
-            theta = sgd_step(update, theta, int(i), dataset)
-        dist = float(tree.query(theta)[0])
-        worst = max(worst, dist)
-        if dist > epsilon:
-            failures += 1
+    starts, steps, indices = draw_runs(
+        (substream(seed, k) for k in range(trials)), domain, T, T + max_extra_steps, dataset.n
+    )
+    endpoints = run_lockstep(update, starts, steps, indices, dataset)
+    dists = cKDTree(cover.points_array()).query(endpoints)[0]
+    failures = int(np.count_nonzero(dists > epsilon))
     return CoverVerification(
-        trials=trials, failures=failures, max_min_distance=worst,
+        trials=trials, failures=failures, max_min_distance=float(dists.max()),
         epsilon=epsilon, passed=failures == 0, horizon=T,
     )
 

@@ -7,25 +7,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import BoundCertificate, bound_strongly_convex
-from .core import Box, ConvexDomain, hoeffding_tail, substream
+from .core import ConvexDomain, hoeffding_tail, substream
 from .losses import Dataset, Distribution, LossFamily, stability_counterexample_1d
-from .sgd import Trajectory, contraction_factor
-
-
-def _run_indexed(fn, count: int, threads: int = 1) -> list:
-    """Evaluate fn(0..count-1), aggregating in index order regardless of the
-    worker count (tasks draw their randomness from per-index substreams)."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+from .sgd import SGDStep, Trajectory, contraction_factor, draw_runs, run_lockstep
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +39,7 @@ class GapEstimate:
 
 
 def empirical_risk(family: LossFamily, dataset: Dataset, theta) -> float:
-    return float(np.mean([family.value(theta, z) for z in dataset.samples]))
+    return float(np.mean(family.values(theta, dataset)))
 
 
 def population_risk(
@@ -63,12 +54,14 @@ def population_risk(
     if distribution is None:
         return None, 0.0, False
     if distribution.finite:
-        vals = np.array([family.value(theta, z) for z in distribution.support])
+        vals = family.values(theta, Dataset(distribution.support))
         return float(vals @ distribution.probs), 0.0, True
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if rng is None:
         rng = np.random.default_rng(0)
     draws = distribution.draw(rng, m)
-    vals = np.array([family.value(theta, z) for z in draws])
+    vals = family.values(theta, Dataset(draws))
     se = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
     return float(vals.mean()), se, False
 
@@ -155,7 +148,10 @@ def validate_bound(
     ``shrink`` divides the certificate (a shrink of 50 gives the negative
     control that must FAIL).  Population risk must be exactly enumerable.
     delta = 1 makes the acceptance rule vacuous and needs an explicit
-    certificate, since the calculators require delta < 1.
+    certificate, since the calculators require delta < 1.  The trials of one
+    resampling run in lockstep; a non-finite gradient raises
+    FloatingPointError.  ``threads`` is accepted for compatibility and has
+    no effect.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
@@ -177,29 +173,24 @@ def validate_bound(
     threshold = certificate.total / shrink
     T = int(certificate.inputs.get("T", 0))
 
-    support = scenario.distribution.support
     probs = scenario.distribution.probs
-    n = scenario.n
-
-    def pop_risk(theta):
-        return sum(p * fam.value(theta, z) for p, z in zip(probs, support))
+    support = Dataset(scenario.distribution.support)
+    step = SGDStep(fam, scenario.eta, domain=scenario.domain)
 
     def one_resampling(r: int) -> float:
         rng = substream(seed, r)
-        samples = scenario.distribution.draw(rng, n)
+        data = Dataset(scenario.distribution.draw(rng, scenario.n))
+        runs = draw_runs(repeat(rng, trials), scenario.domain, T, T + t_band, data.n)
         worst = 0.0
-        for _ in range(trials):
-            theta = scenario.domain.sample(rng)
-            t = int(rng.integers(T, T + t_band + 1))
-            for i in rng.integers(0, n, size=t):
-                theta = scenario.domain.project(
-                    theta - scenario.eta * fam.grad(theta, samples[i])
-                )
-            f_hat = float(np.mean([fam.value(theta, z) for z in samples]))
-            worst = max(worst, abs(f_hat - float(pop_risk(theta))))
+        for theta in run_lockstep(step, *runs, data):
+            f_hat = float(np.mean(fam.values(theta, data)))
+            # a sequential sum in support order, not a dot product: the
+            # frozen max_gaps depend on this rounding
+            f_pop = sum(p * v for p, v in zip(probs, fam.values(theta, support)))
+            worst = max(worst, abs(f_hat - float(f_pop)))
         return worst
 
-    max_gaps = tuple(_run_indexed(one_resampling, resamplings, threads))
+    max_gaps = tuple(one_resampling(r) for r in range(resamplings))
     violations = sum(g > threshold for g in max_gaps)
     return ValidationReport(
         scenario=scenario.name,
@@ -337,15 +328,6 @@ class StabilityReport:
     seed: int
 
 
-def _stability_sgd(x: np.ndarray, z: np.ndarray, eta: float) -> np.ndarray:
-    """Vectorized projected step of the two-sample 1-D family."""
-    left = (x - 1.0) ** 2
-    right = 0.5 + 0.5 * (x - 3.0) ** 2
-    grad0 = np.where(left < right, 2.0 * (x - 1.0), np.where(right < left, x - 3.0, 2.0))
-    grad = np.where(z == 1, 2.0 * (x - 1.0), grad0)
-    return np.clip(x - eta * grad, 0.0, 4.0)
-
-
 def stability_experiment(
     eta: float = 1.0 / 3.0,
     inits: int = 10_000,
@@ -366,26 +348,29 @@ def stability_experiment(
     if inits < 1 or steps < 1 or n_samples < 1:
         raise ValueError("inits, steps, n_samples must be positive")
 
+    step = SGDStep(stability_counterexample_1d(), eta)
     datasets = {
-        "identical": np.zeros(n_samples, dtype=np.int64),
-        "swapped": np.concatenate([[1], np.zeros(n_samples - 1, dtype=np.int64)]),
+        "identical": Dataset((0,) * n_samples),
+        "swapped": Dataset((1,) + (0,) * (n_samples - 1)),
     }
     means = {}
     converged = 0
     for tag, (label, data) in enumerate(datasets.items()):
         rng = substream(seed, tag)
-        x = rng.uniform(0.0, 4.0, size=inits)
+        x = rng.uniform(0.0, 4.0, size=(inits, 1))
         idx = rng.integers(0, n_samples, size=(steps, inits))
         for t in range(steps):
-            x = _stability_sgd(x, data[idx[t]], eta)
+            x = step.apply_batch(x, idx[t], data)
+        x = x[:, 0]
         means[label] = float(np.mean((x - 1.0) ** 2))
         converged += int(np.sum((np.abs(x - 1.0) <= 1e-6) | (np.abs(x - 3.0) <= 1e-6)))
 
     # deterministic basin check on the all-zeros data
     grid = np.concatenate([np.linspace(0.0, 2.0, 21), np.linspace(2.0 + 1e-9, 4.0, 21)])
-    xg = grid.copy()
+    xg = grid[:, None]
     for _ in range(steps):
-        xg = _stability_sgd(xg, np.zeros_like(xg, dtype=np.int64), eta)
+        xg = step.apply_batch(xg, np.zeros(grid.size, dtype=np.int64), datasets["identical"])
+    xg = xg[:, 0]
     basin = bool(np.all(np.abs(xg[:21] - 1.0) <= 1e-6) and np.all(np.abs(xg[21:] - 3.0) <= 1e-6))
 
     return StabilityReport(
@@ -396,10 +381,6 @@ def stability_experiment(
         basin_respected=basin,
         eta=eta, steps=steps, inits=inits, n_samples=n_samples, seed=seed,
     )
-
-
-def stability_domain() -> Box:
-    return stability_counterexample_1d().domain
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +419,7 @@ def hoeffding_check(
         raise ValueError("the check needs a finitely supported distribution")
     if resamplings < 1:
         raise ValueError("resamplings must be positive")
-    values = np.array([family.value(theta, z) for z in distribution.support])
+    values = family.values(theta, Dataset(distribution.support))
     mean = float(values @ distribution.probs)
     width = float(values.max() - values.min())
     if width == 0.0:

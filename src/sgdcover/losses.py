@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -71,7 +72,16 @@ class LossConstants:
 
 @dataclass(frozen=True, eq=False)
 class LossFamily:
-    """A named per-sample loss f(theta; z) with auxiliary gradient."""
+    """A named per-sample loss f(theta; z) with auxiliary gradient.
+
+    ``grad_batch(thetas, zs)`` and ``value_batch(theta, zs)`` are optional
+    batched forms over a stacked sample array (``Dataset.matrix`` rows):
+    row k of ``grad_batch`` is ``grad(thetas[k], zs[k])`` and entry k of
+    ``value_batch`` is ``value(theta, zs[k])``, bitwise.  Families without
+    them are evaluated by per-row loops over ``grad`` and ``value``.  Being
+    fields, the batched forms survive ``dataclasses.replace``; replacing
+    ``grad`` or ``value`` with a different loss must replace them as well.
+    """
 
     name: str
     constants: LossConstants
@@ -81,6 +91,22 @@ class LossFamily:
     dim: int | None = None
     domain: ConvexDomain | None = None
     blocks: tuple[int, int] | None = None  # (K, d) when block-structured
+    grad_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    value_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def grad_rows(self, thetas: np.ndarray, dataset: "Dataset", idx) -> np.ndarray:
+        """Gradients of an (m, d) batch: row k uses sample ``idx[k]`` of the dataset."""
+        if self.grad_batch is not None:
+            return self.grad_batch(thetas, dataset.matrix[idx])
+        samples = dataset.samples
+        return np.stack([np.asarray(self.grad(theta, samples[i]), dtype=float)
+                         for theta, i in zip(thetas, idx)])
+
+    def values(self, theta: np.ndarray, dataset: "Dataset") -> np.ndarray:
+        """Per-sample losses of one parameter over the whole dataset."""
+        if self.value_batch is not None:
+            return self.value_batch(as_point(theta, dim=self.dim), dataset.matrix)
+        return np.array([self.value(theta, z) for z in dataset.samples], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +151,11 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.samples)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The samples stacked into one float array (numeric samples only)."""
+        return np.asarray(self.samples, dtype=float)
 
     @staticmethod
     def sample(distribution: Distribution, n: int, rng_or_seed) -> "Dataset":
@@ -198,6 +229,8 @@ def quadratic_centers(centers: Sequence, R: float) -> LossFamily:
         grad=grad,
         dim=d,
         domain=Ball(np.zeros(d), R),
+        grad_batch=lambda thetas, zs: thetas - zs,
+        value_batch=lambda theta, zs: 0.5 * np.sum((theta - zs) ** 2, axis=-1),
     )
 
 
@@ -504,6 +537,14 @@ def stability_counterexample_1d() -> LossFamily:
             return np.array([x - 3.0])
         return np.array([2.0])  # kink at x = 2: both branches evaluate to 1
 
+    def grad_batch(thetas, zs):
+        x = thetas[:, 0]
+        left = (x - 1.0) ** 2
+        right = 0.5 + 0.5 * (x - 3.0) ** 2
+        g0 = np.where(left < right, 2.0 * (x - 1.0), np.where(right < left, x - 3.0, 2.0))
+        one = np.reshape(zs, x.shape).astype(np.int64) == 1  # int(z) == 1, row-wise
+        return np.where(one, 2.0 * (x - 1.0), g0)[:, None]
+
     constants = LossConstants(alpha=1.0, beta=2.0, B=8.0, R=4.0)
     return LossFamily(
         name="stability_counterexample_1d",
@@ -513,6 +554,7 @@ def stability_counterexample_1d() -> LossFamily:
         grad=grad,
         dim=1,
         domain=Box([0.0], [4.0]),
+        grad_batch=grad_batch,
     )
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +48,16 @@ class SGDStep:
             out = self.effective_domain.project(out)
         return out
 
+    def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
+        """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise."""
+        g = self.family.grad_rows(thetas, dataset, idx)
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("non-finite gradient")
+        out = thetas - self.eta * g
+        if self.project:
+            out = self.effective_domain.project_batch(out)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class CustomMap:
@@ -65,6 +75,11 @@ class CustomMap:
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("update produced non-finite values")
         return out
+
+    def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
+        """Per-row fallback: row k is ``apply(thetas[k], dataset.samples[idx[k]])``."""
+        samples = dataset.samples
+        return np.stack([self.apply(theta, samples[i]) for theta, i in zip(thetas, idx)])
 
 
 UpdateMap = Union[SGDStep, CustomMap]
@@ -196,6 +211,51 @@ def draw_indices(config: SGDConfig, n: int) -> np.ndarray:
     while sum(len(p) for p in passes) < t:
         passes.append(rng.permutation(n))
     return np.concatenate(passes)[:t][:, None]
+
+
+def draw_runs(
+    rngs: Iterable[np.random.Generator],
+    domain: ConvexDomain,
+    t_min: int,
+    t_max: int,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Randomness of one run per generator, drawn in the order a sequential
+    loop would consume it: a uniform start in the domain, a step count t in
+    [t_min, t_max], then t uniform sample indices.
+
+    Returns (starts (m, d), steps (m,), indices (m, t_max)); row k of the
+    index array is padded with zeros past ``steps[k]``.
+    """
+    starts, steps, rows = [], [], []
+    for rng in rngs:
+        starts.append(domain.sample(rng))
+        steps.append(int(rng.integers(t_min, t_max + 1)))
+        rows.append(rng.integers(0, n, size=steps[-1]))
+    indices = np.zeros((len(rows), t_max), dtype=np.int64)
+    for k, row in enumerate(rows):
+        indices[k, : row.size] = row
+    return np.array(starts, dtype=float).reshape(len(rows), domain.dim), np.array(steps), indices
+
+
+def run_lockstep(
+    update: UpdateMap,
+    starts: np.ndarray,
+    steps: np.ndarray,
+    indices: np.ndarray,
+    dataset: Dataset,
+) -> np.ndarray:
+    """Endpoints of many runs advanced together, one batched update per step.
+
+    Run k starts at ``starts[k]`` and applies samples ``indices[k, :steps[k]]``;
+    runs that have finished are masked out.  Each endpoint equals, bitwise,
+    the one a sequential ``sgd_step`` loop reaches.
+    """
+    thetas = np.array(starts, dtype=float)
+    for s in range(int(steps.max(initial=0))):
+        live = np.flatnonzero(steps > s)
+        thetas[live] = update.apply_batch(thetas[live], indices[live, s], dataset)
+    return thetas
 
 
 def run_trajectory(

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgdcover
 from sgdcover.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 
 QUADRATIC_SCENARIO = {
@@ -231,3 +236,14 @@ class TestValidationCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run(["stability", "--config", str(cfg)]) == EXIT_USAGE
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """scipy.spatial is imported only when a cover is verified."""
+    src = str(Path(sgdcover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, sgdcover.cli; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -123,6 +123,45 @@ class TestProjectionProperties:
         assert math.isinf(WholeSpace(1).bounding_radius())
 
 
+class TestProjectBatch:
+    def test_rows_match_single_projection_bitwise(self):
+        """Every domain variant, with rows inside and outside: row k of the
+        batch is bit for bit the single-point projection of row k."""
+        rng = np.random.default_rng(11)
+        for dom in _domains():
+            inside = [dom.sample(rng) if math.isfinite(dom.bounding_radius())
+                      else rng.normal(size=dom.dim) for _ in range(200)]
+            X = np.vstack([inside, rng.uniform(-4, 4, size=(200, dom.dim))])
+            batch = dom.project_batch(X)
+            rows = np.stack([dom.project(x) for x in X])
+            assert batch.shape == X.shape and batch.tobytes() == rows.tobytes()
+            moved = np.any(rows != X, axis=1)
+            assert not np.any(moved[:200])
+            assert np.any(moved[200:]) or isinstance(dom, WholeSpace)
+
+    def test_ball_norm_agrees_in_every_dimension(self):
+        rng = np.random.default_rng(12)
+        for d in range(1, 34):
+            ball = Ball(rng.uniform(-0.5, 0.5, size=d), 1.0)
+            X = ball.center + rng.normal(size=(200, d)) * rng.uniform(0.2, 2.0, size=(200, 1))
+            rows = np.stack([ball.project(x) for x in X])
+            assert ball.project_batch(X).tobytes() == rows.tobytes()
+
+    def test_product_of_balls_blocks_independent(self):
+        dom = ProductOfBalls(blocks=2, block_dim=2, radius=1.0)
+        X = np.array([[3.0, 4.0, 0.1, 0.2], [0.1, 0.2, 0.0, -2.0]])
+        np.testing.assert_allclose(dom.project_batch(X),
+                                   [[0.6, 0.8, 0.1, 0.2], [0.1, 0.2, 0.0, -1.0]], rtol=1e-15)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            Ball(np.zeros(2), 1.0).project_batch(np.zeros(2))
+        with pytest.raises(ValueError):
+            Box([0.0], [1.0]).project_batch(np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            WholeSpace(2).project_batch([[np.nan, 0.0]])
+
+
 class TestDistance:
     def test_coincidence(self):
         x = np.array([0.4, -1.2])

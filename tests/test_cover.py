@@ -21,8 +21,9 @@ from sgdcover.cover import (
     smooth_function,
     verify_cover,
 )
-from sgdcover.losses import Dataset, quadratic_centers
-from sgdcover.sgd import CustomMap, SGDStep
+from sgdcover.core import substream
+from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
+from sgdcover.sgd import CustomMap, SGDStep, run_lockstep, sgd_step
 
 CENTERS = [np.array([0.8, 0.0]), np.array([-0.4, 0.6]), np.array([-0.2, -0.7])]
 
@@ -80,6 +81,19 @@ class TestEnumerateCover:
                 e.point, replay_entry(update, ds, e, np.zeros(2))
             )
             assert e.deps == frozenset(e.seq) and len(e.deps) <= 2
+
+    def test_replay_and_lockstep_match_enumeration_with_projection(self):
+        """At eta = 1.5 the projection is active; replaying each entry, and
+        running all entry sequences through the batched kernel, both give the
+        enumerated points bit for bit."""
+        _, ds, update = quadratic_cover_setup(eta=1.5)
+        cov = enumerate_cover(update, ds, T=4)
+        assert any(abs(np.linalg.norm(e.point) - 1.0) < 1e-12 for e in cov.entries)
+        seqs = np.array([e.seq for e in cov.entries])
+        lockstep = run_lockstep(update, np.zeros((len(cov), 2)), np.full(len(cov), 4), seqs, ds)
+        for e, row in zip(cov.entries, lockstep):
+            assert replay_entry(update, ds, e, cov.anchor).tobytes() == e.point.tobytes()
+            assert row.tobytes() == e.point.tobytes()
 
     def test_threads_do_not_change_output(self):
         _, ds, update = quadratic_cover_setup()
@@ -163,6 +177,42 @@ class TestVerifyCover:
         bad = verify_cover(cov, update, ds, trials=1000, max_extra_steps=50,
                            epsilon=eps / 100.0, seed=2)
         assert not bad.passed and bad.failures > 0
+
+    def test_frozen_verification(self):
+        """Frozen worst distance and failure counts of a small run."""
+        _, ds, update = quadratic_cover_setup()
+        eps = 1.0 / 6.0
+        cov = enumerate_cover(update, ds, T=cover_horizon(1.0, eps, 0.5), epsilon=eps)
+        ok = verify_cover(cov, update, ds, trials=300, max_extra_steps=20, epsilon=eps, seed=3)
+        assert (ok.max_min_distance, ok.failures) == (0.11856648405040639, 0)
+        bad = verify_cover(cov, update, ds, trials=300, max_extra_steps=20,
+                           epsilon=eps / 100.0, seed=3)
+        assert (bad.max_min_distance, bad.failures) == (0.11856648405040639, 300)
+
+    def test_lockstep_matches_sequential_reference(self):
+        """A user-built family (per-row fallback) verified in lockstep
+        agrees exactly with trials run one at a time through sgd_step."""
+        A = np.array([[2.0, 0.0], [0.0, 1.0]])
+        aniso = LossFamily(
+            name="aniso", constants=LossConstants(alpha=1.0, beta=2.0, L=1.0, R=1.0),
+            sample_space="targets",
+            value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
+            grad=lambda t, z: A @ (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
+        )
+        ds = Dataset(tuple(CENTERS))
+        update = SGDStep(aniso, 0.5)
+        cov = enumerate_cover(update, ds, T=4)
+        points = cov.points_array()
+        dists = []
+        for k in range(60):
+            rng = substream(9, k)
+            theta = update.effective_domain.sample(rng)
+            for i in rng.integers(0, ds.n, size=int(rng.integers(4, 15))):
+                theta = sgd_step(update, theta, int(i), ds)
+            dists.append(float(np.sqrt(np.min(np.sum((points - theta) ** 2, axis=1)))))
+        out = verify_cover(cov, update, ds, trials=60, max_extra_steps=10, epsilon=0.05, seed=9)
+        assert out.max_min_distance == pytest.approx(max(dists), rel=1e-15)
+        assert out.failures == sum(d > 0.05 for d in dists)
 
     def test_soundness_across_contractive_families(self):
         """Covers built at eps = 1/(2 L n) stay sound for every strongly

@@ -1,6 +1,7 @@
 """Validation harness: gap estimation, resampling validation, the
 alternating clustering update, the stability experiment, and tail checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,31 @@ class TestValidateBound:
                              delta=0.05, seed=4, threads=4)
         assert seq.max_gaps == par.max_gaps
 
+    def test_frozen_max_gaps(self):
+        """Frozen per-resampling worst gaps of a small run."""
+        report = validate_bound(quadratic_scenario(n=30), resamplings=8, trials=3,
+                                delta=0.05, seed=4)
+        assert report.max_gaps == (
+            0.09530621249334864, 5.551115123125783e-17, 0.027016762790896376,
+            0.02718287559290511, 0.039563462732796206, 0.011597622645047767,
+            0.02841216795217999, 0.040734281043592,
+        )
+
+    def test_per_row_fallback_gives_identical_gaps(self):
+        scenario = quadratic_scenario(n=40)
+        plain = dataclasses.replace(scenario.family, grad_batch=None, value_batch=None)
+        fallback = dataclasses.replace(scenario, family=plain)
+        a = validate_bound(scenario, resamplings=6, trials=4, delta=0.05, seed=2)
+        b = validate_bound(fallback, resamplings=6, trials=4, delta=0.05, seed=2)
+        assert a.max_gaps == b.max_gaps
+
+    def test_non_finite_gradient_raises(self):
+        fam = quadratic_centers(CENTERS, R=1.0)
+        bad = dataclasses.replace(fam, grad_batch=lambda thetas, zs: thetas / 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            validate_bound(dataclasses.replace(quadratic_scenario(), family=bad),
+                           resamplings=2, trials=2, delta=0.05)
+
     def test_csv_rows(self, tmp_path):
         report = validate_bound(quadratic_scenario(n=20), resamplings=8, trials=2,
                                 delta=0.05, seed=1)
@@ -247,6 +273,12 @@ class TestStabilityExperiment:
         r1 = stability_experiment(inits=500, steps=100, seed=9)
         r2 = stability_experiment(inits=500, steps=100, seed=9)
         assert r1 == r2
+
+    def test_frozen_report(self):
+        """Frozen report of a small run."""
+        rep = stability_experiment(inits=500, steps=100, seed=9)
+        assert (rep.mean_identical, rep.mean_swapped, rep.converged_fraction) == (2.024, 0.0, 1.0)
+        assert rep.basin_respected
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):

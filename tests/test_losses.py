@@ -1,5 +1,6 @@
 """Loss families: examples, gradient consistency, and declared constants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from sgdcover.losses import (
     Dataset,
     Distribution,
     LossConstants,
+    LossFamily,
     family_from_descriptor,
     hard_kmeans,
     multi_index,
@@ -242,6 +244,17 @@ class TestStabilityCounterexample:
     def test_right_piece_minimum(self):
         assert self.fam.value([3.0], 0) == 0.5
 
+    def test_batched_gradient_matches_rows_bitwise(self):
+        """Same kink rule (gradient 2 at x = 2) in the batched form, for
+        both sample values, on a grid through the kink."""
+        grid = np.concatenate([np.linspace(0.0, 4.0, 81), [2.0, np.nextafter(2.0, 0.0),
+                                                          np.nextafter(2.0, 4.0)]])
+        for z in (0, 1):
+            batch = self.fam.grad_batch(grid[:, None], np.full(grid.size, z))
+            rows = np.stack([self.fam.grad([x], z) for x in grid])
+            assert batch.shape == rows.shape and batch.tobytes() == rows.tobytes()
+        assert self.fam.grad_batch(np.array([[2.0]]), np.array([0]))[0, 0] == 2.0
+
 
 def _random_eval_points(name, rng):
     """(theta, z) pairs at differentiable points for each family."""
@@ -306,6 +319,48 @@ class TestBoundedDeviation:
         for theta in thetas:
             vals = [fam.value(theta, z) for z in zs]
             assert max(vals) - min(vals) <= fam.constants.B + 1e-12
+
+
+class TestBatchedEvaluation:
+    def test_quadratic_batched_forms_match_rows_bitwise(self):
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 5, 17):
+            centers = [Ball(np.zeros(d), 1.0).sample(rng) for _ in range(4)]
+            fam = quadratic_centers(centers, R=1.0)
+            ds = Dataset(tuple(centers))
+            thetas = rng.uniform(-2.0, 2.0, size=(50, d))
+            idx = rng.integers(0, 4, size=50)
+            rows = np.stack([fam.grad(t, centers[i]) for t, i in zip(thetas, idx)])
+            assert fam.grad_rows(thetas, ds, idx).tobytes() == rows.tobytes()
+            for theta in thetas[:10]:
+                vals = np.array([fam.value(theta, z) for z in centers])
+                assert fam.values(theta, ds).tobytes() == vals.tobytes()
+
+    def test_families_without_batched_forms_fall_back_per_row(self):
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        fam = LossFamily(
+            name="aniso", constants=LossConstants(), sample_space="targets",
+            value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
+            grad=lambda t, z: A @ (t - z), dim=2,
+        )
+        assert fam.grad_batch is None and fam.value_batch is None
+        ds = Dataset((np.array([0.5, 0.0]), np.array([-0.2, 0.4])))
+        thetas = np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.0]])
+        idx = np.array([1, 0, 1])
+        rows = np.stack([fam.grad(t, ds.samples[i]) for t, i in zip(thetas, idx)])
+        assert fam.grad_rows(thetas, ds, idx).tobytes() == rows.tobytes()
+        vals = np.array([fam.value(thetas[1], z) for z in ds.samples])
+        assert fam.values(thetas[1], ds).tobytes() == vals.tobytes()
+
+    def test_replace_keeps_batched_forms(self):
+        fam = quadratic_centers([[0.5, 0.0]], R=1.0)
+        traced = dataclasses.replace(fam, grad=lambda t, z: fam.grad(t, z))
+        assert traced.grad_batch is fam.grad_batch and traced.value_batch is fam.value_batch
+
+    def test_dataset_matrix_stacks_samples(self):
+        ds = Dataset((np.array([1.0, 2.0]), np.array([3.0, 4.0])))
+        np.testing.assert_array_equal(ds.matrix, [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.matrix is ds.matrix  # computed once
 
 
 class TestDatasetsAndDescriptors:

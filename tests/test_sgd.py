@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdcover.core import Ball, ProductOfBalls, WholeSpace
+from sgdcover.core import Ball, ProductOfBalls, WholeSpace, substream
 from sgdcover.losses import (
     Dataset,
     LossConstants,
@@ -23,6 +23,8 @@ from sgdcover.sgd import (
     contraction_factor,
     coupled_contraction_ratio,
     draw_indices,
+    draw_runs,
+    run_lockstep,
     run_trajectory,
     sgd_step,
 )
@@ -286,3 +288,90 @@ class TestCoupledContraction:
         ds = Dataset((np.array([0.0]),))
         report = coupled_contraction_ratio(halver, np.array([1.0]), np.array([-1.0]), [0, 0], ds)
         np.testing.assert_allclose(report.ratios, 0.5, rtol=1e-15)
+
+
+def _assert_batch_matches_rows(update, ds, thetas, idx):
+    batch = update.apply_batch(thetas, idx, ds)
+    rows = np.stack([update.apply(t, ds.samples[i]) for t, i in zip(thetas, idx)])
+    assert batch.shape == rows.shape and batch.tobytes() == rows.tobytes()
+
+
+class TestApplyBatch:
+    @pytest.mark.parametrize("eta", [0.5, 1.5])
+    def test_quadratic_matches_apply_bitwise(self, eta):
+        fam, ds, update = quadratic_setup(eta, domain=Ball(np.zeros(2), 1.0))
+        rng = np.random.default_rng(21)
+        thetas = np.stack([update.effective_domain.sample(rng) for _ in range(300)])
+        idx = rng.integers(0, ds.n, size=300)
+        _assert_batch_matches_rows(update, ds, thetas, idx)
+        raw = thetas - eta * (thetas - ds.matrix[idx])
+        projected = np.linalg.norm(raw, axis=1) > 1.0
+        assert np.any(projected) == (eta > 1.0)
+
+    def test_lambda_family_matches_apply_bitwise(self):
+        A = np.array([[2.0, 0.0], [0.0, 1.0]])
+        aniso = LossFamily(
+            name="aniso", constants=LossConstants(alpha=1.0, beta=2.0), sample_space="targets",
+            value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
+            grad=lambda t, z: A @ (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
+        )
+        update = SGDStep(aniso, 0.9)
+        ds = Dataset(tuple(CENTERS))
+        rng = np.random.default_rng(22)
+        thetas = rng.uniform(-1.0, 1.0, size=(100, 2))
+        _assert_batch_matches_rows(update, ds, thetas, rng.integers(0, 3, size=100))
+
+    def test_product_domain_matches_apply_bitwise(self):
+        fam = hard_kmeans(K=2, R=0.5, d=2)
+        update = SGDStep(fam, 0.75)
+        ds = Dataset(tuple(CENTERS))
+        rng = np.random.default_rng(23)
+        thetas = rng.uniform(-0.5, 0.5, size=(100, 4))
+        _assert_batch_matches_rows(update, ds, thetas, rng.integers(0, 3, size=100))
+
+    def test_custom_map_matches_apply_bitwise(self):
+        pull = CustomMap(lambda t, z: 0.3 * t + 0.7 * np.asarray(z), Ball(np.zeros(2), 1.0))
+        ds = Dataset(tuple(CENTERS))
+        rng = np.random.default_rng(24)
+        thetas = rng.uniform(-1.0, 1.0, size=(50, 2))
+        _assert_batch_matches_rows(pull, ds, thetas, rng.integers(0, 3, size=50))
+
+    def test_non_finite_gradient_rejected_for_the_batch(self):
+        bad = LossFamily(
+            name="bad", constants=LossConstants(), sample_space="unit",
+            value=lambda t, z: 0.0,
+            grad=lambda t, z: np.array([np.inf if t[0] > 0 else 0.0]), dim=1,
+        )
+        update = SGDStep(bad, 0.1, domain=WholeSpace(1), project=False)
+        ds = Dataset((None,))
+        assert update.apply_batch(np.array([[-1.0], [-2.0]]), [0, 0], ds).shape == (2, 1)
+        with pytest.raises(FloatingPointError):
+            update.apply_batch(np.array([[-1.0], [1.0]]), [0, 0], ds)
+
+
+class TestLockstep:
+    def test_draw_runs_consumes_randomness_in_sequential_order(self):
+        ball = Ball(np.zeros(2), 1.0)
+        starts, steps, indices = draw_runs((substream(5, k) for k in range(20)), ball, 3, 9, 4)
+        assert starts.shape == (20, 2) and indices.shape == (20, 9)
+        for k in range(20):
+            rng = substream(5, k)
+            np.testing.assert_array_equal(starts[k], ball.sample(rng))
+            t = int(rng.integers(3, 10))
+            assert steps[k] == t
+            np.testing.assert_array_equal(indices[k, :t], rng.integers(0, 4, size=t))
+            assert not np.any(indices[k, t:])
+
+    def test_endpoints_match_sequential_runs_bitwise(self):
+        """Ragged step counts: finished runs are masked out, and every
+        endpoint equals the sequential sgd_step loop's bit for bit."""
+        _, ds, update = quadratic_setup(1.5, domain=Ball(np.zeros(2), 1.0))
+        rng = np.random.default_rng(25)
+        starts, steps, indices = draw_runs([rng] * 40, update.effective_domain, 0, 12, ds.n)
+        assert steps.min() < steps.max()
+        endpoints = run_lockstep(update, starts, steps, indices, ds)
+        for k in range(40):
+            theta = starts[k]
+            for i in indices[k, : steps[k]]:
+                theta = sgd_step(update, theta, int(i), ds)
+            assert endpoints[k].tobytes() == theta.tobytes()
