@@ -1,11 +1,11 @@
 """Command-line front end: scenario configuration, execution, and
 serialization of certificates, covers, and validation reports.
 
-Exit codes: 0 on success/PASS, 1 when a validation-style command FAILS,
-2 on usage or schema errors (including enumeration-cap refusals).  Every
-JSON artifact echoes the effective config, its hash, the seed, and the
-package version; the timestamp field is excluded from the determinism
-contract.
+Exit codes: 0 on success/PASS, 1 only when a validation-style command
+FAILS, 2 on usage, schema or library errors (including enumeration-cap
+refusals).  Every JSON artifact echoes the effective config, its hash, the
+seed, and the package version; the timestamp field is excluded from the
+determinism contract.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .core import Ball, ProductOfBalls, numeric_gradient, substream
 from .cover import (
-    EnumerationCapExceeded,
+    DEFAULT_CAP,
     IFSModel,
     box_counting_dimension,
     build_piecewise_approx,
@@ -60,7 +60,6 @@ from .losses import Dataset, family_from_descriptor, uniform_ball, uniform_over
 from .sgd import SGDConfig, SGDStep, contraction_factor, coupled_contraction_ratio, run_trajectory
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-DEFAULT_CAP = int(os.environ.get("SGDCOVER_CAP", 10**7))
 
 
 class UsageError(Exception):
@@ -136,6 +135,15 @@ def _merged(args: argparse.Namespace, file_keys: tuple[str, ...]) -> dict:
         if flag is not None:
             cfg[key] = flag
     return cfg
+
+
+def _cap(cfg: dict) -> int:
+    """The config's ``cap``, else ``SGDCOVER_CAP``, else ``DEFAULT_CAP``."""
+    raw = cfg.get("cap", os.environ.get("SGDCOVER_CAP", DEFAULT_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"enumeration cap must be an integer, got {raw!r}") from None
 
 
 def _require(cfg: dict, *keys):
@@ -308,8 +316,7 @@ def _cmd_cover(args) -> int:
             raise UsageError("give T, or epsilon plus a family with declared alpha/beta")
         gamma = contraction_factor(c.alpha, c.beta, eta)
         T = cover_horizon(domain.bounding_radius(), epsilon, gamma)
-    cap = cfg.get("cap", DEFAULT_CAP)
-    cover = enumerate_cover(update, dataset, int(T), cap=int(cap),
+    cover = enumerate_cover(update, dataset, int(T), cap=_cap(cfg),
                             dedupe=bool(cfg.get("dedupe", False)), epsilon=epsilon,
                             threads=int(cfg.get("threads", 1)))
 
@@ -420,8 +427,7 @@ def _cmd_approx(args) -> int:
     grid = int(cfg.get("grid", 200))
     domain = Ball(np.zeros(d), R)
     fn = smooth_function(value, grad, beta_prime)
-    approx = build_piecewise_approx(fn, domain, xi, (alpha, beta),
-                                    cap=int(cfg.get("cap", DEFAULT_CAP)))
+    approx = build_piecewise_approx(fn, domain, xi, (alpha, beta), cap=_cap(cfg))
 
     axes = [np.linspace(-R, R, grid)] * d
     mesh = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -767,13 +773,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
+    except (UsageError, ValueError, TypeError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,20 +20,6 @@ DETERMINISTIC_TOL = 1e-9
 _CEIL_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared across the toolkit."""
-
-    deterministic_tol: float = DETERMINISTIC_TOL
-    statistical_confidence: float = 0.95
-
-    def __post_init__(self):
-        if not self.deterministic_tol > 0:
-            raise ValueError("deterministic_tol must be positive")
-        if not 0 < self.statistical_confidence < 1:
-            raise ValueError("statistical_confidence must lie in (0, 1)")
-
-
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return ``x`` as a finite 1-D float64 vector."""
     arr = np.asarray(x, dtype=float)
@@ -285,11 +271,6 @@ class WholeSpace(ConvexDomain):
 
     def sample(self, rng) -> np.ndarray:
         raise ValueError("cannot sample uniformly from an unbounded domain")
-
-
-def project(domain: ConvexDomain, x) -> np.ndarray:
-    """Euclidean projection of ``x`` onto the domain (identity on members)."""
-    return domain.project(x)
 
 
 def hoeffding_tail(n: int, epsilon: float, range_width: float) -> float:

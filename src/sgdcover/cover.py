@@ -11,13 +11,16 @@ an epsilon-cover of the reachable set for epsilon >= gamma^T * R.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .bounds import horizon
 from .core import ConvexDomain, as_point, ceil_int, substream
 from .losses import Dataset
 from .sgd import UpdateMap, draw_runs, run_lockstep, sgd_step
@@ -49,7 +52,7 @@ def cover_horizon(R: float, epsilon: float, gamma: float) -> int:
         raise ValueError("gamma must lie in (0, 1)")
     if epsilon >= R:
         return 0
-    return max(ceil_int(math.log(R / epsilon) / math.log(1.0 / gamma)), 0)
+    return horizon(R / epsilon, gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +69,7 @@ class CoverEntry:
         rec = {"seq": list(self.seq)}
         if self.pieces is not None:
             rec["pieces"] = list(self.pieces)
-        rec["point"] = [float(v) for v in self.point]
+        rec["point"] = np.asarray(self.point, dtype=float).tolist()
         rec["deps"] = sorted(self.deps)
         return json.dumps(rec, sort_keys=False)
 
@@ -74,21 +77,29 @@ class CoverEntry:
 @dataclass(frozen=True, eq=False)
 class CoverSet:
     """Enumerated cover anchored at the origin, in canonical lexicographic
-    order of the (index, piece) choice sequences."""
+    order of the (index, piece) choice sequences.
+
+    Row k of ``points`` is reached by the choices that are the base-(n*P)
+    digits of ``index[k]``, first choice most significant; choice c picks
+    sample c // P and piece c % P (P = 1 for a plain cover).  ``index`` is
+    ``arange(N)`` unless the cover was deduped.
+    """
 
     horizon: int
     anchor: np.ndarray
-    entries: tuple[CoverEntry, ...]
+    points: np.ndarray  # (N, d) float64
+    index: np.ndarray   # (N,) int64
     n_samples: int
     epsilon: float | None = None
     pieces_per_sample: int | None = None
     deduped: bool = False
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.points)
 
-    def points_array(self) -> np.ndarray:
-        return np.vstack([e.point for e in self.entries])
+    @property
+    def entries(self) -> CoverEntries:
+        return CoverEntries(self)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -96,27 +107,59 @@ class CoverSet:
                 fh.write(entry.to_json() + "\n")
 
 
+class CoverEntries(Sequence):
+    """Read-only sequence of a cover's entries, each built on access."""
+
+    def __init__(self, cover: CoverSet):
+        self._cover = cover
+        self._shape = (cover.n_samples * (cover.pieces_per_sample or 1),) * cover.horizon
+
+    def __len__(self) -> int:
+        return len(self._cover)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(len(self))[k])
+        choices = np.unravel_index(self._cover.index[k], self._shape)
+        return self._entry(tuple(map(int, choices)), self._cover.points[k])
+
+    def __iter__(self):
+        if self._cover.deduped:
+            return super().__iter__()
+        # index is arange(N), so entry k's choices are the k-th lexicographic tuple
+        return map(self._entry, itertools.product(*map(range, self._shape)), self._cover.points)
+
+    def _entry(self, choices: tuple[int, ...], point: np.ndarray) -> CoverEntry:
+        P = self._cover.pieces_per_sample
+        seq = choices if P is None else tuple(c // P for c in choices)
+        pieces = None if P is None else tuple(c % P for c in choices)
+        return CoverEntry(seq=seq, point=point, deps=frozenset(seq), pieces=pieces)
+
+
 def _enumerate_tree(
     apply_choice: Callable[[np.ndarray, int], np.ndarray],
     anchor: np.ndarray,
     n_choices: int,
     T: int,
-) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """All n_choices^T compositions in lexicographic order of the choice
-    sequence (first applied choice is most significant)."""
-    if T == 0:
-        return [((), anchor.copy())]
-    out = []
-    stack = [(anchor, ())]
-    while stack:
-        point, seq = stack.pop()
-        if len(seq) == T:
-            out.append((seq, point))
-            continue
-        # push children in reverse so they pop in ascending choice order
-        for c in range(n_choices - 1, -1, -1):
-            stack.append((apply_choice(point, c), seq + (c,)))
-    return out
+) -> np.ndarray:
+    """Endpoints of all n_choices^T compositions applied to the anchor, built
+    level by level: row k*n_choices + c of a level is choice c applied to row
+    k of the level above, so row k of the result takes the base-n_choices
+    digits of k as its choices."""
+    level = anchor[None, :].copy()
+    for _ in range(T):
+        children = np.empty((level.shape[0] * n_choices, level.shape[1]))
+        for k, point in enumerate(level):
+            for c in range(n_choices):
+                children[k * n_choices + c] = apply_choice(point, c)
+        level = children
+    return level
+
+
+def _first_of_each_point(points: np.ndarray) -> np.ndarray:
+    """Ascending row numbers of the first row of each distinct point.  Rows
+    are compared by their bits, so 0.0 and -0.0 count as different."""
+    return np.sort(np.unique(points.view(np.int64), axis=0, return_index=True)[1])
 
 
 def _resolve_dim(update: UpdateMap, dataset: Dataset, dim: int | None) -> int:
@@ -141,8 +184,8 @@ def enumerate_cover(
     dim: int | None = None,
     threads: int = 1,
 ) -> CoverSet:
-    """Enumerate all n^T compositions of the per-sample updates applied to
-    the origin, with their index sequences and dependency sets.
+    """Enumerate the endpoints of all n^T compositions of the per-sample
+    updates applied to the origin, one ``sgd_step`` call per tree node.
 
     Refuses outright (no partial output) when n^T exceeds the cap.  With
     ``dedupe`` the first (lexicographically smallest) sequence reaching each
@@ -155,22 +198,14 @@ def enumerate_cover(
     required = n**T
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
-    d = _resolve_dim(update, dataset, dim)
-    anchor = np.zeros(d)
-
-    raw = _enumerate_tree(lambda point, i: sgd_step(update, point, i, dataset), anchor, n, T)
-    entries = [CoverEntry(seq=seq, point=pt, deps=frozenset(seq)) for seq, pt in raw]
+    anchor = np.zeros(_resolve_dim(update, dataset, dim))
+    points = _enumerate_tree(lambda point, i: sgd_step(update, point, i, dataset), anchor, n, T)
+    index = np.arange(len(points), dtype=np.int64)
     if dedupe:
-        seen = set()
-        kept = []
-        for e in entries:
-            key = e.point.tobytes()
-            if key not in seen:
-                seen.add(key)
-                kept.append(e)
-        entries = kept
+        index = _first_of_each_point(points)
+        points = points[index]
     return CoverSet(
-        horizon=T, anchor=anchor, entries=tuple(entries), n_samples=n,
+        horizon=T, anchor=anchor, points=points, index=index, n_samples=n,
         epsilon=epsilon, deduped=dedupe,
     )
 
@@ -205,21 +240,16 @@ def enumerate_piecewise_cover(
     required = (n * P) ** T
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
-    d = approxes[0].dim
-    anchor = np.zeros(d)
+    anchor = np.zeros(approxes[0].dim)
 
     def apply_choice(point, c):
         i, p = divmod(c, P)
         return point - eta * approxes[i].piece_grad(p, point)
 
-    raw = _enumerate_tree(apply_choice, anchor, n * P, T)
-    entries = []
-    for seq, pt in raw:
-        idx = tuple(c // P for c in seq)
-        pieces = tuple(c % P for c in seq)
-        entries.append(CoverEntry(seq=idx, point=pt, deps=frozenset(idx), pieces=pieces))
+    points = _enumerate_tree(apply_choice, anchor, n * P, T)
     return CoverSet(
-        horizon=T, anchor=anchor, entries=tuple(entries), n_samples=n,
+        horizon=T, anchor=anchor, points=points,
+        index=np.arange(len(points), dtype=np.int64), n_samples=n,
         epsilon=epsilon, pieces_per_sample=P,
     )
 
@@ -274,7 +304,7 @@ def verify_cover(
         (substream(seed, k) for k in range(trials)), domain, T, T + max_extra_steps, dataset.n
     )
     endpoints = run_lockstep(update, starts, steps, indices, dataset)
-    dists = cKDTree(cover.points_array()).query(endpoints)[0]
+    dists = cKDTree(cover.points).query(endpoints)[0]
     failures = int(np.count_nonzero(dists > epsilon))
     return CoverVerification(
         trials=trials, failures=failures, max_min_distance=float(dists.max()),
@@ -433,18 +463,11 @@ def _anchor_lattice(domain: ConvexDomain, epsilon: float, cap: int) -> np.ndarra
         axes.append(mid + (np.arange(k) - (k - 1) / 2.0) * spacing)
     grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
-    anchors = []
-    seen = set()
     slack = epsilon * (1 + 1e-12)
-    for p in grid:
-        proj = domain.project(p)
-        if np.linalg.norm(proj - p) > slack:
-            continue  # node serves no domain point
-        key = proj.tobytes()
-        if key not in seen:
-            seen.add(key)
-            anchors.append(proj)
-    return np.vstack(anchors)
+    proj = np.array([domain.project(p) for p in grid])
+    # a node farther than epsilon from the domain serves no domain point
+    anchors = proj[[np.linalg.norm(q - p) <= slack for q, p in zip(proj, grid)]]
+    return anchors[_first_of_each_point(anchors)]
 
 
 def build_piecewise_approx(

@@ -90,7 +90,6 @@ class LossFamily:
     grad: Callable[[np.ndarray, Any], np.ndarray]
     dim: int | None = None
     domain: ConvexDomain | None = None
-    blocks: tuple[int, int] | None = None  # (K, d) when block-structured
     grad_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     value_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
@@ -373,7 +372,6 @@ def multi_index(
         grad=grad,
         dim=K * d if d is not None else None,
         domain=domain,
-        blocks=(K, d) if d is not None else None,
     )
 
 
@@ -444,7 +442,6 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
         grad=grad,
         dim=K * d if d is not None else None,
         domain=domain,
-        blocks=(K, d) if d is not None else None,
     )
 
 
@@ -504,7 +501,6 @@ def hard_kmeans(K: int, R: float, tie_rule: str = "lowest", d: int | None = None
         grad=grad,
         dim=K * d if d is not None else None,
         domain=domain,
-        blocks=(K, d) if d is not None else None,
     )
 
 

@@ -116,6 +116,49 @@ class TestCoverCommand:
         assert not out.exists()
 
 
+class TestExitCodeContract:
+    """Exit 1 means a validation FAIL and nothing else; bad input is exit 2."""
+
+    @pytest.mark.parametrize("scenario", [
+        dict(QUADRATIC_SCENARIO, family=dict(QUADRATIC_SCENARIO["family"], centers=5)),
+        dict(QUADRATIC_SCENARIO, eta="fast"),
+    ], ids=["centers-not-a-list", "eta-not-a-number"])
+    def test_mistyped_scenario_is_usage_error(self, tmp_path, scenario):
+        spath = write_scenario(tmp_path, scenario)
+        out = tmp_path / "cover.jsonl"
+        code = run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    def test_non_finite_update_is_usage_error(self, tmp_path, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("gradient produced non-finite values")
+
+        monkeypatch.setattr("sgdcover.cli.enumerate_cover", overflow)
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = tmp_path / "cover.jsonl"
+        assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_cap_override_is_read_at_call_time(self, tmp_path, monkeypatch):
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = tmp_path / "cover.jsonl"
+        argv = ["cover", "--scenario", spath, "--T", "3", "--out", str(out)]
+        monkeypatch.setenv("SGDCOVER_CAP", "26")
+        assert run(argv) == EXIT_USAGE  # 27 entries needed
+        assert not out.exists()
+        assert run(argv + ["--cap", "27"]) == EXIT_OK  # the config's cap wins
+        monkeypatch.setenv("SGDCOVER_CAP", "27")
+        assert run(argv) == EXIT_OK
+
+    def test_malformed_cap_override_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SGDCOVER_CAP", "abc")
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = tmp_path / "cover.jsonl"
+        assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+
 class TestDeterminism:
     def strip_timestamp(self, path):
         doc = load(path)
@@ -247,3 +290,16 @@ def test_import_leaves_scipy_spatial_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_malformed_cap_override_does_not_break_import():
+    """SGDCOVER_CAP is read only by commands that enumerate, so a bad value
+    leaves the module importable and other commands working."""
+    src = str(Path(sgdcover.__file__).resolve().parents[1])
+    env = dict(os.environ, SGDCOVER_CAP="abc", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgdcover.cli", "bound", "--theorem", "thm_2_3", "--n", "100",
+         "--delta", "0.05", "--B", "1", "--L", "1", "--R", "1", "--gamma", "0.5"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr

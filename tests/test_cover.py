@@ -1,5 +1,6 @@
 """Cover enumeration/verification, quadratic surrogates, and IFS dimension."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from sgdcover import cover as cover_module
 from sgdcover.core import Ball
 from sgdcover.cover import (
     EnumerationCapExceeded,
@@ -26,6 +28,12 @@ from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_center
 from sgdcover.sgd import CustomMap, SGDStep, run_lockstep, sgd_step
 
 CENTERS = [np.array([0.8, 0.0]), np.array([-0.4, 0.6]), np.array([-0.2, -0.7])]
+
+
+# the origin moves to the sampled point and then stays: every composition
+# ends at the point of its first choice
+FIRST_CHOICE = CustomMap(lambda t, z: t if t.any() else np.asarray(z, dtype=float),
+                         Ball(np.zeros(2), 1.0))
 
 
 def quadratic_cover_setup(eta=0.5):
@@ -121,6 +129,61 @@ class TestEnumerateCover:
         # first (lexicographically smallest) sequence per point is kept
         assert [e.seq for e in deduped.entries] == [(0, 0), (0, 1), (0, 2)]
 
+    def test_dedupe_keeps_signed_zeros_apart(self):
+        # 0.0 and -0.0 compare equal but differ in their bits; dedupe compares bits
+        ds = Dataset((np.array([1.0]), np.array([-1.0])))
+        zero = CustomMap(lambda t, z: np.asarray(z) * 0.0, Ball(np.zeros(1), 1.0))
+        deduped = enumerate_cover(zero, ds, T=2, dedupe=True)
+        assert [e.seq for e in deduped.entries] == [(0, 0), (0, 1)]
+        assert [np.signbit(e.point[0]) for e in deduped.entries] == [False, True]
+
+    def test_storage_is_one_point_array(self):
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=3)
+        assert cov.points.shape == (27, 2) and cov.points.dtype == np.float64
+        assert cov.index.dtype == np.int64
+        np.testing.assert_array_equal(cov.index, np.arange(27))
+        deduped = enumerate_cover(FIRST_CHOICE, ds, T=2, dedupe=True)
+        assert deduped.index.dtype == np.int64
+        np.testing.assert_array_equal(deduped.index, [0, 3, 6])
+        assert [e.seq for e in deduped.entries] == [(0, 0), (1, 0), (2, 0)]
+
+    def test_random_access_matches_iteration(self):
+        _, ds, update = quadratic_cover_setup()
+        two_piece = enumerate_piecewise_cover(
+            lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds, eta=0.4, T=2)
+        covers = [enumerate_cover(update, ds, T=3), two_piece,
+                  enumerate_cover(FIRST_CHOICE, ds, T=3, dedupe=True)]
+        for cov in covers:
+            listed = list(cov.entries)
+            assert len(listed) == len(cov.entries) == len(cov)
+            for k, e in enumerate(listed):
+                got = cov.entries[k]
+                assert (got.seq, got.deps, got.pieces) == (e.seq, e.deps, e.pieces)
+                assert got.point.tobytes() == e.point.tobytes() == cov.points[k].tobytes()
+            assert cov.entries[-1].seq == listed[-1].seq
+            assert [e.seq for e in cov.entries[1:3]] == [e.seq for e in listed[1:3]]
+            with pytest.raises(IndexError):
+                cov.entries[len(cov)]
+
+    def test_one_sgd_step_call_per_tree_node(self, monkeypatch):
+        """Enumeration calls sgd_step once per node of the choice tree,
+        (n^(T+1) - n) / (n - 1) calls in all, looked up through the cover
+        module at call time.  perfbench's traced cover-enum run counts these
+        calls the same way and asserts this number (29523 for n=3, T=9)."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return sgd_step(*args)
+
+        monkeypatch.setattr(cover_module, "sgd_step", counting)
+        _, ds, update = quadratic_cover_setup()
+        for T in range(5):
+            calls.clear()
+            enumerate_cover(update, ds, T=T)
+            assert len(calls) == (3 ** (T + 1) - 3) // 2
+
     def test_dependency_bit_for_bit(self):
         """Perturbing samples outside an entry's dependency set leaves its
         replayed point unchanged bitwise; perturbing inside moves it."""
@@ -149,6 +212,40 @@ class TestEnumerateCover:
         first = json.loads(lines[0])
         assert first["seq"] == [0, 0] and sorted(first["deps"]) == [0]
         np.testing.assert_allclose(first["point"], cov.entries[0].point)
+
+
+def _sha256_of_jsonl(cov, tmp_path):
+    path = tmp_path / "cover.jsonl"
+    cov.write_jsonl(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestCoverFormatGolden:
+    """sha256 of write_jsonl output, recorded before covers were stored as
+    point arrays; the serialized bytes must not change."""
+
+    def test_plain_cover(self, tmp_path):
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=4, epsilon=1.0 / 16.0)
+        assert _sha256_of_jsonl(cov, tmp_path) == (
+            "76e88ac3c571f7a24ade8996a9aae1bab5d2b99095d8bdfb64282ba28e0920df")
+
+    def test_deduped_cover(self, tmp_path):
+        _, ds, _ = quadratic_cover_setup()
+        jump = CustomMap(lambda t, z: np.asarray(z, dtype=float), Ball(np.zeros(2), 1.0))
+        cov = enumerate_cover(jump, ds, T=2, dedupe=True)
+        assert _sha256_of_jsonl(cov, tmp_path) == (
+            "bce59790d948f2b71588e7ed77cc1cb39624d6c7f7ccee2587640d6d4481d82c")
+
+    def test_two_piece_cover(self, tmp_path):
+        ds = Dataset((np.array([0.7]), np.array([-0.3])))
+
+        def two_piece(z):
+            return _per_sample_quadratic_approx(z, anchors=[z, np.array([0.1])])
+
+        cov = enumerate_piecewise_cover(two_piece, ds, eta=0.4, T=3)
+        assert _sha256_of_jsonl(cov, tmp_path) == (
+            "23272ecf0762598a4bc5bc4191296d1c4756632b3642fe4e26aaa6b23f8891dd")
 
 
 class TestVerifyCover:
@@ -202,7 +299,7 @@ class TestVerifyCover:
         ds = Dataset(tuple(CENTERS))
         update = SGDStep(aniso, 0.5)
         cov = enumerate_cover(update, ds, T=4)
-        points = cov.points_array()
+        points = cov.points
         dists = []
         for k in range(60):
             rng = substream(9, k)
