@@ -773,7 +773,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, ValueError, TypeError, KeyError, OSError, FloatingPointError) as exc:
+    except (UsageError, ValueError, TypeError, KeyError, OSError, FloatingPointError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -535,6 +535,8 @@ class IFSModel:
             raise ValueError("gamma must lie in (0, 1)")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite")
         if np.any(np.linalg.norm(centers, axis=1) > self.radius * (1 + 1e-12)):
             raise ValueError("all fixed points must lie inside the radius-R ball")
         object.__setattr__(self, "centers", centers)
@@ -570,18 +572,28 @@ class IFSModel:
         return gap >= 2.0 * self.gamma * self.radius * (1 - 1e-12)
 
     def sample_attractor(self, n_points: int, seed: int = 0, burn_in: int = 64) -> np.ndarray:
-        """Chaos-game orbit: iterate uniformly random maps from the origin."""
+        """Chaos-game orbit: iterate uniformly random maps from the origin.
+
+        Each coordinate runs the scalar recurrence y <- gamma*y + (1-gamma)*c_i
+        over Python floats, the same float64 multiply and add that ``apply``
+        performs, so the orbit is bitwise the one a loop of ``apply`` calls
+        gives.  The centers were checked finite at construction, so no step
+        is checked again.
+        """
         if n_points < 1:
             raise ValueError("n_points must be positive")
+        if burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
         rng = substream(seed)
-        theta = np.zeros(self.dim)
-        choices = rng.integers(0, self.n_maps, size=burn_in + n_points)
-        for i in choices[:burn_in]:
-            theta = self.apply(int(i), theta)
+        choices = rng.integers(0, self.n_maps, size=burn_in + n_points).tolist()
+        offsets = (1.0 - self.gamma) * self.centers
+        gamma = float(self.gamma)
         out = np.empty((n_points, self.dim))
-        for k, i in enumerate(choices[burn_in:]):
-            theta = self.apply(int(i), theta)
-            out[k] = theta
+        for j, column in enumerate(offsets.T.tolist()):
+            orbit = itertools.accumulate(map(column.__getitem__, choices),
+                                         lambda y, x: gamma * y + x, initial=0.0)
+            out[:, j] = np.fromiter(itertools.islice(orbit, burn_in + 1, None),
+                                    dtype=float, count=n_points)
         return out
 
 
@@ -635,6 +647,8 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
         pts = pts.reshape(-1, 1)
     if pts.shape[0] < 1000:
         raise ValueError("box counting needs at least 1000 points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points have non-finite entries")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     if scales.size < 4 or np.any(scales <= 0):
         raise ValueError("need at least 4 positive scales")
@@ -645,6 +659,15 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     counts = np.empty(scales.size)
     for k, s in enumerate(scales):
         idx = np.floor((pts - lo) / s).astype(np.int64)
-        counts[k] = np.unique(idx, axis=0).shape[0]
+        # One int64 key per box; grids with more boxes than int64 can index
+        # fall back to comparing whole rows.
+        try:
+            keys = np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
+        except ValueError:
+            counts[k] = np.unique(idx, axis=0).shape[0]
+            continue
+        del idx
+        keys.sort()
+        counts[k] = 1 + np.count_nonzero(keys[1:] != keys[:-1])
     slope = float(np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0])
     return BoxCountFit(dimension=slope, scales=scales, counts=counts)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -140,6 +141,28 @@ class TestExitCodeContract:
         assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_iterate_leaving_invariant_domain_is_usage_error(self, tmp_path, monkeypatch):
+        def confined(update, config, dataset):
+            far = sgdcover.Ball(np.array([5.0, 5.0]), 0.1)
+            return sgdcover.run_trajectory(update, config, dataset, invariant_domain=far)
+
+        monkeypatch.setattr("sgdcover.cli.run_trajectory", confined)
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = tmp_path / "gap.json"
+        assert run(["gap", "--scenario", spath, "--t", "5", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--centers", "[[1.0],[-1.0]]", "--burn-in", "-3"],
+        ["--centers", "[[NaN],[1.0]]"],
+    ], ids=["negative-burn-in", "nan-center"])
+    def test_bad_ifs_input_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "ifs.json"
+        code = run(["ifs", *flags, "--gamma", "0.3333333333", "--R", "1",
+                    "--points", "2000", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_cap_override_is_read_at_call_time(self, tmp_path, monkeypatch):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
         out = tmp_path / "cover.jsonl"
@@ -180,6 +203,37 @@ class TestDeterminism:
         assert run(["gap", "--scenario", spath, "--t", "20", "--seed", "42",
                     "--out", str(out)]) == EXIT_OK
         assert load(out)["seed"] == 42
+
+
+def _sha256_without_timestamp(path):
+    lines = path.read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if '"timestamp":' not in line)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+class TestIfsGolden:
+    """sha256 of the ifs JSON minus its timestamp line, recorded when the orbit
+    was one ``apply`` call per point and boxes were counted by whole rows."""
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "02557408c65fb47f1a0fe6ece5e9675d5ccdcc2bd916fa074ee3379e36489a28"),
+        (2, "0086f20efdd6f2bdc29e651e7eaaf671a7d93e6d143a3f33b26a38c66956a57f"),
+        (3, "5d755aedd867128557784ae14b60c01152da9278c11839892417f4c1a4433f32"),
+    ])
+    def test_cantor_set(self, tmp_path, seed, digest):
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3333333333",
+                    "--R", "1", "--points", "100000", "--seed", str(seed),
+                    "--out", str(out)]) == EXIT_OK
+        assert _sha256_without_timestamp(out) == digest
+
+    def test_planar_three_maps(self, tmp_path):
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", "[[1.0,0.0],[-0.5,0.8],[-0.5,-0.8]]",
+                    "--gamma", "0.4", "--R", "1", "--points", "20000", "--burn-in", "0",
+                    "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert _sha256_without_timestamp(out) == (
+            "67574cead687a655d56ef66ae2a0e9648bbdc4db7a236ce1a5751a28feca7f9f")
 
 
 class TestValidationCommands:

@@ -538,6 +538,37 @@ class TestIFS:
         pts = model.sample_attractor(5000, seed=5)
         assert np.all(np.abs(pts) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("centers", [
+        [[1.0], [-1.0]],
+        [[0.8, 0.0], [-0.4, 0.6], [-0.2, -0.7]],
+        [[0.5, -0.3, 0.1], [-0.0, 0.6, -0.4]],
+        [[0.5, -0.3, 0.1], [-0.2, 0.6, -0.4], [0.1, 0.0, 0.9]],
+    ], ids=["d1-2maps", "d2-3maps", "d3-2maps", "d3-3maps"])
+    @pytest.mark.parametrize("gamma", [0.2, 0.3333333333, 0.5, 0.71])
+    def test_orbit_bitwise_equals_apply_loop(self, centers, gamma):
+        model = IFSModel(np.array(centers), gamma=gamma, radius=1.0)
+        for seed, burn_in in itertools.product((0, 1, 4, 7), (0, 64)):
+            choices = substream(seed).integers(0, model.n_maps, size=burn_in + 400)
+            theta = np.zeros(model.dim)
+            ref = []
+            for i in choices:
+                theta = model.apply(int(i), theta)
+                ref.append(theta)
+            ref = np.array(ref[burn_in:])
+            out = model.sample_attractor(400, seed=seed, burn_in=burn_in)
+            assert out.shape == ref.shape and out.dtype == np.float64
+            np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+
+    def test_negative_burn_in_rejected(self):
+        model = IFSModel(np.array([[1.0], [-1.0]]), gamma=1.0 / 3.0, radius=1.0)
+        with pytest.raises(ValueError, match="burn_in"):
+            model.sample_attractor(100, burn_in=-5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centers_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IFSModel(np.array([[bad], [1.0]]), gamma=0.5, radius=1.0)
+
 
 class TestBoxCounting:
     def test_line_segment_dimension(self):
@@ -568,3 +599,27 @@ class TestBoxCounting:
             box_counting_dimension(pts, [1.0, 0.5, 0.2, 0.1])  # under two decades
         with pytest.raises(ValueError):
             box_counting_dimension(pts, [1.0, 0.01, 0.001])  # too few scales
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(0).uniform(size=(2000, 2))
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            box_counting_dimension(pts, [1.0, 0.1, 0.01, 0.001])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+    def test_counts_equal_distinct_rows(self, d):
+        """Counts equal the distinct grid rows, also on grids with more boxes
+        than int64 can index (d=8 at scale 1e-9), which count whole rows."""
+        rng = np.random.default_rng(d)
+        # a few thousand points on a coarse lattice, so boxes repeat at every scale
+        pts = rng.integers(-40, 40, size=(3000, d)) / 16.0
+        scales = [4.0, 1.0, 0.3, 0.1, 0.01, 1e-9]
+        fit = box_counting_dimension(pts, scales)
+        lo = pts.min(axis=0)
+        for s, count in zip(fit.scales, fit.counts):
+            idx = np.floor((pts - lo) / s).astype(np.int64)
+            assert count == np.unique(idx, axis=0).shape[0]
+        if d == 8:
+            with pytest.raises(ValueError):
+                np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
