@@ -100,13 +100,6 @@ def _envelope(command: str, seed: int, config: dict, result: dict) -> dict:
     }
 
 
-def _write_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def _load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -119,22 +112,14 @@ def _load_json_file(path: str) -> dict:
         ) from exc
 
 
-def _merged(args: argparse.Namespace, file_keys: tuple[str, ...]) -> dict:
-    """Effective config: file values overridden by explicitly set flags."""
-    cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_json_file(args.config)
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must contain a JSON object")
-        unknown = set(file_cfg) - set(file_keys)
-        if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in file_keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _require(cfg: dict, *keys):
+    missing = [k for k in keys if cfg.get(k) is None]
+    _check(not missing, f"missing required parameter(s): {', '.join(missing)}")
 
 
 def _cap(cfg: dict) -> int:
@@ -146,33 +131,112 @@ def _cap(cfg: dict) -> int:
         raise UsageError(f"enumeration cap must be an integer, got {raw!r}") from None
 
 
-def _require(cfg: dict, *keys):
-    missing = [k for k in keys if cfg.get(k) is None]
-    if missing:
-        raise UsageError(f"missing required parameter(s): {', '.join(missing)}")
+# ---------------------------------------------------------------------------
+# Option kinds and the effective config
+# ---------------------------------------------------------------------------
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _split(kind):
+    return lambda s: [kind(v) for v in s.split(",")]
+
+
+# kind -> (argparse keywords of its flag, test a config-file value must pass,
+# what the test asks for).  File values are checked, never converted, because
+# the envelope echoes them.  Text options are checked where they are used;
+# null in a file means "not given", as an absent flag does.
+_KINDS = {
+    "int": ({"type": int}, _is_int, "an integer"),
+    "float": ({"type": float}, _is_number, "a number"),
+    "flag": ({"action": "store_const", "const": True, "default": None},
+             lambda v: isinstance(v, bool), "true or false"),
+    "ints": ({"type": _split(int)},
+             lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "floats": ({"type": _split(float)},
+               lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "text": ({}, lambda v: True, ""),
+}
+
+
+def _merged(args: argparse.Namespace, options: dict) -> dict:
+    """Effective config: file values overridden by explicitly set flags."""
+    cfg = {}
+    if args.config:
+        file_cfg = _load_json_file(args.config)
+        _check(isinstance(file_cfg, dict), "config file must contain a JSON object")
+        unknown = set(file_cfg) - set(options)
+        _check(not unknown, f"unknown config fields: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _, test, wanted = _KINDS[options[key]]
+            _check(value is None or test(value),
+                   f"config field {key!r} must be {wanted}, got {value!r}")
+        cfg.update(file_cfg)
+    for key in options:
+        flag = getattr(args, key)
+        if flag is not None:
+            cfg[key] = flag
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # Scenario descriptors
 # ---------------------------------------------------------------------------
 
-def _build_scenario(desc: dict, seed: int):
-    """Instantiate (family, distribution, dataset, domain, eta) from a JSON
-    scenario descriptor."""
-    if not isinstance(desc, dict):
-        raise UsageError("scenario must be a JSON object")
+_DATASET_KINDS = ("support", "iid", "uniform_ball", "points")
+
+
+def _is_sample_list(points) -> bool:
+    """A non-empty list of finite numbers, or of equal-length lists of them."""
+    if not isinstance(points, list) or not points:
+        return False
+    shapes = {len(p) if isinstance(p, list) else None for p in points}
+    values = [v for p in points for v in (p if isinstance(p, list) else [p])]
+    return (len(shapes) == 1 and 0 not in shapes
+            and all(_is_number(v) and math.isfinite(v) for v in values))
+
+
+def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bool = False):
+    """Validate the config's scenario descriptor (inline or a file path) and
+    build it: a Scenario (family, distribution, domain, eta, name, and the
+    size ``n`` of a resampled dataset) plus the dataset it describes."""
+    _require(cfg, "scenario")
+    desc = cfg["scenario"]
+    if isinstance(desc, str):
+        desc = _load_json_file(desc)
+    _check(isinstance(desc, dict), "scenario must be a JSON object")
+    ds = desc.get("dataset", {"kind": "support"})
+    _check(isinstance(ds, dict), "scenario.dataset must be a JSON object")
+    kind = ds.get("kind", "support")
+    eta = desc.get("eta")
+    _check(kind in _DATASET_KINDS, f"unknown dataset kind {kind!r}")
+    for key in ("n", "d"):
+        _check(key not in ds or (_is_int(ds[key]) and ds[key] >= 1),
+               f"scenario.dataset.{key} must be a positive integer")
+    _check("n" in ds or kind not in ("iid", "uniform_ball"), "dataset descriptor needs 'n'")
+    _check("R" not in ds or _is_number(ds["R"]), "scenario.dataset.R must be a number")
+    _check("points" in ds or kind != "points", "dataset kind 'points' needs 'points'")
+    _check("points" not in ds or _is_sample_list(ds["points"]),
+           "scenario.dataset.points must be a non-empty list of finite numbers "
+           "or of equal-length lists of them")
+    _check(eta is None or _is_number(eta), "scenario.eta must be a number")
+    _check(eta is not None or not need_eta, "scenario needs 'eta'")
+    _check(isinstance(desc.get("name", ""), str), "scenario.name must be a string")
+
+    family_desc = desc.get("family")
     try:
-        family_desc = desc["family"]
         family = family_from_descriptor(family_desc)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad scenario.family: {exc}") from exc
 
-    ds = desc.get("dataset", {"kind": "support"})
-    kind = ds.get("kind", "support")
-    if family_desc.get("name") == "quadratic_centers":
-        atoms = [np.asarray(c, dtype=float) for c in family_desc["centers"]]
-        dist = uniform_over(atoms)
-    elif family_desc.get("name") == "stability_counterexample_1d":
+    if family_desc["name"] == "quadratic_centers":
+        dist = uniform_over([np.asarray(c, dtype=float) for c in family_desc["centers"]])
+    elif family_desc["name"] == "stability_counterexample_1d":
         dist = uniform_over([0, 1])
     elif "points" in ds:
         dist = uniform_over([np.asarray(p, dtype=float) for p in ds["points"]])
@@ -182,24 +246,18 @@ def _build_scenario(desc: dict, seed: int):
         raise UsageError("dataset descriptor needs explicit 'points' for this family")
 
     if kind == "support":
-        if not dist.finite:
-            raise UsageError("dataset kind 'support' needs a finite distribution")
+        _check(dist.finite, "dataset kind 'support' needs a finite distribution")
         dataset = Dataset(dist.support, dist, seed=None)
-    elif kind in ("iid", "uniform_ball"):
-        if "n" not in ds:
-            raise UsageError("dataset descriptor needs 'n'")
-        dataset = Dataset.sample(dist, int(ds["n"]), substream(seed, 1_000_003))
     elif kind == "points":
         dataset = Dataset(tuple(np.asarray(p, dtype=float) for p in ds["points"]), dist)
     else:
-        raise UsageError(f"unknown dataset kind {kind!r}")
+        dataset = Dataset.sample(dist, ds["n"], substream(seed, 1_000_003))
 
-    eta = desc.get("eta")
     domain = family.domain
     if domain is None:
         d0 = None
         if "d" in ds:
-            d0 = int(ds["d"])
+            d0 = ds["d"]
         elif isinstance(dataset.samples[0], np.ndarray):
             d0 = int(np.atleast_1d(dataset.samples[0]).size)
         if d0 is not None:
@@ -208,105 +266,68 @@ def _build_scenario(desc: dict, seed: int):
                 domain = ProductOfBalls(int(family.constants.K), d0, R0)
             else:
                 domain = Ball(np.zeros(d0), R0)
-    return family, dist, dataset, domain, eta
-
-
-def _scenario_cfg(cfg: dict) -> dict:
-    scenario = cfg.get("scenario")
-    if scenario is None:
-        raise UsageError("missing required parameter(s): scenario")
-    if isinstance(scenario, str):
-        return _load_json_file(scenario)
-    return scenario
-
-
-def _need_domain(domain):
-    if domain is None:
-        raise UsageError(
-            "scenario does not determine a bounded domain; add 'd' to the "
-            "dataset descriptor or use a family with a fixed dimension"
-        )
-    return domain
+    _check(domain is not None or not need_domain,
+           "scenario does not determine a bounded domain; add 'd' to the "
+           "dataset descriptor or use a family with a fixed dimension")
+    scenario = Scenario(name=desc.get("name", family.name), family=family, distribution=dist,
+                        domain=domain, eta=eta, n=ds.get("n", dataset.n))
+    return scenario, dataset
 
 
 # ---------------------------------------------------------------------------
-# bound
+# Commands: each takes the effective config and the parsed arguments and
+# returns (result, passed, lines to print once the envelope is written)
 # ---------------------------------------------------------------------------
 
-_BOUND_KEYS = ("theorem", "n", "delta", "B", "L", "R", "R_x", "gamma", "T", "t",
-               "P", "Q", "K", "xi", "eta", "zeta", "lam", "beta", "d_H",
-               "cover_cardinality", "epsilon", "C")
+def _expectation(variant):
+    return lambda n, B, T, C: bound_expectation(n, B, T, variant, C=C)
 
 
-def _cmd_bound(args) -> int:
-    cfg = _merged(args, _BOUND_KEYS)
+_CONTRACTIVE = ("n", "delta", "B", "L", "R", "gamma")
+
+# theorem id -> (calculator, required keys in argument order,
+# optional keys with their defaults)
+_THEOREMS = {
+    "thm_2_3": (bound_strongly_convex, _CONTRACTIVE, {}),
+    "cor_2_4": (bound_single_trajectory, ("n", "delta", "B", "T"), {}),
+    "cor_2_5": (bound_early, ("n", "delta", "B", "t"), {}),
+    "eq_8": (bound_fractal, _CONTRACTIVE + ("d_H",), {}),
+    "eq_8_fractal": (bound_fractal, _CONTRACTIVE + ("d_H",), {}),
+    "thm_3_2": (bound_piecewise_approx, _CONTRACTIVE,
+                {"T": None, "P": 1, "xi": 0.0, "eta": 0.0}),
+    "thm_5_3": (bound_piecewise_contractive, _CONTRACTIVE, {"T": None, "P": 1, "xi": 0.0}),
+    "thm_4_1": (bound_multi_index,
+                ("n", "delta", "B", "L", "R", "R_x", "K", "Q", "beta", "eta", "lam"), {}),
+    "thm_4_3": (bound_soft_kmeans, ("n", "delta", "K", "R", "zeta", "eta"), {}),
+    "thm_4_4": (bound_hard_kmeans, ("n", "delta", "K", "R", "eta"), {}),
+    "thm_b_1": (bound_master_covering,
+                ("n", "delta", "B", "L", "T", "cover_cardinality", "epsilon"), {}),
+    **{t: (_expectation(t.upper()), ("n", "B", "T"), {"C": 1.0})
+       for t in ("thm_d_1", "thm_d_2", "cor_d_3")},
+}
+
+
+def _cmd_bound(cfg, args):
     _require(cfg, "theorem")
-    theorem = cfg["theorem"].lower()
-
-    def need(*keys):
-        _require(cfg, *keys)
-        return [cfg[k] for k in keys]
-
-    if theorem == "thm_2_3":
-        cert = bound_strongly_convex(*need("n", "delta", "B", "L", "R", "gamma"))
-    elif theorem == "cor_2_4":
-        cert = bound_single_trajectory(*need("n", "delta", "B", "T"))
-    elif theorem == "cor_2_5":
-        cert = bound_early(*need("n", "delta", "B", "t"))
-    elif theorem in ("eq_8", "eq_8_fractal"):
-        cert = bound_fractal(*need("n", "delta", "B", "L", "R", "gamma", "d_H"))
-    elif theorem == "thm_3_2":
-        n, delta, B, L, R, gamma = need("n", "delta", "B", "L", "R", "gamma")
-        cert = bound_piecewise_approx(n, delta, B, L, R, gamma, T=cfg.get("T"),
-                                      P=cfg.get("P", 1), xi=cfg.get("xi", 0.0),
-                                      eta=cfg.get("eta", 0.0))
-    elif theorem == "thm_5_3":
-        n, delta, B, L, R, gamma = need("n", "delta", "B", "L", "R", "gamma")
-        cert = bound_piecewise_contractive(n, delta, B, L, R, gamma, T=cfg.get("T"),
-                                           P=cfg.get("P", 1), xi=cfg.get("xi", 0.0))
-    elif theorem == "thm_4_1":
-        cert = bound_multi_index(*need("n", "delta", "B", "L", "R", "R_x", "K",
-                                       "Q", "beta", "eta", "lam"))
-    elif theorem == "thm_4_3":
-        cert = bound_soft_kmeans(*need("n", "delta", "K", "R", "zeta", "eta"))
-    elif theorem == "thm_4_4":
-        cert = bound_hard_kmeans(*need("n", "delta", "K", "R", "eta"))
-    elif theorem == "thm_b_1":
-        cert = bound_master_covering(*need("n", "delta", "B", "L", "T",
-                                           "cover_cardinality", "epsilon"))
-    elif theorem in ("thm_d_1", "thm_d_2", "cor_d_3"):
-        n, B, T = need("n", "B", "T")
-        cert = bound_expectation(n, B, T, theorem.upper(), C=cfg.get("C", 1.0))
-    else:
-        raise UsageError(f"unknown theorem {cfg['theorem']!r}")
-
-    doc = _envelope("bound", args.seed, cfg, cert.to_dict())
-    _write_json(doc, args.out)
-    print(f"certificate {cert.theorem}")
-    for name, value in cert.components.items():
-        if value is not None:
-            print(f"  {name:24s} {value:.12g}")
-    print(f"  {'total':24s} {cert.total:.12g}")
+    spec = _THEOREMS.get(str(cfg["theorem"]).lower())
+    _check(spec is not None, f"unknown theorem {cfg['theorem']!r}")
+    calculator, required, optional = spec
+    _require(cfg, *required)
+    cert = calculator(*(cfg[k] for k in required),
+                      **{k: cfg.get(k, default) for k, default in optional.items()})
+    lines = [f"certificate {cert.theorem}"]
+    lines += [f"  {name:24s} {value:.12g}"
+              for name, value in cert.components.items() if value is not None]
+    lines.append(f"  {'total':24s} {cert.total:.12g}")
     if cert.flags:
-        print(f"  flags: {', '.join(cert.flags)}")
-    return EXIT_OK
+        lines.append(f"  flags: {', '.join(cert.flags)}")
+    return cert.to_dict(), True, lines
 
 
-# ---------------------------------------------------------------------------
-# cover
-# ---------------------------------------------------------------------------
-
-_COVER_KEYS = ("scenario", "T", "epsilon", "cap", "dedupe", "verify_trials",
-               "max_extra_steps", "threads")
-
-
-def _cmd_cover(args) -> int:
-    cfg = _merged(args, _COVER_KEYS)
-    scen = _scenario_cfg(cfg)
-    family, dist, dataset, domain, eta = _build_scenario(scen, args.seed)
-    if eta is None:
-        raise UsageError("scenario needs 'eta'")
-    update = SGDStep(family, eta, domain=_need_domain(domain), project=True)
+def _cmd_cover(cfg, args):
+    scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
+    family, domain, eta = scenario.family, scenario.domain, scenario.eta
+    update = SGDStep(family, eta, domain=domain, project=True)
 
     T = cfg.get("T")
     epsilon = cfg.get("epsilon")
@@ -335,39 +356,25 @@ def _cmd_cover(args) -> int:
             "max_min_distance": verification.max_min_distance,
             "passed": verification.passed,
         }
+    passed = verification is None or verification.passed
 
-    if args.out:
-        cover.write_jsonl(args.out)
-        _write_json(_envelope("cover", args.seed, cfg, result), args.out + ".meta.json")
-        print(f"cover: {len(cover)} entries at horizon {cover.horizon} -> {args.out}")
-        if verification is not None:
-            print(f"verification: {verification.failures} failures in "
-                  f"{verification.trials} trials, max distance "
-                  f"{verification.max_min_distance:.6g} vs epsilon {epsilon:.6g}")
-    else:
-        for entry in cover.entries:
-            print(entry.to_json())
-    if verification is not None and not verification.passed:
-        return EXIT_FAIL
-    return EXIT_OK
+    if not args.out:
+        return result, passed, (entry.to_json() for entry in cover.entries)
+    cover.write_jsonl(args.out)
+    lines = [f"cover: {len(cover)} entries at horizon {cover.horizon} -> {args.out}"]
+    if verification is not None:
+        lines.append(f"verification: {verification.failures} failures in "
+                     f"{verification.trials} trials, max distance "
+                     f"{verification.max_min_distance:.6g} vs epsilon {epsilon:.6g}")
+    return result, passed, lines
 
 
-# ---------------------------------------------------------------------------
-# contract
-# ---------------------------------------------------------------------------
-
-_CONTRACT_KEYS = ("scenario", "pairs", "steps", "tolerance")
-
-
-def _cmd_contract(args) -> int:
-    cfg = _merged(args, _CONTRACT_KEYS)
-    scen = _scenario_cfg(cfg)
-    family, dist, dataset, domain, eta = _build_scenario(scen, args.seed)
-    if eta is None:
-        raise UsageError("scenario needs 'eta'")
-    domain = _need_domain(domain)
+def _cmd_contract(cfg, args):
+    scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
+    family, domain, eta = scenario.family, scenario.domain, scenario.eta
     pairs = int(cfg.get("pairs", 100))
     steps = int(cfg.get("steps", 50))
+    _check(pairs >= 1 and steps >= 1, "contract needs at least one pair and one step")
     tol = float(cfg.get("tolerance", 1e-9))
     update = SGDStep(family, eta, domain=domain, project=True)
 
@@ -392,17 +399,9 @@ def _cmd_contract(args) -> int:
     ok = theoretical is None or worst <= theoretical + tol
     result = {"pairs": pairs, "steps": steps, "max_ratio": worst,
               "theoretical_gamma": theoretical, "within_tolerance": ok}
-    _write_json(_envelope("contract", args.seed, cfg, result), args.out)
-    print(f"max coupled ratio {worst:.12g}"
-          + (f" vs gamma {theoretical:.12g}" if theoretical is not None else ""))
-    return EXIT_OK if ok else EXIT_FAIL
+    return result, ok, [f"max coupled ratio {worst:.12g}"
+                        + (f" vs gamma {theoretical:.12g}" if theoretical is not None else "")]
 
-
-# ---------------------------------------------------------------------------
-# approx
-# ---------------------------------------------------------------------------
-
-_APPROX_KEYS = ("function", "R", "xi", "alpha", "beta", "grid", "cap")
 
 _FUNCTIONS = {
     "sin_plus_cos": (
@@ -414,8 +413,7 @@ _FUNCTIONS = {
 }
 
 
-def _cmd_approx(args) -> int:
-    cfg = _merged(args, _APPROX_KEYS)
+def _cmd_approx(cfg, args):
     _require(cfg, "function", "R", "xi")
     name = cfg["function"]
     if name not in _FUNCTIONS:
@@ -441,32 +439,19 @@ def _cmd_approx(args) -> int:
               "piece_bound": approx.closed_form_piece_bound(),
               "anchor_count": approx.anchor_count,
               "passed": max_err <= xi}
-    _write_json(_envelope("approx", args.seed, cfg, result), args.out)
-    print(f"max gradient error {max_err:.6g} vs xi {xi:.6g}; "
-          f"{approx.piece_count} pieces (bound {approx.closed_form_piece_bound():.6g})")
-    return EXIT_OK if result["passed"] else EXIT_FAIL
+    return result, result["passed"], [
+        f"max gradient error {max_err:.6g} vs xi {xi:.6g}; "
+        f"{approx.piece_count} pieces (bound {approx.closed_form_piece_bound():.6g})"]
 
 
-# ---------------------------------------------------------------------------
-# gap
-# ---------------------------------------------------------------------------
-
-_GAP_KEYS = ("scenario", "t", "m")
-
-
-def _cmd_gap(args) -> int:
-    cfg = _merged(args, _GAP_KEYS)
-    scen = _scenario_cfg(cfg)
-    family, dist, dataset, domain, eta = _build_scenario(scen, args.seed)
-    if eta is None:
-        raise UsageError("scenario needs 'eta'")
+def _cmd_gap(cfg, args):
+    scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
     _require(cfg, "t")
-    domain = _need_domain(domain)
-    update = SGDStep(family, eta, domain=domain, project=True)
-    init = domain.sample(substream(args.seed, 1))
+    update = SGDStep(scenario.family, scenario.eta, domain=scenario.domain, project=True)
+    init = scenario.domain.sample(substream(args.seed, 1))
     config = SGDConfig(init=init, steps=int(cfg["t"]), scheme="uniform", seed=args.seed)
     trajectory = run_trajectory(update, config, dataset)
-    est = estimate_gap(family, dataset, trajectory, m=int(cfg.get("m", 100_000)),
+    est = estimate_gap(scenario.family, dataset, trajectory, m=int(cfg.get("m", 100_000)),
                        seed=args.seed)
     result = {
         "empirical_risk": est.empirical_risk, "population_risk": est.population_risk,
@@ -474,30 +459,13 @@ def _cmd_gap(args) -> int:
         "exact_population": est.exact_population, "t": est.t,
         "indices_digest": est.indices_digest, "flags": list(est.flags),
     }
-    _write_json(_envelope("gap", args.seed, cfg, result), args.out)
-    print(f"empirical {est.empirical_risk:.6g}  population {est.population_risk}  "
-          f"gap {est.gap}")
-    return EXIT_OK
+    return result, True, [f"empirical {est.empirical_risk:.6g}  population "
+                          f"{est.population_risk}  gap {est.gap}"]
 
 
-# ---------------------------------------------------------------------------
-# validate
-# ---------------------------------------------------------------------------
-
-_VALIDATE_KEYS = ("scenario", "resamplings", "trials", "delta", "shrink",
-                  "t_band", "threads")
-
-
-def _cmd_validate(args) -> int:
-    cfg = _merged(args, _VALIDATE_KEYS)
-    scen = _scenario_cfg(cfg)
-    family, dist, dataset, domain, eta = _build_scenario(scen, args.seed)
-    if eta is None:
-        raise UsageError("scenario needs 'eta'")
+def _cmd_validate(cfg, args):
+    scenario, _ = _load_scenario(cfg, args.seed, need_eta=True)
     _require(cfg, "resamplings", "trials", "delta")
-    n = scen.get("dataset", {}).get("n", dataset.n)
-    scenario = Scenario(name=scen.get("name", family.name), family=family,
-                        distribution=dist, domain=domain, eta=eta, n=int(n))
     report = validate_bound(
         scenario, int(cfg["resamplings"]), int(cfg["trials"]), float(cfg["delta"]),
         seed=args.seed, shrink=float(cfg.get("shrink", 1.0)),
@@ -509,26 +477,17 @@ def _cmd_validate(args) -> int:
         "max_observed_gap": report.max_observed_gap, "delta": report.delta,
         "passed": report.passed,
     }
-    _write_json(_envelope("validate", args.seed, cfg, result), args.out)
     if args.csv:
         report.write_csv(args.csv)
-    print(f"{report.violations}/{report.resamplings} violations of "
-          f"{report.certificate_total:.6g} (max gap {report.max_observed_gap:.6g}) "
-          f"-> {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return result, report.passed, [
+        f"{report.violations}/{report.resamplings} violations of "
+        f"{report.certificate_total:.6g} (max gap {report.max_observed_gap:.6g}) "
+        f"-> {'PASS' if report.passed else 'FAIL'}"]
 
 
-# ---------------------------------------------------------------------------
-# kmeans
-# ---------------------------------------------------------------------------
-
-_KMEANS_KEYS = ("scenario", "iters")
-
-
-def _cmd_kmeans(args) -> int:
-    cfg = _merged(args, _KMEANS_KEYS)
-    scen = _scenario_cfg(cfg)
-    family, dist, dataset, domain, eta = _build_scenario(scen, args.seed)
+def _cmd_kmeans(cfg, args):
+    scenario, dataset = _load_scenario(cfg, args.seed)
+    family = scenario.family
     c = family.constants
     if c.zeta is None or c.K is None:
         raise UsageError("kmeans needs a soft_kmeans scenario family")
@@ -549,21 +508,12 @@ def _cmd_kmeans(args) -> int:
         "fixed_point_gradient_norm": grad_norm,
         "passed": equiv.passed and grad_norm <= 1e-6,
     }
-    _write_json(_envelope("kmeans", args.seed, cfg, result), args.out)
-    print(f"alternating update converged in {iters} iterations; "
-          f"affine residual {equiv.residual:.3g}; |grad| {grad_norm:.3g}")
-    return EXIT_OK if result["passed"] else EXIT_FAIL
+    return result, result["passed"], [
+        f"alternating update converged in {iters} iterations; "
+        f"affine residual {equiv.residual:.3g}; |grad| {grad_norm:.3g}"]
 
 
-# ---------------------------------------------------------------------------
-# stability
-# ---------------------------------------------------------------------------
-
-_STABILITY_KEYS = ("eta", "inits", "steps", "n_samples")
-
-
-def _cmd_stability(args) -> int:
-    cfg = _merged(args, _STABILITY_KEYS)
+def _cmd_stability(cfg, args):
     report = stability_experiment(
         eta=float(cfg.get("eta", 1.0 / 3.0)), inits=int(cfg.get("inits", 10_000)),
         steps=int(cfg.get("steps", 200)), seed=args.seed,
@@ -577,21 +527,12 @@ def _cmd_stability(args) -> int:
         "steps": report.steps, "inits": report.inits,
         "n_samples": report.n_samples, "passed": passed,
     }
-    _write_json(_envelope("stability", args.seed, cfg, result), args.out)
-    print(f"mean endpoint loss: identical data {report.mean_identical:.4f}, "
-          f"swapped data {report.mean_swapped:.4f} (separation {report.separation:.4f})")
-    return EXIT_OK if passed else EXIT_FAIL
+    return result, passed, [
+        f"mean endpoint loss: identical data {report.mean_identical:.4f}, "
+        f"swapped data {report.mean_swapped:.4f} (separation {report.separation:.4f})"]
 
 
-# ---------------------------------------------------------------------------
-# ifs
-# ---------------------------------------------------------------------------
-
-_IFS_KEYS = ("centers", "gamma", "R", "points", "burn_in", "scales")
-
-
-def _cmd_ifs(args) -> int:
-    cfg = _merged(args, _IFS_KEYS)
+def _cmd_ifs(cfg, args):
     _require(cfg, "centers", "gamma", "R")
     centers = cfg["centers"]
     if isinstance(centers, str):
@@ -615,29 +556,18 @@ def _cmd_ifs(args) -> int:
         "scales": list(fit.scales), "counts": list(fit.counts),
         "orbit_points": points,
     }
-    _write_json(_envelope("ifs", args.seed, cfg, result), args.out)
-    print(f"dimension {dim.dimension:.6f} (certified: {dim.certified}); "
-          f"box-counting estimate {fit.dimension:.6f}")
-    return EXIT_OK
+    return result, True, [f"dimension {dim.dimension:.6f} (certified: {dim.certified}); "
+                          f"box-counting estimate {fit.dimension:.6f}"]
 
 
-# ---------------------------------------------------------------------------
-# hoeffding
-# ---------------------------------------------------------------------------
-
-_HOEFFDING_KEYS = ("scenario", "n_grid", "epsilon_grid", "resamplings")
-
-
-def _cmd_hoeffding(args) -> int:
-    cfg = _merged(args, _HOEFFDING_KEYS)
-    scen = _scenario_cfg(cfg)
-    family, dist, dataset, domain, eta = _build_scenario(scen, args.seed)
+def _cmd_hoeffding(cfg, args):
+    scenario, _ = _load_scenario(cfg, args.seed, need_domain=True)
     _require(cfg, "n_grid", "epsilon_grid", "resamplings")
     n_grid = [int(v) for v in cfg["n_grid"]]
     eps_grid = [float(v) for v in cfg["epsilon_grid"]]
-    theta = _need_domain(domain).sample(substream(args.seed, 3))
-    report = hoeffding_check(family, theta, n_grid, eps_grid,
-                             int(cfg["resamplings"]), dist, seed=args.seed)
+    theta = scenario.domain.sample(substream(args.seed, 3))
+    report = hoeffding_check(scenario.family, theta, n_grid, eps_grid,
+                             int(cfg["resamplings"]), scenario.distribution, seed=args.seed)
     result = {
         "resamplings": report.resamplings, "passed": report.passed,
         "cells": [
@@ -646,29 +576,51 @@ def _cmd_hoeffding(args) -> int:
             for c in report.cells
         ],
     }
-    _write_json(_envelope("hoeffding", args.seed, cfg, result), args.out)
     worst = max(report.cells, key=lambda c: c.empirical_rate - c.bound)
-    print(f"{len(report.cells)} grid cells, all within bound: {report.passed} "
-          f"(tightest: rate {worst.empirical_rate:.4g} vs bound {worst.bound:.4g})")
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return result, report.passed, [
+        f"{len(report.cells)} grid cells, all within bound: {report.passed} "
+        f"(tightest: rate {worst.empirical_rate:.4g} vs bound {worst.bound:.4g})"]
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table and parser
 # ---------------------------------------------------------------------------
 
-_HANDLERS = {
-    "bound": _cmd_bound, "cover": _cmd_cover, "contract": _cmd_contract,
-    "approx": _cmd_approx, "gap": _cmd_gap, "validate": _cmd_validate,
-    "kmeans": _cmd_kmeans, "stability": _cmd_stability, "ifs": _cmd_ifs,
-    "hoeffding": _cmd_hoeffding,
+_FLOAT_BOUND_KEYS = ("delta", "B", "L", "R", "R_x", "gamma", "xi", "eta", "zeta", "lam",
+                     "beta", "d_H", "epsilon", "C")
+_INT_BOUND_KEYS = ("n", "T", "t", "P", "Q", "K", "cover_cardinality")
+
+# command -> (handler, help, {config key: kind}).  Each key is also a flag:
+# "--" + the key with "_" replaced by "-".
+_COMMANDS = {
+    "bound": (_cmd_bound, "evaluate a certificate", {
+        "theorem": "text", **dict.fromkeys(_FLOAT_BOUND_KEYS, "float"),
+        **dict.fromkeys(_INT_BOUND_KEYS, "int")}),
+    "cover": (_cmd_cover, "enumerate (and optionally verify) a localized cover", {
+        "scenario": "text", "T": "int", "epsilon": "float", "cap": "int", "dedupe": "flag",
+        "verify_trials": "int", "max_extra_steps": "int", "threads": "int"}),
+    "contract": (_cmd_contract, "measure coupled contraction ratios", {
+        "scenario": "text", "pairs": "int", "steps": "int", "tolerance": "float"}),
+    "approx": (_cmd_approx, "build a piecewise quadratic surrogate and grade it", {
+        "function": "text", "R": "float", "xi": "float", "alpha": "float", "beta": "float",
+        "grid": "int", "cap": "int"}),
+    "gap": (_cmd_gap, "estimate the generalization gap of one run", {
+        "scenario": "text", "t": "int", "m": "int"}),
+    "validate": (_cmd_validate, "validate a certificate by dataset resampling", {
+        "scenario": "text", "resamplings": "int", "trials": "int", "delta": "float",
+        "shrink": "float", "t_band": "int", "threads": "int"}),
+    "kmeans": (_cmd_kmeans, "alternating soft-clustering run + equivalence check", {
+        "scenario": "text", "iters": "int"}),
+    "stability": (_cmd_stability, "reproduce the 1-D stability gap", {
+        "eta": "float", "inits": "int", "steps": "int", "n_samples": "int"}),
+    "ifs": (_cmd_ifs, "attractor dimension: closed form vs box counting", {
+        "centers": "text", "gamma": "float", "R": "float", "points": "int", "burn_in": "int",
+        "scales": "floats"}),
+    "hoeffding": (_cmd_hoeffding, "empirical tail frequencies vs the bound", {
+        "scenario": "text", "n_grid": "ints", "epsilon_grid": "floats", "resamplings": "int"}),
 }
 
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (recorded in outputs)")
-    p.add_argument("--config", help="JSON file with parameter defaults (flags override)")
-    p.add_argument("--out", help="write the JSON artifact here")
+_HELP = {"threads": "accepted for compatibility; no effect"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -678,91 +630,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "generalization-gap certificates for constant-step SGD.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="evaluate a certificate")
-    _add_common(p)
-    p.add_argument("--theorem")
-    for flag in ("delta", "B", "L", "R", "R-x", "gamma", "xi", "eta", "zeta",
-                 "lam", "beta", "d-H", "epsilon", "C"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=float)
-    for flag in ("n", "T", "t", "P", "Q", "K", "cover-cardinality"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int)
-
-    p = sub.add_parser("cover", help="enumerate (and optionally verify) a localized cover")
-    _add_common(p)
-    p.add_argument("--scenario")
-    p.add_argument("--T", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--dedupe", action="store_const", const=True, default=None)
-    p.add_argument("--verify-trials", dest="verify_trials", type=int)
-    p.add_argument("--max-extra-steps", dest="max_extra_steps", type=int)
-    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
-
-    p = sub.add_parser("contract", help="measure coupled contraction ratios")
-    _add_common(p)
-    p.add_argument("--scenario")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser("approx", help="build a piecewise quadratic surrogate and grade it")
-    _add_common(p)
-    p.add_argument("--function")
-    p.add_argument("--R", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--cap", type=int)
-
-    p = sub.add_parser("gap", help="estimate the generalization gap of one run")
-    _add_common(p)
-    p.add_argument("--scenario")
-    p.add_argument("--t", type=int)
-    p.add_argument("--m", type=int)
-
-    p = sub.add_parser("validate", help="validate a certificate by dataset resampling")
-    _add_common(p)
-    p.add_argument("--scenario")
-    p.add_argument("--resamplings", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--shrink", type=float)
-    p.add_argument("--t-band", dest="t_band", type=int)
-    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
-    p.add_argument("--csv", help="write one row per resampling here")
-
-    p = sub.add_parser("kmeans", help="alternating soft-clustering run + equivalence check")
-    _add_common(p)
-    p.add_argument("--scenario")
-    p.add_argument("--iters", type=int)
-
-    p = sub.add_parser("stability", help="reproduce the 1-D stability gap")
-    _add_common(p)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--inits", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-
-    p = sub.add_parser("ifs", help="attractor dimension: closed form vs box counting")
-    _add_common(p)
-    p.add_argument("--centers")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--R", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--scales", type=lambda s: [float(v) for v in s.split(",")])
-
-    p = sub.add_parser("hoeffding", help="empirical tail frequencies vs the bound")
-    _add_common(p)
-    p.add_argument("--scenario")
-    p.add_argument("--n-grid", dest="n_grid", type=lambda s: [int(v) for v in s.split(",")])
-    p.add_argument("--epsilon-grid", dest="epsilon_grid",
-                   type=lambda s: [float(v) for v in s.split(",")])
-    p.add_argument("--resamplings", type=int)
-
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed (recorded in outputs)")
+        p.add_argument("--config", help="JSON file with parameter defaults (flags override)")
+        p.add_argument("--out", help="write the JSON artifact here")
+        for key, kind in options.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key),
+                           **_KINDS[kind][0])
+        if command == "validate":
+            p.add_argument("--csv", help="write one row per resampling here")
     return parser
+
+
+def _write_envelope(args, cfg: dict, result: dict) -> None:
+    """Write the JSON artifact to --out; a cover's JSONL takes --out, so its
+    envelope goes beside it."""
+    out = args.out and args.out + (".meta.json" if args.command == "cover" else "")
+    if out:
+        doc = _envelope(args.command, args.seed, cfg, result)
+        with open(out, "w") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def run(argv=None) -> int:
@@ -772,11 +660,17 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _HANDLERS[args.command](args)
+        handler, _, options = _COMMANDS[args.command]
+        cfg = _merged(args, options)
+        result, passed, lines = handler(cfg, args)
+        _write_envelope(args, cfg, result)
+        for line in lines:
+            print(line)
     except (UsageError, ValueError, TypeError, KeyError, OSError, FloatingPointError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def main() -> None:

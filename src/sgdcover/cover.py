@@ -638,9 +638,10 @@ class BoxCountFit:
 def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     """Slope of log(box count) vs log(1/scale) over the given scales.
 
-    Requires at least 10^3 points and at least 4 scales spanning two or more
-    decades.  A cloud of identical points occupies one box at every scale
-    and so estimates dimension 0.
+    Requires at least 10^3 finite points and at least 4 finite scales
+    spanning two or more decades, none so small that the points' widest
+    extent spans 2^63 boxes.  A cloud of identical points occupies one box at
+    every scale and so estimates dimension 0.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] == pts.size:  # a flat vector of scalars
@@ -650,11 +651,18 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points have non-finite entries")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
+    if not np.all(np.isfinite(scales)):
+        raise ValueError("scales must be finite")
     if scales.size < 4 or np.any(scales <= 0):
         raise ValueError("need at least 4 positive scales")
     if scales.max() / scales.min() < 100.0:
         raise ValueError("scales must span at least two decades")
     lo = pts.min(axis=0)
+    # box indices are cast to int64, so the widest extent must stay below
+    # 2**63 boxes at the smallest scale
+    if np.max(pts.max(axis=0) - lo) / scales[-1] >= 2.0**63:
+        raise ValueError(f"scale {scales[-1]:g} is too small for int64 box indices "
+                         "over the points' extent")
 
     counts = np.empty(scales.size)
     for k, s in enumerate(scales):

@@ -153,6 +153,8 @@ def validate_bound(
     FloatingPointError.  ``threads`` is accepted for compatibility and has
     no effect.
     """
+    if resamplings < 1 or trials < 1:
+        raise ValueError("validation needs at least one resampling and one trial")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     if delta == 1 and certificate is None:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -66,6 +67,52 @@ class TestBoundCommand:
         assert doc["config"]["n"] == 500
         assert doc["result"]["inputs"]["n"] == 500
 
+    BASE = {"n": 100, "delta": 0.05, "B": 1.0, "L": 2.0, "R": 1.5, "gamma": 0.5}
+
+    @pytest.mark.parametrize("theorem,flags,reference", [
+        ("thm_2_3", BASE, lambda: sgdcover.bound_strongly_convex(100, 0.05, 1.0, 2.0, 1.5, 0.5)),
+        ("cor_2_4", {"n": 100, "delta": 0.05, "B": 1.0, "T": 8},
+         lambda: sgdcover.bound_single_trajectory(100, 0.05, 1.0, 8)),
+        ("cor_2_5", {"n": 100, "delta": 0.05, "B": 1.0, "t": 5},
+         lambda: sgdcover.bound_early(100, 0.05, 1.0, 5)),
+        ("eq_8", dict(BASE, **{"d-H": 0.63}),
+         lambda: sgdcover.bound_fractal(100, 0.05, 1.0, 2.0, 1.5, 0.5, 0.63)),
+        ("eq_8_fractal", dict(BASE, **{"d-H": 0.63}),
+         lambda: sgdcover.bound_fractal(100, 0.05, 1.0, 2.0, 1.5, 0.5, 0.63)),
+        ("thm_3_2", BASE,
+         lambda: sgdcover.bound_piecewise_approx(100, 0.05, 1.0, 2.0, 1.5, 0.5)),
+        ("thm_3_2", dict(BASE, T=5, P=3, xi=0.1, eta=0.2),
+         lambda: sgdcover.bound_piecewise_approx(100, 0.05, 1.0, 2.0, 1.5, 0.5,
+                                                 T=5, P=3, xi=0.1, eta=0.2)),
+        ("thm_5_3", dict(BASE, P=2, xi=0.01),
+         lambda: sgdcover.bound_piecewise_contractive(100, 0.05, 1.0, 2.0, 1.5, 0.5,
+                                                      P=2, xi=0.01)),
+        ("thm_4_1", dict(BASE, **{"R-x": 0.5, "K": 2, "Q": 3, "beta": 1.2, "eta": 0.4,
+                                  "lam": 1.1}),
+         lambda: sgdcover.bound_multi_index(100, 0.05, 1.0, 2.0, 1.5, 0.5, 2, 3, 1.2, 0.4, 1.1)),
+        ("thm_4_3", {"n": 100, "delta": 0.05, "K": 2, "R": 1.0, "zeta": 0.05, "eta": 0.1},
+         lambda: sgdcover.bound_soft_kmeans(100, 0.05, 2, 1.0, 0.05, 0.1)),
+        ("thm_4_4", {"n": 100, "delta": 0.05, "K": 2, "R": 1.5, "eta": 0.25},
+         lambda: sgdcover.bound_hard_kmeans(100, 0.05, 2, 1.5, 0.25)),
+        ("thm_b_1", {"n": 100, "delta": 0.05, "B": 1.0, "L": 2.0, "T": 3,
+                     "cover-cardinality": 27, "epsilon": 0.1},
+         lambda: sgdcover.bound_master_covering(100, 0.05, 1.0, 2.0, 3, 27, 0.1)),
+        ("thm_d_1", {"n": 100, "B": 1.0, "T": 8},
+         lambda: sgdcover.bound_expectation(100, 1.0, 8, "THM_D_1")),
+        ("THM_D_2", {"n": 100, "B": 1.0, "T": 8, "C": 2.0},
+         lambda: sgdcover.bound_expectation(100, 1.0, 8, "THM_D_2", C=2.0)),
+        ("cor_d_3", {"n": 100, "B": 1.0, "T": 8},
+         lambda: sgdcover.bound_expectation(100, 1.0, 8, "COR_D_3")),
+    ])
+    def test_every_theorem_id_reaches_its_calculator(self, tmp_path, theorem, flags, reference):
+        out = tmp_path / "cert.json"
+        argv = ["bound", "--theorem", theorem, "--out", str(out)]
+        argv += [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+        assert run(argv) == EXIT_OK
+        cert = reference()
+        result = load(out)["result"]
+        assert (result["theorem"], result["total"]) == (cert.theorem, cert.total)
+
     def test_expectation_variants(self, tmp_path):
         out = tmp_path / "d1.json"
         code = run(["bound", "--theorem", "thm_d_1", "--n", "100", "--B", "1",
@@ -123,12 +170,69 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("scenario", [
         dict(QUADRATIC_SCENARIO, family=dict(QUADRATIC_SCENARIO["family"], centers=5)),
         dict(QUADRATIC_SCENARIO, eta="fast"),
-    ], ids=["centers-not-a-list", "eta-not-a-number"])
+        dict(QUADRATIC_SCENARIO, dataset=5),
+        dict(QUADRATIC_SCENARIO, dataset=[1]),
+        dict(QUADRATIC_SCENARIO, eta=True),
+        dict(QUADRATIC_SCENARIO, dataset={"kind": "iid", "n": 2.7}),
+        {"family": {"name": "hard_kmeans", "K": 2, "R": 1.0}, "eta": 0.25,
+         "dataset": {"kind": "points", "points": [[0.1, 0.2], [0.3]]}},
+    ], ids=["centers-not-a-list", "eta-not-a-number", "dataset-a-number", "dataset-a-list",
+            "eta-a-boolean", "n-not-an-integer", "ragged-points"])
     def test_mistyped_scenario_is_usage_error(self, tmp_path, scenario):
         spath = write_scenario(tmp_path, scenario)
         out = tmp_path / "cover.jsonl"
         code = run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)])
         assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cover", "--T", "2"],
+        ["contract", "--pairs", "2", "--steps", "2"],
+        ["gap", "--t", "2"],
+        ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05"],
+        ["kmeans"],
+        ["hoeffding", "--n-grid", "20", "--epsilon-grid", "0.1", "--resamplings", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_every_scenario_command_validates_the_descriptor(self, tmp_path, argv):
+        spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO, dataset=5))
+        out = tmp_path / "out.json"
+        assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
+    @pytest.mark.parametrize("argv,file_cfg", [
+        (["cover", "--T", "2"], {"scenario": QUADRATIC_SCENARIO, "dedupe": "false"}),
+        (["cover", "--T", "2"], {"scenario": QUADRATIC_SCENARIO, "dedupe": 1}),
+        (["cover"], {"scenario": QUADRATIC_SCENARIO, "T": 2.9}),
+        (["cover"], {"scenario": QUADRATIC_SCENARIO, "T": True}),
+        (["bound", "--theorem", "thm_2_3", "--n", "100", "--L", "1", "--R", "1",
+          "--gamma", "0.5", "--delta", "0.05"], {"B": True}),
+        (["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3333333333", "--R", "1",
+          "--points", "2000"], {"scales": [1, "0.1", 0.01, 0.001]}),
+        (["hoeffding", "--epsilon-grid", "0.1", "--resamplings", "10"],
+         {"scenario": QUADRATIC_SCENARIO, "n_grid": [20.5]}),
+    ], ids=["flag-a-string", "flag-an-integer", "int-a-float", "int-a-boolean",
+            "float-a-boolean", "floats-with-a-string", "ints-with-a-float"])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, argv, file_cfg):
+        """Config-file values must have the JSON type of their flag."""
+        cfg = write_scenario(tmp_path, file_cfg, "cfg.json")
+        out = tmp_path / "out.json"
+        assert run(argv + ["--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--resamplings", "5", "--trials", "0", "--delta", "0.05"],
+        ["validate", "--resamplings", "0", "--trials", "3", "--delta", "0.05"],
+        ["contract", "--pairs", "0"],
+        ["contract", "--steps", "0"],
+    ], ids=["validate-no-trials", "validate-no-resamplings", "contract-no-pairs",
+            "contract-no-steps"])
+    def test_run_that_checks_nothing_is_usage_error(self, tmp_path, argv):
+        spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO,
+                                              dataset={"kind": "iid", "n": 20}))
+        out = tmp_path / "out.json"
+        assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
     def test_non_finite_update_is_usage_error(self, tmp_path, monkeypatch):
@@ -155,13 +259,54 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("flags", [
         ["--centers", "[[1.0],[-1.0]]", "--burn-in", "-3"],
         ["--centers", "[[NaN],[1.0]]"],
-    ], ids=["negative-burn-in", "nan-center"])
+        ["--centers", "[[1.0],[-1.0]]", "--scales", "1,0.1,0.01,1e-30"],
+        ["--centers", "[[1.0],[-1.0]]", "--scales", "1,0.1,0.01,0.001,nan"],
+    ], ids=["negative-burn-in", "nan-center", "scale-beyond-int64", "nan-scale"])
     def test_bad_ifs_input_is_usage_error(self, tmp_path, flags):
         out = tmp_path / "ifs.json"
         code = run(["ifs", *flags, "--gamma", "0.3333333333", "--R", "1",
                     "--points", "2000", "--out", str(out)])
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cover", "--T", "2"],
+        ["contract"],
+        ["gap", "--t", "2"],
+        ["hoeffding", "--n-grid", "20", "--epsilon-grid", "0.1", "--resamplings", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_scenario_without_a_domain_is_usage_error(self, tmp_path, monkeypatch, argv):
+        """A family without a domain whose samples are not vectors leaves the
+        domain undetermined; commands that sample or project need one."""
+        def domainless(desc):
+            return dataclasses.replace(sgdcover.stability_counterexample_1d(), domain=None)
+
+        monkeypatch.setattr("sgdcover.cli.family_from_descriptor", domainless)
+        spath = write_scenario(tmp_path, {"family": {"name": "stability_counterexample_1d"},
+                                          "eta": 0.3})
+        out = tmp_path / "out.json"
+        assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cover", "--T", "2"],
+        ["contract"],
+        ["gap", "--t", "2"],
+        ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_that_step_need_eta(self, tmp_path, capsys, argv):
+        scenario = {k: v for k, v in QUADRATIC_SCENARIO.items() if k != "eta"}
+        out = tmp_path / "out.json"
+        assert run(argv + ["--scenario", write_scenario(tmp_path, scenario),
+                           "--out", str(out)]) == EXIT_USAGE
+        assert "scenario needs 'eta'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_artifact_prints_no_result(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cert.json"
+        assert run(["bound", "--theorem", "thm_d_1", "--n", "100", "--B", "1", "--T", "8",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_cap_override_is_read_at_call_time(self, tmp_path, monkeypatch):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
@@ -234,6 +379,75 @@ class TestIfsGolden:
                     "--seed", "1", "--out", str(out)]) == EXIT_OK
         assert _sha256_without_timestamp(out) == (
             "67574cead687a655d56ef66ae2a0e9648bbdc4db7a236ce1a5751a28feca7f9f")
+
+
+class TestGoldenArtifacts:
+    """sha256 of every artifact minus its timestamp line, recorded when each
+    command declared its own flags, built its own scenario and wrote its own
+    envelope.  Paths are relative to the work directory because the config
+    echo includes the scenario path."""
+
+    FILES = {
+        "scenario.json": QUADRATIC_SCENARIO,
+        "iid.json": dict(QUADRATIC_SCENARIO, dataset={"kind": "iid", "n": 40}),
+        "named.json": dict(QUADRATIC_SCENARIO, name="atoms",
+                           dataset={"kind": "support", "n": 50}),
+        "clusters.json": {
+            "family": {"name": "soft_kmeans", "K": 2, "zeta": 0.6, "R": 1.0},
+            "dataset": {"kind": "points",
+                        "points": np.random.default_rng(1).uniform(-0.7, 0.7, (20, 2)).tolist()},
+        },
+        "cfg.json": {"theorem": "cor_2_4", "n": 1000, "delta": 0.05, "B": 1.0, "T": 8},
+    }
+
+    @pytest.mark.parametrize("argv,digests", [
+        (["bound", "--theorem", "thm_2_3", "--n", "100", "--delta", "0.05", "--B", "1",
+          "--L", "1", "--R", "1", "--gamma", "0.5", "--out", "a.json"],
+         {"a.json": "2d29bda6bea40ea3b7d4cb70f1e7c0bf56ffd5e2e6cf9550fc0df853100ebf82"}),
+        (["bound", "--theorem", "thm_3_2", "--n", "200", "--delta", "0.05", "--B", "1",
+          "--L", "2", "--R", "1", "--gamma", "0.5", "--P", "4", "--xi", "0.01",
+          "--eta", "0.25", "--out", "a.json"],
+         {"a.json": "b5318460a6766f59529c0edf94e92029370da32b31dfa840b61ea26d3a4dc474"}),
+        (["bound", "--config", "cfg.json", "--n", "500", "--out", "a.json"],
+         {"a.json": "964cae63a79d8cd70c9d1a8dd801169c511d2f0840cdf671541eb4fd6c1680a6"}),
+        (["cover", "--scenario", "scenario.json", "--T", "2", "--out", "c"],
+         {"c": "49e5e1f3e12e88e1dc1e179596a7f31f296ed96dbc364d6afa79bf887ac6958d",
+          "c.meta.json": "2b7e79d61866272f4b8cd227473b48709986d8e676f05d6ca15d71e08f717368"}),
+        (["cover", "--scenario", "scenario.json", "--epsilon", "0.1666667", "--dedupe",
+          "--verify-trials", "200", "--seed", "3", "--out", "c"],
+         {"c": "86afedfa5926ceafe08f81c1f74e6ca48e29da083d017f7f0062a07af3146a78",
+          "c.meta.json": "074f660153ee3284ec66f3055357f2891be3258150613627e9f893d674c225ef"}),
+        (["contract", "--scenario", "scenario.json", "--pairs", "20", "--steps", "30",
+          "--seed", "11", "--out", "a.json"],
+         {"a.json": "93805153580d9697e1ec4ada87ba06bfd31c57274c3421bd11aab13fa677d415"}),
+        (["approx", "--function", "sin_plus_cos", "--R", "1", "--xi", "0.5", "--grid", "60",
+          "--out", "a.json"],
+         {"a.json": "e7f8c71959622abecb0f7821301f3655b64ee24024aa3ee7304251fe658b2022"}),
+        (["gap", "--scenario", "scenario.json", "--t", "20", "--seed", "42", "--out", "a.json"],
+         {"a.json": "6495806983aadaf47d8f8fa44188e45d55afc0ebe4ae8542dd2cc88e3dd8c9f7"}),
+        (["validate", "--scenario", "iid.json", "--resamplings", "30", "--trials", "3",
+          "--delta", "0.05", "--out", "a.json", "--csv", "a.csv"],
+         {"a.json": "5c46e6baf64a1506df17e8d5c8e52c6bb9341441ab2072153ac409ad855eecca",
+          "a.csv": "87eb110eebb4b2e63827d771a47ba09f3ce867313c2683f3f33a27e30ae8e23a"}),
+        (["validate", "--scenario", "named.json", "--resamplings", "10", "--trials", "3",
+          "--delta", "0.05", "--t-band", "5", "--out", "a.json"],
+         {"a.json": "6f3d4cfda3aea52df9ea051984f54261c31a428109a17894593fd98ce35a55d6"}),
+        (["kmeans", "--scenario", "clusters.json", "--out", "a.json"],
+         {"a.json": "9cbea58098f415058da7c316c6a21742c6f3bf4292675b5488608417d8661e9e"}),
+        (["stability", "--inits", "2000", "--out", "a.json"],
+         {"a.json": "5b06385cf21829e03be980b61f2c0cb2387a8a8f1918cf8a97565e9148fe11f8"}),
+        (["hoeffding", "--scenario", "scenario.json", "--n-grid", "20,50",
+          "--epsilon-grid", "0.05,0.2", "--resamplings", "1000", "--out", "a.json"],
+         {"a.json": "62e6ae1e442ef04f64c2cf5aaab9d6ab06b2f3295e87aba7daabadcb785aa0f7"}),
+    ], ids=["bound-thm_2_3", "bound-thm_3_2", "bound-config-override", "cover",
+            "cover-verify-dedupe", "contract", "approx", "gap", "validate",
+            "validate-support-n", "kmeans", "stability", "hoeffding"])
+    def test_artifacts(self, tmp_path, monkeypatch, argv, digests):
+        monkeypatch.chdir(tmp_path)
+        for name, doc in self.FILES.items():
+            write_scenario(tmp_path, doc, name)
+        assert run(argv) == EXIT_OK
+        assert {name: _sha256_without_timestamp(tmp_path / name) for name in digests} == digests
 
 
 class TestValidationCommands:

@@ -607,6 +607,22 @@ class TestBoxCounting:
         with pytest.raises(ValueError, match="non-finite"):
             box_counting_dimension(pts, [1.0, 0.1, 0.01, 0.001])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        pts = np.random.default_rng(0).uniform(size=(2000, 2))
+        with pytest.raises(ValueError, match="finite"):
+            box_counting_dimension(pts, [1.0, 0.1, 0.01, 0.001, bad])
+
+    def test_scale_beyond_int64_box_indices_rejected(self):
+        """At 1e-30 the unit extent spans ~1e30 boxes, which the int64 cast
+        cannot hold: distinct points would share a box."""
+        pts = np.random.default_rng(0).uniform(size=(2000, 1))
+        with pytest.raises(ValueError, match="too small"):
+            box_counting_dimension(pts, [1.0, 0.1, 0.01, 1e-30])
+        span = float(np.ptp(pts))
+        fit = box_counting_dimension(pts, [1.0, 0.1, 0.01, 2.0 * span / 2.0**63])
+        assert fit.counts[-1] == np.unique(pts).size
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
     def test_counts_equal_distinct_rows(self, d):
         """Counts equal the distinct grid rows, also on grids with more boxes

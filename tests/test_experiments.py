@@ -132,6 +132,13 @@ class TestValidateBound:
         with pytest.raises(ValueError):
             validate_bound(bad, resamplings=2, trials=1, delta=0.05)
 
+    @pytest.mark.parametrize("resamplings,trials", [(0, 3), (3, 0), (-1, 3)])
+    def test_empty_run_rejected(self, resamplings, trials):
+        """A run that draws no gap would PASS having checked nothing."""
+        with pytest.raises(ValueError, match="at least one"):
+            validate_bound(quadratic_scenario(), resamplings=resamplings, trials=trials,
+                           delta=0.05)
+
     def test_threads_preserve_results(self):
         seq = validate_bound(quadratic_scenario(n=30), resamplings=16, trials=3,
                              delta=0.05, seed=4, threads=1)
