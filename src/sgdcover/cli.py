@@ -331,6 +331,8 @@ def _cmd_cover(cfg, args):
 
     T = cfg.get("T")
     epsilon = cfg.get("epsilon")
+    _check(epsilon is None or (math.isfinite(epsilon) and epsilon > 0),
+           f"epsilon must be finite and positive, got {epsilon!r}")
     if T is None:
         c = family.constants
         if epsilon is None or c.alpha is None or c.beta is None:
@@ -423,6 +425,8 @@ def _cmd_approx(cfg, args):
     alpha = float(cfg.get("alpha", 1.0))
     beta = float(cfg.get("beta", 1.0))
     grid = int(cfg.get("grid", 200))
+    # at 2 points per axis the mesh is the four corners, all outside the ball
+    _check(grid >= 3, f"approx needs grid >= 3 points per axis, got {grid}")
     domain = Ball(np.zeros(d), R)
     fn = smooth_function(value, grad, beta_prime)
     approx = build_piecewise_approx(fn, domain, xi, (alpha, beta), cap=_cap(cfg))

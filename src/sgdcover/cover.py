@@ -276,6 +276,31 @@ class CoverVerification:
     horizon: int
 
 
+# squared distances per block of queries; a block holds at least one query
+_BLOCK = 2**20
+
+
+def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Distance from each query row to its nearest point row, computed as
+    sqrt(min_j sum_k (q_k - p_jk)^2) with the sum taken over k in order, the
+    arithmetic of cKDTree for d <= 7.  Costs O(queries x points x d) time and
+    at most max(_BLOCK, N) squared distances of memory at once.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    points_t = np.ascontiguousarray(points.T)
+    best = np.empty(len(queries))
+    rows = max(1, _BLOCK // len(points))
+    for lo in range(0, len(queries), rows):
+        q = queries[lo:lo + rows]
+        d2 = np.zeros((len(q), len(points)))
+        for k in range(len(points_t)):
+            diff = q[:, k, None] - points_t[k]
+            d2 += diff * diff
+        best[lo:lo + rows] = d2.min(axis=1)
+    return np.sqrt(best)
+
+
 def verify_cover(
     cover: CoverSet,
     update: UpdateMap,
@@ -294,17 +319,18 @@ def verify_cover(
     """
     if trials < 1 or max_extra_steps < 0:
         raise ValueError("need trials >= 1 and max_extra_steps >= 0")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     domain = update.effective_domain
     if domain is None:
         raise ValueError("verification needs a bounded domain to sample starts from")
-    from scipy.spatial import cKDTree  # deferred: the import is slow and only needed here
 
     T = cover.horizon
     starts, steps, indices = draw_runs(
         (substream(seed, k) for k in range(trials)), domain, T, T + max_extra_steps, dataset.n
     )
     endpoints = run_lockstep(update, starts, steps, indices, dataset)
-    dists = cKDTree(cover.points).query(endpoints)[0]
+    dists = _nearest_distances(cover.points, endpoints)
     failures = int(np.count_nonzero(dists > epsilon))
     return CoverVerification(
         trials=trials, failures=failures, max_min_distance=float(dists.max()),

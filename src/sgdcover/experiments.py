@@ -421,6 +421,10 @@ def hoeffding_check(
         raise ValueError("the check needs a finitely supported distribution")
     if resamplings < 1:
         raise ValueError("resamplings must be positive")
+    if not (len(n_grid) and len(epsilon_grid)):
+        raise ValueError("n_grid and epsilon_grid must be nonempty")
+    if min(n_grid) < 1:
+        raise ValueError(f"every n in n_grid must be >= 1, got {min(n_grid)}")
     values = family.values(theta, Dataset(distribution.support))
     mean = float(values @ distribution.probs)
     width = float(values.max() - values.min())

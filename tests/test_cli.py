@@ -31,6 +31,12 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     return str(path)
 
 
+def _env_with_package_path(**extra):
+    src = str(Path(sgdcover.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def load(path):
     with open(path) as fh:
         return json.load(fh)
@@ -233,6 +239,38 @@ class TestExitCodeContract:
                                               dataset={"kind": "iid", "n": 20}))
         out = tmp_path / "out.json"
         assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+    def test_vacuous_epsilon_is_usage_error(self, tmp_path, epsilon):
+        """An epsilon that is not finite and positive verifies nothing: exit 2,
+        neither the JSONL nor its .meta.json is written."""
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = tmp_path / "cover.jsonl"
+        assert run(["cover", "--scenario", spath, "--T", "3", "--epsilon", epsilon,
+                    "--verify-trials", "50", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
+    @pytest.mark.parametrize("grid", ["0", "1", "2"])
+    def test_approx_grid_below_three_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "approx.json"
+        assert run(["approx", "--function", "sin_plus_cos", "--R", "1", "--xi", "0.5",
+                    "--grid", grid, "--out", str(out)]) == EXIT_USAGE
+        assert "grid >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hoeffding_empty_sample_size_prints_only_the_error(self, tmp_path):
+        """n = 0 is refused before any resampling, so numpy prints no warning."""
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = tmp_path / "hoeffding.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdcover.cli", "hoeffding", "--scenario", spath,
+             "--n-grid", "0", "--epsilon-grid", "0.1", "--resamplings", "10",
+             "--out", str(out)],
+            env=_env_with_package_path(), capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == ["error: every n in n_grid must be >= 1, got 0"]
         assert not out.exists()
 
     def test_non_finite_update_is_usage_error(self, tmp_path, monkeypatch):
@@ -549,23 +587,28 @@ class TestValidationCommands:
         assert run(["stability", "--config", str(cfg)]) == EXIT_USAGE
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    """scipy.spatial is imported only when a cover is verified."""
-    src = str(Path(sgdcover.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, sgdcover.cli; print('scipy.spatial' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+def test_import_leaves_scipy_spatial_unloaded(tmp_path):
+    """Neither importing the CLI nor verifying a cover loads any scipy module."""
+    spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+    out = tmp_path / "cover.jsonl"
+    code = (
+        "import sys, sgdcover.cli\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        f"code = sgdcover.cli.run(['cover', '--scenario', {spath!r}, '--epsilon', '0.1666667',"
+        f" '--verify-trials', '50', '--out', {str(out)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_package_path(),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+    assert load(str(out) + ".meta.json")["result"]["verification"]["trials"] == 50
 
 
 def test_malformed_cap_override_does_not_break_import():
     """SGDCOVER_CAP is read only by commands that enumerate, so a bad value
     leaves the module importable and other commands working."""
-    src = str(Path(sgdcover.__file__).resolve().parents[1])
-    env = dict(os.environ, SGDCOVER_CAP="abc", PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _env_with_package_path(SGDCOVER_CAP="abc")
     proc = subprocess.run(
         [sys.executable, "-m", "sgdcover.cli", "bound", "--theorem", "thm_2_3", "--n", "100",
          "--delta", "0.05", "--B", "1", "--L", "1", "--R", "1", "--gamma", "0.5"],

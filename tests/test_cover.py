@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sgdcover import cover as cover_module
-from sgdcover.core import Ball
+from sgdcover.core import Ball, Box
 from sgdcover.cover import (
     EnumerationCapExceeded,
     IFSModel,
@@ -286,6 +286,18 @@ class TestVerifyCover:
                            epsilon=eps / 100.0, seed=3)
         assert (bad.max_min_distance, bad.failures) == (0.11856648405040639, 300)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    def test_vacuous_epsilon_rejected_before_any_trial(self, monkeypatch, epsilon):
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=2)
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(cover_module, "draw_runs", no_trials)
+        with pytest.raises(ValueError, match="finite and positive"):
+            verify_cover(cov, update, ds, trials=10, max_extra_steps=5, epsilon=epsilon)
+
     def test_lockstep_matches_sequential_reference(self):
         """A user-built family (per-row fallback) verified in lockstep
         agrees exactly with trials run one at a time through sgd_step."""
@@ -358,6 +370,112 @@ class TestVerifyCover:
             out = verify_cover(cov, update, ds, trials=500, max_extra_steps=30,
                                epsilon=eps, seed=7)
             assert out.passed, (fam.name, out.max_min_distance, eps)
+
+
+def _sequential_nearest(points, queries):
+    """Reference: every squared distance summed over coordinates in order."""
+    d2 = np.zeros((len(queries), len(points)))
+    for k in range(points.shape[1]):
+        diff = queries[:, k, None] - points[None, :, k]
+        d2 += diff * diff
+    return np.sqrt(d2.min(axis=1))
+
+
+def _near_tie_ring(rng, center, count=64, queries=200):
+    """Points on a radius-1/4 ring around ``center`` and queries within 1e-9
+    of it: every distance is within a few ulp of the others."""
+    angles = rng.uniform(0.0, 2.0 * np.pi, count)
+    points = center + 0.25 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return points, center + rng.normal(scale=1e-9, size=(queries, 2))
+
+
+class TestNearestDistances:
+    """cover._nearest_distances, the search behind verify_cover."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 64, 1024])
+    def test_bitwise_equal_to_sequential_reference(self, d):
+        rng = np.random.default_rng(d)
+        points, queries = rng.uniform(-1, 1, (150, d)), rng.uniform(-1, 1, (200, d))
+        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
+                                      _sequential_nearest(points, queries))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_bitwise_equal_to_kdtree_up_to_seven_dimensions(self, d):
+        """cKDTree sums coordinates in order below d = 8, so it agrees bitwise."""
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(10 + d)
+        points, queries = rng.uniform(-1, 1, (300, d)), rng.uniform(-1, 1, (400, d))
+        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
+                                      spatial.cKDTree(points).query(queries)[0])
+
+    @pytest.mark.parametrize("d", [8, 64, 1024])
+    def test_kdtree_within_summation_order_bound(self, d):
+        """From d = 8 cKDTree sums in four interleaved lanes; both sums lie
+        within gamma_{d+2} of the true squared distance."""
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(20 + d)
+        points, queries = rng.uniform(-1, 1, (150, d)), rng.uniform(-1, 1, (200, d))
+        kd = spatial.cKDTree(points).query(queries)[0]
+        got = cover_module._nearest_distances(points, queries)
+        np.testing.assert_array_less(np.abs(got - kd), (d + 4) * np.finfo(float).eps * kd)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(1)
+        points = rng.permutation(np.repeat(rng.uniform(-1, 1, (20, 2)), 7, axis=0))
+        queries = rng.uniform(-1, 1, (300, 2))
+        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
+                                      _sequential_nearest(points, queries))
+
+    def test_query_on_a_cover_point_is_at_distance_zero(self):
+        rng = np.random.default_rng(2)
+        points = 1e3 + rng.uniform(0, 1, (50, 3))
+        dists = cover_module._nearest_distances(points, points[::-1])
+        assert dists.tolist() == [0.0] * 50
+
+    @pytest.mark.parametrize("center", [[0.3, -0.2], [1e3 + 0.3, 1e3 + 0.7]],
+                             ids=["near-origin", "far-from-origin"])
+    def test_near_ties(self, center):
+        points, queries = _near_tie_ring(np.random.default_rng(3), np.array(center))
+        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
+                                      _sequential_nearest(points, queries))
+
+    def test_verification_far_from_origin(self, monkeypatch):
+        """Verification in a Box near [1e3, 1e3 + 1]^2 searches exactly."""
+        centers = [np.array([1e3 + 0.8, 1e3 + 0.1]), np.array([1e3 + 0.2, 1e3 + 0.6]),
+                   np.array([1e3 + 0.5, 1e3 + 0.9])]
+        update = SGDStep(quadratic_centers(centers, R=2e3), 0.5,
+                         domain=Box(np.full(2, 1e3), np.full(2, 1e3 + 1)))
+        ds = Dataset(tuple(centers))
+        cov = enumerate_cover(update, ds, T=4)
+        search, seen = cover_module._nearest_distances, []
+        monkeypatch.setattr(cover_module, "_nearest_distances",
+                            lambda points, queries: seen.append(queries) or search(points, queries))
+        out = verify_cover(cov, update, ds, trials=500, max_extra_steps=10, epsilon=0.05, seed=4)
+        expected = _sequential_nearest(cov.points, seen[0])
+        np.testing.assert_array_equal(search(cov.points, seen[0]), expected)
+        assert (out.max_min_distance, out.failures) == (expected.max(),
+                                                        int(np.sum(expected > 0.05)))
+
+    def test_one_ulp_tie(self):
+        one_up = np.nextafter(1.0, 2.0)
+        points = np.array([[one_up, 0.0], [0.0, -one_up], [-1.0, 0.0], [0.0, one_up]])
+        assert cover_module._nearest_distances(points, np.zeros((1, 2))).tolist() == [1.0]
+
+    def test_one_point_cover(self):
+        queries = np.random.default_rng(4).uniform(-1, 1, (30, 2))
+        got = cover_module._nearest_distances(np.array([[0.25, -0.5]]), queries)
+        np.testing.assert_array_equal(got, _sequential_nearest(np.array([[0.25, -0.5]]),
+                                                               queries))
+
+    @pytest.mark.parametrize("block", [1, 1000, cover_module._BLOCK])
+    def test_more_queries_than_one_block(self, monkeypatch, block):
+        """Blocks of one query (block < N), of a few and of the default size
+        give the same distances; 1500 x 2500 spans four default blocks."""
+        monkeypatch.setattr(cover_module, "_BLOCK", block)
+        rng = np.random.default_rng(5)
+        points, queries = rng.uniform(-1, 1, (1500, 3)), rng.uniform(-1, 1, (2500, 3))
+        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
+                                      _sequential_nearest(points, queries))
 
 
 def _per_sample_quadratic_approx(z, beta=1.0, anchors=None):

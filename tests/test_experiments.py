@@ -320,6 +320,13 @@ class TestHoeffdingCheck:
         rates = [c.empirical_rate for c in rep.cells]
         assert rates[-1] <= rates[0]
 
+    @pytest.mark.parametrize("n_grid,epsilon_grid", [([0], [0.1]), ([10, -1], [0.1]),
+                                                     ([], [0.1]), ([10], [])],
+                             ids=["n-zero", "n-negative", "no-n", "no-epsilon"])
+    def test_empty_grid_rejected(self, n_grid, epsilon_grid):
+        with pytest.raises(ValueError):
+            hoeffding_check(self.fam, self.theta, n_grid, epsilon_grid, 100, self.dist)
+
     def test_requires_finite_support_and_spread(self):
         with pytest.raises(ValueError):
             hoeffding_check(self.fam, self.theta, [10], [0.1], 100,
