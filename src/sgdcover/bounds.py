@@ -200,6 +200,29 @@ def _piecewise_T(T, L, R, n, gamma):
     return horizon(3.0 * L * R * n, gamma)
 
 
+def _piecewise(theorem, n, delta, B, L, R, gamma, T, P, xi, step, echo) -> BoundCertificate:
+    """The piecewise bound with map error ``step * xi``; ``echo`` holds the
+    inputs beyond the shared ones that the certificate records."""
+    _check_n(n)
+    _check_delta(delta)
+    _check_pos(L=L, R=R, P=P)
+    _check_nonneg(B=B, xi=xi, **echo)
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must lie in (0, 1]")
+    T = _piecewise_T(T, L, R, n, gamma)
+    geo, degenerate = _geometric_sum(gamma, T)
+    approx = 2.0 * L * (gamma**T * R + geo * step * xi)
+    inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma,
+              "T": T, "P": P, "xi": xi, **echo}
+    return _make(
+        theorem, inputs,
+        dep=B * T / n,
+        conc=_concentration(B, T * math.log(n * P), delta, n),
+        approx=approx,
+        flags=("geometric_series_limit",) if degenerate else (),
+    )
+
+
 def bound_piecewise_approx(n, delta, B, L, R, gamma, T=None, P=1, xi=0.0, eta=0.0) -> BoundCertificate:
     """BT/n + B*sqrt((T log(nP) + log(2/delta))/(2n))
     + 2L*(gamma^T R + ((1-gamma^T)/(1-gamma)) * eta * xi).
@@ -207,48 +230,14 @@ def bound_piecewise_approx(n, delta, B, L, R, gamma, T=None, P=1, xi=0.0, eta=0.
     T defaults to max(ceil(log(3LRn)/log(1/gamma)), 0).  gamma = 1 uses the
     geometric-series limit T and is flagged rather than rejected.
     """
-    _check_n(n)
-    _check_delta(delta)
-    _check_pos(L=L, R=R, P=P)
-    _check_nonneg(B=B, xi=xi, eta=eta)
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    T = _piecewise_T(T, L, R, n, gamma)
-    geo, degenerate = _geometric_sum(gamma, T)
-    approx = 2.0 * L * (gamma**T * R + geo * eta * xi)
-    inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma,
-              "T": T, "P": P, "xi": xi, "eta": eta}
-    return _make(
-        "THM_3_2", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, T * math.log(n * P), delta, n),
-        approx=approx,
-        flags=("geometric_series_limit",) if degenerate else (),
-    )
+    return _piecewise("THM_3_2", n, delta, B, L, R, gamma, T, P, xi, eta, {"eta": eta})
 
 
 def bound_piecewise_contractive(n, delta, B, L, R, gamma, T=None, P=1, xi=0.0) -> BoundCertificate:
     """Same shape as the piecewise-surrogate bound, but for a generic
     piecewise contractive optimizer: the slack uses the map error xi with no
-    step-size factor."""
-    _check_n(n)
-    _check_delta(delta)
-    _check_pos(L=L, R=R, P=P)
-    _check_nonneg(B=B, xi=xi)
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    T = _piecewise_T(T, L, R, n, gamma)
-    geo, degenerate = _geometric_sum(gamma, T)
-    approx = 2.0 * L * (gamma**T * R + geo * xi)
-    inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma,
-              "T": T, "P": P, "xi": xi}
-    return _make(
-        "THM_5_3", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, T * math.log(n * P), delta, n),
-        approx=approx,
-        flags=("geometric_series_limit",) if degenerate else (),
-    )
+    step-size factor (multiplying by 1.0 is exact)."""
+    return _piecewise("THM_5_3", n, delta, B, L, R, gamma, T, P, xi, 1.0, {})
 
 
 def multi_index_piece_params(beta, eta, K, L, R, R_x, T, n) -> tuple[float, int]:

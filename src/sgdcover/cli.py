@@ -378,6 +378,8 @@ def _cmd_contract(cfg, args):
     steps = int(cfg.get("steps", 50))
     _check(pairs >= 1 and steps >= 1, "contract needs at least one pair and one step")
     tol = float(cfg.get("tolerance", 1e-9))
+    _check(math.isfinite(tol) and tol >= 0,
+           f"contract needs a finite tolerance >= 0, got {tol}")
     update = SGDStep(family, eta, domain=domain, project=True)
 
     c = family.constants
@@ -388,15 +390,14 @@ def _cmd_contract(cfg, args):
     # ratios measured below this distance are dominated by rounding noise
     scale = domain.bounding_radius()
     floor = 1e-6 * (scale if math.isfinite(scale) else 1.0)
-    worst = 0.0
-    for k in range(pairs):
-        rng = substream(args.seed, k)
-        a, b = domain.sample(rng), domain.sample(rng)
-        if np.array_equal(a, b):
-            continue
-        indices = rng.integers(0, dataset.n, size=steps)
-        report = coupled_contraction_ratio(update, a, b, indices, dataset)
-        worst = max(worst, report.max_measurable_ratio(floor))
+    # pair k draws a, b and then its indices from its own stream
+    rngs = [substream(args.seed, k) for k in range(pairs)]
+    a = np.array([domain.sample(rng) for rng in rngs])
+    b = np.array([domain.sample(rng) for rng in rngs])
+    indices = np.array([rng.integers(0, dataset.n, size=steps) for rng in rngs])
+    differ = np.any(a != b, axis=1)
+    report = coupled_contraction_ratio(update, a[differ], b[differ], indices[differ], dataset)
+    worst = report.max_measurable_ratio(floor)
 
     ok = theoretical is None or worst <= theoretical + tol
     result = {"pairs": pairs, "steps": steps, "max_ratio": worst,

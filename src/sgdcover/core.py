@@ -53,6 +53,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
+def linalg_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, d) array, bitwise equal to
+    ``np.linalg.norm(rows[k])`` (a dot product per row; ``row_norms`` and
+    ``einsum`` round differently)."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def distance(x, y) -> float:
     """Euclidean distance between two points of equal dimension."""
     xa = as_point(x)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import horizon
-from .core import ConvexDomain, as_point, ceil_int, substream
+from .core import ConvexDomain, as_point, ceil_int, linalg_norms, substream
 from .losses import Dataset
 from .sgd import UpdateMap, draw_runs, run_lockstep, sgd_step
 
@@ -258,10 +258,8 @@ def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry,
                  anchor: np.ndarray) -> np.ndarray:
     """Re-run an entry's recorded sequence from the anchor (bitwise identical
     to enumeration when the dataset agrees on the entry's dependency set)."""
-    point = anchor.copy()
-    for i in entry.seq:
-        point = sgd_step(update, point, i, dataset)
-    return point
+    seq = np.array([entry.seq], dtype=np.int64)
+    return run_lockstep(update, anchor[None, :], np.array([len(entry.seq)]), seq, dataset)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,10 +487,9 @@ def _anchor_lattice(domain: ConvexDomain, epsilon: float, cap: int) -> np.ndarra
         axes.append(mid + (np.arange(k) - (k - 1) / 2.0) * spacing)
     grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
-    slack = epsilon * (1 + 1e-12)
-    proj = np.array([domain.project(p) for p in grid])
+    proj = domain.project_batch(grid)
     # a node farther than epsilon from the domain serves no domain point
-    anchors = proj[[np.linalg.norm(q - p) <= slack for q, p in zip(proj, grid)]]
+    anchors = proj[linalg_norms(proj - grid) <= epsilon * (1 + 1e-12)]
     return anchors[_first_of_each_point(anchors)]
 
 
@@ -513,8 +510,8 @@ def build_piecewise_approx(
     alpha, beta = strong_convexity_smoothness
     if not (0 < alpha <= beta):
         raise ValueError("need strong convexity 0 < alpha <= smoothness beta")
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
+    if not (math.isfinite(xi) and xi >= 0):
+        raise ValueError(f"xi must be finite and nonnegative, got {xi}")
     if anchors is not None:
         anchor_arr = np.vstack([as_point(a, dim=domain.dim) for a in anchors])
         epsilon = math.inf

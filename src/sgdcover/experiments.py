@@ -159,6 +159,10 @@ def validate_bound(
         raise ValueError("delta must lie in (0, 1]")
     if delta == 1 and certificate is None:
         raise ValueError("delta = 1 needs an explicit certificate")
+    if not (math.isfinite(shrink) and shrink > 0):
+        raise ValueError(f"shrink must be finite and positive, got {shrink}")
+    if t_band < 0:
+        raise ValueError(f"t_band must be nonnegative, got {t_band}")
     fam = scenario.family
     c = fam.constants
     if c.alpha is None or c.beta is None or c.B is None or c.L is None or c.R is None:
@@ -361,18 +365,14 @@ def stability_experiment(
         rng = substream(seed, tag)
         x = rng.uniform(0.0, 4.0, size=(inits, 1))
         idx = rng.integers(0, n_samples, size=(steps, inits))
-        for t in range(steps):
-            x = step.apply_batch(x, idx[t], data)
-        x = x[:, 0]
+        x = run_lockstep(step, x, np.full(inits, steps), idx.T, data)[:, 0]
         means[label] = float(np.mean((x - 1.0) ** 2))
         converged += int(np.sum((np.abs(x - 1.0) <= 1e-6) | (np.abs(x - 3.0) <= 1e-6)))
 
     # deterministic basin check on the all-zeros data
     grid = np.concatenate([np.linspace(0.0, 2.0, 21), np.linspace(2.0 + 1e-9, 4.0, 21)])
-    xg = grid[:, None]
-    for _ in range(steps):
-        xg = step.apply_batch(xg, np.zeros(grid.size, dtype=np.int64), datasets["identical"])
-    xg = xg[:, 0]
+    xg = run_lockstep(step, grid[:, None], np.full(grid.size, steps),
+                      np.zeros((grid.size, steps), dtype=np.int64), datasets["identical"])[:, 0]
     basin = bool(np.all(np.abs(xg[:21] - 1.0) <= 1e-6) and np.all(np.abs(xg[21:] - 3.0) <= 1e-6))
 
     return StabilityReport(

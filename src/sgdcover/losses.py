@@ -307,6 +307,14 @@ def smooth_margin_link(K: int) -> LinkFunction:
     return LinkFunction("smooth_margin", value, grad, beta=0.25, Q=K - 1, K=K)
 
 
+def _split_blocks(theta, K):
+    """theta as a (K, d) array of its blocks."""
+    t = as_point(theta)
+    if t.size % K:
+        raise ValueError("theta length must be a multiple of K")
+    return t.reshape(K, -1)
+
+
 def multi_index(
     link: LinkFunction,
     lam: float,
@@ -329,12 +337,6 @@ def multi_index(
     if not (R > 0 and R_x > 0):
         raise ValueError("R and R_x must be positive")
 
-    def split(theta):
-        t = as_point(theta)
-        if t.size % K:
-            raise ValueError("theta length must be a multiple of K")
-        return t.reshape(K, -1)
-
     def check_sample(z):
         y, x = z
         x = np.asarray(x, dtype=float)
@@ -344,13 +346,13 @@ def multi_index(
 
     def value(theta, z):
         y, x = check_sample(z)
-        blocks = split(theta)
+        blocks = _split_blocks(theta, K)
         u = blocks @ x
         return float(link.value(u, y)) + 0.5 * lam * float(np.sum(blocks**2))
 
     def grad(theta, z):
         y, x = check_sample(z)
-        blocks = split(theta)
+        blocks = _split_blocks(theta, K)
         u = blocks @ x
         lg = np.asarray(link.grad(u, y), dtype=float)
         return (lg[:, None] * x[None, :] + lam * blocks).reshape(-1)
@@ -379,11 +381,11 @@ def multi_index(
 # K-means clustering (soft and hard labels)
 # ---------------------------------------------------------------------------
 
-def _kmeans_split(theta, K):
-    t = as_point(theta)
-    if t.size % K:
-        raise ValueError("theta length must be a multiple of K")
-    return t.reshape(K, -1)
+def _sq_dists(theta, z, K):
+    """Squared distances of the K blocks of theta to z, the blocks, and z."""
+    blocks = _split_blocks(theta, K)
+    z = np.asarray(z, dtype=float)
+    return np.sum((blocks - z[None, :]) ** 2, axis=1), blocks, z
 
 
 def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFamily:
@@ -414,19 +416,14 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
         K=K,
     )
 
-    def sq_dists(theta, z):
-        blocks = _kmeans_split(theta, K)
-        z = np.asarray(z, dtype=float)
-        return np.sum((blocks - z[None, :]) ** 2, axis=1), blocks, z
-
     def value(theta, z):
-        d2, _, _ = sq_dists(theta, z)
+        d2, _, _ = _sq_dists(theta, z, K)
         a = -zeta * d2
         m = a.max()
         return float(-(m + math.log(np.exp(a - m).sum())) / zeta)
 
     def grad(theta, z):
-        d2, blocks, z = sq_dists(theta, z)
+        d2, blocks, z = _sq_dists(theta, z, K)
         a = -zeta * d2
         a -= a.max()
         w = np.exp(a)
@@ -464,13 +461,8 @@ def hard_kmeans(K: int, R: float, tie_rule: str = "lowest", d: int | None = None
     if K < 1:
         raise ValueError("K must be a positive integer")
 
-    def sq_dists(theta, z):
-        blocks = _kmeans_split(theta, K)
-        z = np.asarray(z, dtype=float)
-        return np.sum((blocks - z[None, :]) ** 2, axis=1), blocks, z
-
     def value(theta, z):
-        d2, _, _ = sq_dists(theta, z)
+        d2, _, _ = _sq_dists(theta, z, K)
         return float(d2.min())
 
     def chosen(d2, theta, z):
@@ -485,7 +477,7 @@ def hard_kmeans(K: int, R: float, tie_rule: str = "lowest", d: int | None = None
         return ties[pick:pick + 1]
 
     def grad(theta, z):
-        d2, blocks, z = sq_dists(theta, z)
+        d2, blocks, z = _sq_dists(theta, z, K)
         g = np.zeros_like(blocks)
         for j in chosen(d2, theta, z):
             g[j] = 2.0 * (blocks[j] - z)

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import ConvexDomain, DETERMINISTIC_TOL, as_point, substream
+from .core import ConvexDomain, DETERMINISTIC_TOL, as_point, as_rows, linalg_norms, substream
 from .losses import Dataset, LossFamily
 
 SCHEMES = ("explicit", "uniform", "without_replacement", "shuffle")
@@ -174,17 +174,6 @@ def sgd_step(update: UpdateMap, theta, sample_index: int, dataset: Dataset) -> n
     return update.apply(theta, dataset.samples[sample_index])
 
 
-def _batch_apply(update: UpdateMap, theta: np.ndarray, batch, dataset: Dataset) -> np.ndarray:
-    if len(batch) == 1:
-        return sgd_step(update, theta, int(batch[0]), dataset)
-    # mini-batch: average the single-sample updates (an average of
-    # gamma-contractive maps is gamma-contractive)
-    acc = np.zeros_like(theta)
-    for i in batch:
-        acc += sgd_step(update, theta, int(i), dataset)
-    return acc / len(batch)
-
-
 def draw_indices(config: SGDConfig, n: int) -> np.ndarray:
     """Realize the (steps, batch_size) index array for a run over n samples."""
     t, b = config.steps, config.batch_size
@@ -274,12 +263,15 @@ def run_trajectory(
     if isinstance(update, SGDStep) and config.eta is not None and config.eta != update.eta:
         raise ValueError(f"config.eta={config.eta} disagrees with the update map's eta={update.eta}")
     indices = draw_indices(config, dataset.n)
-    dim = config.init.shape[0]
-    points = np.empty((config.steps + 1, dim))
-    points[0] = config.init
-    theta = config.init
+    b = config.batch_size
+    points = np.empty((config.steps + 1, config.init.shape[0]))
+    points[0] = theta = config.init
     for t in range(config.steps):
-        theta = _batch_apply(update, theta, indices[t], dataset)
+        rows = update.apply_batch(np.tile(theta, (b, 1)), indices[t], dataset)
+        # a mini-batch step averages the single-sample updates (an average of
+        # gamma-contractive maps is gamma-contractive); sum() adds them from
+        # zero, in order, and a single update is taken as is
+        theta = rows[0] if b == 1 else sum(rows) / b
         if invariant_domain is not None and not invariant_domain.contains(theta):
             raise RuntimeError(
                 f"iterate left the declared invariant domain at step {t + 1}: {theta}"
@@ -290,27 +282,34 @@ def run_trajectory(
 
 @dataclass(frozen=True, eq=False)
 class CouplingReport:
-    """Per-step distance ratios of two synchronously coupled runs.
+    """Per-step distance ratios of m synchronously coupled pairs.
 
-    ``distances[t]`` is the pair distance before step t; ratios measured at
+    Row k belongs to pair k: ``distances[k, t]`` is its distance before step
+    t and ``ratios[k, t]`` the ratio that step achieved.  ``coalesce_step[k]``
+    is the step at which pair k was found coalesced, or -1 if it never was;
+    from that step on its ratios and distances are 0.  Ratios measured at
     tiny distances carry rounding noise of order eps_machine / distance.
     """
 
-    ratios: np.ndarray
-    distances: np.ndarray
-    coalesced: bool
-    coalesce_step: int | None
+    ratios: np.ndarray         # (m, steps)
+    distances: np.ndarray      # (m, steps)
+    coalesce_step: np.ndarray  # (m,)
+
+    @property
+    def coalesced(self) -> np.ndarray:
+        return self.coalesce_step >= 0
 
     @property
     def max_ratio(self) -> float:
-        live = self.ratios if self.coalesce_step is None else self.ratios[: self.coalesce_step]
-        return float(live.max()) if live.size else 0.0
+        """Largest ratio of any pair before it coalesced (0 if none)."""
+        return self.max_measurable_ratio(0.0)
 
     def max_measurable_ratio(self, min_distance: float) -> float:
-        """Largest ratio among steps whose starting distance is at least
-        ``min_distance`` (the regime where rounding noise is negligible)."""
-        stop = len(self.ratios) if self.coalesce_step is None else self.coalesce_step
-        live = self.ratios[:stop][self.distances[:stop] >= min_distance]
+        """Largest ratio of any pair among steps whose starting distance is
+        at least ``min_distance`` (the regime where rounding noise is
+        negligible)."""
+        # steps from a pair's coalescence on keep distance 0 and are skipped
+        live = self.ratios[(self.distances > 0) & (self.distances >= min_distance)]
         return float(live.max()) if live.size else 0.0
 
 
@@ -318,39 +317,49 @@ def coupled_contraction_ratio(
     update: UpdateMap,
     theta_a,
     theta_b,
-    indices: Sequence[int],
+    indices,
     dataset: Dataset,
 ) -> CouplingReport:
-    """Drive two starting points with identical sample indices and report
-    ||g(a) - g(b)|| / ||a - b|| at every step.
+    """Drive m pairs of starting points, rows of the (m, d) arrays ``theta_a``
+    and ``theta_b``, with identical sample indices (row k of the (m, steps)
+    array ``indices`` drives pair k) and report ||g(a) - g(b)|| / ||a - b||
+    at every step.
 
-    Once the pair agrees to within 1e-14 times the domain scale the ratio is
-    0/0; remaining ratios are reported as 0 and the report is flagged.
+    All 2m points advance together, one ``apply_batch`` call per step, and
+    every figure equals, bitwise, the one stepping the pair alone through
+    ``sgd_step`` gives.  Once a pair agrees to within 1e-14 times the domain
+    scale the ratio is 0/0: the pair is masked out, its remaining ratios
+    are reported as 0 and its coalescence step is recorded.
     """
-    a = as_point(theta_a)
-    b = as_point(theta_b, dim=a.shape[0])
-    dist = float(np.linalg.norm(a - b))
-    if dist == 0.0:
+    d = np.shape(theta_a)[-1]
+    a, b = as_rows(theta_a, d).copy(), as_rows(theta_b, d).copy()
+    idx = np.asarray(indices, dtype=np.int64)
+    if len(b) != len(a) or idx.ndim != 2 or len(idx) != len(a):
+        raise ValueError(f"need (m, d), (m, d) and (m, steps) arrays, got shapes "
+                         f"{a.shape}, {b.shape} and {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= dataset.n):
+        raise IndexError(f"sample indices must lie in [0, {dataset.n})")
+    dist = linalg_norms(a - b)
+    if np.any(dist == 0.0):
         raise ValueError("coupled starting points must differ")
     domain = update.effective_domain
     scale = domain.bounding_radius() if domain is not None else math.inf
     if not math.isfinite(scale):
-        scale = max(1.0, dist)
+        scale = np.maximum(1.0, dist)
     coalesce_tol = 1e-14 * scale
 
-    ratios = np.zeros(len(indices))
-    distances = np.zeros(len(indices))
-    coalesce_step = None
-    for t, i in enumerate(indices):
-        if dist <= coalesce_tol:
-            coalesce_step = t
+    ratios, distances = np.zeros(idx.shape), np.zeros(idx.shape)
+    coalesce_step = np.full(len(a), -1)
+    for t in range(idx.shape[1]):
+        coalesce_step[(coalesce_step < 0) & (dist <= coalesce_tol)] = t
+        k = np.flatnonzero(coalesce_step < 0)
+        if not k.size:
             break
-        distances[t] = dist
-        a = sgd_step(update, a, int(i), dataset)
-        b = sgd_step(update, b, int(i), dataset)
-        new_dist = float(np.linalg.norm(a - b))
-        ratios[t] = new_dist / dist
-        dist = new_dist
-    return CouplingReport(ratios=ratios, distances=distances,
-                          coalesced=coalesce_step is not None,
-                          coalesce_step=coalesce_step)
+        distances[k, t] = dist[k]
+        moved = update.apply_batch(np.concatenate([a[k], b[k]]),
+                                   np.concatenate([idx[k, t], idx[k, t]]), dataset)
+        a[k], b[k] = moved[:k.size], moved[k.size:]
+        new_dist = linalg_norms(a[k] - b[k])
+        ratios[k, t] = new_dist / dist[k]
+        dist[k] = new_dist
+    return CouplingReport(ratios=ratios, distances=distances, coalesce_step=coalesce_step)

@@ -68,15 +68,17 @@ class TestAcceptance:
             update = SGDStep(fam, eta, domain=WholeSpace(2), project=False)
             g = abs(1.0 - eta)
             steps = min(20, max(1, int(math.log(0.01) / math.log(g))))
-            pairs = 0
-            while pairs < 100:
+            starts_a, starts_b, idx = [], [], []
+            while len(idx) < 100:
                 a, b = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
                 if np.linalg.norm(a - b) < 0.1:
                     continue
-                pairs += 1
-                rep = coupled_contraction_ratio(update, a, b,
-                                                rng.integers(0, 3, steps), ds)
-                worst = max(worst, float(np.max(np.abs(rep.ratios - g))))
+                starts_a.append(a)
+                starts_b.append(b)
+                idx.append(rng.integers(0, 3, steps))
+            rep = coupled_contraction_ratio(update, np.array(starts_a), np.array(starts_b),
+                                            np.array(idx), ds)
+            worst = max(worst, float(np.max(np.abs(rep.ratios - g))))
         report("C1", worst <= 1e-12,
                f"max |ratio - |1-eta|| = {worst:.3e} over 4 step sizes x 100 pairs")
 

@@ -241,6 +241,40 @@ class TestExitCodeContract:
         assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05", "--shrink", "0"],
+        ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05", "--shrink", "nan"],
+        ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05", "--shrink", "-1"],
+        ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05", "--t-band", "-1"],
+        ["contract", "--pairs", "2", "--steps", "2", "--tolerance", "nan"],
+        ["contract", "--pairs", "2", "--steps", "2", "--tolerance", "inf"],
+        ["contract", "--pairs", "2", "--steps", "2", "--tolerance", "-1"],
+    ], ids=["shrink-zero", "shrink-nan", "shrink-negative", "t-band-negative",
+            "tolerance-nan", "tolerance-inf", "tolerance-negative"])
+    def test_bad_threshold_option_is_usage_error(self, tmp_path, capsys, argv):
+        """A threshold that is not a finite, in-range number is refused before
+        any output: exit 2, never the FAIL code 1 or a vacuous PASS."""
+        spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO,
+                                              dataset={"kind": "iid", "n": 20}))
+        out = tmp_path / "out.json"
+        assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[-2][2:].replace("-", "_") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("xi", ["inf", "nan"])
+    def test_non_finite_xi_prints_only_the_error(self, tmp_path, xi):
+        """A non-finite xi is refused before any arithmetic, so numpy prints
+        no warning."""
+        out = tmp_path / "approx.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdcover.cli", "approx", "--function", "sin_plus_cos",
+             "--R", "1", "--xi", xi, "--out", str(out)],
+            env=_env_with_package_path(), capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == [f"error: xi must be finite and nonnegative, got {xi}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
     def test_vacuous_epsilon_is_usage_error(self, tmp_path, epsilon):
         """An epsilon that is not finite and positive verifies nothing: exit 2,
@@ -446,6 +480,10 @@ class TestGoldenArtifacts:
           "--L", "2", "--R", "1", "--gamma", "0.5", "--P", "4", "--xi", "0.01",
           "--eta", "0.25", "--out", "a.json"],
          {"a.json": "b5318460a6766f59529c0edf94e92029370da32b31dfa840b61ea26d3a4dc474"}),
+        (["bound", "--theorem", "thm_5_3", "--n", "200", "--delta", "0.05", "--B", "1",
+          "--L", "2", "--R", "1", "--gamma", "0.5", "--P", "4", "--xi", "0.01",
+          "--out", "a.json"],
+         {"a.json": "693ea55889e384fc5d7a82008e6951420f559f3b262599ae747f3b5c79f5c84b"}),
         (["bound", "--config", "cfg.json", "--n", "500", "--out", "a.json"],
          {"a.json": "964cae63a79d8cd70c9d1a8dd801169c511d2f0840cdf671541eb4fd6c1680a6"}),
         (["cover", "--scenario", "scenario.json", "--T", "2", "--out", "c"],
@@ -477,7 +515,7 @@ class TestGoldenArtifacts:
         (["hoeffding", "--scenario", "scenario.json", "--n-grid", "20,50",
           "--epsilon-grid", "0.05,0.2", "--resamplings", "1000", "--out", "a.json"],
          {"a.json": "62e6ae1e442ef04f64c2cf5aaab9d6ab06b2f3295e87aba7daabadcb785aa0f7"}),
-    ], ids=["bound-thm_2_3", "bound-thm_3_2", "bound-config-override", "cover",
+    ], ids=["bound-thm_2_3", "bound-thm_3_2", "bound-thm_5_3", "bound-config-override", "cover",
             "cover-verify-dedupe", "contract", "approx", "gap", "validate",
             "validate-support-n", "kmeans", "stability", "hoeffding"])
     def test_artifacts(self, tmp_path, monkeypatch, argv, digests):

@@ -13,6 +13,7 @@ from sgdcover.core import (
     as_point,
     distance,
     hoeffding_tail,
+    linalg_norms,
     numeric_gradient,
     substream,
 )
@@ -158,6 +159,18 @@ class TestProjectBatch:
             Box([0.0], [1.0]).project_batch(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             WholeSpace(2).project_batch([[np.nan, 0.0]])
+
+
+class TestLinalgNorms:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 64])
+    def test_bitwise_equal_to_linalg_norm_of_each_row(self, d):
+        rng = np.random.default_rng(d)
+        rows = rng.normal(size=(2000, d)) * rng.uniform(1e-6, 10.0, size=(2000, 1))
+        expected = np.array([np.linalg.norm(row) for row in rows])
+        assert linalg_norms(rows).tobytes() == expected.tobytes()
+
+    def test_no_rows(self):
+        assert linalg_norms(np.zeros((0, 3))).shape == (0,)
 
 
 class TestDistance:

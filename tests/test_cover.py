@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sgdcover import cover as cover_module
-from sgdcover.core import Ball, Box
+from sgdcover.core import Ball, Box, ProductOfBalls, ceil_int
 from sgdcover.cover import (
     EnumerationCapExceeded,
     IFSModel,
@@ -605,6 +605,32 @@ class TestPiecewiseApprox:
             p = dom.sample(rng)
             d = np.sqrt(np.sum((ap.anchors - p) ** 2, axis=1).min())
             assert d <= ap.spacing_epsilon * (1 + 1e-12)
+
+    @pytest.mark.parametrize("domain", [
+        Ball(np.array([0.1, -0.2]), 1.0), Box([-1.0, 0.0], [0.5, 1.5]), ProductOfBalls(2, 1, 0.8),
+    ], ids=["ball", "box", "product-of-balls"])
+    @pytest.mark.parametrize("epsilon", [0.3, 0.07])
+    def test_anchor_lattice_matches_per_node_projection(self, domain, epsilon):
+        """The batched lattice equals, bitwise, projecting each node alone and
+        measuring its shift with np.linalg.norm."""
+        lo, hi = cover_module._bounding_box(domain)
+        spacing = 2.0 * epsilon / math.sqrt(2)
+        axes = []
+        for j in range(2):
+            k = max(1, ceil_int((hi[j] - lo[j]) / spacing))
+            axes.append(0.5 * (lo[j] + hi[j]) + (np.arange(k) - (k - 1) / 2.0) * spacing)
+        grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        proj = np.array([domain.project(p) for p in grid])
+        kept = proj[[np.linalg.norm(q - p) <= epsilon * (1 + 1e-12) for q, p in zip(proj, grid)]]
+        expected = kept[cover_module._first_of_each_point(kept)]
+        anchors = cover_module._anchor_lattice(domain, epsilon, cap=10**6)
+        assert anchors.shape == expected.shape and anchors.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("xi", [math.inf, math.nan, -0.5])
+    def test_xi_must_be_finite_and_nonnegative(self, xi):
+        fn = smooth_function(lambda t: 0.0, lambda t: np.zeros(2), beta_prime=1.0)
+        with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
+            build_piecewise_approx(fn, Ball(np.zeros(2), 1.0), xi, (1.0, 1.0))
 
     def test_xi_zero_needs_anchors(self):
         fn = smooth_function(lambda t: 0.0, lambda t: np.zeros(1), beta_prime=1.0)

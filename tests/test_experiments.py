@@ -139,6 +139,16 @@ class TestValidateBound:
             validate_bound(quadratic_scenario(), resamplings=resamplings, trials=trials,
                            delta=0.05)
 
+    @pytest.mark.parametrize("option", [
+        {"shrink": 0.0}, {"shrink": math.nan}, {"shrink": -1.0}, {"shrink": math.inf},
+        {"t_band": -1},
+    ], ids=["shrink-zero", "shrink-nan", "shrink-negative", "shrink-inf", "t_band-negative"])
+    def test_bad_shrink_or_band_rejected(self, option):
+        """A certificate divided by 0, NaN or a negative number, or an empty
+        band of step counts, validates nothing."""
+        with pytest.raises(ValueError, match=next(iter(option))):
+            validate_bound(quadratic_scenario(), resamplings=2, trials=1, delta=0.05, **option)
+
     def test_threads_preserve_results(self):
         seq = validate_bound(quadratic_scenario(n=30), resamplings=16, trials=3,
                              delta=0.05, seed=4, threads=1)

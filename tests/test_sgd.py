@@ -1,6 +1,7 @@
 """SGD engine: step semantics, trajectory determinism, coupled contraction."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -182,7 +183,60 @@ class TestContractionFactor:
             contraction_factor(0.0, 1.0, 0.1)
 
 
+def _sequential_coupling(update, a, b, indices, ds):
+    """One pair stepped alone through sgd_step, the reference the lockstep
+    coupling must reproduce: (ratios, distances, coalesce step or -1)."""
+    dist = float(np.linalg.norm(a - b))
+    domain = update.effective_domain
+    scale = domain.bounding_radius() if domain is not None else math.inf
+    if not math.isfinite(scale):
+        scale = max(1.0, dist)
+    ratios, distances = np.zeros(len(indices)), np.zeros(len(indices))
+    for t, i in enumerate(indices):
+        if dist <= 1e-14 * scale:
+            return ratios, distances, t
+        distances[t] = dist
+        a, b = sgd_step(update, a, int(i), ds), sgd_step(update, b, int(i), ds)
+        new_dist = float(np.linalg.norm(a - b))
+        ratios[t] = new_dist / dist
+        dist = new_dist
+    return ratios, distances, -1
+
+
+# at eta = 1 the first coordinate jumps onto the sample and the second halves
+_WEIGHTS = np.array([1.0, 0.5])
+_HALVING = LossFamily(
+    name="halving", constants=LossConstants(), sample_space="targets",
+    value=lambda t, z: 0.5 * float(_WEIGHTS @ (t - z) ** 2),
+    grad=lambda t, z: _WEIGHTS * (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
+    grad_batch=lambda thetas, zs: _WEIGHTS * (thetas - zs),
+)
+
+
 class TestCoupledContraction:
+    @pytest.mark.parametrize("update", [
+        SGDStep(_HALVING, 1.0),
+        SGDStep(dataclasses.replace(_HALVING, grad_batch=None), 1.0),
+        CustomMap(lambda t, z: t - _WEIGHTS * (t - z), domain=Ball(np.zeros(2), 1.0)),
+    ], ids=["grad_batch", "per-row-fallback", "custom-map"])
+    def test_lockstep_matches_sequential_pairs_bitwise(self, update):
+        """Pairs that differ only in the first coordinate coalesce after one
+        step; the others never do.  Each pair's ratios, distances and
+        coalescence step equal those of stepping it alone."""
+        ds = Dataset(tuple(CENTERS))
+        rng = np.random.default_rng(26)
+        a = rng.uniform(-0.7, 0.7, size=(40, 2))
+        b = a + np.column_stack([rng.uniform(0.1, 0.3, 40),
+                                 np.where(np.arange(40) % 2, rng.uniform(0.1, 0.3, 40), 0.0)])
+        idx = rng.integers(0, ds.n, size=(40, 12))
+        report = coupled_contraction_ratio(update, a, b, idx, ds)
+        assert report.coalesced.any() and not report.coalesced.all()
+        for k in range(40):
+            ratios, distances, step = _sequential_coupling(update, a[k], b[k], idx[k], ds)
+            assert report.ratios[k].tobytes() == ratios.tobytes()
+            assert report.distances[k].tobytes() == distances.tobytes()
+            assert report.coalesce_step[k] == step
+
     def test_unit_quadratic_ratio_identity(self):
         """Unprojected coupling contracts at exactly |1 - eta| every step."""
         fam, ds, _ = quadratic_setup(eta=0.5)
@@ -192,7 +246,8 @@ class TestCoupledContraction:
             g = abs(1.0 - eta)
             steps = min(20, max(1, int(math.log(0.01) / math.log(g))))
             a, b = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            report = coupled_contraction_ratio(update, a, b, rng.integers(0, 3, steps), ds)
+            report = coupled_contraction_ratio(update, a[None], b[None],
+                                               rng.integers(0, 3, (1, steps)), ds)
             np.testing.assert_allclose(report.ratios, g, atol=1e-12)
 
     def test_full_step_coalesces(self):
@@ -201,17 +256,17 @@ class TestCoupledContraction:
         fam, ds, _ = quadratic_setup(eta=1.0)
         update = SGDStep(fam, 1.0, domain=Ball(np.zeros(2), 1.0))
         report = coupled_contraction_ratio(
-            update, np.array([0.5, 0.0]), np.array([-0.5, 0.1]), [0, 1, 2], ds
+            update, np.array([[0.5, 0.0]]), np.array([[-0.5, 0.1]]), [[0, 1, 2]], ds
         )
-        assert report.ratios[0] <= 1e-12
-        assert report.coalesced and report.coalesce_step == 1
-        np.testing.assert_array_equal(report.ratios[1:], 0.0)
+        assert report.ratios[0, 0] <= 1e-12
+        assert report.coalesced[0] and report.coalesce_step[0] == 1
+        np.testing.assert_array_equal(report.ratios[0, 1:], 0.0)
 
     def test_identical_starts_rejected(self):
         _, ds, update = quadratic_setup(eta=0.5)
-        x = np.array([0.1, 0.1])
+        x = np.array([[0.1, 0.1], [0.2, 0.1]])
         with pytest.raises(ValueError):
-            coupled_contraction_ratio(update, x, x.copy(), [0], ds)
+            coupled_contraction_ratio(update, x, x[[1, 1]], [[0], [0]], ds)
 
     def test_certificate_over_family_matrix(self):
         """Projected coupled ratios never exceed the closed-form factor.
@@ -245,15 +300,18 @@ class TestCoupledContraction:
             gamma = contraction_factor(fam.constants.alpha, fam.constants.beta, eta)
             assert gamma >= 0.9
             update = SGDStep(fam, eta, domain=dom, project=True)
-            checked = 0
-            while checked < 1000:
+            starts_a, starts_b, idx = [], [], []
+            while len(idx) < 1000:
                 a, b = dom.sample(rng), dom.sample(rng)
                 if np.linalg.norm(a - b) < 0.1:
                     continue
-                checked += 1
-                idx = rng.integers(0, ds.n, 100)
-                report = coupled_contraction_ratio(update, a, b, idx, ds)
-                assert report.max_ratio <= gamma + 1e-9
+                starts_a.append(a)
+                starts_b.append(b)
+                idx.append(rng.integers(0, ds.n, 100))
+            report = coupled_contraction_ratio(update, np.array(starts_a), np.array(starts_b),
+                                               np.array(idx), ds)
+            assert report.ratios.shape == (1000, 100)
+            assert report.max_ratio <= gamma + 1e-9
 
     def test_minibatch_average_still_contracts(self):
         """An average of gamma-contractive maps is gamma-contractive."""
@@ -278,16 +336,40 @@ class TestCoupledContraction:
                     break
 
     def test_batched_trajectory_runs(self):
+        """A mini-batch step equals, bitwise, single-sample updates summed
+        from zero in batch order and divided by the batch size."""
         _, ds, update = quadratic_setup(eta=0.5)
         config = SGDConfig(init=np.zeros(2), steps=10, scheme="uniform", seed=4, batch_size=3)
         traj = run_trajectory(update, config, ds)
         assert traj.indices.shape == (10, 3)
+        theta = config.init
+        for t, batch in enumerate(traj.indices):
+            acc = np.zeros_like(theta)
+            for i in batch:
+                acc += sgd_step(update, theta, int(i), ds)
+            theta = acc / len(batch)
+            assert traj.points[t + 1].tobytes() == theta.tobytes()
+
+    def test_single_sample_step_keeps_the_sign_of_zero(self):
+        flip = CustomMap(lambda t, z: -0.0 * t)
+        config = SGDConfig(init=np.array([1.0]), steps=1, scheme="explicit", indices=[0])
+        traj = run_trajectory(flip, config, Dataset((None,)))
+        assert np.signbit(traj.endpoint[0])
 
     def test_custom_map(self):
         halver = CustomMap(lambda t, z: 0.5 * t, domain=Ball(np.zeros(1), 1.0))
         ds = Dataset((np.array([0.0]),))
-        report = coupled_contraction_ratio(halver, np.array([1.0]), np.array([-1.0]), [0, 0], ds)
+        report = coupled_contraction_ratio(halver, np.array([[1.0]]), np.array([[-1.0]]),
+                                           [[0, 0]], ds)
         np.testing.assert_allclose(report.ratios, 0.5, rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_index_out_of_range(self, bad):
+        """A negative index would wrap silently in Dataset.matrix."""
+        _, ds, update = quadratic_setup(eta=0.5)
+        with pytest.raises(IndexError):
+            coupled_contraction_ratio(update, np.array([[0.1, 0.0]]), np.array([[0.0, 0.1]]),
+                                      [[0, bad]], ds)
 
 
 def _assert_batch_matches_rows(update, ds, thetas, idx):
