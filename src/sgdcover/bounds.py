@@ -92,14 +92,14 @@ def _check_delta(delta):
 
 def _check_pos(**kwargs):
     for name, v in kwargs.items():
-        if not v > 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 def _check_nonneg(**kwargs):
     for name, v in kwargs.items():
-        if v < 0:
-            raise ValueError(f"{name} must be nonnegative")
+        if not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
 
 
 def horizon(scale: float, gamma: float) -> int:

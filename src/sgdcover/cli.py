@@ -361,7 +361,7 @@ def _cmd_cover(cfg, args):
     passed = verification is None or verification.passed
 
     if not args.out:
-        return result, passed, (entry.to_json() for entry in cover.entries)
+        return result, passed, cover.jsonl_lines()
     cover.write_jsonl(args.out)
     lines = [f"cover: {len(cover)} entries at horizon {cover.horizon} -> {args.out}"]
     if verification is not None:

@@ -14,18 +14,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .bounds import horizon
-from .core import ConvexDomain, as_point, ceil_int, linalg_norms, substream
+from .core import ConvexDomain, all_finite, as_point, ceil_int, linalg_norms, substream
 from .losses import Dataset
 from .sgd import UpdateMap, draw_runs, run_lockstep, sgd_step
 
 DEFAULT_CAP = 10**7
+
+# point values the JSONL writer converts to Python floats at once
+_WRITE_CHUNK = 2**10
 
 
 class EnumerationCapExceeded(ValueError):
@@ -101,10 +104,48 @@ class CoverSet:
     def entries(self) -> CoverEntries:
         return CoverEntries(self)
 
+    def jsonl_lines(self) -> Iterator[str]:
+        """The cover's JSONL lines without their newlines; line k is
+        ``self.entries[k].to_json()``, byte for byte."""
+        return itertools.chain.from_iterable(self._jsonl_chunks())
+
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
-            for entry in self.entries:
-                fh.write(entry.to_json() + "\n")
+            for lines in self._jsonl_chunks():
+                fh.write("\n".join(lines) + "\n")
+
+    def _jsonl_chunks(self) -> Iterator[list[str]]:
+        """Lines in chunks of about _WRITE_CHUNK values, each line filled into
+        a template: choice digits from ``index``, the point's floats by
+        ``repr`` (as ``json.dumps`` writes them) and the ``deps`` string cached
+        per digit set.  A chunk holding a non-finite value, which JSON spells
+        differently, takes ``CoverEntry.to_json`` per entry instead."""
+        P = self.pieces_per_sample
+        base = self.n_samples * (P or 1)
+        template = ('{"seq": %s, "point": [%s], "deps": %s}' if P is None else
+                    '{"seq": %s, "pieces": %s, "point": [%s], "deps": %s}')
+        deps_of: dict[frozenset[int], str] = {}
+        rows = max(1, _WRITE_CHUNK // max(1, self.points.shape[1]))
+        for lo in range(0, len(self), rows):
+            block = np.asarray(self.points[lo:lo + rows], dtype=float)
+            if not all_finite(block):
+                yield [self.entries[k].to_json() for k in range(lo, lo + len(block))]
+                continue
+            # choice digits, the most significant (first choice) leftmost
+            rest = self.index[lo:lo + rows]
+            choices = np.empty((len(rest), self.horizon), dtype=np.int64)
+            for j in reversed(range(self.horizon)):
+                rest, choices[:, j] = np.divmod(rest, base)
+            seqs = (choices if P is None else choices // P).tolist()
+            cols = [seqs] if P is None else [seqs, (choices % P).tolist()]
+            lines = []
+            for *fields, point in zip(*cols, block.tolist()):
+                digits = frozenset(fields[0])
+                deps = deps_of.get(digits)
+                if deps is None:
+                    deps = deps_of[digits] = str(sorted(digits))
+                lines.append(template % (*fields, ", ".join(map(repr, point)), deps))
+            yield lines
 
 
 class CoverEntries(Sequence):
@@ -558,7 +599,7 @@ class IFSModel:
             raise ValueError("gamma must lie in (0, 1)")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if not np.all(np.isfinite(centers)):
+        if not all_finite(centers):
             raise ValueError("centers must be finite")
         if np.any(np.linalg.norm(centers, axis=1) > self.radius * (1 + 1e-12)):
             raise ValueError("all fixed points must lie inside the radius-R ball")
@@ -671,10 +712,10 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
         pts = pts.reshape(-1, 1)
     if pts.shape[0] < 1000:
         raise ValueError("box counting needs at least 1000 points")
-    if not np.all(np.isfinite(pts)):
+    if not all_finite(pts):
         raise ValueError("points have non-finite entries")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
-    if not np.all(np.isfinite(scales)):
+    if not all_finite(scales):
         raise ValueError("scales must be finite")
     if scales.size < 4 or np.any(scales <= 0):
         raise ValueError("need at least 4 positive scales")

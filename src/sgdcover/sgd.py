@@ -10,7 +10,8 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import ConvexDomain, DETERMINISTIC_TOL, as_point, as_rows, linalg_norms, substream
+from .core import (ConvexDomain, DETERMINISTIC_TOL, all_finite, as_point, as_rows, linalg_norms,
+                   substream)
 from .losses import Dataset, LossFamily
 
 SCHEMES = ("explicit", "uniform", "without_replacement", "shuffle")
@@ -41,7 +42,7 @@ class SGDStep:
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         g = np.asarray(self.family.grad(theta, z), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not all_finite(g):
             raise FloatingPointError("non-finite gradient")
         out = theta - self.eta * g
         if self.project:
@@ -51,7 +52,7 @@ class SGDStep:
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
         """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise."""
         g = self.family.grad_rows(thetas, dataset, idx)
-        if not np.all(np.isfinite(g)):
+        if not all_finite(g):
             raise FloatingPointError("non-finite gradient")
         out = thetas - self.eta * g
         if self.project:
@@ -72,7 +73,7 @@ class CustomMap:
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         out = np.asarray(self.fn(theta, z), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not all_finite(out):
             raise FloatingPointError("update produced non-finite values")
         return out
 

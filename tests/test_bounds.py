@@ -50,6 +50,26 @@ class TestStronglyConvex:
             bound_strongly_convex(0, 0.05, 1, 1, 1, 0.5)
 
 
+class TestNonFiniteInputs:
+    """A positive or nonnegative input must also be finite, and the refusal
+    names it before any arithmetic turns it into a NaN."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name,call", [
+        ("L", lambda v: bound_strongly_convex(100, 0.05, 1.0, v, 1.0, 0.5)),
+        ("R", lambda v: bound_strongly_convex(100, 0.05, 1.0, 1.0, v, 0.5)),
+        ("B", lambda v: bound_strongly_convex(100, 0.05, v, 1.0, 1.0, 0.5)),
+        ("t", lambda v: bound_early(1000, 0.05, 1.0, v)),
+        ("d_H", lambda v: bound_fractal(100, 0.05, 1.0, 1.0, 1.0, 0.5, d_H=v)),
+        ("xi", lambda v: bound_piecewise_approx(200, 0.05, 1.0, 2.0, 1.0, 0.5, P=4, xi=v)),
+        ("epsilon", lambda v: bound_master_covering(100, 0.05, 1.0, 1.0, 3, 27, v)),
+        ("C", lambda v: bound_expectation(100, 1.0, 3, "THM_D_2", C=v)),
+    ])
+    def test_refusal_names_the_input(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            call(bad)
+
+
 class TestSingleTrajectoryAndEarly:
     def test_frozen_single_trajectory(self):
         cert = bound_single_trajectory(1000, 0.05, 1.0, 8)

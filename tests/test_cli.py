@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -57,6 +58,21 @@ class TestBoundCommand:
 
     def test_missing_parameter_is_usage_error(self):
         assert run(["bound", "--theorem", "thm_2_3", "--n", "100"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--L", "inf", "L must be finite and positive, got inf"),
+        ("--R", "nan", "R must be finite and positive, got nan"),
+        ("--B", "nan", "B must be finite and nonnegative, got nan"),
+        ("--B", "inf", "B must be finite and nonnegative, got inf"),
+    ])
+    def test_non_finite_input_is_named(self, tmp_path, capsys, flag, value, message):
+        argv = {"--n": "100", "--delta": "0.05", "--B": "1", "--L": "1", "--R": "1",
+                "--gamma": "0.5", flag: value}
+        out = tmp_path / "cert.json"
+        assert run(["bound", "--theorem", "thm_2_3", *itertools.chain(*argv.items()),
+                    "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_theorem(self):
         assert run(["bound", "--theorem", "thm_9_9", "--n", "10"]) == EXIT_USAGE
@@ -152,6 +168,18 @@ class TestCoverCommand:
         meta = load(str(out) + ".meta.json")
         assert meta["result"]["horizon"] == 3
         assert meta["result"]["verification"]["passed"] is True
+
+    def test_stdout_lines_match_the_jsonl_file(self, tmp_path, monkeypatch, capsys):
+        """Without --out the cover prints the lines write_jsonl writes: the
+        golden JSONL digest of ``cover --T 2`` holds for stdout too."""
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        assert run(["cover", "--scenario", "scenario.json", "--T", "2"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert hashlib.sha256(printed.encode()).hexdigest() == (
+            "49e5e1f3e12e88e1dc1e179596a7f31f296ed96dbc364d6afa79bf887ac6958d")
+        assert run(["cover", "--scenario", "scenario.json", "--T", "2", "--out", "c"]) == EXIT_OK
+        assert (tmp_path / "c").read_text() == printed
 
     def test_cap_exceeded_is_usage_error(self, tmp_path):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
@@ -273,6 +301,20 @@ class TestExitCodeContract:
             env=_env_with_package_path(), capture_output=True, text=True)
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.splitlines() == [f"error: xi must be finite and nonnegative, got {xi}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("R", ["inf", "nan"])
+    def test_non_finite_radius_prints_only_the_error(self, tmp_path, R):
+        """The ball refuses a non-finite radius before the anchor lattice
+        computes with it, so numpy prints no warning."""
+        out = tmp_path / "approx.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdcover.cli", "approx", "--function", "sin_plus_cos",
+             "--R", R, "--xi", "0.5", "--out", str(out)],
+            env=_env_with_package_path(), capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == [
+            f"error: Ball radius must be finite and positive, got {R}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])

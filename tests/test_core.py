@@ -4,21 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgdcover.core import (
     Ball,
     Box,
     ProductOfBalls,
     WholeSpace,
+    all_finite,
     as_point,
+    as_rows,
     distance,
     hoeffding_tail,
     linalg_norms,
     numeric_gradient,
     substream,
 )
+from sgdcover.cover import IFSModel, box_counting_dimension
+from sgdcover.losses import Dataset, LossConstants, LossFamily
+from sgdcover.sgd import CustomMap, SGDStep
 
 TOL = 1e-9
+
+# derandomized and capped, so every run checks the same few hundred arrays
+PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
 
 
 class TestProjectionExamples:
@@ -63,6 +74,11 @@ class TestProjectionExamples:
             ProductOfBalls(0, 2, 1.0)
         with pytest.raises(ValueError):
             as_point([np.nan, 1.0])
+        for radius in (np.inf, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="^Ball radius must be finite and positive"):
+                Ball(np.zeros(2), radius)
+            with pytest.raises(ValueError, match="^ProductOfBalls radius must be finite"):
+                ProductOfBalls(2, 2, radius)
 
 
 def _domains():
@@ -223,3 +239,61 @@ class TestUtilities:
     def test_numeric_gradient_on_quadratic(self):
         grad = numeric_gradient(lambda t: float(t @ t), np.array([0.5, -1.0, 2.0]))
         np.testing.assert_allclose(grad, [1.0, -2.0, 4.0], rtol=1e-9, atol=1e-9)
+
+
+def _gradient_of(value: float) -> LossFamily:
+    """A one-dimensional family whose gradient is ``value`` everywhere."""
+    return LossFamily(name="const", constants=LossConstants(), sample_space="unit",
+                      value=lambda t, z: 0.0, grad=lambda t, z: np.array([value]), dim=1)
+
+
+def _box_count(points=None, scales=(1.0, 0.1, 0.01, 0.001)):
+    pts = np.random.default_rng(0).uniform(size=(1000, 2)) if points is None else points
+    return box_counting_dimension(pts, list(scales))
+
+
+class TestAllFinite:
+    @PROPERTY
+    @given(hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+                      hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)))
+    def test_agrees_with_np_all(self, a):
+        assert all_finite(a) == np.all(np.isfinite(a))
+
+    @PROPERTY
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_one_non_finite_value_anywhere(self, a, bad, data):
+        assert all_finite(a)
+        a[data.draw(st.tuples(*(st.integers(0, side - 1) for side in a.shape)))] = bad
+        assert not all_finite(a)
+
+    def test_empty_and_integer_arrays(self):
+        for a in (np.array([]), np.zeros((0, 3)), np.zeros((3, 0)), np.array([1, -2]),
+                  np.array(5.0), np.array(np.iinfo(np.int64).max)):
+            assert all_finite(a)
+        assert not all_finite(np.array(np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda bad: as_point([0.0, bad]), ValueError, "point has non-finite"),
+        (lambda bad: as_rows([[0.0, 1.0], [bad, 1.0]], 2), ValueError, "points have non-finite"),
+        (lambda bad: SGDStep(_gradient_of(bad), 0.1, project=False).apply(np.zeros(1), None),
+         FloatingPointError, "non-finite gradient"),
+        (lambda bad: SGDStep(_gradient_of(bad), 0.1, project=False).apply_batch(
+            np.zeros((2, 1)), [0, 0], Dataset((None,))), FloatingPointError,
+         "non-finite gradient"),
+        (lambda bad: CustomMap(lambda t, z: t + bad).apply(np.zeros(2), None),
+         FloatingPointError, "non-finite values"),
+        (lambda bad: IFSModel([[0.5], [bad]], gamma=0.3, radius=1.0), ValueError,
+         "centers must be finite"),
+        (lambda bad: _box_count(points=np.full((1000, 2), bad)), ValueError,
+         "points have non-finite"),
+        (lambda bad: _box_count(scales=(1.0, 0.1, 0.01, 0.001, bad)), ValueError,
+         "scales must be finite"),
+    ], ids=["as_point", "as_rows", "SGDStep.apply", "SGDStep.apply_batch",
+            "CustomMap.apply", "IFSModel-centers", "box_counting-points",
+            "box_counting-scales"])
+    def test_every_caller_rejects_non_finite_input(self, call, error, message, bad):
+        with pytest.raises(error, match=message):
+            call(bad)

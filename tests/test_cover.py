@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from sgdcover import cover as cover_module
 from sgdcover.core import Ball, Box, ProductOfBalls, ceil_int
 from sgdcover.cover import (
+    CoverSet,
     EnumerationCapExceeded,
     IFSModel,
     box_counting_dimension,
@@ -246,6 +248,72 @@ class TestCoverFormatGolden:
         cov = enumerate_piecewise_cover(two_piece, ds, eta=0.4, T=3)
         assert _sha256_of_jsonl(cov, tmp_path) == (
             "23272ecf0762598a4bc5bc4191296d1c4756632b3642fe4e26aaa6b23f8891dd")
+
+
+def _writer_covers():
+    """Covers of every shape the JSONL writer handles, by name."""
+    _, ds, update = quadratic_cover_setup()
+    covers = {f"plain-T{T}": enumerate_cover(update, ds, T=T) for T in range(5)}
+    signed = Dataset((np.array([1.0]), np.array([-1.0])))
+    zero = CustomMap(lambda t, z: np.asarray(z) * 0.0, Ball(np.zeros(1), 1.0))
+    covers["deduped-signed-zero"] = enumerate_cover(zero, signed, T=2, dedupe=True)
+    covers["deduped-T0"] = enumerate_cover(update, ds, T=0, dedupe=True)
+    covers["deduped-first-choice"] = enumerate_cover(FIRST_CHOICE, ds, T=3, dedupe=True)
+    covers["piecewise-P2"] = enumerate_piecewise_cover(
+        lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds, eta=0.4, T=3)
+    # an expansive step overflows: the surrogate update checks no finiteness
+    with np.errstate(over="ignore"):
+        covers["piecewise-overflow"] = enumerate_piecewise_cover(
+            lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.array([0.1])]),
+            Dataset((np.array([0.7]), np.array([-0.3]))), eta=1e308, T=2)
+    # float extremes, whose repr is what json.dumps writes; infinities and
+    # NaN, which JSON spells Infinity and NaN
+    for name, values in [("extremes", [-0.0, 5e-324, 1e-300, 1e308, -1e308, -5e-324, 0.1]),
+                         ("non-finite", [0.5, np.inf, -np.inf, np.nan, -0.0, 1e308, 2.0])]:
+        points = np.array(values * 2).reshape(7, 2)
+        covers[name] = CoverSet(horizon=1, anchor=np.zeros(2), points=points,
+                                index=np.arange(7, dtype=np.int64), n_samples=7)
+    return covers
+
+
+class TestJsonlWriter:
+    """The template writer must write byte for byte what ``CoverEntry.to_json``
+    gives per entry, at every chunk size."""
+
+    @pytest.mark.parametrize("chunk", [None, 3, 8])
+    @pytest.mark.parametrize("name", [
+        *(f"plain-T{T}" for T in range(5)), "deduped-signed-zero", "deduped-T0",
+        "deduped-first-choice", "piecewise-P2", "piecewise-overflow", "extremes",
+        "non-finite"])
+    def test_matches_to_json_per_entry(self, tmp_path, monkeypatch, name, chunk):
+        if chunk is not None:  # chunks of 1 and 4 rows put boundaries inside every cover
+            monkeypatch.setattr(cover_module, "_WRITE_CHUNK", chunk)
+        cov = _writer_covers()[name]
+        reference = [e.to_json() for e in cov.entries]
+        path = tmp_path / "cover.jsonl"
+        cov.write_jsonl(path)
+        assert path.read_text() == "".join(line + "\n" for line in reference)
+        assert list(cov.jsonl_lines()) == reference
+
+    def test_non_finite_points_keep_json_spelling(self, tmp_path):
+        covers = _writer_covers()
+        assert '"point": [-Infinity, NaN]' in list(covers["non-finite"].jsonl_lines())[1]
+        assert '"point": [-Infinity]' in next(covers["piecewise-overflow"].jsonl_lines())
+
+    def test_t9_write_memory_is_bounded(self, tmp_path):
+        """Writing converts a fixed number of rows at a time, so the 19,683
+        entries of T = 9 (about 2 MB of text) never sit in memory at once."""
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=9)
+        path = tmp_path / "cover.jsonl"
+        tracemalloc.start()
+        try:
+            cov.write_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1_900_000
+        assert peak < 1_000_000
 
 
 class TestVerifyCover:
