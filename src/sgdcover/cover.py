@@ -288,6 +288,8 @@ def enumerate_piecewise_cover(
         return point - eta * approxes[i].piece_grad(p, point)
 
     points = _enumerate_tree(apply_choice, anchor, n * P, T)
+    if not all_finite(points):
+        raise FloatingPointError("surrogate update produced non-finite values")
     return CoverSet(
         horizon=T, anchor=anchor, points=points,
         index=np.arange(len(points), dtype=np.int64), n_samples=n,

@@ -148,10 +148,14 @@ def validate_bound(
     ``shrink`` divides the certificate (a shrink of 50 gives the negative
     control that must FAIL).  Population risk must be exactly enumerable.
     delta = 1 makes the acceptance rule vacuous and needs an explicit
-    certificate, since the calculators require delta < 1.  The trials of one
-    resampling run in lockstep; a non-finite gradient raises
-    FloatingPointError.  ``threads`` is accepted for compatibility and has
-    no effect.
+    certificate, since the calculators require delta < 1.
+
+    Every resampling's trials run in one lockstep over the pooled samples
+    of all resamplings, so memory is O(resamplings * n * d); each endpoint
+    equals, bitwise, the one a run over its own resampling reaches.  The
+    gaps are then scored one resampling at a time, from one (trials, n)
+    loss matrix.  A non-finite gradient raises FloatingPointError.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if resamplings < 1 or trials < 1:
         raise ValueError("validation needs at least one resampling and one trial")
@@ -179,24 +183,34 @@ def validate_bound(
     threshold = certificate.total / shrink
     T = int(certificate.inputs.get("T", 0))
 
+    n = scenario.n
+    datasets, starts, steps, indices = [], [], [], []
+    for r in range(resamplings):
+        rng = substream(seed, r)
+        datasets.append(Dataset(scenario.distribution.draw(rng, n)))
+        start, t, idx = draw_runs(repeat(rng, trials), scenario.domain, T, T + t_band, n)
+        starts.append(start)
+        steps.append(t)
+        indices.append(idx + r * n)  # resampling r's samples sit at r*n.. of the pool
+    pool = Dataset(tuple(z for data in datasets for z in data.samples))
+    step = SGDStep(fam, scenario.eta, domain=scenario.domain)
+    endpoints = run_lockstep(step, np.concatenate(starts), np.concatenate(steps),
+                             np.concatenate(indices), pool)
+
     probs = scenario.distribution.probs
     support = Dataset(scenario.distribution.support)
-    step = SGDStep(fam, scenario.eta, domain=scenario.domain)
-
-    def one_resampling(r: int) -> float:
-        rng = substream(seed, r)
-        data = Dataset(scenario.distribution.draw(rng, scenario.n))
-        runs = draw_runs(repeat(rng, trials), scenario.domain, T, T + t_band, data.n)
-        worst = 0.0
-        for theta in run_lockstep(step, *runs, data):
-            f_hat = float(np.mean(fam.values(theta, data)))
-            # a sequential sum in support order, not a dot product: the
-            # frozen max_gaps depend on this rounding
-            f_pop = sum(p * v for p, v in zip(probs, fam.values(theta, support)))
-            worst = max(worst, abs(f_hat - float(f_pop)))
-        return worst
-
-    max_gaps = tuple(one_resampling(r) for r in range(resamplings))
+    max_gaps = []
+    for r, data in enumerate(datasets):
+        thetas = endpoints[r * trials:(r + 1) * trials]
+        f_hat = fam.values(thetas, data).mean(axis=1)
+        # a sequential sum in support order, not a dot product: the frozen
+        # max_gaps depend on this rounding
+        f_pop = 0
+        for p, v in zip(probs, fam.values(thetas, support).T):
+            f_pop = f_pop + p * v
+        # fmax skips a NaN gap as the scalar max(worst, gap) always did
+        max_gaps.append(max(0.0, float(np.fmax.reduce(np.abs(f_hat - f_pop)))))
+    max_gaps = tuple(max_gaps)
     violations = sum(g > threshold for g in max_gaps)
     return ValidationReport(
         scenario=scenario.name,

@@ -17,7 +17,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import Ball, Box, ConvexDomain, ProductOfBalls, as_point
+from .core import Ball, Box, ConvexDomain, ProductOfBalls, as_point, as_rows
 
 _SIGNS = {
     "alpha": 0, "beta": 1, "beta_prime": 0, "L": 0, "B": 0, "L_prime": 0,
@@ -77,10 +77,13 @@ class LossFamily:
     ``grad_batch(thetas, zs)`` and ``value_batch(theta, zs)`` are optional
     batched forms over a stacked sample array (``Dataset.matrix`` rows):
     row k of ``grad_batch`` is ``grad(thetas[k], zs[k])`` and entry k of
-    ``value_batch`` is ``value(theta, zs[k])``, bitwise.  Families without
-    them are evaluated by per-row loops over ``grad`` and ``value``.  Being
-    fields, the batched forms survive ``dataclasses.replace``; replacing
-    ``grad`` or ``value`` with a different loss must replace them as well.
+    ``value_batch`` is ``value(theta, zs[k])``, bitwise.  ``value_batch``
+    must also broadcast: given an (m, 1, d) array of parameters it returns
+    the (m, n) matrix whose row j is, bitwise, its value for parameter j.
+    Families without them are evaluated by per-row loops over ``grad`` and
+    ``value``.  Being fields, the batched forms survive
+    ``dataclasses.replace``; replacing ``grad`` or ``value`` with a
+    different loss must replace them as well.
     """
 
     name: str
@@ -102,7 +105,15 @@ class LossFamily:
                          for theta, i in zip(thetas, idx)])
 
     def values(self, theta: np.ndarray, dataset: "Dataset") -> np.ndarray:
-        """Per-sample losses of one parameter over the whole dataset."""
+        """Per-sample losses over the whole dataset: the (n,) vector of one
+        parameter, or the (m, n) matrix of an (m, d) array of parameters,
+        whose row j equals, bitwise, the vector of parameter j."""
+        if np.ndim(theta) == 2:
+            if self.value_batch is None:
+                return np.array([self.values(t, dataset) for t in theta],
+                                dtype=float).reshape(len(theta), dataset.n)
+            thetas = as_rows(theta, np.shape(theta)[1] if self.dim is None else self.dim)
+            return self.value_batch(thetas[:, None, :], dataset.matrix)
         if self.value_batch is not None:
             return self.value_batch(as_point(theta, dim=self.dim), dataset.matrix)
         return np.array([self.value(theta, z) for z in dataset.samples], dtype=float)

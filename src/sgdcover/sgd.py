@@ -45,8 +45,10 @@ class SGDStep:
         if not all_finite(g):
             raise FloatingPointError("non-finite gradient")
         out = theta - self.eta * g
-        if self.project:
-            out = self.effective_domain.project(out)
+        if self.project:  # project() refuses a non-finite point itself
+            return self.effective_domain.project(out)
+        if not all_finite(out):
+            raise FloatingPointError("update produced non-finite values")
         return out
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
@@ -55,8 +57,10 @@ class SGDStep:
         if not all_finite(g):
             raise FloatingPointError("non-finite gradient")
         out = thetas - self.eta * g
-        if self.project:
-            out = self.effective_domain.project_batch(out)
+        if self.project:  # project_batch() refuses non-finite rows itself
+            return self.effective_domain.project_batch(out)
+        if not all_finite(out):
+            raise FloatingPointError("update produced non-finite values")
         return out
 
 

@@ -119,6 +119,17 @@ class TestEnumerateCover:
             enumerate_cover(update, ds, T=10, cap=100)
         assert exc.value.required == 3**10
 
+    def test_overflowed_unprojected_endpoint_rejected(self):
+        """A raw (unprojected) step whose finite gradient overflows the last
+        level is refused, not stored as an infinite cover point."""
+        huge = LossFamily(
+            name="huge", constants=LossConstants(), sample_space="any",
+            value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
+        )
+        update = SGDStep(huge, 10.0, project=False)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            enumerate_cover(update, Dataset((np.array([0.0]),)), T=1)
+
     def test_dedupe_collapses_coincident_points(self):
         # a map that jumps straight to the sampled point makes every
         # composition equal its last choice, so only n points remain
@@ -261,11 +272,11 @@ def _writer_covers():
     covers["deduped-first-choice"] = enumerate_cover(FIRST_CHOICE, ds, T=3, dedupe=True)
     covers["piecewise-P2"] = enumerate_piecewise_cover(
         lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds, eta=0.4, T=3)
-    # an expansive step overflows: the surrogate update checks no finiteness
-    with np.errstate(over="ignore"):
-        covers["piecewise-overflow"] = enumerate_piecewise_cover(
-            lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.array([0.1])]),
-            Dataset((np.array([0.7]), np.array([-0.3]))), eta=1e308, T=2)
+    # the points a two-piece run at eta = 1e308, T = 2 overflows to, built
+    # by hand because enumeration refuses them
+    covers["piecewise-overflow"] = CoverSet(
+        horizon=2, anchor=np.zeros(1), points=np.repeat([-np.inf, np.inf], 8)[:, None],
+        index=np.arange(16, dtype=np.int64), n_samples=2, pieces_per_sample=2)
     # float extremes, whose repr is what json.dumps writes; infinities and
     # NaN, which JSON spells Infinity and NaN
     for name, values in [("extremes", [-0.0, 5e-324, 1e-300, 1e308, -1e308, -5e-324, 0.1]),
@@ -612,6 +623,18 @@ class TestPiecewiseCover:
 
         with pytest.raises(ValueError):
             enumerate_piecewise_cover(ragged, ds, eta=0.5, T=1)
+
+    def test_overflowed_endpoints_rejected(self):
+        """An expansive surrogate step overflows at the last level, which no
+        later step would check; enumeration refuses it instead of storing
+        infinities."""
+        ds = Dataset((np.array([0.7]), np.array([-0.3])))
+
+        def two_piece(z):
+            return _per_sample_quadratic_approx(z, anchors=[z, np.array([0.1])])
+
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            enumerate_piecewise_cover(two_piece, ds, eta=1e308, T=2)
 
 
 class TestPiecewiseApprox:

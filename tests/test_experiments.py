@@ -3,13 +3,16 @@ alternating clustering update, the stability experiment, and tail checks."""
 
 import dataclasses
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
-from sgdcover.core import Ball, numeric_gradient
+from sgdcover.bounds import bound_strongly_convex
+from sgdcover.core import Ball, Box, numeric_gradient, substream
 from sgdcover.losses import (
     Dataset,
+    Distribution,
     LossConstants,
     LossFamily,
     quadratic_centers,
@@ -17,7 +20,8 @@ from sgdcover.losses import (
     uniform_ball,
     uniform_over,
 )
-from sgdcover.sgd import SGDConfig, SGDStep, run_trajectory
+from sgdcover.sgd import (SGDConfig, SGDStep, contraction_factor, draw_runs, run_lockstep,
+                          run_trajectory)
 from sgdcover.experiments import (
     Scenario,
     em_step,
@@ -174,6 +178,40 @@ class TestValidateBound:
         b = validate_bound(fallback, resamplings=6, trials=4, delta=0.05, seed=2)
         assert a.max_gaps == b.max_gaps
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", ["grad_batch", "per_row", "box"])
+    def test_pooled_lockstep_matches_per_resampling_runs(self, kind, d):
+        """One lockstep over every resampling's trials gives, bit for bit,
+        the worst gaps of running and scoring each resampling on its own."""
+        scenario = _scenario_in(d, kind)
+        report = validate_bound(scenario, resamplings=5, trials=4, delta=0.05, seed=d, t_band=7)
+        assert report.max_gaps == _per_resampling_max_gaps(
+            scenario, resamplings=5, trials=4, delta=0.05, seed=d, t_band=7)
+
+    @pytest.mark.parametrize("resamplings,trials,t_band", [(1, 4, 7), (5, 1, 7), (5, 4, 0),
+                                                           (1, 1, 0)])
+    def test_pooled_lockstep_edge_sizes(self, resamplings, trials, t_band):
+        scenario = _scenario_in(2, "grad_batch")
+        report = validate_bound(scenario, resamplings, trials, delta=0.05, seed=3,
+                                t_band=t_band)
+        assert report.max_gaps == _per_resampling_max_gaps(scenario, resamplings, trials,
+                                                           delta=0.05, seed=3, t_band=t_band)
+
+    def test_pooled_lockstep_with_weighted_named_support(self):
+        """Non-uniform probabilities weigh the population sum and the draws."""
+        scenario = _scenario_in(3, "grad_batch")
+        support = scenario.distribution.support
+        probs = np.array([0.5, 0.3, 0.15, 0.05])
+
+        def draw(rng, size):
+            return [support[i] for i in rng.choice(len(support), size=size, p=probs)]
+
+        skewed = dataclasses.replace(
+            scenario, distribution=Distribution("skewed", draw, support=support, probs=probs))
+        report = validate_bound(skewed, resamplings=6, trials=3, delta=0.05, seed=8)
+        assert report.max_gaps == _per_resampling_max_gaps(skewed, resamplings=6, trials=3,
+                                                           delta=0.05, seed=8, t_band=50)
+
     def test_non_finite_gradient_raises(self):
         fam = quadratic_centers(CENTERS, R=1.0)
         bad = dataclasses.replace(fam, grad_batch=lambda thetas, zs: thetas / 0.0)
@@ -191,6 +229,44 @@ class TestValidateBound:
         assert len(lines) == 9
         # plain float reprs round-trip
         assert float(lines[1].split(",")[1]) == report.max_gaps[0]
+
+
+def _scenario_in(d, kind, n=25):
+    """A quadratic scenario on four random centers in the unit d-ball, with
+    the family's batched forms ("grad_batch"), without them ("per_row"), or
+    with a box domain that projection is often active on ("box")."""
+    rng = np.random.default_rng(100 + d)
+    centers = [Ball(np.zeros(d), 1.0).sample(rng) for _ in range(4)]
+    fam = quadratic_centers(centers, R=1.0)
+    domain, eta = fam.domain, 0.5
+    if kind == "per_row":
+        fam = dataclasses.replace(fam, grad_batch=None, value_batch=None)
+    elif kind == "box":
+        domain, eta = Box(np.full(d, -0.3), np.full(d, 0.3)), 1.5
+    return Scenario(f"quadratic-{kind}-{d}", fam, uniform_over(centers), domain, eta, n)
+
+
+def _per_resampling_max_gaps(scenario, resamplings, trials, delta, seed, t_band):
+    """Reference: each resampling's trials run in a lockstep of their own
+    over that resampling's dataset, and each endpoint is scored alone."""
+    fam, probs = scenario.family, scenario.distribution.probs
+    c = fam.constants
+    gamma = contraction_factor(c.alpha, c.beta, scenario.eta)
+    T = int(bound_strongly_convex(scenario.n, delta, c.B, c.L, c.R, gamma).inputs.get("T", 0))
+    support = Dataset(scenario.distribution.support)
+    step = SGDStep(fam, scenario.eta, domain=scenario.domain)
+    max_gaps = []
+    for r in range(resamplings):
+        rng = substream(seed, r)
+        data = Dataset(scenario.distribution.draw(rng, scenario.n))
+        runs = draw_runs(repeat(rng, trials), scenario.domain, T, T + t_band, data.n)
+        worst = 0.0
+        for theta in run_lockstep(step, *runs, data):
+            f_hat = float(np.mean(fam.values(theta, data)))
+            f_pop = sum(p * v for p, v in zip(probs, fam.values(theta, support)))
+            worst = max(worst, abs(f_hat - float(f_pop)))
+        max_gaps.append(worst)
+    return tuple(max_gaps)
 
 
 def _certificate_for(scenario):

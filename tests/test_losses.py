@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgdcover.core import Ball, numeric_gradient
 from sgdcover.losses import (
@@ -351,6 +354,22 @@ class TestBatchedEvaluation:
         assert fam.grad_rows(thetas, ds, idx).tobytes() == rows.tobytes()
         vals = np.array([fam.value(thetas[1], z) for z in ds.samples])
         assert fam.values(thetas[1], ds).tobytes() == vals.tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 5), st.booleans(), st.data())
+    def test_row_array_values_stack_point_values_bitwise(self, d, n, m, batched, data):
+        """The (m, d) form of ``values`` is the 1-D form stacked row by row,
+        bit for bit, whether the family has ``value_batch`` or not."""
+        coords = hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3))
+        centers = data.draw(coords)
+        fam = quadratic_centers(list(centers), R=2.0 * np.linalg.norm(centers, axis=1).max() + 1.0)
+        if not batched:
+            fam = dataclasses.replace(fam, value_batch=None)
+        thetas = data.draw(hnp.arrays(np.float64, (m, d), elements=st.floats(-1e3, 1e3)))
+        ds = Dataset(tuple(centers))
+        rows = np.array([fam.values(t, ds) for t in thetas]).reshape(m, n)
+        got = fam.values(thetas, ds)
+        assert got.shape == (m, n) and got.tobytes() == rows.tobytes()
 
     def test_replace_keeps_batched_forms(self):
         fam = quadratic_centers([[0.5, 0.0]], R=1.0)

@@ -71,6 +71,21 @@ class TestSgdStep:
         with pytest.raises(FloatingPointError):
             update.apply(np.array([0.0]), None)
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["apply", "apply_batch"])
+    def test_overflowing_unprojected_update_rejected(self, batched):
+        """A finite gradient can still overflow theta - eta * g; with no
+        projection to refuse the result, the step itself must."""
+        huge = LossFamily(
+            name="huge", constants=LossConstants(), sample_space="unit",
+            value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
+        )
+        update = SGDStep(huge, 10.0, project=False)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            if batched:
+                update.apply_batch(np.array([[0.0], [0.0]]), [0, 0], Dataset((None,)))
+            else:
+                update.apply(np.array([0.0]), None)
+
     def test_projection_needs_a_domain(self):
         bad = LossFamily(
             name="nodomain", constants=LossConstants(), sample_space="unit",
