@@ -672,7 +672,7 @@ def run(argv=None) -> int:
         for line in lines:
             print(line)
     except (UsageError, ValueError, TypeError, KeyError, OSError, FloatingPointError,
-            RuntimeError) as exc:
+            RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if passed else EXIT_FAIL

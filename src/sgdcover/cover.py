@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +29,18 @@ DEFAULT_CAP = 10**7
 
 # point values the JSONL writer converts to Python floats at once
 _WRITE_CHUNK = 2**10
+
+# fewest steps per lockstep orbit chunk, and fewest chunks for which the
+# certified lockstep beats the scalar orbit recurrence
+_ORBIT_CHUNK = 256
+_ORBIT_MIN_CHUNKS = 64
+# contraction, in bits, of a chunk's first bracket: 53 bits of mantissa, a
+# few for the bracket's width of 2M, and a margin for the last rounding ulp
+_ORBIT_BITS = 72
+
+# box counting marks an occupancy bitmap when the grid has at most this many
+# boxes per point (a bool per box, as many bytes as one int64 key per point)
+_BITMAP_BOXES_PER_POINT = 8
 
 
 class EnumerationCapExceeded(ValueError):
@@ -599,8 +611,8 @@ class IFSModel:
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
         if not all_finite(centers):
             raise ValueError("centers must be finite")
         if np.any(np.linalg.norm(centers, axis=1) > self.radius * (1 + 1e-12)):
@@ -640,27 +652,116 @@ class IFSModel:
     def sample_attractor(self, n_points: int, seed: int = 0, burn_in: int = 64) -> np.ndarray:
         """Chaos-game orbit: iterate uniformly random maps from the origin.
 
-        Each coordinate runs the scalar recurrence y <- gamma*y + (1-gamma)*c_i
-        over Python floats, the same float64 multiply and add that ``apply``
-        performs, so the orbit is bitwise the one a loop of ``apply`` calls
-        gives.  The centers were checked finite at construction, so no step
-        is checked again.
+        Every step is y <- fl(fl(gamma*y) + o) per coordinate, with the
+        offset o = (1-gamma)*c_i of the drawn map: the same float64 multiply
+        and add that ``apply`` performs, so the orbit is bitwise the one a
+        loop of ``apply`` calls gives.  The centers were checked finite at
+        construction, so no step is checked again.
+
+        Long orbits are cut into chunks of L steps that advance in lockstep,
+        one numpy multiply and add per step for all chunks.  Chunk 0 starts
+        at the exact 0.0; every later chunk's start is first certified by a
+        bracket, Propp & Wilson's monotone coupling:
+
+        - lo = -M and hi = +M start w steps before the chunk and run
+          through those w steps.  M = 2*max|c| + 1 per coordinate bounds
+          every orbit value: the exact orbit stays within max|c|, and the
+          lockstep runs only for gamma far enough below 1 that rounding
+          cannot carry it past the margin.  Each step map is monotone
+          (gamma > 0 and IEEE rounding is monotone), so lo <= y <= hi at
+          every step, and when lo and hi agree bitwise, y has that value.
+        - Signed zeros: the order is IEEE's total order, -0.0 below +0.0.
+          Both operations stay monotone in it: gamma*y is -0.0 only for
+          y <= -0.0, and a sum is -0.0 only when both terms are, so a
+          smaller term never gives +0.0 where a larger one gives -0.0.
+          A bracket that coalesces to 0.0 therefore fixes the sign of y too.
+        - Brackets that do not coalesce double w and run again while w <= L.
+          Each chunk still uncertified then continues, in order, from the
+          end of the chunk before it with the scalar recurrence.
+
+        w = ceil(72 / log2(1/gamma)) shrinks the bracket from 2M by 2^-72,
+        below the last ulp of a unit-scale orbit; L = max(256, w).  The
+        lockstep runs only when the orbit holds at least 64 chunks, so for
+        slow contraction or few points each coordinate runs the scalar
+        recurrence over Python floats.  The choice reads only gamma and the
+        orbit length.
         """
         if n_points < 1:
             raise ValueError("n_points must be positive")
         if burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         rng = substream(seed)
-        choices = rng.integers(0, self.n_maps, size=burn_in + n_points).tolist()
+        total = burn_in + n_points
+        choices = rng.integers(0, self.n_maps, size=total)
         offsets = (1.0 - self.gamma) * self.centers
         gamma = float(self.gamma)
-        out = np.empty((n_points, self.dim))
-        for j, column in enumerate(offsets.T.tolist()):
-            orbit = itertools.accumulate(map(column.__getitem__, choices),
-                                         lambda y, x: gamma * y + x, initial=0.0)
-            out[:, j] = np.fromiter(itertools.islice(orbit, burn_in + 1, None),
-                                    dtype=float, count=n_points)
-        return out
+        window = math.ceil(_ORBIT_BITS / -math.log2(gamma))
+        chunk = max(_ORBIT_CHUNK, window)
+        if total // chunk < _ORBIT_MIN_CHUNKS:
+            return _scalar_orbit(offsets, choices.tolist(), gamma, burn_in, n_points)
+        with np.errstate(over="ignore"):  # an infinite bound still brackets the orbit
+            bound = 2.0 * np.abs(self.centers).max(axis=0) + 1.0
+        return _lockstep_orbit(offsets, choices, gamma, bound, window, chunk)[burn_in:]
+
+
+def _recurrence(offsets: Iterable[float], gamma: float, start: float) -> Iterator[float]:
+    """start, then y <- gamma*y + x for each offset x, over Python floats."""
+    return itertools.accumulate(offsets, lambda y, x: gamma * y + x, initial=start)
+
+
+def _scalar_orbit(offsets: np.ndarray, choices: list, gamma: float, burn_in: int,
+                  n_points: int) -> np.ndarray:
+    """The chaos-game orbit one coordinate at a time."""
+    out = np.empty((n_points, offsets.shape[1]))
+    for j, column in enumerate(offsets.T.tolist()):
+        orbit = _recurrence(map(column.__getitem__, choices), gamma, 0.0)
+        out[:, j] = np.fromiter(itertools.islice(orbit, burn_in + 1, None),
+                                dtype=float, count=n_points)
+    return out
+
+
+def _lockstep_orbit(offsets: np.ndarray, choices: np.ndarray, gamma: float,
+                    bound: np.ndarray, window: int, chunk: int) -> np.ndarray:
+    """All orbit values y_1..y_N (row k holds y_{k+1}), advanced in lockstep
+    chunks of ``chunk`` steps; brackets from -bound and +bound certify each
+    chunk's start.  See ``IFSModel.sample_attractor``."""
+    total = choices.size
+    n_chunks = -(-total // chunk)
+    # row k holds step k's offset until the advance overwrites it with y_{k+1};
+    # the last chunk's rows past the orbit hold zero offsets and are dropped
+    steps = np.zeros((n_chunks * chunk, offsets.shape[1]))
+    np.take(offsets, choices, axis=0, out=steps[:total])
+    by_chunk = steps.reshape(n_chunks, chunk, -1)
+
+    starts = np.zeros((n_chunks, offsets.shape[1]))  # chunk 0 starts at the exact 0.0
+    ends = np.stack([-bound, bound])[:, None]
+    pending = np.arange(1, n_chunks)
+    while pending.size and window <= chunk:
+        # each bracket runs through the last `window` steps of the chunk before
+        before = by_chunk[:-1] if pending.size == n_chunks - 1 else by_chunk[pending - 1]
+        bracket = np.repeat(ends, pending.size, axis=1)  # lo, hi
+        for s in range(chunk - window, chunk):
+            np.multiply(bracket, gamma, out=bracket)
+            np.add(bracket, before[:, s], out=bracket)
+        lo, hi = bracket
+        done = np.all(lo.view(np.int64) == hi.view(np.int64), axis=1)
+        starts[pending[done]] = lo[done]
+        pending = pending[~done]
+        window *= 2
+
+    uncertified = by_chunk[pending]  # offsets, before the advance overwrites them
+    prev, scaled = starts, np.empty_like(starts)
+    for s in range(chunk):
+        np.multiply(prev, gamma, out=scaled)
+        prev = by_chunk[:, s]
+        np.add(scaled, prev, out=prev)
+    # in order, each uncertified chunk continues from the end of the chunk before
+    for j, chunk_offsets in zip(pending.tolist(), uncertified):
+        for k, column in enumerate(chunk_offsets.T.tolist()):
+            orbit = _recurrence(column, gamma, float(by_chunk[j - 1, -1, k]))
+            by_chunk[j, :, k] = np.fromiter(itertools.islice(orbit, 1, None),
+                                            dtype=float, count=chunk)
+    return steps[:total]
 
 
 @dataclass(frozen=True)
@@ -708,6 +809,10 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     spanning two or more decades, none so small that the points' widest
     extent spans 2^63 boxes.  A cloud of identical points occupies one box at
     every scale and so estimates dimension 0.
+
+    A scale whose grid has at most 8 boxes per point counts the set entries
+    of an occupancy bitmap over the grid; a finer grid sorts one int64 key
+    per point, or compares whole rows when int64 cannot index the grid.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] == pts.size:  # a flat vector of scalars
@@ -730,13 +835,27 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
         raise ValueError(f"scale {scales[-1]:g} is too small for int64 box indices "
                          "over the points' extent")
 
+    shifted = pts - lo
     counts = np.empty(scales.size)
     for k, s in enumerate(scales):
-        idx = np.floor((pts - lo) / s).astype(np.int64)
-        # One int64 key per box; grids with more boxes than int64 can index
-        # fall back to comparing whole rows.
+        idx = np.floor(shifted / s).astype(np.int64)
+        shape = idx.max(axis=0) + 1
+        boxes = math.prod(map(int, shape))
+        if boxes <= _BITMAP_BOXES_PER_POINT * pts.shape[0]:
+            # mark each point's box in an occupancy bitmap, no bigger than
+            # the key array the sort below would build; the keys are
+            # ravel_multi_index's, without its bounds checks
+            keys = idx[:, 0]
+            for j in range(1, idx.shape[1]):
+                keys = keys * shape[j] + idx[:, j]
+            occupied = np.zeros(boxes, dtype=bool)
+            occupied[keys] = True
+            counts[k] = np.count_nonzero(occupied)
+            continue
+        # One sorted int64 key per box; grids with more boxes than int64 can
+        # index fall back to comparing whole rows.
         try:
-            keys = np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
+            keys = np.ravel_multi_index(idx.T, shape)
         except ValueError:
             counts[k] = np.unique(idx, axis=0).shape[0]
             continue

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundCertificate, bound_strongly_convex
-from .core import ConvexDomain, hoeffding_tail, substream
+from .core import ConvexDomain, all_finite, hoeffding_tail, substream
 from .losses import Dataset, Distribution, LossFamily, stability_counterexample_1d
 from .sgd import SGDStep, Trajectory, contraction_factor, draw_runs, run_lockstep
 
@@ -208,8 +208,10 @@ def validate_bound(
         f_pop = 0
         for p, v in zip(probs, fam.values(thetas, support).T):
             f_pop = f_pop + p * v
-        # fmax skips a NaN gap as the scalar max(worst, gap) always did
-        max_gaps.append(max(0.0, float(np.fmax.reduce(np.abs(f_hat - f_pop)))))
+        gaps = np.abs(f_hat - f_pop)
+        if not all_finite(gaps):
+            raise FloatingPointError(f"resampling {r} has a non-finite loss gap")
+        max_gaps.append(max(0.0, float(gaps.max())))
     max_gaps = tuple(max_gaps)
     violations = sum(g > threshold for g in max_gaps)
     return ValidationReport(

@@ -383,6 +383,29 @@ class TestExitCodeContract:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("R", ["inf", "nan"])
+    def test_non_finite_ifs_radius_is_usage_error(self, tmp_path, capsys, R):
+        """With explicit scales an infinite radius once passed every check and
+        wrote an uncertified dimension; it is refused before sampling."""
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3333333333",
+                    "--R", R, "--scales", "1,0.1,0.01,0.001", "--points", "2000",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: radius must be finite and positive, got {R}"]
+        assert not out.exists()
+
+    def test_orbit_too_large_to_allocate_is_usage_error(self, tmp_path, capsys):
+        """numpy refuses the 7.11 PiB array of map choices at once, allocating
+        nothing; the MemoryError exits 2, not the FAIL code 1."""
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3333333333",
+                    "--R", "1", "--points", "1000000000000000",
+                    "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["cover", "--T", "2"],
         ["contract"],

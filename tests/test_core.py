@@ -287,12 +287,14 @@ class TestAllFinite:
          FloatingPointError, "non-finite values"),
         (lambda bad: IFSModel([[0.5], [bad]], gamma=0.3, radius=1.0), ValueError,
          "centers must be finite"),
+        (lambda bad: IFSModel([[0.5], [-0.5]], gamma=0.3, radius=bad), ValueError,
+         "radius must be finite and positive"),
         (lambda bad: _box_count(points=np.full((1000, 2), bad)), ValueError,
          "points have non-finite"),
         (lambda bad: _box_count(scales=(1.0, 0.1, 0.01, 0.001, bad)), ValueError,
          "scales must be finite"),
     ], ids=["as_point", "as_rows", "SGDStep.apply", "SGDStep.apply_batch",
-            "CustomMap.apply", "IFSModel-centers", "box_counting-points",
+            "CustomMap.apply", "IFSModel-centers", "IFSModel-radius", "box_counting-points",
             "box_counting-scales"])
     def test_every_caller_rejects_non_finite_input(self, call, error, message, bad):
         with pytest.raises(error, match=message):

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdcover import cover as cover_module
 from sgdcover.core import Ball, Box, ProductOfBalls, ceil_int
@@ -178,6 +180,38 @@ class TestEnumerateCover:
             assert [e.seq for e in cov.entries[1:3]] == [e.seq for e in listed[1:3]]
             with pytest.raises(IndexError):
                 cov.entries[len(cov)]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(["plain", "deduped", "piecewise"]), st.integers(1, 3),
+           st.integers(0, 3), st.data())
+    def test_random_access_equals_iteration_property(self, kind, n, T, data):
+        """entries[k] for every k (negative too) and entries[a:b:c] for drawn
+        slices equal the entries and slices of the iterated list."""
+        ds = Dataset(tuple(CENTERS[:n]))
+        _, _, update = quadratic_cover_setup()
+        if kind == "plain":
+            cov = enumerate_cover(update, ds, T=T)
+        elif kind == "deduped":
+            cov = enumerate_cover(FIRST_CHOICE, ds, T=T, dedupe=True)
+        else:
+            cov = enumerate_piecewise_cover(
+                lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds,
+                eta=0.4, T=T)
+        listed = list(cov.entries)
+        assert len(listed) == len(cov.entries) == len(cov)
+
+        def same(a, b):
+            return ((a.seq, a.deps, a.pieces) == (b.seq, b.deps, b.pieces)
+                    and a.point.tobytes() == b.point.tobytes())
+
+        for k in range(-len(cov), len(cov)):
+            assert same(cov.entries[k], listed[k])
+        bound = st.none() | st.integers(-len(cov) - 2, len(cov) + 2)
+        cut = slice(data.draw(bound), data.draw(bound),
+                    data.draw(st.none() | st.integers(-3, 3).filter(bool)))
+        got = cov.entries[cut]
+        assert isinstance(got, tuple) and len(got) == len(listed[cut])
+        assert all(map(same, got, listed[cut]))
 
     def test_one_sgd_step_call_per_tree_node(self, monkeypatch):
         """Enumeration calls sgd_step once per node of the choice tree,
@@ -783,16 +817,117 @@ class TestIFS:
     def test_orbit_bitwise_equals_apply_loop(self, centers, gamma):
         model = IFSModel(np.array(centers), gamma=gamma, radius=1.0)
         for seed, burn_in in itertools.product((0, 1, 4, 7), (0, 64)):
-            choices = substream(seed).integers(0, model.n_maps, size=burn_in + 400)
-            theta = np.zeros(model.dim)
-            ref = []
-            for i in choices:
-                theta = model.apply(int(i), theta)
-                ref.append(theta)
-            ref = np.array(ref[burn_in:])
-            out = model.sample_attractor(400, seed=seed, burn_in=burn_in)
-            assert out.shape == ref.shape and out.dtype == np.float64
-            np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+            _assert_orbit_is_apply_loop(model, 400, seed, burn_in)
+
+    @settings(max_examples=24, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_orbit_property_bitwise_equals_apply_loop(self, data):
+        """Both paths, lengths on either side of the path selection and of a
+        chunk boundary, signed zeros and subnormal centers."""
+        d = data.draw(st.integers(1, 3), label="d")
+        entry = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]),
+                          st.floats(-1.0, 1.0))
+        centers = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                     min_size=1, max_size=4), label="centers")
+        gamma = data.draw(st.one_of(st.sampled_from([1.0 / 3.0, 0.5, 0.8]),
+                                    st.floats(0.01, 0.8)), label="gamma")
+        model = IFSModel(np.array(centers), gamma=gamma, radius=2.0)
+        chunk = max(cover_module._ORBIT_CHUNK,
+                    math.ceil(cover_module._ORBIT_BITS / -math.log2(gamma)))
+        shortest = cover_module._ORBIT_MIN_CHUNKS * chunk  # the lockstep's shortest orbit
+        total = data.draw(st.one_of(
+            st.sampled_from([shortest - 1, shortest, shortest + 1,
+                             shortest + chunk - 1, shortest + chunk, shortest + chunk + 1]),
+            st.integers(1, 300)), label="total")
+        burn_in = data.draw(st.sampled_from([0, 1, 64]).filter(lambda b: b < total),
+                            label="burn_in")
+        _assert_orbit_is_apply_loop(model, total - burn_in, seed=data.draw(
+            st.integers(0, 2**16), label="seed"), burn_in=burn_in)
+
+    @pytest.mark.parametrize("bits", [72, 8], ids=["bits72", "bits8"])
+    @pytest.mark.parametrize("gamma", [0.9, 0.99, 0.999])
+    def test_lockstep_at_slow_contraction(self, monkeypatch, gamma, bits):
+        """The lockstep forced onto slow contraction: 8-bit windows leave most
+        brackets uncoalesced, and those chunks continue from the one before."""
+        monkeypatch.setattr(cover_module, "_ORBIT_MIN_CHUNKS", 1)
+        monkeypatch.setattr(cover_module, "_ORBIT_BITS", bits)
+        model = IFSModel(np.array([[1.0, 0.2], [-1.0, 0.7], [0.3, -0.9]]), gamma=gamma,
+                         radius=2.0)
+        _assert_orbit_is_apply_loop(model, 12_000, seed=3, burn_in=64)
+
+    @pytest.mark.parametrize("gamma,total,lockstep", [
+        (0.9, 100_064, True), (0.99, 100_064, False), (0.999, 100_064, False),
+        (0.5, 64 * 256, True), (0.5, 64 * 256 - 1, False), (1.0 / 3.0, 1, False),
+    ])
+    def test_path_selection_reads_gamma_and_length(self, monkeypatch, gamma, total, lockstep):
+        calls = []
+        lockstep_orbit = cover_module._lockstep_orbit
+
+        def spy(*args):
+            calls.append(args)
+            return lockstep_orbit(*args)
+
+        monkeypatch.setattr(cover_module, "_lockstep_orbit", spy)
+        model = IFSModel(np.array([[1.0], [-1.0]]), gamma=gamma, radius=1.0)
+        burn_in = min(64, total - 1)
+        out = model.sample_attractor(total - burn_in, seed=2, burn_in=burn_in)
+        assert bool(calls) == lockstep
+        np.testing.assert_array_equal(out.view(np.int64),
+                                      _scalar_reference(model, total - burn_in, 2, burn_in))
+
+    @pytest.mark.parametrize("centers", [
+        [[0.0], [0.0]], [[-0.0], [-0.0]], [[0.0, -0.0], [-0.0, 0.0]],
+        [[-5e-324], [-0.0]], [[-0.0, 0.5], [0.0, -0.5]],
+    ], ids=["zeros", "negative-zeros", "mixed-zeros", "subnormal-negative", "zero-coordinate"])
+    def test_signed_zero_centers(self, centers):
+        """Zero and -0.0 centers on the lockstep path.  With -5e-324 and
+        gamma < 1/2 the orbit does hold -0.0: gamma*(-5e-324) rounds to
+        -0.0, and -0.0 + -0.0 is -0.0."""
+        model = IFSModel(np.array(centers), gamma=0.3, radius=2.0)
+        out = _assert_orbit_is_apply_loop(model, 64 * 256, seed=4, burn_in=0)
+        if centers == [[-5e-324], [-0.0]]:
+            assert np.any((out == 0.0) & np.signbit(out))
+
+    def test_brackets_certify_signed_zero_starts(self, monkeypatch):
+        """With a bound close to the orbit's subnormal scale every bracket
+        coalesces, at a subnormal or at a zero of either sign, and fixes the
+        sign of a zero start: no chunk needs the scalar continuation."""
+        offsets = np.array([[-5e-324], [-0.0], [5e-324]])
+        choices = substream(2).integers(0, 3, size=64 * 256)
+        ref = cover_module._scalar_orbit(offsets, choices.tolist(), 0.3, 0, choices.size)
+        starts = ref[255::256]
+        assert np.any((starts == 0.0) & np.signbit(starts))
+        assert np.any((starts == 0.0) & ~np.signbit(starts))
+
+        def no_continuation(*args):
+            raise AssertionError("a chunk was left uncertified")
+
+        monkeypatch.setattr(cover_module, "_recurrence", no_continuation)
+        out = cover_module._lockstep_orbit(offsets, choices, 0.3, np.array([1e-320]), 8, 256)
+        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+
+    def test_huge_centers(self):
+        model = IFSModel(np.array([[1e154, -3.0], [-1e154, 7.0]]), gamma=0.5, radius=1.5e154)
+        _assert_orbit_is_apply_loop(model, 20_000, seed=8, burn_in=64)
+
+    def test_infinite_bound_never_coalesces(self):
+        """Centers near 1e308 make M = 2*max|c| + 1 overflow to inf.  No
+        bracket can coalesce from +-inf, so every chunk after the first
+        continues from the one before it."""
+        offsets = 0.5 * np.array([[1e308], [-1e308]])
+        choices = substream(9).integers(0, 2, size=20_000)
+        with np.errstate(over="ignore"):
+            bound = 2.0 * np.abs(offsets / 0.5).max(axis=0) + 1.0
+        assert np.isinf(bound).all()
+        out = cover_module._lockstep_orbit(offsets, choices, 0.5, bound, 64, 256)
+        ref = cover_module._scalar_orbit(offsets, choices.tolist(), 0.5, 0, choices.size)
+        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("total", [300, 64 * 256 + 5], ids=["scalar", "lockstep"])
+    def test_no_burn_in_and_single_point(self, total):
+        model = IFSModel(np.array([[1.0, 0.5], [-1.0, 0.25]]), gamma=0.5, radius=2.0)
+        _assert_orbit_is_apply_loop(model, total, seed=1, burn_in=0)
+        _assert_orbit_is_apply_loop(model, 1, seed=1, burn_in=total - 1)
 
     def test_negative_burn_in_rejected(self):
         model = IFSModel(np.array([[1.0], [-1.0]]), gamma=1.0 / 3.0, radius=1.0)
@@ -803,6 +938,25 @@ class TestIFS:
     def test_non_finite_centers_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             IFSModel(np.array([[bad], [1.0]]), gamma=0.5, radius=1.0)
+
+
+def _scalar_reference(model, n_points, seed, burn_in):
+    choices = substream(seed).integers(0, model.n_maps, size=burn_in + n_points)
+    return cover_module._scalar_orbit((1.0 - model.gamma) * model.centers, choices.tolist(),
+                                      float(model.gamma), burn_in, n_points).view(np.int64)
+
+
+def _assert_orbit_is_apply_loop(model, n_points, seed, burn_in):
+    """The orbit is bitwise the one a loop of ``model.apply`` calls gives."""
+    choices = substream(seed).integers(0, model.n_maps, size=burn_in + n_points)
+    theta = np.zeros(model.dim)
+    ref = np.empty((choices.size, model.dim))
+    for k, i in enumerate(choices.tolist()):
+        theta = ref[k] = model.apply(i, theta)
+    out = model.sample_attractor(n_points, seed=seed, burn_in=burn_in)
+    assert out.shape == (n_points, model.dim) and out.dtype == np.float64
+    np.testing.assert_array_equal(out.view(np.int64), ref[burn_in:].view(np.int64))
+    return out
 
 
 class TestBoxCounting:
@@ -857,6 +1011,22 @@ class TestBoxCounting:
         span = float(np.ptp(pts))
         fit = box_counting_dimension(pts, [1.0, 0.1, 0.01, 2.0 * span / 2.0**63])
         assert fit.counts[-1] == np.unique(pts).size
+
+    @pytest.mark.parametrize("grid", [(8000,), (8001,), (80, 100), (89, 90)])
+    def test_bitmap_and_sort_agree_around_eight_boxes_per_point(self, monkeypatch, grid):
+        """1000 lattice points whose finest grid has just under or just over
+        8 boxes per point: the bitmap, the sort and the default choice
+        between them count the same boxes as np.unique."""
+        rng = np.random.default_rng(len(grid) + grid[-1])
+        pts = rng.integers(0, grid, size=(1000, len(grid))).astype(float)
+        pts[0], pts[1] = 0.0, np.subtract(grid, 1)  # pin the extent to the grid
+        assert (math.prod(grid) <= 8 * len(pts)) == (grid in [(8000,), (80, 100)])
+        scales = [1000.0, 100.0, 10.0, 1.0]
+        reference = [np.unique(np.floor(pts / s).astype(np.int64), axis=0).shape[0]
+                     for s in scales]
+        for boxes_per_point in (8, 0, 10**6):  # default, sort only, bitmap only
+            monkeypatch.setattr(cover_module, "_BITMAP_BOXES_PER_POINT", boxes_per_point)
+            assert box_counting_dimension(pts, scales).counts.tolist() == reference
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
     def test_counts_equal_distinct_rows(self, d):

@@ -219,6 +219,20 @@ class TestValidateBound:
             validate_bound(dataclasses.replace(quadratic_scenario(), family=bad),
                            resamplings=2, trials=2, delta=0.05)
 
+    @pytest.mark.parametrize("form", ["value_batch", "value"])
+    def test_nan_loss_raises(self, form):
+        """A NaN loss makes a NaN gap, which no threshold can pass or fail:
+        validation raises instead of reporting a vacuous PASS."""
+        fam = quadratic_centers(CENTERS, R=1.0)
+        if form == "value_batch":
+            bad = dataclasses.replace(
+                fam, value_batch=lambda theta, zs: np.sum((theta - zs) ** 2, axis=-1) * np.nan)
+        else:
+            bad = dataclasses.replace(fam, value_batch=None, value=lambda theta, z: math.nan)
+        with pytest.raises(FloatingPointError, match="non-finite loss gap"):
+            validate_bound(dataclasses.replace(quadratic_scenario(), family=bad),
+                           resamplings=2, trials=2, delta=0.05)
+
     def test_csv_rows(self, tmp_path):
         report = validate_bound(quadratic_scenario(n=20), resamplings=8, trials=2,
                                 delta=0.05, seed=1)
