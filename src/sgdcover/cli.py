@@ -34,7 +34,7 @@ from .bounds import (
     bound_soft_kmeans,
     bound_strongly_convex,
 )
-from .core import Ball, ProductOfBalls, numeric_gradient, substream
+from .core import Ball, ProductOfBalls, _keyed_streams, numeric_gradient, substream
 from .cover import (
     DEFAULT_CAP,
     IFSModel,
@@ -391,10 +391,12 @@ def _cmd_contract(cfg, args):
     scale = domain.bounding_radius()
     floor = 1e-6 * (scale if math.isfinite(scale) else 1.0)
     # pair k draws a, b and then its indices from its own stream
-    rngs = [substream(args.seed, k) for k in range(pairs)]
-    a = np.array([domain.sample(rng) for rng in rngs])
-    b = np.array([domain.sample(rng) for rng in rngs])
-    indices = np.array([rng.integers(0, dataset.n, size=steps) for rng in rngs])
+    a, b, indices = [], [], []
+    for rng in _keyed_streams(args.seed, pairs):
+        a.append(domain.sample(rng))
+        b.append(domain.sample(rng))
+        indices.append(rng.integers(0, dataset.n, size=steps))
+    a, b, indices = np.array(a), np.array(b), np.array(indices)
     differ = np.any(a != b, axis=1)
     report = coupled_contraction_ratio(update, a[differ], b[differ], indices[differ], dataset)
     worst = report.max_measurable_ratio(floor)

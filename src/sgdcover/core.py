@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -81,10 +81,100 @@ def ceil_int(x: float) -> int:
 def substream(*keys: int) -> np.random.Generator:
     """Independent, reproducible RNG stream keyed by a tuple of integers.
 
-    Streams for distinct key tuples are statistically independent, so parallel
-    tasks seeded this way give results that do not depend on scheduling order.
+    The stream is ``default_rng(SeedSequence(keys))``: the same key tuple
+    gives the same draws on every run and platform, and streams for distinct
+    tuples are statistically independent, so what a task draws depends only
+    on its keys, never on what other tasks drew before it.
     """
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
+
+
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# keys seeded per vectorized pass, which bounds the pass's scratch arrays
+_SEED_BLOCK = 1024
+
+
+def _pcg64_states(seed: int, keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """PCG64's (state, inc) when seeded by ``SeedSequence([seed, k])``, for
+    every key k of a uint32 array.  SeedSequence's hashing takes one uint32
+    numpy operation per step of its scalar algorithm, for all keys at once."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    # the entropy pool: 4 words mixed from the seed's uint32 words, low word
+    # first, and the key
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(keys.size, w, dtype=np.uint32) for w in words] + [keys]
+    zero = np.zeros(keys.size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    # generate_state(4, uint64): 8 words cycled from the pool, low word first
+    hash_const = _INIT_B
+    halves = np.empty((keys.size, 8), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        halves[:, i] = value ^ (value >> np.uint32(16))
+    seeded = halves[:, 0::2] | halves[:, 1::2] << np.uint64(32)
+
+    # pcg64_set_seed: initstate and initseq are 128-bit, high word first;
+    # from state 0 it steps, adds initstate and steps again
+    for row in seeded:  # one key's ints at a time: no block of Python ints is held
+        s0, s1, q0, q1 = row.tolist()
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        yield ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _keyed_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """For k in range(count), a generator whose state is bitwise that of
+    ``substream(seed, k)``, seeded without one SeedSequence per key.
+
+    The states are computed ``_SEED_BLOCK`` keys at a time and written into
+    one reused generator, so a yielded generator is valid only until the
+    next one is drawn: draw from each in turn, and keep none.
+    """
+    seed = int(seed)
+    if seed < 0:  # as SeedSequence does
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if count > 2**32:  # keys must stay one uint32 word each
+        raise ValueError(f"at most 2**32 keyed streams, got {count}")
+    return _load_streams(seed, count)
+
+
+def _load_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """The generator behind ``_keyed_streams``, after its argument checks."""
+    carrier = np.random.PCG64(0)  # a fixed seed: no OS entropy is read
+    rng = np.random.Generator(carrier)
+    for lo in range(0, count, _SEED_BLOCK):
+        keys = np.arange(lo, min(lo + _SEED_BLOCK, count), dtype=np.int64).astype(np.uint32)
+        for state, inc in _pcg64_states(seed, keys):
+            carrier.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def numeric_gradient(fn: Callable[[np.ndarray], float], theta, step: float = 1e-5) -> np.ndarray:
@@ -127,10 +217,10 @@ class ConvexDomain:
 
 def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
     direction = rng.normal(size=d)
-    norm = np.linalg.norm(direction)
+    norm = math.sqrt(direction.dot(direction))  # what np.linalg.norm computes for it
     if norm == 0.0:
         return np.zeros(d)
-    r = radius * rng.uniform() ** (1.0 / d)
+    r = radius * rng.random() ** (1.0 / d)  # uniform(0, 1) is 0 + 1 * random()
     return direction * (r / norm)
 
 

@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .bounds import horizon
-from .core import ConvexDomain, all_finite, as_point, ceil_int, linalg_norms, substream
+from .core import (ConvexDomain, _keyed_streams, all_finite, as_point, ceil_int, linalg_norms,
+                   substream)
 from .losses import Dataset
 from .sgd import UpdateMap, draw_runs, run_lockstep, sgd_step
 
@@ -37,6 +38,10 @@ _ORBIT_MIN_CHUNKS = 64
 # contraction, in bits, of a chunk's first bracket: 53 bits of mantissa, a
 # few for the bracket's width of 2M, and a margin for the last rounding ulp
 _ORBIT_BITS = 72
+# the bracket bound's absolute floor, the smallest normal double: above all
+# that underflow can add to an orbit, and below the smallest subnormal once a
+# bracket has contracted by 2^-_ORBIT_BITS
+_ORBIT_FLOOR = 2.0**-1022
 
 # box counting marks an occupancy bitmap when the grid has at most this many
 # boxes per point (a bool per box, as many bytes as one int64 key per point)
@@ -366,9 +371,10 @@ def verify_cover(
     """Run ``trials`` trajectories from random starts for random t in
     [T, T + max_extra_steps] and report the worst distance to the cover.
 
-    Trial k draws its start, t and indices from ``substream(seed, k)``; all
-    trials then advance in lockstep.  Passes only if every endpoint lands
-    within epsilon of some cover point.
+    Trial k draws its start, t and indices from ``substream(seed, k)``; the
+    trials' streams are seeded together, in one vectorized pass per block of
+    keys, and all trials then advance in lockstep.  Passes only if every
+    endpoint lands within epsilon of some cover point.
     """
     if trials < 1 or max_extra_steps < 0:
         raise ValueError("need trials >= 1 and max_extra_steps >= 0")
@@ -380,7 +386,7 @@ def verify_cover(
 
     T = cover.horizon
     starts, steps, indices = draw_runs(
-        (substream(seed, k) for k in range(trials)), domain, T, T + max_extra_steps, dataset.n
+        _keyed_streams(seed, trials), domain, T, T + max_extra_steps, dataset.n
     )
     endpoints = run_lockstep(update, starts, steps, indices, dataset)
     dists = _nearest_distances(cover.points, endpoints)
@@ -615,7 +621,7 @@ class IFSModel:
             raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
         if not all_finite(centers):
             raise ValueError("centers must be finite")
-        if np.any(np.linalg.norm(centers, axis=1) > self.radius * (1 + 1e-12)):
+        if np.any(_center_norms(centers) > self.radius * (1 + 1e-12)):
             raise ValueError("all fixed points must lie inside the radius-R ball")
         object.__setattr__(self, "centers", centers)
 
@@ -664,12 +670,15 @@ class IFSModel:
         bracket, Propp & Wilson's monotone coupling:
 
         - lo = -M and hi = +M start w steps before the chunk and run
-          through those w steps.  M = 2*max|c| + 1 per coordinate bounds
-          every orbit value: the exact orbit stays within max|c|, and the
-          lockstep runs only for gamma far enough below 1 that rounding
-          cannot carry it past the margin.  Each step map is monotone
-          (gamma > 0 and IEEE rounding is monotone), so lo <= y <= hi at
-          every step, and when lo and hi agree bitwise, y has that value.
+          through those w steps.  M = 2*max|c| + 2^-1022 per coordinate
+          bounds every orbit value: the exact orbit stays within max|c|;
+          relative rounding errors, which the contraction keeps far below
+          max|c|, cannot carry it past the margin, and absolute ones at the
+          subnormal scale cannot pass the 2^-1022 floor.  The margin scales
+          with the centers, so brackets close at any scale.  Each step map
+          is monotone (gamma > 0 and IEEE rounding is monotone), so
+          lo <= y <= hi at every step, and when lo and hi agree bitwise, y
+          has that value.
         - Signed zeros: the order is IEEE's total order, -0.0 below +0.0.
           Both operations stay monotone in it: gamma*y is -0.0 only for
           y <= -0.0, and a sum is -0.0 only when both terms are, so a
@@ -700,8 +709,20 @@ class IFSModel:
         if total // chunk < _ORBIT_MIN_CHUNKS:
             return _scalar_orbit(offsets, choices.tolist(), gamma, burn_in, n_points)
         with np.errstate(over="ignore"):  # an infinite bound still brackets the orbit
-            bound = 2.0 * np.abs(self.centers).max(axis=0) + 1.0
+            bound = 2.0 * np.abs(self.centers).max(axis=0) + _ORBIT_FLOOR
         return _lockstep_orbit(offsets, choices, gamma, bound, window, chunk)[burn_in:]
+
+
+def _center_norms(centers: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(centers, axis=1)``, with each row whose squared norm
+    overflows recomputed scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(centers, axis=1)
+        huge = np.isinf(norms)
+        if np.any(huge):
+            scale = np.abs(centers[huge]).max(axis=1)
+            norms[huge] = scale * np.linalg.norm(centers[huge] / scale[:, None], axis=1)
+    return norms
 
 
 def _recurrence(offsets: Iterable[float], gamma: float, start: float) -> Iterator[float]:

@@ -42,26 +42,25 @@ class SGDStep:
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         g = np.asarray(self.family.grad(theta, z), dtype=float)
-        if not all_finite(g):
-            raise FloatingPointError("non-finite gradient")
-        out = theta - self.eta * g
-        if self.project:  # project() refuses a non-finite point itself
-            return self.effective_domain.project(out)
-        if not all_finite(out):
-            raise FloatingPointError("update produced non-finite values")
-        return out
+        out = _checked_update(theta, self.eta, g)
+        return self.effective_domain.project(out) if self.project else out
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
         """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise."""
-        g = self.family.grad_rows(thetas, dataset, idx)
-        if not all_finite(g):
-            raise FloatingPointError("non-finite gradient")
-        out = thetas - self.eta * g
-        if self.project:  # project_batch() refuses non-finite rows itself
-            return self.effective_domain.project_batch(out)
-        if not all_finite(out):
-            raise FloatingPointError("update produced non-finite values")
-        return out
+        out = _checked_update(thetas, self.eta, self.family.grad_rows(thetas, dataset, idx))
+        return self.effective_domain.project_batch(out) if self.project else out
+
+
+def _checked_update(theta: np.ndarray, eta: float, g: np.ndarray) -> np.ndarray:
+    """``theta - eta * g``, refused with FloatingPointError when not finite,
+    before any projection.  A non-finite gradient makes the update non-finite
+    too, so one check covers both faults; the gradient is read again only to
+    name the fault."""
+    out = theta - eta * g
+    if not all_finite(out):
+        raise FloatingPointError("non-finite gradient" if not all_finite(g)
+                                 else "update produced non-finite values")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

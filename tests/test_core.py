@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sgdcover import core
 from sgdcover.core import (
     Ball,
     Box,
@@ -236,9 +237,76 @@ class TestUtilities:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    def test_ball_sample_is_the_linalg_norm_formula(self, d):
+        """Ball.sample draws bitwise what np.linalg.norm and rng.uniform()
+        gave before they were trimmed to a dot product and rng.random()."""
+        ball = Ball(np.linspace(-0.5, 0.5, d), 0.75)
+        for k in range(40):
+            rng = substream(7, k)
+            direction = rng.normal(size=d)
+            r = 0.75 * rng.uniform() ** (1.0 / d)
+            expected = ball.center + direction * (r / np.linalg.norm(direction))
+            assert ball.sample(substream(7, k)).tobytes() == expected.tobytes()
+
     def test_numeric_gradient_on_quadratic(self):
         grad = numeric_gradient(lambda t: float(t @ t), np.array([0.5, -1.0, 2.0]))
         np.testing.assert_allclose(grad, [1.0, -2.0, 4.0], rtol=1e-9, atol=1e-9)
+
+
+# one to seven uint32 words: from four words on, SeedSequence mixes the
+# entropy beyond its pool in a second loop
+_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**80, 2**96,
+                                    2**200 + 3]),
+                   st.integers(0, 2**80), st.integers(0, 2**224 - 1))
+
+
+def _assert_is_substream(bit_generator, seed, k):
+    """State and first draws are those of ``substream(seed, k)``."""
+    ref = substream(seed, k).bit_generator
+    assert bit_generator.state == ref.state
+    np.testing.assert_array_equal(bit_generator.random_raw(8), ref.random_raw(8))
+
+
+class TestKeyedStreams:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(seed=_SEEDS, count=st.one_of(st.sampled_from([1, 1023, 1024, 1025, 2049]),
+                                        st.integers(1, 40)))
+    def test_streams_are_substreams(self, seed, count):
+        """Across block edges, one reused generator per key, drawn from
+        before the next is loaded."""
+        checked = {0, count - 1} | ({1, 1023, 1024, 1025, 2047, 2048} & set(range(count)))
+        drawn = 0
+        for k, rng in enumerate(core._keyed_streams(seed, count)):
+            if k in checked:
+                _assert_is_substream(rng.bit_generator, seed, k)
+            drawn += 1
+        assert drawn == count
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(seed=_SEEDS, keys=st.lists(st.one_of(st.sampled_from([2**31 - 1, 2**31, 2**32 - 1]),
+                                                st.integers(0, 2**32 - 1)),
+                                      min_size=1, max_size=6))
+    def test_states_at_any_key(self, seed, keys):
+        states = core._pcg64_states(seed, np.array(keys, dtype=np.uint32))
+        for k, (state, inc) in zip(keys, states):
+            bit_generator = np.random.PCG64(0)
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            _assert_is_substream(bit_generator, seed, k)
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            core._keyed_streams(-1, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            substream(-1, 0)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            core._keyed_streams(0, 2**32 + 1)
+        assert next(core._keyed_streams(0, 2**32)) is not None  # lazy: one block only
+
+    def test_no_streams(self):
+        assert list(core._keyed_streams(3, 0)) == []
 
 
 def _gradient_of(value: float) -> LossFamily:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -910,14 +911,38 @@ class TestIFS:
         model = IFSModel(np.array([[1e154, -3.0], [-1e154, 7.0]]), gamma=0.5, radius=1.5e154)
         _assert_orbit_is_apply_loop(model, 20_000, seed=8, burn_in=64)
 
+    def test_tiny_centers_stay_on_the_lockstep(self, monkeypatch):
+        """The bracket bound scales with the centers: at +-1e-300 every
+        bracket closes, so no chunk takes the scalar continuation."""
+        def no_continuation(*args):
+            raise AssertionError("a chunk was left uncertified")
+
+        monkeypatch.setattr(cover_module, "_recurrence", no_continuation)
+        model = IFSModel(np.array([[1e-300], [-1e-300]]), gamma=1.0 / 3.0, radius=1.0)
+        _assert_orbit_is_apply_loop(model, 100_000, seed=3, burn_in=64)
+
+    def test_huge_centers_inside_the_radius(self):
+        """A center whose squared norm overflows is measured scaled by its
+        largest entry: accepted inside R, with no overflow warning, and
+        refused outside it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = IFSModel([[1e200], [-1e200]], 0.5, 1e300)
+            IFSModel([[3e200, 4e200], [0.0, 0.0]], 0.5, 5e200)
+            with pytest.raises(ValueError, match="inside the radius-R ball"):
+                IFSModel([[3e200, 4e200], [0.0, 0.0]], 0.5, 4.9e200)
+            with pytest.raises(ValueError, match="inside the radius-R ball"):
+                IFSModel([[1e308, 1e308], [0.0, 0.0]], 0.5, 1e308)
+        _assert_orbit_is_apply_loop(model, 1_000, seed=2, burn_in=64)
+
     def test_infinite_bound_never_coalesces(self):
-        """Centers near 1e308 make M = 2*max|c| + 1 overflow to inf.  No
+        """Centers near 1e308 make M = 2*max|c| + 2^-1022 overflow to inf.  No
         bracket can coalesce from +-inf, so every chunk after the first
         continues from the one before it."""
         offsets = 0.5 * np.array([[1e308], [-1e308]])
         choices = substream(9).integers(0, 2, size=20_000)
         with np.errstate(over="ignore"):
-            bound = 2.0 * np.abs(offsets / 0.5).max(axis=0) + 1.0
+            bound = 2.0 * np.abs(offsets / 0.5).max(axis=0) + cover_module._ORBIT_FLOOR
         assert np.isinf(bound).all()
         out = cover_module._lockstep_orbit(offsets, choices, 0.5, bound, 64, 256)
         ref = cover_module._scalar_orbit(offsets, choices.tolist(), 0.5, 0, choices.size)

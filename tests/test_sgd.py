@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdcover.core import Ball, ProductOfBalls, WholeSpace, substream
+from sgdcover.core import Ball, ProductOfBalls, WholeSpace, _keyed_streams, substream
 from sgdcover.losses import (
     Dataset,
     LossConstants,
@@ -75,16 +75,14 @@ class TestSgdStep:
     def test_overflowing_unprojected_update_rejected(self, batched):
         """A finite gradient can still overflow theta - eta * g; with no
         projection to refuse the result, the step itself must."""
-        huge = LossFamily(
-            name="huge", constants=LossConstants(), sample_space="unit",
-            value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
-        )
-        update = SGDStep(huge, 10.0, project=False)
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            if batched:
-                update.apply_batch(np.array([[0.0], [0.0]]), [0, 0], Dataset((None,)))
-            else:
-                update.apply(np.array([0.0]), None)
+        _assert_overflow_rejected(SGDStep(_HUGE_GRADIENT, 10.0, project=False), batched)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["apply", "apply_batch"])
+    def test_overflowing_projected_update_rejected(self, batched):
+        """Projection does not change the fault's type: the overflowed
+        update is refused before the domain sees it."""
+        update = SGDStep(_HUGE_GRADIENT, 10.0, domain=Ball(np.zeros(1), 1.0))
+        _assert_overflow_rejected(update, batched)
 
     def test_projection_needs_a_domain(self):
         bad = LossFamily(
@@ -93,6 +91,21 @@ class TestSgdStep:
         )
         with pytest.raises(ValueError):
             SGDStep(bad, 0.1)
+
+
+_HUGE_GRADIENT = LossFamily(
+    name="huge", constants=LossConstants(), sample_space="unit",
+    value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
+)
+
+
+def _assert_overflow_rejected(update, batched):
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                   match="update produced non-finite"):
+        if batched:
+            update.apply_batch(np.array([[0.0], [0.0]]), [0, 0], Dataset((None,)))
+        else:
+            update.apply(np.array([0.0]), None)
 
 
 class TestTrajectories:
@@ -458,6 +471,15 @@ class TestLockstep:
             assert steps[k] == t
             np.testing.assert_array_equal(indices[k, :t], rng.integers(0, 4, size=t))
             assert not np.any(indices[k, t:])
+
+    def test_draw_runs_from_keyed_streams(self):
+        """One reused generator per run gives the arrays that one fresh
+        substream per run gives."""
+        ball = Ball(np.zeros(2), 1.0)
+        got = draw_runs(_keyed_streams(5, 20), ball, 3, 9, 4)
+        expected = draw_runs((substream(5, k) for k in range(20)), ball, 3, 9, 4)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_endpoints_match_sequential_runs_bitwise(self):
         """Ragged step counts: finished runs are masked out, and every
