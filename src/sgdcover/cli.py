@@ -11,12 +11,15 @@ determinism contract.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .bounds import (
     bound_soft_kmeans,
     bound_strongly_convex,
 )
-from .core import Ball, ProductOfBalls, _keyed_streams, numeric_gradient, substream
+from .core import Ball, _keyed_streams, numeric_gradient, substream
 from .cover import (
     DEFAULT_CAP,
     IFSModel,
@@ -118,8 +121,14 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _require(cfg: dict, *keys):
-    missing = [k for k in keys if cfg.get(k) is None]
+    missing = [k for k in keys if k not in cfg]
     _check(not missing, f"missing required parameter(s): {', '.join(missing)}")
+
+
+def _given(cfg: dict, *keys) -> dict:
+    """The values the config sets for ``keys``, as keyword arguments: a key
+    it leaves out (or sets to null) keeps the callee's own default."""
+    return {k: cfg[k] for k in keys if k in cfg}
 
 
 def _cap(cfg: dict) -> int:
@@ -149,8 +158,7 @@ def _split(kind):
 
 # kind -> (argparse keywords of its flag, test a config-file value must pass,
 # what the test asks for).  File values are checked, never converted, because
-# the envelope echoes them.  Text options are checked where they are used;
-# null in a file means "not given", as an absent flag does.
+# the envelope echoes them.  Text options are checked where they are used.
 _KINDS = {
     "int": ({"type": int}, _is_int, "an integer"),
     "float": ({"type": float}, _is_number, "a number"),
@@ -165,7 +173,9 @@ _KINDS = {
 
 
 def _merged(args: argparse.Namespace, options: dict) -> dict:
-    """Effective config: file values overridden by explicitly set flags."""
+    """Effective config: file values overridden by explicitly set flags.  A
+    null in the file means "not given", as an absent flag does, so the
+    effective config holds no nulls."""
     cfg = {}
     if args.config:
         file_cfg = _load_json_file(args.config)
@@ -176,7 +186,7 @@ def _merged(args: argparse.Namespace, options: dict) -> dict:
             _, test, wanted = _KINDS[options[key]]
             _check(value is None or test(value),
                    f"config field {key!r} must be {wanted}, got {value!r}")
-        cfg.update(file_cfg)
+        cfg.update((key, value) for key, value in file_cfg.items() if value is not None)
     for key in options:
         flag = getattr(args, key)
         if flag is not None:
@@ -228,7 +238,11 @@ def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bo
     _check(eta is not None or not need_eta, "scenario needs 'eta'")
     _check(isinstance(desc.get("name", ""), str), "scenario.name must be a string")
 
+    # a family without a fixed dimension takes the samples' dimension
+    d = ds.get("d", np.size(ds["points"][0]) if "points" in ds else None)
     family_desc = desc.get("family")
+    if isinstance(family_desc, dict) and family_desc.get("d") is None:
+        family_desc = {**family_desc, "d": d}
     try:
         family = family_from_descriptor(family_desc)
     except (KeyError, ValueError) as exc:
@@ -253,56 +267,38 @@ def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bo
     else:
         dataset = Dataset.sample(dist, ds["n"], substream(seed, 1_000_003))
 
-    domain = family.domain
-    if domain is None:
-        d0 = None
-        if "d" in ds:
-            d0 = ds["d"]
-        elif isinstance(dataset.samples[0], np.ndarray):
-            d0 = int(np.atleast_1d(dataset.samples[0]).size)
-        if d0 is not None:
-            R0 = family.constants.R or 1.0
-            if family.constants.K:
-                domain = ProductOfBalls(int(family.constants.K), d0, R0)
-            else:
-                domain = Ball(np.zeros(d0), R0)
-    _check(domain is not None or not need_domain,
+    _check(family.domain is not None or not need_domain,
            "scenario does not determine a bounded domain; add 'd' to the "
            "dataset descriptor or use a family with a fixed dimension")
     scenario = Scenario(name=desc.get("name", family.name), family=family, distribution=dist,
-                        domain=domain, eta=eta, n=ds.get("n", dataset.n))
+                        domain=family.domain, eta=eta, n=ds.get("n", dataset.n))
     return scenario, dataset
 
 
 # ---------------------------------------------------------------------------
 # Commands: each takes the effective config and the parsed arguments and
-# returns (result, passed, lines to print once the envelope is written)
+# returns (result, passed, lines to print, {path: writer} of its own output
+# files).  run() writes those and the envelope once the command has returned.
 # ---------------------------------------------------------------------------
-
-def _expectation(variant):
-    return lambda n, B, T, C: bound_expectation(n, B, T, variant, C=C)
-
 
 _CONTRACTIVE = ("n", "delta", "B", "L", "R", "gamma")
 
-# theorem id -> (calculator, required keys in argument order,
-# optional keys with their defaults)
+# theorem id -> (calculator, required keys in argument order, *optional keys)
 _THEOREMS = {
-    "thm_2_3": (bound_strongly_convex, _CONTRACTIVE, {}),
-    "cor_2_4": (bound_single_trajectory, ("n", "delta", "B", "T"), {}),
-    "cor_2_5": (bound_early, ("n", "delta", "B", "t"), {}),
-    "eq_8": (bound_fractal, _CONTRACTIVE + ("d_H",), {}),
-    "eq_8_fractal": (bound_fractal, _CONTRACTIVE + ("d_H",), {}),
-    "thm_3_2": (bound_piecewise_approx, _CONTRACTIVE,
-                {"T": None, "P": 1, "xi": 0.0, "eta": 0.0}),
-    "thm_5_3": (bound_piecewise_contractive, _CONTRACTIVE, {"T": None, "P": 1, "xi": 0.0}),
+    "thm_2_3": (bound_strongly_convex, _CONTRACTIVE),
+    "cor_2_4": (bound_single_trajectory, ("n", "delta", "B", "T")),
+    "cor_2_5": (bound_early, ("n", "delta", "B", "t")),
+    "eq_8": (bound_fractal, _CONTRACTIVE + ("d_H",)),
+    "eq_8_fractal": (bound_fractal, _CONTRACTIVE + ("d_H",)),
+    "thm_3_2": (bound_piecewise_approx, _CONTRACTIVE, "T", "P", "xi", "eta"),
+    "thm_5_3": (bound_piecewise_contractive, _CONTRACTIVE, "T", "P", "xi"),
     "thm_4_1": (bound_multi_index,
-                ("n", "delta", "B", "L", "R", "R_x", "K", "Q", "beta", "eta", "lam"), {}),
-    "thm_4_3": (bound_soft_kmeans, ("n", "delta", "K", "R", "zeta", "eta"), {}),
-    "thm_4_4": (bound_hard_kmeans, ("n", "delta", "K", "R", "eta"), {}),
+                ("n", "delta", "B", "L", "R", "R_x", "K", "Q", "beta", "eta", "lam")),
+    "thm_4_3": (bound_soft_kmeans, ("n", "delta", "K", "R", "zeta", "eta")),
+    "thm_4_4": (bound_hard_kmeans, ("n", "delta", "K", "R", "eta")),
     "thm_b_1": (bound_master_covering,
-                ("n", "delta", "B", "L", "T", "cover_cardinality", "epsilon"), {}),
-    **{t: (_expectation(t.upper()), ("n", "B", "T"), {"C": 1.0})
+                ("n", "delta", "B", "L", "T", "cover_cardinality", "epsilon")),
+    **{t: (functools.partial(bound_expectation, variant=t.upper()), ("n", "B", "T"), "C")
        for t in ("thm_d_1", "thm_d_2", "cor_d_3")},
 }
 
@@ -311,23 +307,22 @@ def _cmd_bound(cfg, args):
     _require(cfg, "theorem")
     spec = _THEOREMS.get(str(cfg["theorem"]).lower())
     _check(spec is not None, f"unknown theorem {cfg['theorem']!r}")
-    calculator, required, optional = spec
+    calculator, required, *optional = spec
     _require(cfg, *required)
-    cert = calculator(*(cfg[k] for k in required),
-                      **{k: cfg.get(k, default) for k, default in optional.items()})
+    cert = calculator(*(cfg[k] for k in required), **_given(cfg, *optional))
     lines = [f"certificate {cert.theorem}"]
     lines += [f"  {name:24s} {value:.12g}"
               for name, value in cert.components.items() if value is not None]
     lines.append(f"  {'total':24s} {cert.total:.12g}")
     if cert.flags:
         lines.append(f"  flags: {', '.join(cert.flags)}")
-    return cert.to_dict(), True, lines
+    return cert.to_dict(), True, lines, {}
 
 
 def _cmd_cover(cfg, args):
     scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
     family, domain, eta = scenario.family, scenario.domain, scenario.eta
-    update = SGDStep(family, eta, domain=domain, project=True)
+    update = SGDStep(family, eta, domain=domain)
 
     T = cfg.get("T")
     epsilon = cfg.get("epsilon")
@@ -339,19 +334,18 @@ def _cmd_cover(cfg, args):
             raise UsageError("give T, or epsilon plus a family with declared alpha/beta")
         gamma = contraction_factor(c.alpha, c.beta, eta)
         T = cover_horizon(domain.bounding_radius(), epsilon, gamma)
-    cover = enumerate_cover(update, dataset, int(T), cap=_cap(cfg),
-                            dedupe=bool(cfg.get("dedupe", False)), epsilon=epsilon,
-                            threads=int(cfg.get("threads", 1)))
+    cover = enumerate_cover(update, dataset, int(T), cap=_cap(cfg), epsilon=epsilon,
+                            **_given(cfg, "dedupe"))
 
     result = {"horizon": cover.horizon, "entries": len(cover),
               "n_samples": cover.n_samples, "epsilon": epsilon,
               "deduped": cover.deduped}
     verification = None
-    if cfg.get("verify_trials"):
+    if "verify_trials" in cfg:  # verify_cover refuses fewer than one trial
         if epsilon is None:
             raise UsageError("verification needs epsilon")
-        verification = verify_cover(cover, update, dataset, int(cfg["verify_trials"]),
-                                    int(cfg.get("max_extra_steps", 50)), float(epsilon),
+        verification = verify_cover(cover, update, dataset, cfg["verify_trials"],
+                                    cfg.get("max_extra_steps", 50), float(epsilon),
                                     seed=args.seed)
         result["verification"] = {
             "trials": verification.trials, "failures": verification.failures,
@@ -361,14 +355,13 @@ def _cmd_cover(cfg, args):
     passed = verification is None or verification.passed
 
     if not args.out:
-        return result, passed, cover.jsonl_lines()
-    cover.write_jsonl(args.out)
+        return result, passed, cover.jsonl_lines(), {}
     lines = [f"cover: {len(cover)} entries at horizon {cover.horizon} -> {args.out}"]
     if verification is not None:
         lines.append(f"verification: {verification.failures} failures in "
                      f"{verification.trials} trials, max distance "
                      f"{verification.max_min_distance:.6g} vs epsilon {epsilon:.6g}")
-    return result, passed, lines
+    return result, passed, lines, {args.out: cover.write_jsonl}
 
 
 def _cmd_contract(cfg, args):
@@ -380,7 +373,7 @@ def _cmd_contract(cfg, args):
     tol = float(cfg.get("tolerance", 1e-9))
     _check(math.isfinite(tol) and tol >= 0,
            f"contract needs a finite tolerance >= 0, got {tol}")
-    update = SGDStep(family, eta, domain=domain, project=True)
+    update = SGDStep(family, eta, domain=domain)
 
     c = family.constants
     theoretical = None
@@ -405,7 +398,7 @@ def _cmd_contract(cfg, args):
     result = {"pairs": pairs, "steps": steps, "max_ratio": worst,
               "theoretical_gamma": theoretical, "within_tolerance": ok}
     return result, ok, [f"max coupled ratio {worst:.12g}"
-                        + (f" vs gamma {theoretical:.12g}" if theoretical is not None else "")]
+                        + (f" vs gamma {theoretical:.12g}" if theoretical is not None else "")], {}
 
 
 _FUNCTIONS = {
@@ -448,18 +441,17 @@ def _cmd_approx(cfg, args):
               "passed": max_err <= xi}
     return result, result["passed"], [
         f"max gradient error {max_err:.6g} vs xi {xi:.6g}; "
-        f"{approx.piece_count} pieces (bound {approx.closed_form_piece_bound():.6g})"]
+        f"{approx.piece_count} pieces (bound {approx.closed_form_piece_bound():.6g})"], {}
 
 
 def _cmd_gap(cfg, args):
     scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
     _require(cfg, "t")
-    update = SGDStep(scenario.family, scenario.eta, domain=scenario.domain, project=True)
+    update = SGDStep(scenario.family, scenario.eta, domain=scenario.domain)
     init = scenario.domain.sample(substream(args.seed, 1))
     config = SGDConfig(init=init, steps=int(cfg["t"]), scheme="uniform", seed=args.seed)
     trajectory = run_trajectory(update, config, dataset)
-    est = estimate_gap(scenario.family, dataset, trajectory, m=int(cfg.get("m", 100_000)),
-                       seed=args.seed)
+    est = estimate_gap(scenario.family, dataset, trajectory, seed=args.seed, **_given(cfg, "m"))
     result = {
         "empirical_risk": est.empirical_risk, "population_risk": est.population_risk,
         "gap": est.gap, "mc_standard_error": est.mc_standard_error,
@@ -467,7 +459,7 @@ def _cmd_gap(cfg, args):
         "indices_digest": est.indices_digest, "flags": list(est.flags),
     }
     return result, True, [f"empirical {est.empirical_risk:.6g}  population "
-                          f"{est.population_risk}  gap {est.gap}"]
+                          f"{est.population_risk}  gap {est.gap}"], {}
 
 
 def _cmd_validate(cfg, args):
@@ -475,8 +467,7 @@ def _cmd_validate(cfg, args):
     _require(cfg, "resamplings", "trials", "delta")
     report = validate_bound(
         scenario, int(cfg["resamplings"]), int(cfg["trials"]), float(cfg["delta"]),
-        seed=args.seed, shrink=float(cfg.get("shrink", 1.0)),
-        t_band=int(cfg.get("t_band", 50)), threads=int(cfg.get("threads", 1)),
+        seed=args.seed, **_given(cfg, "shrink", "t_band"),
     )
     result = {
         "scenario": report.scenario, "resamplings": report.resamplings,
@@ -484,12 +475,11 @@ def _cmd_validate(cfg, args):
         "max_observed_gap": report.max_observed_gap, "delta": report.delta,
         "passed": report.passed,
     }
-    if args.csv:
-        report.write_csv(args.csv)
+    files = {args.csv: report.write_csv} if args.csv else {}
     return result, report.passed, [
         f"{report.violations}/{report.resamplings} violations of "
         f"{report.certificate_total:.6g} (max gap {report.max_observed_gap:.6g}) "
-        f"-> {'PASS' if report.passed else 'FAIL'}"]
+        f"-> {'PASS' if report.passed else 'FAIL'}"], files
 
 
 def _cmd_kmeans(cfg, args):
@@ -502,10 +492,12 @@ def _cmd_kmeans(cfg, args):
     d = np.atleast_1d(np.asarray(dataset.samples[0], dtype=float)).shape[0]
     rng = substream(args.seed, 2)
     theta0 = np.vstack([Ball(np.zeros(d), R).sample(rng) for _ in range(K)])
-    centers, iters = run_em(theta0, dataset, zeta, max_iters=int(cfg.get("iters", 10_000)))
+    # The CLI's ``iters`` is run_em's ``max_iters``, so _given cannot pass it.
+    limit = {"max_iters": cfg["iters"]} if "iters" in cfg else {}
+    centers, iters = run_em(theta0, dataset, zeta, **limit)
     equiv = verify_em_equivalence(centers, dataset, zeta, K=K, d=d)
     grad_norm = float(np.linalg.norm(numeric_gradient(
-        lambda th: empirical_risk(family, dataset, th), centers.reshape(-1), step=1e-5
+        lambda th: empirical_risk(family, dataset, th), centers.reshape(-1)
     )))
     result = {
         "iterations": iters, "centers": centers,
@@ -517,15 +509,12 @@ def _cmd_kmeans(cfg, args):
     }
     return result, result["passed"], [
         f"alternating update converged in {iters} iterations; "
-        f"affine residual {equiv.residual:.3g}; |grad| {grad_norm:.3g}"]
+        f"affine residual {equiv.residual:.3g}; |grad| {grad_norm:.3g}"], {}
 
 
 def _cmd_stability(cfg, args):
-    report = stability_experiment(
-        eta=float(cfg.get("eta", 1.0 / 3.0)), inits=int(cfg.get("inits", 10_000)),
-        steps=int(cfg.get("steps", 200)), seed=args.seed,
-        n_samples=int(cfg.get("n_samples", 10)),
-    )
+    report = stability_experiment(seed=args.seed,
+                                  **_given(cfg, "eta", "inits", "steps", "n_samples"))
     passed = report.separation >= 1.5 and report.basin_respected
     result = {
         "mean_identical": report.mean_identical, "mean_swapped": report.mean_swapped,
@@ -536,7 +525,7 @@ def _cmd_stability(cfg, args):
     }
     return result, passed, [
         f"mean endpoint loss: identical data {report.mean_identical:.4f}, "
-        f"swapped data {report.mean_swapped:.4f} (separation {report.separation:.4f})"]
+        f"swapped data {report.mean_swapped:.4f} (separation {report.separation:.4f})"], {}
 
 
 def _cmd_ifs(cfg, args):
@@ -547,8 +536,7 @@ def _cmd_ifs(cfg, args):
     model = IFSModel(np.asarray(centers, dtype=float), float(cfg["gamma"]), float(cfg["R"]))
     dim = ifs_dimension(model)
     points = int(cfg.get("points", 200_000))
-    orbit = model.sample_attractor(points, seed=args.seed,
-                                   burn_in=int(cfg.get("burn_in", 64)))
+    orbit = model.sample_attractor(points, seed=args.seed, **_given(cfg, "burn_in"))
     if cfg.get("scales") is not None:
         scales = [float(s) for s in cfg["scales"]]
     else:
@@ -564,7 +552,7 @@ def _cmd_ifs(cfg, args):
         "orbit_points": points,
     }
     return result, True, [f"dimension {dim.dimension:.6f} (certified: {dim.certified}); "
-                          f"box-counting estimate {fit.dimension:.6f}"]
+                          f"box-counting estimate {fit.dimension:.6f}"], {}
 
 
 def _cmd_hoeffding(cfg, args):
@@ -586,7 +574,7 @@ def _cmd_hoeffding(cfg, args):
     worst = max(report.cells, key=lambda c: c.empirical_rate - c.bound)
     return result, report.passed, [
         f"{len(report.cells)} grid cells, all within bound: {report.passed} "
-        f"(tightest: rate {worst.empirical_rate:.4g} vs bound {worst.bound:.4g})"]
+        f"(tightest: rate {worst.empirical_rate:.4g} vs bound {worst.bound:.4g})"], {}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +593,7 @@ _COMMANDS = {
         **dict.fromkeys(_INT_BOUND_KEYS, "int")}),
     "cover": (_cmd_cover, "enumerate (and optionally verify) a localized cover", {
         "scenario": "text", "T": "int", "epsilon": "float", "cap": "int", "dedupe": "flag",
-        "verify_trials": "int", "max_extra_steps": "int", "threads": "int"}),
+        "verify_trials": "int", "max_extra_steps": "int"}),
     "contract": (_cmd_contract, "measure coupled contraction ratios", {
         "scenario": "text", "pairs": "int", "steps": "int", "tolerance": "float"}),
     "approx": (_cmd_approx, "build a piecewise quadratic surrogate and grade it", {
@@ -615,7 +603,7 @@ _COMMANDS = {
         "scenario": "text", "t": "int", "m": "int"}),
     "validate": (_cmd_validate, "validate a certificate by dataset resampling", {
         "scenario": "text", "resamplings": "int", "trials": "int", "delta": "float",
-        "shrink": "float", "t_band": "int", "threads": "int"}),
+        "shrink": "float", "t_band": "int"}),
     "kmeans": (_cmd_kmeans, "alternating soft-clustering run + equivalence check", {
         "scenario": "text", "iters": "int"}),
     "stability": (_cmd_stability, "reproduce the 1-D stability gap", {
@@ -626,8 +614,6 @@ _COMMANDS = {
     "hoeffding": (_cmd_hoeffding, "empirical tail frequencies vs the bound", {
         "scenario": "text", "n_grid": "ints", "epsilon_grid": "floats", "resamplings": "int"}),
 }
-
-_HELP = {"threads": "accepted for compatibility; no effect"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -643,21 +629,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with parameter defaults (flags override)")
         p.add_argument("--out", help="write the JSON artifact here")
         for key, kind in options.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key),
-                           **_KINDS[kind][0])
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_KINDS[kind][0])
         if command == "validate":
             p.add_argument("--csv", help="write one row per resampling here")
     return parser
 
 
-def _write_envelope(args, cfg: dict, result: dict) -> None:
-    """Write the JSON artifact to --out; a cover's JSONL takes --out, so its
-    envelope goes beside it."""
-    out = args.out and args.out + (".meta.json" if args.command == "cover" else "")
-    if out:
-        doc = _envelope(args.command, args.seed, cfg, result)
-        with open(out, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _write_outputs(files: dict) -> None:
+    """Run each file's writer in turn.  If one fails, first remove what this
+    run wrote: the files already written, and the failed one unless it was
+    there before the run."""
+    written = []
+    try:
+        for path, write in files.items():
+            existed = os.path.exists(path)
+            write(path)
+            written.append(path)
+    except BaseException:
+        for stale in written if existed else written + [path]:
+            with contextlib.suppress(OSError):
+                os.remove(stale)
+        raise
 
 
 def run(argv=None) -> int:
@@ -669,8 +661,13 @@ def run(argv=None) -> int:
     try:
         handler, _, options = _COMMANDS[args.command]
         cfg = _merged(args, options)
-        result, passed, lines = handler(cfg, args)
-        _write_envelope(args, cfg, result)
+        result, passed, lines, files = handler(cfg, args)
+        if args.out:  # a cover's JSONL takes --out, so its envelope goes beside it
+            doc = json.dumps(_envelope(args.command, args.seed, cfg, result),
+                             sort_keys=True, indent=2) + "\n"
+            files[args.out + (".meta.json" if args.command == "cover" else "")] = (
+                lambda path: Path(path).write_text(doc))
+        _write_outputs(files)
         for line in lines:
             print(line)
     except (UsageError, ValueError, TypeError, KeyError, OSError, FloatingPointError,

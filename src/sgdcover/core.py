@@ -366,10 +366,6 @@ class WholeSpace(ConvexDomain):
     def project_batch(self, X) -> np.ndarray:
         return as_rows(X, self.dim)
 
-    def contains(self, x, tol: float = DETERMINISTIC_TOL) -> bool:
-        as_point(x, dim=self.dim)
-        return True
-
     def bounding_radius(self) -> float:
         return math.inf
 

@@ -155,7 +155,8 @@ def validate_bound(
     equals, bitwise, the one a run over its own resampling reaches.  The
     gaps are then scored one resampling at a time, from one (trials, n)
     loss matrix.  A non-finite gradient raises FloatingPointError.
-    ``threads`` is accepted for compatibility and has no effect.
+    ``threads`` has no effect; it stays only until perfbench's
+    ``threads2_ratio`` probe, which passes it, is retired.
     """
     if resamplings < 1 or trials < 1:
         raise ValueError("validation needs at least one resampling and one trial")

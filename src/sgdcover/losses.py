@@ -405,8 +405,10 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
     Constants follow the soft clustering analysis with B = 4(R+1)^2:
     L = (4R/sqrt(K)) e^{zeta B}, alpha = (2/K) e^{-zeta B},
     beta = (2/K) e^{zeta B}, beta' = 4 zeta B e^{zeta B} + 4 zeta B + 2.
-    Iterates are meant to be run without projection; the experiment harness
-    checks empirically that they stay in the radius-R product ball.
+    Iterates are meant to be run without projection
+    (``SGDStep(..., domain=WholeSpace(K * d))``); whether they stay in the
+    radius-R product ball is checked by passing that ball as
+    ``run_trajectory(..., invariant_domain=...)``.
     """
     if not zeta > 0:
         raise ValueError("zeta must be positive")

@@ -21,34 +21,36 @@ SCHEMES = ("explicit", "uniform", "without_replacement", "shuffle")
 class SGDStep:
     """One projected gradient update theta -> Pi(theta - eta grad f(theta; z)).
 
-    ``project=False`` runs the raw update (used by the clustering families,
-    which rely on boundedness holding empirically instead of via projection).
+    Pi projects onto ``domain``, else onto the family's own domain.
+    ``WholeSpace(d)`` projects as the identity, so ``domain=WholeSpace(d)``
+    means no projection: the raw update.  A raw run that must stay bounded
+    (as the clustering analysis assumes) is checked with
+    ``run_trajectory(..., invariant_domain=...)``.
     """
 
     family: LossFamily
     eta: float
     domain: ConvexDomain | None = None
-    project: bool = True
 
     def __post_init__(self):
         if not self.eta >= 0:
             raise ValueError("eta must be nonnegative")
-        if self.project and self.domain is None and self.family.domain is None:
-            raise ValueError("projection requested but no domain available")
+        if self.effective_domain is None:
+            raise ValueError("no domain to project onto; pass domain=WholeSpace(d) for none")
 
     @property
-    def effective_domain(self) -> ConvexDomain | None:
+    def effective_domain(self) -> ConvexDomain:
         return self.domain if self.domain is not None else self.family.domain
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         g = np.asarray(self.family.grad(theta, z), dtype=float)
         out = _checked_update(theta, self.eta, g)
-        return self.effective_domain.project(out) if self.project else out
+        return self.effective_domain.project(out)
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
         """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise."""
         out = _checked_update(thetas, self.eta, self.family.grad_rows(thetas, dataset, idx))
-        return self.effective_domain.project_batch(out) if self.project else out
+        return self.effective_domain.project_batch(out)
 
 
 def _checked_update(theta: np.ndarray, eta: float, g: np.ndarray) -> np.ndarray:
@@ -100,7 +102,6 @@ class SGDConfig:
 
     init: np.ndarray
     steps: int
-    eta: float | None = None
     scheme: str = "uniform"
     indices: Sequence | None = None
     seed: int | None = None
@@ -119,8 +120,6 @@ class SGDConfig:
                 raise ValueError("explicit scheme needs an index sequence")
         elif self.indices is not None:
             raise ValueError("indices are only accepted with the explicit scheme")
-        if self.eta is not None and not self.eta >= 0:
-            raise ValueError("eta must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +263,6 @@ def run_trajectory(
     every iterate must stay inside it (used by the projection-free clustering
     runs, whose boundedness is an empirical contract).
     """
-    if isinstance(update, SGDStep) and config.eta is not None and config.eta != update.eta:
-        raise ValueError(f"config.eta={config.eta} disagrees with the update map's eta={update.eta}")
     indices = draw_indices(config, dataset.n)
     b = config.batch_size
     points = np.empty((config.steps + 1, config.init.shape[0]))

@@ -65,7 +65,7 @@ class TestAcceptance:
         rng = np.random.default_rng(101)
         worst = 0.0
         for eta in (0.1, 0.5, 0.9, 1.5):
-            update = SGDStep(fam, eta, domain=WholeSpace(2), project=False)
+            update = SGDStep(fam, eta, domain=WholeSpace(2))
             g = abs(1.0 - eta)
             steps = min(20, max(1, int(math.log(0.01) / math.log(g))))
             starts_a, starts_b, idx = [], [], []

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -11,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgdcover
+from sgdcover import cli
 from sgdcover.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 
 QUADRATIC_SCENARIO = {
@@ -260,14 +264,16 @@ class TestExitCodeContract:
         ["validate", "--resamplings", "0", "--trials", "3", "--delta", "0.05"],
         ["contract", "--pairs", "0"],
         ["contract", "--steps", "0"],
+        ["cover", "--T", "1", "--epsilon", "0.5", "--verify-trials", "0"],
     ], ids=["validate-no-trials", "validate-no-resamplings", "contract-no-pairs",
-            "contract-no-steps"])
+            "contract-no-steps", "cover-no-verify-trials"])
     def test_run_that_checks_nothing_is_usage_error(self, tmp_path, argv):
         spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO,
                                               dataset={"kind": "iid", "n": 20}))
         out = tmp_path / "out.json"
         assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05", "--shrink", "0"],
@@ -301,6 +307,22 @@ class TestExitCodeContract:
             env=_env_with_package_path(), capture_output=True, text=True)
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.splitlines() == [f"error: xi must be finite and nonnegative, got {xi}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--beta", "inf"], "beta must be finite, got inf"),
+        (["--alpha", "inf", "--beta", "inf"], "alpha must be finite, got inf"),
+    ], ids=["beta", "alpha-and-beta"])
+    def test_non_finite_curvature_prints_only_the_error(self, tmp_path, flags, message):
+        """A non-finite alpha or beta is refused before the lattice spacing
+        is computed from it, so numpy prints no warning."""
+        out = tmp_path / "approx.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdcover.cli", "approx", "--function", "sin_plus_cos",
+             "--R", "1", "--xi", "0.5", *flags, "--out", str(out)],
+            env=_env_with_package_path(), capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("R", ["inf", "nan"])
@@ -444,6 +466,38 @@ class TestExitCodeContract:
         assert run(["bound", "--theorem", "thm_d_1", "--n", "100", "--B", "1", "--T", "8",
                     "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    def test_failed_envelope_write_removes_the_csv(self, tmp_path):
+        spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO,
+                                              dataset={"kind": "iid", "n": 20}))
+        rows = tmp_path / "rows.csv"
+        assert run(["validate", "--scenario", spath, "--resamplings", "2", "--trials", "2",
+                    "--delta", "0.05", "--csv", str(rows),
+                    "--out", str(tmp_path / "missing" / "r.json")]) == EXIT_USAGE
+        assert not rows.exists()
+
+    def test_failed_write_keeps_a_file_the_run_did_not_write(self, tmp_path):
+        """A file that existed before the run and could not be written is
+        not this run's output, so it is not removed."""
+        fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+        kept.write_text("earlier run")
+
+        def refuse(path):
+            raise PermissionError(path)
+
+        with pytest.raises(PermissionError):
+            cli._write_outputs({str(fresh): lambda path: Path(path).write_text("x"),
+                                str(kept): refuse})
+        assert not fresh.exists()
+        assert kept.read_text() == "earlier run"
+
+    def test_failed_meta_write_removes_the_jsonl(self, tmp_path):
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = tmp_path / "cover.jsonl"
+        Path(str(out) + ".meta.json").mkdir()
+        assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert Path(str(out) + ".meta.json").is_dir()  # not this run's to remove
 
     def test_cap_override_is_read_at_call_time(self, tmp_path, monkeypatch):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
@@ -591,6 +645,180 @@ class TestGoldenArtifacts:
         assert {name: _sha256_without_timestamp(tmp_path / name) for name in digests} == digests
 
 
+# Small valid runs, at least one per command.  TestNullConfig tries every
+# option a run leaves unset as null in a config file; the property test
+# draws flags to add to a run.
+_BASES = {
+    "bound-thm_3_2": ["bound", "--theorem", "thm_3_2", "--n", "100", "--delta", "0.05",
+                      "--B", "1", "--L", "1", "--R", "1", "--gamma", "0.5"],
+    "bound-thm_d_2": ["bound", "--theorem", "thm_d_2", "--n", "100", "--B", "1", "--T", "8"],
+    "cover-T": ["cover", "--scenario", "scenario.json", "--T", "2"],
+    "cover-epsilon": ["cover", "--scenario", "scenario.json", "--epsilon", "0.2",
+                      "--verify-trials", "5"],
+    "contract": ["contract", "--scenario", "scenario.json"],
+    "approx": ["approx", "--function", "sin_plus_cos", "--R", "1", "--xi", "0.5",
+               "--grid", "10"],
+    "gap": ["gap", "--scenario", "scenario.json", "--t", "5"],
+    "validate": ["validate", "--scenario", "iid.json", "--resamplings", "3", "--trials", "2",
+                 "--delta", "0.05"],
+    "kmeans": ["kmeans", "--scenario", "clusters.json"],
+    "stability": ["stability", "--inits", "50"],
+    "ifs": ["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.33", "--R", "1"],
+    "hoeffding": ["hoeffding", "--scenario", "scenario.json", "--n-grid", "20",
+                  "--epsilon-grid", "0.1", "--resamplings", "20"],
+}
+# Runs that leave the sizes _BASES sets at their defaults, the costliest
+# ones; only TestNullConfig uses them.
+_DEFAULT_SIZE_BASES = {
+    "approx-grid": ["approx", "--function", "sin_plus_cos", "--R", "1", "--xi", "0.5",
+                    "--alpha", "1", "--beta", "1", "--cap", "1000"],
+    "stability-inits": ["stability", "--steps", "50"],
+}
+
+
+def _unset_options(argv):
+    return [key for key in cli._COMMANDS[argv[0]][2]
+            if "--" + key.replace("_", "-") not in argv]
+
+
+def _write_scenarios(directory):
+    for fname, doc in TestGoldenArtifacts.FILES.items():
+        write_scenario(directory, doc, fname)
+
+
+class TestNullConfig:
+    """A null in a config file means "not given": for every option, it gives
+    the exit code and result of leaving the option out."""
+
+    def _run(self, argv):
+        code = run(argv + ["--out", "out"])
+        envelope = "out.meta.json" if argv[0] == "cover" else "out"
+        return code, load(envelope)["result"] if os.path.exists(envelope) else None
+
+    RUNS = {**_BASES, **_DEFAULT_SIZE_BASES}
+
+    @pytest.mark.parametrize("name", [name for name, argv in RUNS.items()
+                                      if _unset_options(argv)])
+    def test_null_is_not_given(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        _write_scenarios(tmp_path)
+        argv = self.RUNS[name]
+        baseline = self._run(argv)
+        assert baseline[0] == EXIT_OK
+        for key in _unset_options(argv):
+            write_scenario(tmp_path, {key: None}, "null.json")
+            assert self._run(argv + ["--config", "null.json"]) == baseline, key
+
+
+# For each option the CLI forwards to a library call only when it is set: a
+# base run and a valid value other than the callee's default.
+_FORWARDED = [
+    ("bound-thm_3_2", "T", "4"), ("bound-thm_3_2", "P", "2"),
+    ("bound-thm_3_2", "xi", "0.1"), ("bound-thm_3_2", "eta", "0.5"),
+    (["bound", "--theorem", "thm_5_3", "--n", "100", "--delta", "0.05", "--B", "1",
+      "--L", "1", "--R", "1", "--gamma", "0.5"], "T", "4"),
+    ("bound-thm_d_2", "C", "2"),
+    ("cover-T", "dedupe", None),
+    ("gap", "m", "50"),
+    ("validate", "shrink", "0.5"), ("validate", "t_band", "3"),
+    ("kmeans", "iters", "3"),
+    ("stability", "eta", "0.25"), ("stability", "steps", "20"),
+    ("stability", "n_samples", "4"), ("stability-inits", "inits", "30"),
+    ("ifs", "burn_in", "8"),
+]
+
+
+def _forwarded_keys():
+    """Every option ``cli`` forwards only when set: the literal keys of its
+    ``_given`` calls, the theorems' optional keys, and ``iters``."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    keys = {arg.value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_given"
+            for arg in node.args[1:] if isinstance(arg, ast.Constant)}
+    return keys | {k for _, _, *optional in cli._THEOREMS.values() for k in optional} | {"iters"}
+
+
+def test_every_forwarded_option_is_exercised():
+    assert _forwarded_keys() == {key for _, key, _ in _FORWARDED}
+
+
+@pytest.mark.parametrize("base,key,value", _FORWARDED,
+                         ids=[f"{b if isinstance(b, str) else b[2]}-{k}" for b, k, _ in _FORWARDED])
+def test_forwarded_option_reaches_its_callee(tmp_path, monkeypatch, base, key, value):
+    """Given a non-default value, the option reaches the callee under a name
+    it accepts: the run passes or fails, and is never refused."""
+    monkeypatch.chdir(tmp_path)
+    _write_scenarios(tmp_path)
+    argv = TestNullConfig.RUNS[base] if isinstance(base, str) else base
+    flag = ["--" + key.replace("_", "-")] + ([value] if value is not None else [])
+    assert run(argv + flag + ["--out", "out"]) in (EXIT_OK, EXIT_FAIL)
+    result = load("out.meta.json" if argv[0] == "cover" else "out")["result"]
+    if key in result:
+        assert result[key] == (True if value is None else json.loads(value))
+
+
+def test_kmeans_iters_caps_the_iterations(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_scenarios(tmp_path)
+    for argv in (["--iters", "3"], ["--config", write_scenario(tmp_path, {"iters": 3}, "i.json")]):
+        assert run(["kmeans", "--scenario", "clusters.json", "--out", "out"] + argv) in (
+            EXIT_OK, EXIT_FAIL)
+        assert load("out")["result"]["iterations"] <= 3
+
+
+# The values the property test draws for each option, kept small so that
+# every run is quick.
+_TEXT_POOL = {
+    "scenario": ["scenario.json", "iid.json", "clusters.json", "missing.json"],
+    "theorem": ["thm_2_3", "thm_3_2", "thm_5_3", "thm_4_4", "thm_b_1", "thm_d_2", "bogus"],
+    "function": ["sin_plus_cos", "bogus"],
+    "centers": ["[[1.0],[-1.0]]", "[[0.5,0.5],[-0.5,0.0]]", "[[1.0],[0.0,1.0]]", "oops"],
+}
+_KIND_POOL = {
+    "int": ["-1", "0", "1", "2", "3"],
+    "float": ["-1", "0", "0.05", "0.25", "0.5", "1", "3", "inf", "nan"],
+    "ints": ["20", "0", "1,5"],
+    "floats": ["0.1", "1,0.1,0.01", "0.5,nan", "-1"],
+}
+
+
+@st.composite
+def _commands(draw):
+    argv = list(draw(st.sampled_from(list(_BASES.values()))))
+    options = cli._COMMANDS[argv[0]][2]
+    for key in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=3)):
+        flag = "--" + key.replace("_", "-")
+        kind = options[key]
+        if kind == "flag":
+            argv.append(flag)
+        else:
+            argv += [flag, draw(st.sampled_from(_TEXT_POOL.get(key, _KIND_POOL.get(kind))))]
+    nulls = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=3))
+    return argv, nulls, draw(st.sampled_from([True, True, True, False]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_commands())
+def test_any_command_exits_0_1_or_2_and_refusals_write_nothing(tmp_path_factory, drawn):
+    """Later flags override the base run's; an unwritable output directory
+    makes the run refuse at its first write."""
+    argv, nulls, writable = drawn
+    work = tmp_path_factory.mktemp("run")
+    _write_scenarios(work)
+    argv = [str(work / a) if a.endswith(".json") else a for a in argv]
+    outdir = work if writable else work / "missing"
+    outputs = [outdir / "out", outdir / "out.meta.json", outdir / "rows.csv"]
+    argv += ["--out", str(outputs[0])]
+    if argv[0] == "validate":
+        argv += ["--csv", str(outputs[2])]
+    if nulls:
+        argv += ["--config", write_scenario(work, dict.fromkeys(nulls), "null.json")]
+    code = run(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert not any(path.exists() for path in outputs)
+
+
 class TestValidationCommands:
     def test_contract_reports_gamma(self, tmp_path):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
@@ -683,6 +911,24 @@ class TestValidationCommands:
                     "--out", str(out)])
         assert code == EXIT_OK
         assert load(out)["result"]["passed"] is True
+
+    @pytest.mark.parametrize("argv", [["gap", "--t", "10", "--m", "2000"],
+                                      ["contract", "--pairs", "20", "--steps", "10"]],
+                             ids=lambda argv: argv[0])
+    def test_uniform_ball_dataset(self, tmp_path, argv):
+        """A clustering family gets the product ball of its K blocks of the
+        dataset's dimension d as its domain."""
+        scenario = {"family": {"name": "soft_kmeans", "K": 2, "zeta": 0.05, "R": 1.5},
+                    "eta": 0.1, "dataset": {"kind": "uniform_ball", "n": 20, "d": 3}}
+        spath = write_scenario(tmp_path, scenario)
+        built, dataset = cli._load_scenario({"scenario": spath}, 0)
+        domain = built.domain
+        assert isinstance(domain, sgdcover.ProductOfBalls)
+        assert (domain.blocks, domain.block_dim, domain.radius) == (2, 3, 1.5)
+        assert dataset.n == 20 and {np.shape(z) for z in dataset.samples} == {(3,)}
+        out = tmp_path / "out.json"
+        assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_OK
+        assert load(out)["result"]
 
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

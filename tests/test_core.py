@@ -346,9 +346,9 @@ class TestAllFinite:
     @pytest.mark.parametrize("call,error,message", [
         (lambda bad: as_point([0.0, bad]), ValueError, "point has non-finite"),
         (lambda bad: as_rows([[0.0, 1.0], [bad, 1.0]], 2), ValueError, "points have non-finite"),
-        (lambda bad: SGDStep(_gradient_of(bad), 0.1, project=False).apply(np.zeros(1), None),
-         FloatingPointError, "non-finite gradient"),
-        (lambda bad: SGDStep(_gradient_of(bad), 0.1, project=False).apply_batch(
+        (lambda bad: SGDStep(_gradient_of(bad), 0.1, domain=WholeSpace(1)).apply(
+            np.zeros(1), None), FloatingPointError, "non-finite gradient"),
+        (lambda bad: SGDStep(_gradient_of(bad), 0.1, domain=WholeSpace(1)).apply_batch(
             np.zeros((2, 1)), [0, 0], Dataset((None,))), FloatingPointError,
          "non-finite gradient"),
         (lambda bad: CustomMap(lambda t, z: t + bad).apply(np.zeros(2), None),

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdcover import cover as cover_module
-from sgdcover.core import Ball, Box, ProductOfBalls, ceil_int
+from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, ceil_int
 from sgdcover.cover import (
     CoverSet,
     EnumerationCapExceeded,
@@ -122,6 +122,13 @@ class TestEnumerateCover:
             enumerate_cover(update, ds, T=10, cap=100)
         assert exc.value.required == 3**10
 
+    def test_map_without_a_domain_is_refused(self):
+        """The domain fixes the anchor's dimension; a custom map without one
+        is refused with ValueError before any step."""
+        _, ds, _ = quadratic_cover_setup()
+        with pytest.raises(ValueError, match="needs a domain"):
+            enumerate_cover(CustomMap(lambda t, z: t), ds, T=1)
+
     def test_overflowed_unprojected_endpoint_rejected(self):
         """A raw (unprojected) step whose finite gradient overflows the last
         level is refused, not stored as an infinite cover point."""
@@ -129,7 +136,7 @@ class TestEnumerateCover:
             name="huge", constants=LossConstants(), sample_space="any",
             value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
         )
-        update = SGDStep(huge, 10.0, project=False)
+        update = SGDStep(huge, 10.0, domain=WholeSpace(1))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             enumerate_cover(update, Dataset((np.array([0.0]),)), T=1)
 

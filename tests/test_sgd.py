@@ -33,10 +33,10 @@ from sgdcover.sgd import (
 CENTERS = [np.array([0.6, -0.2]), np.array([-0.5, 0.5]), np.array([0.1, 0.7])]
 
 
-def quadratic_setup(eta, domain=None, project=True):
+def quadratic_setup(eta, domain=None):
     fam = quadratic_centers(CENTERS, R=1.0)
     ds = Dataset(tuple(CENTERS))
-    update = SGDStep(fam, eta, domain=domain, project=project)
+    update = SGDStep(fam, eta, domain=domain)
     return fam, ds, update
 
 
@@ -67,7 +67,7 @@ class TestSgdStep:
             name="bad", constants=LossConstants(), sample_space="unit",
             value=lambda t, z: 0.0, grad=lambda t, z: np.array([np.inf]), dim=1,
         )
-        update = SGDStep(bad, 0.1, domain=WholeSpace(1), project=False)
+        update = SGDStep(bad, 0.1, domain=WholeSpace(1))
         with pytest.raises(FloatingPointError):
             update.apply(np.array([0.0]), None)
 
@@ -75,7 +75,7 @@ class TestSgdStep:
     def test_overflowing_unprojected_update_rejected(self, batched):
         """A finite gradient can still overflow theta - eta * g; with no
         projection to refuse the result, the step itself must."""
-        _assert_overflow_rejected(SGDStep(_HUGE_GRADIENT, 10.0, project=False), batched)
+        _assert_overflow_rejected(SGDStep(_HUGE_GRADIENT, 10.0, domain=WholeSpace(1)), batched)
 
     @pytest.mark.parametrize("batched", [False, True], ids=["apply", "apply_batch"])
     def test_overflowing_projected_update_rejected(self, batched):
@@ -166,17 +166,11 @@ class TestTrajectories:
         dom = update.effective_domain
         assert all(dom.contains(p) for p in traj.points)
 
-    def test_eta_mismatch_detected(self):
-        _, ds, update = quadratic_setup(eta=0.5)
-        config = SGDConfig(init=np.zeros(2), steps=1, eta=0.25, scheme="uniform", seed=0)
-        with pytest.raises(ValueError):
-            run_trajectory(update, config, ds)
-
     def test_invariant_domain_violation_raises(self):
         # eta = 0.9 can throw hard-clustering iterates out of the ball
         fam = hard_kmeans(K=1, R=1.0, d=1)
         ds = Dataset((np.array([-1.0]),))
-        update = SGDStep(fam, 0.9, domain=WholeSpace(1), project=False)
+        update = SGDStep(fam, 0.9, domain=WholeSpace(1))
         config = SGDConfig(init=np.array([1.0]), steps=5, scheme="uniform", seed=0)
         with pytest.raises(RuntimeError):
             run_trajectory(update, config, ds, invariant_domain=Ball(np.zeros(1), 1.0))
@@ -270,7 +264,7 @@ class TestCoupledContraction:
         fam, ds, _ = quadratic_setup(eta=0.5)
         rng = np.random.default_rng(21)
         for eta in (0.1, 0.5, 1.5):
-            update = SGDStep(fam, eta, domain=WholeSpace(2), project=False)
+            update = SGDStep(fam, eta, domain=WholeSpace(2))
             g = abs(1.0 - eta)
             steps = min(20, max(1, int(math.log(0.01) / math.log(g))))
             a, b = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
@@ -327,7 +321,7 @@ class TestCoupledContraction:
         for fam, ds, dom, eta in matrix:
             gamma = contraction_factor(fam.constants.alpha, fam.constants.beta, eta)
             assert gamma >= 0.9
-            update = SGDStep(fam, eta, domain=dom, project=True)
+            update = SGDStep(fam, eta, domain=dom)
             starts_a, starts_b, idx = [], [], []
             while len(idx) < 1000:
                 a, b = dom.sample(rng), dom.sample(rng)
@@ -452,7 +446,7 @@ class TestApplyBatch:
             value=lambda t, z: 0.0,
             grad=lambda t, z: np.array([np.inf if t[0] > 0 else 0.0]), dim=1,
         )
-        update = SGDStep(bad, 0.1, domain=WholeSpace(1), project=False)
+        update = SGDStep(bad, 0.1, domain=WholeSpace(1))
         ds = Dataset((None,))
         assert update.apply_batch(np.array([[-1.0], [-2.0]]), [0, 0], ds).shape == (2, 1)
         with pytest.raises(FloatingPointError):
