@@ -616,21 +616,26 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with ``command`` one whose other subcommands keep
+    their name and help but take no options: it parses an argv that names
+    ``command`` first as the full parser does, without building the rest."""
     parser = argparse.ArgumentParser(
         prog="sgdcover",
         description="Localized covers, contraction diagnostics, and "
                     "generalization-gap certificates for constant-step SGD.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         p.add_argument("--seed", type=int, default=0, help="base RNG seed (recorded in outputs)")
         p.add_argument("--config", help="JSON file with parameter defaults (flags override)")
         p.add_argument("--out", help="write the JSON artifact here")
         for key, kind in options.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, **_KINDS[kind][0])
-        if command == "validate":
+        if name == "validate":
             p.add_argument("--csv", help="write one row per resampling here")
     return parser
 
@@ -653,7 +658,8 @@ def _write_outputs(files: dict) -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

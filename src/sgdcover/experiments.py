@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundCertificate, bound_strongly_convex
-from .core import ConvexDomain, all_finite, hoeffding_tail, substream
+from .core import ConvexDomain, _keyed_streams, all_finite, hoeffding_tail, substream
 from .losses import Dataset, Distribution, LossFamily, stability_counterexample_1d
 from .sgd import SGDStep, Trajectory, contraction_factor, draw_runs, run_lockstep
 
@@ -150,11 +150,16 @@ def validate_bound(
     delta = 1 makes the acceptance rule vacuous and needs an explicit
     certificate, since the calculators require delta < 1.
 
-    Every resampling's trials run in one lockstep over the pooled samples
-    of all resamplings, so memory is O(resamplings * n * d); each endpoint
-    equals, bitwise, the one a run over its own resampling reaches.  The
-    gaps are then scored one resampling at a time, from one (trials, n)
-    loss matrix.  A non-finite gradient raises FloatingPointError.
+    Every sample a resampling draws must be one of the distribution's
+    ``support`` objects itself (an equal copy is refused with ValueError),
+    so a resampled dataset is an array of n support positions.  Every
+    resampling's trials then run in one lockstep over the m support points,
+    and each endpoint equals, bitwise, the one a run over its own resampled
+    dataset reaches.  Each resampling is scored from its one (trials, m)
+    loss matrix: the population risk weighs its columns, the empirical risk
+    averages the columns its positions pick.  Beyond the runs' starts and
+    indices, memory is trials * max(n, m) floats per resampling.  A
+    non-finite gradient raises FloatingPointError.
     ``threads`` has no effect; it stays only until perfbench's
     ``threads2_ratio`` probe, which passes it, is retired.
     """
@@ -185,29 +190,41 @@ def validate_bound(
     T = int(certificate.inputs.get("T", 0))
 
     n = scenario.n
-    datasets, starts, steps, indices = [], [], [], []
-    for r in range(resamplings):
-        rng = substream(seed, r)
-        datasets.append(Dataset(scenario.distribution.draw(rng, n)))
+    support = scenario.distribution.support
+    position = {id(z): j for j, z in enumerate(support)}
+    positions, starts, steps, indices = [], [], [], []
+    for r, rng in enumerate(_keyed_streams(seed, resamplings)):
+        draws = scenario.distribution.draw(rng, n)
+        try:
+            at = np.array([position[id(z)] for z in draws], dtype=np.int64)
+        except KeyError:
+            raise ValueError(
+                f"resampling {r} drew a sample that is not one of the distribution's "
+                "support elements; a finite distribution must draw its support objects"
+            ) from None
+        if at.size != n:
+            raise ValueError(f"resampling {r} drew {at.size} samples, expected n={n}")
         start, t, idx = draw_runs(repeat(rng, trials), scenario.domain, T, T + t_band, n)
+        positions.append(at)
         starts.append(start)
         steps.append(t)
-        indices.append(idx + r * n)  # resampling r's samples sit at r*n.. of the pool
-    pool = Dataset(tuple(z for data in datasets for z in data.samples))
+        indices.append(at[idx])  # dataset positions -> support positions
+    data = Dataset(support)
     step = SGDStep(fam, scenario.eta, domain=scenario.domain)
     endpoints = run_lockstep(step, np.concatenate(starts), np.concatenate(steps),
-                             np.concatenate(indices), pool)
+                             np.concatenate(indices), data)
 
     probs = scenario.distribution.probs
-    support = Dataset(scenario.distribution.support)
     max_gaps = []
-    for r, data in enumerate(datasets):
-        thetas = endpoints[r * trials:(r + 1) * trials]
-        f_hat = fam.values(thetas, data).mean(axis=1)
+    for r, at in enumerate(positions):
+        losses = fam.values(endpoints[r * trials:(r + 1) * trials], data)  # (trials, m)
+        # the gather comes out F-ordered; its row means must be those of a
+        # C-ordered (trials, n) loss matrix, bitwise
+        f_hat = np.ascontiguousarray(losses[:, at]).mean(axis=1)
         # a sequential sum in support order, not a dot product: the frozen
         # max_gaps depend on this rounding
         f_pop = 0
-        for p, v in zip(probs, fam.values(thetas, support).T):
+        for p, v in zip(probs, losses.T):
             f_pop = f_pop + p * v
         gaps = np.abs(f_hat - f_pop)
         if not all_finite(gaps):

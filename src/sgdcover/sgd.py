@@ -239,15 +239,23 @@ def run_lockstep(
 ) -> np.ndarray:
     """Endpoints of many runs advanced together, one batched update per step.
 
-    Run k starts at ``starts[k]`` and applies samples ``indices[k, :steps[k]]``;
-    runs that have finished are masked out.  Each endpoint equals, bitwise,
-    the one a sequential ``sgd_step`` loop reaches.
+    Run k starts at ``starts[k]`` and applies samples ``indices[k, :steps[k]]``.
+    The runs are sorted once by step count, longest first (a stable sort),
+    so the runs still live at step s are a prefix and each step updates a
+    slice; the endpoints come back in input order.  Each endpoint equals,
+    bitwise, the one a sequential ``sgd_step`` loop reaches, because
+    ``apply_batch`` treats every row on its own.
     """
-    thetas = np.array(starts, dtype=float)
-    for s in range(int(steps.max(initial=0))):
-        live = np.flatnonzero(steps > s)
-        thetas[live] = update.apply_batch(thetas[live], indices[live, s], dataset)
-    return thetas
+    order = np.argsort(-steps, kind="stable")
+    ends = steps[order]
+    thetas = np.asarray(starts, dtype=float)[order]
+    idx = indices[order]
+    live = np.searchsorted(-ends, -np.arange(int(ends.max(initial=0))))  # ends > s
+    for s, k in enumerate(live):
+        thetas[:k] = update.apply_batch(thetas[:k], idx[:k, s], dataset)
+    out = np.empty_like(thetas)
+    out[order] = thetas
+    return out
 
 
 def run_trajectory(

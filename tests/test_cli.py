@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -391,6 +393,26 @@ class TestExitCodeContract:
         out = tmp_path / "gap.json"
         assert run(["gap", "--scenario", spath, "--t", "5", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+
+    def test_draw_of_support_copies_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        """Validation keeps a resampled dataset as support positions, so a
+        distribution that draws equal copies of its support is refused
+        before any output."""
+        def copying(points):
+            dist = sgdcover.uniform_over(points)
+            return dataclasses.replace(
+                dist, draw=lambda rng, size: [np.copy(z) for z in dist.draw(rng, size)])
+
+        monkeypatch.setattr("sgdcover.cli.uniform_over", copying)
+        spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO, dataset={"kind": "iid", "n": 20}))
+        out, csv_path = tmp_path / "v.json", tmp_path / "rows.csv"
+        code = run(["validate", "--scenario", spath, "--resamplings", "3", "--trials", "2",
+                    "--delta", "0.05", "--out", str(out), "--csv", str(csv_path)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not one of the distribution's support elements" in captured.err
+        assert not out.exists() and not csv_path.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--centers", "[[1.0],[-1.0]]", "--burn-in", "-3"],
@@ -817,6 +839,32 @@ def test_any_command_exits_0_1_or_2_and_refusals_write_nothing(tmp_path_factory,
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert not any(path.exists() for path in outputs)
+
+
+def _printed_help(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in cli._COMMANDS])
+def test_help_is_the_full_parsers(capsys, argv):
+    """``run`` adds options only to the subparser its argv names; the help it
+    prints is byte-identical to the full parser's."""
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == _printed_help(cli.build_parser(), argv)
+
+
+def test_single_command_parser_keeps_every_subcommand():
+    """Built for one command, the parser's top-level help (every command's
+    name and help) and its parse of that command match the full parser's."""
+    full = cli.build_parser()
+    for command in cli._COMMANDS:
+        partial = cli.build_parser(command)
+        assert partial.format_help() == full.format_help()
+        argv = [command, "--seed", "3", "--config", "c.json"]
+        assert partial.parse_args(argv) == full.parse_args(argv)
 
 
 class TestValidationCommands:

@@ -212,6 +212,59 @@ class TestValidateBound:
         assert report.max_gaps == _per_resampling_max_gaps(skewed, resamplings=6, trials=3,
                                                            delta=0.05, seed=8, t_band=50)
 
+    def test_per_row_values_score_only_the_support(self):
+        """A family without ``value_batch`` is evaluated once per trial and
+        support point: R * trials * m calls, not R * trials * (n + m)."""
+        fam = quadratic_centers(CENTERS, R=1.0)
+        calls = 0
+
+        def value(theta, z):
+            nonlocal calls
+            calls += 1
+            return fam.value(theta, z)
+
+        plain = dataclasses.replace(fam, value_batch=None, value=value)
+        validate_bound(dataclasses.replace(quadratic_scenario(n=200), family=plain),
+                       resamplings=30, trials=20, delta=0.05, seed=1)
+        assert calls == 30 * 20 * len(CENTERS)
+
+    def test_draw_of_support_copies_is_refused(self):
+        """Samples are matched to the support by identity, never by value."""
+        scenario = quadratic_scenario()
+        support = scenario.distribution.support
+
+        def draw(rng, size):
+            return [support[i].copy() for i in rng.integers(0, len(support), size)]
+
+        copies = dataclasses.replace(scenario, distribution=Distribution(
+            "copies", draw, support=support, probs=scenario.distribution.probs))
+        with pytest.raises(ValueError, match="not one of the distribution's support elements"):
+            validate_bound(copies, resamplings=2, trials=2, delta=0.05)
+
+    def test_short_draw_is_refused(self):
+        scenario = quadratic_scenario()
+        dist = scenario.distribution
+        short = dataclasses.replace(scenario, distribution=dataclasses.replace(
+            dist, draw=lambda rng, size: dist.draw(rng, size - 1)))
+        with pytest.raises(ValueError, match="drew 49 samples, expected n=50"):
+            validate_bound(short, resamplings=2, trials=2, delta=0.05)
+
+    def test_support_listing_one_object_twice(self):
+        """A support object at two positions is scored at both; either
+        position stands for its draws."""
+        scenario = _scenario_in(2, "grad_batch")
+        twice = (scenario.distribution.support[0],) + scenario.distribution.support
+        probs = np.full(len(twice), 1.0 / len(twice))
+
+        def draw(rng, size):
+            return [twice[i] for i in rng.integers(0, len(twice), size)]
+
+        dup = dataclasses.replace(
+            scenario, distribution=Distribution("twice", draw, support=twice, probs=probs))
+        report = validate_bound(dup, resamplings=5, trials=4, delta=0.05, seed=6, t_band=7)
+        assert report.max_gaps == _per_resampling_max_gaps(dup, resamplings=5, trials=4,
+                                                           delta=0.05, seed=6, t_band=7)
+
     def test_non_finite_gradient_raises(self):
         fam = quadratic_centers(CENTERS, R=1.0)
         bad = dataclasses.replace(fam, grad_batch=lambda thetas, zs: thetas / 0.0)

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sgdcover.core import Ball, ProductOfBalls, WholeSpace, _keyed_streams, substream
+from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, _keyed_streams, substream
 from sgdcover.losses import (
     Dataset,
     LossConstants,
@@ -451,6 +454,60 @@ class TestApplyBatch:
         assert update.apply_batch(np.array([[-1.0], [-2.0]]), [0, 0], ds).shape == (2, 1)
         with pytest.raises(FloatingPointError):
             update.apply_batch(np.array([[-1.0], [1.0]]), [0, 0], ds)
+
+
+@st.composite
+def _stepper(draw):
+    """An update on one of the four domains, quadratic_centers with or
+    without ``grad_batch``, its dataset, and an (m, d) batch of starts."""
+    blocks, block_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    d = blocks * block_dim
+    domain = draw(st.sampled_from([
+        Ball(np.full(d, 0.1), 0.8), Box(np.full(d, -0.4), np.full(d, 0.6)),
+        ProductOfBalls(blocks, block_dim, 0.7), WholeSpace(d)]))
+    centers = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), d),
+                              elements=st.floats(-1.0, 1.0)))
+    fam = quadratic_centers(list(centers), R=float(np.sqrt(d)) + 1.0)
+    if draw(st.booleans()):
+        fam = dataclasses.replace(fam, grad_batch=None)
+    update = SGDStep(fam, draw(st.sampled_from([0.3, 1.0, 1.7])), domain=domain)
+    thetas = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), d),
+                             elements=st.floats(-2.0, 2.0)))
+    return update, Dataset(tuple(centers)), thetas
+
+
+class TestRowIndependence:
+    """``run_lockstep`` updates a prefix of its runs sorted by step count, and
+    validation steps every resampling over the support: both need every row
+    of ``apply_batch`` to be computed on its own."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_stepper(), st.data())
+    def test_apply_batch_on_any_rows_is_per_row_apply(self, stepper, data):
+        update, ds, thetas = stepper
+        m = len(thetas)
+        idx = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, ds.n - 1)))
+        rows = [update.apply(theta, ds.samples[i]) for theta, i in zip(thetas, idx)]
+        order = data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, m))]
+        got = update.apply_batch(thetas[order], idx[order], ds)
+        assert got.tobytes() == np.stack([rows[k] for k in order]).tobytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_stepper(), st.data())
+    def test_lockstep_is_per_run_sgd_step(self, stepper, data):
+        """Ragged counts with ties and zeros, and all-equal counts."""
+        update, ds, thetas = stepper
+        m = len(thetas)
+        steps = data.draw(st.one_of(
+            hnp.arrays(np.int64, m, elements=st.integers(0, 5)),
+            st.integers(0, 5).map(lambda t: np.full(m, t))))
+        indices = data.draw(hnp.arrays(np.int64, (m, 5), elements=st.integers(0, ds.n - 1)))
+        endpoints = run_lockstep(update, thetas, steps, indices, ds)
+        for k in range(m):
+            theta = thetas[k]
+            for i in indices[k, :steps[k]]:
+                theta = sgd_step(update, theta, int(i), ds)
+            assert endpoints[k].tobytes() == theta.tobytes()
 
 
 class TestLockstep:
