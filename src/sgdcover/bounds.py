@@ -122,8 +122,6 @@ def bound_strongly_convex(n, delta, B, L, R, gamma) -> BoundCertificate:
     _check_delta(delta)
     _check_pos(L=L, R=R)
     _check_nonneg(B=B)
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
     T = horizon(2.0 * L * R * n, gamma)
     inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma, "T": T}
     return _make(
@@ -169,8 +167,6 @@ def bound_fractal(n, delta, B, L, R, gamma, d_H) -> BoundCertificate:
     _check_delta(delta)
     _check_pos(L=L, R=R)
     _check_nonneg(B=B, d_H=d_H)
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
     T = horizon(2.0 * L * R * n, gamma)
     exponent = max(ceil_int(d_H + math.log(2.0 * L * R) / math.log(1.0 / gamma)), 0)
     inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma,

@@ -261,7 +261,7 @@ def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bo
 
     if kind == "support":
         _check(dist.finite, "dataset kind 'support' needs a finite distribution")
-        dataset = Dataset(dist.support, dist, seed=None)
+        dataset = Dataset(dist.support, dist)
     elif kind == "points":
         dataset = Dataset(tuple(np.asarray(p, dtype=float) for p in ds["points"]), dist)
     else:
@@ -334,8 +334,7 @@ def _cmd_cover(cfg, args):
             raise UsageError("give T, or epsilon plus a family with declared alpha/beta")
         gamma = contraction_factor(c.alpha, c.beta, eta)
         T = cover_horizon(domain.bounding_radius(), epsilon, gamma)
-    cover = enumerate_cover(update, dataset, int(T), cap=_cap(cfg), epsilon=epsilon,
-                            **_given(cfg, "dedupe"))
+    cover = enumerate_cover(update, dataset, int(T), cap=_cap(cfg), **_given(cfg, "dedupe"))
 
     result = {"horizon": cover.horizon, "entries": len(cover),
               "n_samples": cover.n_samples, "epsilon": epsilon,
@@ -533,15 +532,17 @@ def _cmd_ifs(cfg, args):
     centers = cfg["centers"]
     if isinstance(centers, str):
         centers = json.loads(centers)
-    model = IFSModel(np.asarray(centers, dtype=float), float(cfg["gamma"]), float(cfg["R"]))
+    model = IFSModel(centers, float(cfg["gamma"]), float(cfg["R"]))
     dim = ifs_dimension(model)
     points = int(cfg.get("points", 200_000))
     orbit = model.sample_attractor(points, seed=args.seed, **_given(cfg, "burn_in"))
     if cfg.get("scales") is not None:
         scales = [float(s) for s in cfg["scales"]]
     else:
-        span = 2.0 * model.radius
-        scales = [span * model.gamma**k for k in range(1, 8)]
+        # 2R*r^k for k = 1..7 with r = gamma, unless gamma^6 > 1/100 leaves
+        # less than the two decades box counting needs; then r = 0.4
+        ratio = model.gamma if model.gamma**6 <= 0.01 else 0.4
+        scales = [2.0 * model.radius * ratio**k for k in range(1, 8)]
     fit = box_counting_dimension(orbit, scales)
     result = {
         "n_maps": model.n_maps, "gamma": model.gamma, "radius": model.radius,

@@ -15,16 +15,16 @@ import itertools
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .bounds import horizon
-from .core import (ConvexDomain, _keyed_streams, all_finite, as_point, ceil_int, linalg_norms,
-                   substream)
+from .core import (ConvexDomain, WholeSpace, _keyed_streams, all_finite, as_point, ceil_int,
+                   linalg_norms, substream)
 from .losses import Dataset
-from .sgd import UpdateMap, draw_runs, run_lockstep, sgd_step
+from .sgd import CustomMap, UpdateMap, draw_runs, run_lockstep, sgd_step
 
 DEFAULT_CAP = 10**7
 
@@ -110,7 +110,6 @@ class CoverSet:
     points: np.ndarray  # (N, d) float64
     index: np.ndarray   # (N,) int64
     n_samples: int
-    epsilon: float | None = None
     pieces_per_sample: int | None = None
     deduped: bool = False
 
@@ -131,16 +130,26 @@ class CoverSet:
             for lines in self._jsonl_chunks():
                 fh.write("\n".join(lines) + "\n")
 
+    def _choices(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Sample and piece (None for a plain cover) of every choice that
+        reaches each canonical index, as (..., horizon) int64 arrays: the
+        index's base-(n*P) digits, the most significant (first choice)
+        leftmost."""
+        P = self.pieces_per_sample
+        rest = np.asarray(index, dtype=np.int64)
+        choices = np.empty(rest.shape + (self.horizon,), dtype=np.int64)
+        for j in reversed(range(self.horizon)):
+            rest, choices[..., j] = np.divmod(rest, self.n_samples * (P or 1))
+        return (choices, None) if P is None else (choices // P, choices % P)
+
     def _jsonl_chunks(self) -> Iterator[list[str]]:
         """Lines in chunks of about _WRITE_CHUNK values, each line filled into
-        a template: choice digits from ``index``, the point's floats by
+        a template: choices decoded from ``index``, the point's floats by
         ``repr`` (as ``json.dumps`` writes them) and the ``deps`` string cached
-        per digit set.  A chunk holding a non-finite value, which JSON spells
+        per sample set.  A chunk holding a non-finite value, which JSON spells
         differently, takes ``CoverEntry.to_json`` per entry instead."""
-        P = self.pieces_per_sample
-        base = self.n_samples * (P or 1)
-        template = ('{"seq": %s, "point": [%s], "deps": %s}' if P is None else
-                    '{"seq": %s, "pieces": %s, "point": [%s], "deps": %s}')
+        template = ('{"seq": %s, "point": [%s], "deps": %s}' if self.pieces_per_sample is None
+                    else '{"seq": %s, "pieces": %s, "point": [%s], "deps": %s}')
         deps_of: dict[frozenset[int], str] = {}
         rows = max(1, _WRITE_CHUNK // max(1, self.points.shape[1]))
         for lo in range(0, len(self), rows):
@@ -148,29 +157,24 @@ class CoverSet:
             if not all_finite(block):
                 yield [self.entries[k].to_json() for k in range(lo, lo + len(block))]
                 continue
-            # choice digits, the most significant (first choice) leftmost
-            rest = self.index[lo:lo + rows]
-            choices = np.empty((len(rest), self.horizon), dtype=np.int64)
-            for j in reversed(range(self.horizon)):
-                rest, choices[:, j] = np.divmod(rest, base)
-            seqs = (choices if P is None else choices // P).tolist()
-            cols = [seqs] if P is None else [seqs, (choices % P).tolist()]
+            cols = [c.tolist() for c in self._choices(self.index[lo:lo + rows]) if c is not None]
             lines = []
             for *fields, point in zip(*cols, block.tolist()):
-                digits = frozenset(fields[0])
-                deps = deps_of.get(digits)
+                samples = frozenset(fields[0])
+                deps = deps_of.get(samples)
                 if deps is None:
-                    deps = deps_of[digits] = str(sorted(digits))
+                    deps = deps_of[samples] = str(sorted(samples))
                 lines.append(template % (*fields, ", ".join(map(repr, point)), deps))
             yield lines
 
 
 class CoverEntries(Sequence):
-    """Read-only sequence of a cover's entries, each built on access."""
+    """Read-only sequence of a cover's entries, each built on access from
+    the same choice decoding the JSONL writer uses; iteration is
+    ``Sequence``'s, one access per entry."""
 
     def __init__(self, cover: CoverSet):
         self._cover = cover
-        self._shape = (cover.n_samples * (cover.pieces_per_sample or 1),) * cover.horizon
 
     def __len__(self) -> int:
         return len(self._cover)
@@ -178,38 +182,25 @@ class CoverEntries(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(self[j] for j in range(len(self))[k])
-        choices = np.unravel_index(self._cover.index[k], self._shape)
-        return self._entry(tuple(map(int, choices)), self._cover.points[k])
-
-    def __iter__(self):
-        if self._cover.deduped:
-            return super().__iter__()
-        # index is arange(N), so entry k's choices are the k-th lexicographic tuple
-        return map(self._entry, itertools.product(*map(range, self._shape)), self._cover.points)
-
-    def _entry(self, choices: tuple[int, ...], point: np.ndarray) -> CoverEntry:
-        P = self._cover.pieces_per_sample
-        seq = choices if P is None else tuple(c // P for c in choices)
-        pieces = None if P is None else tuple(c % P for c in choices)
-        return CoverEntry(seq=seq, point=point, deps=frozenset(seq), pieces=pieces)
+        seq, pieces = self._cover._choices(self._cover.index[k])
+        seq = tuple(seq.tolist())
+        return CoverEntry(seq=seq, point=self._cover.points[k], deps=frozenset(seq),
+                          pieces=None if pieces is None else tuple(pieces.tolist()))
 
 
-def _enumerate_tree(
-    apply_choice: Callable[[np.ndarray, int], np.ndarray],
-    anchor: np.ndarray,
-    n_choices: int,
-    T: int,
-) -> np.ndarray:
-    """Endpoints of all n_choices^T compositions applied to the anchor, built
-    level by level: row k*n_choices + c of a level is choice c applied to row
-    k of the level above, so row k of the result takes the base-n_choices
-    digits of k as its choices."""
+def _enumerate_tree(update: UpdateMap, dataset: Dataset, anchor: np.ndarray,
+                    T: int) -> np.ndarray:
+    """Endpoints of all n^T compositions of the per-sample updates applied to
+    the anchor, one ``sgd_step`` call per tree node, built level by level:
+    row k*n + i of a level is sample i's update of row k of the level above,
+    so row k of the result takes the base-n digits of k as its samples."""
+    n = dataset.n
     level = anchor[None, :].copy()
     for _ in range(T):
-        children = np.empty((level.shape[0] * n_choices, level.shape[1]))
+        children = np.empty((level.shape[0] * n, level.shape[1]))
         for k, point in enumerate(level):
-            for c in range(n_choices):
-                children[k * n_choices + c] = apply_choice(point, c)
+            for i in range(n):
+                children[k * n + i] = sgd_step(update, point, i, dataset)
         level = children
     return level
 
@@ -226,18 +217,19 @@ def enumerate_cover(
     T: int,
     cap: int = DEFAULT_CAP,
     dedupe: bool = False,
-    epsilon: float | None = None,
     threads: int = 1,
 ) -> CoverSet:
     """Enumerate the endpoints of all n^T compositions of the per-sample
-    updates applied to the origin of the update's domain, one ``sgd_step``
-    call per tree node.
+    updates applied to the origin of the update's domain (see
+    ``_enumerate_tree``); ``enumerate_piecewise_cover`` runs through it too.
 
-    Refuses outright (no partial output) when n^T exceeds the cap.  With
-    ``dedupe`` the first (lexicographically smallest) sequence reaching each
-    exact endpoint is kept; counts then no longer equal n^T.  ``threads``
-    has no effect; it stays only until perfbench's ``threads2_ratio`` probe,
-    which passes it, is retired.
+    Refuses outright (no partial output) when n^T exceeds the cap.  Every
+    node's update is checked finite by ``apply``, so an overflow at any
+    level raises ``FloatingPointError``.  With ``dedupe`` the first
+    (lexicographically smallest) sequence reaching each exact endpoint is
+    kept; counts then no longer equal n^T.  ``threads`` has no effect; it
+    stays only until perfbench's ``threads2_ratio`` probe, which passes it,
+    is retired.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -249,15 +241,13 @@ def enumerate_cover(
     if domain is None:
         raise ValueError("the update map needs a domain to fix the parameter dimension")
     anchor = np.zeros(domain.dim)
-    points = _enumerate_tree(lambda point, i: sgd_step(update, point, i, dataset), anchor, n, T)
+    points = _enumerate_tree(update, dataset, anchor, T)
     index = np.arange(len(points), dtype=np.int64)
     if dedupe:
         index = _first_of_each_point(points)
         points = points[index]
-    return CoverSet(
-        horizon=T, anchor=anchor, points=points, index=index, n_samples=n,
-        epsilon=epsilon, deduped=dedupe,
-    )
+    return CoverSet(horizon=T, anchor=anchor, points=points, index=index, n_samples=n,
+                    deduped=dedupe)
 
 
 def enumerate_piecewise_cover(
@@ -266,7 +256,6 @@ def enumerate_piecewise_cover(
     eta: float,
     T: int,
     cap: int = DEFAULT_CAP,
-    epsilon: float | None = None,
 ) -> CoverSet:
     """Enumerate compositions over index AND piece choices of the surrogate
     update g_{i,p}(theta) = theta - eta * grad h_p(theta; z_i), where h_p is
@@ -274,34 +263,22 @@ def enumerate_piecewise_cover(
 
     The piece gradient formula is applied globally (not restricted to its
     cell), producing all (n*P)^T candidate endpoints.  P must be common to
-    every sample.  Reduces entrywise to ``enumerate_cover`` when P = 1.
+    every sample.  Choice c = (sample c // P, piece c % P) is one sample of
+    a ``CustomMap`` over the n*P (surrogate, piece) pairs, which
+    ``enumerate_cover`` enumerates, checks and caps like any other cover;
+    the result then records n and P.  P = 1 is entrywise ``enumerate_cover``.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
     if not eta >= 0:
         raise ValueError("eta must be nonnegative")
-    n = dataset.n
     approxes = [approx_for(z) for z in dataset.samples]
     P = approxes[0].piece_count
     if any(a.piece_count != P for a in approxes):
         raise ValueError("all per-sample surrogates must expose the same piece count")
-    required = (n * P) ** T
-    if required > cap:
-        raise EnumerationCapExceeded(required, cap)
-    anchor = np.zeros(approxes[0].dim)
-
-    def apply_choice(point, c):
-        i, p = divmod(c, P)
-        return point - eta * approxes[i].piece_grad(p, point)
-
-    points = _enumerate_tree(apply_choice, anchor, n * P, T)
-    if not all_finite(points):
-        raise FloatingPointError("surrogate update produced non-finite values")
-    return CoverSet(
-        horizon=T, anchor=anchor, points=points,
-        index=np.arange(len(points), dtype=np.int64), n_samples=n,
-        epsilon=epsilon, pieces_per_sample=P,
-    )
+    surrogate = CustomMap(lambda point, c: point - eta * c[0].piece_grad(c[1], point),
+                          WholeSpace(approxes[0].dim))
+    choices = Dataset(tuple((a, p) for a in approxes for p in range(P)))
+    cover = enumerate_cover(surrogate, choices, T, cap=cap)
+    return replace(cover, n_samples=dataset.n, pieces_per_sample=P)
 
 
 def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry,
@@ -607,7 +584,13 @@ class IFSModel:
     radius: float
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        try:
+            centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        except ValueError:  # ragged rows, or entries that are not numbers
+            centers = np.empty((0, 0))
+        if centers.ndim != 2 or 0 in centers.shape:
+            raise ValueError("centers must be a non-empty (n, d) array of equal-length rows, "
+                             "d >= 1")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if not (math.isfinite(self.radius) and self.radius > 0):

@@ -150,7 +150,6 @@ class Dataset:
 
     samples: tuple
     distribution: Distribution | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -169,12 +168,9 @@ class Dataset:
 
     @staticmethod
     def sample(distribution: Distribution, n: int, rng_or_seed) -> "Dataset":
-        if isinstance(rng_or_seed, np.random.Generator):
-            rng, seed = rng_or_seed, None
-        else:
-            seed = int(rng_or_seed)
-            rng = np.random.default_rng(seed)
-        return Dataset(tuple(distribution.draw(rng, n)), distribution, seed)
+        rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
+               else np.random.default_rng(int(rng_or_seed)))
+        return Dataset(tuple(distribution.draw(rng, n)), distribution)
 
 
 def uniform_over(points: Sequence) -> Distribution:

@@ -90,7 +90,7 @@ class TestAcceptance:
         update = SGDStep(fam, 0.5, domain=fam.domain)
         eps = 1.0 / (2.0 * 1.0 * 3.0)
         T = cover_horizon(1.0, eps, 0.5)
-        cov = enumerate_cover(update, ds, T=T, cap=10**6, epsilon=eps)
+        cov = enumerate_cover(update, ds, T=T, cap=10**6)
         outcome = verify_cover(cov, update, ds, trials=10_000, max_extra_steps=50,
                                epsilon=eps, seed=11)
         report("C2", outcome.passed and outcome.failures == 0,

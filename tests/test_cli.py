@@ -427,6 +427,18 @@ class TestExitCodeContract:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("centers", ["[]", "[[]]", "[[1.0],[2.0,3.0]]"],
+                             ids=["no-maps", "zero-dim", "ragged"])
+    def test_malformed_ifs_centers_are_usage_error(self, tmp_path, capsys, centers):
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", centers, "--gamma", "0.5", "--R", "1",
+                    "--points", "2000", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: centers must be a non-empty (n, d) array of equal-length rows, d >= 1"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("R", ["inf", "nan"])
     def test_non_finite_ifs_radius_is_usage_error(self, tmp_path, capsys, R):
         """With explicit scales an infinite radius once passed every check and
@@ -584,6 +596,16 @@ class TestIfsGolden:
                     "--R", "1", "--points", "100000", "--seed", str(seed),
                     "--out", str(out)]) == EXIT_OK
         assert _sha256_without_timestamp(out) == digest
+
+    @pytest.mark.parametrize("gamma", ["0.5", "0.9"])
+    def test_default_scales_span_two_decades(self, tmp_path, gamma):
+        """Once gamma^6 > 1/100 the default scales are 2R*0.4^k, k = 1..7,
+        which box counting accepts; 2R*gamma^k would span too little."""
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", gamma, "--R", "1",
+                    "--points", "100000", "--out", str(out)]) == EXIT_OK
+        scales = load(out)["result"]["scales"]
+        assert scales == [2.0 * 0.4**k for k in range(1, 8)]
 
     def test_planar_three_maps(self, tmp_path):
         out = tmp_path / "ifs.json"

@@ -225,7 +225,8 @@ class TestEnumerateCover:
         """Enumeration calls sgd_step once per node of the choice tree,
         (n^(T+1) - n) / (n - 1) calls in all, looked up through the cover
         module at call time.  perfbench's traced cover-enum run counts these
-        calls the same way and asserts this number (29523 for n=3, T=9)."""
+        calls the same way and asserts this number (29523 for n=3, T=9).  A
+        piecewise cover walks the same tree in base n*P."""
         calls = []
 
         def counting(*args):
@@ -238,6 +239,13 @@ class TestEnumerateCover:
             calls.clear()
             enumerate_cover(update, ds, T=T)
             assert len(calls) == (3 ** (T + 1) - 3) // 2
+        two = Dataset((np.array([0.7]), np.array([-0.3])))
+        for T in range(4):  # n = P = 2
+            calls.clear()
+            enumerate_piecewise_cover(
+                lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.array([0.1])]), two,
+                eta=0.4, T=T)
+            assert len(calls) == (4 ** (T + 1) - 4) // 3
 
     def test_dependency_bit_for_bit(self):
         """Perturbing samples outside an entry's dependency set leaves its
@@ -259,7 +267,7 @@ class TestEnumerateCover:
 
     def test_jsonl_serialization(self, tmp_path):
         _, ds, update = quadratic_cover_setup()
-        cov = enumerate_cover(update, ds, T=2, epsilon=1.0 / 6.0)
+        cov = enumerate_cover(update, ds, T=2)
         path = tmp_path / "cover.jsonl"
         cov.write_jsonl(path)
         lines = path.read_text().strip().split("\n")
@@ -281,7 +289,7 @@ class TestCoverFormatGolden:
 
     def test_plain_cover(self, tmp_path):
         _, ds, update = quadratic_cover_setup()
-        cov = enumerate_cover(update, ds, T=4, epsilon=1.0 / 16.0)
+        cov = enumerate_cover(update, ds, T=4)
         assert _sha256_of_jsonl(cov, tmp_path) == (
             "76e88ac3c571f7a24ade8996a9aae1bab5d2b99095d8bdfb64282ba28e0920df")
 
@@ -387,7 +395,7 @@ class TestVerifyCover:
         _, ds, update = quadratic_cover_setup()
         eps = 1.0 / 6.0  # 1/(2 L n) with L = 1, n = 3
         T = cover_horizon(1.0, eps, 0.5)
-        cov = enumerate_cover(update, ds, T=T, epsilon=eps)
+        cov = enumerate_cover(update, ds, T=T)
         ok = verify_cover(cov, update, ds, trials=1000, max_extra_steps=50,
                           epsilon=eps, seed=2)
         assert ok.passed and ok.failures == 0
@@ -400,7 +408,7 @@ class TestVerifyCover:
         """Frozen worst distance and failure counts of a small run."""
         _, ds, update = quadratic_cover_setup()
         eps = 1.0 / 6.0
-        cov = enumerate_cover(update, ds, T=cover_horizon(1.0, eps, 0.5), epsilon=eps)
+        cov = enumerate_cover(update, ds, T=cover_horizon(1.0, eps, 0.5))
         ok = verify_cover(cov, update, ds, trials=300, max_extra_steps=20, epsilon=eps, seed=3)
         assert (ok.max_min_distance, ok.failures) == (0.11856648405040639, 0)
         bad = verify_cover(cov, update, ds, trials=300, max_extra_steps=20,
@@ -487,7 +495,7 @@ class TestVerifyCover:
             eps = 1.0 / (2.0 * c.L * n)
             T = cover_horizon(fam.domain.bounding_radius(), eps, gamma)
             update = SGDStep(fam, eta, domain=fam.domain)
-            cov = enumerate_cover(update, ds, T=T, cap=10**6, epsilon=eps)
+            cov = enumerate_cover(update, ds, T=T, cap=10**6)
             out = verify_cover(cov, update, ds, trials=500, max_extra_steps=30,
                                epsilon=eps, seed=7)
             assert out.passed, (fam.name, out.max_min_distance, eps)
@@ -677,6 +685,19 @@ class TestPiecewiseCover:
 
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             enumerate_piecewise_cover(two_piece, ds, eta=1e308, T=2)
+
+    @pytest.mark.parametrize("eta,T", [(1e308, 3), (1e200, 4)])
+    def test_overflow_at_an_inner_level_rejected(self, eta, T):
+        """Every node's update is checked, so a level that overflows before
+        the last raises FloatingPointError there, not ValueError from the next
+        level's piece gradient reading an infinite point."""
+        ds = Dataset((np.array([0.7]), np.array([-0.3])))
+
+        def two_piece(z):
+            return _per_sample_quadratic_approx(z, anchors=[z, np.array([0.1])])
+
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            enumerate_piecewise_cover(two_piece, ds, eta=eta, T=T)
 
 
 class TestPiecewiseApprox:
@@ -960,6 +981,13 @@ class TestIFS:
         model = IFSModel(np.array([[1.0, 0.5], [-1.0, 0.25]]), gamma=0.5, radius=2.0)
         _assert_orbit_is_apply_loop(model, total, seed=1, burn_in=0)
         _assert_orbit_is_apply_loop(model, 1, seed=1, burn_in=total - 1)
+
+    @pytest.mark.parametrize("centers", [
+        np.zeros((0, 2)), [], np.zeros((2, 0)), [[1.0], [2.0, 3.0]], [[[1.0], [-1.0]]],
+    ], ids=["no-maps", "empty-list", "zero-dim", "ragged", "three-axes"])
+    def test_centers_must_be_nonempty_rows(self, centers):
+        with pytest.raises(ValueError, match="centers must be a non-empty"):
+            IFSModel(centers, gamma=0.5, radius=1.0)
 
     def test_negative_burn_in_rejected(self):
         model = IFSModel(np.array([[1.0], [-1.0]]), gamma=1.0 / 3.0, radius=1.0)
