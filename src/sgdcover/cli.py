@@ -539,9 +539,13 @@ def _cmd_ifs(cfg, args):
     if cfg.get("scales") is not None:
         scales = [float(s) for s in cfg["scales"]]
     else:
-        # 2R*r^k for k = 1..7 with r = gamma, unless gamma^6 > 1/100 leaves
-        # less than the two decades box counting needs; then r = 0.4
-        ratio = model.gamma if model.gamma**6 <= 0.01 else 0.4
+        # 2R*r^k for k = 1..7 with r = gamma.  r = 0.4 instead when gamma^6 >
+        # 1/100 leaves less than the two decades box counting needs, when
+        # 2R*gamma^7 is not a positive normal float, or when gamma^7 < 2^-62
+        # puts more boxes across the 2R-wide ball than int64 box indices hold
+        smallest = 2.0 * model.radius * model.gamma**7
+        fits = model.gamma**7 >= 2.0**-62 and smallest >= sys.float_info.min
+        ratio = model.gamma if model.gamma**6 <= 0.01 and fits else 0.4
         scales = [2.0 * model.radius * ratio**k for k in range(1, 8)]
     fit = box_counting_dimension(orbit, scales)
     result = {

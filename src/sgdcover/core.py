@@ -155,7 +155,9 @@ def _keyed_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
 
     The states are computed ``_SEED_BLOCK`` keys at a time and written into
     one reused generator, so a yielded generator is valid only until the
-    next one is drawn: draw from each in turn, and keep none.
+    next one is drawn: draw from each in turn, and keep none.  Each starts
+    with no pending 32-bit half (``has_uint32`` 0), as a fresh substream
+    does; ``sgd.draw_runs`` relies on it when it decodes raw words.
     """
     seed = int(seed)
     if seed < 0:  # as SeedSequence does
@@ -215,13 +217,19 @@ class ConvexDomain:
         raise NotImplementedError
 
 
-def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
+def _ball_direction(rng: np.random.Generator, d: int, radius: float) -> tuple[np.ndarray, float]:
+    """A uniform point of the origin-centered ball as ``direction * scale``."""
     direction = rng.normal(size=d)
     norm = math.sqrt(direction.dot(direction))  # what np.linalg.norm computes for it
     if norm == 0.0:
-        return np.zeros(d)
+        return np.zeros(d), 0.0
     r = radius * rng.random() ** (1.0 / d)  # uniform(0, 1) is 0 + 1 * random()
-    return direction * (r / norm)
+    return direction, r / norm
+
+
+def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
+    direction, scale = _ball_direction(rng, d, radius)
+    return direction * scale
 
 
 @dataclass(frozen=True, eq=False)

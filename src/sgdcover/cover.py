@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .bounds import horizon
-from .core import (ConvexDomain, WholeSpace, _keyed_streams, all_finite, as_point, ceil_int,
-                   linalg_norms, substream)
+from .core import (ConvexDomain, WholeSpace, all_finite, as_point, ceil_int, linalg_norms,
+                   substream)
 from .losses import Dataset
 from .sgd import CustomMap, UpdateMap, draw_runs, run_lockstep, sgd_step
 
@@ -338,10 +338,11 @@ def verify_cover(
     """Run ``trials`` trajectories from random starts for random t in
     [T, T + max_extra_steps] and report the worst distance to the cover.
 
-    Trial k draws its start, t and indices from ``substream(seed, k)``; the
-    trials' streams are seeded together, in one vectorized pass per block of
-    keys, and all trials then advance in lockstep.  Passes only if every
-    endpoint lands within epsilon of some cover point.
+    Trial k draws its start, t and indices from ``substream(seed, k)``
+    (``draw_runs`` with one run per stream: the streams are seeded together
+    and the indices decoded from raw PCG64 words, bitwise what
+    ``rng.integers`` draws), and all trials then advance in lockstep.
+    Passes only if every endpoint lands within epsilon of some cover point.
     """
     if trials < 1 or max_extra_steps < 0:
         raise ValueError("need trials >= 1 and max_extra_steps >= 0")
@@ -352,9 +353,8 @@ def verify_cover(
         raise ValueError("verification needs a bounded domain to sample starts from")
 
     T = cover.horizon
-    starts, steps, indices = draw_runs(
-        _keyed_streams(seed, trials), domain, T, T + max_extra_steps, dataset.n
-    )
+    starts, steps, indices, _ = draw_runs(seed, trials, 1, domain, T, T + max_extra_steps,
+                                          dataset.n)
     endpoints = run_lockstep(update, starts, steps, indices, dataset)
     dists = _nearest_distances(cover.points, endpoints)
     failures = int(np.count_nonzero(dists > epsilon))

@@ -8,13 +8,12 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import BoundCertificate, bound_strongly_convex
-from .core import ConvexDomain, _keyed_streams, all_finite, hoeffding_tail, substream
+from .core import ConvexDomain, all_finite, hoeffding_tail, substream
 from .losses import Dataset, Distribution, LossFamily, stability_counterexample_1d
 from .sgd import SGDStep, Trajectory, contraction_factor, draw_runs, run_lockstep
 
@@ -152,8 +151,11 @@ def validate_bound(
 
     Every sample a resampling draws must be one of the distribution's
     ``support`` objects itself (an equal copy is refused with ValueError),
-    so a resampled dataset is an array of n support positions.  Every
-    resampling's trials then run in one lockstep over the m support points,
+    so a resampled dataset is an array of n support positions.  Resampling
+    r draws from ``substream(seed, r)``: its dataset, then each trial's
+    start, t and indices in turn (``draw_runs`` with the dataset draw as
+    the prelude).  Every resampling's trials then run in one lockstep over
+    the m support points,
     and each endpoint equals, bitwise, the one a run over its own resampled
     dataset reaches.  Each resampling is scored from its one (trials, m)
     loss matrix: the population risk weighs its columns, the empirical risk
@@ -192,8 +194,8 @@ def validate_bound(
     n = scenario.n
     support = scenario.distribution.support
     position = {id(z): j for j, z in enumerate(support)}
-    positions, starts, steps, indices = [], [], [], []
-    for r, rng in enumerate(_keyed_streams(seed, resamplings)):
+
+    def draw_positions(r, rng):
         draws = scenario.distribution.draw(rng, n)
         try:
             at = np.array([position[id(z)] for z in draws], dtype=np.int64)
@@ -204,15 +206,16 @@ def validate_bound(
             ) from None
         if at.size != n:
             raise ValueError(f"resampling {r} drew {at.size} samples, expected n={n}")
-        start, t, idx = draw_runs(repeat(rng, trials), scenario.domain, T, T + t_band, n)
-        positions.append(at)
-        starts.append(start)
-        steps.append(t)
-        indices.append(at[idx])  # dataset positions -> support positions
+        return at
+
+    starts, steps, indices, positions = draw_runs(seed, resamplings, trials, scenario.domain,
+                                                  T, T + t_band, n, prelude=draw_positions)
+    for r, at in enumerate(positions):  # dataset positions -> support positions
+        block = indices[r * trials:(r + 1) * trials]
+        block[:] = at[block]
     data = Dataset(support)
     step = SGDStep(fam, scenario.eta, domain=scenario.domain)
-    endpoints = run_lockstep(step, np.concatenate(starts), np.concatenate(steps),
-                             np.concatenate(indices), data)
+    endpoints = run_lockstep(step, starts, steps, indices, data)
 
     probs = scenario.distribution.probs
     max_gaps = []

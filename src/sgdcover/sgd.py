@@ -4,14 +4,15 @@ closed-form contraction factor for strongly convex and smooth losses."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import (ConvexDomain, DETERMINISTIC_TOL, all_finite, as_point, as_rows, linalg_norms,
-                   substream)
+from .core import (_MASK32, Ball, ConvexDomain, DETERMINISTIC_TOL, _ball_direction,
+                   _keyed_streams, all_finite, as_point, as_rows, linalg_norms, substream)
 from .losses import Dataset, LossFamily
 
 SCHEMES = ("explicit", "uniform", "without_replacement", "shuffle")
@@ -205,29 +206,149 @@ def draw_indices(config: SGDConfig, n: int) -> np.ndarray:
     return np.concatenate(passes)[:t][:, None]
 
 
+# numpy draws a bounded integer of range up to 2**32 from one 32-bit half
+_RANGE32 = 2**32
+# runs drawn before their indices are decoded, which bounds the raw words
+# and decoding arrays held at once
+_RUN_BLOCK = 256
+
+
 def draw_runs(
-    rngs: Iterable[np.random.Generator],
+    seed: int,
+    streams: int,
+    runs: int,
     domain: ConvexDomain,
     t_min: int,
     t_max: int,
     n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Randomness of one run per generator, drawn in the order a sequential
-    loop would consume it: a uniform start in the domain, a step count t in
-    [t_min, t_max], then t uniform sample indices.
+    prelude: Callable[[int, np.random.Generator], object] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Randomness of ``runs`` runs from each of ``streams`` keyed streams.
 
-    Returns (starts (m, d), steps (m,), indices (m, t_max)); row k of the
-    index array is padded with zeros past ``steps[k]``.
+    Stream k is ``substream(seed, k)``.  It first serves ``prelude(k, rng)``,
+    if one is given (the generator is valid only during that call), and
+    then runs k * runs to (k + 1) * runs - 1 in turn, each drawn in the
+    order a sequential loop consumes it: a uniform start
+    ``domain.sample(rng)``, a step count ``rng.integers(t_min, t_max + 1)``,
+    then the indices ``rng.integers(0, n, size=t)``.
+
+    Only the starts go through the generator.  numpy draws a bounded integer
+    of range r <= 2**32 by Lemire's multiply-shift over one 32-bit half of a
+    PCG64 word, low half first, and keeps the high half pending for the next
+    draw.  So each run takes from ``random_raw`` exactly the words its step
+    count and indices consume, and the indices of ``_RUN_BLOCK`` runs are
+    decoded together in one numpy pass; every output is bitwise the
+    sequential loop's.  A stream with a rejected draw (probability below
+    r / 2**32 per draw), and every stream when a range exceeds 2**32, is
+    drawn again by that loop.
+
+    Returns (starts (m, d), steps (m,), indices (m, t_max), the prelude's
+    result per stream, or [] without a prelude), with m = streams * runs.
+    Row j of the index array is padded with zeros past ``steps[j]``.
     """
-    starts, steps, rows = [], [], []
-    for rng in rngs:
-        starts.append(domain.sample(rng))
-        steps.append(int(rng.integers(t_min, t_max + 1)))
-        rows.append(rng.integers(0, n, size=steps[-1]))
-    indices = np.zeros((len(rows), t_max), dtype=np.int64)
-    for k, row in enumerate(rows):
-        indices[k, : row.size] = row
-    return np.array(starts, dtype=float).reshape(len(rows), domain.dim), np.array(steps), indices
+    m = streams * runs
+    starts = np.empty((m, domain.dim))
+    steps = np.empty(m, dtype=np.int64)
+    indices = np.zeros((m, t_max), dtype=np.int64)
+    preluded = [None] * streams if prelude is not None else []
+    redraw = set()
+    if max(t_max - t_min + 1, n) > _RANGE32:  # numpy draws from whole words here
+        redraw.update(range(streams))
+        drawn = iter(())
+    else:
+        drawn = _raw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, preluded)
+    done = 0
+    while block := list(itertools.islice(drawn, _RUN_BLOCK)):
+        points, scales, counts, step_rejected, leads, words = zip(*block)
+        rows = slice(done, done + len(block))
+        done = rows.stop
+        starts[rows] = points
+        if isinstance(domain, Ball):  # center + direction * scale, as Ball.sample
+            starts[rows] *= np.array(scales)[:, None]
+            starts[rows] += domain.center
+        steps[rows] = t = np.array(counts, dtype=np.int64)
+        redraw.update(j // runs for j in itertools.compress(range(rows.start, rows.stop),
+                                                             step_rejected))
+        if n > 1:
+            values, rejected = _decode_indices(t, leads, words, n)
+            indices[rows][np.arange(t_max) < t[:, None]] = values
+            if rejected.any():
+                run = np.repeat(np.arange(rows.start, rows.stop), t)[rejected]
+                redraw.update((run // runs).tolist())
+    for k in sorted(redraw):
+        rng = substream(seed, k)
+        if prelude is not None:
+            preluded[k] = prelude(k, rng)
+        for j in range(k * runs, (k + 1) * runs):
+            starts[j] = domain.sample(rng)
+            steps[j] = t = rng.integers(t_min, t_max + 1)
+            indices[j] = 0
+            indices[j, :t] = rng.integers(0, n, size=t)
+    return starts, steps, indices, preluded
+
+
+def _raw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, preluded):
+    """Each run of ``draw_runs``, in draw order: its start (a Ball's as a
+    direction and scale), its step count t, whether t came from a rejected
+    draw, the pending half its first index takes (-1 for none) and the raw
+    words its other indices take."""
+    span = t_max - t_min + 1
+    span_floor = _RANGE32 % span  # Lemire rejects a product whose low half is below
+    ball, dim = isinstance(domain, Ball), domain.dim
+    for k, rng in enumerate(_keyed_streams(seed, streams)):
+        bits = rng.bit_generator
+        raw = bits.random_raw
+        pending = -1  # the high half PCG64 keeps for its next 32-bit draw
+        if prelude is not None:
+            preluded[k] = prelude(k, rng)
+            state = bits.state
+            if state["has_uint32"]:
+                pending = state["uinteger"]
+        for _ in range(runs):
+            if ball:
+                start, scale = _ball_direction(rng, dim, domain.radius)
+            else:
+                start, scale = domain.sample(rng), 1.0
+            t, rejected = t_min, False
+            if span > 1:  # a range of 1 consumes nothing
+                if pending < 0:
+                    word = raw()
+                    half, pending = word & _MASK32, word >> 32
+                else:
+                    half, pending = pending, -1
+                scaled = half * span
+                rejected = scaled & _MASK32 < span_floor
+                t += scaled >> 32
+            need, lead = (t if n > 1 else 0), -1
+            if need and pending >= 0:
+                lead, pending = pending, -1
+                need -= 1
+            words = raw((need + 1) // 2)
+            if need % 2:
+                pending = int(words[-1]) >> 32
+            yield start, scale, t, rejected, lead, words
+
+
+def _decode_indices(t, leads, words, n):
+    """The indices of a block of runs, concatenated, and whether each was a
+    rejected draw.  Run j has t[j] indices: the first is ``leads[j]`` unless
+    that is -1, the others come from the halves of ``words[j]``, low half
+    first, each a draw ``(half * n) >> 32``."""
+    first = np.cumsum(t) - t  # where each run's indices start
+    with_lead = [j for j, lead in enumerate(leads) if lead >= 0]
+    has = np.zeros(t.size, dtype=np.int64)
+    has[with_lead] = 1
+    nwords = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    halves = np.concatenate(words).astype("<u8", copy=False).view("<u4")
+    # index i of run j is half 2 * (words before run j) + i - has[j], or, for
+    # i = 0 when has[j], the lead, placed after all the halves
+    at = np.repeat(2 * (np.cumsum(nwords) - nwords) - has - first, t) + np.arange(t.sum())
+    at[first[with_lead]] = halves.size + np.arange(len(with_lead))
+    halves = np.concatenate((halves, np.array([leads[j] for j in with_lead], dtype="<u4")))
+    # the high half of half * n is the draw; Lemire's method rejects it when
+    # the low half is below 2**32 mod n
+    product = (halves[at].astype(np.uint64) * np.uint64(n)).astype("<u8", copy=False).view("<u4")
+    return product[1::2], product[0::2] < _RANGE32 % n
 
 
 def run_lockstep(

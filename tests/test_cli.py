@@ -607,6 +607,20 @@ class TestIfsGolden:
         scales = load(out)["result"]["scales"]
         assert scales == [2.0 * 0.4**k for k in range(1, 8)]
 
+    @pytest.mark.parametrize("centers,gamma,R", [
+        ("[[1.0],[-1.0]]", "1e-60", "1"),  # 2R*gamma^7 underflows to 0.0
+        ("[[1.0],[-1.0]]", "1e-40", "1"),  # normal, but more boxes than int64 holds
+        ("[[1.0],[-1.0]]", "0.001", "1"),
+        ("[[1e-300],[-1e-300]]", "0.01", "2e-300"),  # 2R*gamma^7 is subnormal
+    ])
+    def test_default_scales_for_tiny_scales(self, tmp_path, centers, gamma, R):
+        """When 2R*gamma^k would give a scale box counting refuses, the
+        default scales are 2R*0.4^k, k = 1..7."""
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", centers, "--gamma", gamma, "--R", R,
+                    "--points", "2000", "--out", str(out)]) == EXIT_OK
+        assert load(out)["result"]["scales"] == [2.0 * float(R) * 0.4**k for k in range(1, 8)]
+
     def test_planar_three_maps(self, tmp_path):
         out = tmp_path / "ifs.json"
         assert run(["ifs", "--centers", "[[1.0,0.0],[-0.5,0.8],[-0.5,-0.8]]",

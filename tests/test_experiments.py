@@ -3,7 +3,6 @@ alternating clustering update, the stability experiment, and tail checks."""
 
 import dataclasses
 import math
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from sgdcover.losses import (
     uniform_ball,
     uniform_over,
 )
-from sgdcover.sgd import (SGDConfig, SGDStep, contraction_factor, draw_runs, run_lockstep,
+from sgdcover.sgd import (SGDConfig, SGDStep, contraction_factor, run_lockstep,
                           run_trajectory)
 from sgdcover.experiments import (
     Scenario,
@@ -326,9 +325,13 @@ def _per_resampling_max_gaps(scenario, resamplings, trials, delta, seed, t_band)
     for r in range(resamplings):
         rng = substream(seed, r)
         data = Dataset(scenario.distribution.draw(rng, scenario.n))
-        runs = draw_runs(repeat(rng, trials), scenario.domain, T, T + t_band, data.n)
+        starts, steps, indices = [], [], np.zeros((trials, T + t_band), dtype=np.int64)
+        for j in range(trials):
+            starts.append(scenario.domain.sample(rng))
+            steps.append(int(rng.integers(T, T + t_band + 1)))
+            indices[j, :steps[-1]] = rng.integers(0, data.n, size=steps[-1])
         worst = 0.0
-        for theta in run_lockstep(step, *runs, data):
+        for theta in run_lockstep(step, np.array(starts), np.array(steps), indices, data):
             f_hat = float(np.mean(fam.values(theta, data)))
             f_pop = sum(p * v for p, v in zip(probs, fam.values(theta, support)))
             worst = max(worst, abs(f_hat - float(f_pop)))

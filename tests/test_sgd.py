@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, _keyed_streams, substream
+from sgdcover import sgd as sgd_module
+from sgdcover.core import _PCG64_MULT, Ball, Box, ProductOfBalls, WholeSpace, substream
 from sgdcover.losses import (
     Dataset,
     LossConstants,
@@ -510,11 +511,81 @@ class TestRowIndependence:
             assert endpoints[k].tobytes() == theta.tobytes()
 
 
+def _sequential_runs(seed, streams, runs, domain, t_min, t_max, n, prelude=None):
+    """Reference for ``draw_runs``: one fresh generator per stream and the
+    plain per-run loop over it."""
+    starts, steps, indices, preluded = [], [], [], []
+    for k in range(streams):
+        rng = substream(seed, k)
+        if prelude is not None:
+            preluded.append(prelude(k, rng))
+        for _ in range(runs):
+            starts.append(domain.sample(rng))
+            t = int(rng.integers(t_min, t_max + 1))
+            row = np.zeros(t_max, dtype=np.int64)
+            row[:t] = rng.integers(0, n, size=t)
+            steps.append(t)
+            indices.append(row)
+    return (np.array(starts, dtype=float).reshape(len(steps), domain.dim),
+            np.array(steps, dtype=np.int64),
+            np.array(indices, dtype=np.int64).reshape(len(steps), t_max), preluded)
+
+
+def _assert_same_runs(got, expected):
+    for a, b in zip(got[:3], expected[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert len(got[3]) == len(expected[3])
+    for a, b in zip(got[3], expected[3]):
+        assert np.array_equal(a, b)
+
+
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+
+
+def _pcg64_state_before(word, draws, inc):
+    """A PCG64 state whose ``draws``-th 64-bit output is ``word``.
+
+    PCG64 steps its 128-bit LCG state and outputs XSL-RR of the new state:
+    (high ^ low) rotated right by the top 6 bits.  Any high word can be
+    chosen; the low word then follows from ``word``, and the LCG steps are
+    undone with the multiplier's inverse mod 2**128."""
+    high = 0x0123456789ABCDEF
+    rot = high >> 58
+    xored = (word << rot | word >> (64 - rot)) & _MASK64 if rot else word
+    state = high << 64 | (xored ^ high)
+    inverse = pow(_PCG64_MULT, -1, 2**128)
+    for _ in range(draws):
+        state = (state - inc) * inverse & _MASK128
+    return state
+
+
+def _prelude_of(length):
+    """A prelude of ``length`` 32-bit draws; odd leaves a pending half."""
+    if length is None:
+        return None
+    return lambda k, rng: rng.integers(0, 2**32 - 1, size=length)
+
+
+@st.composite
+def _domains(draw):
+    d = draw(st.integers(1, 3))
+    coords = st.floats(-2.0, 2.0)
+    kind = draw(st.sampled_from(["ball", "box", "product"]))
+    if kind == "ball":
+        return Ball(np.array(draw(st.lists(coords, min_size=d, max_size=d))),
+                    draw(st.floats(0.1, 3.0)))
+    if kind == "box":
+        lo = np.array(draw(st.lists(coords, min_size=d, max_size=d)))
+        return Box(lo, lo + np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d,
+                                                   max_size=d))))
+    return ProductOfBalls(draw(st.integers(1, 3)), d, draw(st.floats(0.1, 3.0)))
+
+
 class TestLockstep:
     def test_draw_runs_consumes_randomness_in_sequential_order(self):
         ball = Ball(np.zeros(2), 1.0)
-        starts, steps, indices = draw_runs((substream(5, k) for k in range(20)), ball, 3, 9, 4)
-        assert starts.shape == (20, 2) and indices.shape == (20, 9)
+        starts, steps, indices, preluded = draw_runs(5, 20, 1, ball, 3, 9, 4)
+        assert starts.shape == (20, 2) and indices.shape == (20, 9) and preluded == []
         for k in range(20):
             rng = substream(5, k)
             np.testing.assert_array_equal(starts[k], ball.sample(rng))
@@ -524,20 +595,62 @@ class TestLockstep:
             assert not np.any(indices[k, t:])
 
     def test_draw_runs_from_keyed_streams(self):
-        """One reused generator per run gives the arrays that one fresh
-        substream per run gives."""
+        """The runs of one stream continue its draws after the prelude."""
         ball = Ball(np.zeros(2), 1.0)
-        got = draw_runs(_keyed_streams(5, 20), ball, 3, 9, 4)
-        expected = draw_runs((substream(5, k) for k in range(20)), ball, 3, 9, 4)
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        prelude = _prelude_of(5)
+        _assert_same_runs(draw_runs(5, 4, 5, ball, 3, 9, 4, prelude=prelude),
+                          _sequential_runs(5, 4, 5, ball, 3, 9, 4, prelude=prelude))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(domain=_domains(), seed=st.integers(0, 2**40), streams=st.integers(0, 4),
+           runs=st.integers(0, 4), t_min=st.integers(0, 6), t_extra=st.sampled_from([0, 1, 7]),
+           n=st.sampled_from([1, 2, 3, 4, 200, 2**31 + 1, 2**32]),
+           prelude=st.sampled_from([None, 0, 1, 2, 7]))
+    def test_draw_runs_is_the_sequential_loop(self, domain, seed, streams, runs, t_min,
+                                              t_extra, n, prelude):
+        """Starts, steps and indices are bitwise those of the per-run loop:
+        equal step bounds and n = 1 consume nothing, an odd prelude leaves a
+        pending half, and n = 2**31 + 1 rejects about half of all draws."""
+        args = (seed, streams, runs, domain, t_min, t_min + t_extra, n)
+        _assert_same_runs(draw_runs(*args, prelude=_prelude_of(prelude)),
+                          _sequential_runs(*args, prelude=_prelude_of(prelude)))
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_rejected_step_count_redraws_the_stream(self, monkeypatch, pending):
+        """A crafted state whose next half is 0 rejects the step count of
+        range 3 (0 * 3 mod 2**32 < 2**32 mod 3): a fresh word's low half, or
+        the half a prelude left pending."""
+        box = Box(np.zeros(2), np.ones(2))  # a start takes exactly 2 words
+        inc, word = 2 * 0x9E3779B97F4A7C15 + 1, 7 << 32  # word's low half is 0
+
+        def prelude(k, rng):
+            if k == 1:
+                rng.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": _pcg64_state_before(word, 3, inc), "inc": inc},
+                    "has_uint32": int(pending), "uinteger": 0}
+            return k
+
+        check = np.random.Generator(np.random.PCG64(0))
+        prelude(1, check)
+        assert check.bit_generator.random_raw(3)[-1] == word
+        redrawn = []
+
+        def spy(*keys):
+            redrawn.append(keys)
+            return substream(*keys)
+
+        monkeypatch.setattr(sgd_module, "substream", spy)
+        got = draw_runs(9, 3, 2, box, 1, 3, 5, prelude=prelude)
+        assert redrawn == [(9, 1)]
+        monkeypatch.undo()
+        _assert_same_runs(got, _sequential_runs(9, 3, 2, box, 1, 3, 5, prelude=prelude))
 
     def test_endpoints_match_sequential_runs_bitwise(self):
         """Ragged step counts: finished runs are masked out, and every
         endpoint equals the sequential sgd_step loop's bit for bit."""
         _, ds, update = quadratic_setup(1.5, domain=Ball(np.zeros(2), 1.0))
-        rng = np.random.default_rng(25)
-        starts, steps, indices = draw_runs([rng] * 40, update.effective_domain, 0, 12, ds.n)
+        starts, steps, indices, _ = draw_runs(25, 1, 40, update.effective_domain, 0, 12, ds.n)
         assert steps.min() < steps.max()
         endpoints = run_lockstep(update, starts, steps, indices, ds)
         for k in range(40):
