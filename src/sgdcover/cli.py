@@ -37,7 +37,7 @@ from .bounds import (
     bound_soft_kmeans,
     bound_strongly_convex,
 )
-from .core import Ball, _keyed_streams, numeric_gradient, substream
+from .core import Ball, numeric_gradient, substream
 from .cover import (
     DEFAULT_CAP,
     IFSModel,
@@ -60,7 +60,8 @@ from .experiments import (
     verify_em_equivalence,
 )
 from .losses import Dataset, family_from_descriptor, uniform_ball, uniform_over
-from .sgd import SGDConfig, SGDStep, contraction_factor, coupled_contraction_ratio, run_trajectory
+from .sgd import (SGDConfig, SGDStep, contraction_factor, coupled_contraction_ratio, draw_runs,
+                  run_trajectory)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -382,13 +383,11 @@ def _cmd_contract(cfg, args):
     # ratios measured below this distance are dominated by rounding noise
     scale = domain.bounding_radius()
     floor = 1e-6 * (scale if math.isfinite(scale) else 1.0)
-    # pair k draws a, b and then its indices from its own stream
-    a, b, indices = [], [], []
-    for rng in _keyed_streams(args.seed, pairs):
-        a.append(domain.sample(rng))
-        b.append(domain.sample(rng))
-        indices.append(rng.integers(0, dataset.n, size=steps))
-    a, b, indices = np.array(a), np.array(b), np.array(indices)
+    # pair k draws a, b and then its indices from its own stream: a is the
+    # prelude, b the one run's start
+    b, _, indices, a = draw_runs(args.seed, pairs, 1, domain, steps, steps, dataset.n,
+                                 prelude=lambda k, rng: domain.sample(rng))
+    a = np.array(a)
     differ = np.any(a != b, axis=1)
     report = coupled_contraction_ratio(update, a[differ], b[differ], indices[differ], dataset)
     worst = report.max_measurable_ratio(floor)

@@ -859,5 +859,7 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
         del idx
         keys.sort()
         counts[k] = 1 + np.count_nonzero(keys[1:] != keys[:-1])
-    slope = float(np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0])
+    # equal counts are a flat line, whose fitted slope can round below zero
+    slope = 0.0 if np.all(counts == counts[0]) else float(
+        np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0])
     return BoxCountFit(dimension=slope, scales=scales, counts=counts)

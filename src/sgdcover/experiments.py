@@ -45,11 +45,12 @@ def population_risk(
     family: LossFamily,
     distribution: Distribution | None,
     theta,
+    rng: np.random.Generator,
     m: int = 100_000,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float | None, float, bool]:
     """(risk, standard error, exact?) — exact enumeration for finite support,
-    otherwise a Monte Carlo estimate from m fresh draws."""
+    otherwise a Monte Carlo estimate from m fresh draws of the caller's
+    ``rng``."""
     if distribution is None:
         return None, 0.0, False
     if distribution.finite:
@@ -57,10 +58,7 @@ def population_risk(
         return float(vals @ distribution.probs), 0.0, True
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    draws = distribution.draw(rng, m)
-    vals = family.values(theta, Dataset(draws))
+    vals = family.values(theta, Dataset.sample(distribution, m, rng))
     se = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
     return float(vals.mean()), se, False
 
@@ -81,9 +79,7 @@ def estimate_gap(
     theta = trajectory.endpoint
     f_hat = empirical_risk(family, dataset, theta)
     digest = hashlib.sha256(np.ascontiguousarray(trajectory.indices).tobytes()).hexdigest()[:16]
-    f_pop, se, exact = population_risk(
-        family, dataset.distribution, theta, m=m, rng=substream(seed)
-    )
+    f_pop, se, exact = population_risk(family, dataset.distribution, theta, substream(seed), m=m)
     flags = () if dataset.distribution is not None else ("population_risk_unavailable",)
     gap = None if f_pop is None else f_hat - f_pop
     return GapEstimate(
@@ -149,17 +145,15 @@ def validate_bound(
     delta = 1 makes the acceptance rule vacuous and needs an explicit
     certificate, since the calculators require delta < 1.
 
-    Every sample a resampling draws must be one of the distribution's
-    ``support`` objects itself (an equal copy is refused with ValueError),
-    so a resampled dataset is an array of n support positions.  Resampling
-    r draws from ``substream(seed, r)``: its dataset, then each trial's
-    start, t and indices in turn (``draw_runs`` with the dataset draw as
-    the prelude).  Every resampling's trials then run in one lockstep over
-    the m support points,
-    and each endpoint equals, bitwise, the one a run over its own resampled
-    dataset reaches.  Each resampling is scored from its one (trials, m)
-    loss matrix: the population risk weighs its columns, the empirical risk
-    averages the columns its positions pick.  Beyond the runs' starts and
+    A resampled dataset is the array of n support positions
+    ``distribution.positions`` draws.  Resampling r draws from
+    ``substream(seed, r)``: its dataset, then each trial's start, t and
+    indices in turn (``draw_runs`` with the dataset draw as the prelude).
+    Every resampling's trials then run in one lockstep over the m support
+    points, and each endpoint equals, bitwise, the one a run over its own
+    resampled dataset reaches.  Each resampling is scored from its one
+    (trials, m) loss matrix: the population risk weighs its columns, the
+    empirical risk averages the columns its positions pick.  Beyond the runs' starts and
     indices, memory is trials * max(n, m) floats per resampling.  A
     non-finite gradient raises FloatingPointError.
     ``threads`` has no effect; it stays only until perfbench's
@@ -191,33 +185,18 @@ def validate_bound(
     threshold = certificate.total / shrink
     T = int(certificate.inputs.get("T", 0))
 
-    n = scenario.n
-    support = scenario.distribution.support
-    position = {id(z): j for j, z in enumerate(support)}
-
-    def draw_positions(r, rng):
-        draws = scenario.distribution.draw(rng, n)
-        try:
-            at = np.array([position[id(z)] for z in draws], dtype=np.int64)
-        except KeyError:
-            raise ValueError(
-                f"resampling {r} drew a sample that is not one of the distribution's "
-                "support elements; a finite distribution must draw its support objects"
-            ) from None
-        if at.size != n:
-            raise ValueError(f"resampling {r} drew {at.size} samples, expected n={n}")
-        return at
-
+    dist, n = scenario.distribution, scenario.n
     starts, steps, indices, positions = draw_runs(seed, resamplings, trials, scenario.domain,
-                                                  T, T + t_band, n, prelude=draw_positions)
+                                                  T, T + t_band, n,
+                                                  prelude=lambda r, rng: dist.positions(rng, n))
     for r, at in enumerate(positions):  # dataset positions -> support positions
         block = indices[r * trials:(r + 1) * trials]
         block[:] = at[block]
-    data = Dataset(support)
+    data = Dataset(dist.support)
     step = SGDStep(fam, scenario.eta, domain=scenario.domain)
     endpoints = run_lockstep(step, starts, steps, indices, data)
 
-    probs = scenario.distribution.probs
+    probs = dist.probs
     max_gaps = []
     for r, at in enumerate(positions):
         losses = fam.values(endpoints[r * trials:(r + 1) * trials], data)  # (trials, m)

@@ -121,16 +121,22 @@ class LossFamily:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A sample distribution, with exact enumeration when finitely supported."""
+    """A sample distribution.  A finite one is its ``support`` and weights
+    ``probs``, and its draws are derived by ``positions``; a ``draw``
+    callable serves only a distribution without a finite support."""
 
     name: str
-    draw: Callable[[np.random.Generator, int], list]
     support: tuple | None = None
     probs: np.ndarray | None = None
+    draw: Callable[[np.random.Generator, int], list] | None = None
 
     def __post_init__(self):
         if (self.support is None) != (self.probs is None):
             raise ValueError("support and probs must be given together")
+        if self.draw is not None and self.support is not None:
+            raise ValueError("a finite distribution draws from its support; it takes no draw")
+        if self.draw is None and self.support is None:
+            raise ValueError("a distribution needs a support and probs, or a draw")
         if self.probs is not None:
             p = np.asarray(self.probs, dtype=float)
             if p.ndim != 1 or len(self.support) != p.size:
@@ -142,6 +148,15 @@ class Distribution:
     @property
     def finite(self) -> bool:
         return self.support is not None
+
+    def positions(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Support positions of ``size`` i.i.d. draws: ``rng.integers(0, m,
+        size)`` when every probability is equal, else ``rng.choice(m, size,
+        p=probs)``."""
+        m = len(self.support)
+        if np.all(self.probs == self.probs[0]):
+            return rng.integers(0, m, size)
+        return rng.choice(m, size=size, p=self.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,22 +182,21 @@ class Dataset:
         return np.asarray(self.samples, dtype=float)
 
     @staticmethod
-    def sample(distribution: Distribution, n: int, rng_or_seed) -> "Dataset":
-        rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
-               else np.random.default_rng(int(rng_or_seed)))
-        return Dataset(tuple(distribution.draw(rng, n)), distribution)
+    def sample(distribution: Distribution, n: int, rng: np.random.Generator) -> "Dataset":
+        """n i.i.d. draws from ``rng``: a finite distribution's support
+        objects at ``distribution.positions(rng, n)``, else its ``draw``."""
+        if distribution.finite:
+            samples = [distribution.support[i] for i in distribution.positions(rng, n)]
+        else:
+            samples = distribution.draw(rng, n)
+        return Dataset(tuple(samples), distribution)
 
 
 def uniform_over(points: Sequence) -> Distribution:
-    """Uniform distribution over a finite list of samples."""
+    """Equal weights over a finite list of samples: draws ``rng.integers(0, m, size)``."""
     support = tuple(np.asarray(p, dtype=float) if not np.isscalar(p) else p for p in points)
     m = len(support)
-
-    def draw(rng, size):
-        idx = rng.integers(0, m, size)
-        return [support[i] for i in idx]
-
-    return Distribution("uniform_over", draw, support=support, probs=np.full(m, 1.0 / m))
+    return Distribution("uniform_over", support=support, probs=np.full(m, 1.0 / m))
 
 
 def uniform_ball(radius: float, d: int) -> Distribution:
@@ -192,7 +206,7 @@ def uniform_ball(radius: float, d: int) -> Distribution:
     def draw(rng, size):
         return [ball.sample(rng) for _ in range(size)]
 
-    return Distribution("uniform_ball", draw)
+    return Distribution("uniform_ball", draw=draw)
 
 
 # ---------------------------------------------------------------------------

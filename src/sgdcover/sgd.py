@@ -199,11 +199,10 @@ def draw_indices(config: SGDConfig, n: int) -> np.ndarray:
         if t > n:
             raise ValueError("cannot draw more without-replacement steps than samples")
         return rng.permutation(n)[:t][:, None]
-    # shuffle: concatenated independent passes over the data
-    passes = []
-    while sum(len(p) for p in passes) < t:
-        passes.append(rng.permutation(n))
-    return np.concatenate(passes)[:t][:, None]
+    # shuffle: concatenated independent passes over the data, as many as
+    # the steps need (none for zero steps)
+    passes = [rng.permutation(n) for _ in range(-(-t // n))]
+    return np.concatenate([np.empty(0, dtype=np.int64), *passes])[:t][:, None]
 
 
 # numpy draws a bounded integer of range up to 2**32 from one 32-bit half

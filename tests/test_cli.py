@@ -394,26 +394,6 @@ class TestExitCodeContract:
         assert run(["gap", "--scenario", spath, "--t", "5", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
-    def test_draw_of_support_copies_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        """Validation keeps a resampled dataset as support positions, so a
-        distribution that draws equal copies of its support is refused
-        before any output."""
-        def copying(points):
-            dist = sgdcover.uniform_over(points)
-            return dataclasses.replace(
-                dist, draw=lambda rng, size: [np.copy(z) for z in dist.draw(rng, size)])
-
-        monkeypatch.setattr("sgdcover.cli.uniform_over", copying)
-        spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO, dataset={"kind": "iid", "n": 20}))
-        out, csv_path = tmp_path / "v.json", tmp_path / "rows.csv"
-        code = run(["validate", "--scenario", spath, "--resamplings", "3", "--trials", "2",
-                    "--delta", "0.05", "--out", str(out), "--csv", str(csv_path)])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "not one of the distribution's support elements" in captured.err
-        assert not out.exists() and not csv_path.exists()
-
     @pytest.mark.parametrize("flags", [
         ["--centers", "[[1.0],[-1.0]]", "--burn-in", "-3"],
         ["--centers", "[[NaN],[1.0]]"],
@@ -620,6 +600,17 @@ class TestIfsGolden:
         assert run(["ifs", "--centers", centers, "--gamma", gamma, "--R", R,
                     "--points", "2000", "--out", str(out)]) == EXIT_OK
         assert load(out)["result"]["scales"] == [2.0 * float(R) * 0.4**k for k in range(1, 8)]
+
+    def test_two_point_attractor_has_dimension_zero(self, tmp_path, capsys):
+        """Every box count is 2, so the estimate is 0.0, not a fitted slope
+        a rounding error below zero."""
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "1e-60", "--R", "1",
+                    "--points", "2000", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("box-counting estimate 0.000000\n")
+        result = load(out)["result"]
+        assert result["counts"] == [2.0] * 7 and result["box_counting_estimate"] == 0.0
+        assert result["abs_error"] == result["dimension"]
 
     def test_planar_three_maps(self, tmp_path):
         out = tmp_path / "ifs.json"

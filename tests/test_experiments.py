@@ -64,15 +64,14 @@ class TestEstimateGap:
         """Exact enumeration vs fresh-draw Monte Carlo within 3 SEs."""
         fam = quadratic_centers(CENTERS, R=1.0)
         finite = uniform_over(CENTERS)
-        ds = Dataset.sample(finite, 40, 7)
+        ds = Dataset.sample(finite, 40, np.random.default_rng(7))
         traj = short_trajectory(fam, ds)
         exact = estimate_gap(fam, ds, traj)
         assert exact.exact_population and exact.mc_standard_error == 0.0
 
-        # same support, but force the Monte Carlo path
-        mc_dist = uniform_over(CENTERS)
-        object.__setattr__(mc_dist, "support", None)
-        object.__setattr__(mc_dist, "probs", None)
+        # the same draws, but through the Monte Carlo path
+        mc_dist = Distribution(
+            "mc", draw=lambda rng, size: Dataset.sample(finite, size, rng).samples)
         ds_mc = Dataset(ds.samples, mc_dist)
         mc = estimate_gap(fam, ds_mc, traj, m=20_000, seed=11)
         assert not mc.exact_population and mc.mc_standard_error > 0
@@ -199,14 +198,8 @@ class TestValidateBound:
     def test_pooled_lockstep_with_weighted_named_support(self):
         """Non-uniform probabilities weigh the population sum and the draws."""
         scenario = _scenario_in(3, "grad_batch")
-        support = scenario.distribution.support
-        probs = np.array([0.5, 0.3, 0.15, 0.05])
-
-        def draw(rng, size):
-            return [support[i] for i in rng.choice(len(support), size=size, p=probs)]
-
-        skewed = dataclasses.replace(
-            scenario, distribution=Distribution("skewed", draw, support=support, probs=probs))
+        skewed = dataclasses.replace(scenario, distribution=Distribution(
+            "skewed", support=scenario.distribution.support, probs=[0.5, 0.3, 0.15, 0.05]))
         report = validate_bound(skewed, resamplings=6, trials=3, delta=0.05, seed=8)
         assert report.max_gaps == _per_resampling_max_gaps(skewed, resamplings=6, trials=3,
                                                            delta=0.05, seed=8, t_band=50)
@@ -227,39 +220,13 @@ class TestValidateBound:
                        resamplings=30, trials=20, delta=0.05, seed=1)
         assert calls == 30 * 20 * len(CENTERS)
 
-    def test_draw_of_support_copies_is_refused(self):
-        """Samples are matched to the support by identity, never by value."""
-        scenario = quadratic_scenario()
-        support = scenario.distribution.support
-
-        def draw(rng, size):
-            return [support[i].copy() for i in rng.integers(0, len(support), size)]
-
-        copies = dataclasses.replace(scenario, distribution=Distribution(
-            "copies", draw, support=support, probs=scenario.distribution.probs))
-        with pytest.raises(ValueError, match="not one of the distribution's support elements"):
-            validate_bound(copies, resamplings=2, trials=2, delta=0.05)
-
-    def test_short_draw_is_refused(self):
-        scenario = quadratic_scenario()
-        dist = scenario.distribution
-        short = dataclasses.replace(scenario, distribution=dataclasses.replace(
-            dist, draw=lambda rng, size: dist.draw(rng, size - 1)))
-        with pytest.raises(ValueError, match="drew 49 samples, expected n=50"):
-            validate_bound(short, resamplings=2, trials=2, delta=0.05)
-
     def test_support_listing_one_object_twice(self):
         """A support object at two positions is scored at both; either
         position stands for its draws."""
         scenario = _scenario_in(2, "grad_batch")
         twice = (scenario.distribution.support[0],) + scenario.distribution.support
-        probs = np.full(len(twice), 1.0 / len(twice))
-
-        def draw(rng, size):
-            return [twice[i] for i in rng.integers(0, len(twice), size)]
-
-        dup = dataclasses.replace(
-            scenario, distribution=Distribution("twice", draw, support=twice, probs=probs))
+        dup = dataclasses.replace(scenario, distribution=Distribution(
+            "twice", support=twice, probs=np.full(len(twice), 1.0 / len(twice))))
         report = validate_bound(dup, resamplings=5, trials=4, delta=0.05, seed=6, t_band=7)
         assert report.max_gaps == _per_resampling_max_gaps(dup, resamplings=5, trials=4,
                                                            delta=0.05, seed=6, t_band=7)
@@ -324,7 +291,7 @@ def _per_resampling_max_gaps(scenario, resamplings, trials, delta, seed, t_band)
     max_gaps = []
     for r in range(resamplings):
         rng = substream(seed, r)
-        data = Dataset(scenario.distribution.draw(rng, scenario.n))
+        data = Dataset.sample(scenario.distribution, scenario.n, rng)
         starts, steps, indices = [], [], np.zeros((trials, T + t_band), dtype=np.int64)
         for j in range(trials):
             starts.append(scenario.domain.sample(rng))

@@ -391,16 +391,40 @@ class TestDatasetsAndDescriptors:
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
-            Distribution("bad", lambda rng, k: [], support=(1,), probs=None)
+            Distribution("bad", support=(1,), probs=None)
         with pytest.raises(ValueError):
-            Distribution("bad", lambda rng, k: [], support=(1, 2), probs=np.array([0.9, 0.2]))
+            Distribution("bad", support=(1, 2), probs=np.array([0.9, 0.2]))
+        with pytest.raises(ValueError, match="finite distribution draws from its support"):
+            Distribution("both", support=(1, 2), probs=[0.5, 0.5], draw=lambda rng, k: [1] * k)
+        with pytest.raises(ValueError, match="needs a support and probs, or a draw"):
+            Distribution("neither")
 
     def test_uniform_over_sampling(self):
         dist = uniform_over([np.array([0.0]), np.array([1.0])])
-        ds = Dataset.sample(dist, 64, 5)
+        ds = Dataset.sample(dist, 64, np.random.default_rng(5))
         assert ds.n == 64 and dist.finite
-        redraw = Dataset.sample(dist, 64, 5)
+        redraw = Dataset.sample(dist, 64, np.random.default_rng(5))
         np.testing.assert_array_equal(np.array(ds.samples), np.array(redraw.samples))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           weights=st.lists(st.integers(1, 9), min_size=6, max_size=6))
+    def test_sample_draws_the_derived_positions(self, m, n, seed, weights):
+        """A uniform distribution draws ``rng.integers(0, m, n)``; a weighted
+        one ``rng.choice(m, n, p=probs)``; each maps them to support objects."""
+        support = [np.array([float(i)]) for i in range(m)]
+        uniform = uniform_over(support)
+        got = Dataset.sample(uniform, n, np.random.default_rng(seed)).samples
+        want = np.random.default_rng(seed).integers(0, m, n)
+        assert all(z is uniform.support[i] for z, i in zip(got, want, strict=True))
+
+        probs = np.array(weights[:m], dtype=float) / sum(weights[:m])
+        if np.all(probs == probs[0]):
+            return  # equal weights draw as uniform_over does
+        weighted = Distribution("weighted", support=tuple(support), probs=probs)
+        got = Dataset.sample(weighted, n, np.random.default_rng(seed)).samples
+        want = np.random.default_rng(seed).choice(m, n, p=weighted.probs)
+        assert all(z is support[i] for z, i in zip(got, want, strict=True))
 
     def test_family_descriptors_roundtrip(self):
         descs = [

@@ -115,10 +115,13 @@ def _assert_overflow_rejected(update, batched):
 class TestTrajectories:
     def test_zero_steps(self):
         _, ds, update = quadratic_setup(eta=0.5)
-        config = SGDConfig(init=np.array([0.2, 0.2]), steps=0, scheme="uniform", seed=1)
-        traj = run_trajectory(update, config, ds)
-        assert traj.points.shape == (1, 2)
-        np.testing.assert_array_equal(traj.endpoint, [0.2, 0.2])
+        for scheme in ("explicit", "uniform", "without_replacement", "shuffle"):
+            config = SGDConfig(init=np.array([0.2, 0.2]), steps=0, scheme=scheme, seed=1,
+                               indices=[] if scheme == "explicit" else None)
+            assert draw_indices(config, ds.n).shape == (0, 1)
+            traj = run_trajectory(update, config, ds)
+            assert traj.points.shape == (1, 2)
+            np.testing.assert_array_equal(traj.endpoint, [0.2, 0.2])
 
     def test_explicit_indices_compose(self):
         _, ds, update = quadratic_setup(eta=0.5)
