@@ -37,7 +37,7 @@ from .bounds import (
     bound_soft_kmeans,
     bound_strongly_convex,
 )
-from .core import Ball, numeric_gradient, substream
+from .core import Ball, linalg_norms, numeric_gradient, substream
 from .cover import (
     DEFAULT_CAP,
     IFSModel,
@@ -428,9 +428,8 @@ def _cmd_approx(cfg, args):
     axes = [np.linspace(-R, R, grid)] * d
     mesh = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     mesh = mesh[np.linalg.norm(mesh, axis=1) <= R]
-    max_err = max(
-        float(np.linalg.norm(fn.grad(p) - approx.grad(p))) for p in mesh
-    )
+    exact = np.array([fn.grad(p) for p in mesh])
+    max_err = float(linalg_norms(exact - approx.grad_rows(mesh)).max())
     result = {"function": name, "xi": xi, "max_gradient_error": max_err,
               "grid_points": int(mesh.shape[0]),
               "piece_count": approx.piece_count,

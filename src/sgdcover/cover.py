@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .bounds import horizon
-from .core import (ConvexDomain, WholeSpace, all_finite, as_point, ceil_int, linalg_norms,
-                   substream)
+from .core import (ConvexDomain, WholeSpace, all_finite, as_point, as_rows, ceil_int,
+                   linalg_norms, substream)
 from .losses import Dataset
 from .sgd import CustomMap, UpdateMap, draw_runs, run_lockstep, sgd_step
 
@@ -130,41 +130,56 @@ class CoverSet:
             for lines in self._jsonl_chunks():
                 fh.write("\n".join(lines) + "\n")
 
-    def _choices(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Sample and piece (None for a plain cover) of every choice that
-        reaches each canonical index, as (..., horizon) int64 arrays: the
-        index's base-(n*P) digits, the most significant (first choice)
-        leftmost."""
+    def _choices(self, index: np.ndarray, digits: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Sample and piece (None for a plain cover) of the last ``digits``
+        choices that reach each canonical index, as (..., digits) int64
+        arrays: the index's base-(n*P) digits, the most significant leftmost."""
         P = self.pieces_per_sample
         rest = np.asarray(index, dtype=np.int64)
-        choices = np.empty(rest.shape + (self.horizon,), dtype=np.int64)
-        for j in reversed(range(self.horizon)):
+        choices = np.empty(rest.shape + (digits,), dtype=np.int64)
+        for j in reversed(range(digits)):
             rest, choices[..., j] = np.divmod(rest, self.n_samples * (P or 1))
         return (choices, None) if P is None else (choices // P, choices % P)
 
+    def _spelled(self, index: np.ndarray, digits: int, lead: str) -> list:
+        """``(texts, samples)`` per index: its last ``digits`` choices as ``lead``
+        plus comma-joined digits per field (seq, pieces), and their sorted samples."""
+        fields = [c.tolist() for c in self._choices(index, digits) if c is not None]
+        return [(tuple(lead + ", ".join(map(str, f)) for f in row), tuple(sorted(set(row[0]))))
+                for row in zip(*fields)]
+
     def _jsonl_chunks(self) -> Iterator[list[str]]:
-        """Lines in chunks of about _WRITE_CHUNK values, each line filled into
-        a template: choices decoded from ``index``, the point's floats by
-        ``repr`` (as ``json.dumps`` writes them) and the ``deps`` string cached
-        per sample set.  A chunk holding a non-finite value, which JSON spells
-        differently, takes ``CoverEntry.to_json`` per entry instead."""
-        template = ('{"seq": %s, "point": [%s], "deps": %s}' if self.pieces_per_sample is None
-                    else '{"seq": %s, "pieces": %s, "point": [%s], "deps": %s}')
-        deps_of: dict[frozenset[int], str] = {}
+        """Lines in chunks of about _WRITE_CHUNK values, each filled into one
+        template per cover: floats by ``repr`` (as ``json.dumps`` writes them)
+        and the choice text of index = high * (n*P)^L + low, L = floor(T/2),
+        looked up by halves.  All (n*P)^L <= sqrt((n*P)^T) low halves are
+        spelled once, and a chunk's high halves and ``deps`` strings (cached
+        per pair of the halves' sample sets) per chunk.  A chunk holding a non-finite value, which
+        JSON spells differently, takes ``CoverEntry.to_json`` per entry."""
+        L = self.horizon // 2
+        base = (self.n_samples * (self.pieces_per_sample or 1)) ** L
+        lows = self._spelled(np.arange(base), L, ", " if L else "")
+        fields = '{"seq": [%s%s], ' + ('"pieces": [%s%s], ' if self.pieces_per_sample else "")
+        template = fields + f'"point": [{", ".join(["%r"] * self.points.shape[1])}], "deps": %s}}'
         rows = max(1, _WRITE_CHUNK // max(1, self.points.shape[1]))
         for lo in range(0, len(self), rows):
             block = np.asarray(self.points[lo:lo + rows], dtype=float)
             if not all_finite(block):
                 yield [self.entries[k].to_json() for k in range(lo, lo + len(block))]
                 continue
-            cols = [c.tolist() for c in self._choices(self.index[lo:lo + rows]) if c is not None]
+            high, low = np.divmod(self.index[lo:lo + rows], base)
+            heads, high = np.unique(high, return_inverse=True)
+            highs = self._spelled(heads, self.horizon - L, "")
+            deps_of: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
             lines = []
-            for *fields, point in zip(*cols, block.tolist()):
-                samples = frozenset(fields[0])
-                deps = deps_of.get(samples)
+            for h, l, point in zip(high.tolist(), low.tolist(), block.tolist()):
+                (htexts, hset), (ltexts, lset) = highs[h], lows[l]
+                deps = deps_of.get((hset, lset))
                 if deps is None:
-                    deps = deps_of[samples] = str(sorted(samples))
-                lines.append(template % (*fields, ", ".join(map(repr, point)), deps))
+                    deps = deps_of[hset, lset] = str(sorted({*hset, *lset}))
+                lines.append(template % (htexts[0], ltexts[0], *htexts[1:], *ltexts[1:],
+                                         *point, deps))
+            del highs, deps_of  # freed before the next chunk builds its own
             yield lines
 
 
@@ -182,7 +197,7 @@ class CoverEntries(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(self[j] for j in range(len(self))[k])
-        seq, pieces = self._cover._choices(self._cover.index[k])
+        seq, pieces = self._cover._choices(self._cover.index[k], self._cover.horizon)
         seq = tuple(seq.tolist())
         return CoverEntry(seq=seq, point=self._cover.points[k], deps=frozenset(seq),
                           pieces=None if pieces is None else tuple(pieces.tolist()))
@@ -284,7 +299,11 @@ def enumerate_piecewise_cover(
 def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry,
                  anchor: np.ndarray) -> np.ndarray:
     """Re-run an entry's recorded sequence from the anchor (bitwise identical
-    to enumeration when the dataset agrees on the entry's dependency set)."""
+    to enumeration when the dataset agrees on the entry's dependency set).
+    A piecewise entry's surrogate steps are not ``update``'s, so it is refused."""
+    if entry.pieces is not None:
+        raise ValueError("replay_entry replays plain cover entries; this entry has pieces "
+                         f"{entry.pieces}, whose surrogate steps the update cannot replay")
     seq = np.array([entry.seq], dtype=np.int64)
     return run_lockstep(update, anchor[None, :], np.array([len(entry.seq)]), seq, dataset)[0]
 
@@ -481,6 +500,19 @@ class PiecewiseQuadraticApprox:
 
     def grad(self, theta) -> np.ndarray:
         return self.piece_grad(self.piece_index(theta), theta)
+
+    def grad_rows(self, thetas) -> np.ndarray:
+        """``grad`` of each row of an (m, d) array, bitwise: ``piece_of`` per
+        row, then one nearest-anchor argmin per block of rows whose squared
+        coordinate differences hold at most max(_BLOCK, anchors.size) values."""
+        thetas = as_rows(thetas, dim=self.dim)
+        q = np.array([self.source.piece_of(theta) for theta in thetas], dtype=np.int64)
+        p = np.empty(len(thetas), dtype=np.int64)
+        rows = max(1, _BLOCK // self.anchors.size)
+        for lo in range(0, len(thetas), rows):
+            d2 = np.sum((self.anchors - thetas[lo:lo + rows, None, :]) ** 2, axis=2)
+            p[lo:lo + rows] = np.argmin(d2, axis=1)  # the lowest index on ties
+        return self.anchor_grads[q, p] + self.curvature * (thetas - self.anchors[p])
 
     def value(self, theta) -> float:
         theta = as_point(theta, dim=self.dim)
@@ -811,9 +843,11 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     of an occupancy bitmap over the grid; a finer grid sorts one int64 key
     per point, or compares whole rows when int64 cannot index the grid.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] == pts.size:  # a flat vector of scalars
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:  # a flat vector of scalars
         pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be an (N, d) array, got shape {pts.shape}")
     if pts.shape[0] < 1000:
         raise ValueError("box counting needs at least 1000 points")
     if not all_finite(pts):

@@ -407,6 +407,19 @@ class TestExitCodeContract:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_one_high_dimensional_point_is_not_a_thousand_scalars(self, tmp_path, capsys,
+                                                                  points):
+        """A single orbit point in d = 1000 is one point, not 1000 scalars:
+        box counting refuses it as it refuses two such points."""
+        centers = json.dumps([[0.01] * 1000, [-0.01] * 1000])
+        out = tmp_path / "ifs.json"
+        assert run(["ifs", "--centers", centers, "--gamma", "0.5", "--R", "1",
+                    "--points", str(points), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: box counting needs at least 1000 points"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("centers", ["[]", "[[]]", "[[1.0],[2.0,3.0]]"],
                              ids=["no-maps", "zero-dim", "ragged"])
     def test_malformed_ifs_centers_are_usage_error(self, tmp_path, capsys, centers):

@@ -1,5 +1,6 @@
 """Cover enumeration/verification, quadratic surrogates, and IFS dimension."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -18,6 +19,8 @@ from sgdcover.cover import (
     CoverSet,
     EnumerationCapExceeded,
     IFSModel,
+    PiecewiseSmoothFunction,
+    SmoothPiece,
     box_counting_dimension,
     build_piecewise_approx,
     cover_horizon,
@@ -265,6 +268,17 @@ class TestEnumerateCover:
             replay_entry(update, Dataset(tuple(inside)), entry, np.zeros(2)), entry.point
         )
 
+    def test_replay_refuses_piecewise_entry(self):
+        """A piecewise entry's point comes from surrogate piece steps; replaying
+        its seq through the plain update reaches another point."""
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_piecewise_cover(
+            lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds, eta=0.4, T=2)
+        entry = cov.entries[5]
+        assert (entry.seq, entry.pieces) == ((0, 2), (0, 1))
+        with pytest.raises(ValueError, match=r"has pieces \(0, 1\)"):
+            replay_entry(update, ds, entry, cov.anchor)
+
     def test_jsonl_serialization(self, tmp_path):
         _, ds, update = quadratic_cover_setup()
         cov = enumerate_cover(update, ds, T=2)
@@ -311,10 +325,19 @@ class TestCoverFormatGolden:
             "23272ecf0762598a4bc5bc4191296d1c4756632b3642fe4e26aaa6b23f8891dd")
 
 
+def _one_dim_cover(n):
+    """A T = 1 cover over n one-dim samples: every row has its own choice."""
+    return CoverSet(horizon=1, anchor=np.zeros(1), points=np.linspace(-1.0, 1.0, n)[:, None],
+                    index=np.arange(n, dtype=np.int64), n_samples=n)
+
+
+@functools.cache
 def _writer_covers():
-    """Covers of every shape the JSONL writer handles, by name."""
+    """Covers of every shape the JSONL writer handles, by name; the writer
+    looks up a line's choice text by its first ceil(T/2) and last floor(T/2)
+    choices, so odd and even T, P = 3 and T = 1 each split differently."""
     _, ds, update = quadratic_cover_setup()
-    covers = {f"plain-T{T}": enumerate_cover(update, ds, T=T) for T in range(5)}
+    covers = {f"plain-T{T}": enumerate_cover(update, ds, T=T) for T in range(7)}
     signed = Dataset((np.array([1.0]), np.array([-1.0])))
     zero = CustomMap(lambda t, z: np.asarray(z) * 0.0, Ball(np.zeros(1), 1.0))
     covers["deduped-signed-zero"] = enumerate_cover(zero, signed, T=2, dedupe=True)
@@ -322,6 +345,10 @@ def _writer_covers():
     covers["deduped-first-choice"] = enumerate_cover(FIRST_CHOICE, ds, T=3, dedupe=True)
     covers["piecewise-P2"] = enumerate_piecewise_cover(
         lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds, eta=0.4, T=3)
+    covers["piecewise-P3-T4"] = enumerate_piecewise_cover(
+        lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2), [0.1, -0.2]]),
+        Dataset(tuple(CENTERS[:2])), eta=0.4, T=4)
+    covers["one-dim-T1"] = _one_dim_cover(700)
     # the points a two-piece run at eta = 1e308, T = 2 overflows to, built
     # by hand because enumeration refuses them
     covers["piecewise-overflow"] = CoverSet(
@@ -343,9 +370,9 @@ class TestJsonlWriter:
 
     @pytest.mark.parametrize("chunk", [None, 3, 8])
     @pytest.mark.parametrize("name", [
-        *(f"plain-T{T}" for T in range(5)), "deduped-signed-zero", "deduped-T0",
-        "deduped-first-choice", "piecewise-P2", "piecewise-overflow", "extremes",
-        "non-finite"])
+        *(f"plain-T{T}" for T in range(7)), "deduped-signed-zero", "deduped-T0",
+        "deduped-first-choice", "piecewise-P2", "piecewise-P3-T4", "one-dim-T1",
+        "piecewise-overflow", "extremes", "non-finite"])
     def test_matches_to_json_per_entry(self, tmp_path, monkeypatch, name, chunk):
         if chunk is not None:  # chunks of 1 and 4 rows put boundaries inside every cover
             monkeypatch.setattr(cover_module, "_WRITE_CHUNK", chunk)
@@ -361,19 +388,30 @@ class TestJsonlWriter:
         assert '"point": [-Infinity, NaN]' in list(covers["non-finite"].jsonl_lines())[1]
         assert '"point": [-Infinity]' in next(covers["piecewise-overflow"].jsonl_lines())
 
-    def test_t9_write_memory_is_bounded(self, tmp_path):
-        """Writing converts a fixed number of rows at a time, so the 19,683
-        entries of T = 9 (about 2 MB of text) never sit in memory at once."""
-        _, ds, update = quadratic_cover_setup()
-        cov = enumerate_cover(update, ds, T=9)
-        path = tmp_path / "cover.jsonl"
+    @staticmethod
+    def _write_peak(cov, path):
+        """Bytes written and the peak traced memory of writing them."""
         tracemalloc.start()
         try:
             cov.write_jsonl(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 1_900_000
+        return path.stat().st_size, peak
+
+    def test_t9_write_memory_is_bounded(self, tmp_path):
+        """Writing converts a fixed number of rows at a time, so the 19,683
+        entries of T = 9 (about 2 MB of text) never sit in memory at once."""
+        _, ds, update = quadratic_cover_setup()
+        size, peak = self._write_peak(enumerate_cover(update, ds, T=9), tmp_path / "c.jsonl")
+        assert size > 1_900_000
+        assert peak < 1_000_000
+
+    def test_t1_write_memory_is_bounded(self, tmp_path):
+        """At T = 1 every row has its own choice text and sample set, so no
+        table or cache may span the cover: 100,000 rows peak under 1 MB."""
+        size, peak = self._write_peak(_one_dim_cover(100_000), tmp_path / "c.jsonl")
+        assert size > 5_000_000
         assert peak < 1_000_000
 
 
@@ -721,6 +759,27 @@ class TestPiecewiseApprox:
             np.testing.assert_allclose(ap.grad(t), fn.grad(t), atol=1e-15)
             np.testing.assert_allclose(ap.value(t), fn.value(t), atol=1e-15)
 
+    @pytest.mark.parametrize("block", [None, 1, 100])
+    def test_grad_rows_is_per_row_grad(self, monkeypatch, block):
+        """Two source pieces split at x = 0.1, a lattice of anchors, and rows
+        on anchors, on ties between anchors and at random, in blocks that cut
+        the rows anywhere: every row's gradient is bitwise ``grad``'s."""
+        if block is not None:
+            monkeypatch.setattr(cover_module, "_BLOCK", block)
+        fn = PiecewiseSmoothFunction(
+            (SmoothPiece(lambda t: math.sin(t[0]), lambda t: np.array([math.cos(t[0]), 0.0])),
+             SmoothPiece(lambda t: t[0] * t[1], lambda t: np.array([t[1], t[0]]))),
+            lambda t: int(t[0] > 0.1), beta_prime=1.0)
+        ap = build_piecewise_approx(fn, Ball(np.zeros(2), 1.0), xi=0.5,
+                                    strong_convexity_smoothness=(1.0, 1.0))
+        assert ap.anchor_count > 1
+        a = ap.anchors
+        rows = np.vstack([a, 0.5 * (a[:-1] + a[1:]),
+                          np.random.default_rng(43).uniform(-1.0, 1.0, (200, 2))])
+        assert len({ap.source.piece_of(r) for r in rows}) == 2
+        expected = np.array([ap.grad(r) for r in rows])
+        assert ap.grad_rows(rows).tobytes() == expected.tobytes()
+
     def test_one_dimensional_piece_bound(self):
         # beta = beta' = 1, R = 1, xi = 6 -> bound (3*2*1/6)^1 = 1
         fn = smooth_function(lambda t: math.cos(t[0]), lambda t: np.array([-math.sin(t[0])]),
@@ -1048,6 +1107,18 @@ class TestBoxCounting:
             box_counting_dimension(pts, [1.0, 0.5, 0.2, 0.1])  # under two decades
         with pytest.raises(ValueError):
             box_counting_dimension(pts, [1.0, 0.01, 0.001])  # too few scales
+
+    def test_point_shapes(self):
+        """A flat vector is that many one-dim points; one row is one point,
+        however long; a stack of point arrays is refused."""
+        line = np.random.default_rng(0).uniform(size=2000)
+        scales = [1.0, 0.1, 0.01, 0.001]
+        assert (box_counting_dimension(line, scales).counts
+                == box_counting_dimension(line[:, None], scales).counts).all()
+        with pytest.raises(ValueError, match="at least 1000 points"):
+            box_counting_dimension(line[None, :], scales)
+        with pytest.raises(ValueError, match=r"\(N, d\) array, got shape \(1000, 2, 1\)"):
+            box_counting_dimension(line.reshape(1000, 2, 1), scales)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_rejected(self, bad):
