@@ -281,16 +281,22 @@ def bound_multi_index(n, delta, B, L, R, R_x, K, Q, beta, eta, lam) -> BoundCert
     )
 
 
+def soft_kmeans_constants(K, R, zeta) -> tuple[float, float, float, float]:
+    """The soft clustering constants (B, L, beta, beta'): B = 4(R+1)^2,
+    L = (4R/sqrt(K)) e^{zeta B}, beta = (2/K) e^{zeta B} and
+    beta' = 4 zeta B e^{zeta B} + 4 zeta B + 2."""
+    B = 4.0 * (R + 1.0) ** 2
+    return (B, 4.0 * R / math.sqrt(K) * math.exp(zeta * B), 2.0 / K * math.exp(zeta * B),
+            4.0 * zeta * B * math.exp(zeta * B) + 4.0 * zeta * B + 2.0)
+
+
 def soft_kmeans_params(K, R, zeta, eta, n) -> dict:
     """The derived constants of the soft clustering certificate."""
     _check_pos(K=K, R=R, zeta=zeta, n=n)
-    B = 4.0 * (R + 1.0) ** 2
+    B, L, beta, beta_prime = soft_kmeans_constants(K, R, zeta)
     if not 0 < eta < K * math.exp(-zeta * B):
         raise ValueError("step size must satisfy 0 < eta < K*exp(-zeta*B)")
     gamma = math.sqrt(1.0 - 4.0 * eta * math.exp(-zeta * B) / K + 4.0 * eta**2 / K**2)
-    L = 4.0 * R / math.sqrt(K) * math.exp(zeta * B)
-    beta = 2.0 / K * math.exp(zeta * B)
-    beta_prime = 4.0 * zeta * B * math.exp(zeta * B) + 4.0 * zeta * B + 2.0
     T = horizon(3.0 * L * R * n, gamma)
     if T == 0:
         kappa, P = math.inf, 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -40,12 +41,9 @@ from .bounds import (
 from .core import Ball, linalg_norms, numeric_gradient, substream
 from .cover import (
     DEFAULT_CAP,
-    IFSModel,
-    box_counting_dimension,
     build_piecewise_approx,
     cover_horizon,
     enumerate_cover,
-    ifs_dimension,
     smooth_function,
     verify_cover,
 )
@@ -59,6 +57,7 @@ from .experiments import (
     validate_bound,
     verify_em_equivalence,
 )
+from .fractal import IFSModel, box_counting_dimension, ifs_dimension
 from .losses import Dataset, family_from_descriptor, uniform_ball, uniform_over
 from .sgd import (SGDConfig, SGDStep, contraction_factor, coupled_contraction_ratio, draw_runs,
                   run_trajectory)
@@ -347,11 +346,7 @@ def _cmd_cover(cfg, args):
         verification = verify_cover(cover, update, dataset, cfg["verify_trials"],
                                     cfg.get("max_extra_steps", 50), float(epsilon),
                                     seed=args.seed)
-        result["verification"] = {
-            "trials": verification.trials, "failures": verification.failures,
-            "max_min_distance": verification.max_min_distance,
-            "passed": verification.passed,
-        }
+        result["verification"] = dataclasses.asdict(verification)
     passed = verification is None or verification.passed
 
     if not args.out:
@@ -449,14 +444,8 @@ def _cmd_gap(cfg, args):
     config = SGDConfig(init=init, steps=int(cfg["t"]), scheme="uniform", seed=args.seed)
     trajectory = run_trajectory(update, config, dataset)
     est = estimate_gap(scenario.family, dataset, trajectory, seed=args.seed, **_given(cfg, "m"))
-    result = {
-        "empirical_risk": est.empirical_risk, "population_risk": est.population_risk,
-        "gap": est.gap, "mc_standard_error": est.mc_standard_error,
-        "exact_population": est.exact_population, "t": est.t,
-        "indices_digest": est.indices_digest, "flags": list(est.flags),
-    }
-    return result, True, [f"empirical {est.empirical_risk:.6g}  population "
-                          f"{est.population_risk}  gap {est.gap}"], {}
+    return dataclasses.asdict(est), True, [
+        f"empirical {est.empirical_risk:.6g}  population {est.population_risk}  gap {est.gap}"], {}
 
 
 def _cmd_validate(cfg, args):
@@ -466,12 +455,8 @@ def _cmd_validate(cfg, args):
         scenario, int(cfg["resamplings"]), int(cfg["trials"]), float(cfg["delta"]),
         seed=args.seed, **_given(cfg, "shrink", "t_band"),
     )
-    result = {
-        "scenario": report.scenario, "resamplings": report.resamplings,
-        "violations": report.violations, "certificate_total": report.certificate_total,
-        "max_observed_gap": report.max_observed_gap, "delta": report.delta,
-        "passed": report.passed,
-    }
+    result = dataclasses.asdict(report)
+    del result["max_gaps"]  # the CSV's rows
     files = {args.csv: report.write_csv} if args.csv else {}
     return result, report.passed, [
         f"{report.violations}/{report.resamplings} violations of "
@@ -491,21 +476,18 @@ def _cmd_kmeans(cfg, args):
     theta0 = np.vstack([Ball(np.zeros(d), R).sample(rng) for _ in range(K)])
     # The CLI's ``iters`` is run_em's ``max_iters``, so _given cannot pass it.
     limit = {"max_iters": cfg["iters"]} if "iters" in cfg else {}
-    centers, iters = run_em(theta0, dataset, zeta, **limit)
+    centers, iters, converged = run_em(theta0, dataset, zeta, **limit)
     equiv = verify_em_equivalence(centers, dataset, zeta, K=K, d=d)
     grad_norm = float(np.linalg.norm(numeric_gradient(
         lambda th: empirical_risk(family, dataset, th), centers.reshape(-1)
     )))
-    result = {
-        "iterations": iters, "centers": centers,
-        "gmm_log_likelihood": equiv.gmm_log_likelihood,
-        "affine_image": equiv.affine_image, "residual": equiv.residual,
-        "slope": equiv.slope, "intercept": equiv.intercept,
-        "fixed_point_gradient_norm": grad_norm,
-        "passed": equiv.passed and grad_norm <= 1e-6,
-    }
-    return result, result["passed"], [
-        f"alternating update converged in {iters} iterations; "
+    passed = equiv.passed and grad_norm <= 1e-6
+    result = {**dataclasses.asdict(equiv), "iterations": iters, "centers": centers,
+              "fixed_point_gradient_norm": grad_norm, "passed": passed}
+    outcome = (f"converged in {iters} iterations" if converged
+               else f"stopped after {iters} iterations without converging")
+    return result, passed, [
+        f"alternating update {outcome}; "
         f"affine residual {equiv.residual:.3g}; |grad| {grad_norm:.3g}"], {}
 
 
@@ -513,14 +495,7 @@ def _cmd_stability(cfg, args):
     report = stability_experiment(seed=args.seed,
                                   **_given(cfg, "eta", "inits", "steps", "n_samples"))
     passed = report.separation >= 1.5 and report.basin_respected
-    result = {
-        "mean_identical": report.mean_identical, "mean_swapped": report.mean_swapped,
-        "separation": report.separation, "converged_fraction": report.converged_fraction,
-        "basin_respected": report.basin_respected, "eta": report.eta,
-        "steps": report.steps, "inits": report.inits,
-        "n_samples": report.n_samples, "passed": passed,
-    }
-    return result, passed, [
+    return {**dataclasses.asdict(report), "passed": passed}, passed, [
         f"mean endpoint loss: identical data {report.mean_identical:.4f}, "
         f"swapped data {report.mean_swapped:.4f} (separation {report.separation:.4f})"], {}
 
@@ -566,16 +541,8 @@ def _cmd_hoeffding(cfg, args):
     theta = scenario.domain.sample(substream(args.seed, 3))
     report = hoeffding_check(scenario.family, theta, n_grid, eps_grid,
                              int(cfg["resamplings"]), scenario.distribution, seed=args.seed)
-    result = {
-        "resamplings": report.resamplings, "passed": report.passed,
-        "cells": [
-            {"n": c.n, "epsilon": c.epsilon, "empirical_rate": c.empirical_rate,
-             "bound": c.bound, "ok": c.ok}
-            for c in report.cells
-        ],
-    }
     worst = max(report.cells, key=lambda c: c.empirical_rate - c.bound)
-    return result, report.passed, [
+    return dataclasses.asdict(report), report.passed, [
         f"{len(report.cells)} grid cells, all within bound: {report.passed} "
         f"(tightest: rate {worst.empirical_rate:.4g} vs bound {worst.bound:.4g})"], {}
 

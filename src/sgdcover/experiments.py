@@ -32,7 +32,6 @@ class GapEstimate:
     mc_standard_error: float
     exact_population: bool
     t: int
-    seed: int | None
     indices_digest: str
     flags: tuple[str, ...] = ()
 
@@ -50,14 +49,14 @@ def population_risk(
 ) -> tuple[float | None, float, bool]:
     """(risk, standard error, exact?) — exact enumeration for finite support,
     otherwise a Monte Carlo estimate from m fresh draws of the caller's
-    ``rng``."""
+    ``rng``.  ``m`` must be at least 1 even when it goes unused."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if distribution is None:
         return None, 0.0, False
     if distribution.finite:
         vals = family.values(theta, Dataset(distribution.support))
         return float(vals @ distribution.probs), 0.0, True
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     vals = family.values(theta, Dataset.sample(distribution, m, rng))
     se = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
     return float(vals.mean()), se, False
@@ -85,7 +84,7 @@ def estimate_gap(
     return GapEstimate(
         empirical_risk=f_hat, population_risk=f_pop, gap=gap,
         mc_standard_error=se, exact_population=exact,
-        t=trajectory.steps, seed=seed, indices_digest=digest, flags=flags,
+        t=trajectory.steps, indices_digest=digest, flags=flags,
     )
 
 
@@ -269,16 +268,17 @@ def em_step(theta, dataset: Dataset, zeta: float) -> EMStepResult:
 
 
 def run_em(theta0, dataset: Dataset, zeta: float, max_iters: int = 10_000,
-           tol: float = 0.0) -> tuple[np.ndarray, int]:
+           tol: float = 0.0) -> tuple[np.ndarray, int, bool]:
     """Iterate em_step until the centers move at most ``tol`` (default: until
-    they stop changing bitwise) or the iteration budget runs out."""
+    they stop changing bitwise) or the iteration budget runs out; return the
+    centers, the iterations run and whether the last one converged."""
     centers = np.atleast_2d(np.asarray(theta0, dtype=float))
     for it in range(1, max_iters + 1):
         new = em_step(centers, dataset, zeta).centers
         if np.abs(new - centers).max() <= tol:
-            return new, it
+            return new, it, True
         centers = new
-    return centers, max_iters
+    return centers, max_iters, False
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,6 @@ class StabilityReport:
     steps: int
     inits: int
     n_samples: int
-    seed: int
 
 
 def stability_experiment(
@@ -397,7 +396,7 @@ def stability_experiment(
         separation=means["identical"] - means["swapped"],
         converged_fraction=converged / (2.0 * inits),
         basin_respected=basin,
-        eta=eta, steps=steps, inits=inits, n_samples=n_samples, seed=seed,
+        eta=eta, steps=steps, inits=inits, n_samples=n_samples,
     )
 
 

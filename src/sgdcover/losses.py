@@ -17,6 +17,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .bounds import soft_kmeans_constants
 from .core import Ball, Box, ConvexDomain, ProductOfBalls, as_point, as_rows
 
 _SIGNS = {
@@ -196,6 +197,8 @@ def uniform_over(points: Sequence) -> Distribution:
     """Equal weights over a finite list of samples: draws ``rng.integers(0, m, size)``."""
     support = tuple(np.asarray(p, dtype=float) if not np.isscalar(p) else p for p in points)
     m = len(support)
+    if m == 0:
+        raise ValueError("uniform_over needs a non-empty support, got no points")
     return Distribution("uniform_over", support=support, probs=np.full(m, 1.0 / m))
 
 
@@ -412,9 +415,8 @@ def _sq_dists(theta, z, K):
 def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFamily:
     """Soft-label clustering loss -(1/zeta) log sum_j exp(-zeta ||theta_j - z||^2).
 
-    Constants follow the soft clustering analysis with B = 4(R+1)^2:
-    L = (4R/sqrt(K)) e^{zeta B}, alpha = (2/K) e^{-zeta B},
-    beta = (2/K) e^{zeta B}, beta' = 4 zeta B e^{zeta B} + 4 zeta B + 2.
+    Constants follow the soft clustering analysis: B, L, beta and beta' are
+    ``bounds.soft_kmeans_constants``, and alpha = (2/K) e^{-zeta B}.
     Iterates are meant to be run without projection
     (``SGDStep(..., domain=WholeSpace(K * d))``); whether they stay in the
     radius-R product ball is checked by passing that ball as
@@ -427,12 +429,12 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
     if K < 1:
         raise ValueError("K must be a positive integer")
 
-    B = 4.0 * (R + 1.0) ** 2
+    B, L, beta, beta_prime = soft_kmeans_constants(K, R, zeta)
     constants = LossConstants(
         alpha=2.0 / K * math.exp(-zeta * B),
-        beta=2.0 / K * math.exp(zeta * B),
-        beta_prime=4.0 * zeta * B * math.exp(zeta * B) + 4.0 * zeta * B + 2.0,
-        L=4.0 * R / math.sqrt(K) * math.exp(zeta * B),
+        beta=beta,
+        beta_prime=beta_prime,
+        L=L,
         B=B,
         R=R,
         zeta=zeta,

@@ -23,12 +23,9 @@ from sgdcover.bounds import (
 )
 from sgdcover.core import Ball, WholeSpace, numeric_gradient
 from sgdcover.cover import (
-    IFSModel,
-    box_counting_dimension,
     build_piecewise_approx,
     cover_horizon,
     enumerate_cover,
-    ifs_dimension,
     smooth_function,
     verify_cover,
 )
@@ -41,6 +38,7 @@ from sgdcover.experiments import (
     validate_bound,
     verify_em_equivalence,
 )
+from sgdcover.fractal import IFSModel, box_counting_dimension, ifs_dimension
 from sgdcover.losses import Dataset, quadratic_centers, soft_kmeans, uniform_over
 from sgdcover.sgd import SGDStep, coupled_contraction_ratio
 
@@ -176,7 +174,7 @@ class TestAcceptance:
         samples = tuple(rng.uniform(-0.7, 0.7, d) for _ in range(60))
         ds = Dataset(samples)
         fam = soft_kmeans(K=K, zeta=zeta, R=1.0)
-        centers, _ = run_em(rng.uniform(-0.5, 0.5, (K, d)), ds, zeta)
+        centers, _, _ = run_em(rng.uniform(-0.5, 0.5, (K, d)), ds, zeta)
         grad_norm = float(np.linalg.norm(numeric_gradient(
             lambda t: empirical_risk(fam, ds, t), centers.reshape(-1)
         )))

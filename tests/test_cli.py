@@ -267,8 +267,10 @@ class TestExitCodeContract:
         ["contract", "--pairs", "0"],
         ["contract", "--steps", "0"],
         ["cover", "--T", "1", "--epsilon", "0.5", "--verify-trials", "0"],
+        ["gap", "--t", "2", "--m", "0"],
+        ["gap", "--t", "2", "--m", "-5"],
     ], ids=["validate-no-trials", "validate-no-resamplings", "contract-no-pairs",
-            "contract-no-steps", "cover-no-verify-trials"])
+            "contract-no-steps", "cover-no-verify-trials", "gap-no-draws", "gap-negative-draws"])
     def test_run_that_checks_nothing_is_usage_error(self, tmp_path, argv):
         spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO,
                                               dataset={"kind": "iid", "n": 20}))
@@ -276,6 +278,23 @@ class TestExitCodeContract:
         assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
+
+    @pytest.mark.parametrize("scenario", [
+        QUADRATIC_SCENARIO,
+        dict(QUADRATIC_SCENARIO, dataset={"kind": "points", "points": [[0.1, 0.2], [0.3, -0.4]]}),
+        {"family": {"name": "soft_kmeans", "K": 2, "zeta": 0.05, "R": 1.5}, "eta": 0.1,
+         "dataset": {"kind": "uniform_ball", "n": 20, "d": 2}},
+    ], ids=["support", "points", "uniform_ball"])
+    def test_gap_without_population_draws_is_usage_error(self, tmp_path, capsys, scenario):
+        """``gap --m 0`` is refused on the dataset kinds the size-zero test
+        above does not run (it runs ``iid``), also where the population risk
+        is exact and would draw nothing."""
+        spath = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out.json"
+        argv = ["gap", "--scenario", spath, "--t", "2", "--m", "0", "--out", str(out)]
+        assert run(argv) == EXIT_USAGE
+        assert "m must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--resamplings", "2", "--trials", "2", "--delta", "0.05", "--shrink", "0"],
@@ -974,6 +993,20 @@ class TestValidationCommands:
         res = load(out)["result"]
         assert res["residual"] <= 1e-8
         assert res["fixed_point_gradient_norm"] <= 1e-6
+
+    def test_kmeans_budget_that_runs_out_is_reported(self, tmp_path, capsys):
+        """A run stopped by ``--iters`` says so; it does not claim convergence."""
+        spath = write_scenario(tmp_path, {
+            "family": {"name": "soft_kmeans", "K": 2, "zeta": 1, "R": 1},
+            "dataset": {"kind": "uniform_ball", "n": 50, "d": 2}})
+        out = tmp_path / "km.json"
+        assert run(["kmeans", "--scenario", spath, "--iters", "1", "--out", str(out)]) == EXIT_FAIL
+        printed = capsys.readouterr().out
+        assert printed.startswith("alternating update stopped after 1 iterations without "
+                                  "converging; ")
+        assert load(out)["result"]["iterations"] == 1
+        assert run(["kmeans", "--scenario", spath, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("alternating update converged in ")
 
     def test_hoeffding_command(self, tmp_path):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)

@@ -23,7 +23,7 @@ from sgdcover.core import (
     numeric_gradient,
     substream,
 )
-from sgdcover.cover import IFSModel, box_counting_dimension
+from sgdcover.fractal import IFSModel, box_counting_dimension
 from sgdcover.losses import Dataset, LossConstants, LossFamily
 from sgdcover.sgd import CustomMap, SGDStep
 

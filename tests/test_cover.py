@@ -1,10 +1,12 @@
 """Cover enumeration/verification, quadratic surrogates, and IFS dimension."""
 
+import ast
 import functools
 import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -14,23 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdcover import cover as cover_module
+from sgdcover import fractal
 from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, ceil_int
 from sgdcover.cover import (
     CoverSet,
     EnumerationCapExceeded,
-    IFSModel,
     PiecewiseSmoothFunction,
     SmoothPiece,
-    box_counting_dimension,
     build_piecewise_approx,
     cover_horizon,
     enumerate_cover,
     enumerate_piecewise_cover,
-    ifs_dimension,
     replay_entry,
     smooth_function,
     verify_cover,
 )
+from sgdcover.fractal import IFSModel, box_counting_dimension, ifs_dimension
 from sgdcover.core import substream
 from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
 from sgdcover.sgd import CustomMap, SGDStep, run_lockstep, sgd_step
@@ -780,6 +781,21 @@ class TestPiecewiseApprox:
         expected = np.array([ap.grad(r) for r in rows])
         assert ap.grad_rows(rows).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
+    def test_anchor_index_is_the_per_point_argmin(self, d):
+        """The nearest anchor of one point, found through the blocked rows
+        search, is the argmin of that point's own (m, d) squared distances,
+        on anchors, on midpoints between them (ties) and at random."""
+        rng = np.random.default_rng(d)
+        anchors = rng.uniform(-0.5, 0.5, (40, d)) / math.sqrt(d)
+        fn = smooth_function(lambda t: 0.0, lambda t: np.zeros(d), beta_prime=1.0)
+        ap = build_piecewise_approx(fn, Ball(np.zeros(d), 1.0), 0.5, (1.0, 1.0),
+                                    anchors=anchors)
+        points = np.vstack([anchors, 0.5 * (anchors[:-1] + anchors[1:]),
+                            rng.uniform(-0.6, 0.6, (100, d)) / math.sqrt(d)])
+        for t in points:
+            assert ap.anchor_index(t) == int(np.argmin(np.sum((anchors - t) ** 2, axis=1)))
+
     def test_one_dimensional_piece_bound(self):
         # beta = beta' = 1, R = 1, xi = 6 -> bound (3*2*1/6)^1 = 1
         fn = smooth_function(lambda t: math.cos(t[0]), lambda t: np.array([-math.sin(t[0])]),
@@ -861,6 +877,25 @@ class TestPiecewiseApprox:
             build_piecewise_approx(fn, Ball(np.zeros(1), 1.0), 0.5, (2.0, 1.0))
 
 
+def test_fractal_module_boundary():
+    """fractal.py imports the standard library, numpy and, of the package,
+    only ``core``; the names perfbench's tracer rebinds through ``cover`` and
+    ``cli`` are fractal's own objects."""
+    tree = ast.parse(open(fractal.__file__).read())
+    package, outside = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            outside.update(name.split(".")[0] for name in names)
+    assert package == {"core"}
+    assert outside - set(sys.stdlib_module_names) == {"numpy"}
+    from sgdcover import cli
+    assert cover_module.IFSModel is fractal.IFSModel
+    assert cli.box_counting_dimension is fractal.box_counting_dimension
+
+
 class TestIFS:
     def test_single_map_dimension_zero(self):
         model = IFSModel(np.array([[0.5]]), gamma=0.5, radius=1.0)
@@ -920,9 +955,9 @@ class TestIFS:
         gamma = data.draw(st.one_of(st.sampled_from([1.0 / 3.0, 0.5, 0.8]),
                                     st.floats(0.01, 0.8)), label="gamma")
         model = IFSModel(np.array(centers), gamma=gamma, radius=2.0)
-        chunk = max(cover_module._ORBIT_CHUNK,
-                    math.ceil(cover_module._ORBIT_BITS / -math.log2(gamma)))
-        shortest = cover_module._ORBIT_MIN_CHUNKS * chunk  # the lockstep's shortest orbit
+        chunk = max(fractal._ORBIT_CHUNK,
+                    math.ceil(fractal._ORBIT_BITS / -math.log2(gamma)))
+        shortest = fractal._ORBIT_MIN_CHUNKS * chunk  # the lockstep's shortest orbit
         total = data.draw(st.one_of(
             st.sampled_from([shortest - 1, shortest, shortest + 1,
                              shortest + chunk - 1, shortest + chunk, shortest + chunk + 1]),
@@ -937,8 +972,8 @@ class TestIFS:
     def test_lockstep_at_slow_contraction(self, monkeypatch, gamma, bits):
         """The lockstep forced onto slow contraction: 8-bit windows leave most
         brackets uncoalesced, and those chunks continue from the one before."""
-        monkeypatch.setattr(cover_module, "_ORBIT_MIN_CHUNKS", 1)
-        monkeypatch.setattr(cover_module, "_ORBIT_BITS", bits)
+        monkeypatch.setattr(fractal, "_ORBIT_MIN_CHUNKS", 1)
+        monkeypatch.setattr(fractal, "_ORBIT_BITS", bits)
         model = IFSModel(np.array([[1.0, 0.2], [-1.0, 0.7], [0.3, -0.9]]), gamma=gamma,
                          radius=2.0)
         _assert_orbit_is_apply_loop(model, 12_000, seed=3, burn_in=64)
@@ -949,13 +984,13 @@ class TestIFS:
     ])
     def test_path_selection_reads_gamma_and_length(self, monkeypatch, gamma, total, lockstep):
         calls = []
-        lockstep_orbit = cover_module._lockstep_orbit
+        lockstep_orbit = fractal._lockstep_orbit
 
         def spy(*args):
             calls.append(args)
             return lockstep_orbit(*args)
 
-        monkeypatch.setattr(cover_module, "_lockstep_orbit", spy)
+        monkeypatch.setattr(fractal, "_lockstep_orbit", spy)
         model = IFSModel(np.array([[1.0], [-1.0]]), gamma=gamma, radius=1.0)
         burn_in = min(64, total - 1)
         out = model.sample_attractor(total - burn_in, seed=2, burn_in=burn_in)
@@ -982,7 +1017,7 @@ class TestIFS:
         sign of a zero start: no chunk needs the scalar continuation."""
         offsets = np.array([[-5e-324], [-0.0], [5e-324]])
         choices = substream(2).integers(0, 3, size=64 * 256)
-        ref = cover_module._scalar_orbit(offsets, choices.tolist(), 0.3, 0, choices.size)
+        ref = fractal._scalar_orbit(offsets, choices.tolist(), 0.3, 0, choices.size)
         starts = ref[255::256]
         assert np.any((starts == 0.0) & np.signbit(starts))
         assert np.any((starts == 0.0) & ~np.signbit(starts))
@@ -990,8 +1025,8 @@ class TestIFS:
         def no_continuation(*args):
             raise AssertionError("a chunk was left uncertified")
 
-        monkeypatch.setattr(cover_module, "_recurrence", no_continuation)
-        out = cover_module._lockstep_orbit(offsets, choices, 0.3, np.array([1e-320]), 8, 256)
+        monkeypatch.setattr(fractal, "_recurrence", no_continuation)
+        out = fractal._lockstep_orbit(offsets, choices, 0.3, np.array([1e-320]), 8, 256)
         np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
 
     def test_huge_centers(self):
@@ -1004,7 +1039,7 @@ class TestIFS:
         def no_continuation(*args):
             raise AssertionError("a chunk was left uncertified")
 
-        monkeypatch.setattr(cover_module, "_recurrence", no_continuation)
+        monkeypatch.setattr(fractal, "_recurrence", no_continuation)
         model = IFSModel(np.array([[1e-300], [-1e-300]]), gamma=1.0 / 3.0, radius=1.0)
         _assert_orbit_is_apply_loop(model, 100_000, seed=3, burn_in=64)
 
@@ -1029,10 +1064,10 @@ class TestIFS:
         offsets = 0.5 * np.array([[1e308], [-1e308]])
         choices = substream(9).integers(0, 2, size=20_000)
         with np.errstate(over="ignore"):
-            bound = 2.0 * np.abs(offsets / 0.5).max(axis=0) + cover_module._ORBIT_FLOOR
+            bound = 2.0 * np.abs(offsets / 0.5).max(axis=0) + fractal._ORBIT_FLOOR
         assert np.isinf(bound).all()
-        out = cover_module._lockstep_orbit(offsets, choices, 0.5, bound, 64, 256)
-        ref = cover_module._scalar_orbit(offsets, choices.tolist(), 0.5, 0, choices.size)
+        out = fractal._lockstep_orbit(offsets, choices, 0.5, bound, 64, 256)
+        ref = fractal._scalar_orbit(offsets, choices.tolist(), 0.5, 0, choices.size)
         np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("total", [300, 64 * 256 + 5], ids=["scalar", "lockstep"])
@@ -1061,8 +1096,8 @@ class TestIFS:
 
 def _scalar_reference(model, n_points, seed, burn_in):
     choices = substream(seed).integers(0, model.n_maps, size=burn_in + n_points)
-    return cover_module._scalar_orbit((1.0 - model.gamma) * model.centers, choices.tolist(),
-                                      float(model.gamma), burn_in, n_points).view(np.int64)
+    return fractal._scalar_orbit((1.0 - model.gamma) * model.centers, choices.tolist(),
+                                 float(model.gamma), burn_in, n_points).view(np.int64)
 
 
 def _assert_orbit_is_apply_loop(model, n_points, seed, burn_in):
@@ -1156,7 +1191,7 @@ class TestBoxCounting:
         reference = [np.unique(np.floor(pts / s).astype(np.int64), axis=0).shape[0]
                      for s in scales]
         for boxes_per_point in (8, 0, 10**6):  # default, sort only, bitmap only
-            monkeypatch.setattr(cover_module, "_BITMAP_BOXES_PER_POINT", boxes_per_point)
+            monkeypatch.setattr(fractal, "_BITMAP_BOXES_PER_POINT", boxes_per_point)
             assert box_counting_dimension(pts, scales).counts.tolist() == reference
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])

@@ -86,6 +86,16 @@ class TestEstimateGap:
         se_large = estimate_gap(fam, ds, traj, m=16000, seed=2).mc_standard_error
         assert se_small / se_large == pytest.approx(2.0, rel=0.2)
 
+    @pytest.mark.parametrize("dist", [uniform_over(CENTERS), uniform_ball(1.0, 2), None],
+                             ids=["finite", "monte-carlo", "none"])
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_sample_count_below_one_is_refused(self, dist, m):
+        """``m`` is checked before any path returns, the exact one included."""
+        fam = quadratic_centers(CENTERS, R=1.0)
+        ds = Dataset(tuple(CENTERS), dist)
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            estimate_gap(fam, ds, short_trajectory(fam, ds), m=m)
+
     def test_unknown_generator_flagged(self):
         fam = quadratic_centers(CENTERS, R=1.0)
         ds = Dataset(tuple(CENTERS))  # no distribution attached
@@ -344,6 +354,19 @@ class TestEMStep:
         assert out.held_fixed == (1,)
         np.testing.assert_array_equal(out.centers[1], theta0[1])
 
+    def test_budget_that_runs_out_is_not_convergence(self):
+        rng = np.random.default_rng(73)
+        ds = Dataset(tuple(rng.uniform(-0.7, 0.7, 2) for _ in range(40)))
+        theta0 = rng.uniform(-0.5, 0.5, (3, 2))
+        centers, iters, converged = run_em(theta0, ds, 0.7, max_iters=1)
+        assert (iters, converged) == (1, False)
+        np.testing.assert_array_equal(centers, em_step(theta0, ds, 0.7).centers)
+        _, iters, converged = run_em(theta0, ds, 0.7)
+        assert iters > 1 and converged
+        # a budget of exactly the iterations needed still converges
+        assert run_em(theta0, ds, 0.7, max_iters=iters)[1:] == (iters, True)
+        assert run_em(theta0, ds, 0.7, max_iters=iters - 1)[1:] == (iters - 1, False)
+
     def test_fixed_point_is_stationary(self):
         """At convergence the objective's finite-difference gradient vanishes."""
         rng = np.random.default_rng(73)
@@ -351,8 +374,8 @@ class TestEMStep:
         samples = [rng.uniform(-0.7, 0.7, d) for _ in range(40)]
         ds = Dataset(tuple(samples))
         fam = soft_kmeans(K=K, zeta=zeta, R=1.0)
-        centers, iters = run_em(rng.uniform(-0.5, 0.5, (K, d)), ds, zeta)
-        assert iters < 10_000
+        centers, iters, converged = run_em(rng.uniform(-0.5, 0.5, (K, d)), ds, zeta)
+        assert iters < 10_000 and converged
         grad = numeric_gradient(lambda t: empirical_risk(fam, ds, t), centers.reshape(-1))
         assert np.linalg.norm(grad) <= 1e-6
 

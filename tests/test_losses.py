@@ -399,6 +399,10 @@ class TestDatasetsAndDescriptors:
         with pytest.raises(ValueError, match="needs a support and probs, or a draw"):
             Distribution("neither")
 
+    def test_uniform_over_refuses_empty_support(self):
+        with pytest.raises(ValueError, match="non-empty support"):
+            uniform_over([])
+
     def test_uniform_over_sampling(self):
         dist = uniform_over([np.array([0.0]), np.array([1.0])])
         ds = Dataset.sample(dist, 64, np.random.default_rng(5))
