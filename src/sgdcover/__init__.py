@@ -1,7 +1,14 @@
 """sgdcover: localized epsilon-covers, contraction diagnostics, and
-generalization-gap certificates for constant-step projected SGD."""
+generalization-gap certificates for constant-step projected SGD.
+
+Importing the package loads what ``cover``, ``validate``, ``ifs`` and
+``bound`` run.  The names of ``surrogate``, ``families``, ``trajectory`` and
+``studies`` are public here too, but their module loads on first access
+(PEP 562)."""
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .core import (
     Ball,
@@ -18,30 +25,17 @@ from .core import (
 from .losses import (
     Dataset,
     Distribution,
-    LinkFunction,
     LossConstants,
     LossFamily,
     family_from_descriptor,
-    hard_kmeans,
-    multi_index,
     quadratic_centers,
-    smooth_margin_link,
-    soft_kmeans,
-    squared_error_link,
-    stability_counterexample_1d,
     uniform_ball,
     uniform_over,
-    zero_link,
 )
 from .sgd import (
-    CouplingReport,
     CustomMap,
-    SGDConfig,
     SGDStep,
-    Trajectory,
     contraction_factor,
-    coupled_contraction_ratio,
-    run_trajectory,
     sgd_step,
 )
 from .cover import (
@@ -49,15 +43,9 @@ from .cover import (
     CoverSet,
     CoverVerification,
     EnumerationCapExceeded,
-    PiecewiseQuadraticApprox,
-    PiecewiseSmoothFunction,
-    SmoothPiece,
-    build_piecewise_approx,
     cover_horizon,
     enumerate_cover,
-    enumerate_piecewise_cover,
     replay_entry,
-    smooth_function,
     verify_cover,
 )
 from .fractal import (
@@ -84,20 +72,65 @@ from .bounds import (
     soft_kmeans_params,
 )
 from .experiments import (
-    EMEquivalenceReport,
-    EMStepResult,
-    GapEstimate,
-    HoeffdingReport,
     Scenario,
-    StabilityReport,
     ValidationReport,
-    em_step,
-    empirical_risk,
-    estimate_gap,
-    hoeffding_check,
-    population_risk,
-    run_em,
-    stability_experiment,
     validate_bound,
-    verify_em_equivalence,
 )
+
+# module -> the public names it defines, loaded on first access
+_DEFERRED = {
+    "surrogate": (
+        "PiecewiseQuadraticApprox",
+        "PiecewiseSmoothFunction",
+        "SmoothPiece",
+        "build_piecewise_approx",
+        "enumerate_piecewise_cover",
+        "smooth_function",
+    ),
+    "families": (
+        "LinkFunction",
+        "hard_kmeans",
+        "multi_index",
+        "smooth_margin_link",
+        "soft_kmeans",
+        "squared_error_link",
+        "stability_counterexample_1d",
+        "zero_link",
+    ),
+    "trajectory": (
+        "CouplingReport",
+        "SGDConfig",
+        "Trajectory",
+        "coupled_contraction_ratio",
+        "run_trajectory",
+    ),
+    "studies": (
+        "EMEquivalenceReport",
+        "EMStepResult",
+        "GapEstimate",
+        "HoeffdingReport",
+        "StabilityReport",
+        "em_step",
+        "empirical_risk",
+        "estimate_gap",
+        "hoeffding_check",
+        "population_risk",
+        "run_em",
+        "stability_experiment",
+        "verify_em_equivalence",
+    ),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

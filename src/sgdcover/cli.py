@@ -39,28 +39,11 @@ from .bounds import (
     bound_strongly_convex,
 )
 from .core import Ball, linalg_norms, numeric_gradient, substream
-from .cover import (
-    DEFAULT_CAP,
-    build_piecewise_approx,
-    cover_horizon,
-    enumerate_cover,
-    smooth_function,
-    verify_cover,
-)
-from .experiments import (
-    Scenario,
-    empirical_risk,
-    estimate_gap,
-    hoeffding_check,
-    run_em,
-    stability_experiment,
-    validate_bound,
-    verify_em_equivalence,
-)
+from .cover import DEFAULT_CAP, cover_horizon, enumerate_cover, verify_cover
+from .experiments import Scenario, validate_bound
 from .fractal import IFSModel, box_counting_dimension, ifs_dimension
 from .losses import Dataset, family_from_descriptor, uniform_ball, uniform_over
-from .sgd import (SGDConfig, SGDStep, contraction_factor, coupled_contraction_ratio, draw_runs,
-                  run_trajectory)
+from .sgd import SGDStep, contraction_factor, draw_runs
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -279,6 +262,8 @@ def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bo
 # Commands: each takes the effective config and the parsed arguments and
 # returns (result, passed, lines to print, {path: writer} of its own output
 # files).  run() writes those and the envelope once the command has returned.
+# A command that needs surrogate, trajectory or studies imports it itself, so
+# importing this module leaves them unloaded.
 # ---------------------------------------------------------------------------
 
 _CONTRACTIVE = ("n", "delta", "B", "L", "R", "gamma")
@@ -360,6 +345,8 @@ def _cmd_cover(cfg, args):
 
 
 def _cmd_contract(cfg, args):
+    from .trajectory import coupled_contraction_ratio
+
     scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
     family, domain, eta = scenario.family, scenario.domain, scenario.eta
     pairs = int(cfg.get("pairs", 100))
@@ -405,6 +392,8 @@ _FUNCTIONS = {
 
 
 def _cmd_approx(cfg, args):
+    from .surrogate import build_piecewise_approx, smooth_function
+
     _require(cfg, "function", "R", "xi")
     name = cfg["function"]
     if name not in _FUNCTIONS:
@@ -437,6 +426,9 @@ def _cmd_approx(cfg, args):
 
 
 def _cmd_gap(cfg, args):
+    from .studies import estimate_gap
+    from .trajectory import SGDConfig, run_trajectory
+
     scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
     _require(cfg, "t")
     update = SGDStep(scenario.family, scenario.eta, domain=scenario.domain)
@@ -465,6 +457,8 @@ def _cmd_validate(cfg, args):
 
 
 def _cmd_kmeans(cfg, args):
+    from .studies import empirical_risk, run_em, verify_em_equivalence
+
     scenario, dataset = _load_scenario(cfg, args.seed)
     family = scenario.family
     c = family.constants
@@ -492,6 +486,8 @@ def _cmd_kmeans(cfg, args):
 
 
 def _cmd_stability(cfg, args):
+    from .studies import stability_experiment
+
     report = stability_experiment(seed=args.seed,
                                   **_given(cfg, "eta", "inits", "steps", "n_samples"))
     passed = report.separation >= 1.5 and report.basin_respected
@@ -534,6 +530,8 @@ def _cmd_ifs(cfg, args):
 
 
 def _cmd_hoeffding(cfg, args):
+    from .studies import hoeffding_check
+
     scenario, _ = _load_scenario(cfg, args.seed, need_domain=True)
     _require(cfg, "n_grid", "epsilon_grid", "resamplings")
     n_grid = [int(v) for v in cfg["n_grid"]]

@@ -59,6 +59,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
+def _overflowed_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of the rows of an (m, d) array whose squared norms overflow to
+    ``inf`` in ``row_norms``: each row is measured scaled by its largest entry."""
+    scale = np.abs(rows).max(axis=1)
+    return scale * row_norms(rows / scale[:, None])
+
+
 def linalg_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (m, d) array, bitwise equal to
     ``np.linalg.norm(rows[k])`` (a dot product per row; ``row_norms`` and
@@ -254,6 +261,8 @@ class Ball(ConvexDomain):
         norm = row_norms(offset)
         if norm <= self.radius:
             return x
+        if norm == math.inf:
+            norm = _overflowed_norms(offset[None, :])[0]
         return self.center + offset * (self.radius / norm)
 
     def project_batch(self, X) -> np.ndarray:
@@ -263,6 +272,9 @@ class Ball(ConvexDomain):
         over = norms > self.radius
         if not np.any(over):
             return X
+        huge = np.isinf(norms)
+        if np.any(huge):
+            norms[huge] = _overflowed_norms(offset[huge])
         out = X.copy()
         out[over] = self.center + offset[over] * (self.radius / norms[over])[:, None]
         return out
@@ -341,6 +353,9 @@ class ProductOfBalls(ConvexDomain):
         norms = row_norms(blocks)
         over = norms > self.radius
         if np.any(over):
+            huge = np.isinf(norms)
+            if np.any(huge):
+                norms[huge] = _overflowed_norms(blocks[huge])
             blocks[over] *= (self.radius / norms[over])[:, None]
         return blocks.reshape(X.shape)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import all_finite, as_point, substream
+from .core import _overflowed_norms, all_finite, as_point, substream
 
 # fewest steps per lockstep orbit chunk, and fewest chunks for which the
 # certified lockstep beats the scalar orbit recurrence
@@ -157,10 +157,9 @@ def _center_norms(centers: np.ndarray) -> np.ndarray:
     overflows recomputed scaled by its largest entry."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(centers, axis=1)
-        huge = np.isinf(norms)
-        if np.any(huge):
-            scale = np.abs(centers[huge]).max(axis=1)
-            norms[huge] = scale * np.linalg.norm(centers[huge] / scale[:, None], axis=1)
+    huge = np.isinf(norms)
+    if np.any(huge):
+        norms[huge] = _overflowed_norms(centers[huge])
     return norms
 
 

@@ -22,25 +22,21 @@ from sgdcover.bounds import (
     bound_strongly_convex,
 )
 from sgdcover.core import Ball, WholeSpace, numeric_gradient
-from sgdcover.cover import (
-    build_piecewise_approx,
-    cover_horizon,
-    enumerate_cover,
-    smooth_function,
-    verify_cover,
-)
-from sgdcover.experiments import (
-    Scenario,
+from sgdcover.cover import cover_horizon, enumerate_cover, verify_cover
+from sgdcover.experiments import Scenario, validate_bound
+from sgdcover.families import soft_kmeans
+from sgdcover.fractal import IFSModel, box_counting_dimension, ifs_dimension
+from sgdcover.losses import Dataset, quadratic_centers, uniform_over
+from sgdcover.sgd import SGDStep
+from sgdcover.studies import (
     empirical_risk,
     hoeffding_check,
     run_em,
     stability_experiment,
-    validate_bound,
     verify_em_equivalence,
 )
-from sgdcover.fractal import IFSModel, box_counting_dimension, ifs_dimension
-from sgdcover.losses import Dataset, quadratic_centers, soft_kmeans, uniform_over
-from sgdcover.sgd import SGDStep, coupled_contraction_ratio
+from sgdcover.surrogate import build_piecewise_approx, smooth_function
+from sgdcover.trajectory import coupled_contraction_ratio
 
 CENTERS = [np.array([0.8, 0.0]), np.array([-0.4, 0.6]), np.array([-0.2, -0.7])]
 

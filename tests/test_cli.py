@@ -187,6 +187,21 @@ class TestCoverCommand:
         assert run(["cover", "--scenario", "scenario.json", "--T", "2", "--out", "c"]) == EXIT_OK
         assert (tmp_path / "c").read_text() == printed
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_step_projects_onto_the_boundary(self, tmp_path):
+        """At eta = 1e200 each update is 1e200 times its centre, whose squared
+        norm overflows: the written points lie on the unit circle, within a
+        few ulps, in their centres' directions."""
+        scenario = {"family": {"name": "quadratic_centers", "centers": [[0.5, 0.0], [0.0, 0.5]],
+                               "R": 1.0}, "eta": 1e200}
+        out = tmp_path / "cover.jsonl"
+        assert run(["cover", "--scenario", write_scenario(tmp_path, scenario), "--T", "1",
+                    "--out", str(out)]) == EXIT_OK
+        points = np.array([json.loads(line)["point"] for line in out.read_text().splitlines()])
+        ulps = 4 * np.finfo(float).eps
+        np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, rtol=ulps)
+        np.testing.assert_allclose(points, [[1.0, 0.0], [0.0, 1.0]], rtol=ulps, atol=0)
+
     def test_cap_exceeded_is_usage_error(self, tmp_path):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
         out = tmp_path / "cover.jsonl"
@@ -402,15 +417,20 @@ class TestExitCodeContract:
         assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
-    def test_iterate_leaving_invariant_domain_is_usage_error(self, tmp_path, monkeypatch):
+    def test_iterate_leaving_invariant_domain_is_usage_error(self, tmp_path, monkeypatch,
+                                                              capsys):
+        from sgdcover import trajectory
+        real = trajectory.run_trajectory
+
         def confined(update, config, dataset):
             far = sgdcover.Ball(np.array([5.0, 5.0]), 0.1)
-            return sgdcover.run_trajectory(update, config, dataset, invariant_domain=far)
+            return real(update, config, dataset, invariant_domain=far)
 
-        monkeypatch.setattr("sgdcover.cli.run_trajectory", confined)
+        monkeypatch.setattr(trajectory, "run_trajectory", confined)
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
         out = tmp_path / "gap.json"
         assert run(["gap", "--scenario", spath, "--t", "5", "--out", str(out)]) == EXIT_USAGE
+        assert "left the declared invariant domain" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -1073,6 +1093,68 @@ def test_import_leaves_scipy_spatial_unloaded(tmp_path):
     assert proc.stdout.splitlines()[0] == "False"
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
     assert load(str(out) + ".meta.json")["result"]["verification"]["trials"] == 50
+
+
+# Every public name of the package from before some of its modules loaded on
+# first access; each must still resolve from ``sgdcover``.
+_PUBLIC_NAMES = [
+    "Ball", "Box", "ConvexDomain", "ProductOfBalls", "WholeSpace", "as_point", "distance",
+    "hoeffding_tail", "numeric_gradient", "substream",
+    "Dataset", "Distribution", "LinkFunction", "LossConstants", "LossFamily",
+    "family_from_descriptor", "hard_kmeans", "multi_index", "quadratic_centers",
+    "smooth_margin_link", "soft_kmeans", "squared_error_link", "stability_counterexample_1d",
+    "uniform_ball", "uniform_over", "zero_link",
+    "CouplingReport", "CustomMap", "SGDConfig", "SGDStep", "Trajectory", "contraction_factor",
+    "coupled_contraction_ratio", "run_trajectory", "sgd_step",
+    "CoverEntry", "CoverSet", "CoverVerification", "EnumerationCapExceeded",
+    "PiecewiseQuadraticApprox", "PiecewiseSmoothFunction", "SmoothPiece",
+    "build_piecewise_approx", "cover_horizon", "enumerate_cover", "enumerate_piecewise_cover",
+    "replay_entry", "smooth_function", "verify_cover",
+    "BoxCountFit", "IFSDimension", "IFSModel", "box_counting_dimension", "ifs_dimension",
+    "BoundCertificate", "bound_early", "bound_expectation", "bound_fractal",
+    "bound_hard_kmeans", "bound_master_covering", "bound_multi_index",
+    "bound_piecewise_approx", "bound_piecewise_contractive", "bound_single_trajectory",
+    "bound_soft_kmeans", "bound_strongly_convex", "multi_index_piece_params",
+    "soft_kmeans_params",
+    "EMEquivalenceReport", "EMStepResult", "GapEstimate", "HoeffdingReport", "Scenario",
+    "StabilityReport", "ValidationReport", "em_step", "empirical_risk", "estimate_gap",
+    "hoeffding_check", "population_risk", "run_em", "stability_experiment", "validate_bound",
+    "verify_em_equivalence",
+]
+
+
+def test_import_leaves_deferred_modules_unloaded(tmp_path):
+    """Importing the CLI, and running cover, validate and ifs, loads none of
+    surrogate, families, trajectory and studies.  Every public name still
+    imports from the package and is listed by ``dir``, and an unknown name
+    raises AttributeError."""
+    spath = write_scenario(tmp_path, {**QUADRATIC_SCENARIO, "dataset": {"kind": "iid", "n": 20}})
+    runs = [["cover", "--scenario", spath, "--epsilon", "0.25", "--verify-trials", "20"],
+            ["validate", "--scenario", spath, "--resamplings", "2", "--trials", "3",
+             "--delta", "0.5"],
+            ["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3", "--R", "1",
+             "--points", "1000"]]
+    code = (
+        "import sys, sgdcover.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sgdcover.')))\n"
+        f"codes = [sgdcover.cli.run(argv + ['--out', 'out']) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('sgdcover.')))\n"
+        f"from sgdcover import {', '.join(_PUBLIC_NAMES)}\n"
+        f"print(sorted(set({_PUBLIC_NAMES!r}) - set(dir(sgdcover))))\n"
+        "try:\n"
+        "    sgdcover.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_package_path(),
+                          capture_output=True, text=True, check=True, cwd=tmp_path)
+    imported, *_, ran, missing, unknown = proc.stdout.splitlines()
+    loaded = str([f"sgdcover.{m}" for m in (
+        "bounds", "cli", "core", "cover", "experiments", "fractal", "losses", "sgd")])
+    assert imported == loaded
+    assert ran == f"{[EXIT_OK] * 3} {loaded}"
+    assert missing == "[]"
+    assert unknown == "module 'sgdcover' has no attribute 'no_such_name'"
 
 
 def test_malformed_cap_override_does_not_break_import():

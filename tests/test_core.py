@@ -57,6 +57,29 @@ class TestProjectionExamples:
         np.testing.assert_allclose(out[:2], [0.6, 0.8], rtol=1e-15)
         np.testing.assert_array_equal(out[2:], [0.1, 0.2])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_points_land_on_the_boundary(self):
+        """A point whose squared offset overflows is measured scaled by its
+        largest entry, so it projects onto the boundary in its own direction,
+        not onto the centre; batches and product blocks agree."""
+        ulps = 4 * np.finfo(float).eps
+        ball = Ball(np.zeros(2), 1.0)
+        np.testing.assert_allclose(ball.project([1e200, 0.0]), [1.0, 0.0], rtol=ulps, atol=0)
+        np.testing.assert_allclose(ball.project([3e200, -4e200]), [0.6, -0.8], rtol=ulps)
+        X = np.array([[1e200, 0.0], [0.3, 0.4], [3.0, 4.0], [-3e300, 4e300]])
+        batch = ball.project_batch(X)
+        assert batch.tobytes() == np.stack([ball.project(x) for x in X]).tobytes()
+        np.testing.assert_allclose(batch, [[1.0, 0.0], [0.3, 0.4], [0.6, 0.8], [-0.6, 0.8]],
+                                   rtol=ulps, atol=0)
+        shifted = Ball(np.array([1.0, 2.0]), 3.0)
+        np.testing.assert_allclose(shifted.project([1e250, 0.0]), [4.0, 2.0], rtol=ulps)
+        dom = ProductOfBalls(blocks=2, block_dim=2, radius=1.0)
+        X = np.array([[1e200, 0.0, 0.1, 0.2], [3.0, 4.0, 3e300, -4e300]])
+        out = dom.project_batch(X)
+        assert out.tobytes() == np.stack([dom.project(x) for x in X]).tobytes()
+        np.testing.assert_allclose(out, [[1.0, 0.0, 0.1, 0.2], [0.6, 0.8, 0.6, -0.8]],
+                                   rtol=ulps, atol=0)
+
     def test_whole_space_identity(self):
         dom = WholeSpace(3)
         x = np.array([5.0, -7.0, 11.0])

@@ -17,24 +17,27 @@ from hypothesis import strategies as st
 
 from sgdcover import cover as cover_module
 from sgdcover import fractal
+from sgdcover import surrogate as surrogate_module
 from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, ceil_int
 from sgdcover.cover import (
     CoverSet,
     EnumerationCapExceeded,
-    PiecewiseSmoothFunction,
-    SmoothPiece,
-    build_piecewise_approx,
     cover_horizon,
     enumerate_cover,
-    enumerate_piecewise_cover,
     replay_entry,
-    smooth_function,
     verify_cover,
 )
 from sgdcover.fractal import IFSModel, box_counting_dimension, ifs_dimension
 from sgdcover.core import substream
 from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
 from sgdcover.sgd import CustomMap, SGDStep, run_lockstep, sgd_step
+from sgdcover.surrogate import (
+    PiecewiseSmoothFunction,
+    SmoothPiece,
+    build_piecewise_approx,
+    enumerate_piecewise_cover,
+    smooth_function,
+)
 
 CENTERS = [np.array([0.8, 0.0]), np.array([-0.4, 0.6]), np.array([-0.2, -0.7])]
 
@@ -494,7 +497,8 @@ class TestVerifyCover:
     def test_soundness_across_contractive_families(self):
         """Covers built at eps = 1/(2 L n) stay sound for every strongly
         convex and smooth family in the matrix, not just unit quadratics."""
-        from sgdcover.losses import LossConstants, LossFamily, multi_index, squared_error_link
+        from sgdcover.families import multi_index, squared_error_link
+        from sgdcover.losses import LossConstants, LossFamily
         from sgdcover.sgd import contraction_factor
 
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -766,7 +770,7 @@ class TestPiecewiseApprox:
         on anchors, on ties between anchors and at random, in blocks that cut
         the rows anywhere: every row's gradient is bitwise ``grad``'s."""
         if block is not None:
-            monkeypatch.setattr(cover_module, "_BLOCK", block)
+            monkeypatch.setattr(surrogate_module, "_BLOCK", block)
         fn = PiecewiseSmoothFunction(
             (SmoothPiece(lambda t: math.sin(t[0]), lambda t: np.array([math.cos(t[0]), 0.0])),
              SmoothPiece(lambda t: t[0] * t[1], lambda t: np.array([t[1], t[0]]))),
@@ -842,7 +846,7 @@ class TestPiecewiseApprox:
     def test_anchor_lattice_matches_per_node_projection(self, domain, epsilon):
         """The batched lattice equals, bitwise, projecting each node alone and
         measuring its shift with np.linalg.norm."""
-        lo, hi = cover_module._bounding_box(domain)
+        lo, hi = surrogate_module._bounding_box(domain)
         spacing = 2.0 * epsilon / math.sqrt(2)
         axes = []
         for j in range(2):
@@ -852,7 +856,7 @@ class TestPiecewiseApprox:
         proj = np.array([domain.project(p) for p in grid])
         kept = proj[[np.linalg.norm(q - p) <= epsilon * (1 + 1e-12) for q, p in zip(proj, grid)]]
         expected = kept[cover_module._first_of_each_point(kept)]
-        anchors = cover_module._anchor_lattice(domain, epsilon, cap=10**6)
+        anchors = surrogate_module._anchor_lattice(domain, epsilon, cap=10**6)
         assert anchors.shape == expected.shape and anchors.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("xi", [math.inf, math.nan, -0.5])
@@ -894,6 +898,24 @@ def test_fractal_module_boundary():
     from sgdcover import cli
     assert cover_module.IFSModel is fractal.IFSModel
     assert cli.box_counting_dimension is fractal.box_counting_dimension
+
+
+def test_traced_names_stay_where_the_tracer_rebinds_them():
+    """perfbench's tracer (``perfbench/tracer.py``) wraps each of these by
+    rebinding the attribute it names, so each must still be, there, the
+    object that the traced commands call."""
+    from sgdcover import bounds, cli, core, experiments, losses, sgd
+
+    assert cover_module.sgd_step is sgd.sgd_step
+    assert cover_module.IFSModel is fractal.IFSModel
+    assert experiments.bound_strongly_convex is bounds.bound_strongly_convex
+    assert cli.enumerate_cover is cover_module.enumerate_cover
+    assert cli.verify_cover is cover_module.verify_cover
+    assert cli.validate_bound is experiments.validate_bound
+    assert cli.box_counting_dimension is fractal.box_counting_dimension
+    assert cli.family_from_descriptor is losses.family_from_descriptor
+    assert "write_jsonl" in vars(cover_module.CoverSet)
+    assert "project" in vars(core.Ball)
 
 
 class TestIFS:

@@ -9,27 +9,26 @@ import pytest
 
 from sgdcover.bounds import bound_strongly_convex
 from sgdcover.core import Ball, Box, numeric_gradient, substream
+from sgdcover.families import soft_kmeans
 from sgdcover.losses import (
     Dataset,
     Distribution,
     LossConstants,
     LossFamily,
     quadratic_centers,
-    soft_kmeans,
     uniform_ball,
     uniform_over,
 )
-from sgdcover.sgd import (SGDConfig, SGDStep, contraction_factor, run_lockstep,
-                          run_trajectory)
-from sgdcover.experiments import (
-    Scenario,
+from sgdcover.sgd import SGDStep, contraction_factor, run_lockstep
+from sgdcover.trajectory import SGDConfig, run_trajectory
+from sgdcover.experiments import Scenario, validate_bound
+from sgdcover.studies import (
     em_step,
     empirical_risk,
     estimate_gap,
     hoeffding_check,
     run_em,
     stability_experiment,
-    validate_bound,
     verify_em_equivalence,
 )
 

@@ -10,21 +10,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sgdcover.core import Ball, numeric_gradient
+from sgdcover.families import (
+    hard_kmeans,
+    multi_index,
+    smooth_margin_link,
+    soft_kmeans,
+    squared_error_link,
+    stability_counterexample_1d,
+    zero_link,
+)
 from sgdcover.losses import (
     Dataset,
     Distribution,
     LossConstants,
     LossFamily,
     family_from_descriptor,
-    hard_kmeans,
-    multi_index,
     quadratic_centers,
-    smooth_margin_link,
-    soft_kmeans,
-    squared_error_link,
-    stability_counterexample_1d,
     uniform_over,
-    zero_link,
 )
 
 
@@ -66,6 +68,18 @@ class TestQuadraticCenters:
     def test_center_outside_ball_rejected(self):
         with pytest.raises(ValueError):
             quadratic_centers([[2.0, 0.0]], R=1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_loss_range_is_refused(self):
+        """An R whose loss range 2 R^2 overflows is refused with a ValueError
+        before any centre is measured; below that, a centre whose squared norm
+        overflows is outside the ball."""
+        with pytest.raises(ValueError, match="2 R\\^2 overflows"):
+            quadratic_centers([[1e200, 0.0]], R=1e300)
+        with pytest.raises(ValueError, match="2 R\\^2 overflows"):
+            quadratic_centers([[3e200, 4e200]], R=4.9e200)
+        with pytest.raises(ValueError, match="outside the radius-R ball"):
+            quadratic_centers([[3e200, 4e200]], R=1e150)
 
     def test_unit_curvature_contraction_identity(self):
         """sqrt(1 - 2 eta + eta^2) equals |1 - eta| for the declared constants."""

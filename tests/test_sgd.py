@@ -12,26 +12,14 @@ from hypothesis.extra import numpy as hnp
 
 from sgdcover import sgd as sgd_module
 from sgdcover.core import _PCG64_MULT, Ball, Box, ProductOfBalls, WholeSpace, substream
-from sgdcover.losses import (
-    Dataset,
-    LossConstants,
-    LossFamily,
-    hard_kmeans,
-    multi_index,
-    quadratic_centers,
-    zero_link,
-)
-from sgdcover.sgd import (
-    CustomMap,
+from sgdcover.families import hard_kmeans, multi_index, zero_link
+from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
+from sgdcover.sgd import CustomMap, SGDStep, contraction_factor, draw_runs, run_lockstep, sgd_step
+from sgdcover.trajectory import (
     SGDConfig,
-    SGDStep,
-    contraction_factor,
     coupled_contraction_ratio,
     draw_indices,
-    draw_runs,
-    run_lockstep,
     run_trajectory,
-    sgd_step,
 )
 
 CENTERS = [np.array([0.6, -0.2]), np.array([-0.5, 0.5]), np.array([0.1, 0.7])]
