@@ -644,7 +644,7 @@ def run(argv=None) -> int:
         _write_outputs(files)
         for line in lines:
             print(line)
-    except (UsageError, ValueError, TypeError, KeyError, OSError, FloatingPointError,
+    except (UsageError, ValueError, TypeError, KeyError, OSError, ArithmeticError,
             RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -59,11 +59,16 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _overflowed_norms(rows: np.ndarray) -> np.ndarray:
-    """Norms of the rows of an (m, d) array whose squared norms overflow to
-    ``inf`` in ``row_norms``: each row is measured scaled by its largest entry."""
-    scale = np.abs(rows).max(axis=1)
-    return scale * row_norms(rows / scale[:, None])
+def safe_norms(rows: np.ndarray) -> np.ndarray:
+    """``row_norms`` of an (..., d) array of finite rows, with each norm that
+    overflows to ``inf`` recomputed from its row scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norms = row_norms(rows)
+    huge = np.isinf(norms)
+    if np.any(huge):
+        scale = np.abs(rows[huge]).max(axis=-1)
+        norms[huge] = scale * row_norms(rows[huge] / scale[:, None])
+    return norms
 
 
 def linalg_norms(rows: np.ndarray) -> np.ndarray:
@@ -257,26 +262,22 @@ class Ball(ConvexDomain):
 
     def project(self, x) -> np.ndarray:
         x = as_point(x, dim=self.dim)
-        offset = x - self.center
-        norm = row_norms(offset)
-        if norm <= self.radius:
+        if row_norms(x - self.center) <= self.radius:
             return x
-        if norm == math.inf:
-            norm = _overflowed_norms(offset[None, :])[0]
-        return self.center + offset * (self.radius / norm)
+        return self.project_batch(x[None, :])[0]
 
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)
         offset = X - self.center
-        norms = row_norms(offset)
-        over = norms > self.radius
+        over = row_norms(offset) > self.radius
         if not np.any(over):
             return X
-        huge = np.isinf(norms)
-        if np.any(huge):
-            norms[huge] = _overflowed_norms(offset[huge])
+        offset = offset[over]
+        if not all_finite(offset):  # x - center overflowed; x/2 - center/2 points the same way
+            blown = ~np.isfinite(offset).all(axis=1)
+            offset[blown] = X[over][blown] / 2 - self.center / 2
         out = X.copy()
-        out[over] = self.center + offset[over] * (self.radius / norms[over])[:, None]
+        out[over] = self.center + offset * (self.radius / safe_norms(offset))[:, None]
         return out
 
     def bounding_radius(self) -> float:
@@ -350,13 +351,9 @@ class ProductOfBalls(ConvexDomain):
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)
         blocks = X.reshape(X.shape[0], self.blocks, self.block_dim).copy()
-        norms = row_norms(blocks)
-        over = norms > self.radius
+        over = row_norms(blocks) > self.radius
         if np.any(over):
-            huge = np.isinf(norms)
-            if np.any(huge):
-                norms[huge] = _overflowed_norms(blocks[huge])
-            blocks[over] *= (self.radius / norms[over])[:, None]
+            blocks[over] *= (self.radius / safe_norms(blocks[over]))[:, None]
         return blocks.reshape(X.shape)
 
     def bounding_radius(self) -> float:

@@ -89,7 +89,6 @@ class CoverSet:
     """
 
     horizon: int
-    anchor: np.ndarray
     points: np.ndarray  # (N, d) float64
     index: np.ndarray   # (N,) int64
     n_samples: int
@@ -186,14 +185,13 @@ class CoverEntries(Sequence):
                           pieces=None if pieces is None else tuple(pieces.tolist()))
 
 
-def _enumerate_tree(update: UpdateMap, dataset: Dataset, anchor: np.ndarray,
-                    T: int) -> np.ndarray:
+def _enumerate_tree(update: UpdateMap, dataset: Dataset, d: int, T: int) -> np.ndarray:
     """Endpoints of all n^T compositions of the per-sample updates applied to
-    the anchor, one ``sgd_step`` call per tree node, built level by level:
-    row k*n + i of a level is sample i's update of row k of the level above,
-    so row k of the result takes the base-n digits of k as its samples."""
+    the origin of R^d, one ``sgd_step`` call per tree node, built level by
+    level: row k*n + i of a level is sample i's update of row k of the level
+    above, so row k of the result takes the base-n digits of k as its samples."""
     n = dataset.n
-    level = anchor[None, :].copy()
+    level = np.zeros((1, d))
     for _ in range(T):
         children = np.empty((level.shape[0] * n, level.shape[1]))
         for k, point in enumerate(level):
@@ -235,29 +233,28 @@ def enumerate_cover(
     required = n**T
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
-    domain = update.effective_domain
+    domain = update.domain
     if domain is None:
         raise ValueError("the update map needs a domain to fix the parameter dimension")
-    anchor = np.zeros(domain.dim)
-    points = _enumerate_tree(update, dataset, anchor, T)
+    points = _enumerate_tree(update, dataset, domain.dim, T)
     index = np.arange(len(points), dtype=np.int64)
     if dedupe:
         index = _first_of_each_point(points)
         points = points[index]
-    return CoverSet(horizon=T, anchor=anchor, points=points, index=index, n_samples=n,
+    return CoverSet(horizon=T, points=points, index=index, n_samples=n,
                     deduped=dedupe)
 
 
-def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry,
-                 anchor: np.ndarray) -> np.ndarray:
-    """Re-run an entry's recorded sequence from the anchor (bitwise identical
+def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry) -> np.ndarray:
+    """Re-run an entry's recorded sequence from the origin (bitwise identical
     to enumeration when the dataset agrees on the entry's dependency set).
     A piecewise entry's surrogate steps are not ``update``'s, so it is refused."""
     if entry.pieces is not None:
         raise ValueError("replay_entry replays plain cover entries; this entry has pieces "
                          f"{entry.pieces}, whose surrogate steps the update cannot replay")
     seq = np.array([entry.seq], dtype=np.int64)
-    return run_lockstep(update, anchor[None, :], np.array([len(entry.seq)]), seq, dataset)[0]
+    start = np.zeros((1, len(entry.point)))
+    return run_lockstep(update, start, np.array([len(entry.seq)]), seq, dataset)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +314,7 @@ def verify_cover(
         raise ValueError("need trials >= 1 and max_extra_steps >= 0")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    domain = update.effective_domain
+    domain = update.domain
     if domain is None:
         raise ValueError("verification needs a bounded domain to sample starts from")
 

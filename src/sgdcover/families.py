@@ -156,7 +156,6 @@ def multi_index(
     return LossFamily(
         name=f"multi_index[{link.name}]",
         constants=constants,
-        sample_space=f"(label, x) pairs with ||x|| <= {R_x}",
         value=value,
         grad=grad,
         dim=K * d if d is not None else None,
@@ -222,7 +221,6 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
     return LossFamily(
         name="soft_kmeans",
         constants=constants,
-        sample_space=f"points of the ball of radius {R}",
         value=value,
         grad=grad,
         dim=K * d if d is not None else None,
@@ -276,7 +274,6 @@ def hard_kmeans(K: int, R: float, tie_rule: str = "lowest", d: int | None = None
     return LossFamily(
         name="hard_kmeans",
         constants=constants,
-        sample_space=f"points of the ball of radius {R}",
         value=value,
         grad=grad,
         dim=K * d if d is not None else None,
@@ -325,7 +322,6 @@ def stability_counterexample_1d() -> LossFamily:
     return LossFamily(
         name="stability_counterexample_1d",
         constants=constants,
-        sample_space="{0, 1}",
         value=value,
         grad=grad,
         dim=1,

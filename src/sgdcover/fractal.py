@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _overflowed_norms, all_finite, as_point, substream
+from .core import all_finite, as_point, safe_norms, substream
 
 # fewest steps per lockstep orbit chunk, and fewest chunks for which the
 # certified lockstep beats the scalar orbit recurrence
@@ -60,7 +60,7 @@ class IFSModel:
             raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
         if not all_finite(centers):
             raise ValueError("centers must be finite")
-        if np.any(_center_norms(centers) > self.radius * (1 + 1e-12)):
+        if np.any(safe_norms(centers) > self.radius * (1 + 1e-12)):
             raise ValueError("all fixed points must lie inside the radius-R ball")
         object.__setattr__(self, "centers", centers)
 
@@ -150,17 +150,6 @@ class IFSModel:
         with np.errstate(over="ignore"):  # an infinite bound still brackets the orbit
             bound = 2.0 * np.abs(self.centers).max(axis=0) + _ORBIT_FLOOR
         return _lockstep_orbit(offsets, choices, gamma, bound, window, chunk)[burn_in:]
-
-
-def _center_norms(centers: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(centers, axis=1)``, with each row whose squared norm
-    overflows recomputed scaled by its largest entry."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(centers, axis=1)
-    huge = np.isinf(norms)
-    if np.any(huge):
-        norms[huge] = _overflowed_norms(centers[huge])
-    return norms
 
 
 def _recurrence(offsets: Iterable[float], gamma: float, start: float) -> Iterator[float]:
@@ -302,27 +291,22 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
         idx = np.floor(shifted / s).astype(np.int64)
         shape = idx.max(axis=0) + 1
         boxes = math.prod(map(int, shape))
+        if boxes > np.iinfo(np.int64).max:  # no int64 key: compare whole rows
+            counts[k] = np.unique(idx, axis=0).shape[0]
+            continue
+        # row-major keys, ravel_multi_index's without its bounds checks
+        keys = idx[:, 0]
+        for j in range(1, idx.shape[1]):
+            keys = keys * shape[j] + idx[:, j]
+        del idx
         if boxes <= _BITMAP_BOXES_PER_POINT * pts.shape[0]:
-            # mark each point's box in an occupancy bitmap, no bigger than
-            # the key array the sort below would build; the keys are
-            # ravel_multi_index's, without its bounds checks
-            keys = idx[:, 0]
-            for j in range(1, idx.shape[1]):
-                keys = keys * shape[j] + idx[:, j]
+            # an occupancy bitmap, no bigger than the keys the sort would hold
             occupied = np.zeros(boxes, dtype=bool)
             occupied[keys] = True
             counts[k] = np.count_nonzero(occupied)
-            continue
-        # One sorted int64 key per box; grids with more boxes than int64 can
-        # index fall back to comparing whole rows.
-        try:
-            keys = np.ravel_multi_index(idx.T, shape)
-        except ValueError:
-            counts[k] = np.unique(idx, axis=0).shape[0]
-            continue
-        del idx
-        keys.sort()
-        counts[k] = 1 + np.count_nonzero(keys[1:] != keys[:-1])
+        else:
+            keys.sort()
+            counts[k] = 1 + np.count_nonzero(keys[1:] != keys[:-1])
     # equal counts are a flat line, whose fitted slope can round below zero
     slope = 0.0 if np.all(counts == counts[0]) else float(
         np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0])

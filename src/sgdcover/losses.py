@@ -88,7 +88,6 @@ class LossFamily:
 
     name: str
     constants: LossConstants
-    sample_space: str
     value: Callable[[np.ndarray, Any], float]
     grad: Callable[[np.ndarray, Any], np.ndarray]
     dim: int | None = None
@@ -250,7 +249,6 @@ def quadratic_centers(centers: Sequence, R: float) -> LossFamily:
     return LossFamily(
         name="quadratic_centers",
         constants=constants,
-        sample_space=f"points of the {d}-ball of radius {R}",
         value=value,
         grad=grad,
         dim=d,

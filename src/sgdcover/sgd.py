@@ -20,7 +20,7 @@ from .losses import Dataset, LossFamily
 class SGDStep:
     """One projected gradient update theta -> Pi(theta - eta grad f(theta; z)).
 
-    Pi projects onto ``domain``, else onto the family's own domain.
+    Pi projects onto ``domain``, which defaults to the family's domain.
     ``WholeSpace(d)`` projects as the identity, so ``domain=WholeSpace(d)``
     means no projection: the raw update.  A raw run that must stay bounded
     (as the clustering analysis assumes) is checked with
@@ -34,22 +34,20 @@ class SGDStep:
     def __post_init__(self):
         if not self.eta >= 0:
             raise ValueError("eta must be nonnegative")
-        if self.effective_domain is None:
-            raise ValueError("no domain to project onto; pass domain=WholeSpace(d) for none")
-
-    @property
-    def effective_domain(self) -> ConvexDomain:
-        return self.domain if self.domain is not None else self.family.domain
+        if self.domain is None:
+            object.__setattr__(self, "domain", self.family.domain)
+            if self.domain is None:
+                raise ValueError("no domain to project onto; pass domain=WholeSpace(d) for none")
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         g = np.asarray(self.family.grad(theta, z), dtype=float)
         out = _checked_update(theta, self.eta, g)
-        return self.effective_domain.project(out)
+        return self.domain.project(out)
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
         """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise."""
         out = _checked_update(thetas, self.eta, self.family.grad_rows(thetas, dataset, idx))
-        return self.effective_domain.project_batch(out)
+        return self.domain.project_batch(out)
 
 
 def _checked_update(theta: np.ndarray, eta: float, g: np.ndarray) -> np.ndarray:
@@ -70,10 +68,6 @@ class CustomMap:
 
     fn: Callable[[np.ndarray, object], np.ndarray]
     domain: ConvexDomain | None = None
-
-    @property
-    def effective_domain(self) -> ConvexDomain | None:
-        return self.domain
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         out = np.asarray(self.fn(theta, z), dtype=float)

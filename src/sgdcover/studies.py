@@ -102,12 +102,13 @@ class EMStepResult:
     held_fixed: tuple[int, ...]
 
 
-def _soft_weights(centers: np.ndarray, samples: np.ndarray, zeta: float) -> np.ndarray:
+def _scaled_distances(theta, dataset: Dataset, zeta: float):
+    """The (K, d) centers, the (n, d) stacked samples and the (n, K) matrix
+    of -zeta times each sample's squared distance to each center."""
+    centers = np.atleast_2d(np.asarray(theta, dtype=float))
+    samples = np.vstack([np.atleast_1d(np.asarray(z, dtype=float)) for z in dataset.samples])
     d2 = np.sum((samples[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-    a = -zeta * d2
-    a -= a.max(axis=1, keepdims=True)
-    w = np.exp(a)
-    return w / w.sum(axis=1, keepdims=True)
+    return centers, samples, -zeta * d2
 
 
 def em_step(theta, dataset: Dataset, zeta: float) -> EMStepResult:
@@ -119,9 +120,9 @@ def em_step(theta, dataset: Dataset, zeta: float) -> EMStepResult:
     """
     if not zeta > 0:
         raise ValueError("zeta must be positive")
-    centers = np.atleast_2d(np.asarray(theta, dtype=float))
-    samples = np.vstack([np.atleast_1d(np.asarray(z, dtype=float)) for z in dataset.samples])
-    w = _soft_weights(centers, samples, zeta)
+    centers, samples, a = _scaled_distances(theta, dataset, zeta)
+    w = np.exp(a - a.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
     totals = w.sum(axis=0)
     new = centers.copy()
     held = []
@@ -169,8 +170,7 @@ def verify_em_equivalence(theta, dataset: Dataset, zeta: float,
     Both sides are evaluated directly; the report carries the relative
     residual and the affine coefficients.
     """
-    centers = np.atleast_2d(np.asarray(theta, dtype=float))
-    samples = np.vstack([np.atleast_1d(np.asarray(z, dtype=float)) for z in dataset.samples])
+    centers, samples, a = _scaled_distances(theta, dataset, zeta)
     if K is not None and centers.shape[0] != K:
         raise ValueError(f"theta has {centers.shape[0]} centers, expected K={K}")
     if d is not None and centers.shape[1] != d:
@@ -179,8 +179,6 @@ def verify_em_equivalence(theta, dataset: Dataset, zeta: float,
     d = centers.shape[1]
     n = samples.shape[0]
 
-    d2 = np.sum((samples[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-    a = -zeta * d2
     m = a.max(axis=1)
     lse = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 

@@ -417,6 +417,25 @@ class TestExitCodeContract:
         assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["cover", "--scenario", "huge_kmeans.json", "--T", "1"],
+        ["bound", "--theorem", "thm_4_3", "--n", "100", "--delta", "0.05", "--K", "2",
+         "--R", "1000", "--zeta", "1", "--eta", "0.001"],
+    ], ids=["hard-kmeans-R-1e200", "thm-4-3-overflow"])
+    def test_arithmetic_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        """A float power or exp that overflows raises OverflowError, which is
+        not a FloatingPointError: it exits 2 with one error line and writes
+        nothing, since exit 1 means only a validation FAIL."""
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, {"family": {"name": "hard_kmeans", "K": 2, "R": 1e200},
+                                  "eta": 0.25, "dataset": {"kind": "points",
+                                                           "points": [[0.1, 0.2], [0.3, 0.1]]}},
+                       name="huge_kmeans.json")
+        assert run(argv + ["--out", "out"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge_kmeans.json"]
+
     def test_iterate_leaving_invariant_domain_is_usage_error(self, tmp_path, monkeypatch,
                                                               capsys):
         from sgdcover import trajectory

@@ -80,6 +80,39 @@ class TestProjectionExamples:
         np.testing.assert_allclose(out, [[1.0, 0.0, 0.1, 0.2], [0.6, 0.8, 0.6, -0.8]],
                                    rtol=ulps, atol=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_offset_points_toward_x(self):
+        """When x - center itself overflows, x/2 - center/2 gives the offset's
+        direction: the projection is finite, on the boundary and toward x,
+        and a batch row agrees bitwise."""
+        ball = Ball(np.array([-1e308, 0.0]), 1.0)
+        x = np.array([1e308, 0.0])
+        out = ball.project(x)
+        assert np.all(np.isfinite(out))
+        # center + (1, 0): the boundary point toward x, rounded at this scale
+        assert out.tobytes() == (ball.center + [1.0, 0.0]).tobytes()
+        assert ball.project_batch(x[None, :])[0].tobytes() == out.tobytes()
+        wide = Ball(np.array([-1e308, 0.0]), 1e300)
+        out = wide.project([1e308, 1e308])  # offset (2e308, 1e308) overflows
+        np.testing.assert_allclose(out - wide.center, 1e300 * np.array([2.0, 1.0]) / math.sqrt(5),
+                                   rtol=1e-6)
+        whole = Ball(np.array([-1e308, 0.0]), 1e308)
+        assert whole.project([1e308, 0.0]).tobytes() == np.array([0.0, 0.0]).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_mixed_batch_rows_equal_their_projections(self):
+        """A batch whose rows lie inside, outside at a finite norm, outside at
+        a norm that overflows and outside at an offset that overflows: every
+        row equals its own ``project``, bitwise, and is finite."""
+        ball = Ball(np.array([-1e308, 0.0]), 1.0)
+        X = np.array([[-1e308, 0.5], [-1e308, 3.0], [-1e308, 1e200], [1e308, 0.0],
+                      [1e308, -1e308], [-1e308, -0.25]])
+        batch = ball.project_batch(X)
+        assert batch.tobytes() == np.stack([ball.project(x) for x in X]).tobytes()
+        assert np.all(np.isfinite(batch))
+        assert batch[0].tobytes() == X[0].tobytes() and batch[5].tobytes() == X[5].tobytes()
+        np.testing.assert_array_equal(batch[1:3], [[-1e308, 1.0], [-1e308, 1.0]])
+
     def test_whole_space_identity(self):
         dom = WholeSpace(3)
         x = np.array([5.0, -7.0, 11.0])
@@ -334,7 +367,7 @@ class TestKeyedStreams:
 
 def _gradient_of(value: float) -> LossFamily:
     """A one-dimensional family whose gradient is ``value`` everywhere."""
-    return LossFamily(name="const", constants=LossConstants(), sample_space="unit",
+    return LossFamily(name="const", constants=LossConstants(),
                       value=lambda t, z: 0.0, grad=lambda t, z: np.array([value]), dim=1)
 
 

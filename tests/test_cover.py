@@ -98,7 +98,7 @@ class TestEnumerateCover:
         assert [e.seq for e in cov.entries] == expected_seqs
         for e in cov.entries:
             np.testing.assert_array_equal(
-                e.point, replay_entry(update, ds, e, np.zeros(2))
+                e.point, replay_entry(update, ds, e)
             )
             assert e.deps == frozenset(e.seq) and len(e.deps) <= 2
 
@@ -112,7 +112,7 @@ class TestEnumerateCover:
         seqs = np.array([e.seq for e in cov.entries])
         lockstep = run_lockstep(update, np.zeros((len(cov), 2)), np.full(len(cov), 4), seqs, ds)
         for e, row in zip(cov.entries, lockstep):
-            assert replay_entry(update, ds, e, cov.anchor).tobytes() == e.point.tobytes()
+            assert replay_entry(update, ds, e).tobytes() == e.point.tobytes()
             assert row.tobytes() == e.point.tobytes()
 
     def test_threads_do_not_change_output(self):
@@ -140,7 +140,7 @@ class TestEnumerateCover:
         """A raw (unprojected) step whose finite gradient overflows the last
         level is refused, not stored as an infinite cover point."""
         huge = LossFamily(
-            name="huge", constants=LossConstants(), sample_space="any",
+            name="huge", constants=LossConstants(),
             value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
         )
         update = SGDStep(huge, 10.0, domain=WholeSpace(1))
@@ -264,12 +264,12 @@ class TestEnumerateCover:
         modified[2] = np.array([0.3, 0.3])  # outside deps
         ds_mod = Dataset(tuple(modified))
         np.testing.assert_array_equal(
-            replay_entry(update, ds_mod, entry, np.zeros(2)), entry.point
+            replay_entry(update, ds_mod, entry), entry.point
         )
         inside = list(CENTERS)
         inside[0] = np.array([0.3, 0.3])
         assert not np.array_equal(
-            replay_entry(update, Dataset(tuple(inside)), entry, np.zeros(2)), entry.point
+            replay_entry(update, Dataset(tuple(inside)), entry), entry.point
         )
 
     def test_replay_refuses_piecewise_entry(self):
@@ -281,7 +281,7 @@ class TestEnumerateCover:
         entry = cov.entries[5]
         assert (entry.seq, entry.pieces) == ((0, 2), (0, 1))
         with pytest.raises(ValueError, match=r"has pieces \(0, 1\)"):
-            replay_entry(update, ds, entry, cov.anchor)
+            replay_entry(update, ds, entry)
 
     def test_jsonl_serialization(self, tmp_path):
         _, ds, update = quadratic_cover_setup()
@@ -331,7 +331,7 @@ class TestCoverFormatGolden:
 
 def _one_dim_cover(n):
     """A T = 1 cover over n one-dim samples: every row has its own choice."""
-    return CoverSet(horizon=1, anchor=np.zeros(1), points=np.linspace(-1.0, 1.0, n)[:, None],
+    return CoverSet(horizon=1, points=np.linspace(-1.0, 1.0, n)[:, None],
                     index=np.arange(n, dtype=np.int64), n_samples=n)
 
 
@@ -356,14 +356,14 @@ def _writer_covers():
     # the points a two-piece run at eta = 1e308, T = 2 overflows to, built
     # by hand because enumeration refuses them
     covers["piecewise-overflow"] = CoverSet(
-        horizon=2, anchor=np.zeros(1), points=np.repeat([-np.inf, np.inf], 8)[:, None],
+        horizon=2, points=np.repeat([-np.inf, np.inf], 8)[:, None],
         index=np.arange(16, dtype=np.int64), n_samples=2, pieces_per_sample=2)
     # float extremes, whose repr is what json.dumps writes; infinities and
     # NaN, which JSON spells Infinity and NaN
     for name, values in [("extremes", [-0.0, 5e-324, 1e-300, 1e308, -1e308, -5e-324, 0.1]),
                          ("non-finite", [0.5, np.inf, -np.inf, np.nan, -0.0, 1e308, 2.0])]:
         points = np.array(values * 2).reshape(7, 2)
-        covers[name] = CoverSet(horizon=1, anchor=np.zeros(2), points=points,
+        covers[name] = CoverSet(horizon=1, points=points,
                                 index=np.arange(7, dtype=np.int64), n_samples=7)
     return covers
 
@@ -475,7 +475,6 @@ class TestVerifyCover:
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
         aniso = LossFamily(
             name="aniso", constants=LossConstants(alpha=1.0, beta=2.0, L=1.0, R=1.0),
-            sample_space="targets",
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
             grad=lambda t, z: A @ (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
         )
@@ -486,7 +485,7 @@ class TestVerifyCover:
         dists = []
         for k in range(60):
             rng = substream(9, k)
-            theta = update.effective_domain.sample(rng)
+            theta = update.domain.sample(rng)
             for i in rng.integers(0, ds.n, size=int(rng.integers(4, 15))):
                 theta = sgd_step(update, theta, int(i), ds)
             dists.append(float(np.sqrt(np.min(np.sum((points - theta) ** 2, axis=1)))))
@@ -504,7 +503,6 @@ class TestVerifyCover:
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
         aniso = LossFamily(
             name="aniso", constants=LossConstants(alpha=1.0, beta=2.0, L=1.0, R=1.0),
-            sample_space="targets",
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
             grad=lambda t, z: A @ (t - z),
             dim=2, domain=Ball(np.zeros(2), 1.0),
@@ -518,7 +516,7 @@ class TestVerifyCover:
             name=lsq.name,
             constants=LossConstants(alpha=lam, beta=R_x**2 + lam, L=1.0, R=1.0,
                                     lam=lam, R_x=R_x, K=1, Q=1),
-            sample_space=lsq.sample_space, value=lsq.value, grad=lsq.grad,
+            value=lsq.value, grad=lsq.grad,
             dim=2, domain=Ball(np.zeros(2), 1.0),
         )
         lsq_data = Dataset(((0.4, np.array([0.8, 0.2])),
@@ -1215,6 +1213,33 @@ class TestBoxCounting:
         for boxes_per_point in (8, 0, 10**6):  # default, sort only, bitmap only
             monkeypatch.setattr(fractal, "_BITMAP_BOXES_PER_POINT", boxes_per_point)
             assert box_counting_dimension(pts, scales).counts.tolist() == reference
+
+    @pytest.mark.parametrize("grid, whole_rows", [
+        ((2**21, 2**21, 2**21 - 1), False),
+        ((2**21, 2**21, 2**21), True),
+    ], ids=["2^63-2^42-boxes-sort", "2^63-boxes-whole-rows"])
+    def test_grids_at_the_int64_limit(self, monkeypatch, grid, whole_rows):
+        """d = 3 lattice points whose finest grid has one int64 key per box
+        short of 2^63 boxes, or 2^63 boxes, which int64 cannot index: the first
+        sorts keys, the second compares whole rows, and both count the same
+        boxes as np.unique."""
+        rng = np.random.default_rng(63)
+        pts = rng.integers(0, grid, size=(1000, 3)).astype(float)
+        pts[0], pts[1] = 0.0, np.subtract(grid, 1)  # pin the extent to the grid
+        assert (math.prod(grid) > np.iinfo(np.int64).max) == whole_rows
+        scales = [1000.0, 100.0, 10.0, 1.0]
+        reference = [np.unique(np.floor(pts / s).astype(np.int64), axis=0).shape[0]
+                     for s in scales]
+        unique, row_compares = np.unique, []
+
+        def spy(ar, *args, **kwargs):
+            row_compares.append(kwargs.get("axis"))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        assert box_counting_dimension(pts, scales).counts.tolist() == reference
+        # only the finest grid can lack int64 keys
+        assert row_compares == ([0] if whole_rows else [])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
     def test_counts_equal_distinct_rows(self, d):

@@ -50,7 +50,7 @@ def short_trajectory(fam, ds, eta=0.5, steps=30, seed=3):
 class TestEstimateGap:
     def test_sample_independent_family_has_zero_gap(self):
         const = LossFamily(
-            name="const", constants=LossConstants(B=0.0), sample_space="any",
+            name="const", constants=LossConstants(B=0.0),
             value=lambda t, z: float(t @ t), grad=lambda t, z: 2.0 * np.asarray(t),
             dim=2, domain=Ball(np.zeros(2), 1.0),
         )

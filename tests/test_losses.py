@@ -356,7 +356,7 @@ class TestBatchedEvaluation:
     def test_families_without_batched_forms_fall_back_per_row(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
         fam = LossFamily(
-            name="aniso", constants=LossConstants(), sample_space="targets",
+            name="aniso", constants=LossConstants(),
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
             grad=lambda t, z: A @ (t - z), dim=2,
         )

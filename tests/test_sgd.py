@@ -56,7 +56,7 @@ class TestSgdStep:
 
     def test_non_finite_gradient_rejected(self):
         bad = LossFamily(
-            name="bad", constants=LossConstants(), sample_space="unit",
+            name="bad", constants=LossConstants(),
             value=lambda t, z: 0.0, grad=lambda t, z: np.array([np.inf]), dim=1,
         )
         update = SGDStep(bad, 0.1, domain=WholeSpace(1))
@@ -78,7 +78,7 @@ class TestSgdStep:
 
     def test_projection_needs_a_domain(self):
         bad = LossFamily(
-            name="nodomain", constants=LossConstants(), sample_space="unit",
+            name="nodomain", constants=LossConstants(),
             value=lambda t, z: 0.0, grad=lambda t, z: np.zeros(1), dim=1,
         )
         with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ class TestSgdStep:
 
 
 _HUGE_GRADIENT = LossFamily(
-    name="huge", constants=LossConstants(), sample_space="unit",
+    name="huge", constants=LossConstants(),
     value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
 )
 
@@ -158,7 +158,7 @@ class TestTrajectories:
         _, ds, update = quadratic_setup(eta=0.5)
         config = SGDConfig(init=np.array([0.9, 0.0]), steps=60, scheme="uniform", seed=9)
         traj = run_trajectory(update, config, ds)
-        dom = update.effective_domain
+        dom = update.domain
         assert all(dom.contains(p) for p in traj.points)
 
     def test_invariant_domain_violation_raises(self):
@@ -204,7 +204,7 @@ def _sequential_coupling(update, a, b, indices, ds):
     """One pair stepped alone through sgd_step, the reference the lockstep
     coupling must reproduce: (ratios, distances, coalesce step or -1)."""
     dist = float(np.linalg.norm(a - b))
-    domain = update.effective_domain
+    domain = update.domain
     scale = domain.bounding_radius() if domain is not None else math.inf
     if not math.isfinite(scale):
         scale = max(1.0, dist)
@@ -223,7 +223,7 @@ def _sequential_coupling(update, a, b, indices, ds):
 # at eta = 1 the first coordinate jumps onto the sample and the second halves
 _WEIGHTS = np.array([1.0, 0.5])
 _HALVING = LossFamily(
-    name="halving", constants=LossConstants(), sample_space="targets",
+    name="halving", constants=LossConstants(),
     value=lambda t, z: 0.5 * float(_WEIGHTS @ (t - z) ** 2),
     grad=lambda t, z: _WEIGHTS * (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
     grad_batch=lambda thetas, zs: _WEIGHTS * (thetas - zs),
@@ -302,7 +302,6 @@ class TestCoupledContraction:
         A = np.array([[2.0, 0.0], [0.0, 0.5]])
         aniso = LossFamily(
             name="aniso", constants=LossConstants(alpha=0.5, beta=2.0, R=1.0),
-            sample_space="targets",
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
             grad=lambda t, z: A @ (t - z),
             dim=2, domain=Ball(np.zeros(2), 1.0),
@@ -400,7 +399,7 @@ class TestApplyBatch:
     def test_quadratic_matches_apply_bitwise(self, eta):
         fam, ds, update = quadratic_setup(eta, domain=Ball(np.zeros(2), 1.0))
         rng = np.random.default_rng(21)
-        thetas = np.stack([update.effective_domain.sample(rng) for _ in range(300)])
+        thetas = np.stack([update.domain.sample(rng) for _ in range(300)])
         idx = rng.integers(0, ds.n, size=300)
         _assert_batch_matches_rows(update, ds, thetas, idx)
         raw = thetas - eta * (thetas - ds.matrix[idx])
@@ -410,7 +409,7 @@ class TestApplyBatch:
     def test_lambda_family_matches_apply_bitwise(self):
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
         aniso = LossFamily(
-            name="aniso", constants=LossConstants(alpha=1.0, beta=2.0), sample_space="targets",
+            name="aniso", constants=LossConstants(alpha=1.0, beta=2.0),
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
             grad=lambda t, z: A @ (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
         )
@@ -437,7 +436,7 @@ class TestApplyBatch:
 
     def test_non_finite_gradient_rejected_for_the_batch(self):
         bad = LossFamily(
-            name="bad", constants=LossConstants(), sample_space="unit",
+            name="bad", constants=LossConstants(),
             value=lambda t, z: 0.0,
             grad=lambda t, z: np.array([np.inf if t[0] > 0 else 0.0]), dim=1,
         )
@@ -641,7 +640,7 @@ class TestLockstep:
         """Ragged step counts: finished runs are masked out, and every
         endpoint equals the sequential sgd_step loop's bit for bit."""
         _, ds, update = quadratic_setup(1.5, domain=Ball(np.zeros(2), 1.0))
-        starts, steps, indices, _ = draw_runs(25, 1, 40, update.effective_domain, 0, 12, ds.n)
+        starts, steps, indices, _ = draw_runs(25, 1, 40, update.domain, 0, 12, ds.n)
         assert steps.min() < steps.max()
         endpoints = run_lockstep(update, starts, steps, indices, ds)
         for k in range(40):
