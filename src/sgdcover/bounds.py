@@ -11,21 +11,18 @@ Every calculator returns a BoundCertificate with the same component slots:
 * ``approximation_term`` — 2*L*(gamma^T R + geometric * surrogate error) for
   the piecewise-surrogate bounds.
 
-All logarithms are natural.
+``THEOREMS`` maps each certificate id to its calculator.  All logarithms
+are natural.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
 from .core import ceil_int
-
-THEOREMS = (
-    "THM_2_3", "COR_2_4", "COR_2_5", "EQ_8_FRACTAL", "THM_3_2", "THM_4_1",
-    "THM_4_3", "THM_4_4", "THM_5_3", "THM_B_1", "THM_D_1", "THM_D_2", "COR_D_3",
-)
 
 EXPECTATION_VARIANTS = ("THM_D_1", "THM_D_2", "COR_D_3")
 
@@ -103,7 +100,8 @@ def _check_nonneg(**kwargs):
 
 
 def horizon(scale: float, gamma: float) -> int:
-    """max(ceil(log(scale)/log(1/gamma)), 0) with gamma in (0, 1)."""
+    """max(ceil(log(scale)/log(1/gamma)), 0) with gamma in (0, 1): 0 for any
+    scale <= 1."""
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
     if scale <= 0:
@@ -404,3 +402,19 @@ def bound_expectation(n, B, T, variant, C=1.0) -> BoundCertificate:
     else:
         conc = C * B * math.sqrt(1.0 / n)
     return _make(variant, inputs, dep=dep, conc=conc, slack=slack)
+
+
+# certificate id -> its calculator; the one list of theorem ids
+THEOREMS = {
+    "THM_2_3": bound_strongly_convex,
+    "COR_2_4": bound_single_trajectory,
+    "COR_2_5": bound_early,
+    "EQ_8_FRACTAL": bound_fractal,
+    "THM_3_2": bound_piecewise_approx,
+    "THM_4_1": bound_multi_index,
+    "THM_4_3": bound_soft_kmeans,
+    "THM_4_4": bound_hard_kmeans,
+    "THM_5_3": bound_piecewise_contractive,
+    "THM_B_1": bound_master_covering,
+    **{v: functools.partial(bound_expectation, variant=v) for v in EXPECTATION_VARIANTS},
+}

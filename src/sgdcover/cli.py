@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -25,19 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    bound_early,
-    bound_expectation,
-    bound_fractal,
-    bound_hard_kmeans,
-    bound_master_covering,
-    bound_multi_index,
-    bound_piecewise_approx,
-    bound_piecewise_contractive,
-    bound_single_trajectory,
-    bound_soft_kmeans,
-    bound_strongly_convex,
-)
+from .bounds import THEOREMS
 from .core import Ball, linalg_norms, numeric_gradient, substream
 from .cover import DEFAULT_CAP, cover_horizon, enumerate_cover, verify_cover
 from .experiments import Scenario, validate_bound
@@ -266,35 +254,14 @@ def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bo
 # importing this module leaves them unloaded.
 # ---------------------------------------------------------------------------
 
-_CONTRACTIVE = ("n", "delta", "B", "L", "R", "gamma")
-
-# theorem id -> (calculator, required keys in argument order, *optional keys)
-_THEOREMS = {
-    "thm_2_3": (bound_strongly_convex, _CONTRACTIVE),
-    "cor_2_4": (bound_single_trajectory, ("n", "delta", "B", "T")),
-    "cor_2_5": (bound_early, ("n", "delta", "B", "t")),
-    "eq_8": (bound_fractal, _CONTRACTIVE + ("d_H",)),
-    "eq_8_fractal": (bound_fractal, _CONTRACTIVE + ("d_H",)),
-    "thm_3_2": (bound_piecewise_approx, _CONTRACTIVE, "T", "P", "xi", "eta"),
-    "thm_5_3": (bound_piecewise_contractive, _CONTRACTIVE, "T", "P", "xi"),
-    "thm_4_1": (bound_multi_index,
-                ("n", "delta", "B", "L", "R", "R_x", "K", "Q", "beta", "eta", "lam")),
-    "thm_4_3": (bound_soft_kmeans, ("n", "delta", "K", "R", "zeta", "eta")),
-    "thm_4_4": (bound_hard_kmeans, ("n", "delta", "K", "R", "eta")),
-    "thm_b_1": (bound_master_covering,
-                ("n", "delta", "B", "L", "T", "cover_cardinality", "epsilon")),
-    **{t: (functools.partial(bound_expectation, variant=t.upper()), ("n", "B", "T"), "C")
-       for t in ("thm_d_1", "thm_d_2", "cor_d_3")},
-}
-
-
 def _cmd_bound(cfg, args):
     _require(cfg, "theorem")
-    spec = _THEOREMS.get(str(cfg["theorem"]).lower())
-    _check(spec is not None, f"unknown theorem {cfg['theorem']!r}")
-    calculator, required, *optional = spec
-    _require(cfg, *required)
-    cert = calculator(*(cfg[k] for k in required), **_given(cfg, *optional))
+    theorem = str(cfg["theorem"]).upper()
+    calculator = THEOREMS.get("EQ_8_FRACTAL" if theorem == "EQ_8" else theorem)
+    _check(calculator is not None, f"unknown theorem {cfg['theorem']!r}")
+    params = inspect.signature(calculator).parameters.values()
+    _require(cfg, *(p.name for p in params if p.default is p.empty))
+    cert = calculator(**_given(cfg, *(p.name for p in params)))
     lines = [f"certificate {cert.theorem}"]
     lines += [f"  {name:24s} {value:.12g}"
               for name, value in cert.components.items() if value is not None]

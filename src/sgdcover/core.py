@@ -71,6 +71,19 @@ def safe_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
+def onto_sphere(rows: np.ndarray, radius: float) -> np.ndarray:
+    """Each finite row of an (m, d) array times ``radius`` over its
+    ``safe_norms`` norm.  A row whose norm is ``inf`` even so is divided by its
+    largest entry first, so it keeps its direction instead of becoming 0."""
+    norms = safe_norms(rows)
+    lost = np.isinf(norms)
+    if np.any(lost):
+        rows = rows.copy()
+        rows[lost] /= np.abs(rows[lost]).max(axis=1, keepdims=True)
+        norms[lost] = row_norms(rows[lost])
+    return rows * (radius / norms)[:, None]
+
+
 def linalg_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (m, d) array, bitwise equal to
     ``np.linalg.norm(rows[k])`` (a dot product per row; ``row_norms`` and
@@ -277,7 +290,7 @@ class Ball(ConvexDomain):
             blown = ~np.isfinite(offset).all(axis=1)
             offset[blown] = X[over][blown] / 2 - self.center / 2
         out = X.copy()
-        out[over] = self.center + offset * (self.radius / safe_norms(offset))[:, None]
+        out[over] = self.center + onto_sphere(offset, self.radius)
         return out
 
     def bounding_radius(self) -> float:
@@ -353,7 +366,7 @@ class ProductOfBalls(ConvexDomain):
         blocks = X.reshape(X.shape[0], self.blocks, self.block_dim).copy()
         over = row_norms(blocks) > self.radius
         if np.any(over):
-            blocks[over] *= (self.radius / safe_norms(blocks[over]))[:, None]
+            blocks[over] = onto_sphere(blocks[over], self.radius)
         return blocks.reshape(X.shape)
 
     def bounding_radius(self) -> float:

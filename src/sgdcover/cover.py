@@ -44,18 +44,16 @@ class EnumerationCapExceeded(ValueError):
 
 
 def cover_horizon(R: float, epsilon: float, gamma: float) -> int:
-    """Smallest certified horizon T = max(ceil(log(R/eps)/log(1/gamma)), 0).
+    """Smallest certified horizon T = max(ceil(log(R/eps)/log(1/gamma)), 0),
+    by ``horizon``, which checks gamma.
 
     After T contraction steps the reachable set shrinks to radius
-    gamma^T * R <= epsilon; epsilon >= R needs no steps at all.
+    gamma^T * R <= epsilon; epsilon >= R needs no steps at all, also where
+    R/eps underflows to 0 (the ratio is floored at 1, where ``horizon`` is 0).
     """
     if not (R > 0 and epsilon > 0):
         raise ValueError("R and epsilon must be positive")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
-    if epsilon >= R:
-        return 0
-    return horizon(R / epsilon, gamma)
+    return horizon(max(R / epsilon, 1.0), gamma)
 
 
 @dataclass(frozen=True, eq=False)

@@ -63,7 +63,9 @@ def validate_bound(
     endpoint gap exceeds the certificate is at most delta.
 
     ``shrink`` divides the certificate (a shrink of 50 gives the negative
-    control that must FAIL).  Population risk must be exactly enumerable.
+    control that must FAIL).  The family must declare alpha, beta, B, L and
+    R, and population risk must be exactly enumerable; ``contraction_factor``
+    then refuses a step size outside (0, 2/beta).
     delta = 1 makes the acceptance rule vacuous and needs an explicit
     certificate, since the calculators require delta < 1.
 
@@ -95,10 +97,6 @@ def validate_bound(
     c = fam.constants
     if c.alpha is None or c.beta is None or c.B is None or c.L is None or c.R is None:
         raise ValueError("scenario family must declare alpha, beta, L, B, R")
-    if not 0 < scenario.eta < 2.0 / c.beta:
-        raise ValueError(
-            f"hypothesis violated: eta={scenario.eta} outside (0, {2.0 / c.beta})"
-        )
     if not scenario.distribution.finite:
         raise ValueError("validation needs a finitely supported distribution")
     gamma = contraction_factor(c.alpha, c.beta, scenario.eta)

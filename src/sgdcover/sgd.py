@@ -94,7 +94,8 @@ def contraction_factor(alpha: float, beta: float, eta: float) -> float:
     if not (0 < alpha <= beta):
         raise ValueError("need 0 < alpha <= beta")
     if not 0 < eta < 2.0 / beta:
-        raise ValueError("step size must satisfy 0 < eta < 2/beta for this certificate")
+        raise ValueError("step size must satisfy 0 < eta < 2/beta for this certificate: "
+                         f"eta={eta} outside (0, {2.0 / beta})")
     radicand = 1.0 - 2.0 * alpha * eta + alpha * beta * eta**2
     if radicand < -DETERMINISTIC_TOL:
         raise ValueError(f"negative radicand {radicand}")

@@ -139,6 +139,8 @@ def run_em(theta0, dataset: Dataset, zeta: float, max_iters: int = 10_000,
     """Iterate em_step until the centers move at most ``tol`` (default: until
     they stop changing bitwise) or the iteration budget runs out; return the
     centers, the iterations run and whether the last one converged."""
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     centers = np.atleast_2d(np.asarray(theta0, dtype=float))
     for it in range(1, max_iters + 1):
         new = em_step(centers, dataset, zeta).centers

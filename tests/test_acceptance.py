@@ -5,6 +5,7 @@ lines on the terminal.  Expected constants marked as derived were recomputed
 with 50-digit mpmath evaluations of the closed forms before being frozen.
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from sgdcover.bounds import (
     bound_soft_kmeans,
     bound_strongly_convex,
 )
+from sgdcover.cli import EXIT_OK, run
 from sgdcover.core import Ball, WholeSpace, numeric_gradient
 from sgdcover.cover import cover_horizon, enumerate_cover, verify_cover
 from sgdcover.experiments import Scenario, validate_bound
@@ -319,3 +321,40 @@ class TestAcceptance:
         report("C10", rep.passed and len(rep.cells) == 16,
                f"16 grid cells, {len(bad)} above bound; "
                f"worst rate {max(c.empirical_rate for c in rep.cells):.4f}")
+
+    def test_c11_certificate_and_gap_over_n_and_d(self, tmp_path):
+        """``validate`` on three centres of norm 0.8 embedded in d dimensions
+        (eta = 0.5, R = 1, 30 resamplings x 20 trials, delta = 0.05) PASSes
+        in every cell of d in {2, 64, 1024} x n in {10^2, 10^3, 10^4}, and
+        the certificate is bitwise the same for every d.  The log-log slopes
+        of the certificate and of the largest observed gap against n are
+        reported, not gated."""
+        angles = [2.0 * math.pi * k / 3.0 for k in range(3)]
+        ns, dims = (100, 1000, 10_000), (2, 64, 1024)
+        certs, gaps, failed = {}, {}, []
+        for d in dims:
+            centers = [[0.8 * math.cos(a), 0.8 * math.sin(a)] + [0.0] * (d - 2) for a in angles]
+            for n in ns:
+                scenario = tmp_path / "scenario.json"
+                scenario.write_text(json.dumps({
+                    "family": {"name": "quadratic_centers", "centers": centers, "R": 1.0},
+                    "eta": 0.5, "dataset": {"kind": "support", "n": n}}))
+                out = tmp_path / "validate.json"
+                code = run(["validate", "--scenario", str(scenario), "--resamplings", "30",
+                            "--trials", "20", "--delta", "0.05", "--seed", "11",
+                            "--out", str(out)])
+                result = json.loads(out.read_text())["result"]
+                if code != EXIT_OK or not result["passed"]:
+                    failed.append((d, n))
+                certs[d, n] = result["certificate_total"]
+                gaps[d, n] = result["max_observed_gap"]
+        same = all(certs[d, n].hex() == certs[dims[0], n].hex() for d in dims for n in ns)
+        log_n = np.log(ns)
+        cert_slope = np.polyfit(log_n, np.log([certs[dims[0], n] for n in ns]), 1)[0]
+        gap_slope = np.polyfit(log_n, np.log([np.mean([gaps[d, n] for d in dims])
+                                              for n in ns]), 1)[0]
+        table = "; ".join(f"n={n}: cert {certs[dims[0], n]:.4f}, gaps "
+                          + "/".join(f"{gaps[d, n]:.4f}" for d in dims) for n in ns)
+        report("C11", not failed and same,
+               f"{table} (d = {'/'.join(map(str, dims))}); slopes vs n: certificate "
+               f"{cert_slope:.3f}, mean max gap {gap_slope:.3f}; failed cells {failed}")

@@ -3,7 +3,9 @@
 import ast
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import sgdcover
 from sgdcover import cli
+from sgdcover.bounds import THEOREMS
 from sgdcover.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 
 QUADRATIC_SCENARIO = {
@@ -293,6 +296,17 @@ class TestExitCodeContract:
         assert run(argv + ["--scenario", spath, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
+
+    def test_negative_kmeans_iteration_budget_is_usage_error(self, tmp_path, capsys):
+        """``--iters -1`` is refused before any output, not run as an empty
+        budget that reports -1 iterations and FAILs."""
+        spath = write_scenario(tmp_path, {
+            "family": {"name": "soft_kmeans", "K": 2, "zeta": 1, "R": 1},
+            "dataset": {"kind": "uniform_ball", "n": 20, "d": 2}})
+        out = tmp_path / "km.json"
+        assert run(["kmeans", "--scenario", spath, "--iters", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert "max_iters must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario", [
         QUADRATIC_SCENARIO,
@@ -848,14 +862,44 @@ _FORWARDED = [
 ]
 
 
+def _theorem_parameters():
+    """Each calculator parameter as (name, default), with those a partial
+    binds left out."""
+    return {(p.name, p.default) for calculator in THEOREMS.values()
+            for p in inspect.signature(calculator).parameters.values()
+            if not (isinstance(calculator, functools.partial) and p.name in calculator.keywords)}
+
+
+def test_theorem_parameters_are_the_bound_options():
+    assert ({name for name, _ in _theorem_parameters()}
+            == set(cli._FLOAT_BOUND_KEYS) | set(cli._INT_BOUND_KEYS))
+
+
+# one valid value for every calculator parameter, under its bound option name
+_BOUND_INPUTS = {"n": 100, "delta": 0.05, "B": 1.0, "L": 2.0, "R": 1.5, "R_x": 0.5,
+                 "gamma": 0.5, "xi": 0.01, "eta": 0.25, "zeta": 0.05, "lam": 1.1,
+                 "beta": 1.2, "d_H": 0.63, "epsilon": 0.1, "C": 2.0, "T": 8, "t": 5,
+                 "P": 2, "Q": 3, "K": 2, "cover_cardinality": 27}
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_each_calculator_certifies_its_own_id(theorem):
+    calculator = THEOREMS[theorem]
+    names = {p.name for p in inspect.signature(calculator).parameters.values()}
+    cert = calculator(**{k: v for k, v in _BOUND_INPUTS.items() if k in names})
+    assert cert.theorem == theorem
+
+
 def _forwarded_keys():
     """Every option ``cli`` forwards only when set: the literal keys of its
-    ``_given`` calls, the theorems' optional keys, and ``iters``."""
+    ``_given`` calls, the theorems' optional parameters, and ``iters``."""
     tree = ast.parse(Path(cli.__file__).read_text())
     keys = {arg.value for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_given"
             for arg in node.args[1:] if isinstance(arg, ast.Constant)}
-    return keys | {k for _, _, *optional in cli._THEOREMS.values() for k in optional} | {"iters"}
+    optional = {name for name, default in _theorem_parameters()
+                if default is not inspect.Parameter.empty}
+    return keys | optional | {"iters"}
 
 
 def test_every_forwarded_option_is_exercised():

@@ -81,6 +81,32 @@ class TestProjectionExamples:
                                    rtol=ulps, atol=0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_norm_that_overflows_after_the_rescale_keeps_its_direction(self):
+        """A row whose norm exceeds the largest float even when measured scaled
+        by its largest entry projects onto the boundary in its own direction,
+        not onto the centre.  Every other row of the batch keeps the rounding
+        of the plain radius / norm scaling, bitwise."""
+        ulps = 4 * np.finfo(float).eps
+        X = np.array([[0.3, 0.4], [1.5e308, 1.5e308], [3.0, 4.0], [1e200, 1e200],
+                      [-1.5e308, 1.5e308]])
+        far = [1, 4]
+        kept = [0, 2, 3]
+        expected = [[0.3, 0.4], [1.0, 1.0], [0.6, 0.8], [1.0, 1.0], [-1.0, 1.0]]
+        expected = np.array(expected) / np.array([1.0, math.sqrt(2), 1.0, math.sqrt(2),
+                                                  math.sqrt(2)])[:, None]
+        plain = X.copy()
+        plain[1:] = X[1:] * (1.0 / core.safe_norms(X[1:]))[:, None]
+        for dom in (Ball(np.zeros(2), 1.0), ProductOfBalls(blocks=1, block_dim=2, radius=1.0)):
+            batch = dom.project_batch(X)
+            assert batch.tobytes() == np.stack([dom.project(x) for x in X]).tobytes()
+            np.testing.assert_allclose(batch[far], expected[far], rtol=ulps, atol=0)
+            assert batch[kept].tobytes() == plain[kept].tobytes()
+        blocks = ProductOfBalls(blocks=2, block_dim=2, radius=2.0)
+        out = blocks.project(np.concatenate([X[1], X[2]]))
+        np.testing.assert_allclose(out, 2.0 * np.concatenate([expected[1], expected[2]]),
+                                   rtol=ulps, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowed_offset_points_toward_x(self):
         """When x - center itself overflows, x/2 - center/2 gives the offset's
         direction: the projection is finite, on the boundary and toward x,

@@ -58,6 +58,8 @@ class TestCoverHorizon:
     def test_large_epsilon_needs_no_steps(self):
         assert cover_horizon(1.0, 1.0, 0.5) == 0
         assert cover_horizon(1.0, 2.0, 0.9) == 0
+        assert cover_horizon(1.0, math.inf, 0.5) == 0
+        assert cover_horizon(1e-30, 1e300, 0.5) == 0  # R / epsilon underflows to 0
 
     def test_frozen_values(self):
         assert cover_horizon(1.0, 0.01, 0.5) == 7
@@ -73,6 +75,8 @@ class TestCoverHorizon:
             cover_horizon(1.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             cover_horizon(1.0, 0.1, 0.0)
+        with pytest.raises(ValueError):
+            cover_horizon(1.0, 2.0, 1.0)  # also where epsilon >= R needs no steps
 
 
 class TestEnumerateCover:

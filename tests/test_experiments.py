@@ -134,7 +134,7 @@ class TestValidateBound:
         assert cert.passed
 
     def test_hypothesis_violations_abort(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"eta=3.0 outside \(0, 2.0\)$"):
             validate_bound(quadratic_scenario(eta=3.0), resamplings=2, trials=1,
                            delta=0.05)
         bad = quadratic_scenario()
