@@ -324,9 +324,11 @@ def _cmd_contract(cfg, args):
            f"contract needs a finite tolerance >= 0, got {tol}")
     update = SGDStep(family, eta, domain=domain)
 
+    # a family with alpha and beta is checked against its certificate, which
+    # refuses a step size outside (0, 2/beta); one without is only measured
     c = family.constants
     theoretical = None
-    if c.alpha is not None and c.beta is not None and 0 < eta < 2.0 / c.beta:
+    if c.alpha is not None and c.beta is not None:
         theoretical = contraction_factor(c.alpha, c.beta, eta)
 
     # ratios measured below this distance are dominated by rounding noise

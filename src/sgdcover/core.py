@@ -274,10 +274,14 @@ class Ball(ConvexDomain):
         return self.center.shape[0]
 
     def project(self, x) -> np.ndarray:
-        x = as_point(x, dim=self.dim)
-        if row_norms(x - self.center) <= self.radius:
-            return x
-        return self.project_batch(x[None, :])[0]
+        """``x`` as a float array, not validated again, when it is a 1-D
+        point of the ball's dimension inside the ball: a norm test that
+        passes proves it finite.  Every other input is validated by
+        ``as_point`` and projected by ``project_batch``."""
+        arr = np.asarray(x, dtype=float)
+        if arr.shape == self.center.shape and row_norms(arr - self.center) <= self.radius:
+            return arr
+        return self.project_batch(as_point(arr, dim=self.dim)[None, :])[0]
 
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)

@@ -51,12 +51,15 @@ class SGDStep:
 
 
 def _checked_update(theta: np.ndarray, eta: float, g: np.ndarray) -> np.ndarray:
-    """``theta - eta * g``, refused with FloatingPointError when not finite,
-    before any projection.  A non-finite gradient makes the update non-finite
-    too, so one check covers both faults; the gradient is read again only to
-    name the fault."""
+    """``theta - eta * g``, refused when not finite, before any projection.
+    A non-finite ``theta`` or gradient makes the update non-finite too, so
+    one check on the result covers every fault; the inputs are read again
+    only to name it: ValueError for ``theta``, as ``as_point`` raises, else
+    FloatingPointError."""
     out = theta - eta * g
     if not all_finite(out):
+        if not all_finite(theta):
+            raise ValueError("point has non-finite entries")
         raise FloatingPointError("non-finite gradient" if not all_finite(g)
                                  else "update produced non-finite values")
     return out
@@ -70,7 +73,9 @@ class CustomMap:
     domain: ConvexDomain | None = None
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
-        out = np.asarray(self.fn(theta, z), dtype=float)
+        """``fn(theta, z)``, refused when not finite.  ``theta`` is validated
+        here with ``as_point``, because ``fn`` may ignore it."""
+        out = np.asarray(self.fn(as_point(theta), z), dtype=float)
         if not all_finite(out):
             raise FloatingPointError("update produced non-finite values")
         return out
@@ -103,8 +108,12 @@ def contraction_factor(alpha: float, beta: float, eta: float) -> float:
 
 
 def sgd_step(update: UpdateMap, theta, sample_index: int, dataset: Dataset) -> np.ndarray:
-    """Apply one update using sample ``sample_index`` of the dataset."""
-    theta = as_point(theta)
+    """Apply one update using sample ``sample_index`` of the dataset.  Only
+    the shape of ``theta`` is checked before the index (a scalar is a
+    1-point); the update checks the point finite, as ``as_point`` would."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        theta = as_point(theta)
     if not 0 <= sample_index < dataset.n:
         raise IndexError(f"sample index {sample_index} out of range [0, {dataset.n})")
     return update.apply(theta, dataset.samples[sample_index])

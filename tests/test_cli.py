@@ -308,6 +308,30 @@ class TestExitCodeContract:
         assert "max_iters must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta", [2.5, 2.0, 0.0])
+    def test_contract_refuses_a_step_size_its_certificate_refuses(self, tmp_path, capsys, eta):
+        """A family with alpha and beta is held to its contraction factor,
+        which needs 0 < eta < 2/beta; outside that the run would check
+        nothing, so it is refused before any output, as validate refuses it."""
+        spath = write_scenario(tmp_path, dict(QUADRATIC_SCENARIO, eta=eta))
+        out = tmp_path / "c.json"
+        assert run(["contract", "--scenario", spath, "--pairs", "5", "--steps", "5",
+                    "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"eta={eta} outside (0, 2.0)" in captured.err
+        assert not out.exists()
+
+    def test_contract_without_alpha_and_beta_only_measures(self, tmp_path):
+        spath = write_scenario(tmp_path, {
+            "family": {"name": "hard_kmeans", "K": 2, "R": 1.0}, "eta": 2.5,
+            "dataset": {"kind": "uniform_ball", "n": 6, "d": 2}})
+        out = tmp_path / "c.json"
+        assert run(["contract", "--scenario", spath, "--pairs", "5", "--steps", "5",
+                    "--out", str(out)]) == EXIT_OK
+        res = load(out)["result"]
+        assert res["theoretical_gamma"] is None and res["within_tolerance"] is True
+
     @pytest.mark.parametrize("scenario", [
         QUADRATIC_SCENARIO,
         dict(QUADRATIC_SCENARIO, dataset={"kind": "points", "points": [[0.1, 0.2], [0.3, -0.4]]}),

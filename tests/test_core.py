@@ -24,8 +24,8 @@ from sgdcover.core import (
     substream,
 )
 from sgdcover.fractal import IFSModel, box_counting_dimension
-from sgdcover.losses import Dataset, LossConstants, LossFamily
-from sgdcover.sgd import CustomMap, SGDStep
+from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
+from sgdcover.sgd import CustomMap, SGDStep, sgd_step
 
 TOL = 1e-9
 
@@ -34,6 +34,15 @@ PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
 
 
 class TestProjectionExamples:
+    def test_inside_point_is_returned_as_a_float_point(self):
+        ball = Ball(np.zeros(2), 2.0)
+        x = np.array([1.0, -1.0])
+        assert ball.project(x) is x
+        out = ball.project([1, -1])
+        assert out.dtype == np.float64 and out.shape == (2,)
+        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(Ball(np.zeros(1), 1.0).project(0.5), [0.5])
+
     def test_ball_radial_shrink(self):
         ball = Ball(np.zeros(2), 1.0)
         x = np.array([1.2, 1.6])  # norm 2
@@ -397,6 +406,19 @@ def _gradient_of(value: float) -> LossFamily:
                       value=lambda t, z: 0.0, grad=lambda t, z: np.array([value]), dim=1)
 
 
+def _step(update, theta, dataset=Dataset((None,))):
+    return sgd_step(update, theta, 0, dataset)
+
+
+# sgd_step on updates that check the point in different places: the
+# quadratic family's gradient validates it, a constant gradient ignores it,
+# and a custom map's function may ignore it
+_QUADRATIC = SGDStep(quadratic_centers([[0.5, 0.0]], 1.0), 0.5)
+_QUADRATIC_DATA = Dataset(([0.5, 0.0],))
+_CONSTANT = SGDStep(_gradient_of(1.0), 0.1, domain=WholeSpace(1))
+_CUSTOM = CustomMap(lambda t, z: np.zeros(1))
+
+
 def _box_count(points=None, scales=(1.0, 0.1, 0.01, 0.001)):
     pts = np.random.default_rng(0).uniform(size=(1000, 2)) if points is None else points
     return box_counting_dimension(pts, list(scales))
@@ -435,6 +457,20 @@ class TestAllFinite:
          "non-finite gradient"),
         (lambda bad: CustomMap(lambda t, z: t + bad).apply(np.zeros(2), None),
          FloatingPointError, "non-finite values"),
+        (lambda bad: _step(_QUADRATIC, [0.0, bad], _QUADRATIC_DATA), ValueError,
+         "^point has non-finite entries$"),
+        (lambda bad: _step(_CONSTANT, [bad]), ValueError, "^point has non-finite entries$"),
+        (lambda bad: _step(_CUSTOM, [bad]), ValueError, "^point has non-finite entries$"),
+        (lambda bad: _step(_QUADRATIC, [[0.0, bad]], _QUADRATIC_DATA), ValueError,
+         r"^expected a 1-D point, got shape \(1, 2\)$"),
+        (lambda bad: _step(_QUADRATIC, [0.0, 0.0, bad], _QUADRATIC_DATA), ValueError,
+         "^point has non-finite entries$"),
+        (lambda bad: Ball(np.zeros(2), 1.0).project([0.0, bad]), ValueError,
+         "^point has non-finite entries$"),
+        (lambda bad: Ball(np.zeros(2), 1.0).project([[0.0, bad]]), ValueError,
+         r"^expected a 1-D point, got shape \(1, 2\)$"),
+        (lambda bad: Ball(np.zeros(2), 1.0).project([0.0, 0.0, bad]), ValueError,
+         "^point has non-finite entries$"),
         (lambda bad: IFSModel([[0.5], [bad]], gamma=0.3, radius=1.0), ValueError,
          "centers must be finite"),
         (lambda bad: IFSModel([[0.5], [-0.5]], gamma=0.3, radius=bad), ValueError,
@@ -444,8 +480,10 @@ class TestAllFinite:
         (lambda bad: _box_count(scales=(1.0, 0.1, 0.01, 0.001, bad)), ValueError,
          "scales must be finite"),
     ], ids=["as_point", "as_rows", "SGDStep.apply", "SGDStep.apply_batch",
-            "CustomMap.apply", "IFSModel-centers", "IFSModel-radius", "box_counting-points",
-            "box_counting-scales"])
+            "CustomMap.apply", "sgd_step-quadratic", "sgd_step-unchecked-grad",
+            "sgd_step-CustomMap", "sgd_step-2d", "sgd_step-wrong-dim", "Ball.project",
+            "Ball.project-2d", "Ball.project-wrong-dim", "IFSModel-centers", "IFSModel-radius",
+            "box_counting-points", "box_counting-scales"])
     def test_every_caller_rejects_non_finite_input(self, call, error, message, bad):
         with pytest.raises(error, match=message):
             call(bad)

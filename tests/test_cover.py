@@ -258,6 +258,27 @@ class TestEnumerateCover:
                 eta=0.4, T=T)
             assert len(calls) == (4 ** (T + 1) - 4) // 3
 
+    def test_one_finiteness_check_per_tree_node(self, monkeypatch):
+        """Each node's point is validated by ``as_point`` once, in the family
+        gradient: ``sgd_step`` checks only the shape of a 1-D point, the
+        update's result is checked finite by ``_checked_update``, and the
+        projection returns a point inside the ball as it is."""
+        from sgdcover import core, losses, sgd
+
+        calls = []
+        original = core.as_point
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        _, ds, update = quadratic_cover_setup()
+        for module in (core, losses, sgd):
+            monkeypatch.setattr(module, "as_point", counting)
+        T = 4
+        enumerate_cover(update, ds, T=T)
+        assert len(calls) == (3 ** (T + 1) - 3) // 2
+
     def test_dependency_bit_for_bit(self):
         """Perturbing samples outside an entry's dependency set leaves its
         replayed point unchanged bitwise; perturbing inside moves it."""

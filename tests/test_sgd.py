@@ -54,6 +54,43 @@ class TestSgdStep:
         with pytest.raises(IndexError):
             sgd_step(update, np.array([0.0, 0.0]), 3, ds)
 
+    def test_index_is_checked_before_the_point_is_finite(self):
+        """sgd_step checks only the shape of theta before the index; the
+        update then checks the point finite."""
+        _, ds, update = quadratic_setup(eta=0.5)
+        with pytest.raises(IndexError):
+            sgd_step(update, np.array([np.nan, 0.0]), 3, ds)
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
+            sgd_step(update, np.array([np.nan, 0.0]), 0, ds)
+
+    def test_scalar_theta_is_a_one_point(self):
+        update = SGDStep(quadratic_centers([[0.0]], R=1.0), 0.5)
+        out = sgd_step(update, 0.5, 0, Dataset((np.array([0.0]),)))
+        assert out.dtype == np.float64 and out.shape == (1,)
+        np.testing.assert_array_equal(out, [0.25])
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["apply", "apply_batch"])
+    def test_non_finite_point_named_before_its_gradient(self, batched):
+        """A non-finite theta is refused as as_point refuses it, ahead of the
+        non-finite gradient it may also produce."""
+        update = SGDStep(dataclasses.replace(_HUGE_GRADIENT, grad=lambda t, z: t), 0.1,
+                         domain=WholeSpace(1))
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
+            if batched:
+                update.apply_batch(np.array([[0.0], [np.nan]]), [0, 0], Dataset((None,)))
+            else:
+                update.apply(np.array([np.nan]), None)
+
+    @pytest.mark.parametrize("update", [
+        SGDStep(quadratic_centers(CENTERS, R=1.0), 0.5),
+        CustomMap(lambda t, z: 0.5 * (t + z)),
+    ], ids=["SGDStep", "CustomMap"])
+    def test_lockstep_refuses_a_non_finite_start(self, update):
+        ds = Dataset(tuple(CENTERS))
+        starts = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
+            run_lockstep(update, starts, np.array([2, 1]), np.zeros((2, 2), dtype=np.int64), ds)
+
     def test_non_finite_gradient_rejected(self):
         bad = LossFamily(
             name="bad", constants=LossConstants(),
