@@ -114,21 +114,20 @@ def substream(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
 
 
-# SeedSequence's hashing constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 # keys seeded per vectorized pass, which bounds the pass's scratch arrays
 _SEED_BLOCK = 1024
 
 
-def _pcg64_states(seed: int, keys: np.ndarray) -> Iterator[tuple[int, int]]:
-    """PCG64's (state, inc) when seeded by ``SeedSequence([seed, k])``, for
-    every key k of a uint32 array.  SeedSequence's hashing takes one uint32
-    numpy operation per step of its scalar algorithm, for all keys at once."""
+def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
+    """The (m, 4) uint64 rows ``SeedSequence([seed, k]).generate_state(4,
+    np.uint64)`` for every key k of a uint32 array.  SeedSequence's hashing
+    takes one uint32 numpy operation per step of its scalar algorithm, for
+    all keys at once."""
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -164,44 +163,41 @@ def _pcg64_states(seed: int, keys: np.ndarray) -> Iterator[tuple[int, int]]:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         halves[:, i] = value ^ (value >> np.uint32(16))
-    seeded = halves[:, 0::2] | halves[:, 1::2] << np.uint64(32)
+    return halves[:, 0::2] | halves[:, 1::2] << np.uint64(32)
 
-    # pcg64_set_seed: initstate and initseq are 128-bit, high word first;
-    # from state 0 it steps, adds initstate and steps again
-    for row in seeded:  # one key's ints at a time: no block of Python ints is held
-        s0, s1, q0, q1 = row.tolist()
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        yield ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+
+class _HashedSeed:
+    """One key's ``_seed_words`` row, given to PCG64 as numpy's
+    ``ISeedSequence`` (``_keyed_streams`` registers the class)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for, read by pointer
+            raise NotImplementedError(f"only 4 uint64 words, not {n_words} {dtype}")
+        return self.words
 
 
 def _keyed_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
     """For k in range(count), a generator whose state is bitwise that of
     ``substream(seed, k)``, seeded without one SeedSequence per key.
 
-    The states are computed ``_SEED_BLOCK`` keys at a time and written into
-    one reused generator, so a yielded generator is valid only until the
-    next one is drawn: draw from each in turn, and keep none.  Each starts
-    with no pending 32-bit half (``has_uint32`` 0), as a fresh substream
-    does; ``sgd.draw_runs`` relies on it when it decodes raw words.
+    SeedSequence's hashing runs ``_SEED_BLOCK`` keys at a time, and numpy's
+    own PCG64 seeds each generator from its key's words.  Each starts with
+    no pending 32-bit half, as a fresh substream does; ``sgd.draw_runs``
+    relies on it when it decodes raw words.
     """
     seed = int(seed)
     if seed < 0:  # as SeedSequence does
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if count > 2**32:  # keys must stay one uint32 word each
         raise ValueError(f"at most 2**32 keyed streams, got {count}")
-    return _load_streams(seed, count)
-
-
-def _load_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """The generator behind ``_keyed_streams``, after its argument checks."""
-    carrier = np.random.PCG64(0)  # a fixed seed: no OS entropy is read
-    rng = np.random.Generator(carrier)
-    for lo in range(0, count, _SEED_BLOCK):
-        keys = np.arange(lo, min(lo + _SEED_BLOCK, count), dtype=np.int64).astype(np.uint32)
-        for state, inc in _pcg64_states(seed, keys):
-            carrier.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            yield rng
+    np.random.bit_generator.ISeedSequence.register(_HashedSeed)  # numpy.random loads here
+    return (np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+            for lo in range(0, count, _SEED_BLOCK)
+            for words in _seed_words(seed, np.arange(lo, min(lo + _SEED_BLOCK, count),
+                                                     dtype=np.int64).astype(np.uint32)))
 
 
 def numeric_gradient(fn: Callable[[np.ndarray], float], theta, step: float = 1e-5) -> np.ndarray:

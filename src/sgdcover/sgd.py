@@ -139,7 +139,7 @@ def draw_runs(
     """Randomness of ``runs`` runs from each of ``streams`` keyed streams.
 
     Stream k is ``substream(seed, k)``.  It first serves ``prelude(k, rng)``,
-    if one is given (the generator is valid only during that call), and
+    if one is given, which must finish its draws before it returns, and
     then runs k * runs to (k + 1) * runs - 1 in turn, each drawn in the
     order a sequential loop consumes it: a uniform start
     ``domain.sample(rng)``, a step count ``rng.integers(t_min, t_max + 1)``,

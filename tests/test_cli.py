@@ -5,13 +5,16 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import importlib
 import inspect
 import io
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +146,27 @@ class TestBoundCommand:
         cert = reference()
         result = load(out)["result"]
         assert (result["theorem"], result["total"]) == (cert.theorem, cert.total)
+
+    @pytest.mark.parametrize("theorem,flags,flag", [
+        ("thm_4_1", {"B": 1, "L": 0.001, "R": 1, "R-x": 1, "K": 2, "Q": 1, "beta": 1,
+                     "eta": 0.5, "lam": 1}, "zero_horizon"),  # 3LRn <= 1
+        ("thm_4_3", {"K": 1, "R": 0.001, "zeta": 0.01, "eta": 0.5}, "zero_horizon"),
+        ("thm_4_4", {"K": 2, "R": 1.5, "eta": 0.5}, "instant_contraction"),
+    ])
+    def test_collapsed_horizon_is_flagged(self, tmp_path, capsys, theorem, flags, flag):
+        """A horizon of 0 needs no pieces (P = 1, kappa "inf") and no sample
+        dependency term, and ``bound`` prints the flag that says why."""
+        out = tmp_path / "cert.json"
+        argv = ["bound", "--theorem", theorem, "--n", "100", "--delta", "0.05", "--out", str(out)]
+        argv += [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+        assert run(argv) == EXIT_OK
+        result = load(out)["result"]
+        assert result["flags"] == [flag]
+        assert result["inputs"]["T"] == 0
+        assert result["components"]["sample_dependency_term"] == 0.0
+        if theorem != "thm_4_4":
+            assert (result["inputs"]["P"], result["inputs"]["kappa"]) == (1, "inf")
+        assert capsys.readouterr().out.splitlines()[-1] == f"  flags: {flag}"
 
     def test_expectation_variants(self, tmp_path):
         out = tmp_path / "d1.json"
@@ -1242,6 +1266,35 @@ def test_import_leaves_deferred_modules_unloaded(tmp_path):
     assert ran == f"{[EXIT_OK] * 3} {loaded}"
     assert missing == "[]"
     assert unknown == "module 'sgdcover' has no attribute 'no_such_name'"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """numpy.random loads when a command first draws, not with the CLI."""
+    code = "import sys, sgdcover.cli\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_package_path(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` resolves every function, class, method and
+    property defined in each module: no annotation names a type the module
+    does not import."""
+    modules = [importlib.import_module(f"sgdcover.{info.name}")
+               for info in pkgutil.iter_modules(sgdcover.__path__)]
+    assert {"core", "cover", "surrogate"} <= {m.__name__.split(".")[1] for m in modules}
+    for module in modules:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [getattr(m, "fget", None) or getattr(m, "__func__", m)
+                           for m in vars(obj).values()]
+                objs = [obj] + [m for m in members if inspect.isfunction(m)]
+            else:
+                objs = [obj] if inspect.isfunction(obj) else []
+            for o in objs:
+                typing.get_type_hints(o)  # raises NameError on an unresolved name
 
 
 def test_malformed_cap_override_does_not_break_import():

@@ -364,8 +364,8 @@ class TestKeyedStreams:
     @given(seed=_SEEDS, count=st.one_of(st.sampled_from([1, 1023, 1024, 1025, 2049]),
                                         st.integers(1, 40)))
     def test_streams_are_substreams(self, seed, count):
-        """Across block edges, one reused generator per key, drawn from
-        before the next is loaded."""
+        """Across block edges, each key's generator drawn from before the
+        next is taken."""
         checked = {0, count - 1} | ({1, 1023, 1024, 1025, 2047, 2048} & set(range(count)))
         drawn = 0
         for k, rng in enumerate(core._keyed_streams(seed, count)):
@@ -379,13 +379,22 @@ class TestKeyedStreams:
                                                 st.integers(0, 2**32 - 1)),
                                       min_size=1, max_size=6))
     def test_states_at_any_key(self, seed, keys):
-        states = core._pcg64_states(seed, np.array(keys, dtype=np.uint32))
-        for k, (state, inc) in zip(keys, states):
-            bit_generator = np.random.PCG64(0)
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            _assert_is_substream(bit_generator, seed, k)
+        words = core._seed_words(seed, np.array(keys, dtype=np.uint32))
+        # PCG64 reads each row through its data pointer
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        assert words.shape == (len(keys), 4)
+        for k, row in zip(keys, words):
+            expected = np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes()
+
+    def test_held_streams_stay_independent(self):
+        """A generator drawn from after the next one is taken, across a block
+        edge too, still draws its own substream."""
+        streams = core._keyed_streams(11, 1025)
+        first, second = next(streams), next(streams)
+        *_, last = streams
+        for k, rng in [(0, first), (1, second), (1024, last)]:
+            _assert_is_substream(rng.bit_generator, 11, k)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -395,6 +404,8 @@ class TestKeyedStreams:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             core._keyed_streams(0, 2**32 + 1)
         assert next(core._keyed_streams(0, 2**32)) is not None  # lazy: one block only
+        with pytest.raises(NotImplementedError, match="only 4 uint64 words"):
+            core._HashedSeed(np.zeros(4, dtype=np.uint64)).generate_state(8, np.uint32)
 
     def test_no_streams(self):
         assert list(core._keyed_streams(3, 0)) == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sgdcover import sgd as sgd_module
-from sgdcover.core import _PCG64_MULT, Ball, Box, ProductOfBalls, WholeSpace, substream
+from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, substream
 from sgdcover.families import hard_kmeans, multi_index, zero_link
 from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
 from sgdcover.sgd import CustomMap, SGDStep, contraction_factor, draw_runs, run_lockstep, sgd_step
@@ -567,6 +567,7 @@ def _assert_same_runs(got, expected):
 
 
 _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy/random/src/pcg64/pcg64.h
 
 
 def _pcg64_state_before(word, draws, inc):
@@ -672,6 +673,14 @@ class TestLockstep:
         assert redrawn == [(9, 1)]
         monkeypatch.undo()
         _assert_same_runs(got, _sequential_runs(9, 3, 2, box, 1, 3, 5, prelude=prelude))
+
+    def test_range_above_32_bits_redraws_every_stream(self, monkeypatch):
+        """Above 2**32 numpy draws from whole words, which ``draw_runs`` does
+        not decode: every stream, prelude included, takes the sequential loop."""
+        monkeypatch.setattr(sgd_module, "_RANGE32", 0)  # every range is above it
+        ball, prelude = Ball(np.zeros(2), 1.0), _prelude_of(3)
+        _assert_same_runs(draw_runs(4, 3, 2, ball, 1, 5, 7, prelude=prelude),
+                          _sequential_runs(4, 3, 2, ball, 1, 5, 7, prelude=prelude))
 
     def test_endpoints_match_sequential_runs_bitwise(self):
         """Ragged step counts: finished runs are masked out, and every
