@@ -99,9 +99,9 @@ _DEFERRED = {
     ),
     "trajectory": (
         "CouplingReport",
-        "SGDConfig",
         "Trajectory",
         "coupled_contraction_ratio",
+        "draw_indices",
         "run_trajectory",
     ),
     "studies": (

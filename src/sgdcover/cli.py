@@ -396,14 +396,14 @@ def _cmd_approx(cfg, args):
 
 def _cmd_gap(cfg, args):
     from .studies import estimate_gap
-    from .trajectory import SGDConfig, run_trajectory
+    from .trajectory import draw_indices, run_trajectory
 
     scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
     _require(cfg, "t")
     update = SGDStep(scenario.family, scenario.eta, domain=scenario.domain)
     init = scenario.domain.sample(substream(args.seed, 1))
-    config = SGDConfig(init=init, steps=int(cfg["t"]), scheme="uniform", seed=args.seed)
-    trajectory = run_trajectory(update, config, dataset)
+    indices = draw_indices("uniform", int(cfg["t"]), dataset.n, seed=args.seed)
+    trajectory = run_trajectory(update, init, indices, dataset)
     est = estimate_gap(scenario.family, dataset, trajectory, seed=args.seed, **_given(cfg, "m"))
     return dataclasses.asdict(est), True, [
         f"empirical {est.empirical_risk:.6g}  population {est.population_risk}  gap {est.gap}"], {}

@@ -1,7 +1,7 @@
-"""Recorded SGD runs and synchronous coupling: run configurations, index
-schemes, full trajectories, and per-step contraction ratios of coupled
-pairs.  Only ``gap``, ``contract`` and callers of these names load this
-module; every update goes through ``sgd``'s kernels.
+"""Recorded SGD runs and synchronous coupling: seeded index schemes, full
+trajectories, and per-step contraction ratios of coupled pairs.  Only
+``gap``, ``contract`` and callers of these names load this module; every
+update goes through ``sgd``'s kernels.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -17,38 +16,7 @@ from .core import ConvexDomain, as_point, as_rows, linalg_norms, substream
 from .losses import Dataset
 from .sgd import UpdateMap
 
-SCHEMES = ("explicit", "uniform", "without_replacement", "shuffle")
-
-
-@dataclass(frozen=True, eq=False)
-class SGDConfig:
-    """Run configuration: start point, step count, and index sampling scheme.
-
-    ``indices`` is required for the "explicit" scheme and may be a flat
-    sequence (batch size 1) or one row of indices per step.  For the seeded
-    schemes, a ``seed`` makes the realized index sequence reproducible.
-    """
-
-    init: np.ndarray
-    steps: int
-    scheme: str = "uniform"
-    indices: Sequence | None = None
-    seed: int | None = None
-    batch_size: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "init", as_point(self.init))
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if self.scheme == "explicit":
-            if self.indices is None:
-                raise ValueError("explicit scheme needs an index sequence")
-        elif self.indices is not None:
-            raise ValueError("indices are only accepted with the explicit scheme")
+SCHEMES = ("uniform", "without_replacement", "shuffle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +25,6 @@ class Trajectory:
 
     points: np.ndarray   # (steps + 1, dim)
     indices: np.ndarray  # (steps, batch_size)
-    scheme: str
-    seed: int | None = None
 
     @property
     def steps(self) -> int:
@@ -81,52 +47,60 @@ class Trajectory:
                 writer.writerow([t + 1, label] + [repr(float(v)) for v in self.points[t + 1]])
 
 
-def draw_indices(config: SGDConfig, n: int) -> np.ndarray:
-    """Realize the (steps, batch_size) index array for a run over n samples."""
-    t, b = config.steps, config.batch_size
-    if config.scheme == "explicit":
-        idx = np.asarray(config.indices, dtype=np.int64)
-        if idx.ndim == 1:
-            idx = idx[:, None]
-        if idx.shape != (t, b):
-            raise ValueError(f"explicit indices must have shape ({t}, {b})")
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError("explicit indices out of range")
-        return idx
-    rng = substream(config.seed if config.seed is not None else 0)
-    if config.scheme == "uniform":
-        return rng.integers(0, n, size=(t, b))
-    if b != 1:
-        raise ValueError(f"scheme {config.scheme!r} supports batch_size 1 only")
-    if config.scheme == "without_replacement":
-        if t > n:
+def draw_indices(scheme: str, steps: int, n: int, seed: int = 0,
+                 batch_size: int = 1) -> np.ndarray:
+    """The (steps, batch_size) index array of a run over n samples, drawn
+    from ``substream(seed)``: i.i.d. uniform indices, one pass without
+    replacement, or concatenated independent shuffled passes."""
+    if steps < 0 or n < 1:
+        raise ValueError(f"need steps >= 0 and n >= 1, got steps={steps}, n={n}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if batch_size < 1:
+        raise ValueError("batch_size must be a positive integer")
+    rng = substream(seed)
+    if scheme == "uniform":
+        return rng.integers(0, n, size=(steps, batch_size))
+    if batch_size != 1:
+        raise ValueError(f"scheme {scheme!r} supports batch_size 1 only")
+    if scheme == "without_replacement":
+        if steps > n:
             raise ValueError("cannot draw more without-replacement steps than samples")
-        return rng.permutation(n)[:t][:, None]
+        return rng.permutation(n)[:steps][:, None]
     # shuffle: concatenated independent passes over the data, as many as
     # the steps need (none for zero steps)
-    passes = [rng.permutation(n) for _ in range(-(-t // n))]
-    return np.concatenate([np.empty(0, dtype=np.int64), *passes])[:t][:, None]
+    passes = [rng.permutation(n) for _ in range(-(-steps // n))]
+    return np.concatenate([np.empty(0, dtype=np.int64), *passes])[:steps][:, None]
 
 
 def run_trajectory(
     update: UpdateMap,
-    config: SGDConfig,
+    init,
+    indices,
     dataset: Dataset,
     invariant_domain: ConvexDomain | None = None,
 ) -> Trajectory:
-    """Run ``config.steps`` updates, recording every iterate.
-
-    Deterministic given (config, dataset): seeded schemes derive their index
-    stream from ``config.seed`` alone.  If ``invariant_domain`` is given,
-    every iterate must stay inside it (used by the projection-free clustering
+    """Run one update per row of ``indices`` from ``init``, recording every
+    iterate.  A flat sequence takes one sample per step, a (steps, b) array
+    one mini-batch row per step.  If ``invariant_domain`` is given, every
+    iterate must stay inside it (used by the projection-free clustering
     runs, whose boundedness is an empirical contract).
     """
-    indices = draw_indices(config, dataset.n)
-    b = config.batch_size
-    points = np.empty((config.steps + 1, config.init.shape[0]))
-    points[0] = theta = config.init
-    for t in range(config.steps):
-        rows = update.apply_batch(np.tile(theta, (b, 1)), indices[t], dataset)
+    theta = as_point(init)
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "biu":
+        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64)
+    idx = idx[:, None] if idx.ndim == 1 else idx
+    if idx.ndim != 2 or idx.shape[1] < 1:
+        raise ValueError(f"indices must be flat or (steps, b) with b >= 1, got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= dataset.n):
+        raise IndexError(f"sample indices must lie in [0, {dataset.n})")
+    b = idx.shape[1]
+    points = np.empty((len(idx) + 1, theta.shape[0]))
+    points[0] = theta
+    for t, batch in enumerate(idx):
+        rows = update.apply_batch(np.tile(theta, (b, 1)), batch, dataset)
         # a mini-batch step averages the single-sample updates (an average of
         # gamma-contractive maps is gamma-contractive); sum() adds them from
         # zero, in order, and a single update is taken as is
@@ -136,7 +110,7 @@ def run_trajectory(
                 f"iterate left the declared invariant domain at step {t + 1}: {theta}"
             )
         points[t + 1] = theta
-    return Trajectory(points=points, indices=indices, scheme=config.scheme, seed=config.seed)
+    return Trajectory(points=points, indices=idx)
 
 
 @dataclass(frozen=True, eq=False)

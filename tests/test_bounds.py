@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sgdcover.bounds import (
+    BoundCertificate,
     bound_early,
     bound_expectation,
     bound_fractal,
@@ -21,6 +22,7 @@ from sgdcover.bounds import (
     bound_single_trajectory,
     bound_soft_kmeans,
     bound_strongly_convex,
+    horizon,
     multi_index_piece_params,
     soft_kmeans_params,
 )
@@ -412,6 +414,21 @@ class TestCertificateInvariants:
                 parts = sum(v for v in cert.components.values() if v is not None)
                 assert parts == pytest.approx(cert.total, rel=1e-12)
                 assert cert.total >= 0 and math.isfinite(cert.total)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="unknown theorem id 'THM_9_9'"):
+            BoundCertificate("THM_9_9", {})
+        with pytest.raises(ValueError, match="does not match the sum of components"):
+            BoundCertificate("THM_2_3", {}, sample_dependency_term=0.5,
+                             concentration_term=0.25, total=1.0)
+        for total in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                BoundCertificate("THM_2_3", {}, sample_dependency_term=total, total=total)
+
+    def test_horizon_needs_a_positive_scale(self):
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="horizon scale must be positive"):
+                horizon(scale, 0.5)
 
     def test_serialization_round_trip(self):
         cert = bound_strongly_convex(100, 0.05, 1, 1, 1, 0.5)

@@ -321,6 +321,51 @@ class TestExitCodeContract:
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
 
+    SCENARIOS = {
+        "quadratic.json": QUADRATIC_SCENARIO,
+        "hard_kmeans.json": {"family": {"name": "hard_kmeans", "K": 2, "R": 1.0}, "eta": 0.25,
+                             "dataset": {"kind": "points",
+                                         "points": [[0.1, 0.2], [0.3, 0.1], [-0.2, 0.4]]}},
+        "unknown.json": dict(QUADRATIC_SCENARIO, family={"name": "perceptron"}),
+        "iid_kmeans.json": {"family": {"name": "hard_kmeans", "K": 2, "R": 1.0, "d": 2},
+                            "eta": 0.25, "dataset": {"kind": "iid", "n": 5}},
+    }
+    BOUND = ["--n", "100", "--delta", "0.05", "--B", "1", "--L", "1", "--R", "1"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["validate", "--scenario", "quadratic.json", "--resamplings", "2", "--trials", "2",
+          "--delta", "1"], "delta = 1 needs an explicit certificate"),
+        (["validate", "--scenario", "hard_kmeans.json", "--resamplings", "2", "--trials", "2",
+          "--delta", "0.05"], "scenario family must declare alpha, beta, L, B, R"),
+        (["cover", "--scenario", "hard_kmeans.json", "--epsilon", "0.1"],
+         "give T, or epsilon plus a family with declared alpha/beta"),
+        (["cover", "--scenario", "quadratic.json", "--T", "2", "--verify-trials", "5"],
+         "verification needs epsilon"),
+        (["cover", "--scenario", "unknown.json", "--T", "2"],
+         "bad scenario.family: unknown family 'perceptron'"),
+        (["cover", "--scenario", "iid_kmeans.json", "--T", "2"],
+         "dataset descriptor needs explicit 'points' for this family"),
+        (["approx", "--function", "nope", "--R", "1", "--xi", "0.5"],
+         "unknown function 'nope'; available: ['sin_plus_cos']"),
+        (["bound", "--theorem", "thm_3_2", "--gamma", "1", *BOUND],
+         "the default horizon needs gamma < 1; supply T explicitly"),
+        (["bound", "--theorem", "thm_3_2", "--gamma", "1", "--T", "-1", *BOUND],
+         "T must be nonnegative"),
+        (["bound", "--theorem", "thm_5_3", "--gamma", "0", *BOUND],
+         "gamma must lie in (0, 1]"),
+    ], ids=["validate-delta-one", "validate-undeclared-constants", "cover-epsilon-without-T",
+            "cover-verify-without-epsilon", "unknown-family", "iid-clustering-without-points",
+            "approx-unknown-function", "bound-unit-gamma-without-T", "bound-negative-T",
+            "bound-zero-gamma"])
+    def test_refusal_prints_one_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                         argv, message):
+        monkeypatch.chdir(tmp_path)
+        for name, scenario in self.SCENARIOS.items():
+            write_scenario(tmp_path, scenario, name)
+        assert run(argv + ["--out", "out.json"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.SCENARIOS)
+
     def test_negative_kmeans_iteration_budget_is_usage_error(self, tmp_path, capsys):
         """``--iters -1`` is refused before any output, not run as an empty
         budget that reports -1 iterations and FAILs."""
@@ -503,9 +548,9 @@ class TestExitCodeContract:
         from sgdcover import trajectory
         real = trajectory.run_trajectory
 
-        def confined(update, config, dataset):
+        def confined(update, init, indices, dataset):
             far = sgdcover.Ball(np.array([5.0, 5.0]), 0.1)
-            return real(update, config, dataset, invariant_domain=far)
+            return real(update, init, indices, dataset, invariant_domain=far)
 
         monkeypatch.setattr(trajectory, "run_trajectory", confined)
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
@@ -1215,8 +1260,8 @@ _PUBLIC_NAMES = [
     "family_from_descriptor", "hard_kmeans", "multi_index", "quadratic_centers",
     "smooth_margin_link", "soft_kmeans", "squared_error_link", "stability_counterexample_1d",
     "uniform_ball", "uniform_over", "zero_link",
-    "CouplingReport", "CustomMap", "SGDConfig", "SGDStep", "Trajectory", "contraction_factor",
-    "coupled_contraction_ratio", "run_trajectory", "sgd_step",
+    "CouplingReport", "CustomMap", "SGDStep", "Trajectory", "contraction_factor",
+    "coupled_contraction_ratio", "draw_indices", "run_trajectory", "sgd_step",
     "CoverEntry", "CoverSet", "CoverVerification", "EnumerationCapExceeded",
     "PiecewiseQuadraticApprox", "PiecewiseSmoothFunction", "SmoothPiece",
     "build_piecewise_approx", "cover_horizon", "enumerate_cover", "enumerate_piecewise_cover",

@@ -70,6 +70,12 @@ class TestCoverHorizon:
         # log(8)/log(2) is an exact integer; float noise must not bump it to 4
         assert cover_horizon(1.0, 0.125, 0.5) == 3
 
+    @pytest.mark.parametrize("R, epsilon", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0),
+                                            (1.0, -0.1), (math.nan, 0.1)])
+    def test_rejects_nonpositive_radius_or_epsilon(self, R, epsilon):
+        with pytest.raises(ValueError, match="R and epsilon must be positive"):
+            cover_horizon(R, epsilon, 0.5)
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             cover_horizon(1.0, 0.1, 1.0)
@@ -80,6 +86,11 @@ class TestCoverHorizon:
 
 
 class TestEnumerateCover:
+    def test_negative_horizon_is_refused(self):
+        _, ds, update = quadratic_cover_setup()
+        with pytest.raises(ValueError, match="T must be nonnegative"):
+            enumerate_cover(update, ds, T=-1)
+
     def test_zero_horizon_is_origin(self):
         _, ds, update = quadratic_cover_setup()
         cov = enumerate_cover(update, ds, T=0)
@@ -458,6 +469,13 @@ class TestVerifyCover:
                 theta = update.apply(theta, ds.samples[i])
             match = next(e for e in cov.entries if e.seq == idx)
             np.testing.assert_array_equal(theta, match.point)
+
+    def test_map_without_domain_is_refused(self):
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=1)
+        with pytest.raises(ValueError, match="needs a bounded domain"):
+            verify_cover(cov, CustomMap(lambda t, z: 0.5 * t), ds, trials=1,
+                         max_extra_steps=0, epsilon=0.1)
 
     def test_soundness_and_negative_control(self):
         _, ds, update = quadratic_cover_setup()

@@ -20,7 +20,7 @@ from sgdcover.losses import (
     uniform_over,
 )
 from sgdcover.sgd import SGDStep, contraction_factor, run_lockstep
-from sgdcover.trajectory import SGDConfig, run_trajectory
+from sgdcover.trajectory import draw_indices, run_trajectory
 from sgdcover.experiments import Scenario, validate_bound
 from sgdcover.studies import (
     em_step,
@@ -43,8 +43,8 @@ def quadratic_scenario(n=50, eta=0.5):
 
 def short_trajectory(fam, ds, eta=0.5, steps=30, seed=3):
     update = SGDStep(fam, eta, domain=fam.domain)
-    config = SGDConfig(init=np.array([0.1, 0.1]), steps=steps, scheme="uniform", seed=seed)
-    return run_trajectory(update, config, ds)
+    indices = draw_indices("uniform", steps, ds.n, seed=seed)
+    return run_trajectory(update, np.array([0.1, 0.1]), indices, ds)
 
 
 class TestEstimateGap:

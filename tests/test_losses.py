@@ -1,7 +1,9 @@
 """Loss families: examples, gradient consistency, and declared constants."""
 
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,9 @@ class TestLossConstants:
             LossConstants(alpha=-1.0)
         with pytest.raises(ValueError):
             LossConstants(K=0)
+        for field, value in itertools.product(("L", "B", "R"), (math.inf, math.nan)):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                LossConstants(**{field: value})
 
     def test_alpha_beta_ordering(self):
         with pytest.raises(ValueError):
@@ -64,6 +69,13 @@ class TestQuadraticCenters:
         assert (c.alpha, c.beta) == (1.0, 1.0)
         assert c.B == 2.0  # 2 R^2
         assert c.L == 1.0
+
+    def test_radius_and_centers_required(self):
+        for R in (0.0, -1.0):
+            with pytest.raises(ValueError, match="R must be positive"):
+                quadratic_centers([[0.0, 0.0]], R=R)
+        with pytest.raises(ValueError, match="need at least one center"):
+            quadratic_centers([], R=1.0)
 
     def test_center_outside_ball_rejected(self):
         with pytest.raises(ValueError):
@@ -121,6 +133,16 @@ class TestMultiIndex:
             assert y in touched and len(touched) == 2
             fd = numeric_gradient(lambda t: fam.value(t, (y, x)), theta)
             np.testing.assert_allclose(g.reshape(-1), fd, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("margin", [701.0, 710.0, 1e300])
+    def test_margin_link_gradient_saturates_without_overflow(self, margin):
+        """Beyond |margin| 700 rho' is taken as its limit (0 above, -1
+        below), so exp never overflows."""
+        link = smooth_margin_link(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(link.grad(np.array([margin, 0.0]), 0), [0.0, 0.0])
+            np.testing.assert_array_equal(link.grad(np.array([-margin, 0.0]), 0), [-1.0, 1.0])
 
     def test_feature_radius_enforced(self):
         fam = multi_index(zero_link(2), lam=0.1, R=1.0, R_x=1.0, K=2, d=2)
@@ -408,6 +430,9 @@ class TestDatasetsAndDescriptors:
             Distribution("bad", support=(1,), probs=None)
         with pytest.raises(ValueError):
             Distribution("bad", support=(1, 2), probs=np.array([0.9, 0.2]))
+        for probs in ([1.0], [0.25, 0.25, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="probs must match the support in length"):
+                Distribution("bad", support=(1, 2), probs=probs)
         with pytest.raises(ValueError, match="finite distribution draws from its support"):
             Distribution("both", support=(1, 2), probs=[0.5, 0.5], draw=lambda rng, k: [1] * k)
         with pytest.raises(ValueError, match="needs a support and probs, or a draw"):
@@ -462,3 +487,9 @@ class TestDatasetsAndDescriptors:
             family_from_descriptor({"name": "perceptron"})
         with pytest.raises(ValueError):
             family_from_descriptor({"name": "soft_kmeans", "K": 2})
+        for desc in (["quadratic_centers"], "soft_kmeans", None, {"K": 2}):
+            with pytest.raises(ValueError, match="must be an object with a 'name' field"):
+                family_from_descriptor(desc)
+        with pytest.raises(ValueError, match="unknown link 'nope'"):
+            family_from_descriptor({"name": "multi_index", "link": {"name": "nope"}, "K": 2,
+                                    "lambda": 0.5, "R": 1.0, "R_x": 1.0, "d": 2})

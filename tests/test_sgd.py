@@ -16,7 +16,6 @@ from sgdcover.families import hard_kmeans, multi_index, zero_link
 from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
 from sgdcover.sgd import CustomMap, SGDStep, contraction_factor, draw_runs, run_lockstep, sgd_step
 from sgdcover.trajectory import (
-    SGDConfig,
     coupled_contraction_ratio,
     draw_indices,
     run_trajectory,
@@ -113,6 +112,12 @@ class TestSgdStep:
         update = SGDStep(_HUGE_GRADIENT, 10.0, domain=Ball(np.zeros(1), 1.0))
         _assert_overflow_rejected(update, batched)
 
+    @pytest.mark.parametrize("eta", [-0.1, math.nan])
+    def test_negative_step_size_is_refused(self, eta):
+        fam, _, _ = quadratic_setup(eta=0.5)
+        with pytest.raises(ValueError, match="eta must be nonnegative"):
+            SGDStep(fam, eta)
+
     def test_projection_needs_a_domain(self):
         bad = LossFamily(
             name="nodomain", constants=LossConstants(),
@@ -141,18 +146,20 @@ class TestTrajectories:
     def test_zero_steps(self):
         _, ds, update = quadratic_setup(eta=0.5)
         for scheme in ("explicit", "uniform", "without_replacement", "shuffle"):
-            config = SGDConfig(init=np.array([0.2, 0.2]), steps=0, scheme=scheme, seed=1,
-                               indices=[] if scheme == "explicit" else None)
-            assert draw_indices(config, ds.n).shape == (0, 1)
-            traj = run_trajectory(update, config, ds)
+            if scheme == "explicit":
+                indices = []
+            else:
+                indices = draw_indices(scheme, 0, ds.n, seed=1)
+                assert indices.shape == (0, 1)
+            traj = run_trajectory(update, np.array([0.2, 0.2]), indices, ds)
+            assert traj.indices.shape == (0, 1)
             assert traj.points.shape == (1, 2)
             np.testing.assert_array_equal(traj.endpoint, [0.2, 0.2])
 
     def test_explicit_indices_compose(self):
         _, ds, update = quadratic_setup(eta=0.5)
         theta = np.array([0.0, 0.0])
-        config = SGDConfig(init=theta, steps=3, scheme="explicit", indices=[1, 1, 1])
-        traj = run_trajectory(update, config, ds)
+        traj = run_trajectory(update, theta, [1, 1, 1], ds)
         manual = theta
         for _ in range(3):
             manual = sgd_step(update, manual, 1, ds)
@@ -160,9 +167,9 @@ class TestTrajectories:
 
     def test_seed_reproducibility(self):
         _, ds, update = quadratic_setup(eta=0.5)
-        config = SGDConfig(init=np.array([0.1, -0.1]), steps=40, scheme="uniform", seed=77)
-        t1 = run_trajectory(update, config, ds)
-        t2 = run_trajectory(update, config, ds)
+        init = np.array([0.1, -0.1])
+        t1 = run_trajectory(update, init, draw_indices("uniform", 40, ds.n, seed=77), ds)
+        t2 = run_trajectory(update, init, draw_indices("uniform", 40, ds.n, seed=77), ds)
         np.testing.assert_array_equal(t1.points, t2.points)
         np.testing.assert_array_equal(t1.indices, t2.indices)
 
@@ -170,31 +177,79 @@ class TestTrajectories:
         """Replaying a seeded run's indices explicitly gives the same points."""
         _, ds, update = quadratic_setup(eta=0.5)
         seeded = run_trajectory(
-            update, SGDConfig(init=np.array([0.1, 0.3]), steps=25, scheme="uniform", seed=5), ds
+            update, np.array([0.1, 0.3]), draw_indices("uniform", 25, ds.n, seed=5), ds
         )
-        replay = run_trajectory(
-            update,
-            SGDConfig(init=np.array([0.1, 0.3]), steps=25, scheme="explicit",
-                      indices=seeded.indices),
-            ds,
-        )
+        replay = run_trajectory(update, np.array([0.1, 0.3]), seeded.indices, ds)
         np.testing.assert_array_equal(seeded.points, replay.points)
 
     def test_sampling_schemes_cover_expected_index_sets(self):
-        config = SGDConfig(init=np.zeros(1), steps=3, scheme="without_replacement", seed=3)
-        idx = draw_indices(config, 3).ravel()
+        idx = draw_indices("without_replacement", 3, 3, seed=3).ravel()
         assert sorted(idx) == sorted(set(idx))
-        config = SGDConfig(init=np.zeros(1), steps=6, scheme="shuffle", seed=3)
-        idx = draw_indices(config, 3).ravel()
+        idx = draw_indices("shuffle", 6, 3, seed=3).ravel()
         assert sorted(idx[:3]) == [0, 1, 2] and sorted(idx[3:]) == [0, 1, 2]
         with pytest.raises(ValueError):
-            draw_indices(SGDConfig(init=np.zeros(1), steps=4,
-                                   scheme="without_replacement", seed=0), 3)
+            draw_indices("without_replacement", 4, 3, seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        (("explicit", 3, 3), "unknown scheme 'explicit'"),
+        (("uniform", -1, 3), r"need steps >= 0 and n >= 1, got steps=-1, n=3"),
+        (("shuffle", 2, 0), r"need steps >= 0 and n >= 1, got steps=2, n=0"),
+        (("uniform", 3, 3, 0, 0), "batch_size must be a positive integer"),
+        (("without_replacement", 2, 3, 0, 2), "supports batch_size 1 only"),
+        (("shuffle", 2, 3, 0, 2), "supports batch_size 1 only"),
+        (("without_replacement", 4, 3), "more without-replacement steps than samples"),
+    ])
+    def test_draw_indices_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            draw_indices(*args)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_schemes_are_the_direct_substream_draws(self, seed):
+        """Each scheme's indices are, bitwise, numpy's own draws from
+        ``substream(seed)``."""
+        n = 5
+        rng = substream(seed)
+        shuffled = np.concatenate([rng.permutation(n) for _ in range(3)])[:12, None]
+        expected = {
+            ("uniform", 12, 3): substream(seed).integers(0, n, size=(12, 3)),
+            ("without_replacement", 4, 1): substream(seed).permutation(n)[:4, None],
+            ("shuffle", 12, 1): shuffled,
+        }
+        for (scheme, steps, b), want in expected.items():
+            got = draw_indices(scheme, steps, n, seed=seed, batch_size=b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if seed == 0:
+            assert draw_indices("uniform", 12, n, batch_size=3).tobytes() == \
+                expected[("uniform", 12, 3)].tobytes()
+
+    @pytest.mark.parametrize("bad", [[0, 3], [[0], [-1]]])
+    def test_index_outside_the_dataset_is_refused(self, bad):
+        _, ds, update = quadratic_setup(eta=0.5)
+        with pytest.raises(IndexError, match=r"must lie in \[0, 3\)"):
+            run_trajectory(update, np.zeros(2), bad, ds)
+
+    @pytest.mark.parametrize("bad, message", [
+        (0, "indices must be flat or"),
+        (np.zeros((2, 1, 1), dtype=int), "indices must be flat or"),
+        (np.zeros((2, 0), dtype=int), "indices must be flat or"),
+        ([1.9, 0.2], "sample indices must be integers, got dtype float64"),
+        ([[0.0], [1.0]], "sample indices must be integers, got dtype float64"),
+    ], ids=["scalar", "3-D", "no columns", "float", "float rows"])
+    def test_indices_must_be_flat_or_one_row_per_step(self, bad, message):
+        _, ds, update = quadratic_setup(eta=0.5)
+        with pytest.raises(ValueError, match=message):
+            run_trajectory(update, np.zeros(2), bad, ds)
+
+    def test_start_point_is_checked(self):
+        _, ds, update = quadratic_setup(eta=0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_trajectory(update, np.array([np.nan, 0.0]), [0], ds)
 
     def test_domain_invariance_under_projection(self):
         _, ds, update = quadratic_setup(eta=0.5)
-        config = SGDConfig(init=np.array([0.9, 0.0]), steps=60, scheme="uniform", seed=9)
-        traj = run_trajectory(update, config, ds)
+        traj = run_trajectory(update, np.array([0.9, 0.0]),
+                              draw_indices("uniform", 60, ds.n, seed=9), ds)
         dom = update.domain
         assert all(dom.contains(p) for p in traj.points)
 
@@ -203,14 +258,14 @@ class TestTrajectories:
         fam = hard_kmeans(K=1, R=1.0, d=1)
         ds = Dataset((np.array([-1.0]),))
         update = SGDStep(fam, 0.9, domain=WholeSpace(1))
-        config = SGDConfig(init=np.array([1.0]), steps=5, scheme="uniform", seed=0)
         with pytest.raises(RuntimeError):
-            run_trajectory(update, config, ds, invariant_domain=Ball(np.zeros(1), 1.0))
+            run_trajectory(update, np.array([1.0]), draw_indices("uniform", 5, ds.n, seed=0), ds,
+                           invariant_domain=Ball(np.zeros(1), 1.0))
 
     def test_csv_dump(self, tmp_path):
         _, ds, update = quadratic_setup(eta=0.5)
-        config = SGDConfig(init=np.array([0.1, 0.2]), steps=4, scheme="uniform", seed=2)
-        traj = run_trajectory(update, config, ds)
+        traj = run_trajectory(update, np.array([0.1, 0.2]),
+                              draw_indices("uniform", 4, ds.n, seed=2), ds)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         with open(path) as fh:
@@ -392,10 +447,11 @@ class TestCoupledContraction:
         """A mini-batch step equals, bitwise, single-sample updates summed
         from zero in batch order and divided by the batch size."""
         _, ds, update = quadratic_setup(eta=0.5)
-        config = SGDConfig(init=np.zeros(2), steps=10, scheme="uniform", seed=4, batch_size=3)
-        traj = run_trajectory(update, config, ds)
+        init = np.zeros(2)
+        traj = run_trajectory(update, init,
+                              draw_indices("uniform", 10, ds.n, seed=4, batch_size=3), ds)
         assert traj.indices.shape == (10, 3)
-        theta = config.init
+        theta = init
         for t, batch in enumerate(traj.indices):
             acc = np.zeros_like(theta)
             for i in batch:
@@ -405,8 +461,7 @@ class TestCoupledContraction:
 
     def test_single_sample_step_keeps_the_sign_of_zero(self):
         flip = CustomMap(lambda t, z: -0.0 * t)
-        config = SGDConfig(init=np.array([1.0]), steps=1, scheme="explicit", indices=[0])
-        traj = run_trajectory(flip, config, Dataset((None,)))
+        traj = run_trajectory(flip, np.array([1.0]), [0], Dataset((None,)))
         assert np.signbit(traj.endpoint[0])
 
     def test_custom_map(self):
