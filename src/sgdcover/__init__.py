@@ -101,7 +101,6 @@ _DEFERRED = {
         "CouplingReport",
         "Trajectory",
         "coupled_contraction_ratio",
-        "draw_indices",
         "run_trajectory",
     ),
     "studies": (

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bounds import THEOREMS
 from .core import Ball, linalg_norms, numeric_gradient, substream
-from .cover import DEFAULT_CAP, cover_horizon, enumerate_cover, verify_cover
+from .cover import cover_horizon, enumerate_cover, verify_cover
 from .experiments import Scenario, validate_bound
 from .fractal import IFSModel, box_counting_dimension, ifs_dimension
 from .losses import Dataset, family_from_descriptor, uniform_ball, uniform_over
@@ -100,15 +100,6 @@ def _given(cfg: dict, *keys) -> dict:
     """The values the config sets for ``keys``, as keyword arguments: a key
     it leaves out (or sets to null) keeps the callee's own default."""
     return {k: cfg[k] for k in keys if k in cfg}
-
-
-def _cap(cfg: dict) -> int:
-    """The config's ``cap``, else ``SGDCOVER_CAP``, else ``DEFAULT_CAP``."""
-    raw = cfg.get("cap", os.environ.get("SGDCOVER_CAP", DEFAULT_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"enumeration cap must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +277,7 @@ def _cmd_cover(cfg, args):
             raise UsageError("give T, or epsilon plus a family with declared alpha/beta")
         gamma = contraction_factor(c.alpha, c.beta, eta)
         T = cover_horizon(domain.bounding_radius(), epsilon, gamma)
-    cover = enumerate_cover(update, dataset, int(T), cap=_cap(cfg), **_given(cfg, "dedupe"))
+    cover = enumerate_cover(update, dataset, int(T), **_given(cfg, "cap", "dedupe"))
 
     result = {"horizon": cover.horizon, "entries": len(cover),
               "n_samples": cover.n_samples, "epsilon": epsilon,
@@ -376,7 +367,7 @@ def _cmd_approx(cfg, args):
     _check(grid >= 3, f"approx needs grid >= 3 points per axis, got {grid}")
     domain = Ball(np.zeros(d), R)
     fn = smooth_function(value, grad, beta_prime)
-    approx = build_piecewise_approx(fn, domain, xi, (alpha, beta), cap=_cap(cfg))
+    approx = build_piecewise_approx(fn, domain, xi, (alpha, beta), **_given(cfg, "cap"))
 
     axes = [np.linspace(-R, R, grid)] * d
     mesh = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -396,13 +387,15 @@ def _cmd_approx(cfg, args):
 
 def _cmd_gap(cfg, args):
     from .studies import estimate_gap
-    from .trajectory import draw_indices, run_trajectory
+    from .trajectory import run_trajectory
 
     scenario, dataset = _load_scenario(cfg, args.seed, need_eta=True, need_domain=True)
     _require(cfg, "t")
+    t = cfg["t"]
+    _check(t >= 0, f"t must be a non-negative integer, got {t}")
     update = SGDStep(scenario.family, scenario.eta, domain=scenario.domain)
     init = scenario.domain.sample(substream(args.seed, 1))
-    indices = draw_indices("uniform", int(cfg["t"]), dataset.n, seed=args.seed)
+    indices = substream(args.seed).integers(0, dataset.n, size=t)
     trajectory = run_trajectory(update, init, indices, dataset)
     est = estimate_gap(scenario.family, dataset, trajectory, seed=args.seed, **_given(cfg, "m"))
     return dataclasses.asdict(est), True, [

@@ -1,5 +1,5 @@
-"""Recorded SGD runs and synchronous coupling: seeded index schemes, full
-trajectories, and per-step contraction ratios of coupled pairs.  Only
+"""Recorded SGD runs and synchronous coupling: full trajectories over a
+caller's index array, and per-step contraction ratios of coupled pairs.  Only
 ``gap``, ``contract`` and callers of these names load this module; every
 update goes through ``sgd``'s kernels.
 """
@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvexDomain, as_point, as_rows, linalg_norms, substream
+from .core import ConvexDomain, as_point, as_rows, linalg_norms
 from .losses import Dataset
 from .sgd import UpdateMap
-
-SCHEMES = ("uniform", "without_replacement", "shuffle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,7 +22,7 @@ class Trajectory:
     """All iterates of one run plus the realized index sequence."""
 
     points: np.ndarray   # (steps + 1, dim)
-    indices: np.ndarray  # (steps, batch_size)
+    indices: np.ndarray  # (steps, b)
 
     @property
     def steps(self) -> int:
@@ -47,30 +45,17 @@ class Trajectory:
                 writer.writerow([t + 1, label] + [repr(float(v)) for v in self.points[t + 1]])
 
 
-def draw_indices(scheme: str, steps: int, n: int, seed: int = 0,
-                 batch_size: int = 1) -> np.ndarray:
-    """The (steps, batch_size) index array of a run over n samples, drawn
-    from ``substream(seed)``: i.i.d. uniform indices, one pass without
-    replacement, or concatenated independent shuffled passes."""
-    if steps < 0 or n < 1:
-        raise ValueError(f"need steps >= 0 and n >= 1, got steps={steps}, n={n}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if batch_size < 1:
-        raise ValueError("batch_size must be a positive integer")
-    rng = substream(seed)
-    if scheme == "uniform":
-        return rng.integers(0, n, size=(steps, batch_size))
-    if batch_size != 1:
-        raise ValueError(f"scheme {scheme!r} supports batch_size 1 only")
-    if scheme == "without_replacement":
-        if steps > n:
-            raise ValueError("cannot draw more without-replacement steps than samples")
-        return rng.permutation(n)[:steps][:, None]
-    # shuffle: concatenated independent passes over the data, as many as
-    # the steps need (none for zero steps)
-    passes = [rng.permutation(n) for _ in range(-(-steps // n))]
-    return np.concatenate([np.empty(0, dtype=np.int64), *passes])[:steps][:, None]
+def _sample_indices(indices, n: int) -> np.ndarray:
+    """``indices`` as an int64 array of samples of an n-sample dataset:
+    refuses a dtype that is neither integer nor bool, and any index outside
+    [0, n)."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "biu":
+        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"sample indices must lie in [0, {n})")
+    return idx
 
 
 def run_trajectory(
@@ -87,15 +72,10 @@ def run_trajectory(
     runs, whose boundedness is an empirical contract).
     """
     theta = as_point(init)
-    idx = np.asarray(indices)
-    if idx.size and idx.dtype.kind not in "biu":
-        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
-    idx = idx.astype(np.int64)
+    idx = _sample_indices(indices, dataset.n)
     idx = idx[:, None] if idx.ndim == 1 else idx
     if idx.ndim != 2 or idx.shape[1] < 1:
         raise ValueError(f"indices must be flat or (steps, b) with b >= 1, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= dataset.n):
-        raise IndexError(f"sample indices must lie in [0, {dataset.n})")
     b = idx.shape[1]
     points = np.empty((len(idx) + 1, theta.shape[0]))
     points[0] = theta
@@ -128,15 +108,6 @@ class CouplingReport:
     distances: np.ndarray      # (m, steps)
     coalesce_step: np.ndarray  # (m,)
 
-    @property
-    def coalesced(self) -> np.ndarray:
-        return self.coalesce_step >= 0
-
-    @property
-    def max_ratio(self) -> float:
-        """Largest ratio of any pair before it coalesced (0 if none)."""
-        return self.max_measurable_ratio(0.0)
-
     def max_measurable_ratio(self, min_distance: float) -> float:
         """Largest ratio of any pair among steps whose starting distance is
         at least ``min_distance`` (the regime where rounding noise is
@@ -166,12 +137,10 @@ def coupled_contraction_ratio(
     """
     d = np.shape(theta_a)[-1]
     a, b = as_rows(theta_a, d).copy(), as_rows(theta_b, d).copy()
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _sample_indices(indices, dataset.n)
     if len(b) != len(a) or idx.ndim != 2 or len(idx) != len(a):
         raise ValueError(f"need (m, d), (m, d) and (m, steps) arrays, got shapes "
                          f"{a.shape}, {b.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= dataset.n):
-        raise IndexError(f"sample indices must lie in [0, {dataset.n})")
     dist = linalg_norms(a - b)
     if np.any(dist == 0.0):
         raise ValueError("coupled starting points must differ")

@@ -44,9 +44,9 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     return str(path)
 
 
-def _env_with_package_path(**extra):
+def _env_with_package_path():
     src = str(Path(sgdcover.__file__).resolve().parents[1])
-    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
@@ -287,13 +287,14 @@ class TestExitCodeContract:
         (["cover", "--T", "2"], {"scenario": QUADRATIC_SCENARIO, "dedupe": 1}),
         (["cover"], {"scenario": QUADRATIC_SCENARIO, "T": 2.9}),
         (["cover"], {"scenario": QUADRATIC_SCENARIO, "T": True}),
+        (["cover", "--T", "2"], {"scenario": QUADRATIC_SCENARIO, "cap": "abc"}),
         (["bound", "--theorem", "thm_2_3", "--n", "100", "--L", "1", "--R", "1",
           "--gamma", "0.5", "--delta", "0.05"], {"B": True}),
         (["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3333333333", "--R", "1",
           "--points", "2000"], {"scales": [1, "0.1", 0.01, 0.001]}),
         (["hoeffding", "--epsilon-grid", "0.1", "--resamplings", "10"],
          {"scenario": QUADRATIC_SCENARIO, "n_grid": [20.5]}),
-    ], ids=["flag-a-string", "flag-an-integer", "int-a-float", "int-a-boolean",
+    ], ids=["flag-a-string", "flag-an-integer", "int-a-float", "int-a-boolean", "int-a-string",
             "float-a-boolean", "floats-with-a-string", "ints-with-a-float"])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, argv, file_cfg):
         """Config-file values must have the JSON type of their flag."""
@@ -353,10 +354,12 @@ class TestExitCodeContract:
          "T must be nonnegative"),
         (["bound", "--theorem", "thm_5_3", "--gamma", "0", *BOUND],
          "gamma must lie in (0, 1]"),
+        (["gap", "--scenario", "quadratic.json", "--t", "-1"],
+         "t must be a non-negative integer, got -1"),
     ], ids=["validate-delta-one", "validate-undeclared-constants", "cover-epsilon-without-T",
             "cover-verify-without-epsilon", "unknown-family", "iid-clustering-without-points",
             "approx-unknown-function", "bound-unit-gamma-without-T", "bound-negative-T",
-            "bound-zero-gamma"])
+            "bound-zero-gamma", "gap-negative-t"])
     def test_refusal_prints_one_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                          argv, message):
         monkeypatch.chdir(tmp_path)
@@ -691,24 +694,6 @@ class TestExitCodeContract:
         assert not out.exists()
         assert Path(str(out) + ".meta.json").is_dir()  # not this run's to remove
 
-    def test_cap_override_is_read_at_call_time(self, tmp_path, monkeypatch):
-        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
-        out = tmp_path / "cover.jsonl"
-        argv = ["cover", "--scenario", spath, "--T", "3", "--out", str(out)]
-        monkeypatch.setenv("SGDCOVER_CAP", "26")
-        assert run(argv) == EXIT_USAGE  # 27 entries needed
-        assert not out.exists()
-        assert run(argv + ["--cap", "27"]) == EXIT_OK  # the config's cap wins
-        monkeypatch.setenv("SGDCOVER_CAP", "27")
-        assert run(argv) == EXIT_OK
-
-    def test_malformed_cap_override_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SGDCOVER_CAP", "abc")
-        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
-        out = tmp_path / "cover.jsonl"
-        assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
-        assert not out.exists()
-
 
 class TestDeterminism:
     def strip_timestamp(self, path):
@@ -945,7 +930,7 @@ _FORWARDED = [
     (["bound", "--theorem", "thm_5_3", "--n", "100", "--delta", "0.05", "--B", "1",
       "--L", "1", "--R", "1", "--gamma", "0.5"], "T", "4"),
     ("bound-thm_d_2", "C", "2"),
-    ("cover-T", "dedupe", None),
+    ("cover-T", "dedupe", None), ("cover-T", "cap", "100"), ("approx", "cap", "1000"),
     ("gap", "m", "50"),
     ("validate", "shrink", "0.5"), ("validate", "t_band", "3"),
     ("kmeans", "iters", "3"),
@@ -1261,7 +1246,7 @@ _PUBLIC_NAMES = [
     "smooth_margin_link", "soft_kmeans", "squared_error_link", "stability_counterexample_1d",
     "uniform_ball", "uniform_over", "zero_link",
     "CouplingReport", "CustomMap", "SGDStep", "Trajectory", "contraction_factor",
-    "coupled_contraction_ratio", "draw_indices", "run_trajectory", "sgd_step",
+    "coupled_contraction_ratio", "run_trajectory", "sgd_step",
     "CoverEntry", "CoverSet", "CoverVerification", "EnumerationCapExceeded",
     "PiecewiseQuadraticApprox", "PiecewiseSmoothFunction", "SmoothPiece",
     "build_piecewise_approx", "cover_horizon", "enumerate_cover", "enumerate_piecewise_cover",
@@ -1340,14 +1325,3 @@ def test_every_annotation_resolves():
                 objs = [obj] if inspect.isfunction(obj) else []
             for o in objs:
                 typing.get_type_hints(o)  # raises NameError on an unresolved name
-
-
-def test_malformed_cap_override_does_not_break_import():
-    """SGDCOVER_CAP is read only by commands that enumerate, so a bad value
-    leaves the module importable and other commands working."""
-    env = _env_with_package_path(SGDCOVER_CAP="abc")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgdcover.cli", "bound", "--theorem", "thm_2_3", "--n", "100",
-         "--delta", "0.05", "--B", "1", "--L", "1", "--R", "1", "--gamma", "0.5"],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK, proc.stderr

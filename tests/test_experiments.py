@@ -20,7 +20,7 @@ from sgdcover.losses import (
     uniform_over,
 )
 from sgdcover.sgd import SGDStep, contraction_factor, run_lockstep
-from sgdcover.trajectory import draw_indices, run_trajectory
+from sgdcover.trajectory import run_trajectory
 from sgdcover.experiments import Scenario, validate_bound
 from sgdcover.studies import (
     em_step,
@@ -43,7 +43,7 @@ def quadratic_scenario(n=50, eta=0.5):
 
 def short_trajectory(fam, ds, eta=0.5, steps=30, seed=3):
     update = SGDStep(fam, eta, domain=fam.domain)
-    indices = draw_indices("uniform", steps, ds.n, seed=seed)
+    indices = substream(seed).integers(0, ds.n, size=(steps, 1))
     return run_trajectory(update, np.array([0.1, 0.1]), indices, ds)
 
 

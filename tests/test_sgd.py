@@ -15,11 +15,7 @@ from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, substream
 from sgdcover.families import hard_kmeans, multi_index, zero_link
 from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
 from sgdcover.sgd import CustomMap, SGDStep, contraction_factor, draw_runs, run_lockstep, sgd_step
-from sgdcover.trajectory import (
-    coupled_contraction_ratio,
-    draw_indices,
-    run_trajectory,
-)
+from sgdcover.trajectory import coupled_contraction_ratio, run_trajectory
 
 CENTERS = [np.array([0.6, -0.2]), np.array([-0.5, 0.5]), np.array([0.1, 0.7])]
 
@@ -145,12 +141,7 @@ def _assert_overflow_rejected(update, batched):
 class TestTrajectories:
     def test_zero_steps(self):
         _, ds, update = quadratic_setup(eta=0.5)
-        for scheme in ("explicit", "uniform", "without_replacement", "shuffle"):
-            if scheme == "explicit":
-                indices = []
-            else:
-                indices = draw_indices(scheme, 0, ds.n, seed=1)
-                assert indices.shape == (0, 1)
+        for indices in ([], substream(1).integers(0, ds.n, size=(0, 1))):
             traj = run_trajectory(update, np.array([0.2, 0.2]), indices, ds)
             assert traj.indices.shape == (0, 1)
             assert traj.points.shape == (1, 2)
@@ -168,8 +159,8 @@ class TestTrajectories:
     def test_seed_reproducibility(self):
         _, ds, update = quadratic_setup(eta=0.5)
         init = np.array([0.1, -0.1])
-        t1 = run_trajectory(update, init, draw_indices("uniform", 40, ds.n, seed=77), ds)
-        t2 = run_trajectory(update, init, draw_indices("uniform", 40, ds.n, seed=77), ds)
+        t1 = run_trajectory(update, init, substream(77).integers(0, ds.n, size=(40, 1)), ds)
+        t2 = run_trajectory(update, init, substream(77).integers(0, ds.n, size=(40, 1)), ds)
         np.testing.assert_array_equal(t1.points, t2.points)
         np.testing.assert_array_equal(t1.indices, t2.indices)
 
@@ -177,51 +168,10 @@ class TestTrajectories:
         """Replaying a seeded run's indices explicitly gives the same points."""
         _, ds, update = quadratic_setup(eta=0.5)
         seeded = run_trajectory(
-            update, np.array([0.1, 0.3]), draw_indices("uniform", 25, ds.n, seed=5), ds
+            update, np.array([0.1, 0.3]), substream(5).integers(0, ds.n, size=(25, 1)), ds
         )
         replay = run_trajectory(update, np.array([0.1, 0.3]), seeded.indices, ds)
         np.testing.assert_array_equal(seeded.points, replay.points)
-
-    def test_sampling_schemes_cover_expected_index_sets(self):
-        idx = draw_indices("without_replacement", 3, 3, seed=3).ravel()
-        assert sorted(idx) == sorted(set(idx))
-        idx = draw_indices("shuffle", 6, 3, seed=3).ravel()
-        assert sorted(idx[:3]) == [0, 1, 2] and sorted(idx[3:]) == [0, 1, 2]
-        with pytest.raises(ValueError):
-            draw_indices("without_replacement", 4, 3, seed=0)
-
-    @pytest.mark.parametrize("args, message", [
-        (("explicit", 3, 3), "unknown scheme 'explicit'"),
-        (("uniform", -1, 3), r"need steps >= 0 and n >= 1, got steps=-1, n=3"),
-        (("shuffle", 2, 0), r"need steps >= 0 and n >= 1, got steps=2, n=0"),
-        (("uniform", 3, 3, 0, 0), "batch_size must be a positive integer"),
-        (("without_replacement", 2, 3, 0, 2), "supports batch_size 1 only"),
-        (("shuffle", 2, 3, 0, 2), "supports batch_size 1 only"),
-        (("without_replacement", 4, 3), "more without-replacement steps than samples"),
-    ])
-    def test_draw_indices_refusals(self, args, message):
-        with pytest.raises(ValueError, match=message):
-            draw_indices(*args)
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_schemes_are_the_direct_substream_draws(self, seed):
-        """Each scheme's indices are, bitwise, numpy's own draws from
-        ``substream(seed)``."""
-        n = 5
-        rng = substream(seed)
-        shuffled = np.concatenate([rng.permutation(n) for _ in range(3)])[:12, None]
-        expected = {
-            ("uniform", 12, 3): substream(seed).integers(0, n, size=(12, 3)),
-            ("without_replacement", 4, 1): substream(seed).permutation(n)[:4, None],
-            ("shuffle", 12, 1): shuffled,
-        }
-        for (scheme, steps, b), want in expected.items():
-            got = draw_indices(scheme, steps, n, seed=seed, batch_size=b)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        if seed == 0:
-            assert draw_indices("uniform", 12, n, batch_size=3).tobytes() == \
-                expected[("uniform", 12, 3)].tobytes()
 
     @pytest.mark.parametrize("bad", [[0, 3], [[0], [-1]]])
     def test_index_outside_the_dataset_is_refused(self, bad):
@@ -249,7 +199,7 @@ class TestTrajectories:
     def test_domain_invariance_under_projection(self):
         _, ds, update = quadratic_setup(eta=0.5)
         traj = run_trajectory(update, np.array([0.9, 0.0]),
-                              draw_indices("uniform", 60, ds.n, seed=9), ds)
+                              substream(9).integers(0, ds.n, size=(60, 1)), ds)
         dom = update.domain
         assert all(dom.contains(p) for p in traj.points)
 
@@ -259,13 +209,13 @@ class TestTrajectories:
         ds = Dataset((np.array([-1.0]),))
         update = SGDStep(fam, 0.9, domain=WholeSpace(1))
         with pytest.raises(RuntimeError):
-            run_trajectory(update, np.array([1.0]), draw_indices("uniform", 5, ds.n, seed=0), ds,
-                           invariant_domain=Ball(np.zeros(1), 1.0))
+            run_trajectory(update, np.array([1.0]), substream(0).integers(0, ds.n, size=(5, 1)),
+                           ds, invariant_domain=Ball(np.zeros(1), 1.0))
 
     def test_csv_dump(self, tmp_path):
         _, ds, update = quadratic_setup(eta=0.5)
         traj = run_trajectory(update, np.array([0.1, 0.2]),
-                              draw_indices("uniform", 4, ds.n, seed=2), ds)
+                              substream(2).integers(0, ds.n, size=(4, 1)), ds)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         with open(path) as fh:
@@ -339,7 +289,8 @@ class TestCoupledContraction:
                                  np.where(np.arange(40) % 2, rng.uniform(0.1, 0.3, 40), 0.0)])
         idx = rng.integers(0, ds.n, size=(40, 12))
         report = coupled_contraction_ratio(update, a, b, idx, ds)
-        assert report.coalesced.any() and not report.coalesced.all()
+        coalesced = report.coalesce_step >= 0
+        assert coalesced.any() and not coalesced.all()
         for k in range(40):
             ratios, distances, step = _sequential_coupling(update, a[k], b[k], idx[k], ds)
             assert report.ratios[k].tobytes() == ratios.tobytes()
@@ -368,7 +319,7 @@ class TestCoupledContraction:
             update, np.array([[0.5, 0.0]]), np.array([[-0.5, 0.1]]), [[0, 1, 2]], ds
         )
         assert report.ratios[0, 0] <= 1e-12
-        assert report.coalesced[0] and report.coalesce_step[0] == 1
+        assert report.coalesce_step[0] == 1
         np.testing.assert_array_equal(report.ratios[0, 1:], 0.0)
 
     def test_identical_starts_rejected(self):
@@ -419,7 +370,7 @@ class TestCoupledContraction:
             report = coupled_contraction_ratio(update, np.array(starts_a), np.array(starts_b),
                                                np.array(idx), ds)
             assert report.ratios.shape == (1000, 100)
-            assert report.max_ratio <= gamma + 1e-9
+            assert report.max_measurable_ratio(0.0) <= gamma + 1e-9
 
     def test_minibatch_average_still_contracts(self):
         """An average of gamma-contractive maps is gamma-contractive."""
@@ -449,7 +400,7 @@ class TestCoupledContraction:
         _, ds, update = quadratic_setup(eta=0.5)
         init = np.zeros(2)
         traj = run_trajectory(update, init,
-                              draw_indices("uniform", 10, ds.n, seed=4, batch_size=3), ds)
+                              substream(4).integers(0, ds.n, size=(10, 3)), ds)
         assert traj.indices.shape == (10, 3)
         theta = init
         for t, batch in enumerate(traj.indices):
@@ -471,11 +422,13 @@ class TestCoupledContraction:
                                            [[0, 0]], ds)
         np.testing.assert_allclose(report.ratios, 0.5, rtol=1e-15)
 
-    @pytest.mark.parametrize("bad", [3, -1])
-    def test_index_out_of_range(self, bad):
-        """A negative index would wrap silently in Dataset.matrix."""
+    @pytest.mark.parametrize("bad, error", [(3, IndexError), (-1, IndexError),
+                                            (1.9, ValueError)], ids=["3", "-1", "float"])
+    def test_index_out_of_range(self, bad, error):
+        """A negative index would wrap silently in Dataset.matrix, and a float
+        one would be truncated to a sample."""
         _, ds, update = quadratic_setup(eta=0.5)
-        with pytest.raises(IndexError):
+        with pytest.raises(error, match="sample indices must"):
             coupled_contraction_ratio(update, np.array([[0.1, 0.0]]), np.array([[0.0, 0.1]]),
                                       [[0, bad]], ds)
 
