@@ -200,9 +200,10 @@ def _keyed_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
                                                      dtype=np.int64).astype(np.uint32)))
 
 
-def numeric_gradient(fn: Callable[[np.ndarray], float], theta, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
+def numeric_gradient(fn: Callable[[np.ndarray], float], theta) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function, step 1e-5."""
     theta = as_point(theta)
+    step = 1e-5
     grad = np.empty_like(theta)
     for j in range(theta.size):
         e = np.zeros_like(theta)
@@ -219,15 +220,17 @@ class ConvexDomain:
         raise NotImplementedError
 
     def project(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """``x``, validated as a point of the domain's dimension, projected
+        as a one-row batch."""
+        return self.project_batch(as_point(x, dim=self.dim)[None, :])[0]
 
     def project_batch(self, X) -> np.ndarray:
         """Project each row of an (m, dim) array; row k equals project(X[k])."""
         raise NotImplementedError
 
-    def contains(self, x, tol: float = DETERMINISTIC_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_point(x, dim=self.dim)
-        return distance(x, self.project(x)) <= tol
+        return distance(x, self.project(x)) <= DETERMINISTIC_TOL
 
     def bounding_radius(self) -> float:
         """An upper bound on the norm of any member (may be infinite)."""
@@ -272,12 +275,12 @@ class Ball(ConvexDomain):
     def project(self, x) -> np.ndarray:
         """``x`` as a float array, not validated again, when it is a 1-D
         point of the ball's dimension inside the ball: a norm test that
-        passes proves it finite.  Every other input is validated by
-        ``as_point`` and projected by ``project_batch``."""
+        passes proves it finite.  Every other input takes the base class's
+        validated one-row projection."""
         arr = np.asarray(x, dtype=float)
         if arr.shape == self.center.shape and row_norms(arr - self.center) <= self.radius:
             return arr
-        return self.project_batch(as_point(arr, dim=self.dim)[None, :])[0]
+        return super().project(arr)
 
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)
@@ -319,10 +322,6 @@ class Box(ConvexDomain):
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        x = as_point(x, dim=self.dim)
-        return np.clip(x, self.lower, self.upper)
-
     def project_batch(self, X) -> np.ndarray:
         return np.clip(as_rows(X, self.dim), self.lower, self.upper)
 
@@ -357,10 +356,6 @@ class ProductOfBalls(ConvexDomain):
     def dim(self) -> int:
         return self.blocks * self.block_dim
 
-    def project(self, x) -> np.ndarray:
-        x = as_point(x, dim=self.dim)
-        return self.project_batch(x[None, :])[0]
-
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)
         blocks = X.reshape(X.shape[0], self.blocks, self.block_dim).copy()
@@ -392,9 +387,6 @@ class WholeSpace(ConvexDomain):
     @property
     def dim(self) -> int:
         return self.dimension
-
-    def project(self, x) -> np.ndarray:
-        return as_point(x, dim=self.dim)
 
     def project_batch(self, X) -> np.ndarray:
         return as_rows(X, self.dim)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +83,8 @@ class CoverSet:
     Row k of ``points`` is reached by the choices that are the base-(n*P)
     digits of ``index[k]``, first choice most significant; choice c picks
     sample c // P and piece c % P (P = 1 for a plain cover).  ``index`` is
-    ``arange(N)`` unless the cover was deduped.
+    ``arange(N)`` unless the cover was deduped.  Points must be finite.  The
+    cover is the sequence of its entries: ``cover[k]``, slices as tuples.
     """
 
     horizon: int
@@ -93,16 +94,25 @@ class CoverSet:
     pieces_per_sample: int | None = None
     deduped: bool = False
 
+    def __post_init__(self):
+        if not all_finite(self.points):
+            raise ValueError("cover points have non-finite entries")
+
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def entries(self) -> CoverEntries:
-        return CoverEntries(self)
+    def __getitem__(self, k):
+        """Built on access from the choice decoding the JSONL writer uses."""
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(len(self))[k])
+        seq, pieces = self._choices(self.index[k], self.horizon)
+        seq = tuple(seq.tolist())
+        return CoverEntry(seq=seq, point=self.points[k], deps=frozenset(seq),
+                          pieces=None if pieces is None else tuple(pieces.tolist()))
 
     def jsonl_lines(self) -> Iterator[str]:
         """The cover's JSONL lines without their newlines; line k is
-        ``self.entries[k].to_json()``, byte for byte."""
+        ``self[k].to_json()``, byte for byte."""
         return itertools.chain.from_iterable(self._jsonl_chunks())
 
     def write_jsonl(self, path) -> None:
@@ -134,8 +144,7 @@ class CoverSet:
         and the choice text of index = high * (n*P)^L + low, L = floor(T/2),
         looked up by halves.  All (n*P)^L <= sqrt((n*P)^T) low halves are
         spelled once, and a chunk's high halves and ``deps`` strings (cached
-        per pair of the halves' sample sets) per chunk.  A chunk holding a non-finite value, which
-        JSON spells differently, takes ``CoverEntry.to_json`` per entry."""
+        per pair of the halves' sample sets) per chunk."""
         L = self.horizon // 2
         base = (self.n_samples * (self.pieces_per_sample or 1)) ** L
         lows = self._spelled(np.arange(base), L, ", " if L else "")
@@ -144,9 +153,6 @@ class CoverSet:
         rows = max(1, _WRITE_CHUNK // max(1, self.points.shape[1]))
         for lo in range(0, len(self), rows):
             block = np.asarray(self.points[lo:lo + rows], dtype=float)
-            if not all_finite(block):
-                yield [self.entries[k].to_json() for k in range(lo, lo + len(block))]
-                continue
             high, low = np.divmod(self.index[lo:lo + rows], base)
             heads, high = np.unique(high, return_inverse=True)
             highs = self._spelled(heads, self.horizon - L, "")
@@ -161,26 +167,6 @@ class CoverSet:
                                          *point, deps))
             del highs, deps_of  # freed before the next chunk builds its own
             yield lines
-
-
-class CoverEntries(Sequence):
-    """Read-only sequence of a cover's entries, each built on access from
-    the same choice decoding the JSONL writer uses; iteration is
-    ``Sequence``'s, one access per entry."""
-
-    def __init__(self, cover: CoverSet):
-        self._cover = cover
-
-    def __len__(self) -> int:
-        return len(self._cover)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[j] for j in range(len(self))[k])
-        seq, pieces = self._cover._choices(self._cover.index[k], self._cover.horizon)
-        seq = tuple(seq.tolist())
-        return CoverEntry(seq=seq, point=self._cover.points[k], deps=frozenset(seq),
-                          pieces=None if pieces is None else tuple(pieces.tolist()))
 
 
 def _enumerate_tree(update: UpdateMap, dataset: Dataset, d: int, T: int) -> np.ndarray:

@@ -94,6 +94,14 @@ def smooth_margin_link(K: int) -> LinkFunction:
     return LinkFunction("smooth_margin", value, grad, beta=0.25, Q=K - 1, K=K)
 
 
+def _block_layout(K: int, d: int | None, R: float) -> dict:
+    """``dim`` and ``domain`` of K blocks in R^d, each in the radius-R ball:
+    K*d and ``ProductOfBalls(K, d, R)``, or both None when d is unknown."""
+    if d is None:
+        return {"dim": None, "domain": None}
+    return {"dim": K * d, "domain": ProductOfBalls(K, d, R)}
+
+
 def _split_blocks(theta, K):
     """theta as a (K, d) array of its blocks."""
     t = as_point(theta)
@@ -152,15 +160,8 @@ def multi_index(
         # the link's own smoothness lives on the LinkFunction; f itself is
         # non-convex in general, so its curvature constants stay unset
         constants = LossConstants(L=L, B=B, R=R, R_x=R_x, lam=lam, K=K, Q=link.Q)
-    domain = ProductOfBalls(K, d, R) if d is not None else None
-    return LossFamily(
-        name=f"multi_index[{link.name}]",
-        constants=constants,
-        value=value,
-        grad=grad,
-        dim=K * d if d is not None else None,
-        domain=domain,
-    )
+    return LossFamily(name=f"multi_index[{link.name}]", constants=constants, value=value,
+                      grad=grad, **_block_layout(K, d, R))
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +218,8 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
         w /= w.sum()
         return (2.0 * w[:, None] * (blocks - z[None, :])).reshape(-1)
 
-    domain = ProductOfBalls(K, d, R) if d is not None else None
-    return LossFamily(
-        name="soft_kmeans",
-        constants=constants,
-        value=value,
-        grad=grad,
-        dim=K * d if d is not None else None,
-        domain=domain,
-    )
+    return LossFamily(name="soft_kmeans", constants=constants, value=value, grad=grad,
+                      **_block_layout(K, d, R))
 
 
 TIE_RULES = ("lowest", "random", "full")
@@ -270,15 +264,8 @@ def hard_kmeans(K: int, R: float, tie_rule: str = "lowest", d: int | None = None
         return g.reshape(-1)
 
     constants = LossConstants(B=4.0 * R**2, L=4.0 * R, L_prime=4.0 * R, R=R, K=K)
-    domain = ProductOfBalls(K, d, R) if d is not None else None
-    return LossFamily(
-        name="hard_kmeans",
-        constants=constants,
-        value=value,
-        grad=grad,
-        dim=K * d if d is not None else None,
-        domain=domain,
-    )
+    return LossFamily(name="hard_kmeans", constants=constants, value=value, grad=grad,
+                      **_block_layout(K, d, R))
 
 
 # ---------------------------------------------------------------------------

@@ -1298,6 +1298,35 @@ def test_import_leaves_deferred_modules_unloaded(tmp_path):
     assert unknown == "module 'sgdcover' has no attribute 'no_such_name'"
 
 
+def test_perfbench_tracer_runs_the_cli(tmp_path):
+    """``perfbench/tracer.py``'s ``install``, in a fresh interpreter so its
+    rebinding stays there, traces ``cover --T 4`` on 3 centers with the
+    (3^(T+1) - 3)/2 = 120 ``sgd_step`` calls perfbench gates on, and a small
+    ``validate`` and ``ifs`` run exit 0 under it too."""
+    support = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+    iid = write_scenario(tmp_path, {**QUADRATIC_SCENARIO, "dataset": {"kind": "iid", "n": 20}},
+                         name="iid.json")
+    runs = [["cover", "--scenario", support, "--T", "4"],
+            ["validate", "--scenario", iid, "--resamplings", "2", "--trials", "3",
+             "--delta", "0.5"],
+            ["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3", "--R", "1",
+             "--points", "1000"]]
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / 'perfbench')!r})\n"
+        "from tracer import Tracer, install\n"
+        "tracer = Tracer()\n"
+        "run = install(tracer)\n"
+        f"codes = [run(argv + ['--out', 'out']) for argv in {runs!r}]\n"
+        "steps = sum(leaf['calls'] for leaf in tracer.dump()['leaves']\n"
+        "            if leaf['name'] == 'sgd.sgd_step')\n"
+        "print(json.dumps([codes, steps]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_package_path(),
+                          capture_output=True, text=True, check=True, cwd=tmp_path)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK] * 3, (3**5 - 3) // 2]
+
+
 def test_import_leaves_numpy_random_unloaded():
     """numpy.random loads when a command first draws, not with the CLI."""
     code = "import sys, sgdcover.cli\nprint('numpy.random' in sys.modules)\n"

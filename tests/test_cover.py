@@ -95,8 +95,8 @@ class TestEnumerateCover:
         _, ds, update = quadratic_cover_setup()
         cov = enumerate_cover(update, ds, T=0)
         assert len(cov) == 1
-        np.testing.assert_array_equal(cov.entries[0].point, np.zeros(2))
-        assert cov.entries[0].seq == ()
+        np.testing.assert_array_equal(cov[0].point, np.zeros(2))
+        assert cov[0].seq == ()
 
     def test_counts(self):
         fam = quadratic_centers(CENTERS[:2], R=1.0)
@@ -110,8 +110,8 @@ class TestEnumerateCover:
         _, ds, update = quadratic_cover_setup()
         cov = enumerate_cover(update, ds, T=2)
         expected_seqs = list(itertools.product(range(3), repeat=2))
-        assert [e.seq for e in cov.entries] == expected_seqs
-        for e in cov.entries:
+        assert [e.seq for e in cov] == expected_seqs
+        for e in cov:
             np.testing.assert_array_equal(
                 e.point, replay_entry(update, ds, e)
             )
@@ -123,10 +123,10 @@ class TestEnumerateCover:
         enumerated points bit for bit."""
         _, ds, update = quadratic_cover_setup(eta=1.5)
         cov = enumerate_cover(update, ds, T=4)
-        assert any(abs(np.linalg.norm(e.point) - 1.0) < 1e-12 for e in cov.entries)
-        seqs = np.array([e.seq for e in cov.entries])
+        assert any(abs(np.linalg.norm(e.point) - 1.0) < 1e-12 for e in cov)
+        seqs = np.array([e.seq for e in cov])
         lockstep = run_lockstep(update, np.zeros((len(cov), 2)), np.full(len(cov), 4), seqs, ds)
-        for e, row in zip(cov.entries, lockstep):
+        for e, row in zip(cov, lockstep):
             assert replay_entry(update, ds, e).tobytes() == e.point.tobytes()
             assert row.tobytes() == e.point.tobytes()
 
@@ -134,8 +134,8 @@ class TestEnumerateCover:
         _, ds, update = quadratic_cover_setup()
         a = enumerate_cover(update, ds, T=3, threads=1)
         b = enumerate_cover(update, ds, T=3, threads=4)
-        assert [e.seq for e in a.entries] == [e.seq for e in b.entries]
-        for ea, eb in zip(a.entries, b.entries):
+        assert [e.seq for e in a] == [e.seq for e in b]
+        for ea, eb in zip(a, b):
             np.testing.assert_array_equal(ea.point, eb.point)
 
     def test_cap_refusal_is_total(self):
@@ -172,15 +172,15 @@ class TestEnumerateCover:
         assert len(plain) == 9 and plain.deduped is False
         assert len(deduped) == 3 and deduped.deduped is True
         # first (lexicographically smallest) sequence per point is kept
-        assert [e.seq for e in deduped.entries] == [(0, 0), (0, 1), (0, 2)]
+        assert [e.seq for e in deduped] == [(0, 0), (0, 1), (0, 2)]
 
     def test_dedupe_keeps_signed_zeros_apart(self):
         # 0.0 and -0.0 compare equal but differ in their bits; dedupe compares bits
         ds = Dataset((np.array([1.0]), np.array([-1.0])))
         zero = CustomMap(lambda t, z: np.asarray(z) * 0.0, Ball(np.zeros(1), 1.0))
         deduped = enumerate_cover(zero, ds, T=2, dedupe=True)
-        assert [e.seq for e in deduped.entries] == [(0, 0), (0, 1)]
-        assert [np.signbit(e.point[0]) for e in deduped.entries] == [False, True]
+        assert [e.seq for e in deduped] == [(0, 0), (0, 1)]
+        assert [np.signbit(e.point[0]) for e in deduped] == [False, True]
 
     def test_storage_is_one_point_array(self):
         _, ds, update = quadratic_cover_setup()
@@ -191,7 +191,7 @@ class TestEnumerateCover:
         deduped = enumerate_cover(FIRST_CHOICE, ds, T=2, dedupe=True)
         assert deduped.index.dtype == np.int64
         np.testing.assert_array_equal(deduped.index, [0, 3, 6])
-        assert [e.seq for e in deduped.entries] == [(0, 0), (1, 0), (2, 0)]
+        assert [e.seq for e in deduped] == [(0, 0), (1, 0), (2, 0)]
 
     def test_random_access_matches_iteration(self):
         _, ds, update = quadratic_cover_setup()
@@ -200,22 +200,22 @@ class TestEnumerateCover:
         covers = [enumerate_cover(update, ds, T=3), two_piece,
                   enumerate_cover(FIRST_CHOICE, ds, T=3, dedupe=True)]
         for cov in covers:
-            listed = list(cov.entries)
-            assert len(listed) == len(cov.entries) == len(cov)
+            listed = list(cov)
+            assert len(listed) == len(cov)
             for k, e in enumerate(listed):
-                got = cov.entries[k]
+                got = cov[k]
                 assert (got.seq, got.deps, got.pieces) == (e.seq, e.deps, e.pieces)
                 assert got.point.tobytes() == e.point.tobytes() == cov.points[k].tobytes()
-            assert cov.entries[-1].seq == listed[-1].seq
-            assert [e.seq for e in cov.entries[1:3]] == [e.seq for e in listed[1:3]]
+            assert cov[-1].seq == listed[-1].seq
+            assert [e.seq for e in cov[1:3]] == [e.seq for e in listed[1:3]]
             with pytest.raises(IndexError):
-                cov.entries[len(cov)]
+                cov[len(cov)]
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.sampled_from(["plain", "deduped", "piecewise"]), st.integers(1, 3),
            st.integers(0, 3), st.data())
     def test_random_access_equals_iteration_property(self, kind, n, T, data):
-        """entries[k] for every k (negative too) and entries[a:b:c] for drawn
+        """cov[k] for every k (negative too) and cov[a:b:c] for drawn
         slices equal the entries and slices of the iterated list."""
         ds = Dataset(tuple(CENTERS[:n]))
         _, _, update = quadratic_cover_setup()
@@ -227,19 +227,19 @@ class TestEnumerateCover:
             cov = enumerate_piecewise_cover(
                 lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds,
                 eta=0.4, T=T)
-        listed = list(cov.entries)
-        assert len(listed) == len(cov.entries) == len(cov)
+        listed = list(cov)
+        assert len(listed) == len(cov)
 
         def same(a, b):
             return ((a.seq, a.deps, a.pieces) == (b.seq, b.deps, b.pieces)
                     and a.point.tobytes() == b.point.tobytes())
 
         for k in range(-len(cov), len(cov)):
-            assert same(cov.entries[k], listed[k])
+            assert same(cov[k], listed[k])
         bound = st.none() | st.integers(-len(cov) - 2, len(cov) + 2)
         cut = slice(data.draw(bound), data.draw(bound),
                     data.draw(st.none() | st.integers(-3, 3).filter(bool)))
-        got = cov.entries[cut]
+        got = cov[cut]
         assert isinstance(got, tuple) and len(got) == len(listed[cut])
         assert all(map(same, got, listed[cut]))
 
@@ -295,7 +295,7 @@ class TestEnumerateCover:
         replayed point unchanged bitwise; perturbing inside moves it."""
         fam, ds, update = quadratic_cover_setup()
         cov = enumerate_cover(update, ds, T=2)
-        entry = next(e for e in cov.entries if e.deps == frozenset({0, 1}))
+        entry = next(e for e in cov if e.deps == frozenset({0, 1}))
         modified = list(CENTERS)
         modified[2] = np.array([0.3, 0.3])  # outside deps
         ds_mod = Dataset(tuple(modified))
@@ -314,7 +314,7 @@ class TestEnumerateCover:
         _, ds, update = quadratic_cover_setup()
         cov = enumerate_piecewise_cover(
             lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2)]), ds, eta=0.4, T=2)
-        entry = cov.entries[5]
+        entry = cov[5]
         assert (entry.seq, entry.pieces) == ((0, 2), (0, 1))
         with pytest.raises(ValueError, match=r"has pieces \(0, 1\)"):
             replay_entry(update, ds, entry)
@@ -328,7 +328,7 @@ class TestEnumerateCover:
         assert len(lines) == 9
         first = json.loads(lines[0])
         assert first["seq"] == [0, 0] and sorted(first["deps"]) == [0]
-        np.testing.assert_allclose(first["point"], cov.entries[0].point)
+        np.testing.assert_allclose(first["point"], cov[0].point)
 
 
 def _sha256_of_jsonl(cov, tmp_path):
@@ -389,18 +389,10 @@ def _writer_covers():
         lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(2), [0.1, -0.2]]),
         Dataset(tuple(CENTERS[:2])), eta=0.4, T=4)
     covers["one-dim-T1"] = _one_dim_cover(700)
-    # the points a two-piece run at eta = 1e308, T = 2 overflows to, built
-    # by hand because enumeration refuses them
-    covers["piecewise-overflow"] = CoverSet(
-        horizon=2, points=np.repeat([-np.inf, np.inf], 8)[:, None],
-        index=np.arange(16, dtype=np.int64), n_samples=2, pieces_per_sample=2)
-    # float extremes, whose repr is what json.dumps writes; infinities and
-    # NaN, which JSON spells Infinity and NaN
-    for name, values in [("extremes", [-0.0, 5e-324, 1e-300, 1e308, -1e308, -5e-324, 0.1]),
-                         ("non-finite", [0.5, np.inf, -np.inf, np.nan, -0.0, 1e308, 2.0])]:
-        points = np.array(values * 2).reshape(7, 2)
-        covers[name] = CoverSet(horizon=1, points=points,
-                                index=np.arange(7, dtype=np.int64), n_samples=7)
+    # float extremes, whose repr is what json.dumps writes
+    points = np.array([-0.0, 5e-324, 1e-300, 1e308, -1e308, -5e-324, 0.1] * 2).reshape(7, 2)
+    covers["extremes"] = CoverSet(horizon=1, points=points,
+                                  index=np.arange(7, dtype=np.int64), n_samples=7)
     return covers
 
 
@@ -411,22 +403,24 @@ class TestJsonlWriter:
     @pytest.mark.parametrize("chunk", [None, 3, 8])
     @pytest.mark.parametrize("name", [
         *(f"plain-T{T}" for T in range(7)), "deduped-signed-zero", "deduped-T0",
-        "deduped-first-choice", "piecewise-P2", "piecewise-P3-T4", "one-dim-T1",
-        "piecewise-overflow", "extremes", "non-finite"])
+        "deduped-first-choice", "piecewise-P2", "piecewise-P3-T4", "one-dim-T1", "extremes"])
     def test_matches_to_json_per_entry(self, tmp_path, monkeypatch, name, chunk):
         if chunk is not None:  # chunks of 1 and 4 rows put boundaries inside every cover
             monkeypatch.setattr(cover_module, "_WRITE_CHUNK", chunk)
         cov = _writer_covers()[name]
-        reference = [e.to_json() for e in cov.entries]
+        reference = [e.to_json() for e in cov]
         path = tmp_path / "cover.jsonl"
         cov.write_jsonl(path)
         assert path.read_text() == "".join(line + "\n" for line in reference)
         assert list(cov.jsonl_lines()) == reference
 
-    def test_non_finite_points_keep_json_spelling(self, tmp_path):
-        covers = _writer_covers()
-        assert '"point": [-Infinity, NaN]' in list(covers["non-finite"].jsonl_lines())[1]
-        assert '"point": [-Infinity]' in next(covers["piecewise-overflow"].jsonl_lines())
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_cover_refuses_non_finite_points(self, bad):
+        """A cover is built finite, so the writer never spells a non-finite
+        value (JSON would need Infinity or NaN)."""
+        points = np.array([[0.5, -0.0], [bad, 2.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            CoverSet(horizon=1, points=points, index=np.arange(2, dtype=np.int64), n_samples=2)
 
     @staticmethod
     def _write_peak(cov, path):
@@ -467,7 +461,7 @@ class TestVerifyCover:
             theta = np.zeros(2)
             for i in idx:
                 theta = update.apply(theta, ds.samples[i])
-            match = next(e for e in cov.entries if e.seq == idx)
+            match = next(e for e in cov if e.seq == idx)
             np.testing.assert_array_equal(theta, match.point)
 
     def test_map_without_domain_is_refused(self):
@@ -711,7 +705,7 @@ class TestPiecewiseCover:
         raw = CustomMap(lambda t, z: t - 0.5 * (t - np.asarray(z)), Ball(np.zeros(1), 1.0))
         plain = enumerate_cover(raw, ds, T=2)
         assert len(pc) == len(plain) == 4
-        for a, b in zip(pc.entries, plain.entries):
+        for a, b in zip(pc, plain):
             assert a.seq == b.seq and a.pieces == (0, 0)
             np.testing.assert_array_equal(a.point, b.point)
 
@@ -738,7 +732,7 @@ class TestPiecewiseCover:
 
         pc = enumerate_piecewise_cover(two_piece, ds, eta=eta, T=3)
         approxes = [two_piece(z) for z in ds.samples]
-        for entry in pc.entries:
+        for entry in pc:
             x = 0.0
             for i, p in zip(entry.seq, entry.pieces):
                 ap = approxes[i]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sgdcover.core import Ball, numeric_gradient
+from sgdcover.core import Ball, ProductOfBalls, numeric_gradient
 from sgdcover.families import (
     hard_kmeans,
     multi_index,
@@ -264,6 +264,27 @@ class TestHardKmeans:
             v2 = hard_kmeans(K=2, R=2.0).value(theta, z)
             v3 = hard_kmeans(K=3, R=2.0).value(np.concatenate([theta, extra]), z)
             assert v3 <= v2 + 1e-15
+
+
+_BLOCK_FAMILIES = {
+    "multi_index": lambda d: multi_index(zero_link(3), lam=0.5, R=1.5, R_x=1.0, K=3, d=d),
+    "soft_kmeans": lambda d: soft_kmeans(K=3, zeta=0.7, R=1.5, d=d),
+    "hard_kmeans": lambda d: hard_kmeans(K=3, R=1.5, d=d),
+}
+
+
+@pytest.mark.parametrize("d", [None, 2])
+@pytest.mark.parametrize("name", sorted(_BLOCK_FAMILIES))
+def test_block_families_share_one_layout(name, d):
+    """K = 3 blocks in R^d: dimension K*d and the product of K radius-R
+    balls, or neither when d is not given."""
+    fam = _BLOCK_FAMILIES[name](d)
+    if d is None:
+        assert fam.dim is None and fam.domain is None
+        return
+    assert fam.dim == 6
+    assert isinstance(fam.domain, ProductOfBalls)
+    assert (fam.domain.blocks, fam.domain.block_dim, fam.domain.radius) == (3, 2, 1.5)
 
 
 class TestStabilityCounterexample:
