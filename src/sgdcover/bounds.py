@@ -29,7 +29,8 @@ EXPECTATION_VARIANTS = ("THM_D_1", "THM_D_2", "COR_D_3")
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A computed certificate: identifier, inputs, additive components, total."""
+    """A computed certificate: identifier, inputs, additive components, and
+    their derived total, which must be finite and nonnegative."""
 
     theorem: str
     inputs: dict
@@ -37,17 +38,18 @@ class BoundCertificate:
     concentration_term: float | None = None
     covering_slack_term: float | None = None
     approximation_term: float | None = None
-    total: float = 0.0
     flags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem id {self.theorem!r}")
-        parts = sum(v for v in self.components.values() if v is not None)
-        if abs(parts - self.total) > 1e-12 * max(1.0, abs(self.total)):
-            raise ValueError("total does not match the sum of components")
-        if not math.isfinite(self.total) or self.total < 0:
+        if not 0 <= self.total < math.inf:
             raise ValueError("certificate total must be finite and nonnegative")
+
+    @property
+    def total(self) -> float:
+        """The sum of the components that are set, added in slot order from 0."""
+        return sum(v for v in self.components.values() if v is not None)
 
     @property
     def components(self) -> dict:
@@ -69,11 +71,10 @@ class BoundCertificate:
 
 
 def _make(theorem, inputs, dep=None, conc=None, slack=None, approx=None, flags=()):
-    total = sum(v for v in (dep, conc, slack, approx) if v is not None)
     return BoundCertificate(
         theorem=theorem, inputs=inputs, sample_dependency_term=dep,
         concentration_term=conc, covering_slack_term=slack,
-        approximation_term=approx, total=total, flags=tuple(flags),
+        approximation_term=approx, flags=tuple(flags),
     )
 
 

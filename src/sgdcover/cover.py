@@ -58,13 +58,17 @@ def cover_horizon(R: float, epsilon: float, gamma: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CoverEntry:
-    """One enumerated composition: its index sequence, endpoint, and the set
-    of sample indices the endpoint depends on."""
+    """One enumerated composition: its index sequence, endpoint and, for a
+    piecewise cover, the piece chosen at each step."""
 
     seq: tuple[int, ...]
     point: np.ndarray
-    deps: frozenset[int]
     pieces: tuple[int, ...] | None = None
+
+    @property
+    def deps(self) -> frozenset[int]:
+        """The sample indices the endpoint depends on: those in ``seq``."""
+        return frozenset(self.seq)
 
     def to_json(self) -> str:
         rec = {"seq": list(self.seq)}
@@ -106,8 +110,7 @@ class CoverSet:
         if isinstance(k, slice):
             return tuple(self[j] for j in range(len(self))[k])
         seq, pieces = self._choices(self.index[k], self.horizon)
-        seq = tuple(seq.tolist())
-        return CoverEntry(seq=seq, point=self.points[k], deps=frozenset(seq),
+        return CoverEntry(seq=tuple(seq.tolist()), point=self.points[k],
                           pieces=None if pieces is None else tuple(pieces.tolist()))
 
     def jsonl_lines(self) -> Iterator[str]:

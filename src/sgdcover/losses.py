@@ -120,11 +120,10 @@ class LossFamily:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A sample distribution.  A finite one is its ``support`` and weights
-    ``probs``, and its draws are derived by ``positions``; a ``draw``
-    callable serves only a distribution without a finite support."""
+    """A sample distribution, defined by its fields alone.  A finite one is its
+    ``support`` and weights ``probs``, and its draws are derived by ``positions``;
+    a ``draw`` callable serves only a distribution without a finite support."""
 
-    name: str
     support: tuple | None = None
     probs: np.ndarray | None = None
     draw: Callable[[np.random.Generator, int], list] | None = None
@@ -197,7 +196,7 @@ def uniform_over(points: Sequence) -> Distribution:
     m = len(support)
     if m == 0:
         raise ValueError("uniform_over needs a non-empty support, got no points")
-    return Distribution("uniform_over", support=support, probs=np.full(m, 1.0 / m))
+    return Distribution(support=support, probs=np.full(m, 1.0 / m))
 
 
 def uniform_ball(radius: float, d: int) -> Distribution:
@@ -207,7 +206,7 @@ def uniform_ball(radius: float, d: int) -> Distribution:
     def draw(rng, size):
         return [ball.sample(rng) for _ in range(size)]
 
-    return Distribution("uniform_ball", draw=draw)
+    return Distribution(draw=draw)
 
 
 # ---------------------------------------------------------------------------

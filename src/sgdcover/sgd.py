@@ -45,7 +45,11 @@ class SGDStep:
         return self.domain.project(out)
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
-        """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise."""
+        """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise.  Rows
+        of a width other than the domain's are refused, not broadcast."""
+        shape, d = np.shape(thetas), self.domain.dim
+        if len(shape) != 2 or shape[1] != d:
+            raise ValueError(f"expected an (m, {d}) array of points, got shape {shape}")
         out = _checked_update(thetas, self.eta, self.family.grad_rows(thetas, dataset, idx))
         return self.domain.project_batch(out)
 

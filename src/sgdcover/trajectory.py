@@ -6,7 +6,6 @@ update goes through ``sgd``'s kernels.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,8 @@ from .sgd import UpdateMap
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """All iterates of one run plus the realized index sequence."""
+    """All iterates of one run plus the realized index rows: ``points[t]``
+    is the iterate after step t, reached with the samples ``indices[t - 1]``."""
 
     points: np.ndarray   # (steps + 1, dim)
     indices: np.ndarray  # (steps, b)
@@ -31,18 +31,6 @@ class Trajectory:
     @property
     def endpoint(self) -> np.ndarray:
         return self.points[-1]
-
-    def to_csv(self, path) -> None:
-        """Dump as CSV with stable columns step,index,x0,...; batches join
-        their indices with '|' and the step-0 row carries an empty index."""
-        d = self.points.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "index"] + [f"x{j}" for j in range(d)])
-            writer.writerow([0, ""] + [repr(float(v)) for v in self.points[0]])
-            for t in range(self.steps):
-                label = "|".join(str(int(i)) for i in self.indices[t])
-                writer.writerow([t + 1, label] + [repr(float(v)) for v in self.points[t + 1]])
 
 
 def _sample_indices(indices, n: int) -> np.ndarray:

@@ -1327,6 +1327,28 @@ def test_perfbench_tracer_runs_the_cli(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [[EXIT_OK] * 3, (3**5 - 3) // 2]
 
 
+@pytest.mark.parametrize("call,spec", [
+    ("enumerate_cover", {"T": 3}),
+    ("validate_bound", {"resamplings": 2, "trials": 3, "delta": 0.5, "seed": 1}),
+])
+def test_perfbench_probe_runs(tmp_path, call, spec):
+    """``perfbench/child.py``'s probe mode calls ``enumerate_cover`` and
+    ``validate_bound`` directly, with ``threads=``, ``Scenario(...)``,
+    ``SGDStep(..., domain=)`` and ``Dataset(support, dist)``; on tiny
+    inputs it exits 0, and the T = 3 cover of 3 centers has 3^3 entries."""
+    scenario = write_scenario(tmp_path, {**QUADRATIC_SCENARIO,
+                                         "dataset": {"kind": "iid", "n": 20}})
+    spec_path, result_path = tmp_path / "spec.json", tmp_path / "result.json"
+    spec_path.write_text(json.dumps({"mode": "probe", "scenario": scenario, "call": call,
+                                     **spec}))
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    subprocess.run([sys.executable, str(child), str(spec_path), str(result_path)],
+                   env=_env_with_package_path(), capture_output=True, check=True, cwd=tmp_path)
+    result = load(result_path)
+    assert result["threads1_s"] > 0 and result["threads2_s"] > 0
+    assert result.get("entries") == (27 if call == "enumerate_cover" else None)
+
+
 def test_import_leaves_numpy_random_unloaded():
     """numpy.random loads when a command first draws, not with the CLI."""
     code = "import sys, sgdcover.cli\nprint('numpy.random' in sys.modules)\n"

@@ -69,8 +69,7 @@ class TestEstimateGap:
         assert exact.exact_population and exact.mc_standard_error == 0.0
 
         # the same draws, but through the Monte Carlo path
-        mc_dist = Distribution(
-            "mc", draw=lambda rng, size: Dataset.sample(finite, size, rng).samples)
+        mc_dist = Distribution(draw=lambda rng, size: Dataset.sample(finite, size, rng).samples)
         ds_mc = Dataset(ds.samples, mc_dist)
         mc = estimate_gap(fam, ds_mc, traj, m=20_000, seed=11)
         assert not mc.exact_population and mc.mc_standard_error > 0
@@ -208,7 +207,7 @@ class TestValidateBound:
         """Non-uniform probabilities weigh the population sum and the draws."""
         scenario = _scenario_in(3, "grad_batch")
         skewed = dataclasses.replace(scenario, distribution=Distribution(
-            "skewed", support=scenario.distribution.support, probs=[0.5, 0.3, 0.15, 0.05]))
+            support=scenario.distribution.support, probs=[0.5, 0.3, 0.15, 0.05]))
         report = validate_bound(skewed, resamplings=6, trials=3, delta=0.05, seed=8)
         assert report.max_gaps == _per_resampling_max_gaps(skewed, resamplings=6, trials=3,
                                                            delta=0.05, seed=8, t_band=50)
@@ -235,7 +234,7 @@ class TestValidateBound:
         scenario = _scenario_in(2, "grad_batch")
         twice = (scenario.distribution.support[0],) + scenario.distribution.support
         dup = dataclasses.replace(scenario, distribution=Distribution(
-            "twice", support=twice, probs=np.full(len(twice), 1.0 / len(twice))))
+            support=twice, probs=np.full(len(twice), 1.0 / len(twice))))
         report = validate_bound(dup, resamplings=5, trials=4, delta=0.05, seed=6, t_band=7)
         assert report.max_gaps == _per_resampling_max_gaps(dup, resamplings=5, trials=4,
                                                            delta=0.05, seed=6, t_band=7)

@@ -448,16 +448,16 @@ class TestDatasetsAndDescriptors:
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
-            Distribution("bad", support=(1,), probs=None)
+            Distribution(support=(1,), probs=None)
         with pytest.raises(ValueError):
-            Distribution("bad", support=(1, 2), probs=np.array([0.9, 0.2]))
+            Distribution(support=(1, 2), probs=np.array([0.9, 0.2]))
         for probs in ([1.0], [0.25, 0.25, 0.5], [[0.5, 0.5]]):
             with pytest.raises(ValueError, match="probs must match the support in length"):
-                Distribution("bad", support=(1, 2), probs=probs)
+                Distribution(support=(1, 2), probs=probs)
         with pytest.raises(ValueError, match="finite distribution draws from its support"):
-            Distribution("both", support=(1, 2), probs=[0.5, 0.5], draw=lambda rng, k: [1] * k)
+            Distribution(support=(1, 2), probs=[0.5, 0.5], draw=lambda rng, k: [1] * k)
         with pytest.raises(ValueError, match="needs a support and probs, or a draw"):
-            Distribution("neither")
+            Distribution()
 
     def test_uniform_over_refuses_empty_support(self):
         with pytest.raises(ValueError, match="non-empty support"):
@@ -485,7 +485,7 @@ class TestDatasetsAndDescriptors:
         probs = np.array(weights[:m], dtype=float) / sum(weights[:m])
         if np.all(probs == probs[0]):
             return  # equal weights draw as uniform_over does
-        weighted = Distribution("weighted", support=tuple(support), probs=probs)
+        weighted = Distribution(support=tuple(support), probs=probs)
         got = Dataset.sample(weighted, n, np.random.default_rng(seed)).samples
         want = np.random.default_rng(seed).choice(m, n, p=weighted.probs)
         assert all(z is support[i] for z, i in zip(got, want, strict=True))

@@ -1,6 +1,5 @@
 """SGD engine: step semantics, trajectory determinism, coupled contraction."""
 
-import csv
 import dataclasses
 import math
 
@@ -211,20 +210,6 @@ class TestTrajectories:
         with pytest.raises(RuntimeError):
             run_trajectory(update, np.array([1.0]), substream(0).integers(0, ds.n, size=(5, 1)),
                            ds, invariant_domain=Ball(np.zeros(1), 1.0))
-
-    def test_csv_dump(self, tmp_path):
-        _, ds, update = quadratic_setup(eta=0.5)
-        traj = run_trajectory(update, np.array([0.1, 0.2]),
-                              substream(2).integers(0, ds.n, size=(4, 1)), ds)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "index", "x0", "x1"]
-        assert len(rows) == 6
-        np.testing.assert_allclose(
-            [float(rows[-1][2]), float(rows[-1][3])], traj.endpoint, rtol=1e-15
-        )
 
 
 class TestContractionFactor:
@@ -492,6 +477,27 @@ class TestApplyBatch:
             update.apply_batch(np.array([[-1.0], [1.0]]), [0, 0], ds)
 
 
+class TestWrongWidth:
+    """Rows of the wrong width reach ``apply_batch`` through every batched
+    entry point; each refuses them with the library's message instead of
+    broadcasting them against the gradient."""
+
+    @pytest.mark.parametrize("call", [
+        lambda update, ds: update.apply_batch([[0.5], [0.5]], [0, 1], ds),
+        lambda update, ds: run_lockstep(update, np.full((2, 1), 0.5), np.array([1, 1]),
+                                        np.zeros((2, 1), dtype=np.int64), ds),
+        lambda update, ds: run_trajectory(update, np.array([0.5]), [0, 1], ds),
+        lambda update, ds: coupled_contraction_ratio(update, np.full((2, 1), 0.5),
+                                                     np.full((2, 1), -0.5),
+                                                     np.zeros((2, 3), dtype=np.int64), ds),
+    ], ids=["apply_batch", "run_lockstep", "run_trajectory", "coupled_contraction_ratio"])
+    def test_wrong_width_rows_are_refused(self, call):
+        _, ds, update = quadratic_setup(eta=0.5)
+        with pytest.raises(ValueError, match=r"^expected an \(m, 2\) array of points, "
+                                             r"got shape \(\d+, 1\)$"):
+            call(update, ds)
+
+
 @st.composite
 def _stepper(draw):
     """An update on one of the four domains, quadratic_centers with or
@@ -689,6 +695,27 @@ class TestLockstep:
         ball, prelude = Ball(np.zeros(2), 1.0), _prelude_of(3)
         _assert_same_runs(draw_runs(4, 3, 2, ball, 1, 5, 7, prelude=prelude),
                           _sequential_runs(4, 3, 2, ball, 1, 5, 7, prelude=prelude))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [3, 2**31 + 1])
+    def test_draw_runs_across_decode_blocks(self, monkeypatch, block, n):
+        """Blocks of 1, 2, 3 and 7 runs put a block boundary inside and
+        between streams of 3 runs, after an odd prelude that leaves a pending
+        half; each block decodes bitwise as the sequential loop draws.  At
+        n = 2**31 + 1 about half of all draws are rejected, so some streams
+        are drawn again and others are decoded."""
+        monkeypatch.setattr(sgd_module, "_RUN_BLOCK", block)
+        redrawn = []
+
+        def spy(*keys):
+            redrawn.append(keys)
+            return substream(*keys)
+
+        monkeypatch.setattr(sgd_module, "substream", spy)
+        args, prelude = (17, 8, 3, Ball(np.zeros(2), 1.0), 0, 2, n), _prelude_of(3)
+        got = draw_runs(*args, prelude=prelude)
+        assert (0 < len(redrawn) < 8) if n > 3 else not redrawn
+        _assert_same_runs(got, _sequential_runs(*args, prelude=prelude))
 
     def test_endpoints_match_sequential_runs_bitwise(self):
         """Ragged step counts: finished runs are masked out, and every
