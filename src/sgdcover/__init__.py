@@ -17,7 +17,6 @@ from .core import (
     ProductOfBalls,
     WholeSpace,
     as_point,
-    distance,
     hoeffding_tail,
     numeric_gradient,
     substream,

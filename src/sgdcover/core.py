@@ -91,13 +91,6 @@ def linalg_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def distance(x, y) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    xa = as_point(x)
-    ya = as_point(y, dim=xa.shape[0])
-    return float(np.linalg.norm(xa - ya))
-
-
 def ceil_int(x: float) -> int:
     """Ceiling with a small downward nudge to absorb float noise at integers."""
     return math.ceil(x - _CEIL_REL_TOL * max(1.0, abs(x)))
@@ -227,10 +220,6 @@ class ConvexDomain:
     def project_batch(self, X) -> np.ndarray:
         """Project each row of an (m, dim) array; row k equals project(X[k])."""
         raise NotImplementedError
-
-    def contains(self, x) -> bool:
-        x = as_point(x, dim=self.dim)
-        return distance(x, self.project(x)) <= DETERMINISTIC_TOL
 
     def bounding_radius(self) -> float:
         """An upper bound on the norm of any member (may be infinite)."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundCertificate, bound_strongly_convex
+from .bounds import bound_strongly_convex
 from .core import ConvexDomain, all_finite
 from .losses import Dataset, Distribution, LossFamily
 from .sgd import SGDStep, contraction_factor, draw_runs, run_lockstep
@@ -53,21 +53,19 @@ def validate_bound(
     trials: int,
     delta: float,
     seed: int = 0,
-    certificate: BoundCertificate | None = None,
     shrink: float = 1.0,
     t_band: int = 50,
     threads: int = 1,
 ) -> ValidationReport:
     """Resample the dataset, run many trajectories (random start, random
     t in [T, T + t_band]), and PASS iff the fraction of datasets whose worst
-    endpoint gap exceeds the certificate is at most delta.
+    endpoint gap exceeds the THM 2.3 certificate (``bound_strongly_convex``)
+    is at most delta, for delta in (0, 1).
 
     ``shrink`` divides the certificate (a shrink of 50 gives the negative
     control that must FAIL).  The family must declare alpha, beta, B, L and
     R, and population risk must be exactly enumerable; ``contraction_factor``
     then refuses a step size outside (0, 2/beta).
-    delta = 1 makes the acceptance rule vacuous and needs an explicit
-    certificate, since the calculators require delta < 1.
 
     A resampled dataset is the array of n support positions
     ``distribution.positions`` draws.  Resampling r draws from
@@ -85,10 +83,8 @@ def validate_bound(
     """
     if resamplings < 1 or trials < 1:
         raise ValueError("validation needs at least one resampling and one trial")
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if delta == 1 and certificate is None:
-        raise ValueError("delta = 1 needs an explicit certificate")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not (math.isfinite(shrink) and shrink > 0):
         raise ValueError(f"shrink must be finite and positive, got {shrink}")
     if t_band < 0:
@@ -100,10 +96,9 @@ def validate_bound(
     if not scenario.distribution.finite:
         raise ValueError("validation needs a finitely supported distribution")
     gamma = contraction_factor(c.alpha, c.beta, scenario.eta)
-    if certificate is None:
-        certificate = bound_strongly_convex(scenario.n, delta, c.B, c.L, c.R, gamma)
+    certificate = bound_strongly_convex(scenario.n, delta, c.B, c.L, c.R, gamma)
     threshold = certificate.total / shrink
-    T = int(certificate.inputs.get("T", 0))
+    T = certificate.inputs["T"]
 
     dist, n = scenario.distribution, scenario.n
     starts, steps, indices, positions = draw_runs(seed, resamplings, trials, scenario.domain,

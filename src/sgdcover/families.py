@@ -181,9 +181,9 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
     Constants follow the soft clustering analysis: B, L, beta and beta' are
     ``bounds.soft_kmeans_constants``, and alpha = (2/K) e^{-zeta B}.
     Iterates are meant to be run without projection
-    (``SGDStep(..., domain=WholeSpace(K * d))``); whether they stay in the
-    radius-R product ball is checked by passing that ball as
-    ``run_trajectory(..., invariant_domain=...)``.
+    (``SGDStep(..., domain=WholeSpace(K * d))``).  Nothing checks that they
+    stay in the radius-R product ball; validating this theorem (ROADMAP
+    item 10) needs that check across lockstep runs.
     """
     if not zeta > 0:
         raise ValueError("zeta must be positive")

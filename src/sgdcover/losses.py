@@ -11,13 +11,14 @@ families are in ``families``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import Ball, ConvexDomain, as_point, as_rows
+from .core import Ball, ConvexDomain, all_finite, as_point, as_rows
 
 _SIGNS = {
     "alpha": 0, "beta": 1, "beta_prime": 0, "L": 0, "B": 0, "L_prime": 0,
@@ -64,7 +65,10 @@ class LossConstants:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("K", "Q"):
             v = getattr(self, name)
-            if v is not None and (int(v) != v or v < 1):
+            # checked before int(), which takes True as 1 and raises its own
+            # errors on inf, nan and text
+            if v is not None and not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                      and math.isfinite(v) and int(v) == v and v >= 1):
                 raise ValueError(f"{name} must be a positive integer")
         if self.alpha is not None and self.beta is not None and self.alpha > self.beta:
             raise ValueError("alpha must not exceed beta")
@@ -139,7 +143,7 @@ class Distribution:
             p = np.asarray(self.probs, dtype=float)
             if p.ndim != 1 or len(self.support) != p.size:
                 raise ValueError("probs must match the support in length")
-            if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+            if not all_finite(p) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
                 raise ValueError("probs must be a probability vector")
             object.__setattr__(self, "probs", p)
 

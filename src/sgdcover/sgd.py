@@ -22,9 +22,9 @@ class SGDStep:
 
     Pi projects onto ``domain``, which defaults to the family's domain.
     ``WholeSpace(d)`` projects as the identity, so ``domain=WholeSpace(d)``
-    means no projection: the raw update.  A raw run that must stay bounded
-    (as the clustering analysis assumes) is checked with
-    ``run_trajectory(..., invariant_domain=...)``.
+    means no projection: the raw update.  Nothing checks that a raw run
+    stays bounded, as the clustering analysis assumes; validating those
+    theorems (ROADMAP item 10) needs that check across lockstep runs.
     """
 
     family: LossFamily

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvexDomain, as_point, as_rows, linalg_norms
+from .core import as_point, as_rows, linalg_norms
 from .losses import Dataset
 from .sgd import UpdateMap
 
@@ -51,13 +51,10 @@ def run_trajectory(
     init,
     indices,
     dataset: Dataset,
-    invariant_domain: ConvexDomain | None = None,
 ) -> Trajectory:
     """Run one update per row of ``indices`` from ``init``, recording every
     iterate.  A flat sequence takes one sample per step, a (steps, b) array
-    one mini-batch row per step.  If ``invariant_domain`` is given, every
-    iterate must stay inside it (used by the projection-free clustering
-    runs, whose boundedness is an empirical contract).
+    one mini-batch row per step.
     """
     theta = as_point(init)
     idx = _sample_indices(indices, dataset.n)
@@ -73,10 +70,6 @@ def run_trajectory(
         # gamma-contractive maps is gamma-contractive); sum() adds them from
         # zero, in order, and a single update is taken as is
         theta = rows[0] if b == 1 else sum(rows) / b
-        if invariant_domain is not None and not invariant_domain.contains(theta):
-            raise RuntimeError(
-                f"iterate left the declared invariant domain at step {t + 1}: {theta}"
-            )
         points[t + 1] = theta
     return Trajectory(points=points, indices=idx)
 

@@ -123,15 +123,6 @@ class TestValidateBound:
         assert not report.passed
         assert report.violations / report.resamplings > 0.05
 
-    def test_vacuous_confidence_passes(self):
-        cert = validate_bound(quadratic_scenario(), resamplings=5, trials=2,
-                              delta=0.05, seed=0)
-        full = validate_bound(quadratic_scenario(), resamplings=5, trials=2,
-                              delta=1.0, seed=0, shrink=1e9,
-                              certificate=_certificate_for(quadratic_scenario()))
-        assert full.passed  # every resampling may violate, fraction <= 1
-        assert cert.passed
-
     def test_hypothesis_violations_abort(self):
         with pytest.raises(ValueError, match=r"eta=3.0 outside \(0, 2.0\)$"):
             validate_bound(quadratic_scenario(eta=3.0), resamplings=2, trials=1,
@@ -312,15 +303,6 @@ def _per_resampling_max_gaps(scenario, resamplings, trials, delta, seed, t_band)
             worst = max(worst, abs(f_hat - float(f_pop)))
         max_gaps.append(worst)
     return tuple(max_gaps)
-
-
-def _certificate_for(scenario):
-    from sgdcover.bounds import bound_strongly_convex
-    from sgdcover.sgd import contraction_factor
-
-    c = scenario.family.constants
-    gamma = contraction_factor(c.alpha, c.beta, scenario.eta)
-    return bound_strongly_convex(scenario.n, 0.05, c.B, c.L, c.R, gamma)
 
 
 class TestEMStep:

@@ -44,6 +44,11 @@ class TestLossConstants:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 LossConstants(**{field: value})
 
+    def test_counts_refuse_non_integers_with_their_own_message(self):
+        for field, value in itertools.product(("K", "Q"), (math.inf, math.nan, True, 2.5)):
+            with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+                LossConstants(**{field: value})
+
     def test_alpha_beta_ordering(self):
         with pytest.raises(ValueError):
             LossConstants(alpha=2.0, beta=1.0)
@@ -458,6 +463,12 @@ class TestDatasetsAndDescriptors:
             Distribution(support=(1, 2), probs=[0.5, 0.5], draw=lambda rng, k: [1] * k)
         with pytest.raises(ValueError, match="needs a support and probs, or a draw"):
             Distribution()
+
+    def test_non_finite_probs_refused(self):
+        # NaN fails every comparison, so the sum test alone cannot refuse it
+        for probs in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, -math.inf]):
+            with pytest.raises(ValueError, match="probs must be a probability vector"):
+                Distribution(support=(1, 2), probs=probs)
 
     def test_uniform_over_refuses_empty_support(self):
         with pytest.raises(ValueError, match="non-empty support"):
