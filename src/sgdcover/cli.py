@@ -433,7 +433,7 @@ def _cmd_kmeans(cfg, args):
     # The CLI's ``iters`` is run_em's ``max_iters``, so _given cannot pass it.
     limit = {"max_iters": cfg["iters"]} if "iters" in cfg else {}
     centers, iters, converged = run_em(theta0, dataset, zeta, **limit)
-    equiv = verify_em_equivalence(centers, dataset, zeta, K=K, d=d)
+    equiv = verify_em_equivalence(centers, dataset, zeta)
     grad_norm = float(np.linalg.norm(numeric_gradient(
         lambda th: empirical_risk(family, dataset, th), centers.reshape(-1)
     )))

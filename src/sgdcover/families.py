@@ -94,12 +94,9 @@ def smooth_margin_link(K: int) -> LinkFunction:
     return LinkFunction("smooth_margin", value, grad, beta=0.25, Q=K - 1, K=K)
 
 
-def _block_layout(K: int, d: int | None, R: float) -> dict:
-    """``dim`` and ``domain`` of K blocks in R^d, each in the radius-R ball:
-    K*d and ``ProductOfBalls(K, d, R)``, or both None when d is unknown."""
-    if d is None:
-        return {"dim": None, "domain": None}
-    return {"dim": K * d, "domain": ProductOfBalls(K, d, R)}
+def _block_domain(K: int, d: int | None, R: float) -> ProductOfBalls | None:
+    """K blocks in R^d, each in the radius-R ball, or None when d is unknown."""
+    return None if d is None else ProductOfBalls(K, d, R)
 
 
 def _split_blocks(theta, K):
@@ -161,7 +158,7 @@ def multi_index(
         # non-convex in general, so its curvature constants stay unset
         constants = LossConstants(L=L, B=B, R=R, R_x=R_x, lam=lam, K=K, Q=link.Q)
     return LossFamily(name=f"multi_index[{link.name}]", constants=constants, value=value,
-                      grad=grad, **_block_layout(K, d, R))
+                      grad=grad, domain=_block_domain(K, d, R))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +216,7 @@ def soft_kmeans(K: int, zeta: float, R: float, d: int | None = None) -> LossFami
         return (2.0 * w[:, None] * (blocks - z[None, :])).reshape(-1)
 
     return LossFamily(name="soft_kmeans", constants=constants, value=value, grad=grad,
-                      **_block_layout(K, d, R))
+                      domain=_block_domain(K, d, R))
 
 
 TIE_RULES = ("lowest", "random", "full")
@@ -265,7 +262,7 @@ def hard_kmeans(K: int, R: float, tie_rule: str = "lowest", d: int | None = None
 
     constants = LossConstants(B=4.0 * R**2, L=4.0 * R, L_prime=4.0 * R, R=R, K=K)
     return LossFamily(name="hard_kmeans", constants=constants, value=value, grad=grad,
-                      **_block_layout(K, d, R))
+                      domain=_block_domain(K, d, R))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +308,6 @@ def stability_counterexample_1d() -> LossFamily:
         constants=constants,
         value=value,
         grad=grad,
-        dim=1,
         domain=Box([0.0], [4.0]),
         grad_batch=grad_batch,
     )

@@ -53,10 +53,17 @@ class LossConstants:
     Q: int | None = None
 
     def __post_init__(self):
+        # checked before math.isfinite and int(), which take True as 1 and
+        # raise their own errors on text
+        def real(v):
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
         for name, strict in _SIGNS.items():
             v = getattr(self, name)
             if v is None:
                 continue
+            if not real(v):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
             if strict and not v > 0:
@@ -65,10 +72,7 @@ class LossConstants:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("K", "Q"):
             v = getattr(self, name)
-            # checked before int(), which takes True as 1 and raises its own
-            # errors on inf, nan and text
-            if v is not None and not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                      and math.isfinite(v) and int(v) == v and v >= 1):
+            if v is not None and not (real(v) and math.isfinite(v) and int(v) == v and v >= 1):
                 raise ValueError(f"{name} must be a positive integer")
         if self.alpha is not None and self.beta is not None and self.alpha > self.beta:
             raise ValueError("alpha must not exceed beta")
@@ -78,23 +82,22 @@ class LossConstants:
 class LossFamily:
     """A named per-sample loss f(theta; z) with auxiliary gradient.
 
-    ``grad_batch(thetas, zs)`` and ``value_batch(theta, zs)`` are optional
+    ``grad_batch(thetas, zs)`` and ``value_batch(thetas, zs)`` are optional
     batched forms over a stacked sample array (``Dataset.matrix`` rows):
-    row k of ``grad_batch`` is ``grad(thetas[k], zs[k])`` and entry k of
-    ``value_batch`` is ``value(theta, zs[k])``, bitwise.  ``value_batch``
-    must also broadcast: given an (m, 1, d) array of parameters it returns
-    the (m, n) matrix whose row j is, bitwise, its value for parameter j.
-    Families without them are evaluated by per-row loops over ``grad`` and
-    ``value``.  Being fields, the batched forms survive
-    ``dataclasses.replace``; replacing ``grad`` or ``value`` with a
-    different loss must replace them as well.
+    row k of ``grad_batch`` is ``grad(thetas[k], zs[k])``, bitwise, and
+    ``value_batch``, given an (m, 1, d) array of parameters and the (n, d)
+    samples, returns the (m, n) matrix whose entry (j, k) is, bitwise,
+    ``value(thetas[j, 0], zs[k])``.  Families without them are evaluated by
+    per-row loops over ``grad`` and ``value``.  Being fields, the batched
+    forms survive ``dataclasses.replace``; replacing ``grad`` or ``value``
+    with a different loss must replace them as well.  A parameter's width
+    is ``domain.dim`` when the family has a domain.
     """
 
     name: str
     constants: LossConstants
     value: Callable[[np.ndarray, Any], float]
     grad: Callable[[np.ndarray, Any], np.ndarray]
-    dim: int | None = None
     domain: ConvexDomain | None = None
     grad_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     value_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -110,16 +113,16 @@ class LossFamily:
     def values(self, theta: np.ndarray, dataset: "Dataset") -> np.ndarray:
         """Per-sample losses over the whole dataset: the (n,) vector of one
         parameter, or the (m, n) matrix of an (m, d) array of parameters,
-        whose row j equals, bitwise, the vector of parameter j."""
-        if np.ndim(theta) == 2:
-            if self.value_batch is None:
-                return np.array([self.values(t, dataset) for t in theta],
-                                dtype=float).reshape(len(theta), dataset.n)
-            thetas = as_rows(theta, np.shape(theta)[1] if self.dim is None else self.dim)
-            return self.value_batch(thetas[:, None, :], dataset.matrix)
+        whose row j equals, bitwise, the vector of parameter j.  A single
+        parameter is evaluated as a one-row batch."""
+        rows = np.atleast_2d(theta)
+        rows = as_rows(rows, rows.shape[1] if self.domain is None else self.domain.dim)
         if self.value_batch is not None:
-            return self.value_batch(as_point(theta, dim=self.dim), dataset.matrix)
-        return np.array([self.value(theta, z) for z in dataset.samples], dtype=float)
+            out = self.value_batch(rows[:, None, :], dataset.matrix)
+        else:
+            out = np.array([[self.value(t, z) for z in dataset.samples] for t in rows],
+                           dtype=float).reshape(len(rows), dataset.n)
+        return out if np.ndim(theta) == 2 else out[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,10 +257,9 @@ def quadratic_centers(centers: Sequence, R: float) -> LossFamily:
         constants=constants,
         value=value,
         grad=grad,
-        dim=d,
         domain=Ball(np.zeros(d), R),
         grad_batch=lambda thetas, zs: thetas - zs,
-        value_batch=lambda theta, zs: 0.5 * np.sum((theta - zs) ** 2, axis=-1),
+        value_batch=lambda thetas, zs: 0.5 * np.sum((thetas - zs) ** 2, axis=-1),
     )
 
 

@@ -106,7 +106,7 @@ def _scaled_distances(theta, dataset: Dataset, zeta: float):
     """The (K, d) centers, the (n, d) stacked samples and the (n, K) matrix
     of -zeta times each sample's squared distance to each center."""
     centers = np.atleast_2d(np.asarray(theta, dtype=float))
-    samples = np.vstack([np.atleast_1d(np.asarray(z, dtype=float)) for z in dataset.samples])
+    samples = dataset.matrix.reshape(dataset.n, -1)
     d2 = np.sum((samples[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
     return centers, samples, -zeta * d2
 
@@ -160,8 +160,7 @@ class EMEquivalenceReport:
     passed: bool
 
 
-def verify_em_equivalence(theta, dataset: Dataset, zeta: float,
-                          K: int | None = None, d: int | None = None) -> EMEquivalenceReport:
+def verify_em_equivalence(theta, dataset: Dataset, zeta: float) -> EMEquivalenceReport:
     """Check that the equal-weight Gaussian-mixture log-likelihood with
     componentwise variance 1/(2*zeta) is an affine image of the soft
     clustering objective:
@@ -172,12 +171,7 @@ def verify_em_equivalence(theta, dataset: Dataset, zeta: float,
     residual and the affine coefficients, and passes at a residual <= 1e-8.
     """
     centers, samples, a = _scaled_distances(theta, dataset, zeta)
-    if K is not None and centers.shape[0] != K:
-        raise ValueError(f"theta has {centers.shape[0]} centers, expected K={K}")
-    if d is not None and centers.shape[1] != d:
-        raise ValueError(f"theta blocks have dimension {centers.shape[1]}, expected d={d}")
-    K = centers.shape[0]
-    d = centers.shape[1]
+    K, d = centers.shape
     n = samples.shape[0]
 
     m = a.max(axis=1)

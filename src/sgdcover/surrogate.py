@@ -82,13 +82,14 @@ class PiecewiseQuadraticApprox:
     Cells are nearest-anchor regions inside each smooth piece, ties broken
     toward the lowest anchor index.  When the anchors form an eps-cover of
     the domain with eps = xi / (curvature + beta_prime), the surrogate
-    gradient tracks the true gradient to within xi everywhere.
+    gradient tracks the true gradient to within xi everywhere.  Only the
+    gradient pieces are stored: the cover and the THM 3.2 certificate read
+    the surrogate's gradients alone, never its values.
     """
 
     source: PiecewiseSmoothFunction
-    anchors: np.ndarray        # (m, d)
-    anchor_values: np.ndarray  # (Q, m)
-    anchor_grads: np.ndarray   # (Q, m, d)
+    anchors: np.ndarray       # (m, d)
+    anchor_grads: np.ndarray  # (Q, m, d)
     strong_convexity: float
     curvature: float
     xi: float
@@ -150,17 +151,6 @@ class PiecewiseQuadraticApprox:
         p = self._anchor_rows(thetas)
         return self.anchor_grads[q, p] + self.curvature * (thetas - self.anchors[p])
 
-    def value(self, theta) -> float:
-        theta = as_point(theta, dim=self.dim)
-        q = self.source.piece_of(theta)
-        p = self.anchor_index(theta)
-        diff = theta - self.anchors[p]
-        return float(
-            self.anchor_values[q, p]
-            + self.anchor_grads[q, p] @ diff
-            + 0.5 * self.curvature * diff @ diff
-        )
-
 
 def _anchor_lattice(domain: ConvexDomain, epsilon: float, cap: int) -> np.ndarray:
     """Axis-aligned lattice whose points eps-cover the domain, projected in.
@@ -220,15 +210,12 @@ def build_piecewise_approx(
         epsilon = xi / (beta + fn.beta_prime)
         anchor_arr = _anchor_lattice(domain, epsilon, cap)
 
-    m = anchor_arr.shape[0]
-    values = np.empty((fn.Q, m))
-    grads = np.empty((fn.Q, m, domain.dim))
+    grads = np.empty((fn.Q, anchor_arr.shape[0], domain.dim))
     for q, piece in enumerate(fn.pieces):
-        for p in range(m):
-            values[q, p] = piece.value(anchor_arr[p])
-            grads[q, p] = np.asarray(piece.grad(anchor_arr[p]), dtype=float)
+        for p, anchor in enumerate(anchor_arr):
+            grads[q, p] = np.asarray(piece.grad(anchor), dtype=float)
     return PiecewiseQuadraticApprox(
-        source=fn, anchors=anchor_arr, anchor_values=values, anchor_grads=grads,
+        source=fn, anchors=anchor_arr, anchor_grads=grads,
         strong_convexity=alpha, curvature=beta, xi=xi,
         spacing_epsilon=epsilon, domain=domain,
     )

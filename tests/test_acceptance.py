@@ -165,7 +165,7 @@ class TestAcceptance:
             ds = Dataset(tuple(rng.uniform(-1, 1, d) for _ in range(n)))
             theta = rng.uniform(-1, 1, (K, d))
             worst_residual = max(
-                worst_residual, verify_em_equivalence(theta, ds, zeta, K=K, d=d).residual
+                worst_residual, verify_em_equivalence(theta, ds, zeta).residual
             )
 
         K, d, zeta = 3, 2, 0.7

@@ -398,7 +398,7 @@ class TestKeyedStreams:
 def _gradient_of(value: float) -> LossFamily:
     """A one-dimensional family whose gradient is ``value`` everywhere."""
     return LossFamily(name="const", constants=LossConstants(),
-                      value=lambda t, z: 0.0, grad=lambda t, z: np.array([value]), dim=1)
+                      value=lambda t, z: 0.0, grad=lambda t, z: np.array([value]))
 
 
 def _step(update, theta, dataset=Dataset((None,))):

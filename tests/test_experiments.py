@@ -52,7 +52,7 @@ class TestEstimateGap:
         const = LossFamily(
             name="const", constants=LossConstants(B=0.0),
             value=lambda t, z: float(t @ t), grad=lambda t, z: 2.0 * np.asarray(t),
-            dim=2, domain=Ball(np.zeros(2), 1.0),
+            domain=Ball(np.zeros(2), 1.0),
         )
         ds = Dataset(tuple(CENTERS), uniform_over(CENTERS))
         traj = short_trajectory(const, ds)
@@ -370,7 +370,7 @@ class TestEMEquivalence:
             zeta = float(rng.uniform(0.1, 2.0))
             ds = Dataset(tuple(rng.uniform(-1, 1, d) for _ in range(n)))
             theta = rng.uniform(-1, 1, (K, d))
-            rep = verify_em_equivalence(theta, ds, zeta, K=K, d=d)
+            rep = verify_em_equivalence(theta, ds, zeta)
             assert rep.passed and rep.residual <= 1e-8
 
     def test_relation_tracks_zeta(self):
@@ -382,15 +382,10 @@ class TestEMEquivalence:
 
     def test_single_point_closed_form(self):
         z = np.array([0.4])
-        rep = verify_em_equivalence(np.array([[0.4]]), Dataset((z,)), zeta=0.9, K=1, d=1)
+        rep = verify_em_equivalence(np.array([[0.4]]), Dataset((z,)), zeta=0.9)
         assert rep.gmm_log_likelihood == pytest.approx(
             math.log(math.sqrt(0.9 / math.pi)), rel=1e-12
         )
-
-    def test_shape_validation(self):
-        ds = Dataset((np.array([0.0, 0.0]),))
-        with pytest.raises(ValueError):
-            verify_em_equivalence(np.zeros((2, 2)), ds, 0.5, K=3)
 
 
 class TestStabilityExperiment:

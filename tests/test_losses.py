@@ -49,6 +49,15 @@ class TestLossConstants:
             with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
                 LossConstants(**{field: value})
 
+    def test_float_fields_refuse_bools_and_text(self):
+        """A bool is not stored as a constant, and text is refused by name
+        rather than failing inside ``math.isfinite``."""
+        for field, value in itertools.product(("alpha", "beta", "L", "B", "R", "zeta"),
+                                              (True, False, "2")):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+                LossConstants(**{field: value})
+        assert LossConstants(alpha=np.float64(0.5), beta=1, L=2).alpha == 0.5
+
     def test_alpha_beta_ordering(self):
         with pytest.raises(ValueError):
             LossConstants(alpha=2.0, beta=1.0)
@@ -281,13 +290,13 @@ _BLOCK_FAMILIES = {
 @pytest.mark.parametrize("d", [None, 2])
 @pytest.mark.parametrize("name", sorted(_BLOCK_FAMILIES))
 def test_block_families_share_one_layout(name, d):
-    """K = 3 blocks in R^d: dimension K*d and the product of K radius-R
-    balls, or neither when d is not given."""
+    """K = 3 blocks in R^d: the product of K radius-R balls, of dimension
+    K*d, or no domain when d is not given."""
     fam = _BLOCK_FAMILIES[name](d)
     if d is None:
-        assert fam.dim is None and fam.domain is None
+        assert fam.domain is None
         return
-    assert fam.dim == 6
+    assert fam.domain.dim == 6
     assert isinstance(fam.domain, ProductOfBalls)
     assert (fam.domain.blocks, fam.domain.block_dim, fam.domain.radius) == (3, 2, 1.5)
 
@@ -406,7 +415,7 @@ class TestBatchedEvaluation:
         fam = LossFamily(
             name="aniso", constants=LossConstants(),
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
-            grad=lambda t, z: A @ (t - z), dim=2,
+            grad=lambda t, z: A @ (t - z),
         )
         assert fam.grad_batch is None and fam.value_batch is None
         ds = Dataset((np.array([0.5, 0.0]), np.array([-0.2, 0.4])))
@@ -420,7 +429,7 @@ class TestBatchedEvaluation:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 5), st.booleans(), st.data())
     def test_row_array_values_stack_point_values_bitwise(self, d, n, m, batched, data):
-        """The (m, d) form of ``values`` is the 1-D form stacked row by row,
+        """The (m, d) form of ``values`` is ``value`` of each row and sample,
         bit for bit, whether the family has ``value_batch`` or not."""
         coords = hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3))
         centers = data.draw(coords)
@@ -429,9 +438,40 @@ class TestBatchedEvaluation:
             fam = dataclasses.replace(fam, value_batch=None)
         thetas = data.draw(hnp.arrays(np.float64, (m, d), elements=st.floats(-1e3, 1e3)))
         ds = Dataset(tuple(centers))
-        rows = np.array([fam.values(t, ds) for t in thetas]).reshape(m, n)
+        rows = np.array([[fam.value(t, z) for z in ds.samples] for t in thetas]).reshape(m, n)
         got = fam.values(thetas, ds)
         assert got.shape == (m, n) and got.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("name", ["quadratic", "quadratic_per_row", "soft_kmeans",
+                                      "hard_kmeans", "multi_index", "stability"])
+    def test_one_parameter_values_are_value_per_sample_bitwise(self, name):
+        """A single parameter is a one-row batch: its (n,) vector is ``value``
+        of each sample, bit for bit, on the batched and per-row paths alike."""
+        rng = np.random.default_rng(23)
+        ball = Ball(np.zeros(2), 1.0)
+        if name.startswith("quadratic"):
+            centers = [ball.sample(rng) for _ in range(5)]
+            fam, samples = quadratic_centers(centers, R=1.0), centers
+            if name == "quadratic_per_row":
+                fam = dataclasses.replace(fam, value_batch=None)
+        elif name in ("soft_kmeans", "hard_kmeans"):
+            fam = (soft_kmeans(K=3, zeta=0.8, R=1.0, d=2) if name == "soft_kmeans"
+                   else hard_kmeans(K=3, R=1.0, d=2))
+            samples = [ball.sample(rng) for _ in range(7)]
+        elif name == "multi_index":
+            fam = multi_index(smooth_margin_link(3), lam=0.1, R=1.0, R_x=1.0, K=3, d=2)
+            samples = [(int(rng.integers(0, 3)), ball.sample(rng)) for _ in range(7)]
+        else:
+            fam, samples = stability_counterexample_1d(), [0, 1, 1, 0]
+        ds = Dataset(tuple(samples))
+        width = fam.domain.dim
+        for _ in range(5):
+            theta = rng.uniform(-1.0, 1.0, width) + (2.0 if name == "stability" else 0.0)
+            ref = np.array([fam.value(theta, z) for z in ds.samples])
+            got = fam.values(theta, ds)
+            assert got.shape == (ds.n,) and got.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            fam.values(np.zeros(width + 1), ds)
 
     def test_replace_keeps_batched_forms(self):
         fam = quadratic_centers([[0.5, 0.0]], R=1.0)

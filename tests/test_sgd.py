@@ -88,7 +88,7 @@ class TestSgdStep:
     def test_non_finite_gradient_rejected(self):
         bad = LossFamily(
             name="bad", constants=LossConstants(),
-            value=lambda t, z: 0.0, grad=lambda t, z: np.array([np.inf]), dim=1,
+            value=lambda t, z: 0.0, grad=lambda t, z: np.array([np.inf]),
         )
         update = SGDStep(bad, 0.1, domain=WholeSpace(1))
         with pytest.raises(FloatingPointError):
@@ -116,7 +116,7 @@ class TestSgdStep:
     def test_projection_needs_a_domain(self):
         bad = LossFamily(
             name="nodomain", constants=LossConstants(),
-            value=lambda t, z: 0.0, grad=lambda t, z: np.zeros(1), dim=1,
+            value=lambda t, z: 0.0, grad=lambda t, z: np.zeros(1),
         )
         with pytest.raises(ValueError):
             SGDStep(bad, 0.1)
@@ -124,7 +124,7 @@ class TestSgdStep:
 
 _HUGE_GRADIENT = LossFamily(
     name="huge", constants=LossConstants(),
-    value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]), dim=1,
+    value=lambda t, z: 0.0, grad=lambda t, z: np.array([1e308]),
 )
 
 
@@ -243,7 +243,7 @@ _WEIGHTS = np.array([1.0, 0.5])
 _HALVING = LossFamily(
     name="halving", constants=LossConstants(),
     value=lambda t, z: 0.5 * float(_WEIGHTS @ (t - z) ** 2),
-    grad=lambda t, z: _WEIGHTS * (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
+    grad=lambda t, z: _WEIGHTS * (t - z), domain=Ball(np.zeros(2), 1.0),
     grad_batch=lambda thetas, zs: _WEIGHTS * (thetas - zs),
 )
 
@@ -323,7 +323,7 @@ class TestCoupledContraction:
             name="aniso", constants=LossConstants(alpha=0.5, beta=2.0, R=1.0),
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
             grad=lambda t, z: A @ (t - z),
-            dim=2, domain=Ball(np.zeros(2), 1.0),
+            domain=Ball(np.zeros(2), 1.0),
         )
         matrix.append((aniso, Dataset(tuple(CENTERS)), aniso.domain, 0.05))
 
@@ -432,7 +432,7 @@ class TestApplyBatch:
         aniso = LossFamily(
             name="aniso", constants=LossConstants(alpha=1.0, beta=2.0),
             value=lambda t, z: 0.5 * float((t - z) @ A @ (t - z)),
-            grad=lambda t, z: A @ (t - z), dim=2, domain=Ball(np.zeros(2), 1.0),
+            grad=lambda t, z: A @ (t - z), domain=Ball(np.zeros(2), 1.0),
         )
         update = SGDStep(aniso, 0.9)
         ds = Dataset(tuple(CENTERS))
@@ -459,7 +459,7 @@ class TestApplyBatch:
         bad = LossFamily(
             name="bad", constants=LossConstants(),
             value=lambda t, z: 0.0,
-            grad=lambda t, z: np.array([np.inf if t[0] > 0 else 0.0]), dim=1,
+            grad=lambda t, z: np.array([np.inf if t[0] > 0 else 0.0]),
         )
         update = SGDStep(bad, 0.1, domain=WholeSpace(1))
         ds = Dataset((None,))
