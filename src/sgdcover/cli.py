@@ -297,7 +297,7 @@ def _cmd_cover(cfg, args):
     lines = [f"cover: {len(cover)} entries at horizon {cover.horizon} -> {args.out}"]
     if verification is not None:
         lines.append(f"verification: {verification.failures} failures in "
-                     f"{verification.trials} trials, max distance "
+                     f"{verification.trials} trials, max own-entry distance "
                      f"{verification.max_min_distance:.6g} vs epsilon {epsilon:.6g}")
     return result, passed, lines, {args.out: cover.write_jsonl}
 

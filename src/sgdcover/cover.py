@@ -3,8 +3,9 @@
 The cover of horizon T enumerates every composition of T single-sample
 updates applied to the origin.  For contractive updates with ratio gamma and
 a domain inside the radius-R ball, any iterate after t >= T steps from any
-start lies within gamma^T * R of one of these points, so the enumeration is
-an epsilon-cover of the reachable set for epsilon >= gamma^T * R.
+start lies within gamma^T * R of its own entry, the composition of its last
+T samples, so the enumeration is an epsilon-cover of the reachable set for
+epsilon >= gamma^T * R in any dimension.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import horizon
-from .core import all_finite
+from .core import all_finite, row_norms
 # kept only because perfbench's tracer rebinds cover.IFSModel.apply and
 # .sample_attractor (ROADMAP item 1 retires it); the IFS code is fractal.py's
 from .fractal import IFSModel  # noqa: F401
@@ -188,10 +189,14 @@ def _enumerate_tree(update: UpdateMap, dataset: Dataset, d: int, T: int) -> np.n
     return level
 
 
+def _point_keys(points: np.ndarray) -> np.ndarray:
+    """Each (N, d) row's bits as one scalar that sorts; 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(points, dtype=float).view((np.void, 8 * points.shape[1]))[:, 0]
+
+
 def _first_of_each_point(points: np.ndarray) -> np.ndarray:
-    """Ascending row numbers of the first row of each distinct point.  Rows
-    are compared by their bits, so 0.0 and -0.0 count as different."""
-    return np.sort(np.unique(points.view(np.int64), axis=0, return_index=True)[1])
+    """Ascending row numbers of the first row of each distinct bit pattern."""
+    return np.sort(np.unique(_point_keys(points), return_index=True)[1])
 
 
 def enumerate_cover(
@@ -246,37 +251,14 @@ def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class CoverVerification:
-    """Empirical soundness report: random restarts against the cover."""
+    """Empirical soundness report: random runs against their own cover entries.
+    ``max_min_distance`` is the largest distance from an endpoint to its own
+    entry, which bounds the distance to the nearest entry from above."""
 
     trials: int
     failures: int
     max_min_distance: float
     passed: bool
-
-
-# squared distances per block of queries; a block holds at least one query
-_BLOCK = 2**20
-
-
-def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Distance from each query row to its nearest point row, computed as
-    sqrt(min_j sum_k (q_k - p_jk)^2) with the sum taken over k in order, the
-    arithmetic of cKDTree for d <= 7.  Costs O(queries x points x d) time and
-    at most max(_BLOCK, N) squared distances of memory at once.
-    """
-    points = np.asarray(points, dtype=float)
-    queries = np.asarray(queries, dtype=float)
-    points_t = np.ascontiguousarray(points.T)
-    best = np.empty(len(queries))
-    rows = max(1, _BLOCK // len(points))
-    for lo in range(0, len(queries), rows):
-        q = queries[lo:lo + rows]
-        d2 = np.zeros((len(q), len(points)))
-        for k in range(len(points_t)):
-            diff = q[:, k, None] - points_t[k]
-            d2 += diff * diff
-        best[lo:lo + rows] = d2.min(axis=1)
-    return np.sqrt(best)
 
 
 def verify_cover(
@@ -289,13 +271,18 @@ def verify_cover(
     seed: int = 0,
 ) -> CoverVerification:
     """Run ``trials`` trajectories from random starts for random t in
-    [T, T + max_extra_steps] and report the worst distance to the cover.
+    [T, T + max_extra_steps] and check each against its own cover entry.
 
     Trial k draws its start, t and indices from ``substream(seed, k)``
     (``draw_runs`` with one run per stream: the streams are seeded together
     and the indices decoded from raw PCG64 words, bitwise what
-    ``rng.integers`` draws), and all trials then advance in lockstep.
-    Passes only if every endpoint lands within epsilon of some cover point.
+    ``rng.integers`` draws), and all trials then advance in lockstep.  A
+    trial's own entry, its last T indices applied to the origin, is rerun in
+    a second lockstep (bitwise what enumeration reaches) and looked up by its
+    bits among the sorted points, which a deduped cover holds too.  Passes
+    only if every own entry is stored and within epsilon of its endpoint;
+    costs O(trials x T x d) beyond the runs.  Piecewise covers, and covers of
+    another sample count or dimension than the runs, are refused before any trial.
     """
     if trials < 1 or max_extra_steps < 0:
         raise ValueError("need trials >= 1 and max_extra_steps >= 0")
@@ -304,13 +291,23 @@ def verify_cover(
     domain = update.domain
     if domain is None:
         raise ValueError("verification needs a bounded domain to sample starts from")
+    if cover.pieces_per_sample is not None:
+        raise ValueError("verify_cover verifies plain covers; this cover has pieces, "
+                         "whose surrogate steps the update cannot replay")
+    if (cover.n_samples, cover.points.shape[1]) != (dataset.n, domain.dim):
+        raise ValueError(f"the cover has {cover.n_samples} samples in R^{cover.points.shape[1]}, "
+                         f"the runs {dataset.n} in R^{domain.dim}")
 
     T = cover.horizon
     starts, steps, indices, _ = draw_runs(seed, trials, 1, domain, T, T + max_extra_steps,
                                           dataset.n)
     endpoints = run_lockstep(update, starts, steps, indices, dataset)
-    dists = _nearest_distances(cover.points, endpoints)
-    failures = int(np.count_nonzero(dists > epsilon))
+    last = np.take_along_axis(indices, steps[:, None] - T + np.arange(T), axis=1)
+    own = run_lockstep(update, np.zeros_like(endpoints), np.full(trials, T), last, dataset)
+    stored, keys = np.sort(_point_keys(cover.points)), _point_keys(own)
+    found = stored[np.minimum(np.searchsorted(stored, keys), len(stored) - 1)] == keys
+    dists = row_norms(endpoints - own)
+    failures = int(np.count_nonzero(~found | (dists > epsilon)))
     return CoverVerification(
         trials=trials, failures=failures, max_min_distance=float(dists.max()),
         passed=failures == 0,

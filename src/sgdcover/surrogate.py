@@ -15,10 +15,12 @@ import numpy as np
 
 from .core import (Ball, Box, ConvexDomain, ProductOfBalls, WholeSpace, as_point, as_rows,
                    ceil_int, linalg_norms)
-from .cover import (_BLOCK, DEFAULT_CAP, CoverSet, EnumerationCapExceeded,
-                    _first_of_each_point, enumerate_cover)
+from .cover import (DEFAULT_CAP, CoverSet, EnumerationCapExceeded, _first_of_each_point,
+                    enumerate_cover)
 from .losses import Dataset
 from .sgd import CustomMap
+
+_BLOCK = 2**20  # squared differences per block of rows; a block holds at least one row
 
 
 @dataclass(frozen=True, eq=False)

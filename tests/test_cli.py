@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import io
 import itertools
@@ -807,7 +808,7 @@ class TestGoldenArtifacts:
         (["cover", "--scenario", "scenario.json", "--epsilon", "0.1666667", "--dedupe",
           "--verify-trials", "200", "--seed", "3", "--out", "c"],
          {"c": "86afedfa5926ceafe08f81c1f74e6ca48e29da083d017f7f0062a07af3146a78",
-          "c.meta.json": "074f660153ee3284ec66f3055357f2891be3258150613627e9f893d674c225ef"}),
+          "c.meta.json": "e037587334bf68770680c28bc46ef0d32cfe0b2493a19f79407f53f65268bda6"}),
         (["contract", "--scenario", "scenario.json", "--pairs", "20", "--steps", "30",
           "--seed", "11", "--out", "a.json"],
          {"a.json": "93805153580d9697e1ec4ada87ba06bfd31c57274c3421bd11aab13fa677d415"}),
@@ -1331,6 +1332,33 @@ def test_perfbench_probe_runs(tmp_path, call, spec):
     result = load(result_path)
     assert result["threads1_s"] > 0 and result["threads2_s"] > 0
     assert result.get("entries") == (27 if call == "enumerate_cover" else None)
+
+
+def _perfbench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded from its file as the benchmark has it
+    (registered while the test runs, as its dataclasses need)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["cover-enum", "cover-verify", "validate", "ifs"])
+def test_perfbench_workload_checks_pass(tmp_path, monkeypatch, name):
+    """Each benchmark workload at seed 1, run in process: its own ``prepare``,
+    the CLI on the argv it gives, then its own output ``check`` (cover files
+    against a numpy recurrence, cover-verify's worst distance against
+    gamma^T R, validate's CSV against its report, the Cantor dimension)."""
+    workloads = _perfbench_workloads(monkeypatch)
+    assert sorted(workloads.WORKLOADS) == ["cover-enum", "cover-verify", "ifs", "validate"]
+    workload = workloads.WORKLOADS[name]
+    (tmp_path / workloads.OUT).mkdir()
+    argv = workload.prepare(tmp_path, 1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    workload.check(tmp_path, 1, code)
 
 
 def test_import_leaves_numpy_random_unloaded():

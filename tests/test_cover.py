@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sgdcover import cover as cover_module
 from sgdcover import fractal
 from sgdcover import surrogate as surrogate_module
-from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, ceil_int
+from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, ceil_int, row_norms
 from sgdcover.cover import (
     CoverSet,
     EnumerationCapExceeded,
@@ -485,15 +485,15 @@ class TestVerifyCover:
         assert not bad.passed and bad.failures > 0
 
     def test_frozen_verification(self):
-        """Frozen worst distance and failure counts of a small run."""
+        """Frozen worst own-entry distance and failure counts of a small run."""
         _, ds, update = quadratic_cover_setup()
         eps = 1.0 / 6.0
         cov = enumerate_cover(update, ds, T=cover_horizon(1.0, eps, 0.5))
         ok = verify_cover(cov, update, ds, trials=300, max_extra_steps=20, epsilon=eps, seed=3)
-        assert (ok.max_min_distance, ok.failures) == (0.11856648405040639, 0)
+        assert (ok.max_min_distance, ok.failures) == (0.12175321620818923, 0)
         bad = verify_cover(cov, update, ds, trials=300, max_extra_steps=20,
                            epsilon=eps / 100.0, seed=3)
-        assert (bad.max_min_distance, bad.failures) == (0.11856648405040639, 300)
+        assert (bad.max_min_distance, bad.failures) == (0.12175321620818923, 300)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
     def test_vacuous_epsilon_rejected_before_any_trial(self, monkeypatch, epsilon):
@@ -507,9 +507,10 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="finite and positive"):
             verify_cover(cov, update, ds, trials=10, max_extra_steps=5, epsilon=epsilon)
 
-    def test_lockstep_matches_sequential_reference(self):
-        """A user-built family (per-row fallback) verified in lockstep
-        agrees exactly with trials run one at a time through sgd_step."""
+    def test_lockstep_matches_sequential_reference(self, monkeypatch):
+        """A user-built family (per-row fallback) verified in lockstep gives,
+        run by run and bitwise, the own distances of trials run one at a
+        time through sgd_step, and every own entry is a stored cover point."""
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
         aniso = LossFamily(
             name="aniso", constants=LossConstants(alpha=1.0, beta=2.0, L=1.0, R=1.0),
@@ -519,17 +520,107 @@ class TestVerifyCover:
         ds = Dataset(tuple(CENTERS))
         update = SGDStep(aniso, 0.5)
         cov = enumerate_cover(update, ds, T=4)
-        points = cov.points
-        dists = []
-        for k in range(60):
-            rng = substream(9, k)
-            theta = update.domain.sample(rng)
-            for i in rng.integers(0, ds.n, size=int(rng.integers(4, 15))):
-                theta = sgd_step(update, theta, int(i), ds)
-            dists.append(float(np.sqrt(np.min(np.sum((points - theta) ** 2, axis=1)))))
+        ends, owns = _sequential_runs(update, ds, T=4, max_extra_steps=10, seed=9, trials=60)
+        assert _stored_rows(cov.points, owns).all()
+        expected = row_norms(ends - owns)
+        dists = _spy_distances(monkeypatch)
         out = verify_cover(cov, update, ds, trials=60, max_extra_steps=10, epsilon=0.05, seed=9)
-        assert out.max_min_distance == pytest.approx(max(dists), rel=1e-15)
-        assert out.failures == sum(d > 0.05 for d in dists)
+        np.testing.assert_array_equal(dists[0], expected)
+        assert (out.max_min_distance, out.failures) == (expected.max(),
+                                                        int(np.sum(expected > 0.05)))
+
+    def test_verification_far_from_origin(self, monkeypatch):
+        """Verification in a Box near [1e3, 1e3 + 1]^2 gives, bitwise, the own
+        distances of a sequential sgd_step reference, none below the nearest
+        stored point's distance."""
+        centers = [np.array([1e3 + 0.8, 1e3 + 0.1]), np.array([1e3 + 0.2, 1e3 + 0.6]),
+                   np.array([1e3 + 0.5, 1e3 + 0.9])]
+        update = SGDStep(quadratic_centers(centers, R=2e3), 0.5,
+                         domain=Box(np.full(2, 1e3), np.full(2, 1e3 + 1)))
+        ds = Dataset(tuple(centers))
+        cov = enumerate_cover(update, ds, T=4)
+        ends, owns = _sequential_runs(update, ds, T=4, max_extra_steps=10, seed=4, trials=500)
+        assert _stored_rows(cov.points, owns).all()
+        expected = row_norms(ends - owns)
+        # in d = 2 row_norms sums in order, as the reference search does
+        assert np.all(expected >= _sequential_nearest(cov.points, ends))
+        dists = _spy_distances(monkeypatch)
+        out = verify_cover(cov, update, ds, trials=500, max_extra_steps=10, epsilon=0.05, seed=4)
+        np.testing.assert_array_equal(dists[0], expected)
+        assert (out.max_min_distance, out.failures) == (expected.max(),
+                                                        int(np.sum(expected > 0.05)))
+
+    @pytest.mark.parametrize("d", [2, 64, 1024])
+    def test_own_distance_across_dimensions(self, monkeypatch, d):
+        """Paper claim: after t >= T steps a run lies within gamma^T R of its
+        own entry, whatever d.  For 3 centers, gamma = 0.5 and T = 4, on every
+        one of 2,000 runs the own distance is at least the nearest stored
+        point's distance (both by row_norms, so the comparison is exact) and
+        at most gamma^T R (1 + 1e-9), the rounding allowance perfbench's
+        cover-verify check also grants."""
+        centers = list(np.random.default_rng(d).uniform(-1, 1, (3, d)) / math.sqrt(d))
+        fam = quadratic_centers(centers, R=1.0)
+        update, ds = SGDStep(fam, 0.5, domain=fam.domain), Dataset(tuple(centers))
+        cov = enumerate_cover(update, ds, T=4)
+        bound = 0.5**4 * 1.0 * (1 + 1e-9)
+        runs = []
+        monkeypatch.setattr(cover_module, "run_lockstep",
+                            lambda *args: runs.append(run_lockstep(*args)) or runs[-1])
+        out = verify_cover(cov, update, ds, trials=2000, max_extra_steps=6, epsilon=bound,
+                           seed=d)
+        endpoints, own = runs
+        dists = row_norms(endpoints - own)
+        nearest = np.min([row_norms(endpoints - p) for p in cov.points], axis=0)
+        assert np.all(dists >= nearest) and np.all(dists <= bound)
+        assert (out.failures, out.max_min_distance) == (0, dists.max())
+
+    def test_moved_stored_point_fails_by_lookup(self):
+        """One stored point moved by one ulp fails the runs whose own entry it
+        was, though no distance changes: the recomputed entry is not stored."""
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=3)
+        points = cov.points.copy()
+        points[13, 0] = np.nextafter(points[13, 0], np.inf)
+        moved = CoverSet(horizon=3, points=points, index=cov.index, n_samples=3)
+        ok, bad = (verify_cover(c, update, ds, trials=2000, max_extra_steps=5,
+                                epsilon=1.0 / 6.0, seed=5) for c in (cov, moved))
+        assert ok.passed and not bad.passed and bad.failures > 0
+        assert bad.max_min_distance == ok.max_min_distance
+
+    def test_deduped_cover_passes(self):
+        """At eta = 1 every composition ends near its last sample's center, so
+        dedupe keeps 10 of the 81 entries; each run's own entry is still
+        stored bitwise, and the endpoints lie within rounding of it."""
+        _, ds, update = quadratic_cover_setup(eta=1.0)
+        cov = enumerate_cover(update, ds, T=4, dedupe=True)
+        out = verify_cover(cov, update, ds, trials=2000, max_extra_steps=5, epsilon=1e-9,
+                           seed=1)
+        assert len(cov) == 10 and out.passed and out.failures == 0
+
+    @pytest.mark.parametrize("kind", ["piecewise", "other-dataset", "other-dimension"])
+    def test_unverifiable_cover_refused_before_any_trial(self, monkeypatch, kind):
+        """A piecewise cover's digits pick surrogate pieces the update cannot
+        replay, and a cover of another sample count or dimension than the
+        runs holds other entries: each is refused before a trial is drawn."""
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=2)
+        match = r"the cover has 3 samples in R\^2, the runs 2 in R\^2"
+        if kind == "piecewise":
+            cov = CoverSet(horizon=1, points=np.zeros((6, 2)), index=np.arange(6),
+                           n_samples=3, pieces_per_sample=2)
+            match = "surrogate steps the update cannot replay"
+        elif kind == "other-dataset":
+            ds = Dataset(tuple(CENTERS[:2]))
+        else:
+            cov = CoverSet(horizon=2, points=np.zeros((9, 3)), index=np.arange(9), n_samples=3)
+            match = r"the cover has 3 samples in R\^3, the runs 3 in R\^2"
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(cover_module, "draw_runs", no_trials)
+        with pytest.raises(ValueError, match=match):
+            verify_cover(cov, update, ds, trials=10, max_extra_steps=5, epsilon=0.5)
 
     def test_soundness_across_contractive_families(self):
         """Covers built at eps = 1/(2 L n) stay sound for every strongly
@@ -589,101 +680,37 @@ def _sequential_nearest(points, queries):
     return np.sqrt(d2.min(axis=1))
 
 
-def _near_tie_ring(rng, center, count=64, queries=200):
-    """Points on a radius-1/4 ring around ``center`` and queries within 1e-9
-    of it: every distance is within a few ulp of the others."""
-    angles = rng.uniform(0.0, 2.0 * np.pi, count)
-    points = center + 0.25 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return points, center + rng.normal(scale=1e-9, size=(queries, 2))
+def _sequential_runs(update, ds, T, max_extra_steps, seed, trials):
+    """Endpoints and own entries of ``verify_cover``'s trials, one sgd_step
+    at a time: trial k draws its start, step count and indices from
+    ``substream(seed, k)``, and its own entry is the sgd_step loop from the
+    origin over its last T indices."""
+    ends, owns = [], []
+    for k in range(trials):
+        rng = substream(seed, k)
+        theta = update.domain.sample(rng)
+        idx = rng.integers(0, ds.n, size=int(rng.integers(T, T + max_extra_steps + 1)))
+        own = np.zeros(update.domain.dim)
+        for j, i in enumerate(idx.tolist()):
+            theta = sgd_step(update, theta, i, ds)
+            if j >= len(idx) - T:
+                own = sgd_step(update, own, i, ds)
+        ends.append(theta)
+        owns.append(own)
+    return np.array(ends), np.array(owns)
 
 
-class TestNearestDistances:
-    """cover._nearest_distances, the search behind verify_cover."""
+def _stored_rows(points, rows):
+    """Whether each row is, bit for bit, one of the points."""
+    stored = {p.tobytes() for p in points}
+    return np.array([r.tobytes() in stored for r in rows])
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 64, 1024])
-    def test_bitwise_equal_to_sequential_reference(self, d):
-        rng = np.random.default_rng(d)
-        points, queries = rng.uniform(-1, 1, (150, d)), rng.uniform(-1, 1, (200, d))
-        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
-                                      _sequential_nearest(points, queries))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
-    def test_bitwise_equal_to_kdtree_up_to_seven_dimensions(self, d):
-        """cKDTree sums coordinates in order below d = 8, so it agrees bitwise."""
-        spatial = pytest.importorskip("scipy.spatial")
-        rng = np.random.default_rng(10 + d)
-        points, queries = rng.uniform(-1, 1, (300, d)), rng.uniform(-1, 1, (400, d))
-        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
-                                      spatial.cKDTree(points).query(queries)[0])
-
-    @pytest.mark.parametrize("d", [8, 64, 1024])
-    def test_kdtree_within_summation_order_bound(self, d):
-        """From d = 8 cKDTree sums in four interleaved lanes; both sums lie
-        within gamma_{d+2} of the true squared distance."""
-        spatial = pytest.importorskip("scipy.spatial")
-        rng = np.random.default_rng(20 + d)
-        points, queries = rng.uniform(-1, 1, (150, d)), rng.uniform(-1, 1, (200, d))
-        kd = spatial.cKDTree(points).query(queries)[0]
-        got = cover_module._nearest_distances(points, queries)
-        np.testing.assert_array_less(np.abs(got - kd), (d + 4) * np.finfo(float).eps * kd)
-
-    def test_duplicate_points(self):
-        rng = np.random.default_rng(1)
-        points = rng.permutation(np.repeat(rng.uniform(-1, 1, (20, 2)), 7, axis=0))
-        queries = rng.uniform(-1, 1, (300, 2))
-        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
-                                      _sequential_nearest(points, queries))
-
-    def test_query_on_a_cover_point_is_at_distance_zero(self):
-        rng = np.random.default_rng(2)
-        points = 1e3 + rng.uniform(0, 1, (50, 3))
-        dists = cover_module._nearest_distances(points, points[::-1])
-        assert dists.tolist() == [0.0] * 50
-
-    @pytest.mark.parametrize("center", [[0.3, -0.2], [1e3 + 0.3, 1e3 + 0.7]],
-                             ids=["near-origin", "far-from-origin"])
-    def test_near_ties(self, center):
-        points, queries = _near_tie_ring(np.random.default_rng(3), np.array(center))
-        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
-                                      _sequential_nearest(points, queries))
-
-    def test_verification_far_from_origin(self, monkeypatch):
-        """Verification in a Box near [1e3, 1e3 + 1]^2 searches exactly."""
-        centers = [np.array([1e3 + 0.8, 1e3 + 0.1]), np.array([1e3 + 0.2, 1e3 + 0.6]),
-                   np.array([1e3 + 0.5, 1e3 + 0.9])]
-        update = SGDStep(quadratic_centers(centers, R=2e3), 0.5,
-                         domain=Box(np.full(2, 1e3), np.full(2, 1e3 + 1)))
-        ds = Dataset(tuple(centers))
-        cov = enumerate_cover(update, ds, T=4)
-        search, seen = cover_module._nearest_distances, []
-        monkeypatch.setattr(cover_module, "_nearest_distances",
-                            lambda points, queries: seen.append(queries) or search(points, queries))
-        out = verify_cover(cov, update, ds, trials=500, max_extra_steps=10, epsilon=0.05, seed=4)
-        expected = _sequential_nearest(cov.points, seen[0])
-        np.testing.assert_array_equal(search(cov.points, seen[0]), expected)
-        assert (out.max_min_distance, out.failures) == (expected.max(),
-                                                        int(np.sum(expected > 0.05)))
-
-    def test_one_ulp_tie(self):
-        one_up = np.nextafter(1.0, 2.0)
-        points = np.array([[one_up, 0.0], [0.0, -one_up], [-1.0, 0.0], [0.0, one_up]])
-        assert cover_module._nearest_distances(points, np.zeros((1, 2))).tolist() == [1.0]
-
-    def test_one_point_cover(self):
-        queries = np.random.default_rng(4).uniform(-1, 1, (30, 2))
-        got = cover_module._nearest_distances(np.array([[0.25, -0.5]]), queries)
-        np.testing.assert_array_equal(got, _sequential_nearest(np.array([[0.25, -0.5]]),
-                                                               queries))
-
-    @pytest.mark.parametrize("block", [1, 1000, cover_module._BLOCK])
-    def test_more_queries_than_one_block(self, monkeypatch, block):
-        """Blocks of one query (block < N), of a few and of the default size
-        give the same distances; 1500 x 2500 spans four default blocks."""
-        monkeypatch.setattr(cover_module, "_BLOCK", block)
-        rng = np.random.default_rng(5)
-        points, queries = rng.uniform(-1, 1, (1500, 3)), rng.uniform(-1, 1, (2500, 3))
-        np.testing.assert_array_equal(cover_module._nearest_distances(points, queries),
-                                      _sequential_nearest(points, queries))
+def _spy_distances(monkeypatch):
+    """The per-run distance arrays ``verify_cover`` computes, as it computes them."""
+    seen = []
+    monkeypatch.setattr(cover_module, "row_norms", lambda x: seen.append(row_norms(x)) or seen[-1])
+    return seen
 
 
 def _per_sample_quadratic_approx(z, beta=1.0, anchors=None):
