@@ -262,14 +262,21 @@ class Ball(ConvexDomain):
         return self.center.shape[0]
 
     def project(self, x) -> np.ndarray:
-        """``x`` as a float array, not validated again, when it is a 1-D
-        point of the ball's dimension inside the ball: a norm test that
-        passes proves it finite.  Every other input takes the base class's
-        validated one-row projection."""
+        """``x`` as a float array, not validated again, when ``_holds`` it.
+        Every other input takes the base class's validated one-row projection."""
         arr = np.asarray(x, dtype=float)
-        if arr.shape == self.center.shape and row_norms(arr - self.center) <= self.radius:
+        if self._holds(arr):
             return arr
         return super().project(arr)
+
+    def _holds(self, x: np.ndarray) -> bool:
+        """Whether the float array ``x`` is a 1-D point of the ball's dimension
+        inside the ball.  A pass proves ``x`` finite: a nan or infinite entry
+        makes the norm nan or inf.  The norm is bitwise ``row_norms``'s."""
+        if x.shape != self.center.shape:
+            return False
+        off = x - self.center
+        return math.sqrt(np.add.reduce(off * off)) <= self.radius
 
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)

@@ -88,8 +88,9 @@ class CoverSet:
     Row k of ``points`` is reached by the choices that are the base-(n*P)
     digits of ``index[k]``, first choice most significant; choice c picks
     sample c // P and piece c % P (P = 1 for a plain cover).  ``index`` is
-    ``arange(N)`` unless the cover was deduped.  Points must be finite.  The
-    cover is the sequence of its entries: ``cover[k]``, slices as tuples.
+    ``arange(N)`` unless the cover was deduped.  Points must be finite
+    float64.  The cover is the sequence of its entries: ``cover[k]``, slices
+    as tuples.
     """
 
     horizon: int
@@ -100,6 +101,8 @@ class CoverSet:
     deduped: bool = False
 
     def __post_init__(self):
+        if self.points.dtype != np.float64:
+            raise ValueError(f"cover points must be float64, got {self.points.dtype}")
         if not all_finite(self.points):
             raise ValueError("cover points have non-finite entries")
 
@@ -177,7 +180,9 @@ def _enumerate_tree(update: UpdateMap, dataset: Dataset, d: int, T: int) -> np.n
     """Endpoints of all n^T compositions of the per-sample updates applied to
     the origin of R^d, one ``sgd_step`` call per tree node, built level by
     level: row k*n + i of a level is sample i's update of row k of the level
-    above, so row k of the result takes the base-n digits of k as its samples."""
+    above, so row k of the result takes the base-n digits of k as its samples.
+    A node whose ``SGDStep`` update stays inside a ball is proved finite by
+    one inside test and checked no further (``SGDStep.apply``)."""
     n = dataset.n
     level = np.zeros((1, d))
     for _ in range(T):
@@ -279,7 +284,8 @@ def verify_cover(
     ``rng.integers`` draws), and all trials then advance in lockstep.  A
     trial's own entry, its last T indices applied to the origin, is rerun in
     a second lockstep (bitwise what enumeration reaches) and looked up by its
-    bits among the sorted points, which a deduped cover holds too.  Passes
+    bits among the sorted points, which a deduped cover holds too; the
+    lookup needs float64 points, which ``CoverSet`` requires.  Passes
     only if every own entry is stored and within epsilon of its endpoint;
     costs O(trials x T x d) beyond the runs.  Piecewise covers, and covers of
     another sample count or dimension than the runs, are refused before any trial.

@@ -40,9 +40,24 @@ class SGDStep:
                 raise ValueError("no domain to project onto; pass domain=WholeSpace(d) for none")
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
-        g = np.asarray(self.family.grad(theta, z), dtype=float)
-        out = _checked_update(theta, self.eta, g)
-        return self.domain.project(out)
+        """Row 0 of ``apply_batch`` on the one-row batch ``theta[None]``, bitwise.
+
+        The gradient is the family's ``grad_batch`` on one-row views when
+        the family has one and ``theta`` has the domain's width, else its
+        ``grad``, as ``grad_rows`` falls back to.  On a ``Ball`` an update
+        that the ball's inside test keeps is returned as it is: the test
+        proves it finite, so no other check runs.  Any other update is
+        checked by ``_checked_update`` and takes the validated projection.
+        """
+        grad_batch, domain = self.family.grad_batch, self.domain
+        if grad_batch is not None and theta.shape == (domain.dim,):
+            g = grad_batch(theta[None], np.asarray(z, dtype=float)[None])[0]
+        else:
+            g = np.asarray(self.family.grad(theta, z), dtype=float)
+        out = theta - self.eta * g
+        if isinstance(domain, Ball) and domain._holds(out):
+            return out
+        return domain.project(_checked_update(theta, g, out))
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
         """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise.  Rows
@@ -50,17 +65,16 @@ class SGDStep:
         shape, d = np.shape(thetas), self.domain.dim
         if len(shape) != 2 or shape[1] != d:
             raise ValueError(f"expected an (m, {d}) array of points, got shape {shape}")
-        out = _checked_update(thetas, self.eta, self.family.grad_rows(thetas, dataset, idx))
-        return self.domain.project_batch(out)
+        g = self.family.grad_rows(thetas, dataset, idx)
+        return self.domain.project_batch(_checked_update(thetas, g, thetas - self.eta * g))
 
 
-def _checked_update(theta: np.ndarray, eta: float, g: np.ndarray) -> np.ndarray:
-    """``theta - eta * g``, refused when not finite, before any projection.
-    A non-finite ``theta`` or gradient makes the update non-finite too, so
-    one check on the result covers every fault; the inputs are read again
-    only to name it: ValueError for ``theta``, as ``as_point`` raises, else
-    FloatingPointError."""
-    out = theta - eta * g
+def _checked_update(theta: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The update ``out = theta - eta * g``, refused when not finite, before
+    any projection.  A non-finite ``theta`` or gradient makes the update
+    non-finite too, so one check on the result covers every fault; the
+    inputs are read again only to name it: ValueError for ``theta``, as
+    ``as_point`` raises, else FloatingPointError."""
     if not all_finite(out):
         if not all_finite(theta):
             raise ValueError("point has non-finite entries")
@@ -114,13 +128,15 @@ def contraction_factor(alpha: float, beta: float, eta: float) -> float:
 def sgd_step(update: UpdateMap, theta, sample_index: int, dataset: Dataset) -> np.ndarray:
     """Apply one update using sample ``sample_index`` of the dataset.  Only
     the shape of ``theta`` is checked before the index (a scalar is a
-    1-point); the update checks the point finite, as ``as_point`` would."""
+    1-point); the update proves the point finite (``SGDStep.apply``) or
+    checks it, raising what ``as_point`` would."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         theta = as_point(theta)
-    if not 0 <= sample_index < dataset.n:
-        raise IndexError(f"sample index {sample_index} out of range [0, {dataset.n})")
-    return update.apply(theta, dataset.samples[sample_index])
+    samples = dataset.samples
+    if not 0 <= sample_index < len(samples):
+        raise IndexError(f"sample index {sample_index} out of range [0, {len(samples)})")
+    return update.apply(theta, samples[sample_index])
 
 
 # numpy draws a bounded integer of range up to 2**32 from one 32-bit half

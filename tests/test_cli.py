@@ -16,6 +16,7 @@ import pkgutil
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,16 @@ class TestCoverCommand:
         meta = load(str(out) + ".meta.json")
         assert meta["result"]["entries"] == 4
         assert meta["seed"] == 0
+
+    def test_cover_raises_no_runtime_warning(self, tmp_path):
+        """The one-row step proves each update finite by the ball's inside
+        test; on finite data that path warns of nothing."""
+        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["cover", "--scenario", spath, "--T", "4",
+                        "--out", str(tmp_path / "cover.jsonl")])
+        assert code == EXIT_OK
 
     def test_verification_path(self, tmp_path):
         spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)

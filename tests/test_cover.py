@@ -269,26 +269,55 @@ class TestEnumerateCover:
                 eta=0.4, T=T)
             assert len(calls) == (4 ** (T + 1) - 4) // 3
 
-    def test_one_finiteness_check_per_tree_node(self, monkeypatch):
-        """Each node's point is validated by ``as_point`` once, in the family
-        gradient: ``sgd_step`` checks only the shape of a 1-D point, the
-        update's result is checked finite by ``_checked_update``, and the
-        projection returns a point inside the ball as it is."""
+    @staticmethod
+    def _count_checks(monkeypatch, eta, T=4):
+        """Finiteness checks over ``enumerate_cover(T=4)``: calls of
+        ``as_point`` and ``all_finite`` (in ``core``, ``losses`` and ``sgd``),
+        of the ball's inside test and of ``_checked_update``, with the number
+        of tree nodes and of nodes whose update the projection moves."""
         from sgdcover import core, losses, sgd
 
-        calls = []
-        original = core.as_point
+        _, ds, update = quadratic_cover_setup(eta)
+        counts = {"as_point": 0, "all_finite": 0, "_holds": 0, "_checked_update": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
 
-        _, ds, update = quadratic_cover_setup()
         for module in (core, losses, sgd):
-            monkeypatch.setattr(module, "as_point", counting)
-        T = 4
-        enumerate_cover(update, ds, T=T)
-        assert len(calls) == (3 ** (T + 1) - 3) // 2
+            for name in ("as_point", "all_finite"):
+                monkeypatch.setattr(module, name, counting(name, getattr(core, name)))
+        monkeypatch.setattr(sgd, "_checked_update",
+                            counting("_checked_update", sgd._checked_update))
+        monkeypatch.setattr(Ball, "_holds", counting("_holds", Ball._holds))
+        points = enumerate_cover(update, ds, T=T).points
+        # every node, level by level, with the update each one takes
+        moved, level = 0, np.zeros((1, 2))
+        for _ in range(T):
+            raw = (level[:, None, :] - eta * (level[:, None, :] - ds.matrix)).reshape(-1, 2)
+            out = row_norms(raw) > 1.0
+            moved += int(out.sum())
+            level = raw.copy()
+            level[out] /= row_norms(raw[out])[:, None]
+        np.testing.assert_allclose(level, points, rtol=0, atol=1e-12)
+        return counts, (3 ** (T + 1) - 3) // 2, moved
+
+    def test_one_finiteness_check_per_tree_node(self, monkeypatch):
+        """Each node's update stays inside the ball and is proved finite by
+        exactly one inside test (``Ball._holds``), with no ``as_point``,
+        ``all_finite`` or ``_checked_update``."""
+        counts, nodes, moved = self._count_checks(monkeypatch, eta=0.5)
+        assert moved == 0
+        assert counts == {"as_point": 0, "all_finite": 0, "_holds": nodes, "_checked_update": 0}
+
+    def test_one_checked_update_per_moved_node(self, monkeypatch):
+        """At eta = 1.5 some updates leave the ball; each one the projection
+        moves is checked by exactly one ``_checked_update``."""
+        counts, nodes, moved = self._count_checks(monkeypatch, eta=1.5)
+        assert 0 < moved < nodes
+        assert counts["_checked_update"] == moved
 
     def test_dependency_bit_for_bit(self):
         """Perturbing samples outside an entry's dependency set leaves its
@@ -421,6 +450,15 @@ class TestJsonlWriter:
         points = np.array([[0.5, -0.0], [bad, 2.0]])
         with pytest.raises(ValueError, match="non-finite"):
             CoverSet(horizon=1, points=points, index=np.arange(2, dtype=np.int64), n_samples=2)
+
+    def test_cover_refuses_points_other_than_float64(self):
+        """Bits of float32 points never match a float64 run's own entry, so
+        ``verify_cover`` would fail every run; the cover refuses them."""
+        _, ds, update = quadratic_cover_setup()
+        cov = enumerate_cover(update, ds, T=2)
+        with pytest.raises(ValueError, match="^cover points must be float64, got float32$"):
+            CoverSet(horizon=2, points=cov.points.astype(np.float32), index=cov.index,
+                     n_samples=3)
 
     @staticmethod
     def _write_peak(cov, path):

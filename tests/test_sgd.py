@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sgdcover import sgd as sgd_module
-from sgdcover.core import DETERMINISTIC_TOL, Ball, Box, ProductOfBalls, WholeSpace, substream
-from sgdcover.families import hard_kmeans, multi_index, zero_link
+from sgdcover.core import (DETERMINISTIC_TOL, Ball, Box, ProductOfBalls, WholeSpace, row_norms,
+                           substream)
+from sgdcover.families import (hard_kmeans, multi_index, soft_kmeans, squared_error_link,
+                                stability_counterexample_1d, zero_link)
 from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
 from sgdcover.sgd import CustomMap, SGDStep, contraction_factor, draw_runs, run_lockstep, sgd_step
 from sgdcover.trajectory import coupled_contraction_ratio, run_trajectory
@@ -541,6 +544,145 @@ class TestRowIndependence:
             for i in indices[k, :steps[k]]:
                 theta = sgd_step(update, theta, int(i), ds)
             assert endpoints[k].tobytes() == theta.tobytes()
+
+
+def _family_matrix(d, rng):
+    """A family of each kind with its dataset: two with ``grad_batch``
+    (quadratic_centers in R^d, the 1-D stability family) and three that
+    take the per-row fallback (multi_index, soft and hard k-means)."""
+    centers = rng.uniform(-1.0, 1.0, size=(3, d))
+    centers *= 0.9 / np.maximum(1.0, np.linalg.norm(centers, axis=1))[:, None]
+    xs = [x / max(1.0, np.linalg.norm(x)) for x in rng.uniform(-1.0, 1.0, size=(3, 2))]
+    points = tuple(rng.uniform(-1.0, 1.0, size=(3, 2)))
+    return [
+        (quadratic_centers(list(centers), R=1.0), Dataset(tuple(centers))),
+        (stability_counterexample_1d(), Dataset((0, 1))),
+        (multi_index(squared_error_link(), lam=0.5, R=1.0, R_x=1.0, K=1, d=2),
+         Dataset(tuple(zip((0.5, -1.0, 2.0), xs)))),
+        (soft_kmeans(K=2, zeta=0.5, R=1.0, d=2), Dataset(points)),
+        (hard_kmeans(K=2, R=1.0, d=2), Dataset(points)),
+    ]
+
+
+def _balls_of(domain):
+    """(center, radius, width) of each ball the domain is made of; the 1-D
+    box [lo, hi] is the ball around its midpoint."""
+    if isinstance(domain, Ball):
+        return [(domain.center, domain.radius, domain.dim)]
+    if isinstance(domain, ProductOfBalls):
+        return [(np.zeros(domain.block_dim), domain.radius, domain.block_dim)] * domain.blocks
+    assert isinstance(domain, Box) and domain.dim == 1
+    return [((domain.lower + domain.upper) / 2, (domain.upper[0] - domain.lower[0]) / 2, 1)]
+
+
+def _straddle(offset, radius):
+    """The last offset inside the sphere and the first outside it, as
+    ``row_norms`` measures, one ulp apart in the largest coordinate."""
+    offset = offset.copy()
+    j = np.argmax(np.abs(offset))
+    out = np.copysign(np.inf, offset[j])
+    while row_norms(offset) > radius:
+        offset[j] = np.nextafter(offset[j], -out)
+    inside = offset.copy()
+    while row_norms(offset) <= radius:
+        offset[j] = np.nextafter(offset[j], out)
+    return inside, offset
+
+
+@st.composite
+def _one_row_case(draw):
+    """An update of the family matrix, its dataset, and up to 8 points with
+    their sample indices.  Each point lies, in every ball of the domain,
+    inside, on the sphere (along an axis, where it is met exactly), one ulp
+    either side of the sphere, or far outside."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    d = draw(st.sampled_from([1, 2, 3, 7, 64]))
+    fam, ds = draw(st.sampled_from(_family_matrix(d, rng)))
+    update = SGDStep(fam, draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])))
+    where = draw(st.sampled_from(["inside", "sphere", "ulp-inside", "ulp-outside", "far"]))
+    thetas = []
+    for _ in range(draw(st.integers(1, 8))):
+        parts = []
+        for center, radius, width in _balls_of(update.domain):
+            u = rng.normal(size=width)
+            if where == "sphere":
+                u = np.zeros(width)
+                u[rng.integers(width)] = rng.choice([-1.0, 1.0])
+            on = center + u * (radius / np.linalg.norm(u))
+            outside = where == "ulp-outside"
+            if where.startswith("ulp") and isinstance(update.domain, Box):
+                on = np.nextafter(on, np.copysign(np.inf, u if outside else -u))
+            elif where.startswith("ulp"):
+                on = center + _straddle(on - center, radius)[outside]
+            parts.append({"inside": center + (on - center) * rng.random(),
+                          "far": center + (on - center) * 1e3}.get(where, on))
+        thetas.append(np.concatenate(parts))
+    return update, ds, np.array(thetas), rng.integers(0, ds.n, size=len(thetas))
+
+
+class TestOneRowStep:
+    """``SGDStep.apply`` is row 0 of ``apply_batch``'s arithmetic: the
+    family's ``grad_batch`` on one-row views where it has one, and the
+    ball's inside test as the only check on an update the ball keeps."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_one_row_case())
+    def test_bitwise_row_zero_of_the_batch(self, case):
+        """Compared as int64 views, so 0.0 and -0.0 differ, against the
+        one-row batch and against the per-row gradient, checked update and
+        projection.  Each point is also stepped with eta = 0, which makes
+        it the update itself."""
+        update, ds, thetas, idx = case
+        for step in (update, SGDStep(update.family, 0.0)):
+            for theta, i in zip(thetas, idx):
+                z = ds.samples[i]
+                got = step.apply(theta, z)
+                batch = step.apply_batch(theta[None], [i], ds)[0]
+                g = np.asarray(step.family.grad(theta, z), dtype=float)
+                reference = step.domain.project(
+                    sgd_module._checked_update(theta, g, theta - step.eta * g))
+                assert got.shape == batch.shape == reference.shape == theta.shape
+                assert (got.view(np.int64).tolist() == batch.view(np.int64).tolist()
+                        == reference.view(np.int64).tolist())
+
+    def test_wrong_dimension(self):
+        """A point of the wrong width skips ``grad_batch`` for the family's
+        checked ``grad``, which names the mismatch."""
+        _, ds, update = quadratic_setup(eta=0.5)
+        with pytest.raises(ValueError, match="^dimension mismatch: expected 2, got 3$"):
+            update.apply(np.zeros(3), ds.samples[0])
+
+    @pytest.mark.parametrize("domain", [Ball(np.zeros(2), 1.0), WholeSpace(2)],
+                             ids=["Ball", "WholeSpace"])
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_infinite_gradient(self, domain, eta):
+        """With eta = 0 the update 0 * inf is nan, not theta."""
+        fam = dataclasses.replace(quadratic_centers(CENTERS, R=1.0),
+                                  grad_batch=lambda thetas, zs: np.full_like(thetas, np.inf))
+        update, ds = SGDStep(fam, eta, domain=domain), Dataset(tuple(CENTERS))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="^non-finite gradient$"):
+            sgd_step(update, np.zeros(2), 0, ds)
+
+    @pytest.mark.parametrize("domain", [Ball(np.zeros(2), 1.0), WholeSpace(2)],
+                             ids=["Ball", "WholeSpace"])
+    def test_overflowing_update(self, domain):
+        fam = dataclasses.replace(quadratic_centers(CENTERS, R=1.0),
+                                  grad_batch=lambda thetas, zs: np.full_like(thetas, 1e308))
+        update, ds = SGDStep(fam, 10.0, domain=domain), Dataset(tuple(CENTERS))
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="^update produced non-finite values$"):
+            sgd_step(update, np.zeros(2), 0, ds)
+
+    def test_refused_update_is_computed_once(self):
+        """theta = inf makes inf - eta * inf: numpy warns once, because the
+        check reuses the update instead of computing it again."""
+        _, ds, update = quadratic_setup(eta=0.5)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(ValueError, match="^point has non-finite entries$"):
+            warnings.simplefilter("always")
+            sgd_step(update, np.array([np.inf, 0.0]), 0, ds)
+        assert [str(w.message) for w in caught] == ["invalid value encountered in subtract"]
 
 
 def _sequential_runs(seed, streams, runs, domain, t_min, t_max, n, prelude=None):
