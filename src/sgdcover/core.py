@@ -256,6 +256,7 @@ class Ball(ConvexDomain):
         object.__setattr__(self, "center", as_point(self.center))
         if not 0 < self.radius < math.inf:
             raise ValueError(f"Ball radius must be finite and positive, got {self.radius!r}")
+        object.__setattr__(self, "_at_origin", not np.any(self.center))  # read by _holds
 
     @property
     def dim(self) -> int:
@@ -272,10 +273,12 @@ class Ball(ConvexDomain):
     def _holds(self, x: np.ndarray) -> bool:
         """Whether the float array ``x`` is a 1-D point of the ball's dimension
         inside the ball.  A pass proves ``x`` finite: a nan or infinite entry
-        makes the norm nan or inf.  The norm is bitwise ``row_norms``'s."""
+        makes the norm nan or inf.  The norm is bitwise ``row_norms``'s of
+        ``x - center``; at an all-zero center ``x`` itself is tested, since
+        ``x - 0`` differs from ``x`` at most in the sign of a zero."""
         if x.shape != self.center.shape:
             return False
-        off = x - self.center
+        off = x if self._at_origin else x - self.center
         return math.sqrt(np.add.reduce(off * off)) <= self.radius
 
     def project_batch(self, X) -> np.ndarray:

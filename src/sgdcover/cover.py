@@ -45,12 +45,12 @@ class EnumerationCapExceeded(ValueError):
 
 
 def cover_horizon(R: float, epsilon: float, gamma: float) -> int:
-    """Smallest certified horizon T = max(ceil(log(R/eps)/log(1/gamma)), 0),
-    by ``horizon``, which checks gamma.
-
-    After T contraction steps the reachable set shrinks to radius
-    gamma^T * R <= epsilon; epsilon >= R needs no steps at all, also where
-    R/eps underflows to 0 (the ratio is floored at 1, where ``horizon`` is 0).
+    """Horizon T = max(ceil(log(R/eps)/log(1/gamma)), 0) by ``horizon``, which
+    checks gamma; epsilon >= R needs no steps, also where R/eps underflows to
+    0 (the ratio is floored at 1, where ``horizon`` is 0).  The reachable set
+    then has radius gamma^T * R <= eps * max(1/gamma, R/eps)^1e-9 up to the
+    logs' rounding, not <= eps: ``ceil_int``'s 1e-9 nudge keeps eps = R/8 at
+    gamma = 1/2 at T = 3, so eps = 0.1249999999 gives T = 3 (radius 0.125) too.
     """
     if not (R > 0 and epsilon > 0):
         raise ValueError("R and epsilon must be positive")
@@ -138,23 +138,27 @@ class CoverSet:
             rest, choices[..., j] = np.divmod(rest, self.n_samples * (P or 1))
         return (choices, None) if P is None else (choices // P, choices % P)
 
-    def _spelled(self, index: np.ndarray, digits: int, lead: str) -> list:
-        """``(texts, samples)`` per index: its last ``digits`` choices as ``lead``
-        plus comma-joined digits per field (seq, pieces), and their sorted samples."""
+    def _spelled(self, index: np.ndarray, digits: int, lead: str) -> tuple[list, np.ndarray, list]:
+        """``(texts, ids, sets)`` for the indices: per field (seq, pieces) a
+        column of their last ``digits`` choices as ``lead`` plus comma-joined
+        digits, and per index the id of its sorted sample set in ``sets``."""
         fields = [c.tolist() for c in self._choices(index, digits) if c is not None]
-        return [(tuple(lead + ", ".join(map(str, f)) for f in row), tuple(sorted(set(row[0]))))
-                for row in zip(*fields)]
+        texts = [[lead + ", ".join(map(str, row)) for row in f] for f in fields]
+        sets: dict[tuple[int, ...], int] = {}
+        ids = [sets.setdefault(tuple(sorted(set(row))), len(sets)) for row in fields[0]]
+        return texts, np.array(ids, dtype=np.int64), list(sets)
 
     def _jsonl_chunks(self) -> Iterator[list[str]]:
         """Lines in chunks of about _WRITE_CHUNK values, each filled into one
-        template per cover: floats by ``repr`` (as ``json.dumps`` writes them)
-        and the choice text of index = high * (n*P)^L + low, L = floor(T/2),
-        looked up by halves.  All (n*P)^L <= sqrt((n*P)^T) low halves are
-        spelled once, and a chunk's high halves and ``deps`` strings (cached
-        per pair of the halves' sample sets) per chunk."""
+        template per cover, a column per template field: floats by ``repr``
+        (as ``json.dumps`` writes them) from ``block.T.tolist()``, and the
+        choice text of index = high * (n*P)^L + low, L = floor(T/2), looked
+        up by halves.  All (n*P)^L <= sqrt((n*P)^T) low halves are spelled
+        once, and a chunk's high halves per chunk; its ``deps`` strings are
+        spelled once per distinct pair of the halves' sample sets."""
         L = self.horizon // 2
         base = (self.n_samples * (self.pieces_per_sample or 1)) ** L
-        lows = self._spelled(np.arange(base), L, ", " if L else "")
+        lows, low_ids, low_sets = self._spelled(np.arange(base), L, ", " if L else "")
         fields = '{"seq": [%s%s], ' + ('"pieces": [%s%s], ' if self.pieces_per_sample else "")
         template = fields + f'"point": [{", ".join(["%r"] * self.points.shape[1])}], "deps": %s}}'
         rows = max(1, _WRITE_CHUNK // max(1, self.points.shape[1]))
@@ -162,17 +166,17 @@ class CoverSet:
             block = np.asarray(self.points[lo:lo + rows], dtype=float)
             high, low = np.divmod(self.index[lo:lo + rows], base)
             heads, high = np.unique(high, return_inverse=True)
-            highs = self._spelled(heads, self.horizon - L, "")
-            deps_of: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
-            lines = []
-            for h, l, point in zip(high.tolist(), low.tolist(), block.tolist()):
-                (htexts, hset), (ltexts, lset) = highs[h], lows[l]
-                deps = deps_of.get((hset, lset))
-                if deps is None:
-                    deps = deps_of[hset, lset] = str(sorted({*hset, *lset}))
-                lines.append(template % (htexts[0], ltexts[0], *htexts[1:], *ltexts[1:],
-                                         *point, deps))
-            del highs, deps_of  # freed before the next chunk builds its own
+            highs, high_ids, high_sets = self._spelled(heads, self.horizon - L, "")
+            pairs, pair = np.unique(high_ids[high] * len(low_sets) + low_ids[low],
+                                    return_inverse=True)
+            deps = [str(sorted({*high_sets[k // len(low_sets)], *low_sets[k % len(low_sets)]}))
+                    for k in pairs.tolist()]
+            high, low = high.tolist(), low.tolist()
+            columns = [list(map(texts.__getitem__, half))
+                       for h, l in zip(highs, lows) for texts, half in ((h, high), (l, low))]
+            lines = list(map(template.__mod__, zip(*columns, *block.T.tolist(),
+                                                   map(deps.__getitem__, pair.tolist()))))
+            del highs, columns, deps  # freed before the next chunk builds its own
             yield lines
 
 
@@ -254,6 +258,19 @@ def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry) -> np.n
     return run_lockstep(update, start, np.array([len(entry.seq)]), seq, dataset)[0]
 
 
+def _own_entry_runs(update: UpdateMap, dataset: Dataset, T: int, trials: int,
+                    max_extra_steps: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``verify_cover``'s runs without a cover: the (trials, d) endpoints, the
+    (trials, T) last T indices of each run, and each run's own entry, those
+    indices applied to the origin in a second lockstep."""
+    starts, steps, indices, _ = draw_runs(seed, trials, 1, update.domain, T,
+                                          T + max_extra_steps, dataset.n)
+    endpoints = run_lockstep(update, starts, steps, indices, dataset)
+    last = np.take_along_axis(indices, steps[:, None] - T + np.arange(T), axis=1)
+    own = run_lockstep(update, np.zeros_like(endpoints), np.full(trials, T), last, dataset)
+    return endpoints, last, own
+
+
 @dataclass(frozen=True, eq=False)
 class CoverVerification:
     """Empirical soundness report: random runs against their own cover entries.
@@ -304,12 +321,8 @@ def verify_cover(
         raise ValueError(f"the cover has {cover.n_samples} samples in R^{cover.points.shape[1]}, "
                          f"the runs {dataset.n} in R^{domain.dim}")
 
-    T = cover.horizon
-    starts, steps, indices, _ = draw_runs(seed, trials, 1, domain, T, T + max_extra_steps,
-                                          dataset.n)
-    endpoints = run_lockstep(update, starts, steps, indices, dataset)
-    last = np.take_along_axis(indices, steps[:, None] - T + np.arange(T), axis=1)
-    own = run_lockstep(update, np.zeros_like(endpoints), np.full(trials, T), last, dataset)
+    endpoints, _, own = _own_entry_runs(update, dataset, cover.horizon, trials,
+                                        max_extra_steps, seed)
     stored, keys = np.sort(_point_keys(cover.points)), _point_keys(own)
     found = stored[np.minimum(np.searchsorted(stored, keys), len(stored) - 1)] == keys
     dists = row_norms(endpoints - own)

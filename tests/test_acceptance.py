@@ -7,6 +7,7 @@ with 50-digit mpmath evaluations of the closed forms before being frozen.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from sgdcover.bounds import (
     bound_strongly_convex,
 )
 from sgdcover.cli import EXIT_OK, run
-from sgdcover.core import Ball, WholeSpace, numeric_gradient
-from sgdcover.cover import cover_horizon, enumerate_cover, verify_cover
+from sgdcover.core import Ball, WholeSpace, numeric_gradient, row_norms
+from sgdcover.cover import _own_entry_runs, cover_horizon, enumerate_cover, verify_cover
 from sgdcover.experiments import Scenario, validate_bound
 from sgdcover.families import soft_kmeans
 from sgdcover.fractal import IFSModel, box_counting_dimension, ifs_dimension
@@ -185,9 +186,15 @@ class TestAcceptance:
                f"fixed-point |grad| {grad_norm:.2e} <= 1e-6")
 
     def test_c07_stability_counterexample(self):
-        """Endpoint loss after 200 steps from 10^4 uniform starts: mean 2 on
-        the all-zeros data, mean 0 after swapping in a single z = 1."""
-        rep = stability_experiment(eta=1.0 / 3.0, inits=10_000, steps=200, seed=41)
+        """Endpoint loss after 200 steps from 10^5 uniform starts: mean 2 on
+        the all-zeros data, mean 0 after swapping in a single z = 1.
+
+        Each endpoint loss on the all-zeros data is 0 or 4, by the side of
+        x = 2 its start falls on, so 10^5 * mean / 4 is Bin(10^5, 1/2) and
+        the mean's standard error is 2 / sqrt(10^5) = 0.0063.  The 0.05
+        tolerance is about 7.9 standard errors, a false-fail probability near
+        3e-15; at 10^4 starts it was about 2.5, near 1.2 %."""
+        rep = stability_experiment(eta=1.0 / 3.0, inits=100_000, steps=200, seed=41)
         ok = abs(rep.mean_identical - 2.0) <= 0.05 and abs(rep.mean_swapped) <= 0.05
         report("C7", ok,
                f"means {rep.mean_identical:.4f} (target 2 +- 0.05) and "
@@ -361,3 +368,41 @@ class TestAcceptance:
         report("C11", not failed and same,
                f"{table} (d = {'/'.join(map(str, dims))}); slopes vs n: certificate "
                f"{cert_slope:.3f}, mean max gap {gap_slope:.3f}; failed cells {failed}")
+
+    def test_c12_dimension_free_cover_at_paper_scale(self):
+        """The localized cover has n^T entries in every dimension, and it
+        covers: for 3 ``quadratic_centers`` samples at gamma = 1/2 in d = 2, 64
+        and 1024, and T = 10 and 13, each of 2,000 runs of T to T + 10 steps
+        ends within gamma^T * R * (1 + 1e-9) of its own entry, its last T
+        samples applied to the origin.  No cover is held: in d = 1024 the
+        peak traced memory stays under 160 MB, where the T = 10 cover alone
+        is 3^10 * 1024 * 8 B = 484 MB.  At T = 6 the recomputed own entries
+        of 500 runs are bitwise the enumerated cover's rows at their indices."""
+        def setup(d):
+            centers = list(np.random.default_rng(d).uniform(-1, 1, (3, d)) / math.sqrt(d))
+            fam = quadratic_centers(centers, R=1.0)
+            return SGDStep(fam, 0.5, domain=fam.domain), Dataset(tuple(centers)), d
+
+        def own_ratios(update, ds, seed, T):
+            endpoints, _, own = _own_entry_runs(update, ds, T, 2000, 10, seed)
+            return row_norms(endpoints - own) / 0.5**T
+
+        ratios = [own_ratios(*setup(d), T) for d in (2, 64) for T in (10, 13)]
+        tracemalloc.start()
+        try:
+            ratios += [own_ratios(*setup(1024), T) for T in (10, 13)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bitwise = True
+        for update, ds, seed in map(setup, (2, 64, 1024)):
+            points = enumerate_cover(update, ds, T=6).points
+            _, last, own = _own_entry_runs(update, ds, 6, 500, 10, seed)
+            bitwise &= points[last @ 3 ** np.arange(5, -1, -1)].tobytes() == own.tobytes()
+        ratios = np.concatenate(ratios)
+        failures, worst = int(np.count_nonzero(ratios > 1 + 1e-9)), float(ratios.max())
+        ok = failures == 0 and peak < 160e6 and bitwise
+        report("C12", ok,
+               f"{failures} failures in {ratios.size:,} runs; largest own distance "
+               f"{worst:.9f} gamma^T R; peak {peak / 1e6:.1f} MB in d = 1024 (< 160; the "
+               f"cover is 484 MB); T = 6 recompute equals lookup bitwise: {bitwise}")

@@ -21,6 +21,7 @@ from sgdcover.core import (
     hoeffding_tail,
     linalg_norms,
     numeric_gradient,
+    row_norms,
     substream,
 )
 from sgdcover.fractal import IFSModel, box_counting_dimension
@@ -229,6 +230,41 @@ class TestProjectionProperties:
         assert Box([0.0], [4.0]).bounding_radius() == 4.0
         assert ProductOfBalls(4, 2, 1.0).bounding_radius() == pytest.approx(2.0)
         assert math.isinf(WholeSpace(1).bounding_radius())
+
+
+class TestBallInsideTest:
+    """``Ball._holds`` tests ``x`` itself when every center entry is zero,
+    and ``x - center`` otherwise; either way its verdict is bitwise that of
+    ``row_norms(x - center) <= radius``."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3, 7, 64, 1024]),
+           center=st.sampled_from(["+0", "-0", "mixed zeros", "nonzero", "partly zero"]),
+           point=st.sampled_from(["inside", "sphere", "ulp in", "ulp out", "far", "nan",
+                                  "+inf", "-inf", "signed zeros"]),
+           radius=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_verdict_is_row_norms_of_the_offset(self, d, center, point, radius, seed):
+        rng = np.random.default_rng(seed)
+        c = {"+0": np.zeros(d), "-0": np.full(d, -0.0),
+             "mixed zeros": np.where(rng.random(d) < 0.5, 0.0, -0.0),
+             "nonzero": rng.uniform(-1.0, 1.0, d),
+             "partly zero": np.where(np.arange(d) % 2, 0.0, rng.uniform(-1.0, 1.0, d))}[center]
+        ball = Ball(c, radius)
+        u = rng.normal(size=d)
+        on_sphere = c + u * (radius / np.sqrt(u @ u))
+        away = np.where(on_sphere >= c, np.inf, -np.inf)  # ulps away from the center
+        x = {"inside": c + u * (radius * rng.random() / np.sqrt(u @ u)),
+             "sphere": on_sphere, "ulp in": np.nextafter(on_sphere, -away),
+             "ulp out": np.nextafter(on_sphere, away), "far": c + u * (1e3 * radius),
+             "signed zeros": np.where(rng.random(d) < 0.5, 0.0, -0.0)}.get(point, on_sphere)
+        if point in ("nan", "+inf", "-inf"):
+            x = x.copy()
+            x[rng.integers(d)] = float(point)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = bool(row_norms(x - c) <= radius)
+            assert ball._holds(x) is expected
+        if point in ("nan", "+inf", "-inf", "far"):
+            assert not expected
 
 
 class TestProjectBatch:

@@ -70,6 +70,21 @@ class TestCoverHorizon:
         # log(8)/log(2) is an exact integer; float noise must not bump it to 4
         assert cover_horizon(1.0, 0.125, 0.5) == 3
 
+    def test_radius_bound_the_nudge_gives(self):
+        """``ceil_int``'s nudge can leave gamma^T * R above epsilon, by at most
+        the factor max(1/gamma, R/eps)^1e-9 the docstring states.  Raising T
+        instead would make the cover n times larger over a last-ulp excess."""
+        assert cover_horizon(1.0, 0.1249999999, 0.5) == 3  # radius 0.125 > eps
+        assert cover_horizon(1.0, 1e-3, 0.1) == 3  # 0.1**3 exceeds 1e-3 by 2.2e-19
+        assert 0.1**3 > 1e-3
+        for R, eps, gamma in [(1.0, 0.1249999999, 0.5), (1.0, 1e-3, 0.1),
+                              *((R, eps, gamma) for gamma in (0.1, 1 / 3, 0.5, 0.9, 0.99)
+                                for R in (1e-3, 1.0, 7.0)
+                                for eps in [*R * np.logspace(-12, 1, 300),
+                                            *(R * gamma**k for k in range(1, 25))])]:
+            radius = gamma ** cover_horizon(R, eps, gamma) * R
+            assert radius <= eps * max(1 / gamma, R / eps) ** 1e-9, (R, eps, gamma)
+
     @pytest.mark.parametrize("R, epsilon", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0),
                                             (1.0, -0.1), (math.nan, 0.1)])
     def test_rejects_nonpositive_radius_or_epsilon(self, R, epsilon):
@@ -425,6 +440,23 @@ def _writer_covers():
     return covers
 
 
+@functools.cache
+def _edge_cover(kind, T, d):
+    """A plain or deduped cover over three samples in R^d, or a two-piece
+    cover over two.  The deduped one has samples 0 and 1 equal, so it keeps
+    the 2^T sequences without a 1, and its index is not ``arange``."""
+    samples = tuple(np.linspace(-0.7, 0.8, 3 * d).reshape(3, d) / math.sqrt(d))
+    if kind == "piecewise":
+        return enumerate_piecewise_cover(
+            lambda z: _per_sample_quadratic_approx(z, anchors=[z, np.zeros(d)]),
+            Dataset(samples[:2]), eta=0.4, T=T)
+    if kind == "deduped":
+        samples = (samples[0], samples[0], samples[2])
+    fam = quadratic_centers(list(samples), R=1.0)
+    return enumerate_cover(SGDStep(fam, 0.5, domain=fam.domain), Dataset(samples), T=T,
+                           dedupe=kind == "deduped")
+
+
 class TestJsonlWriter:
     """The template writer must write byte for byte what ``CoverEntry.to_json``
     gives per entry, at every chunk size."""
@@ -442,6 +474,20 @@ class TestJsonlWriter:
         cov.write_jsonl(path)
         assert path.read_text() == "".join(line + "\n" for line in reference)
         assert list(cov.jsonl_lines()) == reference
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("T", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["plain", "deduped", "piecewise"])
+    def test_lines_match_to_json_across_chunk_edges(self, monkeypatch, kind, T, d):
+        """Chunks of 4 rows, of half the cover and of all of it, each one row
+        shorter and longer too: every line is its entry's ``to_json``."""
+        cov = _edge_cover(kind, T, d)
+        reference = [e.to_json() for e in cov]
+        assert kind != "deduped" or T < 2 or not np.array_equal(cov.index, np.arange(len(cov)))
+        for edge in sorted({max(1, rows + e) for rows in (4, len(cov) // 2, len(cov))
+                            for e in (-1, 0, 1)}):
+            monkeypatch.setattr(cover_module, "_WRITE_CHUNK", edge * d)
+            assert list(cov.jsonl_lines()) == reference, edge
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_cover_refuses_non_finite_points(self, bad):
