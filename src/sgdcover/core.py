@@ -67,7 +67,8 @@ def safe_norms(rows: np.ndarray) -> np.ndarray:
     huge = np.isinf(norms)
     if np.any(huge):
         scale = np.abs(rows[huge]).max(axis=-1)
-        norms[huge] = scale * row_norms(rows[huge] / scale[:, None])
+        with np.errstate(over="ignore"):  # inf again, which onto_sphere handles
+            norms[huge] = scale * row_norms(rows[huge] / scale[:, None])
     return norms
 
 
@@ -257,6 +258,10 @@ class Ball(ConvexDomain):
         if not 0 < self.radius < math.inf:
             raise ValueError(f"Ball radius must be finite and positive, got {self.radius!r}")
         object.__setattr__(self, "_at_origin", not np.any(self.center))  # read by _holds
+        # _holds's dot-product threshold; -1.0 where the margin argument fails
+        r2, d = self.radius * self.radius, self.center.shape[0]
+        object.__setattr__(self, "_inner_sq", r2 * (1 - 4 * (d + 2) * 2.0**-53)
+                           if 2.0**-1000 < r2 < 2.0**1000 else -1.0)
 
     @property
     def dim(self) -> int:
@@ -272,19 +277,32 @@ class Ball(ConvexDomain):
 
     def _holds(self, x: np.ndarray) -> bool:
         """Whether the float array ``x`` is a 1-D point of the ball's dimension
-        inside the ball.  A pass proves ``x`` finite: a nan or infinite entry
-        makes the norm nan or inf.  The norm is bitwise ``row_norms``'s of
-        ``x - center``; at an all-zero center ``x`` itself is tested, since
-        ``x - 0`` differs from ``x`` at most in the sign of a zero."""
+        inside the ball, bitwise as ``row_norms(x - center) <= radius`` says;
+        at an all-zero center ``x`` itself is tested (``x - 0`` differs from
+        ``x`` at most in the sign of a zero).  A pass proves ``x`` finite.
+
+        A dot at or below ``_inner_sq`` = fl(r*r)(1 - 4(d + 2)u), u = 2**-53,
+        decides without the norm.  Summed in any order, with or without FMA,
+        the dot and numpy's sum S of the rounded squares are within a
+        relative d*u / (1 - d*u) of the exact sum (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 3.1), so the dot passing gives
+        S < r*r and fl(sqrt(S)) <= r.  A nan or inf entry makes the dot fail.
+        ``_inner_sq`` is -1 unless 2**-1000 < r*r < 2**1000: below, the up to
+        2**-1075 that each subnormal square rounds by could exceed the margin;
+        above, numpy's squares can overflow, which the exact test calls outside."""
         if x.shape != self.center.shape:
             return False
         off = x if self._at_origin else x - self.center
-        return math.sqrt(np.add.reduce(off * off)) <= self.radius
+        if np.vdot(off, off) <= self._inner_sq:
+            return True
+        with np.errstate(over="ignore"):  # a norm that overflows is outside
+            return math.sqrt(np.add.reduce(off * off)) <= self.radius
 
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)
         offset = X - self.center
-        over = row_norms(offset) > self.radius
+        with np.errstate(over="ignore"):  # a norm that overflows is outside
+            over = row_norms(offset) > self.radius
         if not np.any(over):
             return X
         offset = offset[over]
@@ -358,7 +376,8 @@ class ProductOfBalls(ConvexDomain):
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)
         blocks = X.reshape(X.shape[0], self.blocks, self.block_dim).copy()
-        over = row_norms(blocks) > self.radius
+        with np.errstate(over="ignore"):  # a norm that overflows is outside
+            over = row_norms(blocks) > self.radius
         if np.any(over):
             blocks[over] = onto_sphere(blocks[over], self.radius)
         return blocks.reshape(X.shape)

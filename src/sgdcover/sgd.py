@@ -4,6 +4,7 @@ and smooth losses.  Recorded runs and coupling are in ``trajectory``."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -172,24 +173,41 @@ def draw_runs(
     count and indices consume, and the indices of ``_RUN_BLOCK`` runs are
     decoded together in one numpy pass; every output is bitwise the
     sequential loop's.  A stream with a rejected draw (probability below
-    r / 2**32 per draw), and every stream when a range exceeds 2**32, is
-    drawn again by that loop.
+    r / 2**32 per draw), and every stream when a range exceeds 2**32 or
+    ``_replicas_hold`` fails, is drawn again by that loop.
 
     Returns (starts (m, d), steps (m,), indices (m, t_max), the prelude's
     result per stream, or [] without a prelude), with m = streams * runs.
     Row j of the index array is padded with zeros past ``steps[j]``.
     """
+    # above 2**32 numpy draws from whole words, which are not decoded
+    fast = max(t_max - t_min + 1, n) <= _RANGE32 and _replicas_hold()
+    return _draw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, fast)
+
+
+@functools.cache
+def _replicas_hold() -> bool:
+    """Whether ``core._seed_words`` and ``_decode_indices``, copies of numpy
+    internals that NEP 19 does not promise to keep, match the numpy in use:
+    once per process, one fixed small case is drawn by the decoding path and
+    by the sequential loop and compared bitwise."""
+    # a seed of five 32-bit words mixes entropy beyond the pool's four
+    case = (2**128 + 1, 2, 2, Ball(np.array([0.5, -0.25, 1.0]), 2.0), 1, 9, 7, None)
+    decoded, looped = (_draw_runs(*case, fast) for fast in (True, False))
+    return all(a.tobytes() == b.tobytes() for a, b in zip(decoded[:3], looped[:3]))
+
+
+def _draw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, fast):
+    """``draw_runs``, decoding raw words where ``fast`` and otherwise drawing
+    every stream by the sequential loop."""
     m = streams * runs
     starts = np.empty((m, domain.dim))
     steps = np.empty(m, dtype=np.int64)
     indices = np.zeros((m, t_max), dtype=np.int64)
     preluded = [None] * streams if prelude is not None else []
-    redraw = set()
-    if max(t_max - t_min + 1, n) > _RANGE32:  # numpy draws from whole words here
-        redraw.update(range(streams))
-        drawn = iter(())
-    else:
-        drawn = _raw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, preluded)
+    redraw = set() if fast else set(range(streams))
+    drawn = (_raw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, preluded)
+             if fast else iter(()))
     done = 0
     while block := list(itertools.islice(drawn, _RUN_BLOCK)):
         points, scales, counts, step_rejected, leads, words = zip(*block)

@@ -194,14 +194,25 @@ class TestCoverCommand:
         assert meta["result"]["entries"] == 4
         assert meta["seed"] == 0
 
-    def test_cover_raises_no_runtime_warning(self, tmp_path):
-        """The one-row step proves each update finite by the ball's inside
-        test; on finite data that path warns of nothing."""
-        spath = write_scenario(tmp_path, QUADRATIC_SCENARIO)
+    @pytest.mark.parametrize("argv,scenario", [
+        (["cover", "--T", "4"], QUADRATIC_SCENARIO),
+        (["cover", "--epsilon", str(1.0 / 6.0), "--verify-trials", "50"], QUADRATIC_SCENARIO),
+        (["validate", "--resamplings", "2", "--trials", "3", "--delta", "0.05"],
+         dict(QUADRATIC_SCENARIO, dataset={"kind": "iid", "n": 50})),
+        (["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3333333333", "--R", "1",
+          "--points", "1000"], None),
+        (["cover", "--T", "1"], dict(QUADRATIC_SCENARIO, eta=1e200)),
+    ], ids=["cover-enum", "cover-verify", "validate", "ifs", "cover-huge-step"])
+    def test_command_raises_no_runtime_warning(self, tmp_path, argv, scenario):
+        """Every workload command, and a step whose update's squared norm
+        overflows, runs with runtime warnings as errors: the one-row step
+        proves each update finite by the ball's inside test, and a norm that
+        overflows is outside the ball, which the projection does not report."""
+        if scenario is not None:
+            argv = argv + ["--scenario", write_scenario(tmp_path, scenario)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = run(["cover", "--scenario", spath, "--T", "4",
-                        "--out", str(tmp_path / "cover.jsonl")])
+            code = run(argv + ["--out", str(tmp_path / "out")])
         assert code == EXIT_OK
 
     def test_verification_path(self, tmp_path):
@@ -226,7 +237,6 @@ class TestCoverCommand:
         assert run(["cover", "--scenario", "scenario.json", "--T", "2", "--out", "c"]) == EXIT_OK
         assert (tmp_path / "c").read_text() == printed
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_step_projects_onto_the_boundary(self, tmp_path):
         """At eta = 1e200 each update is 1e200 times its centre, whose squared
         norm overflows: the written points lie on the unit circle, within a

@@ -1,6 +1,7 @@
 """Projection, norm, and tail-bound primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,7 +68,6 @@ class TestProjectionExamples:
         np.testing.assert_allclose(out[:2], [0.6, 0.8], rtol=1e-15)
         np.testing.assert_array_equal(out[2:], [0.1, 0.2])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_points_land_on_the_boundary(self):
         """A point whose squared offset overflows is measured scaled by its
         largest entry, so it projects onto the boundary in its own direction,
@@ -90,7 +90,23 @@ class TestProjectionExamples:
         np.testing.assert_allclose(out, [[1.0, 0.0, 0.1, 0.2], [0.6, 0.8, 0.6, -0.8]],
                                    rtol=ulps, atol=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_norm_that_overflows_projects_without_a_warning(self):
+        """A norm that overflows to inf only says that the point is outside:
+        with warnings as errors, ``project`` and ``project_batch`` of points
+        whose squared norm, or even whose norm, overflows return the point
+        of the boundary in their direction, 1/sqrt(2) rounded down in each
+        entry here, as before these overflows were silenced."""
+        edge = np.full(2, float.fromhex("0x1.6a09e667f3bccp-1"))
+        shifted = Ball(np.array([1.0, 2.0]), 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ([1e200, 1e200], [1.5e308, 1.5e308]):
+                for dom in (Ball(np.zeros(2), 1.0), ProductOfBalls(1, 2, 1.0)):
+                    assert dom.project(x).tobytes() == edge.tobytes()
+                    assert dom.project_batch([x]).tobytes() == edge.tobytes()
+                assert shifted.project_batch([x]).tobytes() == shifted.project(x).tobytes()
+                assert np.all(np.isfinite(shifted.project(x)))
+
     def test_norm_that_overflows_after_the_rescale_keeps_its_direction(self):
         """A row whose norm exceeds the largest float even when measured scaled
         by its largest entry projects onto the boundary in its own direction,
@@ -232,17 +248,42 @@ class TestProjectionProperties:
         assert math.isinf(WholeSpace(1).bounding_radius())
 
 
+def _ulps_toward(x: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """Each entry of ``x`` moved ``k`` floats toward ``target``'s entry, on
+    the integer scale that orders float64 values (-0 and +0 both map to 0)."""
+    bits = x.view(np.int64)
+    magnitude = bits & np.int64(2**63 - 1)
+    key = np.where(bits < 0, -magnitude, magnitude) - k * np.sign(x - target).astype(np.int64)
+    return np.where(key < 0, np.abs(key) | np.int64(-2**63), key).view(np.float64)
+
+
+# k of "k ulps in": each coordinate moved k floats toward the center puts the
+# squared offset a relative k*u to 2k*u inside the sphere, around the inside
+# test's dot-product margin of 4(d + 2)u
+_ULPS_IN = {"2 ulps in": lambda d: 2, "d+2 ulps in": lambda d: d + 2,
+            "4(d+2)-1 ulps in": lambda d: 4 * (d + 2) - 1,
+            "4(d+2) ulps in": lambda d: 4 * (d + 2),
+            "4(d+2)+1 ulps in": lambda d: 4 * (d + 2) + 1,
+            "16(d+2) ulps in": lambda d: 16 * (d + 2)}
+
+
 class TestBallInsideTest:
     """``Ball._holds`` tests ``x`` itself when every center entry is zero,
     and ``x - center`` otherwise; either way its verdict is bitwise that of
-    ``row_norms(x - center) <= radius``."""
+    ``row_norms(x - center) <= radius``, whether its dot-product prefilter or
+    the exact norm decides it.  Radii of 2**-530 and 2**-501 square below
+    2**-1000, and 2**501 and 1e300 above 2**1000, where no dot decides;
+    2**-499 and 2**499 square just inside those guards."""
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=800, derandomize=True, deadline=None)
     @given(d=st.sampled_from([1, 2, 3, 7, 64, 1024]),
            center=st.sampled_from(["+0", "-0", "mixed zeros", "nonzero", "partly zero"]),
            point=st.sampled_from(["inside", "sphere", "ulp in", "ulp out", "far", "nan",
-                                  "+inf", "-inf", "signed zeros"]),
-           radius=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+                                  "+inf", "-inf", "signed zeros", "subnormal", *_ULPS_IN]),
+           radius=st.one_of(st.floats(1e-3, 1e3),
+                            st.sampled_from([2.0**-530, 2.0**-501, 2.0**-499, 2.0**499,
+                                             2.0**501, 1e300])),
+           seed=st.integers(0, 2**32 - 1))
     def test_verdict_is_row_norms_of_the_offset(self, d, center, point, radius, seed):
         rng = np.random.default_rng(seed)
         c = {"+0": np.zeros(d), "-0": np.full(d, -0.0),
@@ -256,15 +297,18 @@ class TestBallInsideTest:
         x = {"inside": c + u * (radius * rng.random() / np.sqrt(u @ u)),
              "sphere": on_sphere, "ulp in": np.nextafter(on_sphere, -away),
              "ulp out": np.nextafter(on_sphere, away), "far": c + u * (1e3 * radius),
-             "signed zeros": np.where(rng.random(d) < 0.5, 0.0, -0.0)}.get(point, on_sphere)
+             "signed zeros": np.where(rng.random(d) < 0.5, 0.0, -0.0),
+             "subnormal": c + rng.integers(-2**40, 2**40, d) * 2.0**-1074}.get(point, on_sphere)
+        if point in _ULPS_IN:
+            x = _ulps_toward(on_sphere, c, _ULPS_IN[point](d))
         if point in ("nan", "+inf", "-inf"):
             x = x.copy()
             x[rng.integers(d)] = float(point)
         with np.errstate(invalid="ignore", over="ignore"):
             expected = bool(row_norms(x - c) <= radius)
             assert ball._holds(x) is expected
-        if point in ("nan", "+inf", "-inf", "far"):
-            assert not expected
+        if point in ("nan", "+inf", "-inf") or point == "far" and radius >= 1e-3:
+            assert not expected  # a tinier far offset can round away next to the center
 
 
 class TestProjectBatch:

@@ -327,6 +327,29 @@ class TestEnumerateCover:
         assert moved == 0
         assert counts == {"as_point": 0, "all_finite": 0, "_holds": nodes, "_checked_update": 0}
 
+    def test_inside_nodes_take_no_exact_norm(self, monkeypatch):
+        """The inside test's dot product decides every node of the T = 4 tree:
+        the exact norm, the one ``math.sqrt`` of ``core`` that the tree
+        reaches, never runs.  A point on the sphere shows that it is seen."""
+        from sgdcover import core
+
+        roots = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def sqrt(self, value):
+                roots.append(value)
+                return math.sqrt(value)
+
+        monkeypatch.setattr(core, "math", CountingMath())
+        _, ds, update = quadratic_cover_setup()
+        assert len(enumerate_cover(update, ds, T=4)) == 81
+        assert roots == []
+        assert update.domain._holds(np.array([0.6, 0.8]))
+        assert len(roots) == 1
+
     def test_one_checked_update_per_moved_node(self, monkeypatch):
         """At eta = 1.5 some updates leave the ball; each one the projection
         moves is checked by exactly one ``_checked_update``."""

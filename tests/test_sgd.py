@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sgdcover import core as core_module
 from sgdcover import sgd as sgd_module
 from sgdcover.core import (DETERMINISTIC_TOL, Ball, Box, ProductOfBalls, WholeSpace, row_norms,
                            substream)
@@ -756,6 +757,21 @@ def _domains(draw):
     return ProductOfBalls(draw(st.integers(1, 3)), d, draw(st.floats(0.1, 3.0)))
 
 
+@pytest.fixture
+def replica_verdict():
+    """The one-time check of ``draw_runs``'s numpy copies, done before a test
+    spies on ``substream``, so that only the test's own draws reach the spy."""
+    assert sgd_module._replicas_hold()
+
+
+@pytest.fixture
+def fresh_verdict():
+    """That check made anew within the test, and dropped after it."""
+    sgd_module._replicas_hold.cache_clear()
+    yield
+    sgd_module._replicas_hold.cache_clear()
+
+
 class TestLockstep:
     def test_draw_runs_consumes_randomness_in_sequential_order(self):
         ball = Ball(np.zeros(2), 1.0)
@@ -791,7 +807,7 @@ class TestLockstep:
                           _sequential_runs(*args, prelude=_prelude_of(prelude)))
 
     @pytest.mark.parametrize("pending", [False, True])
-    def test_rejected_step_count_redraws_the_stream(self, monkeypatch, pending):
+    def test_rejected_step_count_redraws_the_stream(self, monkeypatch, replica_verdict, pending):
         """A crafted state whose next half is 0 rejects the step count of
         range 3 (0 * 3 mod 2**32 < 2**32 mod 3): a fresh word's low half, or
         the half a prelude left pending."""
@@ -821,6 +837,46 @@ class TestLockstep:
         monkeypatch.undo()
         _assert_same_runs(got, _sequential_runs(9, 3, 2, box, 1, 3, 5, prelude=prelude))
 
+    def test_replica_check_keeps_the_decoding_path(self, monkeypatch, fresh_verdict):
+        """With the numpy in use the copies of its internals match: the
+        one-time check draws its two streams again by the loop, and no
+        stream of a later call is."""
+        redrawn = []
+
+        def spy(*keys):
+            redrawn.append(keys)
+            return substream(*keys)
+
+        monkeypatch.setattr(sgd_module, "substream", spy)
+        draw_runs(5, 4, 5, Ball(np.zeros(2), 1.0), 3, 9, 4)
+        assert sgd_module._replicas_hold()
+        assert redrawn == [(2**128 + 1, 0), (2**128 + 1, 1)]
+
+    @pytest.mark.parametrize("copy", ["_seed_words", "_decode_indices"])
+    def test_replica_that_no_longer_matches_numpy_redraws_every_stream(self, monkeypatch,
+                                                                       fresh_verdict, copy):
+        """A copy of numpy's seed hashing or bounded draw that numpy no
+        longer matches fails the one-time check, and every stream is then
+        drawn by the sequential loop: the runs stay bitwise right."""
+        if copy == "_seed_words":
+            seed_words = core_module._seed_words
+            monkeypatch.setattr(core_module, "_seed_words",
+                                lambda seed, keys: seed_words(seed, keys) ^ np.uint64(1))
+        else:
+            decode = sgd_module._decode_indices
+
+            def decode_off_by_one(t, leads, words, n):
+                values, rejected = decode(t, leads, words, n)
+                return (values + 1) % n, rejected
+
+            monkeypatch.setattr(sgd_module, "_decode_indices", decode_off_by_one)
+        args, prelude = (5, 4, 5, Ball(np.array([0.2, -0.1]), 1.0), 3, 9, 4), _prelude_of(5)
+        expected = _sequential_runs(*args, prelude=prelude)
+        decoded = sgd_module._draw_runs(*args, prelude, True)
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(decoded[:3], expected[:3]))
+        _assert_same_runs(draw_runs(*args, prelude=prelude), expected)
+        assert not sgd_module._replicas_hold()
+
     def test_range_above_32_bits_redraws_every_stream(self, monkeypatch):
         """Above 2**32 numpy draws from whole words, which ``draw_runs`` does
         not decode: every stream, prelude included, takes the sequential loop."""
@@ -831,7 +887,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     @pytest.mark.parametrize("n", [3, 2**31 + 1])
-    def test_draw_runs_across_decode_blocks(self, monkeypatch, block, n):
+    def test_draw_runs_across_decode_blocks(self, monkeypatch, replica_verdict, block, n):
         """Blocks of 1, 2, 3 and 7 runs put a block boundary inside and
         between streams of 3 runs, after an odd prelude that leaves a pending
         half; each block decodes bitwise as the sequential loop draws.  At
