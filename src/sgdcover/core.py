@@ -292,7 +292,11 @@ class Ball(ConvexDomain):
         above, numpy's squares can overflow, which the exact test calls outside."""
         if x.shape != self.center.shape:
             return False
-        off = x if self._at_origin else x - self.center
+        if self._at_origin:
+            off = x
+        else:
+            with np.errstate(over="ignore"):  # an offset that overflows is outside
+                off = x - self.center
         if np.vdot(off, off) <= self._inner_sq:
             return True
         with np.errstate(over="ignore"):  # a norm that overflows is outside
@@ -300,12 +304,13 @@ class Ball(ConvexDomain):
 
     def project_batch(self, X) -> np.ndarray:
         X = as_rows(X, self.dim)
-        offset = X - self.center
-        with np.errstate(over="ignore"):  # a norm that overflows is outside
-            over = row_norms(offset) > self.radius
-        if not np.any(over):
-            return X
-        offset = offset[over]
+        # an offset or a norm that overflows is outside; at an all-zero center
+        # X itself is tested, as in _holds, and only projected rows are offset
+        with np.errstate(over="ignore"):
+            over = row_norms(X if self._at_origin else X - self.center) > self.radius
+            if not np.any(over):
+                return X
+            offset = X[over] - self.center
         if not all_finite(offset):  # x - center overflowed; x/2 - center/2 points the same way
             blown = ~np.isfinite(offset).all(axis=1)
             offset[blown] = X[over][blown] / 2 - self.center / 2

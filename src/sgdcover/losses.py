@@ -18,7 +18,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import Ball, ConvexDomain, all_finite, as_point, as_rows
+from .core import Ball, ConvexDomain, all_finite, as_point, as_rows, safe_norms
 
 _SIGNS = {
     "alpha": 0, "beta": 1, "beta_prime": 0, "L": 0, "B": 0, "L_prime": 0,
@@ -240,8 +240,8 @@ def quadratic_centers(centers: Sequence, R: float) -> LossFamily:
     d = centers[0].shape[0]
     for c in centers:
         as_point(c, dim=d)
-        if np.linalg.norm(c) > R * (1 + 1e-12):
-            raise ValueError("center outside the radius-R ball")
+    if np.any(safe_norms(np.stack(centers)) > R * (1 + 1e-12)):
+        raise ValueError("center outside the radius-R ball")
 
     def value(theta, z):
         theta = as_point(theta, dim=d)

@@ -5,7 +5,6 @@ and smooth losses.  Recorded runs and coupling are in ``trajectory``."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -67,7 +66,9 @@ class SGDStep:
         if len(shape) != 2 or shape[1] != d:
             raise ValueError(f"expected an (m, {d}) array of points, got shape {shape}")
         g = self.family.grad_rows(thetas, dataset, idx)
-        return self.domain.project_batch(_checked_update(thetas, g, thetas - self.eta * g))
+        out = np.multiply(g, self.eta)  # thetas - eta * g, in one buffer
+        np.subtract(thetas, out, out=out)
+        return self.domain.project_batch(_checked_update(thetas, g, out))
 
 
 def _checked_update(theta: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -200,32 +201,64 @@ def _replicas_hold() -> bool:
 def _draw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, fast):
     """``draw_runs``, decoding raw words where ``fast`` and otherwise drawing
     every stream by the sequential loop."""
-    m = streams * runs
-    starts = np.empty((m, domain.dim))
+    m, ball = streams * runs, isinstance(domain, Ball)
+    starts, scales = np.empty((m, domain.dim)), np.empty(m)
     steps = np.empty(m, dtype=np.int64)
     indices = np.zeros((m, t_max), dtype=np.int64)
     preluded = [None] * streams if prelude is not None else []
     redraw = set() if fast else set(range(streams))
-    drawn = (_raw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, preluded)
-             if fast else iter(()))
-    done = 0
-    while block := list(itertools.islice(drawn, _RUN_BLOCK)):
-        points, scales, counts, step_rejected, leads, words = zip(*block)
-        rows = slice(done, done + len(block))
-        done = rows.stop
-        starts[rows] = points
-        if isinstance(domain, Ball):  # center + direction * scale, as Ball.sample
-            starts[rows] *= np.array(scales)[:, None]
-            starts[rows] += domain.center
-        steps[rows] = t = np.array(counts, dtype=np.int64)
-        redraw.update(j // runs for j in itertools.compress(range(rows.start, rows.stop),
-                                                             step_rejected))
-        if n > 1:
-            values, rejected = _decode_indices(t, leads, words, n)
-            indices[rows][np.arange(t_max) < t[:, None]] = values
-            if rejected.any():
-                run = np.repeat(np.arange(rows.start, rows.stop), t)[rejected]
-                redraw.update((run // runs).tolist())
+    span = t_max - t_min + 1
+    span_floor = _RANGE32 % span  # Lemire rejects a product whose low half is below
+    # the pending half each undecoded run's first index takes (-1 for none),
+    # and the raw words its other indices take
+    first, leads, words = 0, [], []
+    for k, rng in enumerate(_keyed_streams(seed, streams) if fast else ()):
+        bits = rng.bit_generator
+        raw = bits.random_raw
+        pending = -1  # the high half PCG64 keeps for its next 32-bit draw
+        if prelude is not None:
+            preluded[k] = prelude(k, rng)
+            state = bits.state
+            if state["has_uint32"]:
+                pending = state["uinteger"]
+        for j in range(k * runs, (k + 1) * runs):
+            if ball:  # a direction and scale, applied to every row below
+                starts[j], scales[j] = _ball_direction(rng, domain.dim, domain.radius)
+            else:
+                starts[j] = domain.sample(rng)
+            t = t_min
+            if span > 1:  # a range of 1 consumes nothing
+                if pending < 0:
+                    word = raw()
+                    half, pending = word & _MASK32, word >> 32
+                else:
+                    half, pending = pending, -1
+                scaled = half * span
+                if scaled & _MASK32 < span_floor:
+                    redraw.add(k)
+                t += scaled >> 32
+            steps[j] = t
+            if n < 2:
+                continue
+            need, lead = t, -1
+            if need and pending >= 0:
+                lead, pending = pending, -1
+                need -= 1
+            leads.append(lead)
+            words.append(raw((need + 1) // 2))
+            if need % 2:
+                pending = int(words[-1][-1]) >> 32
+            if len(words) == _RUN_BLOCK or j == m - 1:
+                counts = steps[first:j + 1]
+                values, rejected = _decode_indices(counts, leads, words, n)
+                indices[first:j + 1][np.arange(t_max) < counts[:, None]] = values
+                if rejected.any():
+                    run = np.repeat(np.arange(first, j + 1), counts)[rejected]
+                    redraw.update((run // runs).tolist())
+                first, leads, words = j + 1, [], []
+    if fast and ball:  # center + direction * scale, as Ball.sample
+        starts *= scales[:, None]
+        starts += domain.center
     for k in sorted(redraw):
         rng = substream(seed, k)
         if prelude is not None:
@@ -236,48 +269,6 @@ def _draw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, fast):
             indices[j] = 0
             indices[j, :t] = rng.integers(0, n, size=t)
     return starts, steps, indices, preluded
-
-
-def _raw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, preluded):
-    """Each run of ``draw_runs``, in draw order: its start (a Ball's as a
-    direction and scale), its step count t, whether t came from a rejected
-    draw, the pending half its first index takes (-1 for none) and the raw
-    words its other indices take."""
-    span = t_max - t_min + 1
-    span_floor = _RANGE32 % span  # Lemire rejects a product whose low half is below
-    ball, dim = isinstance(domain, Ball), domain.dim
-    for k, rng in enumerate(_keyed_streams(seed, streams)):
-        bits = rng.bit_generator
-        raw = bits.random_raw
-        pending = -1  # the high half PCG64 keeps for its next 32-bit draw
-        if prelude is not None:
-            preluded[k] = prelude(k, rng)
-            state = bits.state
-            if state["has_uint32"]:
-                pending = state["uinteger"]
-        for _ in range(runs):
-            if ball:
-                start, scale = _ball_direction(rng, dim, domain.radius)
-            else:
-                start, scale = domain.sample(rng), 1.0
-            t, rejected = t_min, False
-            if span > 1:  # a range of 1 consumes nothing
-                if pending < 0:
-                    word = raw()
-                    half, pending = word & _MASK32, word >> 32
-                else:
-                    half, pending = pending, -1
-                scaled = half * span
-                rejected = scaled & _MASK32 < span_floor
-                t += scaled >> 32
-            need, lead = (t if n > 1 else 0), -1
-            if need and pending >= 0:
-                lead, pending = pending, -1
-                need -= 1
-            words = raw((need + 1) // 2)
-            if need % 2:
-                pending = int(words[-1]) >> 32
-            yield start, scale, t, rejected, lead, words
 
 
 def _decode_indices(t, leads, words, n):

@@ -169,6 +169,10 @@ class TestBoundCommand:
         if theorem != "thm_4_4":
             assert (result["inputs"]["P"], result["inputs"]["kappa"]) == (1, "inf")
         assert capsys.readouterr().out.splitlines()[-1] == f"  flags: {flag}"
+        # numpy scalars in a result are written as the JSON scalars they hold
+        jsonable = cli._jsonable({0: (np.bool_(True), np.int64(3), np.float64(0.5), np.inf)})
+        assert jsonable == {"0": [True, 3, 0.5, "inf"]}
+        assert [type(v) for v in jsonable["0"]] == [bool, int, float, str]
 
     def test_expectation_variants(self, tmp_path):
         out = tmp_path / "d1.json"

@@ -951,6 +951,8 @@ class TestPiecewiseApprox:
         rows = np.vstack([a, 0.5 * (a[:-1] + a[1:]),
                           np.random.default_rng(43).uniform(-1.0, 1.0, (200, 2))])
         assert len({ap.source.piece_of(r) for r in rows}) == 2
+        assert [fn.value(r) for r in rows] == [math.sin(r[0]) if r[0] <= 0.1 else r[0] * r[1]
+                                               for r in rows]
         expected = np.array([ap.grad(r) for r in rows])
         assert ap.grad_rows(rows).tobytes() == expected.tobytes()
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sgdcover.core import Ball, ProductOfBalls, numeric_gradient
+from sgdcover.core import Ball, ProductOfBalls, WholeSpace, numeric_gradient
 from sgdcover.families import (
     hard_kmeans,
     multi_index,
@@ -30,6 +31,15 @@ from sgdcover.losses import (
     quadratic_centers,
     uniform_over,
 )
+from sgdcover.fractal import IFSModel
+from sgdcover.studies import em_step
+from sgdcover.surrogate import (
+    PiecewiseSmoothFunction,
+    build_piecewise_approx,
+    enumerate_piecewise_cover,
+    smooth_function,
+)
+from sgdcover.trajectory import coupled_contraction_ratio
 
 
 class TestLossConstants:
@@ -95,7 +105,6 @@ class TestQuadraticCenters:
         with pytest.raises(ValueError):
             quadratic_centers([[2.0, 0.0]], R=1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_loss_range_is_refused(self):
         """An R whose loss range 2 R^2 overflows is refused with a ValueError
         before any centre is measured; below that, a centre whose squared norm
@@ -565,3 +574,53 @@ class TestDatasetsAndDescriptors:
         with pytest.raises(ValueError, match="unknown link 'nope'"):
             family_from_descriptor({"name": "multi_index", "link": {"name": "nope"}, "K": 2,
                                     "lambda": 0.5, "R": 1.0, "R_x": 1.0, "d": 2})
+
+
+def _zero_fn(beta_prime=1.0):
+    return smooth_function(lambda t: 0.0, lambda t: np.zeros(2), beta_prime=beta_prime)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: smooth_margin_link(1), ValueError, "margin link needs K >= 2 classes"),
+    (lambda: soft_kmeans(2, 1.0, 1.0).value(np.zeros(3), np.zeros(1)), ValueError,
+     "theta length must be a multiple of K"),
+    (lambda: multi_index(squared_error_link(), 0.1, 1.0, 1.0, K=2), ValueError,
+     "link was built for a different K"),
+    (lambda: multi_index(squared_error_link(), -0.1, 1.0, 1.0, K=1), ValueError,
+     "lam must be nonnegative"),
+    (lambda: multi_index(squared_error_link(), 0.1, 0.0, 1.0, K=1), ValueError,
+     "R and R_x must be positive"),
+    (lambda: multi_index(squared_error_link(), 0.1, 1.0, 0.0, K=1), ValueError,
+     "R and R_x must be positive"),
+    (lambda: soft_kmeans(2, 1.0, R=0.0), ValueError, "R must be positive"),
+    (lambda: soft_kmeans(0, 1.0, R=1.0), ValueError, "K must be a positive integer"),
+    (lambda: hard_kmeans(2, R=0.0), ValueError, "R must be positive"),
+    (lambda: hard_kmeans(0, R=1.0), ValueError, "K must be a positive integer"),
+    (lambda: IFSModel([[0.5]], gamma=1.0, radius=1.0), ValueError, "gamma must lie in (0, 1)"),
+    (lambda: em_step(np.zeros(2), Dataset(([0.0],)), zeta=0.0), ValueError,
+     "zeta must be positive"),
+    (lambda: PiecewiseSmoothFunction((), lambda t: 0, 1.0), ValueError,
+     "need at least one smooth piece"),
+    (lambda: _zero_fn(beta_prime=-1.0), ValueError, "beta_prime must be nonnegative"),
+    (lambda: build_piecewise_approx(_zero_fn(), WholeSpace(2), 0.5, (1.0, 1.0)), ValueError,
+     "anchor lattice needs a bounded domain"),
+    (lambda: build_piecewise_approx(_zero_fn(), Ball(np.zeros(2), 1.0), 0.5, (math.inf, 1.0)),
+     ValueError, "alpha must be finite, got inf"),
+    (lambda: build_piecewise_approx(_zero_fn(), Ball(np.zeros(2), 1.0), 0.5, (1.0, math.nan)),
+     ValueError, "beta must be finite, got nan"),
+    (lambda: enumerate_piecewise_cover(None, Dataset(([0.0],)), -0.1, 2), ValueError,
+     "eta must be nonnegative"),
+    (lambda: coupled_contraction_ratio(None, np.zeros((2, 1)), np.ones((3, 1)), [[0], [0]],
+                                       Dataset(([0.0],))), ValueError,
+     "need (m, d), (m, d) and (m, steps) arrays, got shapes (2, 1), (3, 1) and (2, 1)"),
+    (lambda: WholeSpace(0), ValueError, "dimension must be a positive integer"),
+], ids=["margin-link-K", "split-blocks-length", "multi-index-link-K", "multi-index-lam",
+        "multi-index-R", "multi-index-R_x", "soft-kmeans-R", "soft-kmeans-K", "hard-kmeans-R",
+        "hard-kmeans-K", "IFSModel-gamma", "em-step-zeta", "piecewise-no-pieces",
+        "piecewise-beta-prime", "anchor-lattice-unbounded", "piecewise-alpha-inf",
+        "piecewise-beta-nan", "piecewise-cover-eta", "coupling-shapes", "whole-space-0"])
+def test_out_of_range_arguments_are_refused(call, error, message):
+    """Each constructor or routine refuses an argument outside its range
+    with the error and message that name it."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
