@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -108,92 +108,6 @@ def substream(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
 
 
-# SeedSequence's hashing constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 2**32 - 1
-# keys seeded per vectorized pass, which bounds the pass's scratch arrays
-_SEED_BLOCK = 1024
-
-
-def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
-    """The (m, 4) uint64 rows ``SeedSequence([seed, k]).generate_state(4,
-    np.uint64)`` for every key k of a uint32 array.  SeedSequence's hashing
-    takes one uint32 numpy operation per step of its scalar algorithm, for
-    all keys at once."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    # the entropy pool: 4 words mixed from the seed's uint32 words, low word
-    # first, and the key
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full(keys.size, w, dtype=np.uint32) for w in words] + [keys]
-    zero = np.zeros(keys.size, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(entropy)):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-
-    # generate_state(4, uint64): 8 words cycled from the pool, low word first
-    hash_const = _INIT_B
-    halves = np.empty((keys.size, 8), dtype=np.uint64)
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        halves[:, i] = value ^ (value >> np.uint32(16))
-    return halves[:, 0::2] | halves[:, 1::2] << np.uint64(32)
-
-
-class _HashedSeed:
-    """One key's ``_seed_words`` row, given to PCG64 as numpy's
-    ``ISeedSequence`` (``_keyed_streams`` registers the class)."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for, read by pointer
-            raise NotImplementedError(f"only 4 uint64 words, not {n_words} {dtype}")
-        return self.words
-
-
-def _keyed_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """For k in range(count), a generator whose state is bitwise that of
-    ``substream(seed, k)``, seeded without one SeedSequence per key.
-
-    SeedSequence's hashing runs ``_SEED_BLOCK`` keys at a time, and numpy's
-    own PCG64 seeds each generator from its key's words.  Each starts with
-    no pending 32-bit half, as a fresh substream does; ``sgd.draw_runs``
-    relies on it when it decodes raw words.
-    """
-    seed = int(seed)
-    if seed < 0:  # as SeedSequence does
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if count > 2**32:  # keys must stay one uint32 word each
-        raise ValueError(f"at most 2**32 keyed streams, got {count}")
-    np.random.bit_generator.ISeedSequence.register(_HashedSeed)  # numpy.random loads here
-    return (np.random.Generator(np.random.PCG64(_HashedSeed(words)))
-            for lo in range(0, count, _SEED_BLOCK)
-            for words in _seed_words(seed, np.arange(lo, min(lo + _SEED_BLOCK, count),
-                                                     dtype=np.int64).astype(np.uint32)))
-
-
 def numeric_gradient(fn: Callable[[np.ndarray], float], theta) -> np.ndarray:
     """Central finite-difference gradient of a scalar function, step 1e-5."""
     theta = as_point(theta)
@@ -230,20 +144,32 @@ class ConvexDomain:
         """Draw a point uniformly from the domain."""
         raise NotImplementedError
 
-
-def _ball_direction(rng: np.random.Generator, d: int, radius: float) -> tuple[np.ndarray, float]:
-    """A uniform point of the origin-centered ball as ``direction * scale``."""
-    direction = rng.normal(size=d)
-    norm = math.sqrt(direction.dot(direction))  # what np.linalg.norm computes for it
-    if norm == 0.0:
-        return np.zeros(d), 0.0
-    r = radius * rng.random() ** (1.0 / d)  # uniform(0, 1) is 0 + 1 * random()
-    return direction, r / norm
+    def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """Draw ``m`` points uniformly from the domain as an (m, dim) array,
+        by a few array calls in a fixed order that each domain states."""
+        raise NotImplementedError
 
 
 def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
-    direction, scale = _ball_direction(rng, d, radius)
-    return direction * scale
+    direction = rng.normal(size=d)
+    norm = math.sqrt(direction.dot(direction))  # what np.linalg.norm computes for it
+    if norm == 0.0:
+        return np.zeros(d)
+    r = radius * rng.random() ** (1.0 / d)  # uniform(0, 1) is 0 + 1 * random()
+    return direction * (r / norm)
+
+
+def _uniform_in_balls(rng: np.random.Generator, shape: tuple, d: int,
+                      radius: float) -> np.ndarray:
+    """Uniform points of the origin-centered d-ball, as an array of shape
+    ``shape + (d,)``: normals of that shape, then uniforms u of shape
+    ``shape``.  Each point is its normal times radius * u**(1/d) over the
+    normal's ``linalg_norms`` norm; a zero normal gives the origin."""
+    directions = rng.normal(size=(*shape, d))
+    norms = linalg_norms(directions.reshape(-1, d)).reshape(shape)
+    r = radius * rng.random(shape) ** (1.0 / d)
+    scale = np.divide(r, norms, out=np.zeros(shape), where=norms > 0)
+    return directions * scale[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,6 +250,10 @@ class Ball(ConvexDomain):
     def sample(self, rng) -> np.ndarray:
         return self.center + _uniform_in_ball(rng, self.dim, self.radius)
 
+    def sample_batch(self, rng, m: int) -> np.ndarray:
+        """Normals of shape (m, d), then uniforms of shape (m,)."""
+        return self.center + _uniform_in_balls(rng, (m,), self.dim, self.radius)
+
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexDomain):
@@ -352,6 +282,10 @@ class Box(ConvexDomain):
 
     def sample(self, rng) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
+
+    def sample_batch(self, rng, m: int) -> np.ndarray:
+        """``rng.uniform(lower, upper, size=(m, d))``."""
+        return rng.uniform(self.lower, self.upper, size=(m, self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,6 +330,12 @@ class ProductOfBalls(ConvexDomain):
         )
         return out
 
+    def sample_batch(self, rng, m: int) -> np.ndarray:
+        """Normals of shape (m, blocks, block_dim), then uniforms of shape
+        (m, blocks)."""
+        points = _uniform_in_balls(rng, (m, self.blocks), self.block_dim, self.radius)
+        return points.reshape(m, self.dim)
+
 
 @dataclass(frozen=True)
 class WholeSpace(ConvexDomain):
@@ -419,6 +359,9 @@ class WholeSpace(ConvexDomain):
 
     def sample(self, rng) -> np.ndarray:
         raise ValueError("cannot sample uniformly from an unbounded domain")
+
+    def sample_batch(self, rng, m: int) -> np.ndarray:
+        return self.sample(rng)  # refuses, as sample does
 
 
 def hoeffding_tail(n: int, epsilon: float, range_width: float) -> float:

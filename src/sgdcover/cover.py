@@ -31,6 +31,9 @@ DEFAULT_CAP = 10**7
 # point values the JSONL writer converts to Python floats at once
 _WRITE_CHUNK = 2**10
 
+# verification trials drawn per keyed stream
+_TRIAL_BLOCK = 256
+
 
 class EnumerationCapExceeded(ValueError):
     """Raised before enumeration when the entry count would exceed the cap."""
@@ -262,9 +265,16 @@ def _own_entry_runs(update: UpdateMap, dataset: Dataset, T: int, trials: int,
                     max_extra_steps: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``verify_cover``'s runs without a cover: the (trials, d) endpoints, the
     (trials, T) last T indices of each run, and each run's own entry, those
-    indices applied to the origin in a second lockstep."""
-    starts, steps, indices, _ = draw_runs(seed, trials, 1, update.domain, T,
+    indices applied to the origin in a second lockstep.
+
+    Trials are drawn ``_TRIAL_BLOCK`` to a stream by ``draw_runs``: trial k
+    is row k % _TRIAL_BLOCK of stream k // _TRIAL_BLOCK, and a partial last
+    block is drawn whole, so the first trials of a longer verification are
+    bitwise those of a shorter one."""
+    streams = -(-trials // _TRIAL_BLOCK)
+    starts, steps, indices, _ = draw_runs(seed, streams, _TRIAL_BLOCK, update.domain, T,
                                           T + max_extra_steps, dataset.n)
+    starts, steps, indices = starts[:trials], steps[:trials], indices[:trials]
     endpoints = run_lockstep(update, starts, steps, indices, dataset)
     last = np.take_along_axis(indices, steps[:, None] - T + np.arange(T), axis=1)
     own = run_lockstep(update, np.zeros_like(endpoints), np.full(trials, T), last, dataset)
@@ -295,10 +305,10 @@ def verify_cover(
     """Run ``trials`` trajectories from random starts for random t in
     [T, T + max_extra_steps] and check each against its own cover entry.
 
-    Trial k draws its start, t and indices from ``substream(seed, k)``
-    (``draw_runs`` with one run per stream: the streams are seeded together
-    and the indices decoded from raw PCG64 words, bitwise what
-    ``rng.integers`` draws), and all trials then advance in lockstep.  A
+    Trial k draws its start, t and indices as row k % 256 of the runs that
+    ``draw_runs`` draws from ``substream(seed, k // 256)``, ``_TRIAL_BLOCK``
+    = 256 trials to a stream (``_own_entry_runs``), and all trials then
+    advance in lockstep.  A
     trial's own entry, its last T indices applied to the origin, is rerun in
     a second lockstep (bitwise what enumeration reaches) and looked up by its
     bits among the sorted points, which a deduped cover holds too; the

@@ -69,8 +69,9 @@ def validate_bound(
 
     A resampled dataset is the array of n support positions
     ``distribution.positions`` draws.  Resampling r draws from
-    ``substream(seed, r)``: its dataset, then each trial's start, t and
-    indices in turn (``draw_runs`` with the dataset draw as the prelude).
+    ``substream(seed, r)``: its dataset, then its trials' starts, step
+    counts and indices, each by one array call (``draw_runs`` with the
+    dataset draw as the prelude).
     Every resampling's trials then run in one lockstep over the m support
     points, and each endpoint equals, bitwise, the one a run over its own
     resampled dataset reaches.  Each resampling is scored from its one

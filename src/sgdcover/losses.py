@@ -207,11 +207,12 @@ def uniform_over(points: Sequence) -> Distribution:
 
 
 def uniform_ball(radius: float, d: int) -> Distribution:
-    """Uniform distribution on the origin-centered d-ball (no finite support)."""
+    """Uniform distribution on the origin-centered d-ball (no finite support):
+    ``size`` draws are the rows of one ``Ball.sample_batch``."""
     ball = Ball(np.zeros(d), radius)
 
     def draw(rng, size):
-        return [ball.sample(rng) for _ in range(size)]
+        return list(ball.sample_batch(rng, size))
 
     return Distribution(draw=draw)
 

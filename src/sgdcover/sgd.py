@@ -4,15 +4,13 @@ and smooth losses.  Recorded runs and coupling are in ``trajectory``."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .core import (_MASK32, Ball, ConvexDomain, DETERMINISTIC_TOL, _ball_direction,
-                   _keyed_streams, all_finite, as_point, substream)
+from .core import Ball, ConvexDomain, DETERMINISTIC_TOL, all_finite, as_point, substream
 from .losses import Dataset, LossFamily
 
 
@@ -68,7 +66,9 @@ class SGDStep:
         g = self.family.grad_rows(thetas, dataset, idx)
         out = np.multiply(g, self.eta)  # thetas - eta * g, in one buffer
         np.subtract(thetas, out, out=out)
-        return self.domain.project_batch(_checked_update(thetas, g, out))
+        _checked_update(thetas, g, out)
+        del g  # freed before the projection's norms
+        return self.domain.project_batch(out)
 
 
 def _checked_update(theta: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -141,13 +141,6 @@ def sgd_step(update: UpdateMap, theta, sample_index: int, dataset: Dataset) -> n
     return update.apply(theta, samples[sample_index])
 
 
-# numpy draws a bounded integer of range up to 2**32 from one 32-bit half
-_RANGE32 = 2**32
-# runs drawn before their indices are decoded, which bounds the raw words
-# and decoding arrays held at once
-_RUN_BLOCK = 256
-
-
 def draw_runs(
     seed: int,
     streams: int,
@@ -161,136 +154,31 @@ def draw_runs(
     """Randomness of ``runs`` runs from each of ``streams`` keyed streams.
 
     Stream k is ``substream(seed, k)``.  It first serves ``prelude(k, rng)``,
-    if one is given, which must finish its draws before it returns, and
-    then runs k * runs to (k + 1) * runs - 1 in turn, each drawn in the
-    order a sequential loop consumes it: a uniform start
-    ``domain.sample(rng)``, a step count ``rng.integers(t_min, t_max + 1)``,
-    then the indices ``rng.integers(0, n, size=t)``.
-
-    Only the starts go through the generator.  numpy draws a bounded integer
-    of range r <= 2**32 by Lemire's multiply-shift over one 32-bit half of a
-    PCG64 word, low half first, and keeps the high half pending for the next
-    draw.  So each run takes from ``random_raw`` exactly the words its step
-    count and indices consume, and the indices of ``_RUN_BLOCK`` runs are
-    decoded together in one numpy pass; every output is bitwise the
-    sequential loop's.  A stream with a rejected draw (probability below
-    r / 2**32 per draw), and every stream when a range exceeds 2**32 or
-    ``_replicas_hold`` fails, is drawn again by that loop.
+    if one is given, and then draws runs k * runs to (k + 1) * runs - 1 by
+    three array calls, in this order: the starts
+    ``domain.sample_batch(rng, runs)``, the step counts
+    ``rng.integers(t_min, t_max + 1, size=runs)`` and the indices
+    ``rng.integers(0, n, size=(runs, t_max))``.  Each index row is zeroed
+    past its step count.
 
     Returns (starts (m, d), steps (m,), indices (m, t_max), the prelude's
     result per stream, or [] without a prelude), with m = streams * runs.
-    Row j of the index array is padded with zeros past ``steps[j]``.
     """
-    # above 2**32 numpy draws from whole words, which are not decoded
-    fast = max(t_max - t_min + 1, n) <= _RANGE32 and _replicas_hold()
-    return _draw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, fast)
-
-
-@functools.cache
-def _replicas_hold() -> bool:
-    """Whether ``core._seed_words`` and ``_decode_indices``, copies of numpy
-    internals that NEP 19 does not promise to keep, match the numpy in use:
-    once per process, one fixed small case is drawn by the decoding path and
-    by the sequential loop and compared bitwise."""
-    # a seed of five 32-bit words mixes entropy beyond the pool's four
-    case = (2**128 + 1, 2, 2, Ball(np.array([0.5, -0.25, 1.0]), 2.0), 1, 9, 7, None)
-    decoded, looped = (_draw_runs(*case, fast) for fast in (True, False))
-    return all(a.tobytes() == b.tobytes() for a, b in zip(decoded[:3], looped[:3]))
-
-
-def _draw_runs(seed, streams, runs, domain, t_min, t_max, n, prelude, fast):
-    """``draw_runs``, decoding raw words where ``fast`` and otherwise drawing
-    every stream by the sequential loop."""
-    m, ball = streams * runs, isinstance(domain, Ball)
-    starts, scales = np.empty((m, domain.dim)), np.empty(m)
+    m = streams * runs
+    starts = np.empty((m, domain.dim))
     steps = np.empty(m, dtype=np.int64)
-    indices = np.zeros((m, t_max), dtype=np.int64)
-    preluded = [None] * streams if prelude is not None else []
-    redraw = set() if fast else set(range(streams))
-    span = t_max - t_min + 1
-    span_floor = _RANGE32 % span  # Lemire rejects a product whose low half is below
-    # the pending half each undecoded run's first index takes (-1 for none),
-    # and the raw words its other indices take
-    first, leads, words = 0, [], []
-    for k, rng in enumerate(_keyed_streams(seed, streams) if fast else ()):
-        bits = rng.bit_generator
-        raw = bits.random_raw
-        pending = -1  # the high half PCG64 keeps for its next 32-bit draw
-        if prelude is not None:
-            preluded[k] = prelude(k, rng)
-            state = bits.state
-            if state["has_uint32"]:
-                pending = state["uinteger"]
-        for j in range(k * runs, (k + 1) * runs):
-            if ball:  # a direction and scale, applied to every row below
-                starts[j], scales[j] = _ball_direction(rng, domain.dim, domain.radius)
-            else:
-                starts[j] = domain.sample(rng)
-            t = t_min
-            if span > 1:  # a range of 1 consumes nothing
-                if pending < 0:
-                    word = raw()
-                    half, pending = word & _MASK32, word >> 32
-                else:
-                    half, pending = pending, -1
-                scaled = half * span
-                if scaled & _MASK32 < span_floor:
-                    redraw.add(k)
-                t += scaled >> 32
-            steps[j] = t
-            if n < 2:
-                continue
-            need, lead = t, -1
-            if need and pending >= 0:
-                lead, pending = pending, -1
-                need -= 1
-            leads.append(lead)
-            words.append(raw((need + 1) // 2))
-            if need % 2:
-                pending = int(words[-1][-1]) >> 32
-            if len(words) == _RUN_BLOCK or j == m - 1:
-                counts = steps[first:j + 1]
-                values, rejected = _decode_indices(counts, leads, words, n)
-                indices[first:j + 1][np.arange(t_max) < counts[:, None]] = values
-                if rejected.any():
-                    run = np.repeat(np.arange(first, j + 1), counts)[rejected]
-                    redraw.update((run // runs).tolist())
-                first, leads, words = j + 1, [], []
-    if fast and ball:  # center + direction * scale, as Ball.sample
-        starts *= scales[:, None]
-        starts += domain.center
-    for k in sorted(redraw):
+    indices = np.empty((m, t_max), dtype=np.int64)
+    preluded = []
+    for k in range(streams):
         rng = substream(seed, k)
         if prelude is not None:
-            preluded[k] = prelude(k, rng)
-        for j in range(k * runs, (k + 1) * runs):
-            starts[j] = domain.sample(rng)
-            steps[j] = t = rng.integers(t_min, t_max + 1)
-            indices[j] = 0
-            indices[j, :t] = rng.integers(0, n, size=t)
+            preluded.append(prelude(k, rng))
+        rows = slice(k * runs, (k + 1) * runs)
+        starts[rows] = domain.sample_batch(rng, runs)
+        steps[rows] = rng.integers(t_min, t_max + 1, size=runs)
+        indices[rows] = rng.integers(0, n, size=(runs, t_max))
+    indices[np.arange(t_max) >= steps[:, None]] = 0
     return starts, steps, indices, preluded
-
-
-def _decode_indices(t, leads, words, n):
-    """The indices of a block of runs, concatenated, and whether each was a
-    rejected draw.  Run j has t[j] indices: the first is ``leads[j]`` unless
-    that is -1, the others come from the halves of ``words[j]``, low half
-    first, each a draw ``(half * n) >> 32``."""
-    first = np.cumsum(t) - t  # where each run's indices start
-    with_lead = [j for j, lead in enumerate(leads) if lead >= 0]
-    has = np.zeros(t.size, dtype=np.int64)
-    has[with_lead] = 1
-    nwords = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    halves = np.concatenate(words).astype("<u8", copy=False).view("<u4")
-    # index i of run j is half 2 * (words before run j) + i - has[j], or, for
-    # i = 0 when has[j], the lead, placed after all the halves
-    at = np.repeat(2 * (np.cumsum(nwords) - nwords) - has - first, t) + np.arange(t.sum())
-    at[first[with_lead]] = halves.size + np.arange(len(with_lead))
-    halves = np.concatenate((halves, np.array([leads[j] for j in with_lead], dtype="<u4")))
-    # the high half of half * n is the draw; Lemire's method rejects it when
-    # the low half is below 2**32 mod n
-    product = (halves[at].astype(np.uint64) * np.uint64(n)).astype("<u8", copy=False).view("<u4")
-    return product[1::2], product[0::2] < _RANGE32 % n
 
 
 def run_lockstep(

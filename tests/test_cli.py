@@ -833,7 +833,7 @@ class TestGoldenArtifacts:
         (["cover", "--scenario", "scenario.json", "--epsilon", "0.1666667", "--dedupe",
           "--verify-trials", "200", "--seed", "3", "--out", "c"],
          {"c": "86afedfa5926ceafe08f81c1f74e6ca48e29da083d017f7f0062a07af3146a78",
-          "c.meta.json": "e037587334bf68770680c28bc46ef0d32cfe0b2493a19f79407f53f65268bda6"}),
+          "c.meta.json": "6c5a907d39384cb3f2357f40d55a43d689eb2cc222301c449ec76a40a9bac05d"}),
         (["contract", "--scenario", "scenario.json", "--pairs", "20", "--steps", "30",
           "--seed", "11", "--out", "a.json"],
          {"a.json": "93805153580d9697e1ec4ada87ba06bfd31c57274c3421bd11aab13fa677d415"}),
@@ -844,11 +844,11 @@ class TestGoldenArtifacts:
          {"a.json": "6495806983aadaf47d8f8fa44188e45d55afc0ebe4ae8542dd2cc88e3dd8c9f7"}),
         (["validate", "--scenario", "iid.json", "--resamplings", "30", "--trials", "3",
           "--delta", "0.05", "--out", "a.json", "--csv", "a.csv"],
-         {"a.json": "5c46e6baf64a1506df17e8d5c8e52c6bb9341441ab2072153ac409ad855eecca",
-          "a.csv": "87eb110eebb4b2e63827d771a47ba09f3ce867313c2683f3f33a27e30ae8e23a"}),
+         {"a.json": "1082328e0663d014af1989403ad60d3b83d4777193bc19acb27bc568bd1673b3",
+          "a.csv": "eac1b1c89cbb1f2d67ff1770ca040a9b579c5a0e5f8d2ee9390349431fda49ca"}),
         (["validate", "--scenario", "named.json", "--resamplings", "10", "--trials", "3",
           "--delta", "0.05", "--t-band", "5", "--out", "a.json"],
-         {"a.json": "6f3d4cfda3aea52df9ea051984f54261c31a428109a17894593fd98ce35a55d6"}),
+         {"a.json": "0f48c9ac8eaef4fc077bd5cae93f3c5576020139bd40202cf806fdce37ba4e0e"}),
         (["kmeans", "--scenario", "clusters.json", "--out", "a.json"],
          {"a.json": "9cbea58098f415058da7c316c6a21742c6f3bf4292675b5488608417d8661e9e"}),
         (["stability", "--inits", "2000", "--out", "a.json"],

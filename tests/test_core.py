@@ -383,6 +383,10 @@ class TestHoeffdingTail:
 
 
 class TestUtilities:
+    def test_substream_refuses_a_negative_key(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            substream(-1, 0)
+
     def test_substream_reproducible_and_distinct(self):
         a = substream(3, 5).uniform(size=4)
         b = substream(3, 5).uniform(size=4)
@@ -407,70 +411,85 @@ class TestUtilities:
         np.testing.assert_allclose(grad, [1.0, -2.0, 4.0], rtol=1e-9, atol=1e-9)
 
 
-# one to seven uint32 words: from four words on, SeedSequence mixes the
-# entropy beyond its pool in a second loop
-_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**80, 2**96,
-                                    2**200 + 3]),
-                   st.integers(0, 2**80), st.integers(0, 2**224 - 1))
+class _ZeroFirstNormal:
+    """A stub generator: normals of ones but for an all-zero first row,
+    and uniforms of 0.5."""
+
+    def normal(self, size):
+        out = np.ones(size)
+        out[0] = 0.0
+        return out
+
+    def random(self, size):
+        return np.full(size, 0.5)
 
 
-def _assert_is_substream(bit_generator, seed, k):
-    """State and first draws are those of ``substream(seed, k)``."""
-    ref = substream(seed, k).bit_generator
-    assert bit_generator.state == ref.state
-    np.testing.assert_array_equal(bit_generator.random_raw(8), ref.random_raw(8))
+_SAMPLED = {"ball": Ball(np.array([0.2, -0.1, 0.0]), 1.5),
+            "box": Box([-1.0, 0.0, -2.0], [1.0, 2.0, 0.5]),
+            "product": ProductOfBalls(blocks=2, block_dim=3, radius=0.8)}
 
 
-class TestKeyedStreams:
-    @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(seed=_SEEDS, count=st.one_of(st.sampled_from([1, 1023, 1024, 1025, 2049]),
-                                        st.integers(1, 40)))
-    def test_streams_are_substreams(self, seed, count):
-        """Across block edges, each key's generator drawn from before the
-        next is taken."""
-        checked = {0, count - 1} | ({1, 1023, 1024, 1025, 2047, 2048} & set(range(count)))
-        drawn = 0
-        for k, rng in enumerate(core._keyed_streams(seed, count)):
-            if k in checked:
-                _assert_is_substream(rng.bit_generator, seed, k)
-            drawn += 1
-        assert drawn == count
+def _ks_distance_from_uniform(u: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of a sample's empirical CDF from U(0, 1)'s."""
+    u, k = np.sort(u), np.arange(1, u.size + 1)
+    return float(max(np.max(k / u.size - u), np.max(u - (k - 1) / u.size)))
 
-    @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(seed=_SEEDS, keys=st.lists(st.one_of(st.sampled_from([2**31 - 1, 2**31, 2**32 - 1]),
-                                                st.integers(0, 2**32 - 1)),
-                                      min_size=1, max_size=6))
-    def test_states_at_any_key(self, seed, keys):
-        words = core._seed_words(seed, np.array(keys, dtype=np.uint32))
-        # PCG64 reads each row through its data pointer
-        assert words.dtype == np.uint64 and words.flags.c_contiguous
-        assert words.shape == (len(keys), 4)
-        for k, row in zip(keys, words):
-            expected = np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
-            assert row.tobytes() == expected.tobytes()
 
-    def test_held_streams_stay_independent(self):
-        """A generator drawn from after the next one is taken, across a block
-        edge too, still draws its own substream."""
-        streams = core._keyed_streams(11, 1025)
-        first, second = next(streams), next(streams)
-        *_, last = streams
-        for k, rng in [(0, first), (1, second), (1024, last)]:
-            _assert_is_substream(rng.bit_generator, 11, k)
+class TestSampleBatch:
+    @pytest.mark.parametrize("kind", _SAMPLED)
+    def test_documented_draw_order(self, kind):
+        domain, rng = _SAMPLED[kind], substream(9, 1)
+        got = domain.sample_batch(substream(9, 1), 5)
+        if kind == "box":
+            expected = rng.uniform(domain.lower, domain.upper, size=(5, 3))
+        else:
+            blocks = (5,) if kind == "ball" else (5, 2)
+            normals = rng.normal(size=(*blocks, 3))
+            r = domain.radius * rng.random(blocks) ** (1.0 / 3)
+            expected = normals * (r / linalg_norms(normals.reshape(-1, 3)).reshape(blocks))[..., None]
+            expected = domain.center + expected if kind == "ball" else expected.reshape(5, 6)
+        assert got.tobytes() == expected.tobytes()
 
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            core._keyed_streams(-1, 3)
-        with pytest.raises(ValueError, match="non-negative"):
-            substream(-1, 0)
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            core._keyed_streams(0, 2**32 + 1)
-        assert next(core._keyed_streams(0, 2**32)) is not None  # lazy: one block only
-        with pytest.raises(NotImplementedError, match="only 4 uint64 words"):
-            core._HashedSeed(np.zeros(4, dtype=np.uint64)).generate_state(8, np.uint32)
+    @pytest.mark.parametrize("kind", _SAMPLED)
+    def test_rows_lie_in_the_domain(self, kind):
+        domain = _SAMPLED[kind]
+        X = domain.sample_batch(substream(4), 2000)
+        assert X.shape == (2000, domain.dim)
+        assert np.all(row_norms(domain.project_batch(X) - X) <= 1e-12)
 
-    def test_no_streams(self):
-        assert list(core._keyed_streams(3, 0)) == []
+    @pytest.mark.parametrize("kind", ["ball", "product"])
+    def test_zero_normal_row_gives_the_center(self, kind):
+        domain = _SAMPLED[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = domain.sample_batch(_ZeroFirstNormal(), 3)
+        center = domain.center if kind == "ball" else np.zeros(domain.dim)
+        assert X[0].tobytes() == center.tobytes()
+        assert np.all(np.isfinite(X)) and np.all(X[1:] != center)
+
+    def test_whole_space_refuses_as_sample_does(self):
+        with pytest.raises(ValueError, match="^cannot sample uniformly from an unbounded domain$"):
+            WholeSpace(2).sample_batch(substream(0), 4)
+
+    @pytest.mark.parametrize("kind", _SAMPLED)
+    def test_radii_are_uniform_in_volume(self, kind):
+        """(|x - c| / r)^d of each ball row, of each block of a product row,
+        and (x - lower) / (upper - lower) of each box coordinate are
+        independent U(0, 1) draws.  Pooled, N of them stray from U(0, 1)'s
+        CDF by more than eps = sqrt(ln(2e6) / 2N) with probability at most
+        2 exp(-2 N eps^2) = 1e-6 (the Dvoretzky-Kiefer-Wolfowitz inequality
+        with Massart's constant), which is this check's false-fail rate."""
+        domain = _SAMPLED[kind]
+        X = domain.sample_batch(substream(12), 20_000)
+        if kind == "box":
+            u = (X - domain.lower) / (domain.upper - domain.lower)
+        elif kind == "ball":
+            u = (row_norms(X - domain.center) / domain.radius) ** 3
+        else:
+            u = (row_norms(X.reshape(-1, 2, 3)) / domain.radius) ** 3
+        u = u.ravel()
+        eps = math.sqrt(math.log(2e6) / (2 * u.size))
+        assert _ks_distance_from_uniform(u) <= eps
 
 
 def _gradient_of(value: float) -> LossFamily:

@@ -597,10 +597,10 @@ class TestVerifyCover:
         eps = 1.0 / 6.0
         cov = enumerate_cover(update, ds, T=cover_horizon(1.0, eps, 0.5))
         ok = verify_cover(cov, update, ds, trials=300, max_extra_steps=20, epsilon=eps, seed=3)
-        assert (ok.max_min_distance, ok.failures) == (0.12175321620818923, 0)
+        assert (ok.max_min_distance, ok.failures) == (0.10334111001107128, 0)
         bad = verify_cover(cov, update, ds, trials=300, max_extra_steps=20,
                            epsilon=eps / 100.0, seed=3)
-        assert (bad.max_min_distance, bad.failures) == (0.12175321620818923, 300)
+        assert (bad.max_min_distance, bad.failures) == (0.10334111001107128, 300)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
     def test_vacuous_epsilon_rejected_before_any_trial(self, monkeypatch, epsilon):
@@ -614,7 +614,7 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="finite and positive"):
             verify_cover(cov, update, ds, trials=10, max_extra_steps=5, epsilon=epsilon)
 
-    def test_lockstep_matches_sequential_reference(self, monkeypatch):
+    def test_lockstep_matches_sequential_reference(self, monkeypatch, reference_runs):
         """A user-built family (per-row fallback) verified in lockstep gives,
         run by run and bitwise, the own distances of trials run one at a
         time through sgd_step, and every own entry is a stored cover point."""
@@ -627,7 +627,8 @@ class TestVerifyCover:
         ds = Dataset(tuple(CENTERS))
         update = SGDStep(aniso, 0.5)
         cov = enumerate_cover(update, ds, T=4)
-        ends, owns = _sequential_runs(update, ds, T=4, max_extra_steps=10, seed=9, trials=60)
+        ends, owns = _sequential_runs(reference_runs, update, ds, T=4, max_extra_steps=10, seed=9,
+                                      trials=60)
         assert _stored_rows(cov.points, owns).all()
         expected = row_norms(ends - owns)
         dists = _spy_distances(monkeypatch)
@@ -636,7 +637,7 @@ class TestVerifyCover:
         assert (out.max_min_distance, out.failures) == (expected.max(),
                                                         int(np.sum(expected > 0.05)))
 
-    def test_verification_far_from_origin(self, monkeypatch):
+    def test_verification_far_from_origin(self, monkeypatch, reference_runs):
         """Verification in a Box near [1e3, 1e3 + 1]^2 gives, bitwise, the own
         distances of a sequential sgd_step reference, none below the nearest
         stored point's distance."""
@@ -646,7 +647,8 @@ class TestVerifyCover:
                          domain=Box(np.full(2, 1e3), np.full(2, 1e3 + 1)))
         ds = Dataset(tuple(centers))
         cov = enumerate_cover(update, ds, T=4)
-        ends, owns = _sequential_runs(update, ds, T=4, max_extra_steps=10, seed=4, trials=500)
+        ends, owns = _sequential_runs(reference_runs, update, ds, T=4, max_extra_steps=10, seed=4,
+                                      trials=500)
         assert _stored_rows(cov.points, owns).all()
         expected = row_norms(ends - owns)
         # in d = 2 row_norms sums in order, as the reference search does
@@ -656,6 +658,35 @@ class TestVerifyCover:
         np.testing.assert_array_equal(dists[0], expected)
         assert (out.max_min_distance, out.failures) == (expected.max(),
                                                         int(np.sum(expected > 0.05)))
+
+    def test_trial_replays_from_its_block_stream_alone(self):
+        """Trial k's start, step count and indices are row k % 256 of three
+        array calls on ``substream(seed, k // 256)``, and its endpoint and own
+        entry are, bitwise, the sgd_step loops over them."""
+        _, ds, update = quadratic_cover_setup()
+        endpoints, last, own = cover_module._own_entry_runs(update, ds, 4, 600, 6, seed=13)
+        for k in (0, 255, 256, 511, 599):
+            rng = substream(13, k // 256)
+            start = update.domain.sample_batch(rng, 256)[k % 256]
+            t = int(rng.integers(4, 11, size=256)[k % 256])
+            idx = rng.integers(0, ds.n, size=(256, 10))[k % 256, :t]
+            theta, entry = start, np.zeros(2)
+            for i in idx.tolist():
+                theta = sgd_step(update, theta, i, ds)
+            for i in idx[t - 4:].tolist():
+                entry = sgd_step(update, entry, i, ds)
+            assert endpoints[k].tobytes() == theta.tobytes()
+            assert last[k].tolist() == idx[t - 4:].tolist()
+            assert own[k].tobytes() == entry.tobytes()
+
+    def test_fewer_trials_are_a_prefix_of_more(self):
+        """The runs of 200 trials are bitwise the first 200 of 2,000: a
+        partial block is drawn whole."""
+        _, ds, update = quadratic_cover_setup()
+        short = cover_module._own_entry_runs(update, ds, 4, 200, 6, seed=5)
+        full = cover_module._own_entry_runs(update, ds, 4, 2000, 6, seed=5)
+        for a, b in zip(short, full):
+            assert len(a) == 200 and a.tobytes() == b[:200].tobytes()
 
     @pytest.mark.parametrize("d", [2, 64, 1024])
     def test_own_distance_across_dimensions(self, monkeypatch, d):
@@ -787,20 +818,19 @@ def _sequential_nearest(points, queries):
     return np.sqrt(d2.min(axis=1))
 
 
-def _sequential_runs(update, ds, T, max_extra_steps, seed, trials):
+def _sequential_runs(draws, update, ds, T, max_extra_steps, seed, trials):
     """Endpoints and own entries of ``verify_cover``'s trials, one sgd_step
-    at a time: trial k draws its start, step count and indices from
-    ``substream(seed, k)``, and its own entry is the sgd_step loop from the
-    origin over its last T indices."""
+    at a time: trial k is row k % 256 of the runs ``draws`` takes from
+    ``substream(seed, k // 256)``, 256 to a stream, and its own entry is the
+    sgd_step loop from the origin over its last T indices."""
+    starts, steps, indices, _ = draws(seed, -(-trials // 256), 256, update.domain, T,
+                                      T + max_extra_steps, ds.n)
     ends, owns = [], []
-    for k in range(trials):
-        rng = substream(seed, k)
-        theta = update.domain.sample(rng)
-        idx = rng.integers(0, ds.n, size=int(rng.integers(T, T + max_extra_steps + 1)))
+    for theta, t, row in zip(starts[:trials], steps, indices):
         own = np.zeros(update.domain.dim)
-        for j, i in enumerate(idx.tolist()):
+        for j, i in enumerate(row[:t].tolist()):
             theta = sgd_step(update, theta, i, ds)
-            if j >= len(idx) - T:
+            if j >= t - T:
                 own = sgd_step(update, own, i, ds)
         ends.append(theta)
         owns.append(own)

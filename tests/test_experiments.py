@@ -162,9 +162,9 @@ class TestValidateBound:
         report = validate_bound(quadratic_scenario(n=30), resamplings=8, trials=3,
                                 delta=0.05, seed=4)
         assert report.max_gaps == (
-            0.09530621249334864, 5.551115123125783e-17, 0.027016762790896376,
-            0.02718287559290511, 0.039563462732796206, 0.011597622645047767,
-            0.02841216795217999, 0.040734281043592,
+            0.06983614825583417, 0.0, 0.015691831260285893,
+            0.03609961889767871, 0.005734579670440831, 0.011050426511736433,
+            0.01941503781570464, 0.03650801580766916,
         )
 
     def test_per_row_fallback_gives_identical_gaps(self):
@@ -177,31 +177,33 @@ class TestValidateBound:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     @pytest.mark.parametrize("kind", ["grad_batch", "per_row", "box"])
-    def test_pooled_lockstep_matches_per_resampling_runs(self, kind, d):
+    def test_pooled_lockstep_matches_per_resampling_runs(self, reference_runs, kind, d):
         """One lockstep over every resampling's trials gives, bit for bit,
         the worst gaps of running and scoring each resampling on its own."""
         scenario = _scenario_in(d, kind)
         report = validate_bound(scenario, resamplings=5, trials=4, delta=0.05, seed=d, t_band=7)
         assert report.max_gaps == _per_resampling_max_gaps(
-            scenario, resamplings=5, trials=4, delta=0.05, seed=d, t_band=7)
+            reference_runs, scenario, resamplings=5, trials=4, delta=0.05, seed=d, t_band=7)
 
     @pytest.mark.parametrize("resamplings,trials,t_band", [(1, 4, 7), (5, 1, 7), (5, 4, 0),
                                                            (1, 1, 0)])
-    def test_pooled_lockstep_edge_sizes(self, resamplings, trials, t_band):
+    def test_pooled_lockstep_edge_sizes(self, reference_runs, resamplings, trials, t_band):
         scenario = _scenario_in(2, "grad_batch")
         report = validate_bound(scenario, resamplings, trials, delta=0.05, seed=3,
                                 t_band=t_band)
-        assert report.max_gaps == _per_resampling_max_gaps(scenario, resamplings, trials,
-                                                           delta=0.05, seed=3, t_band=t_band)
+        assert report.max_gaps == _per_resampling_max_gaps(reference_runs, scenario, resamplings,
+                                                           trials, delta=0.05, seed=3,
+                                                           t_band=t_band)
 
-    def test_pooled_lockstep_with_weighted_named_support(self):
+    def test_pooled_lockstep_with_weighted_named_support(self, reference_runs):
         """Non-uniform probabilities weigh the population sum and the draws."""
         scenario = _scenario_in(3, "grad_batch")
         skewed = dataclasses.replace(scenario, distribution=Distribution(
             support=scenario.distribution.support, probs=[0.5, 0.3, 0.15, 0.05]))
         report = validate_bound(skewed, resamplings=6, trials=3, delta=0.05, seed=8)
-        assert report.max_gaps == _per_resampling_max_gaps(skewed, resamplings=6, trials=3,
-                                                           delta=0.05, seed=8, t_band=50)
+        assert report.max_gaps == _per_resampling_max_gaps(reference_runs, skewed, resamplings=6,
+                                                           trials=3, delta=0.05, seed=8,
+                                                           t_band=50)
 
     def test_per_row_values_score_only_the_support(self):
         """A family without ``value_batch`` is evaluated once per trial and
@@ -219,7 +221,7 @@ class TestValidateBound:
                        resamplings=30, trials=20, delta=0.05, seed=1)
         assert calls == 30 * 20 * len(CENTERS)
 
-    def test_support_listing_one_object_twice(self):
+    def test_support_listing_one_object_twice(self, reference_runs):
         """A support object at two positions is scored at both; either
         position stands for its draws."""
         scenario = _scenario_in(2, "grad_batch")
@@ -227,8 +229,8 @@ class TestValidateBound:
         dup = dataclasses.replace(scenario, distribution=Distribution(
             support=twice, probs=np.full(len(twice), 1.0 / len(twice))))
         report = validate_bound(dup, resamplings=5, trials=4, delta=0.05, seed=6, t_band=7)
-        assert report.max_gaps == _per_resampling_max_gaps(dup, resamplings=5, trials=4,
-                                                           delta=0.05, seed=6, t_band=7)
+        assert report.max_gaps == _per_resampling_max_gaps(reference_runs, dup, resamplings=5,
+                                                           trials=4, delta=0.05, seed=6, t_band=7)
 
     def test_non_finite_gradient_raises(self):
         fam = quadratic_centers(CENTERS, R=1.0)
@@ -278,26 +280,24 @@ def _scenario_in(d, kind, n=25):
     return Scenario(f"quadratic-{kind}-{d}", fam, uniform_over(centers), domain, eta, n)
 
 
-def _per_resampling_max_gaps(scenario, resamplings, trials, delta, seed, t_band):
-    """Reference: each resampling's trials run in a lockstep of their own
-    over that resampling's dataset, and each endpoint is scored alone."""
+def _per_resampling_max_gaps(draws, scenario, resamplings, trials, delta, seed, t_band):
+    """Reference: resampling r's dataset and trials come from ``draws`` over
+    ``substream(seed, r)``, the dataset as its prelude; its trials run in a
+    lockstep of their own over that dataset, and each endpoint is scored alone."""
     fam, probs = scenario.family, scenario.distribution.probs
     c = fam.constants
     gamma = contraction_factor(c.alpha, c.beta, scenario.eta)
     T = int(bound_strongly_convex(scenario.n, delta, c.B, c.L, c.R, gamma).inputs.get("T", 0))
     support = Dataset(scenario.distribution.support)
     step = SGDStep(fam, scenario.eta, domain=scenario.domain)
+    starts, steps, indices, datasets = draws(
+        seed, resamplings, trials, scenario.domain, T, T + t_band, scenario.n,
+        prelude=lambda r, rng: Dataset.sample(scenario.distribution, scenario.n, rng))
     max_gaps = []
-    for r in range(resamplings):
-        rng = substream(seed, r)
-        data = Dataset.sample(scenario.distribution, scenario.n, rng)
-        starts, steps, indices = [], [], np.zeros((trials, T + t_band), dtype=np.int64)
-        for j in range(trials):
-            starts.append(scenario.domain.sample(rng))
-            steps.append(int(rng.integers(T, T + t_band + 1)))
-            indices[j, :steps[-1]] = rng.integers(0, data.n, size=steps[-1])
+    for r, data in enumerate(datasets):
+        rows = slice(r * trials, (r + 1) * trials)
         worst = 0.0
-        for theta in run_lockstep(step, np.array(starts), np.array(steps), indices, data):
+        for theta in run_lockstep(step, starts[rows], steps[rows], indices[rows], data):
             f_hat = float(np.mean(fam.values(theta, data)))
             f_pop = sum(p * v for p, v in zip(probs, fam.values(theta, support)))
             worst = max(worst, abs(f_hat - float(f_pop)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sgdcover import core as core_module
 from sgdcover import sgd as sgd_module
-from sgdcover.core import (DETERMINISTIC_TOL, Ball, Box, ProductOfBalls, WholeSpace, row_norms,
-                           substream)
+from sgdcover.core import (DETERMINISTIC_TOL, Ball, Box, ProductOfBalls, WholeSpace, linalg_norms,
+                           row_norms, substream)
 from sgdcover.families import (hard_kmeans, multi_index, soft_kmeans, squared_error_link,
                                 stability_counterexample_1d, zero_link)
 from sgdcover.losses import Dataset, LossConstants, LossFamily, quadratic_centers
@@ -471,6 +471,27 @@ class TestApplyBatch:
         with pytest.raises(FloatingPointError):
             update.apply_batch(np.array([[-1.0], [1.0]]), [0, 0], ds)
 
+    def test_gradient_is_freed_before_the_projection(self):
+        """The gradient is released once the update is checked, so a batch
+        that the ball projects takes, under ``tracemalloc``, a peak of new
+        memory below 5.5 batch sizes (6.0 while the gradient lived on)."""
+        rng = np.random.default_rng(25)
+        d = 1024
+        centers = list(rng.uniform(-1.0, 1.0, (3, d)) / (2 * math.sqrt(d)))
+        fam = quadratic_centers(centers, R=1.0)
+        update, ds = SGDStep(fam, 0.5), Dataset(tuple(centers))
+        thetas = rng.normal(size=(500, d))
+        thetas *= 4.0 / row_norms(thetas)[:, None]  # every update lands outside
+        idx = rng.integers(0, 3, size=500)
+        tracemalloc.start()
+        try:
+            out = update.apply_batch(thetas, idx, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(row_norms(out) <= 1.0 + 1e-12)
+        assert peak < 5.5 * thetas.nbytes, peak / thetas.nbytes
+
 
 class TestWrongWidth:
     """Rows of the wrong width reach ``apply_batch`` through every batched
@@ -686,53 +707,12 @@ class TestOneRowStep:
         assert [str(w.message) for w in caught] == ["invalid value encountered in subtract"]
 
 
-def _sequential_runs(seed, streams, runs, domain, t_min, t_max, n, prelude=None):
-    """Reference for ``draw_runs``: one fresh generator per stream and the
-    plain per-run loop over it."""
-    starts, steps, indices, preluded = [], [], [], []
-    for k in range(streams):
-        rng = substream(seed, k)
-        if prelude is not None:
-            preluded.append(prelude(k, rng))
-        for _ in range(runs):
-            starts.append(domain.sample(rng))
-            t = int(rng.integers(t_min, t_max + 1))
-            row = np.zeros(t_max, dtype=np.int64)
-            row[:t] = rng.integers(0, n, size=t)
-            steps.append(t)
-            indices.append(row)
-    return (np.array(starts, dtype=float).reshape(len(steps), domain.dim),
-            np.array(steps, dtype=np.int64),
-            np.array(indices, dtype=np.int64).reshape(len(steps), t_max), preluded)
-
-
 def _assert_same_runs(got, expected):
     for a, b in zip(got[:3], expected[:3]):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert len(got[3]) == len(expected[3])
     for a, b in zip(got[3], expected[3]):
         assert np.array_equal(a, b)
-
-
-_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy/random/src/pcg64/pcg64.h
-
-
-def _pcg64_state_before(word, draws, inc):
-    """A PCG64 state whose ``draws``-th 64-bit output is ``word``.
-
-    PCG64 steps its 128-bit LCG state and outputs XSL-RR of the new state:
-    (high ^ low) rotated right by the top 6 bits.  Any high word can be
-    chosen; the low word then follows from ``word``, and the LCG steps are
-    undone with the multiplier's inverse mod 2**128."""
-    high = 0x0123456789ABCDEF
-    rot = high >> 58
-    xored = (word << rot | word >> (64 - rot)) & _MASK64 if rot else word
-    state = high << 64 | (xored ^ high)
-    inverse = pow(_PCG64_MULT, -1, 2**128)
-    for _ in range(draws):
-        state = (state - inc) * inverse & _MASK128
-    return state
 
 
 def _prelude_of(length):
@@ -757,154 +737,54 @@ def _domains(draw):
     return ProductOfBalls(draw(st.integers(1, 3)), d, draw(st.floats(0.1, 3.0)))
 
 
-@pytest.fixture
-def replica_verdict():
-    """The one-time check of ``draw_runs``'s numpy copies, done before a test
-    spies on ``substream``, so that only the test's own draws reach the spy."""
-    assert sgd_module._replicas_hold()
-
-
-@pytest.fixture
-def fresh_verdict():
-    """That check made anew within the test, and dropped after it."""
-    sgd_module._replicas_hold.cache_clear()
-    yield
-    sgd_module._replicas_hold.cache_clear()
-
-
 class TestLockstep:
-    def test_draw_runs_consumes_randomness_in_sequential_order(self):
-        ball = Ball(np.zeros(2), 1.0)
-        starts, steps, indices, preluded = draw_runs(5, 20, 1, ball, 3, 9, 4)
-        assert starts.shape == (20, 2) and indices.shape == (20, 9) and preluded == []
-        for k in range(20):
-            rng = substream(5, k)
-            np.testing.assert_array_equal(starts[k], ball.sample(rng))
-            t = int(rng.integers(3, 10))
-            assert steps[k] == t
-            np.testing.assert_array_equal(indices[k, :t], rng.integers(0, 4, size=t))
-            assert not np.any(indices[k, t:])
+    def test_draw_runs_consumes_randomness_in_sequential_order(self, monkeypatch):
+        """Each stream draws, for a Ball, normals (runs, d), uniforms (runs,),
+        the step counts and the (runs, t_max) index rows, and then nothing
+        more: its generator ends in the state of those calls made by hand."""
+        ball = Ball(np.array([0.25, -0.5]), 1.5)
+        used = []
 
-    def test_draw_runs_from_keyed_streams(self):
+        def spy(*keys):
+            used.append(substream(*keys))
+            return used[-1]
+
+        monkeypatch.setattr(sgd_module, "substream", spy)
+        starts, steps, indices, preluded = draw_runs(5, 3, 4, ball, 3, 9, 4)
+        assert starts.shape == (12, 2) and indices.shape == (12, 9) and preluded == []
+        assert len(used) == 3
+        for k, drawn in enumerate(used):
+            rng, rows = substream(5, k), slice(4 * k, 4 * k + 4)
+            normals = rng.normal(size=(4, 2))
+            scale = 1.5 * rng.random(4) ** 0.5 / linalg_norms(normals)
+            assert starts[rows].tobytes() == (ball.center + normals * scale[:, None]).tobytes()
+            t = rng.integers(3, 10, size=4)
+            np.testing.assert_array_equal(steps[rows], t)
+            full = rng.integers(0, 4, size=(4, 9))
+            np.testing.assert_array_equal(indices[rows],
+                                          np.where(np.arange(9) < t[:, None], full, 0))
+            assert drawn.bit_generator.state == rng.bit_generator.state
+
+    def test_draw_runs_from_keyed_streams(self, reference_runs):
         """The runs of one stream continue its draws after the prelude."""
         ball = Ball(np.zeros(2), 1.0)
         prelude = _prelude_of(5)
         _assert_same_runs(draw_runs(5, 4, 5, ball, 3, 9, 4, prelude=prelude),
-                          _sequential_runs(5, 4, 5, ball, 3, 9, 4, prelude=prelude))
+                          reference_runs(5, 4, 5, ball, 3, 9, 4, prelude=prelude))
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(domain=_domains(), seed=st.integers(0, 2**40), streams=st.integers(0, 4),
            runs=st.integers(0, 4), t_min=st.integers(0, 6), t_extra=st.sampled_from([0, 1, 7]),
-           n=st.sampled_from([1, 2, 3, 4, 200, 2**31 + 1, 2**32]),
+           n=st.sampled_from([1, 2, 3, 4, 200, 2**31 + 1, 2**32, 2**40]),
            prelude=st.sampled_from([None, 0, 1, 2, 7]))
-    def test_draw_runs_is_the_sequential_loop(self, domain, seed, streams, runs, t_min,
-                                              t_extra, n, prelude):
-        """Starts, steps and indices are bitwise those of the per-run loop:
-        equal step bounds and n = 1 consume nothing, an odd prelude leaves a
-        pending half, and n = 2**31 + 1 rejects about half of all draws."""
+    def test_draw_runs_is_the_sequential_loop(self, reference_runs, domain, seed, streams, runs,
+                                              t_min, t_extra, n, prelude):
+        """Starts, steps and indices are bitwise the reference's, stream by
+        stream: equal step bounds and n = 1 draw nothing, a prelude may
+        leave a pending 32-bit half, and n may exceed 2**32."""
         args = (seed, streams, runs, domain, t_min, t_min + t_extra, n)
         _assert_same_runs(draw_runs(*args, prelude=_prelude_of(prelude)),
-                          _sequential_runs(*args, prelude=_prelude_of(prelude)))
-
-    @pytest.mark.parametrize("pending", [False, True])
-    def test_rejected_step_count_redraws_the_stream(self, monkeypatch, replica_verdict, pending):
-        """A crafted state whose next half is 0 rejects the step count of
-        range 3 (0 * 3 mod 2**32 < 2**32 mod 3): a fresh word's low half, or
-        the half a prelude left pending."""
-        box = Box(np.zeros(2), np.ones(2))  # a start takes exactly 2 words
-        inc, word = 2 * 0x9E3779B97F4A7C15 + 1, 7 << 32  # word's low half is 0
-
-        def prelude(k, rng):
-            if k == 1:
-                rng.bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": _pcg64_state_before(word, 3, inc), "inc": inc},
-                    "has_uint32": int(pending), "uinteger": 0}
-            return k
-
-        check = np.random.Generator(np.random.PCG64(0))
-        prelude(1, check)
-        assert check.bit_generator.random_raw(3)[-1] == word
-        redrawn = []
-
-        def spy(*keys):
-            redrawn.append(keys)
-            return substream(*keys)
-
-        monkeypatch.setattr(sgd_module, "substream", spy)
-        got = draw_runs(9, 3, 2, box, 1, 3, 5, prelude=prelude)
-        assert redrawn == [(9, 1)]
-        monkeypatch.undo()
-        _assert_same_runs(got, _sequential_runs(9, 3, 2, box, 1, 3, 5, prelude=prelude))
-
-    def test_replica_check_keeps_the_decoding_path(self, monkeypatch, fresh_verdict):
-        """With the numpy in use the copies of its internals match: the
-        one-time check draws its two streams again by the loop, and no
-        stream of a later call is."""
-        redrawn = []
-
-        def spy(*keys):
-            redrawn.append(keys)
-            return substream(*keys)
-
-        monkeypatch.setattr(sgd_module, "substream", spy)
-        draw_runs(5, 4, 5, Ball(np.zeros(2), 1.0), 3, 9, 4)
-        assert sgd_module._replicas_hold()
-        assert redrawn == [(2**128 + 1, 0), (2**128 + 1, 1)]
-
-    @pytest.mark.parametrize("copy", ["_seed_words", "_decode_indices"])
-    def test_replica_that_no_longer_matches_numpy_redraws_every_stream(self, monkeypatch,
-                                                                       fresh_verdict, copy):
-        """A copy of numpy's seed hashing or bounded draw that numpy no
-        longer matches fails the one-time check, and every stream is then
-        drawn by the sequential loop: the runs stay bitwise right."""
-        if copy == "_seed_words":
-            seed_words = core_module._seed_words
-            monkeypatch.setattr(core_module, "_seed_words",
-                                lambda seed, keys: seed_words(seed, keys) ^ np.uint64(1))
-        else:
-            decode = sgd_module._decode_indices
-
-            def decode_off_by_one(t, leads, words, n):
-                values, rejected = decode(t, leads, words, n)
-                return (values + 1) % n, rejected
-
-            monkeypatch.setattr(sgd_module, "_decode_indices", decode_off_by_one)
-        args, prelude = (5, 4, 5, Ball(np.array([0.2, -0.1]), 1.0), 3, 9, 4), _prelude_of(5)
-        expected = _sequential_runs(*args, prelude=prelude)
-        decoded = sgd_module._draw_runs(*args, prelude, True)
-        assert any(a.tobytes() != b.tobytes() for a, b in zip(decoded[:3], expected[:3]))
-        _assert_same_runs(draw_runs(*args, prelude=prelude), expected)
-        assert not sgd_module._replicas_hold()
-
-    def test_range_above_32_bits_redraws_every_stream(self, monkeypatch):
-        """Above 2**32 numpy draws from whole words, which ``draw_runs`` does
-        not decode: every stream, prelude included, takes the sequential loop."""
-        monkeypatch.setattr(sgd_module, "_RANGE32", 0)  # every range is above it
-        ball, prelude = Ball(np.zeros(2), 1.0), _prelude_of(3)
-        _assert_same_runs(draw_runs(4, 3, 2, ball, 1, 5, 7, prelude=prelude),
-                          _sequential_runs(4, 3, 2, ball, 1, 5, 7, prelude=prelude))
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    @pytest.mark.parametrize("n", [3, 2**31 + 1])
-    def test_draw_runs_across_decode_blocks(self, monkeypatch, replica_verdict, block, n):
-        """Blocks of 1, 2, 3 and 7 runs put a block boundary inside and
-        between streams of 3 runs, after an odd prelude that leaves a pending
-        half; each block decodes bitwise as the sequential loop draws.  At
-        n = 2**31 + 1 about half of all draws are rejected, so some streams
-        are drawn again and others are decoded."""
-        monkeypatch.setattr(sgd_module, "_RUN_BLOCK", block)
-        redrawn = []
-
-        def spy(*keys):
-            redrawn.append(keys)
-            return substream(*keys)
-
-        monkeypatch.setattr(sgd_module, "substream", spy)
-        args, prelude = (17, 8, 3, Ball(np.zeros(2), 1.0), 0, 2, n), _prelude_of(3)
-        got = draw_runs(*args, prelude=prelude)
-        assert (0 < len(redrawn) < 8) if n > 3 else not redrawn
-        _assert_same_runs(got, _sequential_runs(*args, prelude=prelude))
+                          reference_runs(*args, prelude=_prelude_of(prelude)))
 
     def test_endpoints_match_sequential_runs_bitwise(self):
         """Ragged step counts: finished runs are masked out, and every
