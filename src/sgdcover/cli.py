@@ -1,16 +1,22 @@
 """Command-line front end: scenario configuration, execution, and
 serialization of certificates, covers, and validation reports.
 
-Exit codes: 0 on success/PASS, 1 only when a validation-style command
-FAILS, 2 on usage, schema or library errors (including enumeration-cap
-refusals).  Every JSON artifact echoes the effective config, its hash, the
-seed, and the package version; the timestamp field is excluded from the
-determinism contract.
+The command table ``_COMMANDS`` holds each command's handler, help line and
+config keys, each key typed by a kind of ``_KINDS``; ``_parse`` reads argv
+from those two tables alone.  ``argv[0]`` names the command; each later
+token is ``--flag value``, ``--flag=value`` (a unique prefix of the flag will
+do), or ``-h``/``--help``.  A token is a value unless it starts with "--", so
+``--delta -1e-3`` reaches the command's own check.
+
+Exit codes: 0 on success/PASS and for help, 1 only when a validation-style
+command FAILS, 2 on usage, schema or library errors (including parse errors
+and enumeration-cap refusals).  Every JSON artifact echoes the effective
+config, its hash, the seed, and the package version; the timestamp field is
+excluded from the determinism contract.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -19,6 +25,7 @@ import json
 import math
 import os
 import sys
+import types
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -118,23 +125,23 @@ def _split(kind):
     return lambda s: [kind(v) for v in s.split(",")]
 
 
-# kind -> (argparse keywords of its flag, test a config-file value must pass,
-# what the test asks for).  File values are checked, never converted, because
-# the envelope echoes them.  Text options are checked where they are used.
+# kind -> (conversion of a flag's text, or None for a flag that takes no value;
+# test a config-file value must pass; what the test asks for).  File values are
+# checked, never converted, because the envelope echoes them.  Text options
+# are checked where they are used.
 _KINDS = {
-    "int": ({"type": int}, _is_int, "an integer"),
-    "float": ({"type": float}, _is_number, "a number"),
-    "flag": ({"action": "store_const", "const": True, "default": None},
-             lambda v: isinstance(v, bool), "true or false"),
-    "ints": ({"type": _split(int)},
-             lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    "floats": ({"type": _split(float)},
-               lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-    "text": ({}, lambda v: True, ""),
+    "int": (int, _is_int, "an integer"),
+    "float": (float, _is_number, "a number"),
+    "flag": (None, lambda v: isinstance(v, bool), "true or false"),
+    "ints": (_split(int), lambda v: isinstance(v, list) and all(map(_is_int, v)),
+             "a list of integers"),
+    "floats": (_split(float), lambda v: isinstance(v, list) and all(map(_is_number, v)),
+               "a list of numbers"),
+    "text": (str, lambda v: True, "text"),
 }
 
 
-def _merged(args: argparse.Namespace, options: dict) -> dict:
+def _merged(args: types.SimpleNamespace, options: dict) -> dict:
     """Effective config: file values overridden by explicitly set flags.  A
     null in the file means "not given", as an absent flag does, so the
     effective config holds no nulls."""
@@ -508,7 +515,7 @@ def _cmd_hoeffding(cfg, args):
 
 
 # ---------------------------------------------------------------------------
-# Command table and parser
+# Command table and argv parsing
 # ---------------------------------------------------------------------------
 
 _FLOAT_BOUND_KEYS = ("delta", "B", "L", "R", "R_x", "gamma", "xi", "eta", "zeta", "lam",
@@ -546,28 +553,86 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or with ``command`` one whose other subcommands keep
-    their name and help but take no options: it parses an argv that names
-    ``command`` first as the full parser does, without building the rest."""
-    parser = argparse.ArgumentParser(
-        prog="sgdcover",
-        description="Localized covers, contraction diagnostics, and "
-                    "generalization-gap certificates for constant-step SGD.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command not in (None, name):
+# The flags every command takes besides its config keys, with their help;
+# they are not part of the effective config.  validate also takes --csv.
+_RUN_FLAGS = {"seed": ("int", "base RNG seed (recorded in outputs)"),
+              "config": ("text", "JSON file with parameter defaults (flags override)"),
+              "out": ("text", "write the JSON artifact here")}
+_CSV_FLAG = {"csv": ("text", "write one row per resampling here")}
+
+
+def _flags(command: str) -> dict:
+    """``command``'s flags in help order: flag -> (key, kind, help)."""
+    rows = {**_RUN_FLAGS,
+            **{key: (kind, "takes no value" if kind == "flag" else _KINDS[kind][2])
+               for key, kind in _COMMANDS[command][2].items()},
+            **(_CSV_FLAG if command == "validate" else {})}
+    return {"--" + key.replace("_", "-"): (key, kind, text)
+            for key, (kind, text) in rows.items()}
+
+
+def _help(command: str | None = None) -> str:
+    """``command``'s flags, or without one every command and its help line."""
+    if command is None:
+        lines = ["usage: sgdcover <command> [flags]", "",
+                 "Localized covers, contraction diagnostics, and generalization-gap",
+                 "certificates for constant-step SGD.", "", "commands:"]
+        lines += [f"  {name:11s} {text}" for name, (_, text, _) in _COMMANDS.items()]
+        lines += ["", "sgdcover <command> --help lists the command's flags."]
+    else:
+        lines = [f"usage: sgdcover {command} [flags]", "", _COMMANDS[command][1], "",
+                 "flags (--flag value, --flag=value, or a unique prefix of the flag):"]
+        lines += [f"  {flag:20s} {text}" for flag, (_, _, text) in _flags(command).items()]
+        lines.append(f"  {'-h, --help':20s} print this help")
+    return "\n".join(lines) + "\n"
+
+
+def _resolve(name: str, flags) -> str:
+    """The flag that ``name`` spells out or, being longer than "--", uniquely
+    begins."""
+    if name in flags:
+        return name
+    matches = [flag for flag in flags if len(name) > 2 and flag.startswith(name)]
+    _check(len(matches) < 2, f"ambiguous flag {name}: could be {', '.join(matches)}")
+    _check(len(matches) == 1, f"unknown flag {name}")
+    return matches[0]
+
+
+def _parse(argv: list):
+    """The command of ``argv`` and the value of each of its flags, as a
+    namespace, or the help text ``argv`` asks for.  A token is a value unless
+    it starts with "--"; a flag given twice keeps its last value."""
+    if argv and (argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0])):
+        return _help()
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise UsageError(f"{what}; choose from {', '.join(_COMMANDS)}")
+    command, flags = argv[0], _flags(argv[0])
+    args = types.SimpleNamespace(command=command, **{key: None for key, _, _ in flags.values()})
+    args.seed = 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-h":
+            return _help(command)
+        _check(token.startswith("--"), f"unexpected argument {token!r}")
+        name, has_value, value = token.partition("=")
+        flag = _resolve(name, [*flags, "--help"])
+        key, kind, _ = flags.get(flag, (None, "flag", None))  # --help takes no value
+        convert, _, wanted = _KINDS[kind]
+        if convert is None:
+            _check(not has_value, f"{flag} takes no value, got {value!r}")
+            if flag == "--help":
+                return _help(command)
+            setattr(args, key, True)
             continue
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed (recorded in outputs)")
-        p.add_argument("--config", help="JSON file with parameter defaults (flags override)")
-        p.add_argument("--out", help="write the JSON artifact here")
-        for key, kind in options.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_KINDS[kind][0])
-        if name == "validate":
-            p.add_argument("--csv", help="write one row per resampling here")
-    return parser
+        if not has_value:
+            value = next(tokens, None)
+            _check(value is not None and not value.startswith("--"), f"{flag} needs a value")
+        try:
+            setattr(args, key, convert(value))
+        except ValueError:
+            raise UsageError(f"{flag} must be {wanted}, got {value!r}") from None
+    return args
 
 
 def _write_outputs(files: dict) -> None:
@@ -589,12 +654,11 @@ def _write_outputs(files: dict) -> None:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse(argv)
+        if isinstance(args, str):
+            print(args, end="")
+            return EXIT_OK
         handler, _, options = _COMMANDS[args.command]
         cfg = _merged(args, options)
         result, passed, lines, files = handler(cfg, args)

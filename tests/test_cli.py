@@ -1071,30 +1071,146 @@ def test_any_command_exits_0_1_or_2_and_refusals_write_nothing(tmp_path_factory,
         assert not any(path.exists() for path in outputs)
 
 
-def _printed_help(parser, argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
-        parser.parse_args(argv)
-    return out.getvalue()
+_CERTIFICATE = {"--theorem": "thm_2_3", "--n": "100", "--delta": "0.05", "--B": "1",
+                "--L": "1", "--R": "1", "--gamma": "0.5"}
+
+
+def _bound(flags=_CERTIFICATE):
+    return ["bound", *itertools.chain(*flags.items())]
+
+
+def _echoed(argv, out="echo.json"):
+    """The seed, echoed config and config hash of a run that must pass."""
+    assert run(argv + ["--out", out]) == EXIT_OK
+    doc = load(out)
+    return doc["seed"], doc["config"], doc["config_hash"]
+
+
+class TestArgvParsing:
+    """``run`` reads argv from the command table: ``--flag value``,
+    ``--flag=value`` or a unique prefix of the flag, converted by its kind."""
+
+    def test_equals_form_parses_as_the_separate_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        flags = {**_CERTIFICATE, "--seed": "4", "--R-x": "0.5"}
+        joined = _echoed(["bound"] + [f"{flag}={value}" for flag, value in flags.items()])
+        assert joined == _echoed(_bound(flags))
+        assert joined[:2] == (4, {"theorem": "thm_2_3", "n": 100, "delta": 0.05, "B": 1.0,
+                                  "L": 1.0, "R": 1.0, "gamma": 0.5, "R_x": 0.5})
+
+    def test_a_repeated_flag_keeps_its_last_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        repeated = _echoed(["bound", "--n", "7", "--seed", "1"] + _bound()[1:]
+                           + ["--seed", "3", "--delta=0.1"])
+        assert repeated == _echoed(_bound({**_CERTIFICATE, "--delta": "0.1", "--seed": "3"}))
+        assert repeated[0] == 3 and repeated[1]["n"] == 100 and repeated[1]["delta"] == 0.1
+
+    def test_a_unique_prefix_names_its_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, {**QUADRATIC_SCENARIO, "dataset": {"kind": "iid", "n": 20}})
+        full = ["validate", "--scenario", "scenario.json", "--resamplings", "3",
+                "--trials", "2", "--delta", "0.05"]
+        short = ["validate", "--scen", "scenario.json", "--res", "3", "--tr", "2",
+                 "--del=0.05", "--se", "0"]
+        assert _echoed(short) == _echoed(full)
+
+    def test_an_exact_flag_wins_over_longer_ones(self, tmp_path, monkeypatch):
+        """``--R`` is a flag of ``bound`` and a prefix of ``--R-x``."""
+        monkeypatch.chdir(tmp_path)
+        assert _echoed(_bound({**_CERTIFICATE, "--R": "2"}))[1]["R"] == 2.0
+
+    @pytest.mark.parametrize("delta", ["-0.001", "-1e-3"])
+    @pytest.mark.parametrize("argv,message", [
+        (_bound(), "delta must lie in (0, 1)"),
+        (["validate", "--scenario", "scenario.json", "--resamplings", "2", "--trials", "2"],
+         "delta must lie in (0, 1), got -0.001"),
+    ], ids=["bound", "validate"])
+    def test_a_negative_value_reaches_the_commands_check(self, tmp_path, monkeypatch, capsys,
+                                                         argv, message, delta):
+        """Every token that does not start with "--" is a value, in exponent
+        form too; the command refuses it with its own message."""
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, {**QUADRATIC_SCENARIO, "dataset": {"kind": "iid", "n": 20}})
+        assert run(argv + ["--delta", delta, "--out", "out"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["hoeffding", "--scenario", "scenario.json", "--n-grid", "1,,2",
+          "--epsilon-grid", "0.1", "--resamplings", "2"],
+         "--n-grid must be a list of integers, got '1,,2'"),
+        (["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3", "--R", "1",
+          "--scales", "1,,2"], "--scales must be a list of numbers, got '1,,2'"),
+        (["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3", "--R", "1",
+          "--points=1.5"], "--points must be an integer, got '1.5'"),
+        (_bound({**_CERTIFICATE, "--gamma": "half"}), "--gamma must be a number, got 'half'"),
+    ], ids=["ints", "floats", "int", "float"])
+    def test_a_value_its_kind_refuses_names_flag_value_and_kind(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--out", "out"]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (_bound() + ["--bogus", "1"], "unknown flag --bogus"),
+        (_bound() + ["--out"], "--out needs a value"),
+        (_bound() + ["--out", "--seed", "3"], "--out needs a value"),
+        (["cover", "--scenario", "scenario.json", "--T", "2", "--dedupe=x"],
+         "--dedupe takes no value, got 'x'"),
+        (_bound() + ["stray"], "unexpected argument 'stray'"),
+        (_bound() + ["-x"], "unexpected argument '-x'"),
+        (["validate", "--t", "3"], "ambiguous flag --t: could be --trials, --t-band"),
+        (["validate", "--", "3"], "unknown flag --"),
+        (["bogus", "--seed", "1"], "unknown command 'bogus'; choose from "
+         + ", ".join(cli._COMMANDS)),
+        (["--seed", "1", "bound"], "unknown command '--seed'; choose from "
+         + ", ".join(cli._COMMANDS)),
+        ([], "missing command; choose from " + ", ".join(cli._COMMANDS)),
+        (["bound", "--help=yes"], "--help takes no value, got 'yes'"),
+    ], ids=["unknown-flag", "missing-value-last", "missing-value-before-flag",
+            "flag-with-value", "stray-positional", "single-dash", "ambiguous-prefix",
+            "double-dash", "unknown-command", "flag-before-command", "missing-command",
+            "help-with-value"])
+    def test_a_parse_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                      argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, QUADRATIC_SCENARIO)
+        out = [] if "--out" in argv or not argv else ["--out", "out"]
+        assert run(argv + out) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+@pytest.mark.parametrize("argv", [[flag] for flag in ("-h", "--help", "--he")]
+                         + [[c, flag, "--out", "out"] for c in cli._COMMANDS
+                            for flag in ("-h", "--help")]
+                         + [["validate", "--scenario", "s.json", "--hel", "--bogus"]])
+def test_help_exits_0_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: sgdcover ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in cli._COMMANDS])
 def test_help_is_the_full_parsers(capsys, argv):
-    """``run`` adds options only to the subparser its argv names; the help it
-    prints is byte-identical to the full parser's."""
+    """The help is generated from the command table in full: at top level it
+    lists every command with its help line, after a command every flag the
+    command takes (``--csv`` on validate alone), then ``-h, --help``."""
     assert run(argv) == EXIT_OK
-    assert capsys.readouterr().out == _printed_help(cli.build_parser(), argv)
-
-
-def test_single_command_parser_keeps_every_subcommand():
-    """Built for one command, the parser's top-level help (every command's
-    name and help) and its parse of that command match the full parser's."""
-    full = cli.build_parser()
-    for command in cli._COMMANDS:
-        partial = cli.build_parser(command)
-        assert partial.format_help() == full.format_help()
-        argv = [command, "--seed", "3", "--config", "c.json"]
-        assert partial.parse_args(argv) == full.parse_args(argv)
+    rows = [line.strip().partition(" ")[::2] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")]
+    if argv == ["--help"]:
+        assert [(name, text.strip()) for name, text in rows] == [
+            (name, text) for name, (_, text, _) in cli._COMMANDS.items()]
+        return
+    keys = ["seed", "config", "out", *cli._COMMANDS[argv[0]][2]]
+    keys += ["csv"] if argv[0] == "validate" else []
+    assert [name for name, _ in rows] == ["--" + key.replace("_", "-") for key in keys] + ["-h,"]
 
 
 class TestValidationCommands:
@@ -1392,6 +1508,28 @@ def test_import_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=_env_with_package_path(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_parsing_loads_neither_argparse_nor_gettext(tmp_path):
+    """argv is parsed from the command table, so neither importing the CLI
+    nor running cover, validate and ifs loads argparse or gettext."""
+    spath = write_scenario(tmp_path, {**QUADRATIC_SCENARIO, "dataset": {"kind": "iid", "n": 20}})
+    runs = [["cover", "--scenario", spath, "--epsilon", "0.25", "--verify-trials", "20"],
+            ["validate", "--scenario", spath, "--resamplings", "2", "--trials", "3",
+             "--delta", "0.5", "--csv", "rows.csv"],
+            ["ifs", "--centers", "[[1.0],[-1.0]]", "--gamma", "0.3", "--R", "1",
+             "--points", "1000"]]
+    code = (
+        "import sys, sgdcover.cli\n"
+        "loaded = lambda: sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        f"codes = [sgdcover.cli.run(argv + ['--out', 'out']) for argv in {runs!r}]\n"
+        "print(codes, loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_package_path(),
+                          capture_output=True, text=True, check=True, cwd=tmp_path)
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} []"
 
 
 def test_every_annotation_resolves():
