@@ -555,7 +555,7 @@ _COMMANDS = {
 
 # The flags every command takes besides its config keys, with their help;
 # they are not part of the effective config.  validate also takes --csv.
-_RUN_FLAGS = {"seed": ("int", "base RNG seed (recorded in outputs)"),
+_RUN_FLAGS = {"seed": ("int", "base RNG seed, non-negative (recorded in outputs)"),
               "config": ("text", "JSON file with parameter defaults (flags override)"),
               "out": ("text", "write the JSON artifact here")}
 _CSV_FLAG = {"csv": ("text", "write one row per resampling here")}
@@ -632,6 +632,7 @@ def _parse(argv: list):
             setattr(args, key, convert(value))
         except ValueError:
             raise UsageError(f"{flag} must be {wanted}, got {value!r}") from None
+    _check(args.seed >= 0, f"--seed must be a non-negative integer, got {args.seed}")
     return args
 
 

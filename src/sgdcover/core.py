@@ -121,15 +121,16 @@ def numeric_gradient(fn: Callable[[np.ndarray], float], theta) -> np.ndarray:
 
 
 class ConvexDomain:
-    """Base class for the supported convex feasible sets."""
+    """Base class for the supported convex feasible sets.  Each one-point form
+    (``project``, ``sample``) is row 0 of its batched form on a one-row batch."""
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
     def project(self, x) -> np.ndarray:
-        """``x``, validated as a point of the domain's dimension, projected
-        as a one-row batch."""
+        """Row 0 of ``project_batch`` on ``x``, validated as a point of the
+        domain's dimension, as a one-row batch."""
         return self.project_batch(as_point(x, dim=self.dim)[None, :])[0]
 
     def project_batch(self, X) -> np.ndarray:
@@ -141,22 +142,13 @@ class ConvexDomain:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a point uniformly from the domain."""
-        raise NotImplementedError
+        """A uniform point of the domain: row 0 of ``sample_batch(rng, 1)``."""
+        return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """Draw ``m`` points uniformly from the domain as an (m, dim) array,
         by a few array calls in a fixed order that each domain states."""
         raise NotImplementedError
-
-
-def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
-    direction = rng.normal(size=d)
-    norm = math.sqrt(direction.dot(direction))  # what np.linalg.norm computes for it
-    if norm == 0.0:
-        return np.zeros(d)
-    r = radius * rng.random() ** (1.0 / d)  # uniform(0, 1) is 0 + 1 * random()
-    return direction * (r / norm)
 
 
 def _uniform_in_balls(rng: np.random.Generator, shape: tuple, d: int,
@@ -192,14 +184,6 @@ class Ball(ConvexDomain):
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-    def project(self, x) -> np.ndarray:
-        """``x`` as a float array, not validated again, when ``_holds`` it.
-        Every other input takes the base class's validated one-row projection."""
-        arr = np.asarray(x, dtype=float)
-        if self._holds(arr):
-            return arr
-        return super().project(arr)
 
     def _holds(self, x: np.ndarray) -> bool:
         """Whether the float array ``x`` is a 1-D point of the ball's dimension
@@ -247,9 +231,6 @@ class Ball(ConvexDomain):
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def sample(self, rng) -> np.ndarray:
-        return self.center + _uniform_in_ball(rng, self.dim, self.radius)
-
     def sample_batch(self, rng, m: int) -> np.ndarray:
         """Normals of shape (m, d), then uniforms of shape (m,)."""
         return self.center + _uniform_in_balls(rng, (m,), self.dim, self.radius)
@@ -279,9 +260,6 @@ class Box(ConvexDomain):
 
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
-
-    def sample(self, rng) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
 
     def sample_batch(self, rng, m: int) -> np.ndarray:
         """``rng.uniform(lower, upper, size=(m, d))``."""
@@ -324,12 +302,6 @@ class ProductOfBalls(ConvexDomain):
     def bounding_radius(self) -> float:
         return self.radius * math.sqrt(self.blocks)
 
-    def sample(self, rng) -> np.ndarray:
-        out = np.concatenate(
-            [_uniform_in_ball(rng, self.block_dim, self.radius) for _ in range(self.blocks)]
-        )
-        return out
-
     def sample_batch(self, rng, m: int) -> np.ndarray:
         """Normals of shape (m, blocks, block_dim), then uniforms of shape
         (m, blocks)."""
@@ -357,11 +329,8 @@ class WholeSpace(ConvexDomain):
     def bounding_radius(self) -> float:
         return math.inf
 
-    def sample(self, rng) -> np.ndarray:
-        raise ValueError("cannot sample uniformly from an unbounded domain")
-
     def sample_batch(self, rng, m: int) -> np.ndarray:
-        return self.sample(rng)  # refuses, as sample does
+        raise ValueError("cannot sample uniformly from an unbounded domain")
 
 
 def hoeffding_tail(n: int, epsilon: float, range_width: float) -> float:

@@ -178,7 +178,8 @@ def _lockstep_orbit(offsets: np.ndarray, choices: np.ndarray, gamma: float,
     # row k holds step k's offset until the advance overwrites it with y_{k+1};
     # the last chunk's rows past the orbit hold zero offsets and are dropped
     steps = np.zeros((n_chunks * chunk, offsets.shape[1]))
-    np.take(offsets, choices, axis=0, out=steps[:total])
+    # choices come from rng.integers, in range; mode="clip" writes out unbuffered
+    np.take(offsets, choices, axis=0, out=steps[:total], mode="clip")
     by_chunk = steps.reshape(n_chunks, chunk, -1)
 
     starts = np.zeros((n_chunks, offsets.shape[1]))  # chunk 0 starts at the exact 0.0

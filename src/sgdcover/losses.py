@@ -105,7 +105,7 @@ class LossFamily:
     def grad_rows(self, thetas: np.ndarray, dataset: "Dataset", idx) -> np.ndarray:
         """Gradients of an (m, d) batch: row k uses sample ``idx[k]`` of the dataset."""
         if self.grad_batch is not None:
-            return self.grad_batch(thetas, dataset.matrix[idx])
+            return self.grad_batch(thetas, dataset.matrix.take(idx, axis=0))
         samples = dataset.samples
         return np.stack([np.asarray(self.grad(theta, samples[i]), dtype=float)
                          for theta, i in zip(thetas, idx)])

@@ -195,8 +195,16 @@ def run_lockstep(
     so the runs still live at step s are a prefix and each step updates a
     slice; the endpoints come back in input order.  Each endpoint equals,
     bitwise, the one a sequential ``sgd_step`` loop reaches, because
-    ``apply_batch`` treats every row on its own.
+    ``apply_batch`` treats every row on its own.  An index outside [0, n)
+    among a run's first ``steps[k]`` raises IndexError, as in ``sgd_step``,
+    before any step; the entries past them are never read.
     """
+    n = dataset.n
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        used = indices[np.arange(indices.shape[1]) < steps[:, None]]
+        bad = used[(used < 0) | (used >= n)]
+        if bad.size:
+            raise IndexError(f"sample index {bad[0]} out of range [0, {n})")
     order = np.argsort(-steps, kind="stable")
     ends = steps[order]
     thetas = np.asarray(starts, dtype=float)[order]

@@ -28,6 +28,7 @@ import sgdcover
 from sgdcover import cli
 from sgdcover.bounds import THEOREMS
 from sgdcover.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from sgdcover.core import substream
 
 QUADRATIC_SCENARIO = {
     "family": {
@@ -1183,6 +1184,21 @@ class TestArgvParsing:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_a_negative_seed_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        """Every command refuses a negative seed by name, whether or not it
+        draws: exit 2, one error line, nothing written."""
+        monkeypatch.chdir(tmp_path)
+        _write_scenarios(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = next(argv for argv in _BASES.values() if argv[0] == command)
+        csv = ["--csv", "rows.csv"] if command == "validate" else []
+        assert run(argv + ["--seed", "-5", "--out", "out"] + csv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --seed must be a non-negative integer, got -5"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 @pytest.mark.parametrize("argv", [[flag] for flag in ("-h", "--help", "--he")]
                          + [[c, flag, "--out", "out"] for c in cli._COMMANDS
@@ -1223,6 +1239,33 @@ class TestValidationCommands:
         res = load(out)["result"]
         assert res["theoretical_gamma"] == pytest.approx(0.5)
         assert res["max_ratio"] <= 0.5 + 1e-9
+
+    def test_contract_pair_starts_are_one_row_batch_draws(self, tmp_path, monkeypatch):
+        """Pair k's two starts are consecutive one-row ``sample_batch`` draws
+        of ``substream(seed, k)``, in a dimension where Python's scalar power
+        and numpy's array power can round u**(1/d) differently."""
+        from sgdcover import trajectory
+
+        scenario = {**QUADRATIC_SCENARIO, "family": {
+            "name": "quadratic_centers", "R": 1.0,
+            "centers": [[0.5, 0.0, 0.1], [-0.3, 0.4, 0.0], [0.0, -0.2, 0.6]]}}
+        spath = write_scenario(tmp_path, scenario)
+        measured = trajectory.coupled_contraction_ratio
+        seen = []
+
+        def recorded(update, a, b, indices, dataset):
+            seen.append((update.domain, a, b))
+            return measured(update, a, b, indices, dataset)
+
+        monkeypatch.setattr(trajectory, "coupled_contraction_ratio", recorded)
+        assert run(["contract", "--scenario", spath, "--pairs", "60", "--steps", "3",
+                    "--seed", "4"]) == EXIT_OK
+        (domain, a, b), = seen
+        assert a.shape == b.shape == (60, 3)
+        for k in range(60):
+            rng = substream(4, k)
+            assert a[k].tobytes() == domain.sample_batch(rng, 1)[0].tobytes()
+            assert b[k].tobytes() == domain.sample_batch(rng, 1)[0].tobytes()
 
     def test_validate_pass_and_negative_control(self, tmp_path):
         scenario = dict(QUADRATIC_SCENARIO, dataset={"kind": "iid", "n": 40})

@@ -39,7 +39,7 @@ class TestProjectionExamples:
     def test_inside_point_is_returned_as_a_float_point(self):
         ball = Ball(np.zeros(2), 2.0)
         x = np.array([1.0, -1.0])
-        assert ball.project(x) is x
+        assert ball.project(x).tobytes() == x.tobytes()
         out = ball.project([1, -1])
         assert out.dtype == np.float64 and out.shape == (2,)
         np.testing.assert_array_equal(out, x)
@@ -396,15 +396,20 @@ class TestUtilities:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
     def test_ball_sample_is_the_linalg_norm_formula(self, d):
-        """Ball.sample draws bitwise what np.linalg.norm and rng.uniform()
-        gave before they were trimmed to a dot product and rng.random()."""
+        """Ball.sample draws bitwise what np.linalg.norm and rng.uniform(size=1)
+        give, with u**(1/d) taken by numpy's array power.  In d <= 2, where
+        the d = 2 golden hashes were made by Python's scalar pow, the two
+        powers agree bitwise; in d >= 3 they may differ in the last bit."""
         ball = Ball(np.linspace(-0.5, 0.5, d), 0.75)
         for k in range(40):
             rng = substream(7, k)
             direction = rng.normal(size=d)
-            r = 0.75 * rng.uniform() ** (1.0 / d)
+            u = rng.uniform(size=1)
+            r = 0.75 * u ** (1.0 / d)
             expected = ball.center + direction * (r / np.linalg.norm(direction))
             assert ball.sample(substream(7, k)).tobytes() == expected.tobytes()
+            if d <= 2:
+                assert 0.75 * float(u[0]) ** (1.0 / d) == r[0]
 
     def test_numeric_gradient_on_quadratic(self):
         grad = numeric_gradient(lambda t: float(t @ t), np.array([0.5, -1.0, 2.0]))
@@ -467,9 +472,27 @@ class TestSampleBatch:
         assert X[0].tobytes() == center.tobytes()
         assert np.all(np.isfinite(X)) and np.all(X[1:] != center)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("kind", _SAMPLED)
+    def test_sample_is_row_zero_of_a_one_row_batch(self, kind, d):
+        """One point is drawn by the batch sampler: the same bytes, and the
+        generator left in the same state."""
+        domain = {"ball": Ball(np.linspace(-0.5, 0.5, d), 0.75),
+                  "box": Box(np.linspace(-1.0, 0.0, d), np.linspace(0.0, 2.0, d)),
+                  "product": ProductOfBalls(blocks=2, block_dim=d, radius=0.8)}[kind]
+        for seed in range(40):
+            one, batch = substream(seed, d), substream(seed, d)
+            point = domain.sample(one)
+            assert point.shape == (domain.dim,)
+            assert point.tobytes() == domain.sample_batch(batch, 1)[0].tobytes()
+            assert one.bit_generator.state == batch.bit_generator.state
+
     def test_whole_space_refuses_as_sample_does(self):
-        with pytest.raises(ValueError, match="^cannot sample uniformly from an unbounded domain$"):
+        message = "^cannot sample uniformly from an unbounded domain$"
+        with pytest.raises(ValueError, match=message):
             WholeSpace(2).sample_batch(substream(0), 4)
+        with pytest.raises(ValueError, match=message):
+            WholeSpace(2).sample(substream(0))
 
     @pytest.mark.parametrize("kind", _SAMPLED)
     def test_radii_are_uniform_in_volume(self, kind):

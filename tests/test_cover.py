@@ -1101,7 +1101,7 @@ def test_fractal_module_boundary():
     assert cli.box_counting_dimension is fractal.box_counting_dimension
 
 
-def test_traced_names_stay_where_the_tracer_rebinds_them():
+def test_traced_names_stay_where_the_tracer_rebinds_them(monkeypatch):
     """perfbench's tracer (``perfbench/tracer.py``) wraps each of these by
     rebinding the attribute it names, so each must still be, there, the
     object that the traced commands call."""
@@ -1116,7 +1116,23 @@ def test_traced_names_stay_where_the_tracer_rebinds_them():
     assert cli.box_counting_dimension is fractal.box_counting_dimension
     assert cli.family_from_descriptor is losses.family_from_descriptor
     assert "write_jsonl" in vars(cover_module.CoverSet)
-    assert "project" in vars(core.Ball)
+
+    # a function rebound onto Ball.project is what a ball's projection and
+    # the slow path of SGDStep.apply (an update that leaves the ball) call
+    projected = []
+
+    def traced(domain, x):
+        projected.append(domain)
+        return core.ConvexDomain.project(domain, x)
+
+    monkeypatch.setattr(core.Ball, "project", traced)
+    ball = Ball(np.zeros(1), 1.0)
+    np.testing.assert_array_equal(ball.project([3.0]), [1.0])
+    family = LossFamily(name="const", constants=LossConstants(),
+                        value=lambda t, z: 0.0, grad=lambda t, z: np.array([-4.0]))
+    step = SGDStep(family, 1.0, domain=ball)
+    np.testing.assert_array_equal(sgd_step(step, np.zeros(1), 0, Dataset((0.0,))), [1.0])
+    assert projected == [ball, ball]
 
 
 class TestIFS:

@@ -786,6 +786,28 @@ class TestLockstep:
         _assert_same_runs(draw_runs(*args, prelude=_prelude_of(prelude)),
                           reference_runs(*args, prelude=_prelude_of(prelude)))
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_index_is_refused_before_any_step(self, bad):
+        """An index a run would apply is refused as sgd_step refuses it, where
+        numpy would wrap a negative one, and before any run takes a step;
+        padding past a run's step count is never read."""
+        _, ds, update = quadratic_setup(0.5)
+        message = rf"^sample index {bad} out of range \[0, 3\)$"
+        with pytest.raises(IndexError, match=message):
+            sgd_step(update, np.zeros(2), bad, ds)
+        with pytest.raises(IndexError, match=message):
+            run_lockstep(update, np.zeros((1, 2)), np.array([1]), np.array([[bad]]), ds)
+        applied = []
+        counting = CustomMap(lambda t, z: applied.append(z) or t)
+        with pytest.raises(IndexError, match=message):
+            run_lockstep(counting, np.zeros((2, 2)), np.array([2, 1]),
+                         np.array([[0, 1], [bad, 0]]), ds)
+        assert applied == []
+        starts = np.array([[0.1, 0.2], [-0.3, 0.4]])
+        padded = run_lockstep(update, starts, np.array([2, 1]), np.array([[0, 1], [2, bad]]), ds)
+        unpadded = run_lockstep(update, starts, np.array([2, 1]), np.array([[0, 1], [2, 0]]), ds)
+        assert padded.tobytes() == unpadded.tobytes()
+
     def test_endpoints_match_sequential_runs_bitwise(self):
         """Ragged step counts: finished runs are masked out, and every
         endpoint equals the sequential sgd_step loop's bit for bit."""
