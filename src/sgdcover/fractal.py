@@ -254,10 +254,20 @@ class BoxCountFit:
 def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     """Slope of log(box count) vs log(1/scale) over the given scales.
 
-    Requires at least 10^3 finite points and at least 4 finite scales
-    spanning two or more decades, none so small that the points' widest
-    extent spans 2^63 boxes.  A cloud of identical points occupies one box at
-    every scale and so estimates dimension 0.
+    Requires at least 10^3 finite points with d >= 1 coordinates and at
+    least 4 finite scales spanning two or more decades, none so small that
+    the points' widest extent spans 2^63 boxes.  A cloud of identical points
+    occupies one box at every scale and so estimates dimension 0.
+
+    The grid starts at the points' minimum lo.  Each scale s takes one pass
+    over the points, writing fl((x - lo) / s) truncated to int64 into one
+    key buffer that every scale reuses.  Truncation is the floor here:
+    x - lo >= +0.0 because IEEE subtraction is monotone, and the extent guard
+    keeps every quotient below 2^63.  A grid origin other than the minimum
+    must refuse points below it, or negative quotients would truncate toward
+    zero instead.  The same monotonicity of subtraction, division and
+    truncation gives each axis's largest box index as that of its extent,
+    fl(fl(max - lo) / s), so the grid's shape needs no pass over the keys.
 
     A scale whose grid has at most 8 boxes per point counts the set entries
     of an occupancy bitmap over the grid; a finer grid sorts one int64 key
@@ -266,7 +276,7 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 2:  # a flat vector of scalars
         pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
+    if pts.ndim != 2 or pts.shape[1] == 0:
         raise ValueError(f"points must be an (N, d) array, got shape {pts.shape}")
     if pts.shape[0] < 1000:
         raise ValueError("box counting needs at least 1000 points")
@@ -280,17 +290,19 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
     if scales.max() / scales.min() < 100.0:
         raise ValueError("scales must span at least two decades")
     lo = pts.min(axis=0)
+    extent = pts.max(axis=0) - lo
     # box indices are cast to int64, so the widest extent must stay below
     # 2**63 boxes at the smallest scale
-    if np.max(pts.max(axis=0) - lo) / scales[-1] >= 2.0**63:
+    if np.max(extent) / scales[-1] >= 2.0**63:
         raise ValueError(f"scale {scales[-1]:g} is too small for int64 box indices "
                          "over the points' extent")
 
     shifted = pts - lo
+    idx = np.empty(shifted.shape, dtype=np.int64)
     counts = np.empty(scales.size)
     for k, s in enumerate(scales):
-        idx = np.floor(shifted / s).astype(np.int64)
-        shape = idx.max(axis=0) + 1
+        np.divide(shifted, s, out=idx, casting="unsafe")
+        shape = (extent / s).astype(np.int64) + 1
         boxes = math.prod(map(int, shape))
         if boxes > np.iinfo(np.int64).max:  # no int64 key: compare whole rows
             counts[k] = np.unique(idx, axis=0).shape[0]
@@ -299,7 +311,6 @@ def box_counting_dimension(points, scales: Sequence[float]) -> BoxCountFit:
         keys = idx[:, 0]
         for j in range(1, idx.shape[1]):
             keys = keys * shape[j] + idx[:, j]
-        del idx
         if boxes <= _BITMAP_BOXES_PER_POINT * pts.shape[0]:
             # an occupancy bitmap, no bigger than the keys the sort would hold
             occupied = np.zeros(boxes, dtype=bool)

@@ -199,6 +199,7 @@ def run_lockstep(
     among a run's first ``steps[k]`` raises IndexError, as in ``sgd_step``,
     before any step; the entries past them are never read.
     """
+    steps, indices = np.asarray(steps), np.asarray(indices)
     n = dataset.n
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         used = indices[np.arange(indices.shape[1]) < steps[:, None]]

@@ -203,7 +203,14 @@ class TestAcceptance:
     def test_c08_ifs_dimension(self):
         """Two separated 1-D maps at ratio 1/3: box counting of the orbit
         matches log 2 / log 3, and the fractal certificate consumes the
-        measured dimension."""
+        measured dimension.
+
+        The grid starts at the orbit's minimum, a little inside the
+        attractor's hull, so each scale 2/3^k counts about 2^(k+1) - 1 boxes
+        where an aligned grid counts 2^k: the error is an estimator bias, not
+        only noise.  Over seeds 0-39 it fails 0.05 on 2 seeds (4 and 24,
+        largest error 0.0605, median 0.034); seed 51 reads 0.027.  Starting
+        the grid at the hull (ROADMAP item 6) addresses the bias."""
         model = IFSModel(np.array([[1.0], [-1.0]]), gamma=1.0 / 3.0, radius=1.0)
         closed_form = ifs_dimension(model)
         orbit = model.sample_attractor(200_000, seed=51)

@@ -1384,7 +1384,8 @@ class TestBoxCounting:
 
     def test_point_shapes(self):
         """A flat vector is that many one-dim points; one row is one point,
-        however long; a stack of point arrays is refused."""
+        however long; a stack of point arrays, or points with no coordinates,
+        is refused."""
         line = np.random.default_rng(0).uniform(size=2000)
         scales = [1.0, 0.1, 0.01, 0.001]
         assert (box_counting_dimension(line, scales).counts
@@ -1393,6 +1394,22 @@ class TestBoxCounting:
             box_counting_dimension(line[None, :], scales)
         with pytest.raises(ValueError, match=r"\(N, d\) array, got shape \(1000, 2, 1\)"):
             box_counting_dimension(line.reshape(1000, 2, 1), scales)
+        with pytest.raises(ValueError, match=r"\(N, d\) array, got shape \(2000, 0\)"):
+            box_counting_dimension(np.empty((2000, 0)), scales)
+
+    def test_memory_stays_near_two_copies_of_the_points(self):
+        """The ifs workload's orbit: box counting holds the shifted points
+        and one int64 key buffer that every scale reuses, so its peak stays
+        within 2.5 copies of the orbit's bytes."""
+        orbit = IFSModel([[1.0], [-1.0]], 0.3333333333, 1.0).sample_attractor(100_000, seed=1)
+        scales = [2 * 0.3333333333**k for k in range(1, 8)]
+        tracemalloc.start()
+        try:
+            box_counting_dimension(orbit, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * orbit.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_rejected(self, bad):

@@ -808,6 +808,14 @@ class TestLockstep:
         unpadded = run_lockstep(update, starts, np.array([2, 1]), np.array([[0, 1], [2, 0]]), ds)
         assert padded.tobytes() == unpadded.tobytes()
 
+    def test_lists_run_as_arrays(self):
+        """Step counts and indices given as lists run as the arrays would."""
+        _, ds, update = quadratic_setup(0.5)
+        starts = np.array([[0.1, 0.2], [-0.3, 0.4]])
+        from_lists = run_lockstep(update, starts, [2, 1], [[0, 1], [2, 0]], ds)
+        from_arrays = run_lockstep(update, starts, np.array([2, 1]), np.array([[0, 1], [2, 0]]), ds)
+        assert from_lists.tobytes() == from_arrays.tobytes()
+
     def test_endpoints_match_sequential_runs_bitwise(self):
         """Ragged step counts: finished runs are masked out, and every
         endpoint equals the sequential sgd_step loop's bit for bit."""
