@@ -166,7 +166,10 @@ def _uniform_in_balls(rng: np.random.Generator, shape: tuple, d: int,
 
 @dataclass(frozen=True, eq=False)
 class Ball(ConvexDomain):
-    """Closed Euclidean ball of positive radius."""
+    """Closed Euclidean ball of positive radius.  Its inside test, in
+    ``_holds`` and ``project_batch``, is bitwise ``row_norms(x - center) <=
+    radius``; a sum of squares at or below the margin ``_inner_sq``, argued
+    where it is set, decides it without the norm."""
 
     center: np.ndarray
     radius: float
@@ -175,8 +178,19 @@ class Ball(ConvexDomain):
         object.__setattr__(self, "center", as_point(self.center))
         if not 0 < self.radius < math.inf:
             raise ValueError(f"Ball radius must be finite and positive, got {self.radius!r}")
-        object.__setattr__(self, "_at_origin", not np.any(self.center))  # read by _holds
-        # _holds's dot-product threshold; -1.0 where the margin argument fails
+        object.__setattr__(self, "_at_origin", not np.any(self.center))
+        # The inside margin.  Let u = 2**-53 and S be numpy's sum of the
+        # rounded squares of an offset, the sum row_norms takes.  Any float
+        # sum T of its d squares, or dot product of the offset with itself,
+        # in any order, with or without FMA, lies like S within a relative
+        # d*u / (1 - d*u) of the exact sum (Higham, *Accuracy and Stability
+        # of Numerical Algorithms*, 3.1).  So T <= _inner_sq = fl(r*r)(1 -
+        # 4(d + 2)u) gives S < r*r and fl(sqrt(S)) <= r: an offset that T
+        # keeps inside, the exact test keeps too, and a nan or inf makes T
+        # fail.  _inner_sq is -1 unless 2**-1000 < r*r < 2**1000: below, the
+        # up to 2**-1075 that each subnormal square rounds by could exceed
+        # the margin; above, the squares can overflow, which the exact test
+        # calls outside.
         r2, d = self.radius * self.radius, self.center.shape[0]
         object.__setattr__(self, "_inner_sq", r2 * (1 - 4 * (d + 2) * 2.0**-53)
                            if 2.0**-1000 < r2 < 2.0**1000 else -1.0)
@@ -190,16 +204,9 @@ class Ball(ConvexDomain):
         inside the ball, bitwise as ``row_norms(x - center) <= radius`` says;
         at an all-zero center ``x`` itself is tested (``x - 0`` differs from
         ``x`` at most in the sign of a zero).  A pass proves ``x`` finite.
-
-        A dot at or below ``_inner_sq`` = fl(r*r)(1 - 4(d + 2)u), u = 2**-53,
-        decides without the norm.  Summed in any order, with or without FMA,
-        the dot and numpy's sum S of the rounded squares are within a
-        relative d*u / (1 - d*u) of the exact sum (Higham, *Accuracy and
-        Stability of Numerical Algorithms*, 3.1), so the dot passing gives
-        S < r*r and fl(sqrt(S)) <= r.  A nan or inf entry makes the dot fail.
-        ``_inner_sq`` is -1 unless 2**-1000 < r*r < 2**1000: below, the up to
-        2**-1075 that each subnormal square rounds by could exceed the margin;
-        above, numpy's squares can overflow, which the exact test calls outside."""
+        A dot of the offset with itself at or below ``_inner_sq`` decides
+        without the norm, by the margin argument stated where ``_inner_sq``
+        is set; any other dot takes the exact norm."""
         if x.shape != self.center.shape:
             return False
         if self._at_origin:
@@ -213,11 +220,20 @@ class Ball(ConvexDomain):
             return math.sqrt(np.add.reduce(off * off)) <= self.radius
 
     def project_batch(self, X) -> np.ndarray:
+        """The batch as it is if one matrix-vector product sums every row's
+        squared offset to at most ``_inner_sq`` (inside by the margin argued
+        where it is set); else the exact test, bitwise ``row_norms(X -
+        center) > radius`` from the same squares, picks the rows to project."""
         X = as_rows(X, self.dim)
-        # an offset or a norm that overflows is outside; at an all-zero center
-        # X itself is tested, as in _holds, and only projected rows are offset
+        # an offset or a square that overflows is outside; at an all-zero
+        # center X itself is tested, as in _holds, and only projected rows
+        # are offset
         with np.errstate(over="ignore"):
-            over = row_norms(X if self._at_origin else X - self.center) > self.radius
+            sq = X * X if self._at_origin else np.square(X - self.center)
+            if (sq @ np.ones(self.dim)).max(initial=0.0) <= self._inner_sq:
+                return X
+            over = np.sqrt(np.add.reduce(sq, axis=-1)) > self.radius
+            del sq  # freed before the projection
             if not np.any(over):
                 return X
             offset = X[over] - self.center

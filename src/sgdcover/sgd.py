@@ -59,10 +59,12 @@ class SGDStep:
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
         """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise.  Rows
-        of a width other than the domain's are refused, not broadcast."""
+        of a width other than the domain's, or indices other than one per
+        row, are refused, not broadcast."""
         shape, d = np.shape(thetas), self.domain.dim
         if len(shape) != 2 or shape[1] != d:
             raise ValueError(f"expected an (m, {d}) array of points, got shape {shape}")
+        _one_index_per_row(shape[0], idx)
         g = self.family.grad_rows(thetas, dataset, idx)
         out = np.multiply(g, self.eta)  # thetas - eta * g, in one buffer
         np.subtract(thetas, out, out=out)
@@ -101,12 +103,19 @@ class CustomMap:
         return out
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
-        """Per-row fallback: row k is ``apply(thetas[k], dataset.samples[idx[k]])``."""
+        """Per-row fallback: row k is ``apply(thetas[k], dataset.samples[idx[k]])``;
+        indices other than one per row are refused."""
+        _one_index_per_row(len(thetas), idx)
         samples = dataset.samples
         return np.stack([self.apply(theta, samples[i]) for theta, i in zip(thetas, idx)])
 
 
 UpdateMap = Union[SGDStep, CustomMap]
+
+
+def _one_index_per_row(m: int, idx) -> None:
+    if len(idx) != m:
+        raise ValueError(f"expected {m} sample indices, one per row, got {len(idx)}")
 
 
 def contraction_factor(alpha: float, beta: float, eta: float) -> float:
@@ -163,7 +172,11 @@ def draw_runs(
 
     Returns (starts (m, d), steps (m,), indices (m, t_max), the prelude's
     result per stream, or [] without a prelude), with m = streams * runs.
+    Step counts outside 0 <= t_min <= t_max are refused.
     """
+    if not 0 <= t_min <= t_max:
+        raise ValueError(f"step counts need 0 <= t_min <= t_max, got t_min={t_min}, "
+                         f"t_max={t_max}")
     m = streams * runs
     starts = np.empty((m, domain.dim))
     steps = np.empty(m, dtype=np.int64)
@@ -195,11 +208,20 @@ def run_lockstep(
     so the runs still live at step s are a prefix and each step updates a
     slice; the endpoints come back in input order.  Each endpoint equals,
     bitwise, the one a sequential ``sgd_step`` loop reaches, because
-    ``apply_batch`` treats every row on its own.  An index outside [0, n)
-    among a run's first ``steps[k]`` raises IndexError, as in ``sgd_step``,
-    before any step; the entries past them are never read.
+    ``apply_batch`` treats every row on its own.  Before any step, step
+    counts that are not integers in [0, indices.shape[1]] and index arrays
+    that are not integers raise ValueError, and an index outside [0, n)
+    among a run's first ``steps[k]`` raises IndexError, as in ``sgd_step``;
+    the entries past them are never read.
     """
     steps, indices = np.asarray(steps), np.asarray(indices)
+    for name, a in (("step counts", steps), ("sample indices", indices)):
+        if a.size and a.dtype.kind not in "biu":
+            raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    cols = indices.shape[-1]
+    if steps.size and (steps.min() < 0 or steps.max() > cols):
+        bad = steps[(steps < 0) | (steps > cols)][0]
+        raise ValueError(f"step count {bad} outside [0, {cols}], the number of index columns")
     n = dataset.n
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         used = indices[np.arange(indices.shape[1]) < steps[:, None]]

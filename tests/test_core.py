@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -265,13 +266,34 @@ _ULPS_IN = {"2 ulps in": lambda d: 2, "d+2 ulps in": lambda d: d + 2,
             "16(d+2) ulps in": lambda d: 16 * (d + 2)}
 
 
+def _point_kinds(c: np.ndarray, radius: float, rng: np.random.Generator, k: int) -> dict:
+    """Finite points of each kind for the ball (c, radius) as (k, d) arrays,
+    row j along random direction j: "inside", "sphere", "ulp in" and "ulp
+    out" of the sphere, each of ``_ULPS_IN``, "far", "signed zeros" and
+    "subnormal"."""
+    d = c.shape[0]
+    u = rng.normal(size=(k, d))
+    u /= np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
+    on_sphere = c + u * radius
+    away = np.where(on_sphere >= c, np.inf, -np.inf)  # ulps away from the center
+    kinds = {"inside": c + u * (radius * rng.random((k, 1))),
+             "sphere": on_sphere, "ulp in": np.nextafter(on_sphere, -away),
+             "ulp out": np.nextafter(on_sphere, away), "far": c + u * (1e3 * radius),
+             "signed zeros": np.where(rng.random((k, d)) < 0.5, 0.0, -0.0),
+             "subnormal": c + rng.integers(-2**40, 2**40, (k, d)) * 2.0**-1074}
+    kinds.update((name, _ulps_toward(on_sphere, c, steps(d))) for name, steps in _ULPS_IN.items())
+    return kinds
+
+
 class TestBallInsideTest:
     """``Ball._holds`` tests ``x`` itself when every center entry is zero,
     and ``x - center`` otherwise; either way its verdict is bitwise that of
     ``row_norms(x - center) <= radius``, whether its dot-product prefilter or
-    the exact norm decides it.  Radii of 2**-530 and 2**-501 square below
-    2**-1000, and 2**501 and 1e300 above 2**1000, where no dot decides;
-    2**-499 and 2**499 square just inside those guards."""
+    the exact norm decides it.  ``Ball.project_batch`` makes the same test
+    on every row of a batch, whether its row-sum screen or the exact norm
+    decides it.  Radii of 2**-530 and 2**-501 square below 2**-1000, and
+    2**501 and 1e300 above 2**1000, where no dot or screen decides; 2**-499
+    and 2**499 square just inside those guards."""
 
     @settings(max_examples=800, derandomize=True, deadline=None)
     @given(d=st.sampled_from([1, 2, 3, 7, 64, 1024]),
@@ -283,22 +305,20 @@ class TestBallInsideTest:
                                              2.0**501, 1e300])),
            seed=st.integers(0, 2**32 - 1))
     def test_verdict_is_row_norms_of_the_offset(self, d, center, point, radius, seed):
+        """One point of the drawn kind through ``_holds``; then through
+        ``project_batch`` a batch of every finite kind along four
+        directions, and each point on the sphere or an ulp from it as a
+        batch of its own, which the row-sum screen alone can pass: the rows
+        moved are those outside by ``row_norms``, and the output is bitwise
+        the exact rule's."""
         rng = np.random.default_rng(seed)
         c = {"+0": np.zeros(d), "-0": np.full(d, -0.0),
              "mixed zeros": np.where(rng.random(d) < 0.5, 0.0, -0.0),
              "nonzero": rng.uniform(-1.0, 1.0, d),
              "partly zero": np.where(np.arange(d) % 2, 0.0, rng.uniform(-1.0, 1.0, d))}[center]
         ball = Ball(c, radius)
-        u = rng.normal(size=d)
-        on_sphere = c + u * (radius / np.sqrt(u @ u))
-        away = np.where(on_sphere >= c, np.inf, -np.inf)  # ulps away from the center
-        x = {"inside": c + u * (radius * rng.random() / np.sqrt(u @ u)),
-             "sphere": on_sphere, "ulp in": np.nextafter(on_sphere, -away),
-             "ulp out": np.nextafter(on_sphere, away), "far": c + u * (1e3 * radius),
-             "signed zeros": np.where(rng.random(d) < 0.5, 0.0, -0.0),
-             "subnormal": c + rng.integers(-2**40, 2**40, d) * 2.0**-1074}.get(point, on_sphere)
-        if point in _ULPS_IN:
-            x = _ulps_toward(on_sphere, c, _ULPS_IN[point](d))
+        kinds = _point_kinds(c, radius, rng, 4)
+        x = kinds.get(point, kinds["sphere"])[0]
         if point in ("nan", "+inf", "-inf"):
             x = x.copy()
             x[rng.integers(d)] = float(point)
@@ -307,6 +327,27 @@ class TestBallInsideTest:
             assert ball._holds(x) is expected
         if point in ("nan", "+inf", "-inf") or point == "far" and radius >= 1e-3:
             assert not expected  # a tinier far offset can round away next to the center
+
+        X = np.concatenate(list(kinds.values()))
+        X = X[np.isfinite(X).all(axis=1)]  # a far point of a huge ball is not
+        with np.errstate(over="ignore"):
+            outside = row_norms(X - c) > radius
+        reference = X.copy()  # the exact rule alone: each row outside onto the sphere
+        reference[outside] = c + core.onto_sphere(X[outside] - c, radius)
+        # a row can be projected onto itself, so the rows moved are read from
+        # what reaches the sphere projection
+        moved = [X[:0]]
+        with mock.patch.object(core, "onto_sphere", new=lambda rows, r, onto=core.onto_sphere:
+                               moved.append(rows) or onto(rows, r)):
+            out = ball.project_batch(X)
+        assert moved[-1].tobytes() == (X[outside] - c).tobytes()
+        assert out.tobytes() == reference.tobytes()
+        # alone, a row decides whether its batch comes back as it is
+        near = np.concatenate([kinds["sphere"], kinds["ulp in"], kinds["ulp out"]])
+        with np.errstate(over="ignore"):
+            kept = row_norms(near - c) <= radius
+        for row, keep in zip(near[:, None], kept):
+            assert (ball.project_batch(row) is row) == keep
 
 
 class TestProjectBatch:

@@ -471,6 +471,18 @@ class TestApplyBatch:
         with pytest.raises(FloatingPointError):
             update.apply_batch(np.array([[-1.0], [1.0]]), [0, 0], ds)
 
+    @pytest.mark.parametrize("batched", ["sgd_step", "custom_map"])
+    def test_indices_other_than_one_per_row_are_refused(self, batched):
+        """One index for three rows is refused before any arithmetic, not
+        broadcast onto every row or zipped down to one row."""
+        _, ds, update = quadratic_setup(0.5)
+        applied = []
+        if batched == "custom_map":
+            update = CustomMap(lambda t, z: applied.append(z) or t)
+        with pytest.raises(ValueError, match=r"^expected 3 sample indices, one per row, got 1$"):
+            update.apply_batch(np.zeros((3, 2)), [1], ds)
+        assert applied == []
+
     def test_gradient_is_freed_before_the_projection(self):
         """The gradient is released once the update is checked, so a batch
         that the ball projects takes, under ``tracemalloc``, a peak of new
@@ -807,6 +819,31 @@ class TestLockstep:
         padded = run_lockstep(update, starts, np.array([2, 1]), np.array([[0, 1], [2, bad]]), ds)
         unpadded = run_lockstep(update, starts, np.array([2, 1]), np.array([[0, 1], [2, 0]]), ds)
         assert padded.tobytes() == unpadded.tobytes()
+
+    @pytest.mark.parametrize("steps, indices, message", [
+        ([-1], [[0, 1]], r"step count -1 outside \[0, 2\], the number of index columns"),
+        ([3], [[0, 1]], r"step count 3 outside \[0, 2\], the number of index columns"),
+        ([2.5], [[0, 1]], r"step counts must be integers, got dtype float64"),
+        ([2], [[0.0, 1.0]], r"sample indices must be integers, got dtype float64"),
+    ], ids=["negative", "past the index columns", "fractional", "float indices"])
+    def test_inputs_are_refused_before_any_step(self, steps, indices, message):
+        """Step counts that are negative, fractional or longer than the index
+        rows, and indices that are not integers, are refused once, before
+        any run takes a step, instead of running too few steps or failing
+        in numpy."""
+        _, ds, _ = quadratic_setup(0.5)
+        applied = []
+        counting = CustomMap(lambda t, z: applied.append(z) or t)
+        starts = np.zeros((2, 2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_lockstep(counting, starts, [1] + steps, [[0, 0]] + indices, ds)
+        assert applied == []
+
+    @pytest.mark.parametrize("t_min, t_max", [(-2, 3), (4, 3)])
+    def test_draw_runs_refuses_step_bounds_out_of_order(self, t_min, t_max):
+        with pytest.raises(ValueError, match=rf"^step counts need 0 <= t_min <= t_max, "
+                                             rf"got t_min={t_min}, t_max={t_max}$"):
+            draw_runs(0, 1, 2, Ball(np.zeros(2), 1.0), t_min, t_max, 3)
 
     def test_lists_run_as_arrays(self):
         """Step counts and indices given as lists run as the arrays would."""
