@@ -134,8 +134,14 @@ class ConvexDomain:
         return self.project_batch(as_point(x, dim=self.dim)[None, :])[0]
 
     def project_batch(self, X) -> np.ndarray:
-        """Project each row of an (m, dim) array; row k equals project(X[k])."""
-        raise NotImplementedError
+        """Row k is project(X[k]): ``as_rows`` checks X once, a batch that
+        ``_screen`` keeps is returned as it is, any other takes ``_project_rows``."""
+        X = as_rows(X, self.dim)
+        return X if self._screen(X) else self._project_rows(X)
+
+    def _screen(self, X: np.ndarray) -> bool:
+        """Whether every row is inside, and so finite; only ``Ball`` screens."""
+        return False
 
     def bounding_radius(self) -> float:
         """An upper bound on the norm of any member (may be infinite)."""
@@ -146,30 +152,30 @@ class ConvexDomain:
         return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """Draw ``m`` points uniformly from the domain as an (m, dim) array,
-        by a few array calls in a fixed order that each domain states."""
-        raise NotImplementedError
+        """``m`` uniform points of the domain as an (m, dim) array: ``_draws``,
+        array calls in an order each domain states, then ``_place``, row-wise."""
+        return self._place(*self._draws(rng, m))
+
+    def _place(self, *draws: np.ndarray) -> np.ndarray:
+        return draws[0]
 
 
-def _uniform_in_balls(rng: np.random.Generator, shape: tuple, d: int,
-                      radius: float) -> np.ndarray:
-    """Uniform points of the origin-centered d-ball, as an array of shape
-    ``shape + (d,)``: normals of that shape, then uniforms u of shape
-    ``shape``.  Each point is its normal times radius * u**(1/d) over the
-    normal's ``linalg_norms`` norm; a zero normal gives the origin."""
-    directions = rng.normal(size=(*shape, d))
+def _in_balls(directions: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """Uniform points of the origin-centered d-ball from normals of shape
+    ``u.shape + (d,)`` and uniforms ``u``: each normal times radius * u**(1/d)
+    over its ``linalg_norms`` norm; a zero normal gives the origin."""
+    shape, d = u.shape, directions.shape[-1]
     norms = linalg_norms(directions.reshape(-1, d)).reshape(shape)
-    r = radius * rng.random(shape) ** (1.0 / d)
-    scale = np.divide(r, norms, out=np.zeros(shape), where=norms > 0)
+    scale = np.divide(radius * u ** (1.0 / d), norms, out=np.zeros(shape), where=norms > 0)
     return directions * scale[..., None]
 
 
 @dataclass(frozen=True, eq=False)
 class Ball(ConvexDomain):
     """Closed Euclidean ball of positive radius.  Its inside test, in
-    ``_holds`` and ``project_batch``, is bitwise ``row_norms(x - center) <=
-    radius``; a sum of squares at or below the margin ``_inner_sq``, argued
-    where it is set, decides it without the norm."""
+    ``_holds``, ``_screen`` and ``_project_rows``, is bitwise ``row_norms(x -
+    center) <= radius``; a sum of squares at or below the margin
+    ``_inner_sq``, argued where it is set, decides it without the norm."""
 
     center: np.ndarray
     radius: float
@@ -219,21 +225,18 @@ class Ball(ConvexDomain):
         with np.errstate(over="ignore"):  # a norm that overflows is outside
             return math.sqrt(np.add.reduce(off * off)) <= self.radius
 
-    def project_batch(self, X) -> np.ndarray:
-        """The batch as it is if one matrix-vector product sums every row's
-        squared offset to at most ``_inner_sq`` (inside by the margin argued
-        where it is set); else the exact test, bitwise ``row_norms(X -
-        center) > radius`` from the same squares, picks the rows to project."""
-        X = as_rows(X, self.dim)
-        # an offset or a square that overflows is outside; at an all-zero
-        # center X itself is tested, as in _holds, and only projected rows
-        # are offset
-        with np.errstate(over="ignore"):
+    def _screen(self, X: np.ndarray) -> bool:
+        """Whether one matrix-vector product sums every row's squared offset
+        to at most ``_inner_sq``: inside, and finite, by the margin argued
+        where it is set.  At an all-zero center, as in ``_holds``, X is squared."""
+        with np.errstate(over="ignore"):  # an offset, square or sum that overflows is outside
             sq = X * X if self._at_origin else np.square(X - self.center)
-            if (sq @ np.ones(self.dim)).max(initial=0.0) <= self._inner_sq:
-                return X
-            over = np.sqrt(np.add.reduce(sq, axis=-1)) > self.radius
-            del sq  # freed before the projection
+            return (sq @ np.ones(self.dim)).max(initial=0.0) <= self._inner_sq
+
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        """Rows outside by the exact test, ``row_norms(X - center) > r``, go onto the sphere."""
+        with np.errstate(over="ignore"):  # an offset or a norm that overflows is outside
+            over = row_norms(X - self.center) > self.radius
             if not np.any(over):
                 return X
             offset = X[over] - self.center
@@ -247,9 +250,12 @@ class Ball(ConvexDomain):
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def sample_batch(self, rng, m: int) -> np.ndarray:
+    def _draws(self, rng, m: int) -> tuple:
         """Normals of shape (m, d), then uniforms of shape (m,)."""
-        return self.center + _uniform_in_balls(rng, (m,), self.dim, self.radius)
+        return rng.normal(size=(m, self.dim)), rng.random(m)
+
+    def _place(self, normals, uniforms) -> np.ndarray:
+        return self.center + _in_balls(normals, uniforms, self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,15 +277,15 @@ class Box(ConvexDomain):
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def project_batch(self, X) -> np.ndarray:
-        return np.clip(as_rows(X, self.dim), self.lower, self.upper)
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        return np.clip(X, self.lower, self.upper)
 
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
-    def sample_batch(self, rng, m: int) -> np.ndarray:
-        """``rng.uniform(lower, upper, size=(m, d))``."""
-        return rng.uniform(self.lower, self.upper, size=(m, self.dim))
+    def _draws(self, rng, m: int) -> tuple:
+        """``rng.uniform(lower, upper, size=(m, d))``, already placed."""
+        return (rng.uniform(self.lower, self.upper, size=(m, self.dim)),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,8 +312,7 @@ class ProductOfBalls(ConvexDomain):
     def dim(self) -> int:
         return self.blocks * self.block_dim
 
-    def project_batch(self, X) -> np.ndarray:
-        X = as_rows(X, self.dim)
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
         blocks = X.reshape(X.shape[0], self.blocks, self.block_dim).copy()
         with np.errstate(over="ignore"):  # a norm that overflows is outside
             over = row_norms(blocks) > self.radius
@@ -318,11 +323,12 @@ class ProductOfBalls(ConvexDomain):
     def bounding_radius(self) -> float:
         return self.radius * math.sqrt(self.blocks)
 
-    def sample_batch(self, rng, m: int) -> np.ndarray:
-        """Normals of shape (m, blocks, block_dim), then uniforms of shape
-        (m, blocks)."""
-        points = _uniform_in_balls(rng, (m, self.blocks), self.block_dim, self.radius)
-        return points.reshape(m, self.dim)
+    def _draws(self, rng, m: int) -> tuple:
+        """Normals of shape (m, blocks, block_dim), then uniforms (m, blocks)."""
+        return rng.normal(size=(m, self.blocks, self.block_dim)), rng.random((m, self.blocks))
+
+    def _place(self, normals, uniforms) -> np.ndarray:
+        return _in_balls(normals, uniforms, self.radius).reshape(len(uniforms), self.dim)
 
 
 @dataclass(frozen=True)
@@ -339,13 +345,13 @@ class WholeSpace(ConvexDomain):
     def dim(self) -> int:
         return self.dimension
 
-    def project_batch(self, X) -> np.ndarray:
-        return as_rows(X, self.dim)
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        return X
 
     def bounding_radius(self) -> float:
         return math.inf
 
-    def sample_batch(self, rng, m: int) -> np.ndarray:
+    def _draws(self, rng, m: int) -> tuple:
         raise ValueError("cannot sample uniformly from an unbounded domain")
 
 

@@ -149,6 +149,7 @@ class Distribution:
             if not all_finite(p) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
                 raise ValueError("probs must be a probability vector")
             object.__setattr__(self, "probs", p)
+            object.__setattr__(self, "_equal_probs", bool(np.all(p == p[0])))
 
     @property
     def finite(self) -> bool:
@@ -159,7 +160,7 @@ class Distribution:
         size)`` when every probability is equal, else ``rng.choice(m, size,
         p=probs)``."""
         m = len(self.support)
-        if np.all(self.probs == self.probs[0]):
+        if self._equal_probs:  # tested once, when the distribution is made
             return rng.integers(0, m, size)
         return rng.choice(m, size=size, p=self.probs)
 

@@ -14,8 +14,26 @@ from .core import Ball, ConvexDomain, DETERMINISTIC_TOL, all_finite, as_point, s
 from .losses import Dataset, LossFamily
 
 
+class _BatchedUpdate:
+    """The checked entry that both update maps share into their ``_advance``."""
+
+    def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
+        """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise.  Rows
+        of a width other than the domain's, or indices other than one per
+        row, are refused here, not broadcast; ``_advance`` checks the rest."""
+        self._check_rows(np.shape(thetas))
+        if len(idx) != len(thetas):
+            raise ValueError(f"expected {len(thetas)} sample indices, one per row, got {len(idx)}")
+        return self._advance(thetas, idx, dataset)
+
+    def _check_rows(self, shape: tuple) -> None:
+        if len(shape) != 2 or self.domain is not None and shape[1] != self.domain.dim:
+            raise ValueError(f"expected an (m, {getattr(self.domain, 'dim', 'd')}) array of "
+                             f"points, got shape {shape}")
+
+
 @dataclass(frozen=True, eq=False)
-class SGDStep:
+class SGDStep(_BatchedUpdate):
     """One projected gradient update theta -> Pi(theta - eta grad f(theta; z)).
 
     Pi projects onto ``domain``, which defaults to the family's domain.
@@ -57,20 +75,18 @@ class SGDStep:
             return out
         return domain.project(_checked_update(theta, g, out))
 
-    def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
-        """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise.  Rows
-        of a width other than the domain's, or indices other than one per
-        row, are refused, not broadcast."""
-        shape, d = np.shape(thetas), self.domain.dim
-        if len(shape) != 2 or shape[1] != d:
-            raise ValueError(f"expected an (m, {d}) array of points, got shape {shape}")
-        _one_index_per_row(shape[0], idx)
+    def _advance(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
+        """One step of (m, d) float64 rows and indices that the caller checked:
+        an update that the domain's ``_screen`` keeps is returned as it is, any
+        other is checked by ``_checked_update`` and takes ``_project_rows``."""
         g = self.family.grad_rows(thetas, dataset, idx)
         out = np.multiply(g, self.eta)  # thetas - eta * g, in one buffer
         np.subtract(thetas, out, out=out)
+        if self.domain._screen(out):
+            return out
         _checked_update(thetas, g, out)
         del g  # freed before the projection's norms
-        return self.domain.project_batch(out)
+        return self.domain._project_rows(out)
 
 
 def _checked_update(theta: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -88,7 +104,7 @@ def _checked_update(theta: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.nda
 
 
 @dataclass(frozen=True, eq=False)
-class CustomMap:
+class CustomMap(_BatchedUpdate):
     """An arbitrary iterative update g(theta; z)."""
 
     fn: Callable[[np.ndarray, object], np.ndarray]
@@ -102,20 +118,13 @@ class CustomMap:
             raise FloatingPointError("update produced non-finite values")
         return out
 
-    def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
-        """Per-row fallback: row k is ``apply(thetas[k], dataset.samples[idx[k]])``;
-        indices other than one per row are refused."""
-        _one_index_per_row(len(thetas), idx)
+    def _advance(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
+        """The per-row fallback: ``apply`` on each row and its sample."""
         samples = dataset.samples
         return np.stack([self.apply(theta, samples[i]) for theta, i in zip(thetas, idx)])
 
 
 UpdateMap = Union[SGDStep, CustomMap]
-
-
-def _one_index_per_row(m: int, idx) -> None:
-    if len(idx) != m:
-        raise ValueError(f"expected {m} sample indices, one per row, got {len(idx)}")
 
 
 def contraction_factor(alpha: float, beta: float, eta: float) -> float:
@@ -164,11 +173,11 @@ def draw_runs(
 
     Stream k is ``substream(seed, k)``.  It first serves ``prelude(k, rng)``,
     if one is given, and then draws runs k * runs to (k + 1) * runs - 1 by
-    three array calls, in this order: the starts
+    three array calls, in this order: the raw draws of the starts
     ``domain.sample_batch(rng, runs)``, the step counts
     ``rng.integers(t_min, t_max + 1, size=runs)`` and the indices
-    ``rng.integers(0, n, size=(runs, t_max))``.  Each index row is zeroed
-    past its step count.
+    ``rng.integers(0, n, size=(runs, t_max))``.  All raw draws are placed
+    at once, and each index row is zeroed past its step count.
 
     Returns (starts (m, d), steps (m,), indices (m, t_max), the prelude's
     result per stream, or [] without a prelude), with m = streams * runs.
@@ -178,19 +187,19 @@ def draw_runs(
         raise ValueError(f"step counts need 0 <= t_min <= t_max, got t_min={t_min}, "
                          f"t_max={t_max}")
     m = streams * runs
-    starts = np.empty((m, domain.dim))
     steps = np.empty(m, dtype=np.int64)
     indices = np.empty((m, t_max), dtype=np.int64)
-    preluded = []
+    draws, preluded = [], []
     for k in range(streams):
         rng = substream(seed, k)
         if prelude is not None:
             preluded.append(prelude(k, rng))
         rows = slice(k * runs, (k + 1) * runs)
-        starts[rows] = domain.sample_batch(rng, runs)
+        draws.append(domain._draws(rng, runs))
         steps[rows] = rng.integers(t_min, t_max + 1, size=runs)
         indices[rows] = rng.integers(0, n, size=(runs, t_max))
     indices[np.arange(t_max) >= steps[:, None]] = 0
+    starts = domain._place(*map(np.concatenate, zip(*draws))) if m else np.empty((0, domain.dim))
     return starts, steps, indices, preluded
 
 
@@ -207,13 +216,15 @@ def run_lockstep(
     The runs are sorted once by step count, longest first (a stable sort),
     so the runs still live at step s are a prefix and each step updates a
     slice; the endpoints come back in input order.  Each endpoint equals,
-    bitwise, the one a sequential ``sgd_step`` loop reaches, because
-    ``apply_batch`` treats every row on its own.  Before any step, step
-    counts that are not integers in [0, indices.shape[1]] and index arrays
-    that are not integers raise ValueError, and an index outside [0, n)
-    among a run's first ``steps[k]`` raises IndexError, as in ``sgd_step``;
-    the entries past them are never read.
+    bitwise, the one a sequential ``sgd_step`` loop reaches: each step is one
+    ``_advance``, which treats every row on its own and refuses a non-finite
+    point or update.  Once, before any step, starts not of the domain's
+    width, step counts that are not integers in [0, indices.shape[1]] and
+    index arrays that are not integers raise ValueError, and an index outside
+    [0, n) among a run's first ``steps[k]`` raises IndexError, as in
+    ``sgd_step``; the entries past them are never read.
     """
+    update._check_rows(np.shape(starts))
     steps, indices = np.asarray(steps), np.asarray(indices)
     for name, a in (("step counts", steps), ("sample indices", indices)):
         if a.size and a.dtype.kind not in "biu":
@@ -229,12 +240,10 @@ def run_lockstep(
         if bad.size:
             raise IndexError(f"sample index {bad[0]} out of range [0, {n})")
     order = np.argsort(-steps, kind="stable")
-    ends = steps[order]
-    thetas = np.asarray(starts, dtype=float)[order]
-    idx = indices[order]
+    ends, thetas, idx = steps[order], np.asarray(starts, dtype=float)[order], indices[order]
     live = np.searchsorted(-ends, -np.arange(int(ends.max(initial=0))))  # ends > s
     for s, k in enumerate(live):
-        thetas[:k] = update.apply_batch(thetas[:k], idx[:k, s], dataset)
+        thetas[:k] = update._advance(thetas[:k], idx[:k, s], dataset)
     out = np.empty_like(thetas)
     out[order] = thetas
     return out

@@ -53,8 +53,9 @@ def run_trajectory(
     dataset: Dataset,
 ) -> Trajectory:
     """Run one update per row of ``indices`` from ``init``, recording every
-    iterate.  A flat sequence takes one sample per step, a (steps, b) array
-    one mini-batch row per step.
+    iterate.  Inputs are checked once, then each step is one ``_advance``: a
+    flat sequence takes one sample per step, a (steps, b) array one mini-batch
+    row per step.
     """
     theta = as_point(init)
     idx = _sample_indices(indices, dataset.n)
@@ -62,10 +63,11 @@ def run_trajectory(
     if idx.ndim != 2 or idx.shape[1] < 1:
         raise ValueError(f"indices must be flat or (steps, b) with b >= 1, got {idx.shape}")
     b = idx.shape[1]
+    update._check_rows((b, theta.shape[0]))
     points = np.empty((len(idx) + 1, theta.shape[0]))
     points[0] = theta
     for t, batch in enumerate(idx):
-        rows = update.apply_batch(np.tile(theta, (b, 1)), batch, dataset)
+        rows = update._advance(np.tile(theta, (b, 1)), batch, dataset)
         # a mini-batch step averages the single-sample updates (an average of
         # gamma-contractive maps is gamma-contractive); sum() adds them from
         # zero, in order, and a single update is taken as is
@@ -110,8 +112,8 @@ def coupled_contraction_ratio(
     array ``indices`` drives pair k) and report ||g(a) - g(b)|| / ||a - b||
     at every step.
 
-    All 2m points advance together, one ``apply_batch`` call per step, and
-    every figure equals, bitwise, the one stepping the pair alone through
+    Checked once, all 2m points advance together, one ``_advance`` per step,
+    and every figure equals, bitwise, the one stepping the pair alone through
     ``sgd_step`` gives.  Once a pair agrees to within 1e-14 times the domain
     scale the ratio is 0/0: the pair is masked out, its remaining ratios
     are reported as 0 and its coalescence step is recorded.
@@ -122,6 +124,7 @@ def coupled_contraction_ratio(
     if len(b) != len(a) or idx.ndim != 2 or len(idx) != len(a):
         raise ValueError(f"need (m, d), (m, d) and (m, steps) arrays, got shapes "
                          f"{a.shape}, {b.shape} and {idx.shape}")
+    update._check_rows(a.shape)
     dist = linalg_norms(a - b)
     if np.any(dist == 0.0):
         raise ValueError("coupled starting points must differ")
@@ -139,8 +142,8 @@ def coupled_contraction_ratio(
         if not k.size:
             break
         distances[k, t] = dist[k]
-        moved = update.apply_batch(np.concatenate([a[k], b[k]]),
-                                   np.concatenate([idx[k, t], idx[k, t]]), dataset)
+        moved = update._advance(np.concatenate([a[k], b[k]]),
+                                np.concatenate([idx[k, t], idx[k, t]]), dataset)
         a[k], b[k] = moved[:k.size], moved[k.size:]
         new_dist = linalg_norms(a[k] - b[k])
         ratios[k, t] = new_dist / dist[k]

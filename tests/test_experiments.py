@@ -123,6 +123,21 @@ class TestValidateBound:
         assert not report.passed
         assert report.violations / report.resamplings > 0.05
 
+    @pytest.mark.parametrize("violations, passed", [(1, True), (2, False)])
+    def test_verdict_boundary(self, violations, passed):
+        """With R = 20 and delta = 0.05, a certificate that the worst gaps of
+        exactly one resampling exceed PASSes (1/20 = delta), and one that two
+        exceed FAILs.  ``shrink`` puts the threshold midway between the
+        run's own sorted worst gaps; it moves no gap."""
+        run = {"resamplings": 20, "trials": 3, "delta": 0.05, "seed": 3}
+        base = validate_bound(quadratic_scenario(), **run)
+        gaps = sorted(base.max_gaps, reverse=True)
+        assert gaps[0] > gaps[1] > gaps[2]
+        shrink = base.certificate_total / ((gaps[violations - 1] + gaps[violations]) / 2)
+        report = validate_bound(quadratic_scenario(), shrink=shrink, **run)
+        assert report.max_gaps == base.max_gaps
+        assert report.violations == violations and report.passed is passed
+
     def test_hypothesis_violations_abort(self):
         with pytest.raises(ValueError, match=r"eta=3.0 outside \(0, 2.0\)$"):
             validate_bound(quadratic_scenario(eta=3.0), resamplings=2, trials=1,

@@ -526,6 +526,63 @@ class TestWrongWidth:
             call(update, ds)
 
 
+def _slow_path_cases(skip=None):
+    """Each lockstep caller on each domain, as (caller, domain) params."""
+    domains = [Ball(np.zeros(2), 1.0), Box(np.full(2, -1.0), np.full(2, 1.0)),
+               ProductOfBalls(2, 1, 1.0), WholeSpace(2)]
+    return [pytest.param(caller, domain, id=f"{caller}-{type(domain).__name__}")
+            for caller in ("run_lockstep", "coupled_contraction_ratio", "run_trajectory")
+            for domain in domains if (caller, type(domain)) != skip]
+
+
+def _through(caller, update, start, ds):
+    """One step from ``start`` (and, coupled, from a second start 0.1 away)
+    through the caller's entry checks and then the update's kernel."""
+    if caller == "run_lockstep":
+        return run_lockstep(update, start[None], np.array([1]), np.zeros((1, 1), dtype=int), ds)
+    if caller == "run_trajectory":
+        return run_trajectory(update, start, [0], ds)
+    return coupled_contraction_ratio(update, start[None], start[None] + 0.1,
+                                     np.zeros((1, 1), dtype=int), ds)
+
+
+class TestKernelSlowPath:
+    """An update that fails the ball's screen, or any update on a domain
+    without one, takes ``_checked_update`` before its projection, so each
+    fault keeps its type and message through every lockstep caller and on
+    every domain.  A start is checked once at entry where its caller
+    validates points (``as_point``, or ``as_rows`` for coupled pairs), else
+    by the kernel's first step."""
+
+    @staticmethod
+    def _update(domain, grad, eta=0.5):
+        fam = quadratic_centers(CENTERS, R=1.0)
+        if grad is not None:
+            fam = dataclasses.replace(fam, grad_batch=lambda thetas, zs: np.full_like(thetas, grad))
+        return SGDStep(fam, eta, domain=domain), Dataset(tuple(CENTERS))
+
+    # run_lockstep on a Ball is test_lockstep_refuses_a_non_finite_start
+    @pytest.mark.parametrize("caller, domain", _slow_path_cases(skip=("run_lockstep", Ball)))
+    def test_non_finite_start(self, caller, domain):
+        update, ds = self._update(domain, None)
+        message = ("points have" if caller == "coupled_contraction_ratio" else "point has")
+        with pytest.raises(ValueError, match=f"^{message} non-finite entries$"):
+            _through(caller, update, np.array([np.nan, 0.0]), ds)
+
+    @pytest.mark.parametrize("caller, domain", _slow_path_cases())
+    def test_infinite_gradient(self, caller, domain):
+        update, ds = self._update(domain, np.inf)
+        with pytest.raises(FloatingPointError, match="^non-finite gradient$"):
+            _through(caller, update, np.zeros(2), ds)
+
+    @pytest.mark.parametrize("caller, domain", _slow_path_cases())
+    def test_overflowing_update(self, caller, domain):
+        update, ds = self._update(domain, 1e308, eta=10.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="^update produced non-finite values$"):
+            _through(caller, update, np.zeros(2), ds)
+
+
 @st.composite
 def _stepper(draw):
     """An update on one of the four domains, quadratic_centers with or
