@@ -40,6 +40,15 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def shaped_like(value, theta: np.ndarray, what: str) -> np.ndarray:
+    """A user callable's ``value`` at the point ``theta`` as a float64 array,
+    refused with ValueError, not broadcast, unless it has ``theta``'s shape."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != theta.shape:
+        raise ValueError(f"{what} has shape {out.shape}; the point has shape {theta.shape}")
+    return out
+
+
 def as_rows(X, dim: int) -> np.ndarray:
     """Validate and return ``X`` as a finite (m, dim) float64 array of points."""
     arr = np.asarray(X, dtype=float)
@@ -220,6 +229,8 @@ class Ball(ConvexDomain):
         else:
             with np.errstate(over="ignore"):  # an offset that overflows is outside
                 off = x - self.center
+        # np.vdot, not the faster ndarray.dot, @ or np.inner: those warn
+        # "overflow encountered" on a huge update
         if np.vdot(off, off) <= self._inner_sq:
             return True
         with np.errstate(over="ignore"):  # a norm that overflows is outside

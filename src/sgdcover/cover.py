@@ -188,16 +188,14 @@ def _enumerate_tree(update: UpdateMap, dataset: Dataset, d: int, T: int) -> np.n
     the origin of R^d, one ``sgd_step`` call per tree node, built level by
     level: row k*n + i of a level is sample i's update of row k of the level
     above, so row k of the result takes the base-n digits of k as its samples.
-    A node whose ``SGDStep`` update stays inside a ball is proved finite by
-    one inside test and checked no further (``SGDStep.apply``)."""
-    n = dataset.n
+    Each level is one ``np.fromiter`` over its nodes' ``sgd_step`` calls, in
+    row order.  A node whose ``SGDStep`` update stays inside a ball is proved
+    finite by one inside test and checked no further (``SGDStep.apply``)."""
+    n, row = dataset.n, np.dtype((float, (d,)))
     level = np.zeros((1, d))
     for _ in range(T):
-        children = np.empty((level.shape[0] * n, level.shape[1]))
-        for k, point in enumerate(level):
-            for i in range(n):
-                children[k * n + i] = sgd_step(update, point, i, dataset)
-        level = children
+        level = np.fromiter((sgd_step(update, point, i, dataset) for point in level
+                             for i in range(n)), dtype=row, count=len(level) * n)
     return level
 
 

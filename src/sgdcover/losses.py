@@ -18,7 +18,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import Ball, ConvexDomain, all_finite, as_point, as_rows, safe_norms
+from .core import Ball, ConvexDomain, all_finite, as_point, as_rows, safe_norms, shaped_like
 
 _SIGNS = {
     "alpha": 0, "beta": 1, "beta_prime": 0, "L": 0, "B": 0, "L_prime": 0,
@@ -103,11 +103,13 @@ class LossFamily:
     value_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def grad_rows(self, thetas: np.ndarray, dataset: "Dataset", idx) -> np.ndarray:
-        """Gradients of an (m, d) batch: row k uses sample ``idx[k]`` of the dataset."""
+        """Gradients of an (m, d) batch: row k uses sample ``idx[k]`` of the
+        dataset.  Without ``grad_batch``, a per-row ``grad`` of another shape
+        than its row is refused (``shaped_like``)."""
         if self.grad_batch is not None:
             return self.grad_batch(thetas, dataset.matrix.take(idx, axis=0))
         samples = dataset.samples
-        return np.stack([np.asarray(self.grad(theta, samples[i]), dtype=float)
+        return np.stack([shaped_like(self.grad(theta, samples[i]), theta, "gradient")
                          for theta, i in zip(thetas, idx)])
 
     def values(self, theta: np.ndarray, dataset: "Dataset") -> np.ndarray:

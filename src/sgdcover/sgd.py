@@ -10,7 +10,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import Ball, ConvexDomain, DETERMINISTIC_TOL, all_finite, as_point, substream
+from .core import (Ball, ConvexDomain, DETERMINISTIC_TOL, all_finite, as_point, shaped_like,
+                   substream)
 from .losses import Dataset, LossFamily
 
 
@@ -54,22 +55,24 @@ class SGDStep(_BatchedUpdate):
             object.__setattr__(self, "domain", self.family.domain)
             if self.domain is None:
                 raise ValueError("no domain to project onto; pass domain=WholeSpace(d) for none")
+        object.__setattr__(self, "_row_shape", (self.domain.dim,))  # one point's, derived once
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         """Row 0 of ``apply_batch`` on the one-row batch ``theta[None]``, bitwise.
 
         The gradient is the family's ``grad_batch`` on one-row views when
         the family has one and ``theta`` has the domain's width, else its
-        ``grad``, as ``grad_rows`` falls back to.  On a ``Ball`` an update
-        that the ball's inside test keeps is returned as it is: the test
-        proves it finite, so no other check runs.  Any other update is
-        checked by ``_checked_update`` and takes the validated projection.
+        ``grad``, refused unless of ``theta``'s shape, as ``grad_rows`` falls
+        back to.  On a ``Ball`` an update that the ball's inside test keeps
+        is returned as it is: the test proves it finite, so no other check
+        runs.  Any other update is checked by ``_checked_update`` and takes
+        the validated projection.
         """
         grad_batch, domain = self.family.grad_batch, self.domain
-        if grad_batch is not None and theta.shape == (domain.dim,):
+        if grad_batch is not None and theta.shape == self._row_shape:
             g = grad_batch(theta[None], np.asarray(z, dtype=float)[None])[0]
         else:
-            g = np.asarray(self.family.grad(theta, z), dtype=float)
+            g = shaped_like(self.family.grad(theta, z), theta, "gradient")
         out = theta - self.eta * g
         if isinstance(domain, Ball) and domain._holds(out):
             return out
@@ -111,9 +114,11 @@ class CustomMap(_BatchedUpdate):
     domain: ConvexDomain | None = None
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
-        """``fn(theta, z)``, refused when not finite.  ``theta`` is validated
-        here with ``as_point``, because ``fn`` may ignore it."""
-        out = np.asarray(self.fn(as_point(theta), z), dtype=float)
+        """``fn(theta, z)``, refused when not of ``theta``'s shape or not
+        finite.  ``theta`` is validated here with ``as_point``, because ``fn``
+        may ignore it."""
+        theta = as_point(theta)
+        out = shaped_like(self.fn(theta, z), theta, "update")
         if not all_finite(out):
             raise FloatingPointError("update produced non-finite values")
         return out
@@ -219,13 +224,18 @@ def run_lockstep(
     bitwise, the one a sequential ``sgd_step`` loop reaches: each step is one
     ``_advance``, which treats every row on its own and refuses a non-finite
     point or update.  Once, before any step, starts not of the domain's
-    width, step counts that are not integers in [0, indices.shape[1]] and
-    index arrays that are not integers raise ValueError, and an index outside
+    width, counts of starts, step counts and index rows that differ, step
+    counts that are not integers in [0, indices.shape[1]] and index arrays
+    that are not integers raise ValueError, and an index outside
     [0, n) among a run's first ``steps[k]`` raises IndexError, as in
     ``sgd_step``; the entries past them are never read.
     """
     update._check_rows(np.shape(starts))
     steps, indices = np.asarray(steps), np.asarray(indices)
+    counts = (len(starts), len(steps), len(indices))
+    if len(set(counts)) > 1:
+        raise ValueError("need one step count and one index row per start, got "
+                         "{} starts, {} step counts and {} index rows".format(*counts))
     for name, a in (("step counts", steps), ("sample indices", indices)):
         if a.size and a.dtype.kind not in "biu":
             raise ValueError(f"{name} must be integers, got dtype {a.dtype}")

@@ -46,6 +46,10 @@ MUTANTS = [
     ("screen-r-squared", "src/sgdcover/core.py",
      "(sq @ np.ones(self.dim)).max(initial=0.0) <= self._inner_sq",
      "(sq @ np.ones(self.dim)).max(initial=0.0) <= self.radius * self.radius"),
+    # the one-row inside test compares against fl(r*r), not the margin _inner_sq
+    ("holds-r-squared", "src/sgdcover/core.py",
+     "if np.vdot(off, off) <= self._inner_sq:",
+     "if np.vdot(off, off) <= self.radius * self.radius:"),
     # a batch that fails the screen comes back unprojected
     ("screen-fail-unprojected", "src/sgdcover/sgd.py",
      "        return self.domain._project_rows(out)\n",
@@ -70,6 +74,10 @@ MUTANTS = [
     ("own-entry-short", "src/sgdcover/cover.py",
      "np.full(trials, T), last, dataset)",
      "np.full(trials, T - 1), last, dataset)"),
+    # a tree level filled with samples as the outer loop
+    ("level-samples-outer", "src/sgdcover/cover.py",
+     "for point in level\n                             for i in range(n))",
+     "for i in range(n)\n                             for point in level)"),
     # dedupe keeps the last row of each point instead of the first
     ("dedupe-last", "src/sgdcover/cover.py",
      "return np.sort(np.unique(_point_keys(points), return_index=True)[1])",

@@ -145,6 +145,33 @@ class TestEnumerateCover:
             assert replay_entry(update, ds, e).tobytes() == e.point.tobytes()
             assert row.tobytes() == e.point.tobytes()
 
+    @pytest.mark.parametrize("domain", [
+        Ball(np.array([0.3, -0.2]), 0.6),
+        Box(np.array([-0.5, -0.3]), np.array([0.4, 0.5])),
+        ProductOfBalls(2, 1, 0.45),
+        WholeSpace(2),
+        None,
+    ], ids=["Ball-off-origin", "Box", "ProductOfBalls", "WholeSpace", "CustomMap"])
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_levels_are_lockstep_over_every_sequence(self, domain, T):
+        """Each level filled by ``np.fromiter`` is, bitwise and in enumeration
+        order, ``run_lockstep`` from the origin over all n^T sequences.  At
+        eta = 1.5 each bounded domain's projection acts, so its cover differs
+        from the unprojected one; a ``CustomMap`` runs through the same fill."""
+        fam, ds, _ = quadratic_cover_setup()
+        if domain is None:
+            update = CustomMap(lambda t, z: 0.9 * np.tanh(1.7 * t - np.asarray(z)),
+                               Ball(np.zeros(2), 1.0))
+        else:
+            update = SGDStep(fam, 1.5, domain=domain)
+        cov = enumerate_cover(update, ds, T=T)
+        if isinstance(domain, (Ball, Box, ProductOfBalls)):
+            raw = enumerate_cover(SGDStep(fam, 1.5, domain=WholeSpace(2)), ds, T=T)
+            assert not np.array_equal(cov.points, raw.points)
+        seqs = np.array(list(itertools.product(range(ds.n), repeat=T)))
+        lockstep = run_lockstep(update, np.zeros((len(cov), 2)), np.full(len(cov), T), seqs, ds)
+        assert lockstep.tobytes() == cov.points.tobytes()
+
     def test_threads_do_not_change_output(self):
         _, ds, update = quadratic_cover_setup()
         a = enumerate_cover(update, ds, T=3, threads=1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sgdcover import sgd as sgd_module
+from sgdcover.cover import enumerate_cover
 from sgdcover.core import (DETERMINISTIC_TOL, Ball, Box, ProductOfBalls, WholeSpace, linalg_norms,
                            row_norms, substream)
 from sgdcover.families import (hard_kmeans, multi_index, soft_kmeans, squared_error_link,
@@ -525,6 +526,26 @@ class TestWrongWidth:
                                              r"got shape \(\d+, 1\)$"):
             call(update, ds)
 
+    @pytest.mark.parametrize("call", [
+        lambda update, ds: enumerate_cover(update, ds, T=2),
+        lambda update, ds: sgd_step(update, np.zeros(2), 1, ds),
+        lambda update, ds: run_lockstep(update, np.zeros((2, 2)), np.array([1, 2]),
+                                        np.zeros((2, 2), dtype=np.int64), ds),
+    ], ids=["enumerate_cover", "sgd_step", "run_lockstep"])
+    @pytest.mark.parametrize("update, what", [
+        (CustomMap(lambda t, z: np.array([0.5]), domain=Ball(np.zeros(2), 1.0)), "update"),
+        (SGDStep(LossFamily(name="narrow", constants=LossConstants(), value=lambda t, z: 0.0,
+                            grad=lambda t, z: np.array([1.0])), 0.1, domain=Ball(np.zeros(2), 1.0)),
+         "gradient"),
+    ], ids=["CustomMap", "per-row grad"])
+    def test_user_callable_of_the_wrong_width_is_refused(self, call, update, what):
+        """A user's update or per-row gradient of width 1 in d = 2 is refused
+        with both shapes, where it used to broadcast to [0.5, 0.5] (or to
+        [-0.1, -0.1] after one step) or to fail in numpy's output broadcast."""
+        with pytest.raises(ValueError, match=rf"^{what} has shape \(1,\); "
+                                             r"the point has shape \(2,\)$"):
+            call(update, Dataset(tuple(CENTERS)))
+
 
 def _slow_path_cases(skip=None):
     """Each lockstep caller on each domain, as (caller, domain) params."""
@@ -882,12 +903,20 @@ class TestLockstep:
         ([3], [[0, 1]], r"step count 3 outside \[0, 2\], the number of index columns"),
         ([2.5], [[0, 1]], r"step counts must be integers, got dtype float64"),
         ([2], [[0.0, 1.0]], r"sample indices must be integers, got dtype float64"),
-    ], ids=["negative", "past the index columns", "fractional", "float indices"])
+        ([], [], r"need one step count and one index row per start, got 2 starts, "
+                 r"1 step counts and 1 index rows"),
+        ([1, 1], [[0, 0], [0, 0]], r"need one step count and one index row per start, "
+                                   r"got 2 starts, 3 step counts and 3 index rows"),
+        ([1], [], r"need one step count and one index row per start, got 2 starts, "
+                  r"2 step counts and 1 index rows"),
+    ], ids=["negative", "past the index columns", "fractional", "float indices",
+            "extra starts", "too few starts", "too few index rows"])
     def test_inputs_are_refused_before_any_step(self, steps, indices, message):
         """Step counts that are negative, fractional or longer than the index
-        rows, and indices that are not integers, are refused once, before
-        any run takes a step, instead of running too few steps or failing
-        in numpy."""
+        rows, indices that are not integers, and counts of starts, step
+        counts and index rows that differ, are refused once, before any run
+        takes a step, instead of running too few steps, dropping starts or
+        failing in numpy."""
         _, ds, _ = quadratic_setup(0.5)
         applied = []
         counting = CustomMap(lambda t, z: applied.append(z) or t)
