@@ -138,9 +138,9 @@ class ConvexDomain:
         raise NotImplementedError
 
     def project(self, x) -> np.ndarray:
-        """Row 0 of ``project_batch`` on ``x``, validated as a point of the
-        domain's dimension, as a one-row batch."""
-        return self.project_batch(as_point(x, dim=self.dim)[None, :])[0]
+        """Row 0 of ``project_batch`` on ``x``, checked once by ``as_point``: a
+        row that the screen keeps, ``_project_rows``' exact test keeps too."""
+        return self._project_rows(as_point(x, dim=self.dim)[None, :])[0]
 
     def project_batch(self, X) -> np.ndarray:
         """Row k is project(X[k]): ``as_rows`` checks X once, a batch that

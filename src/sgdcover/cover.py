@@ -254,9 +254,8 @@ def replay_entry(update: UpdateMap, dataset: Dataset, entry: CoverEntry) -> np.n
     if entry.pieces is not None:
         raise ValueError("replay_entry replays plain cover entries; this entry has pieces "
                          f"{entry.pieces}, whose surrogate steps the update cannot replay")
-    seq = np.array([entry.seq], dtype=np.int64)
     start = np.zeros((1, len(entry.point)))
-    return run_lockstep(update, start, np.array([len(entry.seq)]), seq, dataset)[0]
+    return run_lockstep(update, start, [len(entry.seq)], [entry.seq], dataset)[0]
 
 
 def _own_entry_runs(update: UpdateMap, dataset: Dataset, T: int, trials: int,

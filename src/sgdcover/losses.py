@@ -104,10 +104,11 @@ class LossFamily:
 
     def grad_rows(self, thetas: np.ndarray, dataset: "Dataset", idx) -> np.ndarray:
         """Gradients of an (m, d) batch: row k uses sample ``idx[k]`` of the
-        dataset.  Without ``grad_batch``, a per-row ``grad`` of another shape
-        than its row is refused (``shaped_like``)."""
+        dataset.  A ``grad_batch`` result of another shape than ``thetas``, or
+        a per-row ``grad`` of another than its row, is refused (``shaped_like``)."""
         if self.grad_batch is not None:
-            return self.grad_batch(thetas, dataset.matrix.take(idx, axis=0))
+            return shaped_like(self.grad_batch(thetas, dataset.matrix.take(idx, axis=0)), thetas,
+                               "gradient")
         samples = dataset.samples
         return np.stack([shaped_like(self.grad(theta, samples[i]), theta, "gradient")
                          for theta, i in zip(thetas, idx)])

@@ -15,14 +15,31 @@ from .core import (Ball, ConvexDomain, DETERMINISTIC_TOL, all_finite, as_point, 
 from .losses import Dataset, LossFamily
 
 
+def _sample_indices(indices, n: int, steps=None) -> np.ndarray:
+    """``indices`` as int64 (an int64 array as it is) by the one index rule of
+    every batched entry: a dtype not integer or bool raises ValueError, an
+    index outside [0, n) IndexError, as in ``sgd_step``; with ``steps``, only
+    row k's first ``steps[k]``, the ones a run reads, are range-checked."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "biu":
+        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        read = idx if steps is None else idx[np.arange(idx.shape[-1]) < steps[:, None]]
+        bad = read[(read < 0) | (read >= n)]
+        if bad.size:
+            raise IndexError(f"sample index {bad[0]} out of range [0, {n})")
+    return idx.astype(np.int64, copy=False)
+
+
 class _BatchedUpdate:
     """The checked entry that both update maps share into their ``_advance``."""
 
     def apply_batch(self, thetas: np.ndarray, idx, dataset: Dataset) -> np.ndarray:
         """Row k is ``apply(thetas[k], dataset.samples[idx[k]])``, bitwise.  Rows
-        of a width other than the domain's, or indices other than one per
-        row, are refused here, not broadcast; ``_advance`` checks the rest."""
+        not of the domain's width, and indices not one valid per row
+        (``_sample_indices``), are refused here; ``_advance`` checks the rest."""
         self._check_rows(np.shape(thetas))
+        idx = _sample_indices(idx, dataset.n)
         if len(idx) != len(thetas):
             raise ValueError(f"expected {len(thetas)} sample indices, one per row, got {len(idx)}")
         return self._advance(thetas, idx, dataset)
@@ -60,19 +77,19 @@ class SGDStep(_BatchedUpdate):
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         """Row 0 of ``apply_batch`` on the one-row batch ``theta[None]``, bitwise.
 
-        The gradient is the family's ``grad_batch`` on one-row views when
-        the family has one and ``theta`` has the domain's width, else its
-        ``grad``, refused unless of ``theta``'s shape, as ``grad_rows`` falls
-        back to.  On a ``Ball`` an update that the ball's inside test keeps
-        is returned as it is: the test proves it finite, so no other check
-        runs.  Any other update is checked by ``_checked_update`` and takes
-        the validated projection.
+        The gradient, refused unless of ``theta``'s shape, is the family's
+        ``grad_batch`` on one-row views when it has one and ``theta`` has the
+        domain's width, else its ``grad``, as in ``grad_rows``.  On a ``Ball``
+        an update that the ball's inside test keeps is returned as it is:
+        the test proves it finite.  Any other is checked by
+        ``_checked_update`` and takes the domain's ``project``.
         """
         grad_batch, domain = self.family.grad_batch, self.domain
-        if grad_batch is not None and theta.shape == self._row_shape:
-            g = grad_batch(theta[None], np.asarray(z, dtype=float)[None])[0]
-        else:
-            g = shaped_like(self.family.grad(theta, z), theta, "gradient")
+        g = (grad_batch(theta[None], np.asarray(z, dtype=float)[None])[0]
+             if grad_batch is not None and theta.shape == self._row_shape
+             else np.asarray(self.family.grad(theta, z), dtype=float))
+        if g.shape != theta.shape:  # shaped_like's refusal, inline at every tree node
+            raise ValueError(f"gradient has shape {g.shape}; the point has shape {theta.shape}")
         out = theta - self.eta * g
         if isinstance(domain, Ball) and domain._holds(out):
             return out
@@ -154,7 +171,8 @@ def sgd_step(update: UpdateMap, theta, sample_index: int, dataset: Dataset) -> n
     """Apply one update using sample ``sample_index`` of the dataset.  Only
     the shape of ``theta`` is checked before the index (a scalar is a
     1-point); the update proves the point finite (``SGDStep.apply``) or
-    checks it, raising what ``as_point`` would."""
+    checks it, raising what ``as_point`` would.  The index is held to
+    ``_sample_indices``' rule by one scalar comparison, cheap at a tree node."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         theta = as_point(theta)
@@ -224,11 +242,10 @@ def run_lockstep(
     bitwise, the one a sequential ``sgd_step`` loop reaches: each step is one
     ``_advance``, which treats every row on its own and refuses a non-finite
     point or update.  Once, before any step, starts not of the domain's
-    width, counts of starts, step counts and index rows that differ, step
-    counts that are not integers in [0, indices.shape[1]] and index arrays
-    that are not integers raise ValueError, and an index outside
-    [0, n) among a run's first ``steps[k]`` raises IndexError, as in
-    ``sgd_step``; the entries past them are never read.
+    width, counts of starts, step counts and index rows that differ, and
+    step counts that are not integers in [0, indices.shape[1]] raise
+    ValueError, and the indices meet ``_sample_indices``' rule; entries past
+    a run's first ``steps[k]`` are never read.
     """
     update._check_rows(np.shape(starts))
     steps, indices = np.asarray(steps), np.asarray(indices)
@@ -236,19 +253,13 @@ def run_lockstep(
     if len(set(counts)) > 1:
         raise ValueError("need one step count and one index row per start, got "
                          "{} starts, {} step counts and {} index rows".format(*counts))
-    for name, a in (("step counts", steps), ("sample indices", indices)):
-        if a.size and a.dtype.kind not in "biu":
-            raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    if steps.size and steps.dtype.kind not in "biu":
+        raise ValueError(f"step counts must be integers, got dtype {steps.dtype}")
     cols = indices.shape[-1]
     if steps.size and (steps.min() < 0 or steps.max() > cols):
         bad = steps[(steps < 0) | (steps > cols)][0]
         raise ValueError(f"step count {bad} outside [0, {cols}], the number of index columns")
-    n = dataset.n
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        used = indices[np.arange(indices.shape[1]) < steps[:, None]]
-        bad = used[(used < 0) | (used >= n)]
-        if bad.size:
-            raise IndexError(f"sample index {bad[0]} out of range [0, {n})")
+    indices = _sample_indices(indices, dataset.n, steps)
     order = np.argsort(-steps, kind="stable")
     ends, thetas, idx = steps[order], np.asarray(starts, dtype=float)[order], indices[order]
     live = np.searchsorted(-ends, -np.arange(int(ends.max(initial=0))))  # ends > s

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import as_point, as_rows, linalg_norms
 from .losses import Dataset
-from .sgd import UpdateMap
+from .sgd import UpdateMap, _sample_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,19 +33,6 @@ class Trajectory:
         return self.points[-1]
 
 
-def _sample_indices(indices, n: int) -> np.ndarray:
-    """``indices`` as an int64 array of samples of an n-sample dataset:
-    refuses a dtype that is neither integer nor bool, and any index outside
-    [0, n)."""
-    idx = np.asarray(indices)
-    if idx.size and idx.dtype.kind not in "biu":
-        raise ValueError(f"sample indices must be integers, got dtype {idx.dtype}")
-    idx = idx.astype(np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"sample indices must lie in [0, {n})")
-    return idx
-
-
 def run_trajectory(
     update: UpdateMap,
     init,
@@ -53,9 +40,9 @@ def run_trajectory(
     dataset: Dataset,
 ) -> Trajectory:
     """Run one update per row of ``indices`` from ``init``, recording every
-    iterate.  Inputs are checked once, then each step is one ``_advance``: a
-    flat sequence takes one sample per step, a (steps, b) array one mini-batch
-    row per step.
+    iterate.  Inputs are checked once (the indices by ``_sample_indices``),
+    then each step is one ``_advance``: a flat sequence takes one sample per
+    step, a (steps, b) array one mini-batch row per step.
     """
     theta = as_point(init)
     idx = _sample_indices(indices, dataset.n)
@@ -73,7 +60,7 @@ def run_trajectory(
         # zero, in order, and a single update is taken as is
         theta = rows[0] if b == 1 else sum(rows) / b
         points[t + 1] = theta
-    return Trajectory(points=points, indices=idx)
+    return Trajectory(points=points, indices=idx.copy())  # not the caller's array
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +99,12 @@ def coupled_contraction_ratio(
     array ``indices`` drives pair k) and report ||g(a) - g(b)|| / ||a - b||
     at every step.
 
-    Checked once, all 2m points advance together, one ``_advance`` per step,
-    and every figure equals, bitwise, the one stepping the pair alone through
-    ``sgd_step`` gives.  Once a pair agrees to within 1e-14 times the domain
-    scale the ratio is 0/0: the pair is masked out, its remaining ratios
-    are reported as 0 and its coalescence step is recorded.
+    Checked once (the indices by ``_sample_indices``), all 2m points advance
+    together, one ``_advance`` per step, and every figure equals, bitwise,
+    the one stepping the pair alone through ``sgd_step`` gives.  Once a pair
+    agrees to within 1e-14 times the domain scale the ratio is 0/0: the pair
+    is masked out, its remaining ratios are reported as 0 and its
+    coalescence step is recorded.
     """
     d = np.shape(theta_a)[-1]
     a, b = as_rows(theta_a, d).copy(), as_rows(theta_b, d).copy()

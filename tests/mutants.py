@@ -6,7 +6,8 @@
 Each mutation is a (name, file, old text, new text) entry.  It is applied to
 a temporary copy of ``src/``, ``tests/``, ``perfbench/`` and
 ``pyproject.toml``, never to the checkout it is run from; the old text must
-occur exactly once in its file.  Tier-1 then runs on the copy with ``-x``,
+occur exactly once in its file (``test_mutants.py`` checks that in tier-1).
+Tier-1 then runs on the copy with ``-x``, apart from that check,
 and the mutation is reported killed, with the first test that failed, when
 the suite fails, and survived when it passes.  No test is ever edited.
 pytest does not collect this file (its name does not start with ``test_``).
@@ -26,8 +27,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+# test_mutants.py checks that each old text occurs in the checkout; in a
+# mutated copy it fails by construction, so it is left out there
 TIER1 = ("-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors")
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py")
 
 MUTANTS = [
     # the verdict: PASS iff violations / R <= delta; the boundary 1/20 = 0.05
@@ -83,6 +86,14 @@ MUTANTS = [
      "return np.sort(np.unique(_point_keys(points), return_index=True)[1])",
      "return np.sort(len(points) - 1 - np.unique(_point_keys(points)[::-1], "
      "return_index=True)[1])"),
+    # the index rule lets the index n through
+    ("index-upper-open", "src/sgdcover/sgd.py",
+     "idx.max() >= n",
+     "idx.max() > n"),
+    # the index rule lets negative indices through, to wrap
+    ("index-no-lower", "src/sgdcover/sgd.py",
+     "(idx.min() < 0 or idx.max() >= n)",
+     "(idx.max() >= n)"),
     # indices past a run's step count are left as drawn
     ("draw-no-zeroing", "src/sgdcover/sgd.py",
      "    indices[np.arange(t_max) >= steps[:, None]] = 0\n",

@@ -138,6 +138,28 @@ class TestValidateBound:
         assert report.max_gaps == base.max_gaps
         assert report.violations == violations and report.passed is passed
 
+    def test_gap_equal_to_the_certificate_is_not_a_violation(self, tmp_path):
+        """A violation is a gap strictly above the certificate: with ``shrink``
+        stepped by ulps until the certificate equals the worst gap bitwise,
+        that gap counts in neither the report nor the CSV's column."""
+        run = {"resamplings": 20, "trials": 3, "delta": 0.05, "seed": 3}
+        base = validate_bound(quadratic_scenario(), **run)
+        worst = max(base.max_gaps)
+        shrink = base.certificate_total / worst
+        for _ in range(64):
+            if base.certificate_total / shrink == worst:
+                break
+            shrink = np.nextafter(shrink, math.inf if base.certificate_total / shrink > worst
+                                  else 0.0)
+        report = validate_bound(quadratic_scenario(), shrink=float(shrink), **run)
+        assert report.max_gaps == base.max_gaps and report.certificate_total == worst > 0
+        assert report.violations == 0 and report.passed
+        report.write_csv(tmp_path / "rows.csv")
+        lines = (tmp_path / "rows.csv").read_text().strip().split("\n")[1:]
+        at = base.max_gaps.index(worst)
+        assert [line.split(",")[2] for line in lines] == ["0"] * len(lines)
+        assert float(lines[at].split(",")[1]) == worst
+
     def test_hypothesis_violations_abort(self):
         with pytest.raises(ValueError, match=r"eta=3.0 outside \(0, 2.0\)$"):
             validate_bound(quadratic_scenario(eta=3.0), resamplings=2, trials=1,

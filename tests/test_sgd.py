@@ -180,7 +180,8 @@ class TestTrajectories:
     @pytest.mark.parametrize("bad", [[0, 3], [[0], [-1]]])
     def test_index_outside_the_dataset_is_refused(self, bad):
         _, ds, update = quadratic_setup(eta=0.5)
-        with pytest.raises(IndexError, match=r"must lie in \[0, 3\)"):
+        outside = next(i for i in np.ravel(bad) if not 0 <= i < 3)
+        with pytest.raises(IndexError, match=rf"^sample index {outside} out of range \[0, 3\)$"):
             run_trajectory(update, np.zeros(2), bad, ds)
 
     @pytest.mark.parametrize("bad, message", [
@@ -409,7 +410,9 @@ class TestCoupledContraction:
         """A negative index would wrap silently in Dataset.matrix, and a float
         one would be truncated to a sample."""
         _, ds, update = quadratic_setup(eta=0.5)
-        with pytest.raises(error, match="sample indices must"):
+        message = ("sample indices must be integers" if error is ValueError
+                   else rf"^sample index {bad} out of range \[0, 3\)$")
+        with pytest.raises(error, match=message):
             coupled_contraction_ratio(update, np.array([[0.1, 0.0]]), np.array([[0.0, 0.1]]),
                                       [[0, bad]], ds)
 
@@ -545,6 +548,56 @@ class TestWrongWidth:
         with pytest.raises(ValueError, match=rf"^{what} has shape \(1,\); "
                                              r"the point has shape \(2,\)$"):
             call(update, Dataset(tuple(CENTERS)))
+
+
+    def test_grad_batch_of_the_wrong_width_is_refused(self):
+        """A family's ``grad_batch`` of width 1 in d = 2 is refused with both
+        shapes on the one-row path and the batched path, where it used to
+        broadcast to [-0.1, -0.1] or fail in numpy's output broadcast."""
+        fam = dataclasses.replace(quadratic_centers(CENTERS, R=1.0),
+                                  grad_batch=lambda th, zs: np.ones((len(th), 1)))
+        update, ds = SGDStep(fam, 0.1), Dataset(tuple(CENTERS))
+        one_row = r"^gradient has shape \(1,\); the point has shape \(2,\)$"
+        with pytest.raises(ValueError, match=one_row):
+            sgd_step(update, np.zeros(2), 1, ds)
+        with pytest.raises(ValueError, match=one_row):
+            enumerate_cover(update, ds, T=2)
+        with pytest.raises(ValueError, match=r"^gradient has shape \(2, 1\); "
+                                             r"the point has shape \(2, 2\)$"):
+            run_lockstep(update, np.zeros((2, 2)), np.array([1, 2]),
+                         np.zeros((2, 2), dtype=np.int64), ds)
+
+
+class TestIndexRule:
+    """Every batched entry holds its sample indices to one rule, with one
+    wording: integers in [0, n), as ``sgd_step`` requires of its one index."""
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (-1, IndexError, r"^sample index -1 out of range \[0, 3\)$"),
+        (3, IndexError, r"^sample index 3 out of range \[0, 3\)$"),
+        (1.5, ValueError, r"^sample indices must be integers, got dtype float64$"),
+    ], ids=["-1", "n", "1.5"])
+    @pytest.mark.parametrize("entry", ["SGDStep.apply_batch", "CustomMap.apply_batch",
+                                       "run_lockstep", "run_trajectory",
+                                       "coupled_contraction_ratio"])
+    def test_every_entry_refuses_the_same_indices(self, entry, bad, error, message):
+        """Refused before any update is applied: -1 is not wrapped to the
+        last sample, nor 1.5 truncated or left to numpy."""
+        _, ds, update = quadratic_setup(eta=0.5)
+        applied = []
+        if entry == "CustomMap.apply_batch":
+            update = CustomMap(lambda t, z: applied.append(z) or t)
+        calls = {
+            "SGDStep.apply_batch": lambda: update.apply_batch(np.zeros((1, 2)), [bad], ds),
+            "CustomMap.apply_batch": lambda: update.apply_batch(np.zeros((1, 2)), [bad], ds),
+            "run_lockstep": lambda: run_lockstep(update, np.zeros((1, 2)), [1], [[bad]], ds),
+            "run_trajectory": lambda: run_trajectory(update, np.zeros(2), [0, bad], ds),
+            "coupled_contraction_ratio": lambda: coupled_contraction_ratio(
+                update, np.array([[0.1, 0.0]]), np.array([[0.0, 0.1]]), [[0, bad]], ds),
+        }
+        with pytest.raises(error, match=message):
+            calls[entry]()
+        assert applied == []
 
 
 def _slow_path_cases(skip=None):
