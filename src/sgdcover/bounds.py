@@ -11,6 +11,9 @@ Every calculator returns a BoundCertificate with the same component slots:
 * ``approximation_term`` — 2*L*(gamma^T R + geometric * surrogate error) for
   the piecewise-surrogate bounds.
 
+Each covering certificate is the master covering bound (THM_B_1) at its
+theorem's horizon T, cover log-cardinality and slack: ``_covering`` is the
+one place its dependency and concentration terms are computed.
 ``THEOREMS`` maps each certificate id to its calculator.  All logarithms
 are natural.
 """
@@ -70,14 +73,6 @@ class BoundCertificate:
         }
 
 
-def _make(theorem, inputs, dep=None, conc=None, slack=None, approx=None, flags=()):
-    return BoundCertificate(
-        theorem=theorem, inputs=inputs, sample_dependency_term=dep,
-        concentration_term=conc, covering_slack_term=slack,
-        approximation_term=approx, flags=tuple(flags),
-    )
-
-
 def _check_n(n):
     if not isinstance(n, Integral) or n < 1:
         raise ValueError("n must be an integer >= 1")
@@ -114,6 +109,21 @@ def _concentration(B: float, log_cardinality: float, delta: float, n: int) -> fl
     return B * math.sqrt((log_cardinality + math.log(2.0 / delta)) / (2.0 * n))
 
 
+def _covering(theorem, inputs, B, T, log_card, slack=None, approx=None, flags=(),
+              dep=None) -> BoundCertificate:
+    """The master covering bound at horizon T: the dependency term B*T/n (or
+    ``dep``), the concentration term over a cover of log-cardinality
+    ``log_card``, and the theorem's slack or approximation term, with n and
+    delta read from ``inputs``."""
+    n = inputs["n"]
+    return BoundCertificate(
+        theorem=theorem, inputs=inputs,
+        sample_dependency_term=B * T / n if dep is None else dep,
+        concentration_term=_concentration(B, log_card, inputs["delta"], n),
+        covering_slack_term=slack, approximation_term=approx, flags=tuple(flags),
+    )
+
+
 def bound_strongly_convex(n, delta, B, L, R, gamma) -> BoundCertificate:
     """(BT+1)/n + B*sqrt((T log n + log(2/delta)) / (2n)) with
     T = max(ceil(log(2LRn)/log(1/gamma)), 0)."""
@@ -123,12 +133,7 @@ def bound_strongly_convex(n, delta, B, L, R, gamma) -> BoundCertificate:
     _check_nonneg(B=B)
     T = horizon(2.0 * L * R * n, gamma)
     inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma, "T": T}
-    return _make(
-        "THM_2_3", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, T * math.log(n), delta, n),
-        slack=1.0 / n,
-    )
+    return _covering("THM_2_3", inputs, B, T, T * math.log(n), slack=1.0 / n)
 
 
 def bound_single_trajectory(n, delta, B, T) -> BoundCertificate:
@@ -137,12 +142,7 @@ def bound_single_trajectory(n, delta, B, T) -> BoundCertificate:
     _check_delta(delta)
     _check_nonneg(B=B, T=T)
     inputs = {"n": n, "delta": delta, "B": B, "T": T}
-    return _make(
-        "COR_2_4", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, 0.0, delta, n),
-        slack=1.0 / n,
-    )
+    return _covering("COR_2_4", inputs, B, T, 0.0, slack=1.0 / n)
 
 
 def bound_early(n, delta, B, t) -> BoundCertificate:
@@ -151,12 +151,7 @@ def bound_early(n, delta, B, t) -> BoundCertificate:
     _check_delta(delta)
     _check_nonneg(B=B, t=t)
     inputs = {"n": n, "delta": delta, "B": B, "t": t}
-    return _make(
-        "COR_2_5", inputs,
-        dep=B * t / n,
-        conc=_concentration(B, 0.0, delta, n),
-        slack=0.0,
-    )
+    return _covering("COR_2_5", inputs, B, t, 0.0, slack=0.0)
 
 
 def bound_fractal(n, delta, B, L, R, gamma, d_H) -> BoundCertificate:
@@ -170,12 +165,7 @@ def bound_fractal(n, delta, B, L, R, gamma, d_H) -> BoundCertificate:
     exponent = max(ceil_int(d_H + math.log(2.0 * L * R) / math.log(1.0 / gamma)), 0)
     inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma,
               "d_H": d_H, "T": T, "cover_exponent": exponent}
-    return _make(
-        "EQ_8_FRACTAL", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, exponent * math.log(n), delta, n),
-        slack=1.0 / n,
-    )
+    return _covering("EQ_8_FRACTAL", inputs, B, T, exponent * math.log(n), slack=1.0 / n)
 
 
 def _geometric_sum(gamma: float, T: int) -> tuple[float, bool]:
@@ -209,13 +199,8 @@ def _piecewise(theorem, n, delta, B, L, R, gamma, T, P, xi, step, echo) -> Bound
     approx = 2.0 * L * (gamma**T * R + geo * step * xi)
     inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "gamma": gamma,
               "T": T, "P": P, "xi": xi, **echo}
-    return _make(
-        theorem, inputs,
-        dep=B * T / n,
-        conc=_concentration(B, T * math.log(n * P), delta, n),
-        approx=approx,
-        flags=("geometric_series_limit",) if degenerate else (),
-    )
+    return _covering(theorem, inputs, B, T, T * math.log(n * P), approx=approx,
+                     flags=("geometric_series_limit",) if degenerate else ())
 
 
 def bound_piecewise_approx(n, delta, B, L, R, gamma, T=None, P=1, xi=0.0, eta=0.0) -> BoundCertificate:
@@ -271,13 +256,7 @@ def bound_multi_index(n, delta, B, L, R, R_x, K, Q, beta, eta, lam) -> BoundCert
     inputs = {"n": n, "delta": delta, "B": B, "L": L, "R": R, "R_x": R_x,
               "K": K, "Q": Q, "beta": beta, "eta": eta, "lambda": lam,
               "gamma": gamma, "T": T, "kappa": kappa, "P": P}
-    return _make(
-        "THM_4_1", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, log_card, delta, n),
-        slack=1.0 / n,
-        flags=flags,
-    )
+    return _covering("THM_4_1", inputs, B, T, log_card, slack=1.0 / n, flags=flags)
 
 
 def soft_kmeans_constants(K, R, zeta) -> tuple[float, float, float, float]:
@@ -314,15 +293,9 @@ def bound_soft_kmeans(n, delta, K, R, zeta, eta) -> BoundCertificate:
     _check_delta(delta)
     p = soft_kmeans_params(K, R, zeta, eta, n)
     B, T, P = p["B"], p["T"], p["P"]
-    log_card = T * (math.log(n) + K * math.log(P))
     inputs = {"n": n, "delta": delta, "K": K, "R": R, "zeta": zeta, "eta": eta, **p}
-    return _make(
-        "THM_4_3", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, log_card, delta, n),
-        slack=1.0 / n,
-        flags=("zero_horizon",) if T == 0 else (),
-    )
+    return _covering("THM_4_3", inputs, B, T, T * (math.log(n) + K * math.log(P)),
+                     slack=1.0 / n, flags=("zero_horizon",) if T == 0 else ())
 
 
 def bound_hard_kmeans(n, delta, K, R, eta) -> BoundCertificate:
@@ -346,13 +319,9 @@ def bound_hard_kmeans(n, delta, K, R, eta) -> BoundCertificate:
         T = horizon(16.0 * math.sqrt(K) * R**2 * n, gamma)
     inputs = {"n": n, "delta": delta, "K": K, "R": R, "eta": eta,
               "B": B, "gamma": gamma, "T": T}
-    return _make(
-        "THM_4_4", inputs,
-        dep=B * K * T / n,
-        conc=_concentration(B, K * T * math.log(2.0 * n), delta, n),
-        slack=1.0 / n,
-        flags=flags,
-    )
+    # B * K * T / n, not B * (K * T) / n, which can round differently
+    return _covering("THM_4_4", inputs, B, T, K * T * math.log(2.0 * n), slack=1.0 / n,
+                     flags=flags, dep=B * K * T / n)
 
 
 def bound_master_covering(n, delta, B, L, T, cover_cardinality, epsilon) -> BoundCertificate:
@@ -367,15 +336,10 @@ def bound_master_covering(n, delta, B, L, T, cover_cardinality, epsilon) -> Boun
     _check_nonneg(B=B, T=T, L=L, epsilon=epsilon)
     if not isinstance(cover_cardinality, Integral) or cover_cardinality < 1:
         raise ValueError("cover_cardinality must be an integer >= 1")
-    log_card = math.log(cover_cardinality)
     inputs = {"n": n, "delta": delta, "B": B, "L": L, "T": T,
               "cover_cardinality": int(cover_cardinality), "epsilon": epsilon}
-    return _make(
-        "THM_B_1", inputs,
-        dep=B * T / n,
-        conc=_concentration(B, log_card, delta, n),
-        slack=2.0 * L * epsilon,
-    )
+    return _covering("THM_B_1", inputs, B, T, math.log(cover_cardinality),
+                     slack=2.0 * L * epsilon)
 
 
 def bound_expectation(n, B, T, variant, C=1.0) -> BoundCertificate:
@@ -393,16 +357,17 @@ def bound_expectation(n, B, T, variant, C=1.0) -> BoundCertificate:
     _check_pos(C=C)
     if variant not in EXPECTATION_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {EXPECTATION_VARIANTS}")
-    inputs = {"n": n, "B": B, "T": T, "variant": variant, "C": C}
-    dep = B * T / n
-    slack = 1.0 / n
     if variant == "THM_D_1":
         conc = None
     elif variant == "THM_D_2":
         conc = C * B * math.sqrt(T * math.log(n) / n)
     else:
         conc = C * B * math.sqrt(1.0 / n)
-    return _make(variant, inputs, dep=dep, conc=conc, slack=slack)
+    return BoundCertificate(
+        theorem=variant, inputs={"n": n, "B": B, "T": T, "variant": variant, "C": C},
+        sample_dependency_term=B * T / n, concentration_term=conc,
+        covering_slack_term=1.0 / n,
+    )
 
 
 # certificate id -> its calculator; the one list of theorem ids

@@ -73,6 +73,10 @@ class SGDStep(_BatchedUpdate):
             if self.domain is None:
                 raise ValueError("no domain to project onto; pass domain=WholeSpace(d) for none")
         object.__setattr__(self, "_row_shape", (self.domain.dim,))  # one point's, derived once
+        # eta as a float64 0-d array: under NumPy 2's promotion it lifts any gradient
+        # dtype as grad_rows' float64 cast does, and multiplies a row faster than a
+        # Python float
+        object.__setattr__(self, "_eta", np.array(self.eta, dtype=np.float64))
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         """Row 0 of ``apply_batch`` on the one-row batch ``theta[None]``, bitwise.
@@ -90,7 +94,7 @@ class SGDStep(_BatchedUpdate):
              else np.asarray(self.family.grad(theta, z), dtype=float))
         if g.shape != theta.shape:  # shaped_like's refusal, inline at every tree node
             raise ValueError(f"gradient has shape {g.shape}; the point has shape {theta.shape}")
-        out = theta - self.eta * g
+        out = theta - self._eta * g
         if isinstance(domain, Ball) and domain._holds(out):
             return out
         return domain.project(_checked_update(theta, g, out))
@@ -171,15 +175,22 @@ def sgd_step(update: UpdateMap, theta, sample_index: int, dataset: Dataset) -> n
     """Apply one update using sample ``sample_index`` of the dataset.  Only
     the shape of ``theta`` is checked before the index (a scalar is a
     1-point); the update proves the point finite (``SGDStep.apply``) or
-    checks it, raising what ``as_point`` would.  The index is held to
-    ``_sample_indices``' rule by one scalar comparison, cheap at a tree node."""
+    checks it, raising what ``as_point`` would.  An integer index in range
+    takes one scalar comparison, cheap at a tree node; any other index, or one
+    that the comparison or the lookup refuses, is held to ``_sample_indices``'
+    rule, and the lookup's own TypeError stands for what that rule passes."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         theta = as_point(theta)
     samples = dataset.samples
-    if not 0 <= sample_index < len(samples):
-        raise IndexError(f"sample index {sample_index} out of range [0, {len(samples)})")
-    return update.apply(theta, samples[sample_index])
+    try:
+        fast = 0 <= sample_index < len(samples)
+        z = samples[sample_index] if fast else None
+    except TypeError:
+        fast = False
+    if not fast:
+        z = samples[_sample_indices(sample_index, len(samples))]
+    return update.apply(theta, z)
 
 
 def draw_runs(

@@ -67,8 +67,16 @@ MUTANTS = [
      "math.log(1.0 / delta)) / (2.0 * n))"),
     # THM 2.3's slack 1/n halved
     ("thm23-slack", "src/sgdcover/bounds.py",
-     "        conc=_concentration(B, T * math.log(n), delta, n),\n        slack=1.0 / n,",
-     "        conc=_concentration(B, T * math.log(n), delta, n),\n        slack=0.5 / n,"),
+     'return _covering("THM_2_3", inputs, B, T, T * math.log(n), slack=1.0 / n)',
+     'return _covering("THM_2_3", inputs, B, T, T * math.log(n), slack=0.5 / n)'),
+    # every covering certificate's dependency term one sample off
+    ("covering-dep-plus-one", "src/sgdcover/bounds.py",
+     "sample_dependency_term=B * T / n if dep is None else dep,",
+     "sample_dependency_term=B * (T + 1) / n if dep is None else dep,"),
+    # THM 4.4's dependency term without its K factor
+    ("thm44-dep-no-k", "src/sgdcover/bounds.py",
+     "dep=B * K * T / n)",
+     "dep=B * T / n)"),
     # verification accepts endpoints up to 1.5 epsilon from their entry
     ("verify-epsilon", "src/sgdcover/cover.py",
      "(dists > epsilon)",

@@ -383,8 +383,91 @@ def _random_certificates(rng):
     yield bound_expectation(n, B, T, "THM_D_2", C=float(rng.uniform(0.5, 2)))
 
 
+# two admissible input sets per covering calculator, for the oracle below
+_COVERING_CASES = [
+    ("THM_2_3", bound_strongly_convex, (100, 0.05, 1.0, 1.0, 1.0, 0.5)),
+    ("THM_2_3", bound_strongly_convex, (5000, 0.01, 2.5, 0.7, 1.3, 0.83)),
+    ("COR_2_4", bound_single_trajectory, (1000, 0.05, 1.0, 8)),
+    ("COR_2_4", bound_single_trajectory, (317, 0.2, 3.1, 25)),
+    ("COR_2_5", bound_early, (1000, 0.05, 1.0, 8)),
+    ("COR_2_5", bound_early, (97, 0.3, 0.4, 40)),
+    ("EQ_8_FRACTAL", bound_fractal, (200, 0.05, 2.0, 1.0, 1.0, 0.5, 0.63)),
+    ("EQ_8_FRACTAL", bound_fractal, (1500, 0.1, 1.2, 2.0, 0.8, 0.7, 1.58)),
+    ("THM_3_2", bound_piecewise_approx, (200, 0.05, 2.0, 1.0, 1.0, 0.5, None, 4, 0.01, 0.3)),
+    # gamma = 1 takes the geometric-series limit T
+    ("THM_3_2", bound_piecewise_approx, (1000, 0.1, 1.0, 1.5, 0.9, 1.0, 12, 3, 0.02, 0.5)),
+    ("THM_5_3", bound_piecewise_contractive, (300, 0.05, 1.0, 1.0, 1.0, 0.6, None, 2, 0.05)),
+    ("THM_5_3", bound_piecewise_contractive, (800, 0.02, 2.0, 0.5, 2.0, 0.9, 7, 5, 0.001)),
+    ("THM_4_1", bound_multi_index, (1000, 0.05, 1.0, 1.0, 1.0, 1.0, 2, 3, 1.0, 0.5, 1.0)),
+    ("THM_4_1", bound_multi_index, (500, 0.1, 2.0, 0.8, 1.2, 0.7, 1, 1, 2.0, 0.3, 1.5)),
+    ("THM_4_3", bound_soft_kmeans, (1000, 0.05, 2, 1.0, 0.01, 0.5)),
+    ("THM_4_3", bound_soft_kmeans, (400, 0.1, 3, 0.5, 0.02, 0.8)),
+    ("THM_4_4", bound_hard_kmeans, (1000, 0.05, 2, 1.0, 0.25)),
+    ("THM_4_4", bound_hard_kmeans, (300, 0.1, 3, 0.7, 0.4)),
+    ("THM_B_1", bound_master_covering, (100, 0.05, 1.0, 1.0, 8, 100**8, 0.01)),
+    ("THM_B_1", bound_master_covering, (2000, 0.02, 2.0, 1.5, 11, 7**40, 0.003)),
+]
+
+
+def _extended_precision_components(cert, mpm):
+    """The certificate's components in mpmath at the current precision, from
+    its echoed inputs (T, P, kappa and gamma as recorded), by the closed forms
+    of the module docstring."""
+    x = {k: mpm.mpf(v) if isinstance(v, (int, float)) else v for k, v in cert.inputs.items()}
+    th, n, delta, B = cert.theorem, x["n"], x["delta"], x["B"]
+    T = x["t"] if th == "COR_2_5" else x["T"]
+    log_card = {
+        "THM_2_3": lambda: T * mpm.log(n),
+        "COR_2_4": lambda: 0,
+        "COR_2_5": lambda: 0,
+        "EQ_8_FRACTAL": lambda: x["cover_exponent"] * mpm.log(n),
+        "THM_3_2": lambda: T * mpm.log(n * x["P"]),
+        "THM_5_3": lambda: T * mpm.log(n * x["P"]),
+        "THM_4_1": lambda: T * (mpm.log(n) + x["K"] * mpm.log(x["P"]) + mpm.log(x["Q"])),
+        "THM_4_3": lambda: T * (mpm.log(n) + x["K"] * mpm.log(x["P"])),
+        "THM_4_4": lambda: x["K"] * T * mpm.log(2 * n),
+        "THM_B_1": lambda: mpm.log(x["cover_cardinality"]),
+    }[th]()
+    slack, approx = 1 / n, None
+    if th == "COR_2_5":
+        slack = 0
+    elif th == "THM_B_1":
+        slack = 2 * x["L"] * x["epsilon"]
+    elif th in ("THM_3_2", "THM_5_3"):
+        slack = None
+        gamma = x["gamma"]
+        geo = T if gamma == 1 else (1 - gamma**T) / (1 - gamma)
+        step = x["eta"] if th == "THM_3_2" else 1
+        approx = 2 * x["L"] * (gamma**T * x["R"] + geo * step * x["xi"])
+    return {
+        "sample_dependency_term": B * (x["K"] if th == "THM_4_4" else 1) * T / n,
+        "concentration_term": B * mpm.sqrt((log_card + mpm.log(2 / delta)) / (2 * n)),
+        "covering_slack_term": slack,
+        "approximation_term": approx,
+    }
+
+
 class TestHighPrecisionOracle:
     """Recompute the frozen regression values with 50-digit arithmetic."""
+
+    @pytest.mark.parametrize("theorem, calculator, args", _COVERING_CASES,
+                             ids=[f"{c[0]}-{k % 2}" for k, c in enumerate(_COVERING_CASES)])
+    def test_every_covering_certificate_matches_extended_precision(self, theorem, calculator,
+                                                                   args):
+        """Each component and the total lie within a relative 1e-12 of their
+        50-digit values; a component that is exactly 0 or unset stays so."""
+        mpm = pytest.importorskip("mpmath")
+        cert = calculator(*args)
+        assert cert.theorem == theorem
+        with mpm.workdps(50):
+            exact = _extended_precision_components(cert, mpm)
+            total = sum(v for v in exact.values() if v is not None)
+            for name, got in [*cert.components.items(), ("total", cert.total)]:
+                want = total if name == "total" else exact[name]
+                if want is None:
+                    assert got is None, name
+                else:
+                    assert abs(got - want) <= mpm.mpf("1e-12") * abs(want), (name, got, want)
 
     def test_closed_forms_match_extended_precision(self):
         mp = pytest.importorskip("mpmath").mp

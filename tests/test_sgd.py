@@ -1,7 +1,9 @@
 """SGD engine: step semantics, trajectory determinism, coupled contraction."""
 
 import dataclasses
+import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -599,6 +601,25 @@ class TestIndexRule:
             calls[entry]()
         assert applied == []
 
+    @pytest.mark.parametrize("index, error", [
+        (1.5, ValueError), (np.float64(1.0), ValueError), (5.0, ValueError),
+        (-1, IndexError), (3, IndexError), (np.int64(1), None), (True, None),
+    ], ids=["1.5", "float64(1.0)", "5.0", "-1", "n", "int64(1)", "True"])
+    def test_sgd_step_holds_the_rule_of_apply_batch(self, index, error):
+        """``sgd_step`` refuses an index as ``SGDStep.apply_batch`` does on it,
+        same type and message, or returns the point that call returns."""
+        _, ds, update = quadratic_setup(eta=0.5)
+        theta = np.array([0.1, -0.2])
+        if error is None:
+            expected = update.apply_batch(theta[None], [index], ds)[0]
+            assert sgd_step(update, theta, index, ds).tobytes() == expected.tobytes()
+            return
+        with pytest.raises(error) as batched:
+            update.apply_batch(theta[None], [index], ds)
+        with pytest.raises(error, match=f"^{re.escape(str(batched.value))}$") as one:
+            sgd_step(update, theta, index, ds)
+        assert type(one.value) is type(batched.value) is error
+
 
 def _slow_path_cases(skip=None):
     """Each lockstep caller on each domain, as (caller, domain) params."""
@@ -809,6 +830,25 @@ class TestOneRowStep:
                 assert got.shape == batch.shape == reference.shape == theta.shape
                 assert (got.view(np.int64).tolist() == batch.view(np.int64).tolist()
                         == reference.view(np.int64).tolist())
+
+    @pytest.mark.parametrize("grad_batch", [
+        lambda th, zs: (th - zs).astype(np.float32) * np.float32(1.1),
+        lambda th, zs: np.sign(th - zs).astype(np.int64),
+    ], ids=["float32", "int64"])
+    def test_gradient_of_another_dtype_promotes_as_the_batch(self, grad_batch):
+        """A float32 or integer ``grad_batch`` meets a float64 eta on both
+        paths, so each one-row update is row 0 of the batch and the tree's
+        cover is ``run_lockstep`` over its sequences, bitwise."""
+        fam = dataclasses.replace(quadratic_centers(CENTERS, R=1.0), grad_batch=grad_batch)
+        update, ds = SGDStep(fam, 0.3), Dataset(tuple(CENTERS))
+        thetas = np.random.default_rng(44).uniform(-0.6, 0.6, size=(20, 2))
+        for theta, i in zip(thetas, itertools.cycle(range(ds.n))):
+            one = update.apply(theta, ds.samples[i])
+            assert one.tobytes() == update.apply_batch(theta[None], [i], ds)[0].tobytes()
+        cov = enumerate_cover(update, ds, T=3)
+        seqs = np.array(list(itertools.product(range(ds.n), repeat=3)))
+        lockstep = run_lockstep(update, np.zeros((len(seqs), 2)), np.full(len(seqs), 3), seqs, ds)
+        assert lockstep.tobytes() == cov.points.tobytes()
 
     def test_wrong_dimension(self):
         """A point of the wrong width skips ``grad_batch`` for the family's
