@@ -198,6 +198,8 @@ def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bo
         _check(key not in ds or (_is_int(ds[key]) and ds[key] >= 1),
                f"scenario.dataset.{key} must be a positive integer")
     _check("n" in ds or kind not in ("iid", "uniform_ball"), "dataset descriptor needs 'n'")
+    _check("d" in ds or kind != "uniform_ball",
+           "dataset kind 'uniform_ball' needs scenario.dataset.d")
     _check("R" not in ds or _is_number(ds["R"]), "scenario.dataset.R must be a number")
     _check("points" in ds or kind != "points", "dataset kind 'points' needs 'points'")
     _check("points" not in ds or _is_sample_list(ds["points"]),

@@ -36,9 +36,10 @@ _TRIAL_BLOCK = 256
 
 
 class EnumerationCapExceeded(ValueError):
-    """Raised before enumeration when the entry count would exceed the cap."""
+    """Raised before enumeration when the entry count would exceed the cap: ``required``,
+    exact when formed; the text "n^T" when T passes 64 and the cap's bit length."""
 
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int | str, cap: int):
         self.required = required
         self.cap = cap
         super().__init__(
@@ -183,7 +184,7 @@ class CoverSet:
             yield lines
 
 
-def _enumerate_tree(update: UpdateMap, dataset: Dataset, d: int, T: int) -> np.ndarray:
+def _enumerate_tree(update: UpdateMap, dataset: Dataset, T: int) -> np.ndarray:
     """Endpoints of all n^T compositions of the per-sample updates applied to
     the origin of R^d, one ``sgd_step`` call per tree node, built level by
     level: row k*n + i of a level is sample i's update of row k of the level
@@ -191,8 +192,8 @@ def _enumerate_tree(update: UpdateMap, dataset: Dataset, d: int, T: int) -> np.n
     Each level is one ``np.fromiter`` over its nodes' ``sgd_step`` calls, in
     row order.  A node whose ``SGDStep`` update stays inside a ball is proved
     finite by one inside test and checked no further (``SGDStep.apply``)."""
-    n, row = dataset.n, np.dtype((float, (d,)))
-    level = np.zeros((1, d))
+    n, d = dataset.n, update.domain.dim
+    level, row = np.zeros((1, d)), np.dtype((float, (d,)))
     for _ in range(T):
         level = np.fromiter((sgd_step(update, point, i, dataset) for point in level
                              for i in range(n)), dtype=row, count=len(level) * n)
@@ -232,13 +233,12 @@ def enumerate_cover(
     if T < 0:
         raise ValueError("T must be nonnegative")
     n = dataset.n
-    required = n**T
-    if required > cap:
+    # n >= 2 and T past the cap's bit length give n^T >= 2^T > cap; past 64 too, it is not formed
+    huge = n > 1 and T > max(int(cap).bit_length(), 64)
+    required = f"{n}^{T}" if huge else n**T
+    if huge or required > cap:
         raise EnumerationCapExceeded(required, cap)
-    domain = update.domain
-    if domain is None:
-        raise ValueError("the update map needs a domain to fix the parameter dimension")
-    points = _enumerate_tree(update, dataset, domain.dim, T)
+    points = _enumerate_tree(update, dataset, T)
     index = np.arange(len(points), dtype=np.int64)
     if dedupe:
         index = _first_of_each_point(points)
@@ -319,8 +319,6 @@ def verify_cover(
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     domain = update.domain
-    if domain is None:
-        raise ValueError("verification needs a bounded domain to sample starts from")
     if cover.pieces_per_sample is not None:
         raise ValueError("verify_cover verifies plain covers; this cover has pieces, "
                          "whose surrogate steps the update cannot replay")

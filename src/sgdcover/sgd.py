@@ -45,9 +45,9 @@ class _BatchedUpdate:
         return self._advance(thetas, idx, dataset)
 
     def _check_rows(self, shape: tuple) -> None:
-        if len(shape) != 2 or self.domain is not None and shape[1] != self.domain.dim:
-            raise ValueError(f"expected an (m, {getattr(self.domain, 'dim', 'd')}) array of "
-                             f"points, got shape {shape}")
+        if len(shape) != 2 or shape[1] != self.domain.dim:
+            raise ValueError(f"expected an (m, {self.domain.dim}) array of points, "
+                             f"got shape {shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +81,18 @@ class SGDStep(_BatchedUpdate):
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         """Row 0 of ``apply_batch`` on the one-row batch ``theta[None]``, bitwise.
 
-        The gradient, refused unless of ``theta``'s shape, is the family's
-        ``grad_batch`` on one-row views when it has one and ``theta`` has the
-        domain's width, else its ``grad``, as in ``grad_rows``.  On a ``Ball``
-        an update that the ball's inside test keeps is returned as it is:
-        the test proves it finite.  Any other is checked by
+        A ``theta`` not of one point's shape meets ``as_point`` at entry.  The
+        gradient, refused unless of ``theta``'s shape, is the family's
+        ``grad_batch`` on one-row views when it has one, else its ``grad``.  On
+        a ``Ball`` an update that the ball's inside test keeps is returned as it
+        is: the test proves it finite.  Any other is checked by
         ``_checked_update`` and takes the domain's ``project``.
         """
+        if theta.shape != self._row_shape:  # the one shape comparison per tree node
+            theta = as_point(theta, dim=self.domain.dim)
         grad_batch, domain = self.family.grad_batch, self.domain
         g = (grad_batch(theta[None], np.asarray(z, dtype=float)[None])[0]
-             if grad_batch is not None and theta.shape == self._row_shape
-             else np.asarray(self.family.grad(theta, z), dtype=float))
+             if grad_batch is not None else np.asarray(self.family.grad(theta, z), dtype=float))
         if g.shape != theta.shape:  # shaped_like's refusal, inline at every tree node
             raise ValueError(f"gradient has shape {g.shape}; the point has shape {theta.shape}")
         out = theta - self._eta * g
@@ -129,16 +130,16 @@ def _checked_update(theta: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class CustomMap(_BatchedUpdate):
-    """An arbitrary iterative update g(theta; z)."""
+    """An arbitrary iterative update g(theta; z) on ``domain`` (``WholeSpace(d)`` for none)."""
 
     fn: Callable[[np.ndarray, object], np.ndarray]
-    domain: ConvexDomain | None = None
+    domain: ConvexDomain
 
     def apply(self, theta: np.ndarray, z) -> np.ndarray:
         """``fn(theta, z)``, refused when not of ``theta``'s shape or not
-        finite.  ``theta`` is validated here with ``as_point``, because ``fn``
-        may ignore it."""
-        theta = as_point(theta)
+        finite.  ``theta`` is checked here, once, by ``as_point`` against the
+        domain's width, because ``fn`` may ignore it."""
+        theta = as_point(theta, dim=self.domain.dim)
         out = shaped_like(self.fn(theta, z), theta, "update")
         if not all_finite(out):
             raise FloatingPointError("update produced non-finite values")
@@ -172,16 +173,15 @@ def contraction_factor(alpha: float, beta: float, eta: float) -> float:
 
 
 def sgd_step(update: UpdateMap, theta, sample_index: int, dataset: Dataset) -> np.ndarray:
-    """Apply one update using sample ``sample_index`` of the dataset.  Only
-    the shape of ``theta`` is checked before the index (a scalar is a
-    1-point); the update proves the point finite (``SGDStep.apply``) or
-    checks it, raising what ``as_point`` would.  An integer index in range
-    takes one scalar comparison, cheap at a tree node; any other index, or one
-    that the comparison or the lookup refuses, is held to ``_sample_indices``'
-    rule, and the lookup's own TypeError stands for what that rule passes."""
+    """Apply one update using sample ``sample_index`` of the dataset.  The
+    index is checked first; the update checks ``theta`` once, at its entry:
+    its shape and width as ``as_point`` does (a scalar is a 1-point), and its
+    finiteness (``SGDStep.apply`` proves it; a ``CustomMap`` checks it).  An
+    integer index in range takes one scalar comparison, cheap at a tree node;
+    any other index, or one that the comparison or the lookup refuses, is
+    held to ``_sample_indices``' rule, and the lookup's own TypeError stands
+    for what that rule passes."""
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        theta = as_point(theta)
     samples = dataset.samples
     try:
         fast = 0 <= sample_index < len(samples)

@@ -116,8 +116,7 @@ def coupled_contraction_ratio(
     dist = linalg_norms(a - b)
     if np.any(dist == 0.0):
         raise ValueError("coupled starting points must differ")
-    domain = update.domain
-    scale = domain.bounding_radius() if domain is not None else math.inf
+    scale = update.domain.bounding_radius()
     if not math.isfinite(scale):
         scale = np.maximum(1.0, dist)
     coalesce_tol = 1e-14 * scale

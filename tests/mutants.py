@@ -94,6 +94,15 @@ MUTANTS = [
      "return np.sort(np.unique(_point_keys(points), return_index=True)[1])",
      "return np.sort(len(points) - 1 - np.unique(_point_keys(points)[::-1], "
      "return_index=True)[1])"),
+    # a custom map's point not checked against its domain's width
+    ("custom-width-unchecked", "src/sgdcover/sgd.py",
+     'may ignore it."""\n        theta = as_point(theta, dim=self.domain.dim)\n',
+     'may ignore it."""\n        theta = as_point(theta)\n'),
+    # the one-row SGD step without its entry guard on the point's shape
+    ("step-width-unguarded", "src/sgdcover/sgd.py",
+     "        if theta.shape != self._row_shape:  # the one shape comparison per tree node\n"
+     "            theta = as_point(theta, dim=self.domain.dim)\n",
+     ""),
     # the index rule lets the index n through
     ("index-upper-open", "src/sgdcover/sgd.py",
      "idx.max() >= n",

@@ -357,6 +357,8 @@ class TestExitCodeContract:
         "unknown.json": dict(QUADRATIC_SCENARIO, family={"name": "perceptron"}),
         "iid_kmeans.json": {"family": {"name": "hard_kmeans", "K": 2, "R": 1.0, "d": 2},
                             "eta": 0.25, "dataset": {"kind": "iid", "n": 5}},
+        "ball_without_d.json": {"family": {"name": "soft_kmeans", "K": 2, "zeta": 0.1, "R": 1.0},
+                                "eta": 0.5, "dataset": {"kind": "uniform_ball", "n": 50}},
     }
     BOUND = ["--n", "100", "--delta", "0.05", "--B", "1", "--L", "1", "--R", "1"]
 
@@ -383,10 +385,20 @@ class TestExitCodeContract:
          "gamma must lie in (0, 1]"),
         (["gap", "--scenario", "quadratic.json", "--t", "-1"],
          "t must be a non-negative integer, got -1"),
+        (["gap", "--scenario", "ball_without_d.json"],
+         "dataset kind 'uniform_ball' needs scenario.dataset.d"),
+        (["kmeans", "--scenario", "ball_without_d.json"],
+         "dataset kind 'uniform_ball' needs scenario.dataset.d"),
+        (["cover", "--scenario", "quadratic.json", "--T", "9012"],
+         "enumeration needs 3^9012 entries but the cap is 10000000; rerun with cap >= 3^9012"),
+        (["cover", "--scenario", "quadratic.json", "--T", "100000"],
+         "enumeration needs 3^100000 entries but the cap is 10000000; "
+         "rerun with cap >= 3^100000"),
     ], ids=["validate-delta-one", "validate-undeclared-constants", "cover-epsilon-without-T",
             "cover-verify-without-epsilon", "unknown-family", "iid-clustering-without-points",
             "approx-unknown-function", "bound-unit-gamma-without-T", "bound-negative-T",
-            "bound-zero-gamma", "gap-negative-t"])
+            "bound-zero-gamma", "gap-negative-t", "gap-uniform-ball-without-d",
+            "kmeans-uniform-ball-without-d", "cover-cap-at-4300-digits", "cover-cap-huge-T"])
     def test_refusal_prints_one_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                          argv, message):
         monkeypatch.chdir(tmp_path)

@@ -572,7 +572,7 @@ def _step(update, theta, dataset=Dataset((None,))):
 _QUADRATIC = SGDStep(quadratic_centers([[0.5, 0.0]], 1.0), 0.5)
 _QUADRATIC_DATA = Dataset(([0.5, 0.0],))
 _CONSTANT = SGDStep(_gradient_of(1.0), 0.1, domain=WholeSpace(1))
-_CUSTOM = CustomMap(lambda t, z: np.zeros(1))
+_CUSTOM = CustomMap(lambda t, z: np.zeros(1), WholeSpace(1))
 # SGDStep.apply forms the update before checking the point, so an infinite
 # entry minus its gradient's infinity warns "invalid value" before the
 # ValueError; a guard ahead of the update would cost every cover-tree node
@@ -624,7 +624,7 @@ class TestAllFinite:
         (lambda bad: SGDStep(_gradient_of(bad), 0.1, domain=WholeSpace(1)).apply_batch(
             np.zeros((2, 1)), [0, 0], Dataset((None,))), FloatingPointError,
          "non-finite gradient"),
-        (lambda bad: CustomMap(lambda t, z: t + bad).apply(np.zeros(2), None),
+        (lambda bad: CustomMap(lambda t, z: t + bad, WholeSpace(2)).apply(np.zeros(2), None),
          FloatingPointError, "non-finite values"),
         (lambda bad: _step(_QUADRATIC, [0.0, bad], _QUADRATIC_DATA), ValueError,
          "^point has non-finite entries$"),

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from sgdcover import fractal
 from sgdcover import surrogate as surrogate_module
 from sgdcover.core import Ball, Box, ProductOfBalls, WholeSpace, ceil_int, row_norms
 from sgdcover.cover import (
+    DEFAULT_CAP,
     CoverSet,
     EnumerationCapExceeded,
     cover_horizon,
@@ -186,12 +188,23 @@ class TestEnumerateCover:
             enumerate_cover(update, ds, T=10, cap=100)
         assert exc.value.required == 3**10
 
-    def test_map_without_a_domain_is_refused(self):
-        """The domain fixes the anchor's dimension; a custom map without one
-        is refused with ValueError before any step."""
-        _, ds, _ = quadratic_cover_setup()
-        with pytest.raises(ValueError, match="needs a domain"):
-            enumerate_cover(CustomMap(lambda t, z: t), ds, T=1)
+    @pytest.mark.parametrize("T, cap, required", [
+        (64, DEFAULT_CAP, 3**64), (65, DEFAULT_CAP, "3^65"),
+        (71, 2**70, 3**71), (72, 2**70, "3^72"), (10**9, DEFAULT_CAP, "3^1000000000"),
+    ])
+    def test_cap_refusal_forms_no_huge_count(self, T, cap, required):
+        """n^T is formed, exactly, only while T is at most 64 or the cap's bit
+        length; past both, n >= 2 puts it past the cap, and it is refused at
+        once as the text "n^T" (forming 3^(10^9) would take minutes, and its
+        digits pass Python's limit for printing an int)."""
+        _, ds, update = quadratic_cover_setup()
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            enumerate_cover(update, ds, T=T, cap=cap)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.required == required
+        assert str(exc.value) == (f"enumeration needs {required} entries but the cap is {cap}; "
+                                  f"rerun with cap >= {required}")
 
     def test_overflowed_unprojected_endpoint_rejected(self):
         """A raw (unprojected) step whose finite gradient overflows the last
@@ -597,13 +610,6 @@ class TestVerifyCover:
                 theta = update.apply(theta, ds.samples[i])
             match = next(e for e in cov if e.seq == idx)
             np.testing.assert_array_equal(theta, match.point)
-
-    def test_map_without_domain_is_refused(self):
-        _, ds, update = quadratic_cover_setup()
-        cov = enumerate_cover(update, ds, T=1)
-        with pytest.raises(ValueError, match="needs a bounded domain"):
-            verify_cover(cov, CustomMap(lambda t, z: 0.5 * t), ds, trials=1,
-                         max_extra_steps=0, epsilon=0.1)
 
     def test_soundness_and_negative_control(self):
         _, ds, update = quadratic_cover_setup()

@@ -56,11 +56,13 @@ class TestSgdStep:
             sgd_step(update, np.array([0.0, 0.0]), 3, ds)
 
     def test_index_is_checked_before_the_point_is_finite(self):
-        """sgd_step checks only the shape of theta before the index; the
-        update then checks the point finite."""
+        """sgd_step checks the index before anything of theta; the update
+        then checks the point's shape and finiteness, once, at its entry."""
         _, ds, update = quadratic_setup(eta=0.5)
         with pytest.raises(IndexError):
             sgd_step(update, np.array([np.nan, 0.0]), 3, ds)
+        with pytest.raises(IndexError):
+            sgd_step(update, np.zeros((1, 2)), 3, ds)
         with pytest.raises(ValueError, match="^point has non-finite entries$"):
             sgd_step(update, np.array([np.nan, 0.0]), 0, ds)
 
@@ -84,7 +86,7 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("update", [
         SGDStep(quadratic_centers(CENTERS, R=1.0), 0.5),
-        CustomMap(lambda t, z: 0.5 * (t + z)),
+        CustomMap(lambda t, z: 0.5 * (t + z), WholeSpace(2)),
     ], ids=["SGDStep", "CustomMap"])
     def test_lockstep_refuses_a_non_finite_start(self, update):
         ds = Dataset(tuple(CENTERS))
@@ -127,6 +129,11 @@ class TestSgdStep:
         )
         with pytest.raises(ValueError):
             SGDStep(bad, 0.1)
+
+    def test_custom_map_needs_a_domain(self):
+        """Every update map has a domain; ``WholeSpace(d)`` spells none."""
+        with pytest.raises(TypeError, match="domain"):
+            CustomMap(lambda t, z: t)
 
 
 _HUGE_GRADIENT = LossFamily(
@@ -395,7 +402,7 @@ class TestCoupledContraction:
             assert traj.points[t + 1].tobytes() == theta.tobytes()
 
     def test_single_sample_step_keeps_the_sign_of_zero(self):
-        flip = CustomMap(lambda t, z: -0.0 * t)
+        flip = CustomMap(lambda t, z: -0.0 * t, WholeSpace(1))
         traj = run_trajectory(flip, np.array([1.0]), [0], Dataset((None,)))
         assert np.signbit(traj.endpoint[0])
 
@@ -484,7 +491,7 @@ class TestApplyBatch:
         _, ds, update = quadratic_setup(0.5)
         applied = []
         if batched == "custom_map":
-            update = CustomMap(lambda t, z: applied.append(z) or t)
+            update = CustomMap(lambda t, z: applied.append(z) or t, WholeSpace(2))
         with pytest.raises(ValueError, match=r"^expected 3 sample indices, one per row, got 1$"):
             update.apply_batch(np.zeros((3, 2)), [1], ds)
         assert applied == []
@@ -551,6 +558,26 @@ class TestWrongWidth:
                                              r"the point has shape \(2,\)$"):
             call(update, Dataset(tuple(CENTERS)))
 
+    @pytest.mark.parametrize("call", [
+        lambda update, ds: sgd_step(update, np.zeros(3), 0, ds),
+        lambda update, ds: update.apply(np.zeros(3), ds.samples[0]),
+    ], ids=["sgd_step", "apply"])
+    @pytest.mark.parametrize("kind", ["SGDStep", "CustomMap"])
+    def test_one_row_point_of_the_wrong_width_is_refused(self, call, kind):
+        """A point of width 3 in d = 2 is refused once, at the one-row step's
+        entry, with ``as_point``'s message, before the user's ``grad`` or
+        ``fn`` runs; a ``CustomMap`` used to return a 3-vector."""
+        ball, called = Ball(np.zeros(2), 1.0), []
+        if kind == "SGDStep":
+            update = SGDStep(LossFamily(name="recorded", constants=LossConstants(),
+                                        value=lambda t, z: 0.0,
+                                        grad=lambda t, z: called.append(t) or np.zeros_like(t)),
+                             0.5, domain=ball)
+        else:
+            update = CustomMap(lambda t, z: called.append(t) or 0.5 * t, ball)
+        with pytest.raises(ValueError, match="^dimension mismatch: expected 2, got 3$"):
+            call(update, Dataset(tuple(CENTERS)))
+        assert called == []
 
     def test_grad_batch_of_the_wrong_width_is_refused(self):
         """A family's ``grad_batch`` of width 1 in d = 2 is refused with both
@@ -588,7 +615,7 @@ class TestIndexRule:
         _, ds, update = quadratic_setup(eta=0.5)
         applied = []
         if entry == "CustomMap.apply_batch":
-            update = CustomMap(lambda t, z: applied.append(z) or t)
+            update = CustomMap(lambda t, z: applied.append(z) or t, WholeSpace(2))
         calls = {
             "SGDStep.apply_batch": lambda: update.apply_batch(np.zeros((1, 2)), [bad], ds),
             "CustomMap.apply_batch": lambda: update.apply_batch(np.zeros((1, 2)), [bad], ds),
@@ -851,8 +878,8 @@ class TestOneRowStep:
         assert lockstep.tobytes() == cov.points.tobytes()
 
     def test_wrong_dimension(self):
-        """A point of the wrong width skips ``grad_batch`` for the family's
-        checked ``grad``, which names the mismatch."""
+        """A point of the wrong width meets ``as_point`` at entry, which names
+        the mismatch, and reaches neither ``grad_batch`` nor ``grad``."""
         _, ds, update = quadratic_setup(eta=0.5)
         with pytest.raises(ValueError, match="^dimension mismatch: expected 2, got 3$"):
             update.apply(np.zeros(3), ds.samples[0])
@@ -981,7 +1008,7 @@ class TestLockstep:
         with pytest.raises(IndexError, match=message):
             run_lockstep(update, np.zeros((1, 2)), np.array([1]), np.array([[bad]]), ds)
         applied = []
-        counting = CustomMap(lambda t, z: applied.append(z) or t)
+        counting = CustomMap(lambda t, z: applied.append(z) or t, WholeSpace(2))
         with pytest.raises(IndexError, match=message):
             run_lockstep(counting, np.zeros((2, 2)), np.array([2, 1]),
                          np.array([[0, 1], [bad, 0]]), ds)
@@ -1012,7 +1039,7 @@ class TestLockstep:
         failing in numpy."""
         _, ds, _ = quadratic_setup(0.5)
         applied = []
-        counting = CustomMap(lambda t, z: applied.append(z) or t)
+        counting = CustomMap(lambda t, z: applied.append(z) or t, WholeSpace(2))
         starts = np.zeros((2, 2))
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_lockstep(counting, starts, [1] + steps, [[0, 0]] + indices, ds)
