@@ -54,12 +54,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf"
     return obj
@@ -167,7 +163,15 @@ def _merged(args: types.SimpleNamespace, options: dict) -> dict:
 # Scenario descriptors
 # ---------------------------------------------------------------------------
 
-_DATASET_KINDS = ("support", "iid", "uniform_ball", "points")
+# Each (family, dataset kind) pair builds from one source or is refused: a
+# family in _FAMILY_ATOMS fixes its samples, any other takes explicit 'points'
+# or, with none, a 'uniform_ball' draw; each kind's rule forms the dataset.
+_FAMILY_ATOMS = {"quadratic_centers": lambda f: [np.asarray(c, dtype=float) for c in f["centers"]],
+                 "stability_counterexample_1d": lambda f: [0, 1]}
+_DATASET_KINDS = {"support": lambda dist, points, n, seed: Dataset(dist.support, dist),
+                  "points": lambda dist, points, n, seed: Dataset(points, dist),
+                  **dict.fromkeys(("iid", "uniform_ball"), lambda dist, points, n, seed:
+                                  Dataset.sample(dist, n, substream(seed, 1_000_003)))}
 
 
 def _is_sample_list(points) -> bool:
@@ -210,33 +214,30 @@ def _load_scenario(cfg: dict, seed: int, need_eta: bool = False, need_domain: bo
     _check(isinstance(desc.get("name", ""), str), "scenario.name must be a string")
 
     # a family without a fixed dimension takes the samples' dimension
-    d = ds.get("d", np.size(ds["points"][0]) if "points" in ds else None)
+    points = tuple(np.asarray(p, dtype=float) for p in ds.get("points", ()))
     family_desc = desc.get("family")
     if isinstance(family_desc, dict) and family_desc.get("d") is None:
-        family_desc = {**family_desc, "d": d}
+        family_desc = {**family_desc, "d": ds.get("d", np.size(points[0]) if points else None)}
     try:
         family = family_from_descriptor(family_desc)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad scenario.family: {exc}") from exc
 
-    if family_desc["name"] == "quadratic_centers":
-        dist = uniform_over([np.asarray(c, dtype=float) for c in family_desc["centers"]])
-    elif family_desc["name"] == "stability_counterexample_1d":
-        dist = uniform_over([0, 1])
-    elif "points" in ds:
-        dist = uniform_over([np.asarray(p, dtype=float) for p in ds["points"]])
-    elif kind == "uniform_ball":
-        dist = uniform_ball(ds.get("R", family.constants.R), ds["d"])
-    else:
-        raise UsageError("dataset descriptor needs explicit 'points' for this family")
-
-    if kind == "support":
-        _check(dist.finite, "dataset kind 'support' needs a finite distribution")
-        dataset = Dataset(dist.support, dist)
-    elif kind == "points":
-        dataset = Dataset(tuple(np.asarray(p, dtype=float) for p in ds["points"]), dist)
-    else:
-        dataset = Dataset.sample(dist, ds["n"], substream(seed, 1_000_003))
+    name = family_desc["name"]
+    _check(name != "multi_index", f"family 'multi_index' takes (label, x) samples, which "
+           f"dataset kind {kind!r} cannot spell; it is library-only for now")
+    atoms = _FAMILY_ATOMS[name](family_desc) if name in _FAMILY_ATOMS else points
+    ball = kind == "uniform_ball"  # drawn from a ball, so only without atoms or points
+    _check(ball or atoms, "dataset descriptor needs explicit 'points' for this family")
+    _check(not (ball and atoms), f"family {name!r} refuses dataset kind 'uniform_ball' with "
+           + ("its own atoms" if name in _FAMILY_ATOMS else "explicit points"))
+    if name in _FAMILY_ATOMS:  # a family that fixes its samples fixes their width
+        width = np.size(atoms[0])
+        for key, got in (("d", ds.get("d", width)), ("points", np.size((points or atoms)[0]))):
+            _check(got == width, f"scenario.dataset.{key} gives width {got}, but family "
+                   f"{name!r} fixes samples of width {width}")
+    dist = uniform_ball(ds.get("R", family.constants.R), ds["d"]) if ball else uniform_over(atoms)
+    dataset = _DATASET_KINDS[kind](dist, points, ds.get("n"), seed)
 
     _check(family.domain is not None or not need_domain,
            "scenario does not determine a bounded domain; add 'd' to the "
@@ -282,8 +283,8 @@ def _cmd_cover(cfg, args):
            f"epsilon must be finite and positive, got {epsilon!r}")
     if T is None:
         c = family.constants
-        if epsilon is None or c.alpha is None or c.beta is None:
-            raise UsageError("give T, or epsilon plus a family with declared alpha/beta")
+        _check(epsilon is not None and c.alpha is not None and c.beta is not None,
+               "give T, or epsilon plus a family with declared alpha/beta")
         gamma = contraction_factor(c.alpha, c.beta, eta)
         T = cover_horizon(domain.bounding_radius(), epsilon, gamma)
     cover = enumerate_cover(update, dataset, int(T), **_given(cfg, "cap", "dedupe"))
@@ -293,8 +294,7 @@ def _cmd_cover(cfg, args):
               "deduped": cover.deduped}
     verification = None
     if "verify_trials" in cfg:  # verify_cover refuses fewer than one trial
-        if epsilon is None:
-            raise UsageError("verification needs epsilon")
+        _check(epsilon is not None, "verification needs epsilon")
         verification = verify_cover(cover, update, dataset, cfg["verify_trials"],
                                     cfg.get("max_extra_steps", 50), float(epsilon),
                                     seed=args.seed)
@@ -365,8 +365,7 @@ def _cmd_approx(cfg, args):
 
     _require(cfg, "function", "R", "xi")
     name = cfg["function"]
-    if name not in _FUNCTIONS:
-        raise UsageError(f"unknown function {name!r}; available: {sorted(_FUNCTIONS)}")
+    _check(name in _FUNCTIONS, f"unknown function {name!r}; available: {sorted(_FUNCTIONS)}")
     d, value, grad, beta_prime = _FUNCTIONS[name]
     R, xi = float(cfg["R"]), float(cfg["xi"])
     alpha = float(cfg.get("alpha", 1.0))
@@ -433,8 +432,7 @@ def _cmd_kmeans(cfg, args):
     scenario, dataset = _load_scenario(cfg, args.seed)
     family = scenario.family
     c = family.constants
-    if c.zeta is None or c.K is None:
-        raise UsageError("kmeans needs a soft_kmeans scenario family")
+    _check(c.zeta is not None and c.K is not None, "kmeans needs a soft_kmeans scenario family")
     K, zeta, R = int(c.K), float(c.zeta), float(c.R)
     d = np.atleast_1d(np.asarray(dataset.samples[0], dtype=float)).shape[0]
     rng = substream(args.seed, 2)

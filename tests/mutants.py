@@ -115,6 +115,10 @@ MUTANTS = [
     ("draw-no-zeroing", "src/sgdcover/sgd.py",
      "    indices[np.arange(t_max) >= steps[:, None]] = 0\n",
      ""),
+    # quadratic_centers re-admitted with dataset kind uniform_ball, drawn from the ball
+    ("quadratic-ball-admitted", "src/sgdcover/cli.py",
+     "_check(not (ball and atoms),",
+     '_check(not (ball and atoms) or name == "quadratic_centers",'),
 ]
 
 

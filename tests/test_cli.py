@@ -359,6 +359,21 @@ class TestExitCodeContract:
                             "eta": 0.25, "dataset": {"kind": "iid", "n": 5}},
         "ball_without_d.json": {"family": {"name": "soft_kmeans", "K": 2, "zeta": 0.1, "R": 1.0},
                                 "eta": 0.5, "dataset": {"kind": "uniform_ball", "n": 50}},
+        "quadratic_ball.json": dict(QUADRATIC_SCENARIO,
+                                    dataset={"kind": "uniform_ball", "n": 6, "d": 2}),
+        "stability_ball.json": {"family": {"name": "stability_counterexample_1d"}, "eta": 0.3,
+                                "dataset": {"kind": "uniform_ball", "n": 6, "d": 1}},
+        "ball_with_points.json": {"family": {"name": "soft_kmeans", "K": 2, "zeta": 0.1,
+                                             "R": 1.0},
+                                  "eta": 0.1, "dataset": {"kind": "uniform_ball", "n": 6, "d": 2,
+                                                          "points": [[0.1, 0.2], [0.3, 0.1]]}},
+        "quadratic_wide_points.json": dict(QUADRATIC_SCENARIO, dataset={
+            "kind": "points", "points": [[0.1, 0.2, 0.3], [0.0, 0.1, -0.2]]}),
+        "quadratic_d5.json": dict(QUADRATIC_SCENARIO, dataset={"kind": "support", "d": 5}),
+        "multi_index.json": {"family": {"name": "multi_index", "link": {"name": "squared_error"},
+                                        "K": 1, "lambda": 0.1, "R": 1.0, "R_x": 1.0, "d": 2},
+                             "eta": 0.5, "dataset": {"kind": "points",
+                                                     "points": [[1.0, 0.1, 0.2], [0.0, 0.3, 0.1]]}},
     }
     BOUND = ["--n", "100", "--delta", "0.05", "--B", "1", "--L", "1", "--R", "1"]
 
@@ -394,11 +409,33 @@ class TestExitCodeContract:
         (["cover", "--scenario", "quadratic.json", "--T", "100000"],
          "enumeration needs 3^100000 entries but the cap is 10000000; "
          "rerun with cap >= 3^100000"),
+        (["cover", "--scenario", "quadratic_ball.json", "--T", "2"],
+         "family 'quadratic_centers' refuses dataset kind 'uniform_ball' with its own atoms"),
+        (["gap", "--scenario", "stability_ball.json", "--t", "2"],
+         "family 'stability_counterexample_1d' refuses dataset kind 'uniform_ball' "
+         "with its own atoms"),
+        (["kmeans", "--scenario", "ball_with_points.json"],
+         "family 'soft_kmeans' refuses dataset kind 'uniform_ball' with explicit points"),
+        (["cover", "--scenario", "quadratic_wide_points.json", "--T", "2"],
+         "scenario.dataset.points gives width 3, but family 'quadratic_centers' "
+         "fixes samples of width 2"),
+        (["gap", "--scenario", "quadratic_d5.json", "--t", "2"],
+         "scenario.dataset.d gives width 5, but family 'quadratic_centers' "
+         "fixes samples of width 2"),
+        *[([command, "--scenario", "multi_index.json", *flags],
+           "family 'multi_index' takes (label, x) samples, which dataset kind 'points' "
+           "cannot spell; it is library-only for now")
+          for command, flags in [("cover", ["--T", "2"]), ("gap", ["--t", "2"]),
+                                 ("contract", [])]],
     ], ids=["validate-delta-one", "validate-undeclared-constants", "cover-epsilon-without-T",
             "cover-verify-without-epsilon", "unknown-family", "iid-clustering-without-points",
             "approx-unknown-function", "bound-unit-gamma-without-T", "bound-negative-T",
             "bound-zero-gamma", "gap-negative-t", "gap-uniform-ball-without-d",
-            "kmeans-uniform-ball-without-d", "cover-cap-at-4300-digits", "cover-cap-huge-T"])
+            "kmeans-uniform-ball-without-d", "cover-cap-at-4300-digits", "cover-cap-huge-T",
+            "cover-quadratic-uniform-ball", "gap-stability-uniform-ball",
+            "kmeans-uniform-ball-with-points", "cover-quadratic-wide-points",
+            "gap-quadratic-wide-d", "cover-multi-index", "gap-multi-index",
+            "contract-multi-index"])
     def test_refusal_prints_one_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                          argv, message):
         monkeypatch.chdir(tmp_path)
@@ -716,6 +753,55 @@ class TestExitCodeContract:
         assert run(["cover", "--scenario", spath, "--T", "2", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert Path(str(out) + ".meta.json").is_dir()  # not this run's to remove
+
+
+_POINTS = [[0.1, 0.2], [0.3, -0.4], [-0.5, 0.0]]
+_SOFT = {"name": "soft_kmeans", "K": 2, "zeta": 0.1, "R": 1.5}
+_HARD = {"name": "hard_kmeans", "K": 2, "R": 1.5}
+
+
+@pytest.mark.parametrize("family, dataset, atoms", [
+    (QUADRATIC_SCENARIO["family"], {"kind": "support"}, QUADRATIC_SCENARIO["family"]["centers"]),
+    (QUADRATIC_SCENARIO["family"], {"kind": "iid", "n": 7, "d": 2},
+     QUADRATIC_SCENARIO["family"]["centers"]),
+    (QUADRATIC_SCENARIO["family"], {"kind": "points", "points": _POINTS},
+     QUADRATIC_SCENARIO["family"]["centers"]),
+    ({"name": "stability_counterexample_1d"}, {"kind": "support"}, [0, 1]),
+    ({"name": "stability_counterexample_1d"}, {"kind": "iid", "n": 5}, [0, 1]),
+    (_SOFT, {"kind": "support", "points": _POINTS}, _POINTS),
+    (_SOFT, {"kind": "points", "points": _POINTS}, _POINTS),
+    (_HARD, {"kind": "iid", "n": 6, "points": _POINTS}, _POINTS),
+    (_SOFT, {"kind": "uniform_ball", "n": 20, "d": 3}, None),
+    (_HARD, {"kind": "uniform_ball", "n": 20, "d": 2, "R": 0.5}, None),
+], ids=["quadratic-support", "quadratic-iid", "quadratic-points", "stability-support",
+        "stability-iid", "soft-support", "soft-points", "hard-iid", "soft-uniform-ball",
+        "hard-uniform-ball-R"])
+def test_a_scenario_dataset_is_its_named_source(family, dataset, atoms):
+    """Each (family, dataset kind) pair that builds takes its samples from one
+    source: a ``support`` dataset is the atoms (the family's own, else the
+    explicit points) in order, ``points`` the explicit points, ``iid`` n draws
+    of the atoms on the stream (seed, 1_000_003), and ``uniform_ball`` n rows
+    of width d in the radius-R ball, drawn on that stream."""
+    seed, kind = 5, dataset["kind"]
+    scenario, built = cli._load_scenario(
+        {"scenario": {"family": family, "eta": 0.5, "dataset": dataset}}, seed)
+    rng = substream(seed, 1_000_003)
+    if kind == "uniform_ball":
+        d, R = dataset["d"], dataset.get("R", family["R"])
+        rows = np.stack(built.samples)
+        assert rows.shape == (dataset["n"], d)
+        assert np.all(np.linalg.norm(rows, axis=1) <= R)
+        assert np.array_equal(rows, sgdcover.Ball(np.zeros(d), R).sample_batch(rng, dataset["n"]))
+        return
+    assert np.array_equal(np.asarray(scenario.distribution.support, dtype=float),
+                          np.asarray(atoms, dtype=float))
+    if kind == "iid":
+        expected = [atoms[i] for i in rng.integers(0, len(atoms), dataset["n"])]
+    else:
+        expected = atoms if kind == "support" else dataset["points"]
+    assert np.array_equal(np.asarray(built.samples, dtype=float),
+                          np.asarray(expected, dtype=float))
+    assert scenario.n == built.n == len(expected)
 
 
 class TestDeterminism:
